@@ -44,6 +44,8 @@ from .symplectic import symplectic_residual
 
 USAGE_ERROR = 2
 DOMAIN_ERROR = 1
+# the dense bracket table holds dim^3 floats, dim = (n + 1)(2n + 1): ~100 MB at n = 10
+MAX_COMMUTATOR_N = 10
 
 
 def _real(node, what="matrix"):
@@ -53,8 +55,12 @@ def _real(node, what="matrix"):
     return arr
 
 
+def _scalar(node, key):
+    return float(_real(node[key], key))
+
+
 def _complex(node, what="matrix"):
-    arr = np.asarray(node, dtype=float)
+    arr = _real(node, what)
     if arr.shape[-1] != 2:
         raise BadShape(f"{what} must use [re, im] pairs at the innermost level")
     return arr[..., 0] + 1j * arr[..., 1]
@@ -70,26 +76,26 @@ def _encode(value):
 
 
 def _emit(obj, stream):
-    stream.write(json.dumps(obj, sort_keys=True, separators=(",", ":")))
+    stream.write(json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False))
     stream.write("\n")
 
 
 def _chart_from_json(node):
     return SnChart(
         _real(node["x"]), _real(node["y"]), _real(node["X"]), _real(node["Y"]),
-        _real(node["p"]), _real(node["q"]), float(node["kappa"]),
+        _real(node["p"]), _real(node["q"]), _scalar(node, "kappa"),
     )
 
 
 def _sn_tangent_from_json(node):
     return (_real(node["dx"]), _real(node["dy"]), _real(node["dX"]),
             _real(node["dY"]), _real(node["dp"]), _real(node["dq"]),
-            float(node["dkappa"]))
+            _scalar(node, "dkappa"))
 
 
 def _element_from_json(node):
     return JacobiElement(_real(node["m"]), _real(node["lam"]),
-                         _real(node["mu"]), float(node["kappa"]))
+                         _real(node["mu"]), _scalar(node, "kappa"))
 
 
 def cmd_check(args, payload, out):
@@ -133,7 +139,7 @@ def cmd_act(args, payload, out):
     else:
         x1, y1, p1, q1, k1 = act_extended(
             g, (_real(point["x"]), _real(point["y"]), _real(point["p"]),
-                _real(point["q"]), float(point["kappa"])))
+                _real(point["q"]), _scalar(point, "kappa")))
         _emit({"x": _encode(x1), "y": _encode(y1), "p": _encode(p1),
                "q": _encode(q1), "kappa": k1}, out)
     return 0
@@ -152,23 +158,19 @@ def cmd_oneforms(args, payload, out):
 
 def cmd_metric(args, payload, out):
     if args.object == "metric_group":
-        params = MetricParams(**payload["params"])
+        params = MetricParams(**{k: _scalar(payload["params"], k) for k in payload["params"]})
         chart = _chart_from_json(payload["chart"])
         value = metric_group(params, chart,
                              _sn_tangent_from_json(payload["t1"]),
                              _sn_tangent_from_json(payload["t2"]))
-    elif args.object == "metric_xjn":
-        point = tuple(_real(p) for p in payload["point"])
-        t1 = tuple(_real(p) for p in payload["t1"])
-        t2 = tuple(_real(p) for p in payload["t2"])
-        value = metric_xjn(float(payload["alpha"]), float(payload["gamma"]),
-                           payload["chart"], point, t1, t2)
-    elif args.object == "metric_extended":
-        point = tuple(_real(p) for p in payload["point"][:4]) + (float(payload["point"][4]),)
-        t1 = tuple(_real(p) for p in payload["t1"][:4]) + (float(payload["t1"][4]),)
-        t2 = tuple(_real(p) for p in payload["t2"][:4]) + (float(payload["t2"][4]),)
-        value = metric_extended(float(payload["alpha"]), float(payload["gamma"]),
-                                float(payload["delta"]), point, t1, t2)
+    elif args.object in ("metric_xjn", "metric_extended"):
+        # metric_extended carries kappa / dkappa as a fifth, scalar component
+        point, t1, t2 = (tuple(_real(c, k) for c in payload[k]) for k in ("point", "t1", "t2"))
+        alpha, gamma = _scalar(payload, "alpha"), _scalar(payload, "gamma")
+        if args.object == "metric_xjn":
+            value = metric_xjn(alpha, gamma, payload["chart"], point, t1, t2)
+        else:
+            value = metric_extended(alpha, gamma, _scalar(payload, "delta"), point, t1, t2)
     else:
         raise BadShape(f"unknown metric object {args.object!r}")
     _emit({"object": args.object, "value": float(value)}, out)
@@ -176,6 +178,8 @@ def cmd_metric(args, payload, out):
 
 
 def cmd_commutators(args, payload, out):
+    if args.n > MAX_COMMUTATOR_N:
+        raise BadShape(f"commutators --n must be at most {MAX_COMMUTATOR_N}")
     labels, table = commutator_table(args.n)
     nonzero = {}
     for i, li in enumerate(labels):

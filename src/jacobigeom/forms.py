@@ -28,12 +28,8 @@ from .jacobi import (
     pq_from_lm,
     sn_chart_inverse,
 )
-from .linalg import check_symmetric, dsqrtm, sqrtm_spd, sym_residual, symmetrize
-from .symplectic import blocks, j_matrix
-
-
-def _row(v):
-    return np.asarray(v, dtype=float).ravel()
+from .linalg import _row, check_symmetric, dsqrtm, sqrtm_spd, sym_residual, symmetrize
+from .symplectic import _jacobi_matrix, blocks, from_blocks, j_matrix
 
 
 def _sym_component(a):
@@ -45,10 +41,10 @@ def _sym_component(a):
 def check_matrix_tangent(g, tangent, tol=1e-10):
     """Validate the linearized symplectic constraint of a matrix-chart tangent."""
     da, db, dc, dd, dp, dq, dk = tangent
-    dm = np.block([[da, db], [dc, dd]])
+    dm = from_blocks(da, db, dc, dd)
     j = j_matrix(g.n)
     res = np.max(np.abs(dm.T @ j @ g.M + g.M.T @ j @ dm))
-    if res > tol * max(1.0, np.max(np.abs(g.M))):
+    if not res <= tol * max(1.0, np.max(np.abs(g.M))):
         raise NotSymmetric(f"tangent violates the symplectic linearization: {res:.3e}")
     return tangent
 
@@ -73,23 +69,13 @@ class OneForms:
 
 def _embed_tangent(g, tangent):
     """Derivative of the embedding along a matrix-chart tangent."""
-    n = g.n
     da, db, dc, dd, dp, dq, dk = tangent
+    dp, dq = _row(dp), _row(dq)
     a, b, c, d = blocks(g.M)
     p, q = pq_from_lm(g.lam, g.mu, g.M)
-    dlam = _row(dp) @ a + p @ da + _row(dq) @ c + q @ dc
-    dmu = _row(dp) @ b + p @ db + _row(dq) @ d + q @ dd
-    out = np.zeros((2 * n + 2, 2 * n + 2))
-    out[:n, :n] = da
-    out[:n, n + 1:2 * n + 1] = db
-    out[:n, 2 * n + 1] = _row(dq)
-    out[n, :n] = dlam
-    out[n, n + 1:2 * n + 1] = dmu
-    out[n, 2 * n + 1] = float(dk)
-    out[n + 1:2 * n + 1, :n] = dc
-    out[n + 1:2 * n + 1, n + 1:2 * n + 1] = dd
-    out[n + 1:2 * n + 1, 2 * n + 1] = -_row(dp)
-    return out
+    dlam = dp @ a + p @ da + dq @ c + q @ dc
+    dmu = dp @ b + p @ db + dq @ d + q @ dd
+    return _jacobi_matrix((da, db, dc, dd), (dlam, dmu), (dq, -dp), float(dk), 0.0)
 
 
 def maurer_cartan(g, tangent, chart="matrix", proj_tol=1e-10):

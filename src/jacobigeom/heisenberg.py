@@ -15,11 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import BadShape
-
-
-def _row(v):
-    v = np.asarray(v, dtype=float).ravel()
-    return v
+from .linalg import _row
+from .symplectic import _jacobi_matrix
 
 
 @dataclass(frozen=True)
@@ -34,7 +31,7 @@ class HeisenbergElement:
         object.__setattr__(self, "kappa", float(self.kappa))
         if self.lam.shape != self.mu.shape:
             raise BadShape("lambda and mu must have equal length")
-        if not (np.all(np.isfinite(self.lam)) and np.all(np.isfinite(self.mu))
+        if not (np.isfinite(self.lam).all() and np.isfinite(self.mu).all()
                 and np.isfinite(self.kappa)):
             raise BadShape("entries must be finite")
 
@@ -69,14 +66,8 @@ def h_embed(g):
         [ 0   0   I  -l^t  ]
         [ 0   0   0   1    ]
     """
-    n = g.n
-    m = np.eye(2 * n + 2)
-    m[n, :n] = g.lam
-    m[:n, 2 * n + 1] = g.mu
-    m[n, n + 1:2 * n + 1] = g.mu
-    m[n, 2 * n + 1] = g.kappa
-    m[n + 1:2 * n + 1, 2 * n + 1] = -g.lam
-    return m
+    eye, zero = np.eye(g.n), np.zeros((g.n, g.n))
+    return _jacobi_matrix((eye, zero, zero, eye), (g.lam, g.mu), (g.mu, -g.lam), g.kappa, 1.0)
 
 
 def h_oneforms(g, tangent):

@@ -27,20 +27,20 @@ import numpy as np
 
 from .exceptions import BadShape, BasisClosureFailure, ProjectionResidual
 from .heisenberg import HeisenbergElement
-from .linalg import check_spd, check_symmetric, symmetrize
+from .linalg import _row, check_spd, check_symmetric, symmetrize
 from .symplectic import (
     PreIwasawaFactors,
+    _jacobi_matrix,
+    _jacobi_parts,
     blocks,
     check_symplectic,
+    from_blocks,
     modified_pre_iwasawa,
     mobius_act,
     pre_iwasawa_compose,
+    sp_basis,
     sp_inverse,
 )
-
-
-def _row(v):
-    return np.asarray(v, dtype=float).ravel()
 
 
 @dataclass(frozen=True)
@@ -52,11 +52,11 @@ class JacobiElement:
 
     def __post_init__(self):
         object.__setattr__(self, "M", check_symplectic(self.M))
-        object.__setattr__(self, "lam", _row(self.lam))
-        object.__setattr__(self, "mu", _row(self.mu))
-        object.__setattr__(self, "kappa", float(self.kappa))
-        n = self.M.shape[0] // 2
-        if self.lam.shape != (n,) or self.mu.shape != (n,):
+        h = HeisenbergElement(self.lam, self.mu, self.kappa)  # finite, equal lengths
+        object.__setattr__(self, "lam", h.lam)
+        object.__setattr__(self, "mu", h.mu)
+        object.__setattr__(self, "kappa", h.kappa)
+        if h.n != self.n:
             raise BadShape("lambda/mu length must match the degree of M")
 
     @property
@@ -103,22 +103,8 @@ def gj_inverse(g):
 
 def gj_embed(g):
     """Embedding into the degree-(n+1) symplectic group (homomorphism)."""
-    n = g.n
-    a, b, c, d = blocks(g.M)
     p, q = pq_from_lm(g.lam, g.mu, g.M)
-    out = np.zeros((2 * n + 2, 2 * n + 2))
-    out[:n, :n] = a
-    out[:n, n + 1:2 * n + 1] = b
-    out[:n, 2 * n + 1] = q
-    out[n, :n] = g.lam
-    out[n, n] = 1.0
-    out[n, n + 1:2 * n + 1] = g.mu
-    out[n, 2 * n + 1] = g.kappa
-    out[n + 1:2 * n + 1, :n] = c
-    out[n + 1:2 * n + 1, n + 1:2 * n + 1] = d
-    out[n + 1:2 * n + 1, 2 * n + 1] = -p
-    out[2 * n + 1, 2 * n + 1] = 1.0
-    return out
+    return _jacobi_matrix(blocks(g.M), (g.lam, g.mu), (q, -p), g.kappa, 1.0)
 
 
 def gj_from_embedding(mat, tol=1e-8):
@@ -131,18 +117,10 @@ def gj_from_embedding(mat, tol=1e-8):
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] % 2:
         raise BadShape(f"expected even square matrix, got {mat.shape}")
-    n = (mat.shape[0] - 2) // 2
-    a = mat[:n, :n]
-    b = mat[:n, n + 1:2 * n + 1]
-    c = mat[n + 1:2 * n + 1, :n]
-    d = mat[n + 1:2 * n + 1, n + 1:2 * n + 1]
-    m = np.block([[a, b], [c, d]])
-    lam = mat[n, :n]
-    mu = mat[n, n + 1:2 * n + 1]
-    kappa = mat[n, 2 * n + 1]
-    g = JacobiElement(m, lam, mu, kappa)
+    blks, (lam, mu), _, kappa = _jacobi_parts(mat)
+    g = JacobiElement(from_blocks(*blks), lam, mu, kappa)
     res = np.max(np.abs(mat - gj_embed(g)))
-    if res > tol * max(1.0, np.max(np.abs(mat))):
+    if not res <= tol * max(1.0, np.max(np.abs(mat))):
         raise ProjectionResidual(f"matrix is not a Jacobi embedding, residual {res:.3e}")
     return g
 
@@ -185,18 +163,8 @@ class JacobiAlgebraElement:
         return self.a.shape[0]
 
     def to_matrix(self):
-        n = self.n
-        out = np.zeros((2 * n + 2, 2 * n + 2))
-        out[:n, :n] = self.a
-        out[:n, n + 1:2 * n + 1] = self.b
-        out[:n, 2 * n + 1] = self.q
-        out[n, :n] = self.p
-        out[n, n + 1:2 * n + 1] = self.q
-        out[n, 2 * n + 1] = self.r
-        out[n + 1:2 * n + 1, :n] = self.c
-        out[n + 1:2 * n + 1, n + 1:2 * n + 1] = -self.a.T
-        out[n + 1:2 * n + 1, 2 * n + 1] = -self.p
-        return out
+        return _jacobi_matrix((self.a, self.b, self.c, -self.a.T), (self.p, self.q),
+                              (self.q, -self.p), self.r, 0.0)
 
     @classmethod
     def from_matrix(cls, z, tol=1e-10):
@@ -208,17 +176,17 @@ class JacobiAlgebraElement:
         ProjectionResidual is raised.
         """
         z = np.asarray(z, dtype=float)
-        n = (z.shape[0] - 2) // 2
+        (a, b, c, d), (p, q), (q_col, minus_p_col), r = _jacobi_parts(z)
         elem = cls(
-            a=0.5 * (z[:n, :n] - z[n + 1:2 * n + 1, n + 1:2 * n + 1].T),
-            b=symmetrize(z[:n, n + 1:2 * n + 1]),
-            c=symmetrize(z[n + 1:2 * n + 1, :n]),
-            p=0.5 * (z[n, :n] - z[n + 1:2 * n + 1, 2 * n + 1]),
-            q=0.5 * (z[n, n + 1:2 * n + 1] + z[:n, 2 * n + 1]),
-            r=z[n, 2 * n + 1],
+            a=0.5 * (a - d.T),
+            b=symmetrize(b),
+            c=symmetrize(c),
+            p=0.5 * (p - minus_p_col),
+            q=0.5 * (q + q_col),
+            r=r,
         )
         res = np.max(np.abs(z - elem.to_matrix()))
-        if res > tol * max(1.0, np.max(np.abs(z))):
+        if not res <= tol * max(1.0, np.max(np.abs(z))):
             raise ProjectionResidual(f"not in the Jacobi algebra, residual {res:.3e}")
         return elem
 
@@ -230,21 +198,10 @@ class JacobiAlgebraElement:
         2 F_ij has block E_ij + E_ji), so the F-coordinate of b is
         2 b_ij for i < j and b_ii on the diagonal; likewise for G.
         """
-        n = self.n
-        coeffs = []
-        for i in range(n):
-            for j in range(n):
-                coeffs.append(self.a[i, j])
-        for i in range(n):
-            for j in range(i, n):
-                coeffs.append(self.b[i, j] * (2.0 if i != j else 1.0))
-        for i in range(n):
-            for j in range(i, n):
-                coeffs.append(self.c[i, j] * (2.0 if i != j else 1.0))
-        coeffs.extend(self.p)
-        coeffs.extend(self.q)
-        coeffs.append(self.r)
-        return np.array(coeffs)
+        upper = np.triu_indices(self.n)  # i <= j, row by row: the basis order
+        weight = np.where(upper[0] == upper[1], 1.0, 2.0)
+        return np.concatenate([self.a.ravel(), self.b[upper] * weight,
+                               self.c[upper] * weight, self.p, self.q, [self.r]])
 
 
 def gj_basis_labels(n):
@@ -265,32 +222,11 @@ def gj_basis_elements(n):
     """
     zero = np.zeros((n, n))
     zrow = np.zeros(n)
-    elems = []
-    for i in range(n):
-        for j in range(n):
-            a = np.zeros((n, n))
-            a[i, j] = 1.0
-            elems.append(JacobiAlgebraElement(a, zero, zero, zrow, zrow, 0.0))
-    for i in range(n):
-        for j in range(i, n):
-            b = np.zeros((n, n))
-            b[i, j] += 0.5
-            b[j, i] += 0.5
-            elems.append(JacobiAlgebraElement(zero, b, zero, zrow, zrow, 0.0))
-    for i in range(n):
-        for j in range(i, n):
-            c = np.zeros((n, n))
-            c[i, j] += 0.5
-            c[j, i] += 0.5
-            elems.append(JacobiAlgebraElement(zero, zero, c, zrow, zrow, 0.0))
-    for p in range(n):
-        row = np.zeros(n)
-        row[p] = 1.0
-        elems.append(JacobiAlgebraElement(zero, zero, zero, row, zrow, 0.0))
-    for q in range(n):
-        row = np.zeros(n)
-        row[q] = 1.0
-        elems.append(JacobiAlgebraElement(zero, zero, zero, zrow, row, 0.0))
+    elems = [JacobiAlgebraElement(s.a, s.b, s.c, zrow, zrow, 0.0) for s in sp_basis(n)]
+    for k in range(2 * n):  # P_1..P_n, then Q_1..Q_n
+        pq = np.zeros(2 * n)
+        pq[k] = 1.0
+        elems.append(JacobiAlgebraElement(zero, zero, zero, pq[:n], pq[n:], 0.0))
     elems.append(JacobiAlgebraElement(zero, zero, zero, zrow, zrow, 1.0))
     return elems
 
@@ -329,7 +265,7 @@ def commutator_table(n, snap_tol=1e-9):
         for j in range(i + 1, dim):
             coeffs = gj_bracket(elems[i], elems[j]).coefficients()
             snapped = np.round(coeffs * 4.0) / 4.0
-            if np.max(np.abs(coeffs - snapped)) > snap_tol:
+            if not np.max(np.abs(coeffs - snapped)) <= snap_tol:
                 raise BasisClosureFailure(
                     f"constants of [{i},{j}] not on the quarter-integer grid"
                 )

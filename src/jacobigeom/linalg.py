@@ -12,6 +12,8 @@ Conventions fixed here and relied on everywhere else:
 * ``kron_sum(A, B) = A (x) I_m + I_n (x) B``, so the operator of the
   Sylvester equation ``A X + X B = C`` is ``kron_sum(B^t, A)`` acting on
   ``vec(X)``.
+* Every validation gate is written ``if not residual <= tol``, so that a
+  NaN residual fails the gate instead of slipping past it.
 """
 
 import numpy as np
@@ -20,6 +22,11 @@ from .exceptions import BadShape, NotSpd, NotSymmetric, SingularSylvester
 
 SYM_RTOL = 1e-12    # relative max-norm tolerance for symmetry checks
 SPD_EIG_RTOL = 1e-10  # smallest/largest eigenvalue ratio for the SPD test
+
+
+def _row(v):
+    """A row vector as a 1-d float array."""
+    return np.asarray(v, dtype=float).ravel()
 
 
 def sym_residual(a):
@@ -34,7 +41,7 @@ def check_symmetric(a, rtol=SYM_RTOL):
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise BadShape(f"expected a square matrix, got shape {a.shape}")
     res = sym_residual(a)
-    if res > rtol:
+    if not res <= rtol:
         raise NotSymmetric(f"asymmetry {res:.3e} exceeds tolerance {rtol:.3e}")
     return a
 
@@ -55,7 +62,7 @@ def check_spd(a, rtol=SYM_RTOL, eig_rtol=SPD_EIG_RTOL):
     except NotSymmetric as exc:
         raise NotSpd(str(exc)) from exc
     w = np.linalg.eigvalsh(symmetrize(a))
-    if w[0] <= eig_rtol * max(w[-1], 0.0):
+    if not w[0] > eig_rtol * max(w[-1], 0.0):
         raise NotSpd(f"eigenvalue range [{w[0]:.3e}, {w[-1]:.3e}] is not SPD")
     return a
 
@@ -164,7 +171,7 @@ def sylvester_solve(a, b, c, residual_rtol=1e-8):
         raise SingularSylvester(f"Kronecker-sum operator is singular: {exc}") from exc
     x = unvec(x, n, m)
     res = np.linalg.norm(a @ x + x @ b - c)
-    if res > residual_rtol * max(1.0, np.linalg.norm(c)):
+    if not res <= residual_rtol * max(1.0, np.linalg.norm(c)):
         raise SingularSylvester(
             f"residual {res:.3e} indicates a (near-)singular system"
         )

@@ -23,20 +23,17 @@ the ball complete the picture; :func:`invariance_report` is the seeded
 verification engine used by the acceptance suite.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import sampling as smp
 from .exceptions import ContractionViolation
 from .jacobi import act_extended, act_pq, act_xjn, chart_convert, gj_compose, sn_chart, sn_chart_inverse
-from .linalg import check_spd, sym_residual
+from .linalg import _row, check_spd, sym_residual
 from .numdiff import fd_push, fd_push_sn
 from .forms import oneforms_sn
 from .symplectic import blocks
-
-
-def _row(v):
-    return np.asarray(v).ravel()
 
 
 @dataclass(frozen=True)
@@ -50,9 +47,9 @@ class MetricParams:
     delta: float = 1.0
 
     def __post_init__(self):
-        if self.alpha <= 0:
+        if not self.alpha > 0:
             raise ValueError("alpha must be positive")
-        if min(self.beta, self.gamma, self.delta) < 0:
+        if not all(w >= 0 for w in (self.beta, self.gamma, self.delta)):
             raise ValueError("beta, gamma, delta must be nonnegative")
 
 
@@ -65,7 +62,7 @@ class KahlerParams:
     nu: float
 
     def __post_init__(self):
-        if self.k <= 0 or self.nu <= 0:
+        if not (self.k > 0 and self.nu > 0):
             raise ValueError("k and nu must be positive")
 
 
@@ -159,11 +156,11 @@ def metric_extended(alpha, gamma, delta, point, t1, t2):
 
 def check_ball_point(w, z=None, tol=1e-10):
     w = np.asarray(w, dtype=complex)
-    if sym_residual(w) > tol:
+    if not sym_residual(w) <= tol:
         raise ContractionViolation("W must be symmetric")
     contraction = np.eye(w.shape[0]) - w @ w.conj()
     wmin = np.linalg.eigvalsh(0.5 * (contraction + contraction.conj().T))[0]
-    if wmin <= tol:
+    if not wmin > tol:
         raise ContractionViolation(f"I - W conj(W) not positive, min eig {wmin:.3e}")
     return w
 
@@ -311,18 +308,6 @@ def ball_act(element, point):
 # ---------------------------------------------------------------------------
 # seeded invariance verification
 
-INVARIANCE_OBJECTS = (
-    "metric_group",
-    "metric_xjn_pq",
-    "metric_xjn_chipsi",
-    "metric_xjn_xirho",
-    "metric_extended",
-    "metric_xjn_broken",
-    "kahler_ball",
-    "kahler_xjn",
-    "lambda_R",
-)
-
 
 @dataclass(frozen=True)
 class InvarianceReport:
@@ -338,24 +323,133 @@ class InvarianceReport:
     passed: bool
 
     def as_dict(self):
-        return {
-            "object": self.object,
-            "n": self.n,
-            "samples": self.samples,
-            "seed": self.seed,
-            "fd_step": self.fd_step,
-            "tol": self.tol,
-            "max_abs": self.max_abs,
-            "max_rel": self.max_rel,
-            "mean_rel": self.mean_rel,
-            "pass": self.passed,
-        }
+        out = asdict(self)
+        out["pass"] = out.pop("passed")
+        return out
 
 
 def _metric_xjn_broken(alpha, gamma, point, t1, t2):
     # negative control: a beta-style contamination that is not invariant
     return (metric_xjn(alpha, gamma, "pq", point, t1, t2)
             + float(_row(t1[2]) @ _row(t2[2])))
+
+
+def _with_kappa(rng, parts):
+    return parts + (float(rng.uniform(-1, 1)),)
+
+
+def _times_i(tangent):
+    return tuple(1j * np.asarray(c) for c in tangent)
+
+
+def _draw_group(rng, n):
+    g = smp.rand_jacobi(rng, n)
+    chart = smp.rand_sn_chart(rng, n)
+
+    def act(c):
+        return sn_chart(gj_compose(g, sn_chart_inverse(c)))
+
+    return act, chart, smp.rand_sn_tangent(rng, chart), smp.rand_sn_tangent(rng, chart)
+
+
+def _draw_xjn(chart):
+    # points and tangents are drawn in the pq chart whatever the target chart
+    def draw(rng, n):
+        g = smp.rand_jacobi(rng, n)
+        point = chart_convert(smp.rand_pq_point(rng, n), "pq", chart)
+
+        def act(pt):
+            return chart_convert(act_pq(g, chart_convert(pt, chart, "pq")), "pq", chart)
+
+        return act, point, smp.rand_pq_tangent(rng, n), smp.rand_pq_tangent(rng, n)
+
+    return draw
+
+
+def _draw_extended(rng, n):
+    g = smp.rand_jacobi(rng, n)
+    point = _with_kappa(rng, smp.rand_pq_point(rng, n))
+    t1 = _with_kappa(rng, smp.rand_pq_tangent(rng, n))
+    t2 = _with_kappa(rng, smp.rand_pq_tangent(rng, n))
+    return (lambda pt: act_extended(g, pt)), point, t1, t2
+
+
+def _draw_ball(rng, n):
+    pq_pair = sp_to_ball_rep(smp.rand_symplectic(rng, n))
+    alpha = (smp.rand_matrix(rng, 1, n) + 1j * smp.rand_matrix(rng, 1, n)).ravel()
+    return ((lambda pt: ball_act((pq_pair, alpha), pt)), smp.rand_ball_point(rng, n),
+            smp.rand_ball_tangent(rng, n), smp.rand_ball_tangent(rng, n))
+
+
+def _draw_vu(rng, n):
+    g = smp.rand_jacobi(rng, n)
+    return ((lambda pt: act_xjn(g, pt)), smp.rand_vu_point(rng, n),
+            smp.rand_vu_tangent(rng, n), smp.rand_vu_tangent(rng, n))
+
+
+@dataclass(frozen=True)
+class _Bilinear:
+    """Invariance spec of a metric or a Kaehler two-form.
+
+    ``draw(rng, n)`` returns ``(act, point, t1, t2)`` and fixes the order in
+    which a sample consumes the rng; ``push(act, point, t, step)`` carries a
+    tangent through the action; ``form(point, t1, t2)`` is the object.  The
+    error is scaled by |form(t1, turn t1)| + |form(t2, turn t2)| + |form(t1, t2)|,
+    where ``turn`` is the identity for metrics and multiplication by i for
+    the Kaehler forms, whose diagonal vanishes.
+    """
+
+    draw: object
+    form: object
+    push: object = fd_push
+    turn: object = lambda t: t
+
+    def __call__(self, rng, n, step):
+        act, point, t1, t2 = self.draw(rng, n)
+        image = act(point)
+        s1 = self.push(act, point, t1, step)
+        s2 = self.push(act, point, t2, step)
+        orig = self.form(point, t1, t2)
+        scale = (abs(self.form(point, t1, self.turn(t1)))
+                 + abs(self.form(point, t2, self.turn(t2))) + abs(orig))
+        return orig, self.form(image, s1, s2), scale
+
+
+def _lambda_r_sample(rng, n, step):
+    # lambda_R is a one-form and the action is affine in (p, q, kappa), so the
+    # tangent is pushed exactly and the error is scaled by max(1, |value|)
+    g = smp.rand_jacobi(rng, n)
+    point = _with_kappa(rng, smp.rand_pq_point(rng, n))
+    tan = _with_kappa(rng, smp.rand_pq_tangent(rng, n))
+    a, b, c, d = blocks(g.M)
+    dp, dq, dk = tan[2:]
+    pushed = (tan[0], tan[1], dp @ d.T - dq @ c.T, -dp @ b.T + dq @ a.T,
+              dk + float(g.lam @ dq) - float(g.mu @ dp))
+    orig = lambda_r(point, tan)
+    return orig, lambda_r(act_extended(g, point), pushed), max(1.0, abs(orig))
+
+
+_GROUP_PARAMS = MetricParams(1.0, 1.0, 1.0, 1.0)
+_KAHLER_PARAMS = KahlerParams(2.0, 1.0)
+
+# object -> sample(rng, n, fd_step) returning (value, pulled-back value, scale)
+_INVARIANCE_SPECS = {
+    "metric_group": _Bilinear(
+        _draw_group, lambda c, u1, u2: metric_group(_GROUP_PARAMS, c, u1, u2), fd_push_sn),
+    **{f"metric_xjn_{chart}": _Bilinear(
+        _draw_xjn(chart), lambda pt, u1, u2, c=chart: metric_xjn(1.0, 1.0, c, pt, u1, u2))
+       for chart in XJN_CHARTS},
+    "metric_extended": _Bilinear(
+        _draw_extended, lambda pt, u1, u2: metric_extended(1.0, 1.0, 1.0, pt, u1, u2)),
+    "metric_xjn_broken": _Bilinear(
+        _draw_xjn("pq"), lambda pt, u1, u2: _metric_xjn_broken(1.0, 1.0, pt, u1, u2)),
+    "kahler_ball": _Bilinear(
+        _draw_ball, lambda pt, u1, u2: kahler_ball(_KAHLER_PARAMS, *pt, u1, u2), turn=_times_i),
+    "kahler_xjn": _Bilinear(
+        _draw_vu, lambda pt, u1, u2: kahler_xjn(_KAHLER_PARAMS, *pt, u1, u2), turn=_times_i),
+    "lambda_R": _lambda_r_sample,
+}
+INVARIANCE_OBJECTS = tuple(_INVARIANCE_SPECS)
 
 
 def invariance_report(obj, n, samples=1000, seed=0, fd_step=1e-6, tol=1e-6):
@@ -367,132 +461,14 @@ def invariance_report(obj, n, samples=1000, seed=0, fd_step=1e-6, tol=1e-6):
     original.  Errors are reported absolutely and relative to the scale
     of the object on the sampled tangents.  Deterministic given the seed.
     """
-    from . import sampling as smp
-
-    if obj not in INVARIANCE_OBJECTS:
+    if obj not in _INVARIANCE_SPECS:
         raise ValueError(f"object must be one of {INVARIANCE_OBJECTS}")
+    sample = _INVARIANCE_SPECS[obj]
     rng = np.random.default_rng(seed)
     abs_errs = np.zeros(samples)
     rel_errs = np.zeros(samples)
-
     for i in range(samples):
-        if obj == "metric_group":
-            g = smp.rand_jacobi(rng, n)
-            chart = smp.rand_sn_chart(rng, n)
-            t1 = smp.rand_sn_tangent(rng, chart)
-            t2 = smp.rand_sn_tangent(rng, chart)
-            params = MetricParams(1.0, 1.0, 1.0, 1.0)
-
-            def act(c):
-                return sn_chart(gj_compose(g, sn_chart_inverse(c)))
-
-            image = act(chart)
-            s1 = fd_push_sn(act, chart, t1, fd_step)
-            s2 = fd_push_sn(act, chart, t2, fd_step)
-            orig = metric_group(params, chart, t1, t2)
-            pulled = metric_group(params, image, s1, s2)
-            scale = (abs(metric_group(params, chart, t1, t1))
-                     + abs(metric_group(params, chart, t2, t2)) + abs(orig))
-
-        elif obj.startswith("metric_xjn") or obj == "metric_extended":
-            g = smp.rand_jacobi(rng, n)
-            base = smp.rand_pq_point(rng, n)
-            if obj == "metric_extended":
-                point = base + (float(rng.uniform(-1, 1)),)
-                t1 = smp.rand_pq_tangent(rng, n) + (float(rng.uniform(-1, 1)),)
-                t2 = smp.rand_pq_tangent(rng, n) + (float(rng.uniform(-1, 1)),)
-
-                def act(pt):
-                    return act_extended(g, pt)
-
-                def form(pt, u1, u2):
-                    return metric_extended(1.0, 1.0, 1.0, pt, u1, u2)
-            else:
-                chart = {"metric_xjn_pq": "pq", "metric_xjn_chipsi": "chipsi",
-                         "metric_xjn_xirho": "xirho", "metric_xjn_broken": "pq"}[obj]
-                point = chart_convert(base, "pq", chart)
-                t1 = smp.rand_pq_tangent(rng, n)
-                t2 = smp.rand_pq_tangent(rng, n)
-
-                def act(pt):
-                    moved = act_pq(g, chart_convert(pt, chart, "pq"))
-                    return chart_convert(moved, "pq", chart)
-
-                if obj == "metric_xjn_broken":
-                    def form(pt, u1, u2):
-                        return _metric_xjn_broken(1.0, 1.0, pt, u1, u2)
-                else:
-                    def form(pt, u1, u2, _c=chart):
-                        return metric_xjn(1.0, 1.0, _c, pt, u1, u2)
-
-            image = act(point)
-            s1 = fd_push(act, point, t1, fd_step)
-            s2 = fd_push(act, point, t2, fd_step)
-            orig = form(point, t1, t2)
-            pulled = form(image, s1, s2)
-            scale = abs(form(point, t1, t1)) + abs(form(point, t2, t2)) + abs(orig)
-
-        elif obj == "kahler_ball":
-            m = smp.rand_symplectic(rng, n)
-            pq_pair = sp_to_ball_rep(m)
-            alpha = (smp.rand_matrix(rng, 1, n) + 1j * smp.rand_matrix(rng, 1, n)).ravel()
-            w, z = smp.rand_ball_point(rng, n)
-            t1 = smp.rand_ball_tangent(rng, n)
-            t2 = smp.rand_ball_tangent(rng, n)
-            kp = KahlerParams(2.0, 1.0)
-
-            def act(pt):
-                return ball_act((pq_pair, alpha), pt)
-
-            image = act((w, z))
-            s1 = fd_push(act, (w, z), t1, fd_step)
-            s2 = fd_push(act, (w, z), t2, fd_step)
-            orig = kahler_ball(kp, w, z, t1, t2)
-            pulled = kahler_ball(kp, *image, s1, s2)
-
-            def jmul(t):
-                return tuple(1j * np.asarray(c) for c in t)
-
-            scale = (abs(kahler_ball(kp, w, z, t1, jmul(t1)))
-                     + abs(kahler_ball(kp, w, z, t2, jmul(t2))) + abs(orig))
-
-        elif obj == "kahler_xjn":
-            g = smp.rand_jacobi(rng, n)
-            v, u = smp.rand_vu_point(rng, n)
-            t1 = smp.rand_vu_tangent(rng, n)
-            t2 = smp.rand_vu_tangent(rng, n)
-            kp = KahlerParams(2.0, 1.0)
-
-            def act(pt):
-                return act_xjn(g, pt)
-
-            image = act((v, u))
-            s1 = fd_push(act, (v, u), t1, fd_step)
-            s2 = fd_push(act, (v, u), t2, fd_step)
-            orig = kahler_xjn(kp, v, u, t1, t2)
-            pulled = kahler_xjn(kp, *image, s1, s2)
-
-            def jmul(t):
-                return tuple(1j * np.asarray(c) for c in t)
-
-            scale = (abs(kahler_xjn(kp, v, u, t1, jmul(t1)))
-                     + abs(kahler_xjn(kp, v, u, t2, jmul(t2))) + abs(orig))
-
-        else:  # lambda_R with exact affine pushforward
-            g = smp.rand_jacobi(rng, n)
-            point = smp.rand_pq_point(rng, n) + (float(rng.uniform(-1, 1)),)
-            tan = smp.rand_pq_tangent(rng, n) + (float(rng.uniform(-1, 1)),)
-            a, b, c, d = blocks(g.M)
-            dp, dq, dk = tan[2], tan[3], tan[4]
-            pushed = (tan[0], tan[1],
-                      dp @ d.T - dq @ c.T,
-                      -dp @ b.T + dq @ a.T,
-                      dk + float(g.lam @ dq) - float(g.mu @ dp))
-            image = act_extended(g, point)
-            orig = lambda_r(point, tan)
-            pulled = lambda_r(image, pushed)
-            scale = max(1.0, abs(orig))
-
+        orig, pulled, scale = sample(rng, n, fd_step)
         err = abs(pulled - orig)
         abs_errs[i] = err
         rel_errs[i] = err / max(scale, 1e-12)

@@ -22,6 +22,7 @@ import numpy as np
 
 from .exceptions import (
     BadShape,
+    NotSymmetric,
     NotSymplectic,
     NotUnitaryPair,
     SingularDenominator,
@@ -51,6 +52,41 @@ def from_blocks(a, b, c, d):
     return np.block([[np.asarray(a), np.asarray(b)], [np.asarray(c), np.asarray(d)]])
 
 
+def _jacobi_matrix(blks, row, col, corner, unit):
+    """Assemble a (2n+2) x (2n+2) matrix with block rows and columns of
+    sizes (n, 1, n, 1), the layout shared by the Jacobi and Heisenberg
+    group embeddings and the Jacobi algebra:
+
+        [ a     0     b     col1  ]
+        [ row1  unit  row2  corner]
+        [ c     0     d     col2  ]
+        [ 0     0     0     unit  ]
+
+    from blks = (a, b, c, d), row = (row1, row2) and col = (col1, col2).
+    """
+    n = blks[0].shape[0]
+    lo, hi = slice(0, n), slice(n + 1, 2 * n + 1)  # the two size-n block rows/columns
+    out = np.zeros((2 * n + 2, 2 * n + 2))
+    out[lo, lo], out[lo, hi], out[hi, lo], out[hi, hi] = blks
+    out[n, lo], out[n, hi] = row
+    out[lo, -1], out[hi, -1] = col
+    out[n, -1] = corner
+    out[n, n] = out[-1, -1] = unit
+    return out
+
+
+def _jacobi_parts(mat):
+    """Read (blks, row, col, corner) back from the layout of :func:`_jacobi_matrix`.
+
+    The unit entries and the structural zeros are not read; callers that
+    need them compare against a re-assembled matrix.
+    """
+    n = (mat.shape[0] - 2) // 2
+    lo, hi = slice(0, n), slice(n + 1, 2 * n + 1)
+    return ((mat[lo, lo], mat[lo, hi], mat[hi, lo], mat[hi, hi]),
+            (mat[n, lo], mat[n, hi]), (mat[lo, -1], mat[hi, -1]), mat[n, -1])
+
+
 def symplectic_residual(m):
     """Max-norm of M^t J M - J.  Raises BadShape for non-even-dimensional input."""
     m = np.asarray(m, dtype=float)
@@ -69,10 +105,10 @@ def check_symplectic(m, tol=SP_TOL, det_tol=DET_TOL):
     """Validate the symplectic invariants (residual and det = 1); return M."""
     m = np.asarray(m, dtype=float)
     res = symplectic_residual(m)
-    if res > tol:
+    if not res <= tol:
         raise NotSymplectic(f"symplectic residual {res:.3e} exceeds {tol:.3e}")
     det = np.linalg.det(m)
-    if abs(det - 1.0) > det_tol * max(1.0, abs(det)):
+    if not abs(det - 1.0) <= det_tol * max(1.0, abs(det)):
         raise NotSymplectic(f"determinant {det!r} differs from 1")
     return m
 
@@ -133,7 +169,7 @@ class SpAlgebraElement:
     @classmethod
     def from_matrix(cls, z):
         a, b, c, d = blocks(z)
-        if np.max(np.abs(d + a.T)) > 1e-10 * max(1.0, np.max(np.abs(z))):
+        if not np.max(np.abs(d + a.T)) <= 1e-10 * max(1.0, np.max(np.abs(z))):
             raise BadShape("lower-right block is not -a^t")
         return cls(a, symmetrize(b), symmetrize(c))
 
@@ -190,7 +226,7 @@ def unitary_pair_residual(x, y):
 
 def check_unitary_pair(x, y, tol=UP_TOL):
     res = unitary_pair_residual(x, y)
-    if res > tol:
+    if not res <= tol:
         raise NotUnitaryPair(f"pair residual {res:.3e} exceeds {tol:.3e}")
     return np.asarray(x, dtype=float), np.asarray(y, dtype=float)
 
@@ -210,7 +246,7 @@ def unitary_iso_inverse(u, tol=UP_TOL):
     """Inverse isomorphism: unitary U -> pair (Re U, Im U)."""
     u = np.asarray(u, dtype=complex)
     res = np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))
-    if res > tol:
+    if not res <= tol:
         raise NotUnitaryPair(f"matrix is not unitary, residual {res:.3e}")
     return u.real.copy(), u.imag.copy()
 
@@ -222,7 +258,7 @@ def unitary_iso_inverse(u, tol=UP_TOL):
 def check_siegel(v, tol=1e-10):
     """Validate a Siegel point v = x + iy: v symmetric, Im v SPD."""
     v = np.asarray(v, dtype=complex)
-    if sym_residual(v.real) > tol or sym_residual(v.imag) > tol:
+    if not (sym_residual(v.real) <= tol and sym_residual(v.imag) <= tol):
         raise NotSymmetric("Siegel point must be a symmetric matrix")
     check_spd(v.imag)
     return v

@@ -3,6 +3,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from jacobigeom.sampling import rand_jacobi, rand_symplectic
 
@@ -126,6 +127,13 @@ def test_commutators_table():
     assert "[P1,Q2]" not in out["brackets"]  # vanishing bracket is omitted
 
 
+def test_commutators_rejects_n_above_bound():
+    # the dense table grows like n^6; the bound is checked before any allocation
+    res = run_cli(["commutators", "--n", "11"])
+    assert res.returncode == 2
+    assert res.stdout == ""
+
+
 def test_invariance_pass_and_determinism():
     args = ["invariance", "--object", "metric_extended", "--n", "1",
             "--samples", "120", "--seed", "42"]
@@ -175,3 +183,35 @@ def test_oneforms_command():
     assert res.returncode == 0
     out = json.loads(res.stdout)
     assert np.isclose(out["F"][0][0], 1.0) and out["R"] == 0.0
+
+
+def _act_job(kappa=0.0, point_kappa=0.0):
+    elem = {"m": np.eye(2).tolist(), "lam": [0.5], "mu": [0.0], "kappa": kappa}
+    point = {"x": [[0.0]], "y": [[1.0]], "p": [0.0], "q": [0.0], "kappa": point_kappa}
+    return {"element": elem, "point": point}
+
+
+@pytest.mark.parametrize("job", [_act_job(kappa="nan"), _act_job(point_kappa="nan")],
+                         ids=["element", "point"])
+def test_act_extended_non_finite_kappa_is_usage_error(job):
+    res = run_cli(["act", "--space", "extended"], job)
+    assert res.returncode == 2
+    assert res.stdout == ""
+
+
+def test_act_xjn_non_finite_u_is_usage_error():
+    ident = {"m": np.eye(2).tolist(), "lam": [0.0], "mu": [0.0], "kappa": 0.0}
+    point = {"v": encode_complex(1j * np.eye(1)), "u": [[float("inf"), 0.0]]}
+    res = run_cli(["act", "--space", "xjn"], {"element": ident, "point": point})
+    assert res.returncode == 2
+    assert res.stdout == ""
+
+
+def test_act_xjn_non_symmetric_v_is_domain_error():
+    ident = {"m": np.eye(4).tolist(), "lam": [0.0, 0.0], "mu": [0.0, 0.0], "kappa": 0.0}
+    v = np.array([[1j, 0.5], [0.0, 1j]])
+    point = {"v": encode_complex(v), "u": encode_complex(np.zeros(2))}
+    res = run_cli(["act", "--space", "xjn"], {"element": ident, "point": point})
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert res.stderr.startswith("error:") and len(res.stderr.splitlines()) == 1

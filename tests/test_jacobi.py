@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from jacobigeom import (
+    BadShape,
     JacobiElement,
     act_extended,
     act_pq,
@@ -33,6 +34,14 @@ from jacobigeom.sampling import (
     rand_symplectic,
     rand_vu_point,
 )
+
+
+@pytest.mark.parametrize("part", ["lam", "mu", "kappa"])
+def test_element_rejects_non_finite_heisenberg_part(part):
+    parts = {"lam": np.zeros(1), "mu": np.zeros(1), "kappa": 0.0}
+    parts[part] = np.inf if part == "kappa" else np.array([np.nan])
+    with pytest.raises(BadShape):
+        JacobiElement(np.eye(2), **parts)
 
 
 def _pure_heisenberg(h):

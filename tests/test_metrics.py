@@ -24,6 +24,7 @@ from jacobigeom import (
     sn_chart_inverse,
     sp_to_ball_rep,
 )
+from jacobigeom.metrics import INVARIANCE_OBJECTS
 from jacobigeom.numdiff import fd_push, fd_push_sn
 from jacobigeom.sampling import (
     rand_ball_point,
@@ -389,21 +390,24 @@ def test_lambda_r_form(rng):
     assert np.isclose(lambda_r(pt, t), dk - p @ dq + q @ dp)
 
 
-@pytest.mark.parametrize("obj,tol", [
-    ("metric_xjn_pq", 1e-6),
-    ("metric_extended", 1e-6),
-    ("kahler_ball", 1e-6),
-    ("kahler_xjn", 1e-6),
-    ("lambda_R", 1e-9),
+# every positive engine entry at n = 1 and 2; the n = 1 ids are kept as they were
+POSITIVE_OBJECTS = [(obj, 1e-9 if obj == "lambda_R" else 1e-6)
+                    for obj in INVARIANCE_OBJECTS if obj != "metric_xjn_broken"]
+
+
+@pytest.mark.parametrize("obj,tol,n", [
+    pytest.param(obj, tol, n, id=f"{obj}-{tol}" + ("" if n == 1 else f"-n{n}"))
+    for obj, tol in POSITIVE_OBJECTS for n in (1, 2)
 ])
-def test_invariance_reports_pass(obj, tol):
-    rep = invariance_report(obj, n=1, samples=100, seed=3, tol=tol)
+def test_invariance_reports_pass(obj, tol, n):
+    rep = invariance_report(obj, n=n, samples=100, seed=3, tol=tol)
     assert rep.passed, rep
 
 
 def test_invariance_negative_control():
-    rep = invariance_report("metric_xjn_broken", n=1, samples=100, seed=3, tol=1e-6)
-    assert not rep.passed
+    for n in (1, 2):
+        rep = invariance_report("metric_xjn_broken", n=n, samples=100, seed=3, tol=1e-6)
+        assert not rep.passed, rep
 
 
 def test_invariance_deterministic():

@@ -5,6 +5,7 @@ from scipy.linalg import expm
 from jacobigeom import (
     BadShape,
     NotSpd,
+    NotSymmetric,
     act_modified_chart,
     check_block_relations,
     is_symplectic,
@@ -97,6 +98,12 @@ def test_mobius_basics(rng):
     # J fixes iI:  -(iI)^{-1} = iI
     base = 1j * np.eye(n)
     assert np.allclose(mobius_act(j_matrix(n), base), base)
+
+
+def test_mobius_rejects_non_symmetric_point():
+    v = np.array([[1j, 0.5], [0.0, 1j]])
+    with pytest.raises(NotSymmetric):
+        mobius_act(np.eye(4), v)
 
 
 def test_mobius_second_form_and_left_action(rng):
