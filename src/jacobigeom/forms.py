@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import BadShape, NotSymmetric
+from .exceptions import BadShape, NotSymplectic
 from .jacobi import (
     JacobiAlgebraElement,
     chart_convert,
@@ -45,7 +45,7 @@ def check_matrix_tangent(g, tangent, tol=1e-10):
     j = j_matrix(g.n)
     res = np.max(np.abs(dm.T @ j @ g.M + g.M.T @ j @ dm))
     if not res <= tol * max(1.0, np.max(np.abs(g.M))):
-        raise NotSymmetric(f"tangent violates the symplectic linearization: {res:.3e}")
+        raise NotSymplectic(f"tangent violates the symplectic linearization: {res:.3e}")
     return tangent
 
 

@@ -2,8 +2,9 @@
 
 Symmetric/SPD validation, vec/vech calculus with duplication and
 elimination matrices, Kronecker product and sum, dense Sylvester solves,
-and the principal square root of an SPD matrix together with its
-directional derivative (Frechet derivative along a symmetric direction).
+the principal square root of an SPD matrix together with its
+directional derivative (Frechet derivative along a symmetric direction),
+and a numpy-only matrix exponential for sampling group elements.
 
 Conventions fixed here and relied on everywhere else:
 
@@ -200,6 +201,36 @@ def dsqrtm(a, da, rtol=SYM_RTOL):
     da = check_symmetric(da, rtol)
     x = sylvester_solve(s, s, da)
     return symmetrize(x)
+
+
+# [7/7] Pade coefficients b_0..b_7 and the 1-norm bound theta_7 below which the
+# approximant's backward error is under the unit roundoff (Higham, SIAM J. Matrix
+# Anal. Appl. 26(4), 2005, Table 2.3)
+_PADE7 = (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0)
+_THETA7 = 0.9504178996162932
+
+
+def expm(a):
+    """Matrix exponential by scaling and squaring of the [7/7] Pade approximant.
+
+    ``A`` is scaled by ``2^-s`` with the smallest ``s >= 0`` that brings
+    ``||A||_1`` below theta_7; the approximant ``r = (V - U)^{-1} (V + U)``,
+    with ``U`` the odd and ``V`` the even part, is then squared ``s`` times.
+    """
+    a = np.asarray(a, dtype=float)
+    s = max(0, int(np.frexp(np.linalg.norm(a, 1) / _THETA7)[1]))
+    a = a / 2.0 ** s
+    b = _PADE7
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    eye = np.eye(a.shape[0])
+    u = a @ (b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        r = r @ r
+    return r
 
 
 def odot(a, b):

@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import sampling as smp
-from .exceptions import ContractionViolation
+from .exceptions import BadShape, ContractionViolation
 from .jacobi import act_extended, act_pq, act_xjn, chart_convert, gj_compose, sn_chart, sn_chart_inverse
 from .linalg import _row, check_spd, sym_residual
 from .numdiff import fd_push, fd_push_sn
@@ -93,6 +93,13 @@ def metric_group(params, chart, t1, t2):
 XJN_CHARTS = ("pq", "chipsi", "xirho")
 
 
+def _check_arity(size, **parts):
+    """Raise BadShape unless each named tuple has ``size`` components."""
+    for name, part in parts.items():
+        if len(part) != size:
+            raise BadShape(f"{name} must have {size} components, got {len(part)}")
+
+
 def metric_xjn(alpha, gamma, chart, point, t1, t2):
     """Two-parameter invariant metric on the Siegel-Jacobi space.
 
@@ -109,6 +116,7 @@ def metric_xjn(alpha, gamma, chart, point, t1, t2):
     """
     if chart not in XJN_CHARTS:
         raise ValueError(f"chart must be one of {XJN_CHARTS}")
+    _check_arity(4, point=point, t1=t1, t2=t2)
     x, y = np.asarray(point[0], dtype=float), np.asarray(point[1], dtype=float)
     check_spd(y)
     yi = np.linalg.inv(y)
@@ -138,6 +146,7 @@ def metric_xjn(alpha, gamma, chart, point, t1, t2):
 
 def lambda_r(point_pq_kappa, tangent):
     """The invariant one-form  dkappa - p dq^t + q dp^t  on the extended space."""
+    _check_arity(5, point=point_pq_kappa, tangent=tangent)
     p, q = _row(point_pq_kappa[2]), _row(point_pq_kappa[3])
     dp, dq, dk = _row(tangent[2]), _row(tangent[3]), float(tangent[4])
     return dk - float(p @ dq) + float(q @ dp)
@@ -146,6 +155,7 @@ def lambda_r(point_pq_kappa, tangent):
 def metric_extended(alpha, gamma, delta, point, t1, t2):
     """Three-parameter metric on the extended space: the pq metric plus
     delta * lambda_R (x) lambda_R.  Point and tangents carry kappa last."""
+    _check_arity(5, point=point, t1=t1, t2=t2)
     base = metric_xjn(alpha, gamma, "pq", point[:4], t1[:4], t2[:4])
     return base + delta * lambda_r(point, t1) * lambda_r(point, t2)
 

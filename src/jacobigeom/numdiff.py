@@ -8,9 +8,10 @@ components; the orthogonal-pair components of an S_n chart move along
 """
 
 import numpy as np
-from scipy.linalg import expm
 
+from .exceptions import NotUnitaryPair
 from .jacobi import SnChart
+from .symplectic import UP_TOL
 
 DEFAULT_STEP = 1e-6
 
@@ -39,12 +40,20 @@ def sn_chart_curve(chart, tangent, t):
 
     (x, y, p, q, kappa) move linearly; (X, Y) along U exp(t K) with
     K = U^dagger (dX + i dY), which reproduces the velocity (dX, dY) at
-    t = 0 and keeps the pair exactly orthogonal-symplectic.
+    t = 0 and keeps the pair exactly orthogonal-symplectic.  K must be
+    skew-Hermitian, i.e. (dX, dY) tangent to the pair manifold; else
+    NotUnitaryPair.  exp(t K) = V exp(-i t w) V^dagger from the
+    eigendecomposition i K = V diag(w) V^dagger, which is unitary.
     """
     dx, dy, dX, dY, dp, dq, dk = tangent
     u = chart.X + 1j * chart.Y
     k = u.conj().T @ (dX + 1j * dY)
-    ut = u @ expm(t * k)
+    res = 0.5 * np.max(np.abs(k + k.conj().T))
+    if not res <= UP_TOL * np.max(np.abs(k)):
+        raise NotUnitaryPair(f"(dX, dY) is not tangent to the pair manifold: "
+                             f"Hermitian part {res:.3e} of K")
+    w, v = np.linalg.eigh(1j * k)
+    ut = u @ ((v * np.exp(-1j * t * w)) @ v.conj().T)
     return SnChart(chart.x + t * dx, chart.y + t * dy, ut.real, ut.imag,
                    chart.p + t * dp, chart.q + t * dq, chart.kappa + t * dk)
 

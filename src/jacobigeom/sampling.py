@@ -3,15 +3,15 @@
 All samplers take a ``numpy.random.Generator`` so that every verification
 run is reproducible from a single seed.  Symplectic matrices are sampled
 by exponentiating algebra elements with entries uniform in [-1, 1] scaled
-by 1/(2n), which keeps condition numbers modest at the target sizes.
+by 1/(2n), which keeps condition numbers modest at the target sizes; the
+exponential is the scaling-and-squaring Pade kernel ``linalg.expm``.
 """
 
 import numpy as np
-from scipy.linalg import expm
 
 from .heisenberg import HeisenbergElement
 from .jacobi import JacobiAlgebraElement, JacobiElement, sn_chart
-from .linalg import symmetrize
+from .linalg import expm, symmetrize
 from .symplectic import SpAlgebraElement
 
 

@@ -171,6 +171,42 @@ def test_metric_command():
     assert np.isclose(json.loads(res.stdout)["value"], 1.0)
 
 
+@pytest.mark.parametrize("obj,part,size", [("metric_extended", "t1", 4),
+                                            ("metric_xjn", "point", 3)])
+def test_metric_wrong_arity_is_usage_error(obj, part, size):
+    payload = {
+        "alpha": 1.0, "gamma": 1.0, "delta": 1.0, "chart": "pq",
+        "point": [[[0.0]], [[1.0]], [0.0], [0.0], 0.0],
+        "t1": [[[1.0]], [[0.0]], [0.0], [0.0], 0.0],
+        "t2": [[[1.0]], [[0.0]], [0.0], [0.0], 0.0],
+    }
+    if obj == "metric_xjn":
+        for key in ("point", "t1", "t2"):
+            payload[key] = payload[key][:4]
+    payload[part] = payload[part][:size]
+    res = run_cli(["metric", "--object", obj], payload)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith("error:") and len(res.stderr.splitlines()) == 1
+    assert "BadShape" in res.stderr
+
+
+def test_import_path_is_scipy_free():
+    code = (
+        "import sys, numpy as np\n"
+        "import jacobigeom, jacobigeom.cli\n"
+        "from jacobigeom import numdiff, sampling\n"
+        "rng = np.random.default_rng(0)\n"
+        "sampling.rand_jacobi(rng, 2)\n"
+        "chart = sampling.rand_sn_chart(rng, 2)\n"
+        "numdiff.fd_push_sn(lambda c: c, chart, sampling.rand_sn_tangent(rng, chart))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
+
+
 def test_oneforms_command():
     n = 1
     payload = {

@@ -336,9 +336,9 @@ def test_tangents_satisfy_symplectic_linearization(rng):
     g = rand_jacobi(rng, n)
     bad = list(tangent_from_algebra(g, rand_gj_algebra(rng, n)))
     bad[0] = bad[0] + 0.1
-    from jacobigeom.exceptions import NotSymmetric
+    from jacobigeom.exceptions import NotSymplectic
 
-    with pytest.raises(NotSymmetric):
+    with pytest.raises(NotSymplectic):
         check_matrix_tangent(g, tuple(bad))
 
 

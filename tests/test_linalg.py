@@ -19,8 +19,8 @@ from jacobigeom import (
     vec,
     vech,
 )
-from jacobigeom.linalg import pairwise_delta_derivative, unvech
-from jacobigeom.sampling import rand_spd, rand_sym
+from jacobigeom.linalg import expm, pairwise_delta_derivative, unvech
+from jacobigeom.sampling import rand_sp_algebra, rand_spd, rand_sym
 
 
 def test_kron_identities():
@@ -165,3 +165,25 @@ def test_sym_mask_contracts(n):
             total = sum(pairwise_delta_derivative(i, j, p, q) * w[p, q]
                         for p in range(n) for q in range(p, n))
             assert np.isclose(total, w[i, j])
+
+
+@pytest.mark.parametrize("scale", [None, 1.0, 3.0], ids=["default", "1", "3"])
+@pytest.mark.parametrize("n", [1, 2, 4, 10])
+def test_expm_matches_scipy(n, scale):
+    # scipy is the independent reference route; the library itself is numpy-only
+    from scipy.linalg import expm as scipy_expm
+
+    rng = np.random.default_rng(100 + n)
+    for _ in range(20):
+        z = rand_sp_algebra(rng, n, scale).to_matrix()
+        want = scipy_expm(z)
+        assert np.max(np.abs(expm(z) - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 10])
+def test_expm_identities(rng, n):
+    assert np.array_equal(expm(np.zeros((2 * n, 2 * n))), np.eye(2 * n))
+    for scale in (None, 1.0, 3.0):
+        z = rand_sp_algebra(rng, n, scale).to_matrix()
+        prod = expm(z) @ expm(-z)
+        assert np.max(np.abs(prod - np.eye(2 * n))) <= 1e-14 * np.linalg.norm(expm(z), 1) ** 2

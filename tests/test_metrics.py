@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from jacobigeom import (
+    BadShape,
     KahlerParams,
     MetricParams,
     ball_act,
@@ -177,6 +178,26 @@ def test_metric_xjn_chart_agreement(rng):
             s2 = fd_push(conv, pt, t2)
             val = metric_xjn(1.0, 1.0, chart, cpt, s1, s2)
             assert abs(val - base) < 1e-9 * max(1.0, abs(base))
+
+
+def test_metric_tuple_arity_is_checked(rng):
+    # a short or long tuple used to raise IndexError or be silently accepted
+    n = 2
+    pt, t = rand_pq_point(rng, n), rand_pq_tangent(rng, n)
+    ept, et = pt + (0.4,), t + (0.3,)
+    for chart in ("pq", "chipsi", "xirho"):
+        with pytest.raises(BadShape):
+            metric_xjn(1.0, 1.0, chart, pt[:3], t, t)
+        with pytest.raises(BadShape):
+            metric_xjn(1.0, 1.0, chart, pt, t, et)
+    with pytest.raises(BadShape):
+        metric_extended(1.0, 1.0, 1.0, ept, t, et)
+    with pytest.raises(BadShape):
+        metric_extended(1.0, 1.0, 1.0, pt, et, et)
+    with pytest.raises(BadShape):
+        lambda_r(ept, t)
+    with pytest.raises(BadShape):
+        lambda_r(pt, et)
 
 
 def test_metric_extended_reductions(rng):

@@ -65,7 +65,7 @@ NAN_CASES = [
     ("check_matrix_tangent",
      lambda: check_matrix_tangent(gj_identity(1), (np.full((1, 1), np.nan),) * 4
                                   + (np.zeros(1), np.zeros(1), 0.0)),
-     NotSymmetric),
+     NotSymplectic),
 ]
 
 
