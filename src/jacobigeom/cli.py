@@ -55,6 +55,14 @@ def _real(node, what="matrix"):
     return arr
 
 
+def _tolerance(text):
+    """argparse type of ``--tol``: a finite float >= 0."""
+    value = float(text)
+    if not (np.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be a finite float >= 0, got {text!r}")
+    return value
+
+
 def _scalar(node, key):
     return float(_real(node[key], key))
 
@@ -220,10 +228,9 @@ def build_parser():
         p.set_defaults(func=func, needs_input=needs_input)
         p.add_argument("--input", default=None, help="input JSON file (default: stdin)")
         p.add_argument("--output", default=None, help="output file (default: stdout)")
-        p.add_argument("--tol", type=float, default=1e-10)
         return p
 
-    add("check", cmd_check)
+    add("check", cmd_check).add_argument("--tol", type=_tolerance, default=1e-10)
     p = add("decompose", cmd_decompose)
     p.add_argument("--variant", choices=("plain", "modified"), default="modified")
     p = add("act", cmd_act)
@@ -240,7 +247,7 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--fd-step", type=float, default=1e-6)
-    p.set_defaults(tol=1e-6)
+    p.add_argument("--tol", type=_tolerance, default=1e-6)
     add("sqrt-diff", cmd_sqrt_diff)
     return parser
 

@@ -28,7 +28,7 @@ from .jacobi import (
     pq_from_lm,
     sn_chart_inverse,
 )
-from .linalg import _row, check_symmetric, dsqrtm, sqrtm_spd, sym_residual, symmetrize
+from .linalg import _row, _sqrt_frame, check_symmetric, sym_residual, symmetrize
 from .symplectic import _jacobi_matrix, blocks, from_blocks, j_matrix
 
 
@@ -128,10 +128,8 @@ def d_sn_chart_inverse(chart, tangent):
     """
     dx, dy, dX, dY, dp, dq, dk = tangent
     dx, dy = _sym_component(dx), _sym_component(dy)
-    x, y = chart.x, chart.y
-    s = sqrtm_spd(y)
-    ds = dsqrtm(y, dy)
-    si = np.linalg.inv(s)
+    x = chart.x
+    s, si, ds = _sqrt_frame(chart.y, dy)
     dsi = -si @ ds @ si
     X, Y = chart.X, chart.Y
     da = ds @ X + s @ dX - dx @ si @ Y - x @ dsi @ Y - x @ si @ dY
@@ -161,9 +159,7 @@ def oneforms_sn(chart, tangent):
     dx, dy, dX, dY, dp, dq, dk = tangent
     dx, dy = _sym_component(dx), _sym_component(dy)
     x = chart.x
-    s = sqrtm_spd(chart.y)
-    ds = dsqrtm(chart.y, dy)
-    si = np.linalg.inv(s)
+    s, si, ds = _sqrt_frame(chart.y, dy)
     ell = si @ ds
     arr = ds @ si
     cc = si @ dx @ si

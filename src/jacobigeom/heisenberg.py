@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import BadShape
-from .linalg import _row
+from .linalg import _row, _trusted
 from .symplectic import _jacobi_matrix
 
 
@@ -48,12 +48,12 @@ def h_compose(g, gp):
     if g.n != gp.n:
         raise BadShape(f"degree mismatch: {g.n} vs {gp.n}")
     kappa = g.kappa + gp.kappa + float(g.lam @ gp.mu) - float(g.mu @ gp.lam)
-    return HeisenbergElement(g.lam + gp.lam, g.mu + gp.mu, kappa)
+    return _trusted(HeisenbergElement, g.lam + gp.lam, g.mu + gp.mu, kappa)
 
 
 def h_inverse(g):
     """(-lambda, -mu, -kappa); the cross terms cancel exactly."""
-    return HeisenbergElement(-g.lam, -g.mu, -g.kappa)
+    return _trusted(HeisenbergElement, -g.lam, -g.mu, -g.kappa)
 
 
 def h_embed(g):

@@ -27,19 +27,20 @@ import numpy as np
 
 from .exceptions import BadShape, BasisClosureFailure, ProjectionResidual
 from .heisenberg import HeisenbergElement
-from .linalg import _row, check_spd, check_symmetric, symmetrize
+from .linalg import _row, _trusted, check_spd, check_symmetric, symmetrize
 from .symplectic import (
     PreIwasawaFactors,
     _jacobi_matrix,
     _jacobi_parts,
+    _mobius,
+    _pre_iwasawa,
+    _sp_inverse,
     blocks,
+    check_siegel,
     check_symplectic,
     from_blocks,
-    modified_pre_iwasawa,
-    mobius_act,
     pre_iwasawa_compose,
     sp_basis,
-    sp_inverse,
 )
 
 
@@ -64,7 +65,7 @@ class JacobiElement:
         return self.M.shape[0] // 2
 
     def heisenberg_part(self):
-        return HeisenbergElement(self.lam, self.mu, self.kappa)
+        return _trusted(HeisenbergElement, self.lam, self.mu, self.kappa)
 
 
 def gj_identity(n):
@@ -78,7 +79,7 @@ def gj_compose(g, gp):
     lt = g.lam @ ap + g.mu @ cp
     mt = g.lam @ bp + g.mu @ dp
     kappa = g.kappa + gp.kappa + float(lt @ gp.mu) - float(mt @ gp.lam)
-    return JacobiElement(g.M @ gp.M, lt + gp.lam, mt + gp.mu, kappa)
+    return _trusted(JacobiElement, g.M @ gp.M, lt + gp.lam, mt + gp.mu, kappa)
 
 
 def pq_from_lm(lam, mu, m):
@@ -98,7 +99,7 @@ def lm_from_pq(p, q, m):
 def gj_inverse(g):
     """g^{-1} = (M^{-1}, -(p, q), -kappa) with (p, q) = (lambda, mu) M^{-1}."""
     p, q = pq_from_lm(g.lam, g.mu, g.M)
-    return JacobiElement(sp_inverse(g.M), -p, -q, -g.kappa)
+    return _trusted(JacobiElement, _sp_inverse(g.M), -p, -q, -g.kappa)
 
 
 def gj_embed(g):
@@ -177,14 +178,8 @@ class JacobiAlgebraElement:
         """
         z = np.asarray(z, dtype=float)
         (a, b, c, d), (p, q), (q_col, minus_p_col), r = _jacobi_parts(z)
-        elem = cls(
-            a=0.5 * (a - d.T),
-            b=symmetrize(b),
-            c=symmetrize(c),
-            p=0.5 * (p - minus_p_col),
-            q=0.5 * (q + q_col),
-            r=r,
-        )
+        elem = _trusted(cls, 0.5 * (a - d.T), symmetrize(b), symmetrize(c),
+                        0.5 * (p - minus_p_col), 0.5 * (q + q_col), float(r))
         res = np.max(np.abs(z - elem.to_matrix()))
         if not res <= tol * max(1.0, np.max(np.abs(z))):
             raise ProjectionResidual(f"not in the Jacobi algebra, residual {res:.3e}")
@@ -281,13 +276,9 @@ def commutator_table(n, snap_tol=1e-9):
 def act_xjn(g, point):
     """Action on (v, u): v Moebius-transformed, u -> (u + lambda v + mu)(c v + d)^{-1}."""
     v, u = point
-    v = np.asarray(v, dtype=complex)
+    v = check_siegel(v)
     u = np.asarray(u, dtype=complex).ravel()
-    a, b, c, d = blocks(g.M)
-    v1 = mobius_act(g.M, v)
-    den = c @ v + d
-    u1 = np.linalg.solve(den.T, (u + g.lam @ v + g.mu).T).T
-    return v1, u1
+    return _mobius(g.M, v, u + g.lam @ v + g.mu)
 
 
 def act_pq(g, point):
@@ -299,7 +290,7 @@ def act_pq(g, point):
     x, y, p, q = point
     gp, gq = pq_from_lm(g.lam, g.mu, g.M)
     a, b, c, d = blocks(g.M)
-    v1 = mobius_act(g.M, check_symmetric(x) + 1j * np.asarray(check_spd(y), dtype=float))
+    v1, _ = _mobius(g.M, check_symmetric(x) + 1j * check_spd(y))
     p = _row(p)
     q = _row(q)
     p1 = gp + p @ d.T - q @ c.T
@@ -363,17 +354,16 @@ def sn_chart_identity(n):
 
 
 def sn_chart(g):
-    f = modified_pre_iwasawa(g.M)
+    x, y, _, xu, yu = _pre_iwasawa(g.M)
     p, q = pq_from_lm(g.lam, g.mu, g.M)
-    return SnChart(f.x, f.y, f.X, f.Y, p, q, g.kappa)
+    return _trusted(SnChart, x, y, xu, yu, p, q, g.kappa)
 
 
 def sn_chart_inverse(chart):
     m = pre_iwasawa_compose(
-        PreIwasawaFactors(chart.x, chart.y, chart.X, chart.Y, "modified")
-    )
+        _trusted(PreIwasawaFactors, chart.x, chart.y, chart.X, chart.Y, "modified"))
     lam, mu = lm_from_pq(chart.p, chart.q, m)
-    return JacobiElement(m, lam, mu, chart.kappa)
+    return _trusted(JacobiElement, m, lam, mu, chart.kappa)
 
 
 # ---------------------------------------------------------------------------
@@ -396,31 +386,28 @@ def chart_convert(point, src, dst):
         raise ValueError(f"charts must be one of {CHARTS}")
     if src == dst:
         return point
-    # normalize through the pq chart
+    return _from_pq(_to_pq(point, src), dst)
+
+
+def _to_pq(point, src):
+    """A point of chart ``src`` in the pq chart; the entry check of y is here."""
     if src == "vu":
         v, u = point
         v = np.asarray(v, dtype=complex)
         u = np.asarray(u, dtype=complex).ravel()
-        x, y = v.real, check_spd(v.imag)
-        rho = u.imag
-        p = np.linalg.solve(y.T, rho.T).T
-        q = u.real - p @ x
-        pq = (x, y, p, q)
-    elif src == "xirho":
-        x, y, xi, rho = point
-        y = check_spd(y)
-        p = np.linalg.solve(np.asarray(y, dtype=float).T, _row(rho).T).T
-        q = _row(xi) - p @ np.asarray(x, dtype=float)
-        pq = (np.asarray(x, dtype=float), np.asarray(y, dtype=float), p, q)
-    elif src == "chipsi":
-        x, y, chi, psi = point
-        pq = (np.asarray(x, dtype=float), np.asarray(check_spd(y), dtype=float),
-              _row(psi), _row(chi))
-    else:
-        x, y, p, q = point
-        pq = (np.asarray(x, dtype=float), np.asarray(check_spd(y), dtype=float),
-              _row(p), _row(q))
+        point, src = (v.real, v.imag, u.real, u.imag), "xirho"
+    x, y, first, second = point
+    x, y = np.asarray(x, dtype=float), np.asarray(check_spd(y), dtype=float)
+    if src == "xirho":
+        p = np.linalg.solve(y.T, _row(second).T).T
+        return x, y, p, _row(first) - p @ x
+    if src == "chipsi":
+        return x, y, _row(second), _row(first)
+    return x, y, _row(first), _row(second)
 
+
+def _from_pq(pq, dst):
+    """A pq-chart point the library has validated, in chart ``dst``."""
     x, y, p, q = pq
     if dst == "pq":
         return x, y, p, q

@@ -15,6 +15,8 @@ Conventions fixed here and relied on everywhere else:
   ``vec(X)``.
 * Every validation gate is written ``if not residual <= tol``, so that a
   NaN residual fails the gate instead of slipping past it.
+* Validation happens once, where a value enters from a caller; a value
+  derived from validated ones is built by :func:`_trusted`, unchecked.
 """
 
 import numpy as np
@@ -28,6 +30,15 @@ SPD_EIG_RTOL = 1e-10  # smallest/largest eigenvalue ratio for the SPD test
 def _row(v):
     """A row vector as a 1-d float array."""
     return np.asarray(v, dtype=float).ravel()
+
+
+def _trusted(cls, *values):
+    """The frozen dataclass ``cls`` with ``values`` as its fields, in declaration
+    order, built without ``__post_init__``: for values derived from validated ones."""
+    obj = object.__new__(cls)
+    for name, value in zip(cls.__dataclass_fields__, values, strict=True):
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 def sym_residual(a):
@@ -185,9 +196,13 @@ def sqrtm_spd(a, rtol=SYM_RTOL, eig_rtol=SPD_EIG_RTOL):
     Deterministic and accurate at the target scale; Newton iterations are
     not used.  The result S is SPD and satisfies ``S S = A`` to roundoff.
     """
-    a = check_spd(a, rtol, eig_rtol)
+    return _spd_powers(check_spd(a, rtol, eig_rtol), 0.5)[0]
+
+
+def _spd_powers(a, *powers):
+    """Powers ``a^p`` of an SPD matrix the library has validated, from one ``eigh``."""
     w, u = np.linalg.eigh(symmetrize(a))
-    return symmetrize(u @ np.diag(np.sqrt(w)) @ u.T)
+    return tuple(symmetrize((u * w ** p) @ u.T) for p in powers)
 
 
 def dsqrtm(a, da, rtol=SYM_RTOL):
@@ -197,10 +212,14 @@ def dsqrtm(a, da, rtol=SYM_RTOL):
     Kronecker sum ``(A^{1/2} (+) A^{1/2})^{-1}`` to ``vec(dA)``.  X is
     symmetric whenever ``da`` is.
     """
-    s = sqrtm_spd(a)  # raises NotSpd on bad input
-    da = check_symmetric(da, rtol)
-    x = sylvester_solve(s, s, da)
-    return symmetrize(x)
+    return _sqrt_frame(check_spd(a), check_symmetric(da, rtol))[2]
+
+
+def _sqrt_frame(y, dy):
+    """(s, s^{-1}, ds) for a validated SPD y: s = y^{1/2} and s^{-1} from one
+    ``eigh``, ds its derivative along dy from the Sylvester equation s ds + ds s = dy."""
+    s, si = _spd_powers(y, 0.5, -0.5)
+    return s, si, symmetrize(sylvester_solve(s, s, dy))
 
 
 # [7/7] Pade coefficients b_0..b_7 and the 1-norm bound theta_7 below which the

@@ -29,7 +29,8 @@ import numpy as np
 
 from . import sampling as smp
 from .exceptions import BadShape, ContractionViolation
-from .jacobi import act_extended, act_pq, act_xjn, chart_convert, gj_compose, sn_chart, sn_chart_inverse
+from .jacobi import _from_pq, act_extended, act_pq, act_xjn, chart_convert, gj_compose
+from .jacobi import sn_chart, sn_chart_inverse
 from .linalg import _row, check_spd, sym_residual
 from .numdiff import fd_push, fd_push_sn
 from .forms import oneforms_sn
@@ -66,28 +67,16 @@ class KahlerParams:
             raise ValueError("k and nu must be positive")
 
 
-def _fro2(a):
-    return float(np.sum(np.asarray(a) * np.asarray(a)))
-
-
-def metric_group_quad(params, chart, tangent):
-    """Quadratic form of the 4-parameter group metric on one tangent."""
-    lf = oneforms_sn(chart, tangent)
-    val = params.alpha * (_fro2(lf.F + lf.G) + _fro2(lf.H))
-    val += params.beta * _fro2(lf.F - lf.G)
-    val += params.gamma * (float(lf.P @ lf.P) + float(lf.Q @ lf.Q))
-    val += params.delta * lf.R * lf.R
-    return val
-
-
 def metric_group(params, chart, t1, t2):
-    """Polarized group metric  g(t1, t2) = (Q(t1+t2) - Q(t1-t2)) / 4."""
-    plus = tuple(np.asarray(a) + np.asarray(b) if np.ndim(a) else a + b
-                 for a, b in zip(t1, t2))
-    minus = tuple(np.asarray(a) - np.asarray(b) if np.ndim(a) else a - b
-                  for a, b in zip(t1, t2))
-    return 0.25 * (metric_group_quad(params, chart, plus)
-                   - metric_group_quad(params, chart, minus))
+    """g(t1, t2) = alpha (<F1 + G1, F2 + G2> + <H1, H2>) + beta <F1 - G1, F2 - G2>
+    + gamma (P1 P2^t + Q1 Q2^t) + delta R1 R2 with <A, B> = tr(A B^t), from one
+    ``oneforms_sn`` per tangent: the one-forms are linear in the tangent."""
+    f1, f2 = oneforms_sn(chart, t1), oneforms_sn(chart, t2)
+    val = params.alpha * (np.vdot(f1.F + f1.G, f2.F + f2.G) + np.vdot(f1.H, f2.H))
+    val += params.beta * np.vdot(f1.F - f1.G, f2.F - f2.G)
+    val += params.gamma * (float(f1.P @ f2.P) + float(f1.Q @ f2.Q))
+    val += params.delta * f1.R * f2.R
+    return val
 
 
 XJN_CHARTS = ("pq", "chipsi", "xirho")
@@ -110,7 +99,7 @@ def metric_xjn(alpha, gamma, chart, point, t1, t2):
             + gamma [dp (x y^-1 x + y) dp^t + dq y^-1 dq^t + 2 dp x y^-1 dq^t]
     chipsi: the same with dpsi = dp^t, dchi = dq^t;
     xirho:  alpha part + gamma [r y^-1 r^t + s y^-1 s^t] with
-            r = dxi - rho y^-1 dx und s = drho - rho y^-1 dy.
+            r = dxi - rho y^-1 dx and s = drho - rho y^-1 dy.
 
     All three agree under the chart conversions.
     """
@@ -164,7 +153,7 @@ def metric_extended(alpha, gamma, delta, point, t1, t2):
 # ball model, partial Cayley transform, FC coordinate change
 
 
-def check_ball_point(w, z=None, tol=1e-10):
+def check_ball_point(w, tol=1e-10):
     w = np.asarray(w, dtype=complex)
     if not sym_residual(w) <= tol:
         raise ContractionViolation("W must be symmetric")
@@ -211,10 +200,7 @@ def cayley_inverse(w, z):
     n = w.shape[0]
     eye = np.eye(n)
     v = 1j * np.linalg.solve(eye - w, eye + w)
-    v = 0.5 * (v + v.T)
-    u = np.linalg.solve(eye - w, z)
-    check_spd(v.imag)
-    return v, u
+    return 0.5 * (v + v.T), np.linalg.solve(eye - w, z)
 
 
 def g_form(v, u, tangent):
@@ -366,10 +352,10 @@ def _draw_xjn(chart):
     # points and tangents are drawn in the pq chart whatever the target chart
     def draw(rng, n):
         g = smp.rand_jacobi(rng, n)
-        point = chart_convert(smp.rand_pq_point(rng, n), "pq", chart)
+        point = _from_pq(smp.rand_pq_point(rng, n), chart)
 
         def act(pt):
-            return chart_convert(act_pq(g, chart_convert(pt, chart, "pq")), "pq", chart)
+            return _from_pq(act_pq(g, chart_convert(pt, chart, "pq")), chart)
 
         return act, point, smp.rand_pq_tangent(rng, n), smp.rand_pq_tangent(rng, n)
 
@@ -470,9 +456,14 @@ def invariance_report(obj, n, samples=1000, seed=0, fd_step=1e-6, tol=1e-6):
     affine lambda_R case), and compare the pulled-back value with the
     original.  Errors are reported absolutely and relative to the scale
     of the object on the sampled tangents.  Deterministic given the seed.
+    Before any sample: ``fd_step`` must be finite and > 0, ``tol`` finite and >= 0.
     """
     if obj not in _INVARIANCE_SPECS:
         raise ValueError(f"object must be one of {INVARIANCE_OBJECTS}")
+    if not (np.isfinite(fd_step) and fd_step > 0):
+        raise ValueError(f"fd_step must be finite and positive, got {fd_step!r}")
+    if not (np.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
     sample = _INVARIANCE_SPECS[obj]
     rng = np.random.default_rng(seed)
     abs_errs = np.zeros(samples)

@@ -27,7 +27,7 @@ from .exceptions import (
     NotUnitaryPair,
     SingularDenominator,
 )
-from .linalg import check_spd, check_symmetric, sqrtm_spd, sym_residual, symmetrize
+from .linalg import _spd_powers, _trusted, check_spd, check_symmetric, sym_residual, symmetrize
 
 SP_TOL = 1e-10
 DET_TOL = 1e-8
@@ -115,7 +115,10 @@ def check_symplectic(m, tol=SP_TOL, det_tol=DET_TOL):
 
 def sp_inverse(m, tol=SP_TOL):
     """Closed-form inverse  [[d^t, -b^t], [-c^t, a^t]]  of a symplectic matrix."""
-    m = check_symplectic(m, tol)
+    return _sp_inverse(check_symplectic(m, tol))
+
+
+def _sp_inverse(m):
     a, b, c, d = blocks(m)
     return from_blocks(d.T, -b.T, -c.T, a.T)
 
@@ -171,7 +174,7 @@ class SpAlgebraElement:
         a, b, c, d = blocks(z)
         if not np.max(np.abs(d + a.T)) <= 1e-10 * max(1.0, np.max(np.abs(z))):
             raise BadShape("lower-right block is not -a^t")
-        return cls(a, symmetrize(b), symmetrize(c))
+        return _trusted(cls, a, symmetrize(b), symmetrize(c))
 
 
 def sp_basis(n):
@@ -278,21 +281,22 @@ def mobius_act(m, v, tol=SP_TOL):
     denominator therefore raises SingularDenominator to flag an
     input-contract violation.
     """
-    m = check_symplectic(m, tol)
-    v = check_siegel(v)
+    return _mobius(check_symplectic(m, tol), check_siegel(v))[0]
+
+
+def _mobius(m, v, u=None):
+    """Moebius image of a validated Siegel point under a validated symplectic M,
+    and ``u (c v + d)^{-1}`` of a row ``u`` (empty without one), from one solve."""
     a, b, c, d = blocks(m)
-    den = c @ v + d
-    num = a @ v + b
+    rhs = (a @ v + b).T if u is None else np.column_stack([(a @ v + b).T, u])
     try:
-        # right division: num @ inv(den) via a transposed solve
-        v1 = np.linalg.solve(den.T, num.T).T
+        # right division by c v + d via a transposed solve
+        sol = np.linalg.solve((c @ v + d).T, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularDenominator(str(exc)) from exc
-    if not np.all(np.isfinite(v1)):
+    if not np.all(np.isfinite(sol)):
         raise SingularDenominator("non-finite entries in the Moebius image")
-    v1 = 0.5 * (v1 + v1.T)
-    check_spd(v1.imag)
-    return v1
+    return symmetrize(sol[:, :v.shape[0]]), sol[:, v.shape[0]:].ravel()
 
 
 def m_point(x, y):
@@ -301,8 +305,7 @@ def m_point(x, y):
     Sends the base point iI to x + iy under :func:`mobius_act`.
     """
     x = check_symmetric(x)
-    s = sqrtm_spd(y)
-    si = np.linalg.inv(s)
+    s, si = _spd_powers(check_spd(y), 0.5, -0.5)
     n = x.shape[0]
     return from_blocks(s, x @ si, np.zeros((n, n)), si)
 
@@ -339,34 +342,32 @@ class PreIwasawaFactors:
         return self.x.shape[0]
 
 
+def _pre_iwasawa(m):
+    """(x, y, y^{1/2}, X, Y) of a validated symplectic matrix, with the modified
+    y = (d d^t + c c^t)^{-1} and its root from one ``eigh``; x is symmetric
+    for symplectic input (a theorem) and is symmetrized to clean up roundoff."""
+    a, b, c, d = blocks(m)
+    y, root = _spd_powers(d @ d.T + c @ c.T, -1.0, -0.5)
+    x = symmetrize(y @ (d @ b.T + c @ a.T))
+    return x, y, root, root @ d, -(root @ c)
+
+
 def pre_iwasawa(m, tol=SP_TOL):
     """Plain pre-Iwasawa factors of a symplectic matrix.
 
-    ``y = (d d^t + c c^t)^{-1/2}``, ``X - iY = y (d + i c)``, and
+    The modified factors with y replaced by its root:
+    ``y = (d d^t + c c^t)^{-1/2}``, ``X - iY = y (d + i c)`` and
     ``x = (d d^t + c c^t)^{-1} (d b^t + c a^t)``.  All factors are unique.
     """
-    m = check_symplectic(m, tol)
-    a, b, c, d = blocks(m)
-    s = symmetrize(d @ d.T + c @ c.T)
-    s_inv = check_spd(np.linalg.inv(s))
-    y = sqrtm_spd(s_inv)
-    x = s_inv @ (d @ b.T + c @ a.T)
-    # symmetry of x is a theorem for symplectic input; assert, then clean up
-    x = check_symmetric(x, rtol=1e-8)
-    return PreIwasawaFactors(symmetrize(x), y, y @ d, -(y @ c), "plain")
+    x, _, root, xu, yu = _pre_iwasawa(check_symplectic(m, tol))
+    return _trusted(PreIwasawaFactors, x, root, xu, yu, "plain")
 
 
 def modified_pre_iwasawa(m, tol=SP_TOL):
     """Modified pre-Iwasawa factors: ``y = (d d^t + c c^t)^{-1}``,
     ``X - iY = y^{1/2} (d + i c)``, ``x = y (d b^t + c a^t)``."""
-    m = check_symplectic(m, tol)
-    a, b, c, d = blocks(m)
-    s = symmetrize(d @ d.T + c @ c.T)
-    y = check_spd(np.linalg.inv(s))
-    root = sqrtm_spd(y)
-    x = y @ (d @ b.T + c @ a.T)
-    x = check_symmetric(x, rtol=1e-8)
-    return PreIwasawaFactors(symmetrize(x), y, root @ d, -(root @ c), "modified")
+    x, y, _, xu, yu = _pre_iwasawa(check_symplectic(m, tol))
+    return _trusted(PreIwasawaFactors, x, y, xu, yu, "modified")
 
 
 def pre_iwasawa_compose(factors):
@@ -377,8 +378,8 @@ def pre_iwasawa_compose(factors):
     Modified: the same formulas with y replaced by y^{1/2}.
     """
     f = factors
-    r = f.y if f.variant == "plain" else sqrtm_spd(f.y)
-    ri = np.linalg.inv(r)
+    power = 1.0 if f.variant == "plain" else 0.5
+    r, ri = _spd_powers(f.y, power, -power)
     a = r @ f.X - f.x @ ri @ f.Y
     b = r @ f.Y + f.x @ ri @ f.X
     c = -(ri @ f.Y)
@@ -401,19 +402,14 @@ def act_modified_chart(m, chart, tol=SP_TOL):
     """
     m = check_symplectic(m, tol)
     a, b, c, d = blocks(m)
-    xp, yp, xu, yu = chart
-    xp = check_symmetric(xp)
-    yp = np.asarray(check_spd(yp), dtype=float)
-    xu, yu = check_unitary_pair(xu, yu)
-    ypi = np.linalg.inv(yp)
+    f = PreIwasawaFactors(*chart, "modified")
+    xp, yp, xu, yu = f.x, f.y, f.X, f.Y
+    sp, spi, ypi = _spd_powers(yp, 0.5, -0.5, -1.0)
     core = yp + xp @ ypi @ xp
     big_a = c @ core @ c.T + d @ ypi @ d.T + c @ xp @ ypi @ d.T + d @ ypi @ xp @ c.T
     big_n = c @ core @ a.T + c @ xp @ ypi @ b.T + d @ ypi @ xp @ a.T + d @ ypi @ b.T
-    y1 = check_spd(np.linalg.inv(symmetrize(big_a)))
+    y1, s1 = _spd_powers(big_a, -1.0, -0.5)
     x1 = symmetrize(y1 @ big_n)
-    s1 = sqrtm_spd(y1)
-    sp = sqrtm_spd(yp)
-    spi = np.linalg.inv(sp)
     cxd = c @ xp + d
     x_new = s1 @ (cxd @ spi @ xu + c @ sp @ yu)
     y_new = s1 @ (cxd @ spi @ yu - c @ sp @ xu)

@@ -251,3 +251,30 @@ def test_act_xjn_non_symmetric_v_is_domain_error():
     assert res.returncode == 1
     assert res.stdout == ""
     assert res.stderr.startswith("error:") and len(res.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("extra", [
+    ["--fd-step", "0"], ["--fd-step", "nan"], ["--fd-step=-1e-6"],
+    ["--tol", "nan"], ["--tol", "-1"],
+], ids=["fd-step-0", "fd-step-nan", "fd-step-negative", "tol-nan", "tol-negative"])
+@pytest.mark.parametrize("obj", ["metric_xjn_pq", "lambda_R"])
+def test_invariance_bad_numeric_option_is_usage_error(obj, extra):
+    res = run_cli(["invariance", "--object", obj, "--samples", "3", *extra])
+    assert res.returncode == 2
+    assert res.stdout == ""
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_check_bad_tol_is_usage_error(tol):
+    res = run_cli(["check", "--tol", tol], {"matrix": [[0, 1], [-1, 0]]})
+    assert res.returncode == 2
+    assert res.stdout == ""
+
+
+@pytest.mark.parametrize("sub", [["decompose"], ["act", "--space", "pq"], ["oneforms"],
+                                 ["metric"], ["commutators", "--n", "1"], ["sqrt-diff"]],
+                         ids=lambda sub: sub[0])
+def test_tol_is_only_an_option_of_check_and_invariance(sub):
+    res = run_cli([*sub, "--tol", "1e-8"])
+    assert res.returncode == 2
+    assert "unrecognized arguments: --tol" in res.stderr

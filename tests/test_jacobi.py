@@ -22,7 +22,10 @@ from jacobigeom import (
     is_symplectic,
     j_matrix,
     lm_from_pq,
+    modified_pre_iwasawa,
     pq_from_lm,
+    pre_iwasawa,
+    pre_iwasawa_compose,
     sn_chart,
     sn_chart_identity,
     sn_chart_inverse,
@@ -34,6 +37,7 @@ from jacobigeom.sampling import (
     rand_symplectic,
     rand_vu_point,
 )
+from jacobigeom.symplectic import unitary_pair_residual
 
 
 @pytest.mark.parametrize("part", ["lam", "mu", "kappa"])
@@ -300,6 +304,26 @@ def test_sn_chart_roundtrip(rng):
         assert np.max(np.abs(g.lam - g2.lam)) < 1e-10
         assert np.max(np.abs(g.mu - g2.mu)) < 1e-10
         assert abs(g.kappa - g2.kappa) < 1e-12
+
+
+def test_accepted_ill_conditioned_input_is_not_rejected_later():
+    # n = 10 at scale 3 reaches cond(M) ~ 1e7; every draw that passes the
+    # entry check must go through the decompositions, the chart and its
+    # inverse and the group law without a later internal rejection
+    rng = np.random.default_rng(0)
+    draws = [rand_symplectic(rng, 10, scale=3) for _ in range(50)]
+    accepted = [m for m in draws if is_symplectic(m)]
+    assert len(accepted) == 27
+    for m in accepted:
+        cond = np.linalg.cond(m)
+        for decompose in (modified_pre_iwasawa, pre_iwasawa):
+            f = decompose(m)
+            recomposition = np.max(np.abs(pre_iwasawa_compose(f) - m)) / np.max(np.abs(m))
+            assert recomposition <= 1e-14 * cond
+            assert unitary_pair_residual(f.X, f.Y) <= 1e-14 * cond
+        g = _pure_symplectic(m)
+        sn_chart_inverse(sn_chart(g))
+        gj_compose(g, gj_inverse(g))
 
 
 def test_sn_chart_n1_angle(rng):

@@ -25,6 +25,7 @@ from jacobigeom import (
     sn_chart_inverse,
     sp_to_ball_rep,
 )
+from jacobigeom import metrics
 from jacobigeom.metrics import INVARIANCE_OBJECTS
 from jacobigeom.numdiff import fd_push, fd_push_sn
 from jacobigeom.sampling import (
@@ -435,3 +436,18 @@ def test_invariance_deterministic():
     a = invariance_report("metric_xjn_pq", n=2, samples=50, seed=11)
     b = invariance_report("metric_xjn_pq", n=2, samples=50, seed=11)
     assert a == b
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"fd_step": 0.0}, {"fd_step": -1e-6}, {"fd_step": np.nan}, {"fd_step": np.inf},
+    {"tol": np.nan}, {"tol": -1.0}, {"tol": np.inf},
+], ids=["fd_step-0", "fd_step-negative", "fd_step-nan", "fd_step-inf",
+        "tol-nan", "tol-negative", "tol-inf"])
+@pytest.mark.parametrize("obj", ["metric_xjn_pq", "lambda_R"])
+def test_invariance_rejects_bad_numeric_arguments_before_sampling(monkeypatch, obj, kwargs):
+    def no_sample(rng, n, step):
+        raise AssertionError("a sample was drawn")
+
+    monkeypatch.setitem(metrics._INVARIANCE_SPECS, obj, no_sample)
+    with pytest.raises(ValueError, match="fd_step|tol"):
+        invariance_report(obj, n=1, samples=3, **kwargs)
