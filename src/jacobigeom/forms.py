@@ -28,24 +28,23 @@ from .jacobi import (
     pq_from_lm,
     sn_chart_inverse,
 )
-from .linalg import _row, _sqrt_frame, check_symmetric, sym_residual, symmetrize
+from . import linalg
+from .linalg import _gate, _row, _sqrt_frame, check_symmetric, sym_residual, symmetrize
 from .symplectic import _jacobi_matrix, blocks, from_blocks, j_matrix
 
 
 def _sym_component(a):
-    # tangent components arriving from central differences carry ~1e-10
-    # asymmetry; validate loosely, then clean up
-    return symmetrize(check_symmetric(a, rtol=1e-6))
+    return symmetrize(check_symmetric(a, linalg.TANGENT_SYM_RTOL))
 
 
-def check_matrix_tangent(g, tangent, tol=1e-10):
+def check_matrix_tangent(g, tangent):
     """Validate the linearized symplectic constraint of a matrix-chart tangent."""
     da, db, dc, dd, dp, dq, dk = tangent
     dm = from_blocks(da, db, dc, dd)
     j = j_matrix(g.n)
-    res = np.max(np.abs(dm.T @ j @ g.M + g.M.T @ j @ dm))
-    if not res <= tol * max(1.0, np.max(np.abs(g.M))):
-        raise NotSymplectic(f"tangent violates the symplectic linearization: {res:.3e}")
+    _gate(np.max(np.abs(dm.T @ j @ g.M + g.M.T @ j @ dm)),
+          linalg.TANGENT_SP_RTOL * max(1.0, np.max(np.abs(g.M))), NotSymplectic,
+          "residual of the linearized symplectic condition")
     return tangent
 
 
@@ -78,21 +77,20 @@ def _embed_tangent(g, tangent):
     return _jacobi_matrix((da, db, dc, dd), (dlam, dmu), (dq, -dp), float(dk), 0.0)
 
 
-def maurer_cartan(g, tangent, chart="matrix", proj_tol=1e-10):
+def maurer_cartan(g, tangent, chart="matrix"):
     """Left-logarithmic derivative g^{-1} g-dot projected on the algebra.
 
     For ``chart="sn"`` the tangent is first mapped to the matrix chart by
     the analytic differential of the chart inverse (see
     :func:`d_sn_chart_inverse`).  The embedded value must lie in the
-    Jacobi algebra up to ``proj_tol``; analytic tangents sit at roundoff,
-    while finite-difference tangents carry their truncation error into
-    the residual and need a looser bound.
+    Jacobi algebra up to PROJ_RTOL (see
+    :meth:`JacobiAlgebraElement.from_matrix`).
     """
     if chart == "sn":
         tangent = d_sn_chart_inverse(g, tangent)
         g = sn_chart_inverse(g)
     xi = gj_embed(gj_inverse(g)) @ _embed_tangent(g, tangent)
-    return JacobiAlgebraElement.from_matrix(xi, tol=proj_tol)
+    return JacobiAlgebraElement.from_matrix(xi)
 
 
 def oneforms_matrix_chart(g, tangent):
@@ -112,8 +110,8 @@ def oneforms_matrix_chart(g, tangent):
     f = d.T @ db - b.T @ dd
     gg = -c.T @ da + a.T @ dc
     h = d.T @ da - b.T @ dc
-    f = symmetrize(check_symmetric(f, rtol=1e-9))
-    gg = symmetrize(check_symmetric(gg, rtol=1e-9))
+    f = symmetrize(check_symmetric(f, linalg.FORM_SYM_RTOL))
+    gg = symmetrize(check_symmetric(gg, linalg.FORM_SYM_RTOL))
     lam_p = dp @ a + dq @ c
     lam_q = dq @ d + dp @ b
     lam_r = float(dk) - float(p @ dq) + float(q @ dp)
@@ -167,8 +165,8 @@ def oneforms_sn(chart, tangent):
     f = X.T @ dY - Y.T @ dX + X.T @ ell @ Y + X.T @ cc @ X + Y.T @ arr @ X
     g = -X.T @ dY + Y.T @ dX + Y.T @ ell @ X - Y.T @ cc @ Y + X.T @ arr @ Y
     h = X.T @ dX + Y.T @ dY + X.T @ ell @ X - X.T @ cc @ Y - Y.T @ arr @ Y
-    f = symmetrize(check_symmetric(f, rtol=1e-8))
-    g = symmetrize(check_symmetric(g, rtol=1e-8))
+    f = symmetrize(check_symmetric(f, linalg.FORM_SN_SYM_RTOL))
+    g = symmetrize(check_symmetric(g, linalg.FORM_SN_SYM_RTOL))
     dp, dq = _row(dp), _row(dq)
     lam_p = dp @ (s @ X - x @ si @ Y) - dq @ si @ Y
     lam_q = dq @ si @ X + dp @ (s @ Y + x @ si @ X)

@@ -27,7 +27,8 @@ import numpy as np
 
 from .exceptions import BadShape, BasisClosureFailure, ProjectionResidual
 from .heisenberg import HeisenbergElement
-from .linalg import _row, _trusted, check_spd, check_symmetric, symmetrize
+from . import linalg
+from .linalg import _gate, _row, _trusted, check_spd, check_symmetric, symmetrize
 from .symplectic import (
     PreIwasawaFactors,
     _jacobi_matrix,
@@ -108,7 +109,7 @@ def gj_embed(g):
     return _jacobi_matrix(blocks(g.M), (g.lam, g.mu), (q, -p), g.kappa, 1.0)
 
 
-def gj_from_embedding(mat, tol=1e-8):
+def gj_from_embedding(mat):
     """Recover (M, lambda, mu, kappa) from an embedded matrix.
 
     Checks the structural zeros and the consistency of the (p, q) column
@@ -120,9 +121,8 @@ def gj_from_embedding(mat, tol=1e-8):
         raise BadShape(f"expected even square matrix, got {mat.shape}")
     blks, (lam, mu), _, kappa = _jacobi_parts(mat)
     g = JacobiElement(from_blocks(*blks), lam, mu, kappa)
-    res = np.max(np.abs(mat - gj_embed(g)))
-    if not res <= tol * max(1.0, np.max(np.abs(mat))):
-        raise ProjectionResidual(f"matrix is not a Jacobi embedding, residual {res:.3e}")
+    _gate(np.max(np.abs(mat - gj_embed(g))), linalg.EMBED_RTOL * max(1.0, np.max(np.abs(mat))),
+          ProjectionResidual, "Jacobi embedding residual")
     return g
 
 
@@ -153,8 +153,8 @@ class JacobiAlgebraElement:
 
     def __post_init__(self):
         object.__setattr__(self, "a", np.asarray(self.a, dtype=float))
-        object.__setattr__(self, "b", check_symmetric(self.b, rtol=1e-9))
-        object.__setattr__(self, "c", check_symmetric(self.c, rtol=1e-9))
+        object.__setattr__(self, "b", check_symmetric(self.b, linalg.ALG_SYM_RTOL))
+        object.__setattr__(self, "c", check_symmetric(self.c, linalg.ALG_SYM_RTOL))
         object.__setattr__(self, "p", _row(self.p))
         object.__setattr__(self, "q", _row(self.q))
         object.__setattr__(self, "r", float(self.r))
@@ -168,21 +168,20 @@ class JacobiAlgebraElement:
                               (self.q, -self.p), self.r, 0.0)
 
     @classmethod
-    def from_matrix(cls, z, tol=1e-10):
+    def from_matrix(cls, z):
         """Project an embedded matrix back onto block coordinates.
 
         Duplicated blocks (a vs -a^t, the two copies of p and q) are
         averaged, which makes this the orthogonal projection onto the
-        algebra; the remaining residual must vanish up to ``tol`` or
+        algebra; the remaining residual must vanish up to PROJ_RTOL or
         ProjectionResidual is raised.
         """
         z = np.asarray(z, dtype=float)
         (a, b, c, d), (p, q), (q_col, minus_p_col), r = _jacobi_parts(z)
         elem = _trusted(cls, 0.5 * (a - d.T), symmetrize(b), symmetrize(c),
                         0.5 * (p - minus_p_col), 0.5 * (q + q_col), float(r))
-        res = np.max(np.abs(z - elem.to_matrix()))
-        if not res <= tol * max(1.0, np.max(np.abs(z))):
-            raise ProjectionResidual(f"not in the Jacobi algebra, residual {res:.3e}")
+        _gate(np.max(np.abs(z - elem.to_matrix())), linalg.PROJ_RTOL * max(1.0, np.max(np.abs(z))),
+              ProjectionResidual, "Jacobi algebra projection residual")
         return elem
 
     def coefficients(self):
@@ -244,14 +243,14 @@ def gj_bracket(z1, z2):
         raise BasisClosureFailure(str(exc)) from exc
 
 
-def commutator_table(n, snap_tol=1e-9):
+def commutator_table(n):
     """Structure constants over the gj_basis order, snapped to the k/4 grid.
 
     All constants are exact quarter-integers: the off-diagonal F/G
     generators carry a 1/2 block normalization, so products of two of
     them contribute multiples of 1/4; the Heisenberg sector ([P_p, Q_q] =
     2 delta_pq R and friends) is integer.  Any coefficient farther than
-    ``snap_tol`` from the grid raises BasisClosureFailure.
+    SNAP_TOL from the grid raises BasisClosureFailure.
     """
     elems = gj_basis_elements(n)
     dim = len(elems)
@@ -260,10 +259,8 @@ def commutator_table(n, snap_tol=1e-9):
         for j in range(i + 1, dim):
             coeffs = gj_bracket(elems[i], elems[j]).coefficients()
             snapped = np.round(coeffs * 4.0) / 4.0
-            if not np.max(np.abs(coeffs - snapped)) <= snap_tol:
-                raise BasisClosureFailure(
-                    f"constants of [{i},{j}] not on the quarter-integer grid"
-                )
+            _gate(np.max(np.abs(coeffs - snapped)), linalg.SNAP_TOL, BasisClosureFailure,
+                  f"distance of the constants of [{i},{j}] from the quarter-integer grid")
             table[i, j] = snapped
             table[j, i] = -snapped
     return gj_basis_labels(n), table

@@ -13,8 +13,10 @@ Conventions fixed here and relied on everywhere else:
 * ``kron_sum(A, B) = A (x) I_m + I_n (x) B``, so the operator of the
   Sylvester equation ``A X + X B = C`` is ``kron_sum(B^t, A)`` acting on
   ``vec(X)``.
-* Every validation gate is written ``if not residual <= tol``, so that a
-  NaN residual fails the gate instead of slipping past it.
+* Every validation bound of the package is a constant in the one block
+  below, read at call time (not bound as a default), and every gate
+  compares through :func:`_gate`, whose ``not residual <= bound`` form
+  fails on a NaN residual or bound instead of letting it slip past.
 * Validation happens once, where a value enters from a caller; a value
   derived from validated ones is built by :func:`_trusted`, unchecked.
 """
@@ -23,8 +25,31 @@ import numpy as np
 
 from .exceptions import BadShape, NotSpd, NotSymmetric, SingularSylvester
 
-SYM_RTOL = 1e-12    # relative max-norm tolerance for symmetry checks
-SPD_EIG_RTOL = 1e-10  # smallest/largest eigenvalue ratio for the SPD test
+# Validation bounds, the only ones in the package (README "Tolerances").  "rel x":
+# the gate scales the bound by x, a symmetry residual by max(1, ||A||_max); "abs": unscaled.
+SYM_RTOL = 1e-12         # rel: asymmetry of an input matrix that the caller built symmetric
+SPD_EIG_RTOL = 1e-10     # rel largest eigenvalue: smallest eigenvalue of an SPD input (strict)
+SYLVESTER_RTOL = 1e-8    # rel max(1, ||C||_F): solve residual; above it the system is singular
+SP_TOL = 1e-10           # abs: ||M^t J M - J||_max of an input (its roundoff grows as ||M||^2)
+DET_TOL = 1e-8           # rel max(1, |det M|): |det M - 1|, the cross-check of SP_TOL
+UP_TOL = 1e-10           # abs: orthogonal-pair and unitarity residuals; rel max|K| for a tangent K
+PROJ_RTOL = 1e-10        # rel max(1, ||Z||_max): residual of projecting Z on sp(n) or on g^J
+EMBED_RTOL = 1e-8        # rel max(1, ||G||_max): re-embedding residual of a Jacobi matrix G
+ALG_SYM_RTOL = 1e-9      # rel: asymmetry of the b and c blocks of a Jacobi algebra element
+SNAP_TOL = 1e-9          # abs: distance of a bracket structure constant from the k/4 grid
+TANGENT_SYM_RTOL = 1e-6  # rel: asymmetry of S_n tangent dx, dy; central differences give ~1e-10
+FORM_SYM_RTOL = 1e-9     # rel: asymmetry of F and G in the matrix chart (a tangent check)
+FORM_SN_SYM_RTOL = 1e-8  # rel: asymmetry of F and G in the S_n chart (a (dX, dY) tangent check)
+TANGENT_SP_RTOL = 1e-10  # rel max(1, ||M||_max): linearized symplectic residual of a tangent
+BALL_SYM_RTOL = 1e-10    # rel: asymmetry of a ball point W
+BALL_MIN_EIG = 1e-10     # abs: smallest eigenvalue of I - W conj(W) at a ball point (strict)
+
+
+def _gate(residual, bound, exc, what, lower=False):
+    """Raise ``exc`` unless ``residual <= bound`` (``residual > bound`` if ``lower``),
+    written so that a NaN residual or bound fails: every validation gate's one exit."""
+    if not (residual > bound if lower else residual <= bound):
+        raise exc(f"{what} {residual:.3e} {'is not above' if lower else 'exceeds'} {bound:.3e}")
 
 
 def _row(v):
@@ -47,14 +72,12 @@ def sym_residual(a):
     return np.max(np.abs(a - a.T)) / max(1.0, np.max(np.abs(a)))
 
 
-def check_symmetric(a, rtol=SYM_RTOL):
-    """Return ``a`` if symmetric within ``rtol``, else raise NotSymmetric."""
+def check_symmetric(a, rtol=None):
+    """Return ``a`` if symmetric within ``rtol`` (default SYM_RTOL), else raise NotSymmetric."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise BadShape(f"expected a square matrix, got shape {a.shape}")
-    res = sym_residual(a)
-    if not res <= rtol:
-        raise NotSymmetric(f"asymmetry {res:.3e} exceeds tolerance {rtol:.3e}")
+    _gate(sym_residual(a), SYM_RTOL if rtol is None else rtol, NotSymmetric, "asymmetry")
     return a
 
 
@@ -62,20 +85,15 @@ def symmetrize(a):
     return 0.5 * (np.asarray(a) + np.asarray(a).T)
 
 
-def check_spd(a, rtol=SYM_RTOL, eig_rtol=SPD_EIG_RTOL):
-    """Return ``a`` if symmetric positive definite, else raise NotSpd.
-
-    Positive definiteness is a strict inequality on paper; numerically we
-    require the smallest eigenvalue to exceed ``eig_rtol`` times the
-    largest.
-    """
+def check_spd(a):
+    """Return ``a`` if symmetric positive definite, else raise NotSpd: the smallest
+    eigenvalue must exceed SPD_EIG_RTOL times the largest (strict, as on paper)."""
     try:
-        a = check_symmetric(a, rtol)
+        a = check_symmetric(a)
     except NotSymmetric as exc:
         raise NotSpd(str(exc)) from exc
     w = np.linalg.eigvalsh(symmetrize(a))
-    if not w[0] > eig_rtol * max(w[-1], 0.0):
-        raise NotSpd(f"eigenvalue range [{w[0]:.3e}, {w[-1]:.3e}] is not SPD")
+    _gate(w[0], SPD_EIG_RTOL * max(w[-1], 0.0), NotSpd, "smallest eigenvalue", lower=True)
     return a
 
 
@@ -117,9 +135,9 @@ def _vech_indices(n):
     return [(i, j) for j in range(n) for i in range(j, n)]
 
 
-def vech(a, rtol=SYM_RTOL):
+def vech(a):
     """Half-vectorization of a symmetric matrix (lower triangle, column-major)."""
-    a = check_symmetric(a, rtol)
+    a = check_symmetric(a)
     n = a.shape[0]
     return np.array([a[i, j] for i, j in _vech_indices(n)])
 
@@ -152,19 +170,14 @@ def elimination_matrix(n):
     return ell
 
 
-def sylvester_solve(a, b, c, residual_rtol=1e-8):
+def sylvester_solve(a, b, c):
     """Solve  A X + X B = C  by dense Kronecker linearization.
 
     The linear system is ``(I_m (x) A + B^t (x) I_n) vec(X) = vec(C)``,
     solvable iff the spectra of A and -B are disjoint.  Matrix sizes here
     are small (n, m of order 10), so the dense n*m x n*m solve is exact
-    enough and no Schur-based algorithm is needed.
-
-    Raises
-    ------
-    SingularSylvester
-        If the Kronecker-sum operator is singular (exactly or numerically,
-        judged by the residual of the candidate solution).
+    enough and no Schur-based algorithm is needed.  Raises SingularSylvester
+    if the operator is singular, exactly or by the residual (SYLVESTER_RTOL).
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -182,21 +195,18 @@ def sylvester_solve(a, b, c, residual_rtol=1e-8):
     except np.linalg.LinAlgError as exc:
         raise SingularSylvester(f"Kronecker-sum operator is singular: {exc}") from exc
     x = unvec(x, n, m)
-    res = np.linalg.norm(a @ x + x @ b - c)
-    if not res <= residual_rtol * max(1.0, np.linalg.norm(c)):
-        raise SingularSylvester(
-            f"residual {res:.3e} indicates a (near-)singular system"
-        )
+    _gate(np.linalg.norm(a @ x + x @ b - c), SYLVESTER_RTOL * max(1.0, np.linalg.norm(c)),
+          SingularSylvester, "Sylvester residual")
     return x
 
 
-def sqrtm_spd(a, rtol=SYM_RTOL, eig_rtol=SPD_EIG_RTOL):
+def sqrtm_spd(a):
     """Principal square root of an SPD matrix via symmetric eigendecomposition.
 
     Deterministic and accurate at the target scale; Newton iterations are
     not used.  The result S is SPD and satisfies ``S S = A`` to roundoff.
     """
-    return _spd_powers(check_spd(a, rtol, eig_rtol), 0.5)[0]
+    return _spd_powers(check_spd(a), 0.5)[0]
 
 
 def _spd_powers(a, *powers):
@@ -205,14 +215,14 @@ def _spd_powers(a, *powers):
     return tuple(symmetrize((u * w ** p) @ u.T) for p in powers)
 
 
-def dsqrtm(a, da, rtol=SYM_RTOL):
+def dsqrtm(a, da):
     """Directional derivative of the SPD square root.
 
     Solves ``X A^{1/2} + A^{1/2} X = dA`` for X, i.e. applies the inverse
     Kronecker sum ``(A^{1/2} (+) A^{1/2})^{-1}`` to ``vec(dA)``.  X is
     symmetric whenever ``da`` is.
     """
-    return _sqrt_frame(check_spd(a), check_symmetric(da, rtol))[2]
+    return _sqrt_frame(check_spd(a), check_symmetric(da))[2]
 
 
 def _sqrt_frame(y, dy):

@@ -31,7 +31,8 @@ from . import sampling as smp
 from .exceptions import BadShape, ContractionViolation
 from .jacobi import _from_pq, act_extended, act_pq, act_xjn, chart_convert, gj_compose
 from .jacobi import sn_chart, sn_chart_inverse
-from .linalg import _row, check_spd, sym_residual
+from . import linalg
+from .linalg import _gate, _row, check_spd, sym_residual
 from .numdiff import fd_push, fd_push_sn
 from .forms import oneforms_sn
 from .symplectic import blocks
@@ -153,14 +154,12 @@ def metric_extended(alpha, gamma, delta, point, t1, t2):
 # ball model, partial Cayley transform, FC coordinate change
 
 
-def check_ball_point(w, tol=1e-10):
+def check_ball_point(w):
     w = np.asarray(w, dtype=complex)
-    if not sym_residual(w) <= tol:
-        raise ContractionViolation("W must be symmetric")
+    _gate(sym_residual(w), linalg.BALL_SYM_RTOL, ContractionViolation, "asymmetry of W")
     contraction = np.eye(w.shape[0]) - w @ w.conj()
-    wmin = np.linalg.eigvalsh(0.5 * (contraction + contraction.conj().T))[0]
-    if not wmin > tol:
-        raise ContractionViolation(f"I - W conj(W) not positive, min eig {wmin:.3e}")
+    _gate(np.linalg.eigvalsh(0.5 * (contraction + contraction.conj().T))[0], linalg.BALL_MIN_EIG,
+          ContractionViolation, "smallest eigenvalue of I - W conj(W)", lower=True)
     return w
 
 
@@ -456,10 +455,14 @@ def invariance_report(obj, n, samples=1000, seed=0, fd_step=1e-6, tol=1e-6):
     affine lambda_R case), and compare the pulled-back value with the
     original.  Errors are reported absolutely and relative to the scale
     of the object on the sampled tangents.  Deterministic given the seed.
-    Before any sample: ``fd_step`` must be finite and > 0, ``tol`` finite and >= 0.
+    Before any sample: ``n`` and ``samples`` must be ints >= 1, ``fd_step``
+    finite and > 0, ``tol`` finite and >= 0.
     """
     if obj not in _INVARIANCE_SPECS:
         raise ValueError(f"object must be one of {INVARIANCE_OBJECTS}")
+    for name, value in (("n", n), ("samples", samples)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+            raise ValueError(f"{name} must be an int >= 1, got {value!r}")
     if not (np.isfinite(fd_step) and fd_step > 0):
         raise ValueError(f"fd_step must be finite and positive, got {fd_step!r}")
     if not (np.isfinite(tol) and tol >= 0):

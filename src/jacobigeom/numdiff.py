@@ -9,9 +9,10 @@ components; the orthogonal-pair components of an S_n chart move along
 
 import numpy as np
 
+from . import linalg
 from .exceptions import NotUnitaryPair
 from .jacobi import SnChart
-from .symplectic import UP_TOL
+from .linalg import _gate
 
 DEFAULT_STEP = 1e-6
 
@@ -48,10 +49,8 @@ def sn_chart_curve(chart, tangent, t):
     dx, dy, dX, dY, dp, dq, dk = tangent
     u = chart.X + 1j * chart.Y
     k = u.conj().T @ (dX + 1j * dY)
-    res = 0.5 * np.max(np.abs(k + k.conj().T))
-    if not res <= UP_TOL * np.max(np.abs(k)):
-        raise NotUnitaryPair(f"(dX, dY) is not tangent to the pair manifold: "
-                             f"Hermitian part {res:.3e} of K")
+    _gate(0.5 * np.max(np.abs(k + k.conj().T)), linalg.UP_TOL * np.max(np.abs(k)), NotUnitaryPair,
+          "Hermitian part of the pair tangent's K")
     w, v = np.linalg.eigh(1j * k)
     ut = u @ ((v * np.exp(-1j * t * w)) @ v.conj().T)
     return SnChart(chart.x + t * dx, chart.y + t * dy, ut.real, ut.imag,

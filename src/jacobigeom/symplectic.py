@@ -20,17 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import (
-    BadShape,
-    NotSymmetric,
-    NotSymplectic,
-    NotUnitaryPair,
-    SingularDenominator,
-)
-from .linalg import _spd_powers, _trusted, check_spd, check_symmetric, sym_residual, symmetrize
-
-SP_TOL = 1e-10
-DET_TOL = 1e-8
+from .exceptions import BadShape, NotSymplectic, NotUnitaryPair, SingularDenominator
+from . import linalg
+from .linalg import _gate, _spd_powers, _trusted, check_spd, check_symmetric, symmetrize
 
 
 def j_matrix(n):
@@ -96,26 +88,23 @@ def symplectic_residual(m):
     return np.max(np.abs(m.T @ j @ m - j))
 
 
-def is_symplectic(m, tol=SP_TOL):
-    """True iff ``M^t J M = J`` holds within ``tol`` (max-norm)."""
-    return symplectic_residual(m) <= tol
+def is_symplectic(m, tol=None):
+    """True iff ``M^t J M = J`` holds within ``tol`` (max-norm; default SP_TOL)."""
+    return symplectic_residual(m) <= (linalg.SP_TOL if tol is None else tol)
 
 
-def check_symplectic(m, tol=SP_TOL, det_tol=DET_TOL):
+def check_symplectic(m):
     """Validate the symplectic invariants (residual and det = 1); return M."""
     m = np.asarray(m, dtype=float)
-    res = symplectic_residual(m)
-    if not res <= tol:
-        raise NotSymplectic(f"symplectic residual {res:.3e} exceeds {tol:.3e}")
+    _gate(symplectic_residual(m), linalg.SP_TOL, NotSymplectic, "symplectic residual")
     det = np.linalg.det(m)
-    if not abs(det - 1.0) <= det_tol * max(1.0, abs(det)):
-        raise NotSymplectic(f"determinant {det!r} differs from 1")
+    _gate(abs(det - 1.0), linalg.DET_TOL * max(1.0, abs(det)), NotSymplectic, "|det M - 1|")
     return m
 
 
-def sp_inverse(m, tol=SP_TOL):
+def sp_inverse(m):
     """Closed-form inverse  [[d^t, -b^t], [-c^t, a^t]]  of a symplectic matrix."""
-    return _sp_inverse(check_symplectic(m, tol))
+    return _sp_inverse(check_symplectic(m))
 
 
 def _sp_inverse(m):
@@ -123,8 +112,9 @@ def _sp_inverse(m):
     return from_blocks(d.T, -b.T, -c.T, a.T)
 
 
-def check_block_relations(m, tol=SP_TOL):
-    """True iff both equivalent sets of block relations hold within ``tol``.
+def check_block_relations(m, tol=None):
+    """True iff both equivalent sets of block relations hold within ``tol``
+    (max-norm; default SP_TOL).
 
     Set one:  a b^t = b a^t,  a d^t - b c^t = I,  c d^t = d c^t.
     Set two:  a^t c = c^t a,  a^t d - c^t b = I,  b^t d = d^t b.
@@ -146,7 +136,7 @@ def check_block_relations(m, tol=SP_TOL):
         a.T @ d - c.T @ b - eye,
         b.T @ d - d.T @ b,
     ]
-    return all(np.max(np.abs(r)) <= tol for r in rels)
+    return all(np.max(np.abs(r)) <= (linalg.SP_TOL if tol is None else tol) for r in rels)
 
 
 @dataclass(frozen=True)
@@ -172,8 +162,8 @@ class SpAlgebraElement:
     @classmethod
     def from_matrix(cls, z):
         a, b, c, d = blocks(z)
-        if not np.max(np.abs(d + a.T)) <= 1e-10 * max(1.0, np.max(np.abs(z))):
-            raise BadShape("lower-right block is not -a^t")
+        _gate(np.max(np.abs(d + a.T)), linalg.PROJ_RTOL * max(1.0, np.max(np.abs(z))), BadShape,
+              "deviation of the lower-right block from -a^t")
         return _trusted(cls, a, symmetrize(b), symmetrize(c))
 
 
@@ -208,8 +198,6 @@ def sp_basis(n):
 # ---------------------------------------------------------------------------
 # orthogonal-symplectic pairs <-> U(n)
 
-UP_TOL = 1e-10
-
 
 def unitary_pair_residual(x, y):
     """Max violation of the four pair relations X^tX+Y^tY = XX^t+YY^t = I,
@@ -227,10 +215,8 @@ def unitary_pair_residual(x, y):
     return max(np.max(np.abs(r)) for r in rels)
 
 
-def check_unitary_pair(x, y, tol=UP_TOL):
-    res = unitary_pair_residual(x, y)
-    if not res <= tol:
-        raise NotUnitaryPair(f"pair residual {res:.3e} exceeds {tol:.3e}")
+def check_unitary_pair(x, y):
+    _gate(unitary_pair_residual(x, y), linalg.UP_TOL, NotUnitaryPair, "pair residual")
     return np.asarray(x, dtype=float), np.asarray(y, dtype=float)
 
 
@@ -239,18 +225,17 @@ def pair_to_symplectic(x, y):
     return from_blocks(x, y, -y, x)
 
 
-def unitary_iso(x, y, tol=UP_TOL):
+def unitary_iso(x, y):
     """Group isomorphism  [[X, Y], [-Y, X]] -> X + iY  onto U(n)."""
-    x, y = check_unitary_pair(x, y, tol)
+    x, y = check_unitary_pair(x, y)
     return x + 1j * y
 
 
-def unitary_iso_inverse(u, tol=UP_TOL):
+def unitary_iso_inverse(u):
     """Inverse isomorphism: unitary U -> pair (Re U, Im U)."""
     u = np.asarray(u, dtype=complex)
-    res = np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))
-    if not res <= tol:
-        raise NotUnitaryPair(f"matrix is not unitary, residual {res:.3e}")
+    _gate(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))), linalg.UP_TOL, NotUnitaryPair,
+          "unitarity residual")
     return u.real.copy(), u.imag.copy()
 
 
@@ -258,11 +243,10 @@ def unitary_iso_inverse(u, tol=UP_TOL):
 # the Siegel upper half space and the Moebius action
 
 
-def check_siegel(v, tol=1e-10):
-    """Validate a Siegel point v = x + iy: v symmetric, Im v SPD."""
+def check_siegel(v):
+    """Validate a Siegel point v = x + iy: x symmetric, y SPD."""
     v = np.asarray(v, dtype=complex)
-    if not (sym_residual(v.real) <= tol and sym_residual(v.imag) <= tol):
-        raise NotSymmetric("Siegel point must be a symmetric matrix")
+    check_symmetric(v.real)
     check_spd(v.imag)
     return v
 
@@ -272,7 +256,7 @@ def siegel_base_point(n):
     return 1j * np.eye(n)
 
 
-def mobius_act(m, v, tol=SP_TOL):
+def mobius_act(m, v):
     """Fractional-linear action  v -> (a v + b)(c v + d)^{-1}  on the Siegel space.
 
     Equals ``(v c^t + d^t)^{-1} (v a^t + b^t)``; the action is a left
@@ -281,7 +265,7 @@ def mobius_act(m, v, tol=SP_TOL):
     denominator therefore raises SingularDenominator to flag an
     input-contract violation.
     """
-    return _mobius(check_symplectic(m, tol), check_siegel(v))[0]
+    return _mobius(check_symplectic(m), check_siegel(v))[0]
 
 
 def _mobius(m, v, u=None):
@@ -352,21 +336,21 @@ def _pre_iwasawa(m):
     return x, y, root, root @ d, -(root @ c)
 
 
-def pre_iwasawa(m, tol=SP_TOL):
+def pre_iwasawa(m):
     """Plain pre-Iwasawa factors of a symplectic matrix.
 
     The modified factors with y replaced by its root:
     ``y = (d d^t + c c^t)^{-1/2}``, ``X - iY = y (d + i c)`` and
     ``x = (d d^t + c c^t)^{-1} (d b^t + c a^t)``.  All factors are unique.
     """
-    x, _, root, xu, yu = _pre_iwasawa(check_symplectic(m, tol))
+    x, _, root, xu, yu = _pre_iwasawa(check_symplectic(m))
     return _trusted(PreIwasawaFactors, x, root, xu, yu, "plain")
 
 
-def modified_pre_iwasawa(m, tol=SP_TOL):
+def modified_pre_iwasawa(m):
     """Modified pre-Iwasawa factors: ``y = (d d^t + c c^t)^{-1}``,
     ``X - iY = y^{1/2} (d + i c)``, ``x = y (d b^t + c a^t)``."""
-    x, y, _, xu, yu = _pre_iwasawa(check_symplectic(m, tol))
+    x, y, _, xu, yu = _pre_iwasawa(check_symplectic(m))
     return _trusted(PreIwasawaFactors, x, y, xu, yu, "modified")
 
 
@@ -387,7 +371,7 @@ def pre_iwasawa_compose(factors):
     return from_blocks(a, b, c, d)
 
 
-def act_modified_chart(m, chart, tol=SP_TOL):
+def act_modified_chart(m, chart):
     """Action of M on a modified-chart point (x', y', X', Y').
 
     Returns (x1, y1, X1, Y1) where x1 + i y1 is the Moebius image of
@@ -400,8 +384,7 @@ def act_modified_chart(m, chart, tol=SP_TOL):
         X1 - i Y1 = y1^{1/2} {(c x' + d) y'^{-1/2} X' + c y'^{1/2} Y'
                     + i [c y'^{1/2} X' - (c x' + d) y'^{-1/2} Y']}.
     """
-    m = check_symplectic(m, tol)
-    a, b, c, d = blocks(m)
+    a, b, c, d = blocks(check_symplectic(m))
     f = PreIwasawaFactors(*chart, "modified")
     xp, yp, xu, yu = f.x, f.y, f.X, f.Y
     sp, spi, ypi = _spd_powers(yp, 0.5, -0.5, -1.0)

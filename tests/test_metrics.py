@@ -441,13 +441,15 @@ def test_invariance_deterministic():
 @pytest.mark.parametrize("kwargs", [
     {"fd_step": 0.0}, {"fd_step": -1e-6}, {"fd_step": np.nan}, {"fd_step": np.inf},
     {"tol": np.nan}, {"tol": -1.0}, {"tol": np.inf},
+    {"n": 0}, {"n": 1.5}, {"samples": 0},
 ], ids=["fd_step-0", "fd_step-negative", "fd_step-nan", "fd_step-inf",
-        "tol-nan", "tol-negative", "tol-inf"])
+        "tol-nan", "tol-negative", "tol-inf", "n-0", "n-float", "samples-0"])
 @pytest.mark.parametrize("obj", ["metric_xjn_pq", "lambda_R"])
 def test_invariance_rejects_bad_numeric_arguments_before_sampling(monkeypatch, obj, kwargs):
     def no_sample(rng, n, step):
         raise AssertionError("a sample was drawn")
 
     monkeypatch.setitem(metrics._INVARIANCE_SPECS, obj, no_sample)
-    with pytest.raises(ValueError, match="fd_step|tol"):
-        invariance_report(obj, n=1, samples=3, **kwargs)
+    (name,) = kwargs
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        invariance_report(obj, **{"n": 1, "samples": 3, **kwargs})
