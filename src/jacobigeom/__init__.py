@@ -24,12 +24,9 @@ from .linalg import (
     dsqrtm,
     duplication_matrix,
     elimination_matrix,
-    kron,
     kron_sum,
-    odot,
     sqrtm_spd,
     sylvester_solve,
-    sym_mask,
     unvec,
     unvech,
     vec,

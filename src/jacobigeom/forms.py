@@ -20,17 +20,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import BadShape, NotSymplectic
+from .heisenberg import _omega
 from .jacobi import (
     JacobiAlgebraElement,
-    chart_convert,
+    _to_pq,
     gj_embed,
     gj_inverse,
+    lm_from_pq,
     pq_from_lm,
     sn_chart_inverse,
 )
 from . import linalg
 from .linalg import _gate, _row, _sqrt_frame, check_symmetric, sym_residual, symmetrize
-from .symplectic import _jacobi_matrix, blocks, from_blocks, j_matrix
+from .symplectic import _jacobi_matrix, blocks, check_siegel, from_blocks, j_matrix
 
 
 def _sym_component(a):
@@ -98,24 +100,20 @@ def oneforms_matrix_chart(g, tangent):
 
     F = d^t db - b^t dd,          G = -c^t da + a^t dc,
     H = d^t da - b^t dc,
-    P = dp a + dq c,              Q = dq d + dp b,
-    R = dkappa - p dq^t + q dp^t.
+    (P, Q) = (dp, dq) M,          R = dkappa - omega((p, q), (dp, dq)).
 
     F and G are asserted symmetric; H is returned as computed.
     """
     da, db, dc, dd, dp, dq, dk = tangent
     a, b, c, d = blocks(g.M)
-    p, q = pq_from_lm(g.lam, g.mu, g.M)
     dp, dq = _row(dp), _row(dq)
     f = d.T @ db - b.T @ dd
     gg = -c.T @ da + a.T @ dc
     h = d.T @ da - b.T @ dc
     f = symmetrize(check_symmetric(f, linalg.FORM_SYM_RTOL))
     gg = symmetrize(check_symmetric(gg, linalg.FORM_SYM_RTOL))
-    lam_p = dp @ a + dq @ c
-    lam_q = dq @ d + dp @ b
-    lam_r = float(dk) - float(p @ dq) + float(q @ dp)
-    return OneForms(f, gg, h, lam_p, lam_q, lam_r)
+    lam_r = float(dk) - _omega(pq_from_lm(g.lam, g.mu, g.M), (dp, dq))
+    return OneForms(f, gg, h, *lm_from_pq(dp, dq, g.M), lam_r)
 
 
 def d_sn_chart_inverse(chart, tangent):
@@ -148,7 +146,7 @@ def oneforms_sn(chart, tangent):
         H = X^t dX + Y^t dY + X^t L X - X^t C Y - Y^t R Y
         P = dp (s X - x s^{-1} Y) - dq s^{-1} Y
         Q = dq s^{-1} X + dp (s Y + x s^{-1} X)
-        R = dkappa - dq p^t + dp q^t
+        R = dkappa - omega((p, q), (dp, dq))
 
     This is an independent evaluation route from
     :func:`oneforms_matrix_chart`; their agreement through the chart
@@ -170,7 +168,7 @@ def oneforms_sn(chart, tangent):
     dp, dq = _row(dp), _row(dq)
     lam_p = dp @ (s @ X - x @ si @ Y) - dq @ si @ Y
     lam_q = dq @ si @ X + dp @ (s @ Y + x @ si @ X)
-    lam_r = float(dk) - float(dq @ chart.p) + float(dp @ chart.q)
+    lam_r = float(dk) - _omega((chart.p, chart.q), (dp, dq))
     return OneForms(f, g, h, lam_p, lam_q, lam_r)
 
 
@@ -212,27 +210,28 @@ def oneforms_n1(x, y, theta, tangent, p=0.0, q=0.0):
 def invariant_vf(g):
     """The six invariant field families as component assignments.
 
-    Each family maps coordinate names to the matrix (or column) standing
-    in for the corresponding differentials; missing components are zero:
+    Each family maps coordinate names to the matrix (or row) standing in
+    for the corresponding differentials; missing components are zero:
 
         L^F: db = a, dd = c
         L^G: da = b, db = b, dc = d, dd = d
         L^H: da = a, db = b, dc = c, dd = d
-        L^P: dp = d^t, dq = -b^t, dkappa = -(p b + q d)^t
-        L^Q: dp = -c^t, dq = a^t, dkappa = (p a + q c)^t
+        L^P: dp = d^t, dq = -b^t, dkappa = -mu
+        L^Q: dp = -c^t, dq = a^t, dkappa = lambda
         L^R: dkappa = 1
 
-    These are read off the group coordinates directly; they are dual to
-    the one-form families under :func:`duality_pairing` (identity blocks).
+    L^P and L^Q are n fields each: the i-th takes row i of every component
+    (its kappa component is -mu_i, resp. lambda_i, since (lambda, mu) =
+    (p, q) M).  They are dual to the one-form families under
+    :func:`duality_pairing` (identity blocks).
     """
     a, b, c, d = blocks(g.M)
-    p, q = pq_from_lm(g.lam, g.mu, g.M)
     return {
         "F": {"db": a, "dd": c},
         "G": {"da": b, "db": b, "dc": d, "dd": d},
         "H": {"da": a, "db": b, "dc": c, "dd": d},
-        "P": {"dp": d.T, "dq": -b.T, "dkappa": -(p @ b + q @ d)},
-        "Q": {"dp": -c.T, "dq": a.T, "dkappa": (p @ a + q @ c)},
+        "P": {"dp": d.T, "dq": -b.T, "dkappa": -g.mu},
+        "Q": {"dp": -c.T, "dq": a.T, "dkappa": g.lam},
         "R": {"dkappa": 1.0},
     }
 
@@ -240,50 +239,25 @@ def invariant_vf(g):
 def duality_pairing(g):
     """Pairing table <form family | field family> at g.
 
-    Matrix-valued families pair by substitution of the field's component
-    matrices into the form expression, so e.g. <F|L^F> = d^t a - b^t c,
-    which equals the identity by the symplectic block relations.  Returns
-    a dict keyed by (form, field) with matrix/vector/scalar blocks.
+    Entry (alpha, beta) is the alpha family of :func:`oneforms_matrix_chart`
+    at g evaluated on the field L^beta of :func:`invariant_vf`; for L^P and
+    L^Q, one value per field index, stacked on the first axis.  So a block
+    has the shape of its form family (n x n for F, G, H; n for P, Q; scalar
+    for R), with a leading axis of length n when beta is P or Q.  Returns a
+    dict keyed by (form, field); diagonal blocks are identities.
     """
-    a, b, c, d = blocks(g.M)
-    p, q = pq_from_lm(g.lam, g.mu, g.M)
-    fields = invariant_vf(g)
     n = g.n
-
-    def comp(assign, name, like):
-        if name in assign:
-            return assign[name]
-        return np.zeros(like) if like else 0.0
-
+    zero, row = np.zeros((n, n)), np.zeros(n)
     table = {}
-    for beta, assign in fields.items():
-        da = comp(assign, "da", (n, n))
-        db = comp(assign, "db", (n, n))
-        dc = comp(assign, "dc", (n, n))
-        dd = comp(assign, "dd", (n, n))
-        dp = assign.get("dp")
-        dq = assign.get("dq")
-        dk = assign.get("dkappa")
-        table[("F", beta)] = d.T @ db - b.T @ dd
-        table[("G", beta)] = -c.T @ da + a.T @ dc
-        table[("H", beta)] = d.T @ da - b.T @ dc
-        if dp is None and dq is None:
-            table[("P", beta)] = np.zeros((n, n))
-            table[("Q", beta)] = np.zeros((n, n))
-        else:
-            dp0 = dp if dp is not None else np.zeros((n, n))
-            dq0 = dq if dq is not None else np.zeros((n, n))
-            table[("P", beta)] = dp0 @ a + dq0 @ c
-            table[("Q", beta)] = dq0 @ d + dp0 @ b
-        if beta in ("P", "Q"):
-            # column per field index: dkappa - dq p^t + dp q^t
-            table[("R", beta)] = dk - dq @ p + dp @ q
-        elif beta == "R":
-            table[("P", beta)] = np.zeros(n)
-            table[("Q", beta)] = np.zeros(n)
-            table[("R", beta)] = dk
-        else:
-            table[("R", beta)] = 0.0
+    for beta, field in invariant_vf(g).items():
+        mats = tuple(field.get(name, zero) for name in ("da", "db", "dc", "dd"))
+        stacked = "dp" in field  # L^P, L^Q: n fields, the i-th from row i of each component
+        tangents = ([mats + (field["dp"][i], field["dq"][i], field["dkappa"][i]) for i in range(n)]
+                    if stacked else [mats + (row, row, field.get("dkappa", 0.0))])
+        forms = [oneforms_matrix_chart(g, t) for t in tangents]
+        for alpha in ("F", "G", "H", "P", "Q", "R"):
+            values = [getattr(f, alpha) for f in forms]
+            table[(alpha, beta)] = np.stack(values) if stacked else values[0]
     return table
 
 
@@ -311,41 +285,26 @@ def fvf(z, point, space):
     * ``xjn_real_xirho``: point (x, y, xi, rho);
     * ``xjn_pq``:        point (x, y, p, q);
     * ``extended_xirho``, ``extended_pq``: the same plus kappa, with
-      dkappa = r + p_z q'^t - q_z p'^t; on the non-extended space the
+      dkappa = r + omega((p_z, q_z), (p', q')); on the non-extended space the
       center generator acts trivially (R* = 0).
     """
     if space not in FVF_SPACES:
         raise ValueError(f"space must be one of {FVF_SPACES}")
     if space == "xjn_holo":
         v, u = point
-        return _holomorphic_fvf(z, np.asarray(v, dtype=complex),
-                                np.asarray(u, dtype=complex).ravel())
+        return _holomorphic_fvf(z, check_siegel(v), np.asarray(u, dtype=complex).ravel())
 
-    if space in ("xjn_real_xirho", "extended_xirho"):
-        x, y, xi, rho = point[:4]
-        v = np.asarray(x, dtype=float) + 1j * np.asarray(y, dtype=float)
-        u = _row(xi) + 1j * _row(rho)
-        dv, du = _holomorphic_fvf(z, v, u)
-        out = (dv.real, dv.imag, du.real, du.imag)
-        if space == "xjn_real_xirho":
-            return out
-        p, q = chart_convert((x, y, xi, rho), "xirho", "pq")[2:]
-        dk = z.r + float(z.p @ q) - float(z.q @ p)
-        return out + (dk,)
-
-    x, y, p, q = point[:4]
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    p, q = _row(p), _row(q)
+    src = "xirho" if space.endswith("xirho") else "pq"
+    x, y, p, q = _to_pq(point[:4], src)  # the entry check of x + iy
     v = x + 1j * y
-    u = p @ v + q
-    dv, du = _holomorphic_fvf(z, v, u)
-    dx_, dy_ = dv.real, dv.imag
-    dxi, drho = du.real, du.imag
-    yi = np.linalg.inv(y)
-    dp = (drho - p @ dy_) @ yi
-    dq = dxi - dp @ x - p @ dx_
-    if space == "xjn_pq":
-        return dx_, dy_, dp, dq
-    dk = z.r + float(z.p @ q) - float(z.q @ p)
-    return dx_, dy_, dp, dq, dk
+    if src == "xirho":
+        dv, du = _holomorphic_fvf(z, v, _row(point[2]) + 1j * _row(point[3]))
+        out = (dv.real, dv.imag, du.real, du.imag)
+    else:
+        dv, du = _holomorphic_fvf(z, v, p @ v + q)
+        dx_, dy_ = dv.real, dv.imag
+        dp = (du.imag - p @ dy_) @ np.linalg.inv(y)
+        out = (dx_, dy_, dp, du.real - dp @ x - p @ dx_)
+    if space.startswith("extended"):
+        out += (z.r + _omega((z.p, z.q), (p, q)),)
+    return out

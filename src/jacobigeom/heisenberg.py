@@ -5,9 +5,13 @@ vectors and kappa real, composing as
 
     (l, m, k) o (l', m', k') = (l + l', m + m', k + k' + l m'^t - m l'^t).
 
-The identity is (0, 0, 0).  The group embeds in the degree-(n+1)
-symplectic group, and the left-invariant one-forms / metric / fundamental
-vector fields below are the standard ones for this composition law.
+The identity is (0, 0, 0).  The cross term is the pairing
+omega((l, m), (l', m')) = l m'^t - m l'^t of row pairs, written once in
+:func:`_omega`; every composition law and every kappa component of a
+one-form or field in the package calls it.  The group embeds in the
+degree-(n+1) symplectic group, and the left-invariant one-forms / metric /
+fundamental vector fields below are the standard ones for this
+composition law.
 """
 
 from dataclasses import dataclass
@@ -40,6 +44,20 @@ class HeisenbergElement:
         return self.lam.shape[0]
 
 
+def _degree_n(lam, mu, kappa, n):
+    """``HeisenbergElement(lam, mu, kappa)``, which must have degree ``n`` (else BadShape)."""
+    h = HeisenbergElement(lam, mu, kappa)
+    if h.n != n:
+        raise BadShape(f"Heisenberg rows must have length {n}, got {h.n}")
+    return h
+
+
+def _omega(r, s):
+    """The pairing r_1 s_2^t - r_2 s_1^t of two pairs of 1-d rows: the only
+    place its sign convention is written."""
+    return float(r[0] @ s[1]) - float(r[1] @ s[0])
+
+
 def h_identity(n):
     return HeisenbergElement(np.zeros(n), np.zeros(n), 0.0)
 
@@ -47,7 +65,7 @@ def h_identity(n):
 def h_compose(g, gp):
     if g.n != gp.n:
         raise BadShape(f"degree mismatch: {g.n} vs {gp.n}")
-    kappa = g.kappa + gp.kappa + float(g.lam @ gp.mu) - float(g.mu @ gp.lam)
+    kappa = g.kappa + gp.kappa + _omega((g.lam, g.mu), (gp.lam, gp.mu))
     return _trusted(HeisenbergElement, g.lam + gp.lam, g.mu + gp.mu, kappa)
 
 
@@ -77,10 +95,8 @@ def h_oneforms(g, tangent):
     These are the coefficients of g^{-1} dg on the P/Q/R generators.
     """
     dlam, dmu, dkap = tangent
-    dlam = _row(dlam)
-    dmu = _row(dmu)
-    lr = float(dkap) - float(g.lam @ dmu) + float(g.mu @ dlam)
-    return dlam.copy(), dmu.copy(), lr
+    dlam, dmu = _row(dlam), _row(dmu)
+    return dlam.copy(), dmu.copy(), float(dkap) - _omega((g.lam, g.mu), (dlam, dmu))
 
 
 def h_metric(g, tangent):

@@ -26,15 +26,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import BadShape, BasisClosureFailure, ProjectionResidual
-from .heisenberg import HeisenbergElement
+from .heisenberg import HeisenbergElement, _degree_n, _omega
 from . import linalg
-from .linalg import _gate, _row, _trusted, check_spd, check_symmetric, symmetrize
+from .linalg import _gate, _row, _trusted, check_symmetric, symmetrize
 from .symplectic import (
     PreIwasawaFactors,
     _jacobi_matrix,
     _jacobi_parts,
     _mobius,
     _pre_iwasawa,
+    _siegel_xy,
     _sp_inverse,
     blocks,
     check_siegel,
@@ -54,12 +55,10 @@ class JacobiElement:
 
     def __post_init__(self):
         object.__setattr__(self, "M", check_symplectic(self.M))
-        h = HeisenbergElement(self.lam, self.mu, self.kappa)  # finite, equal lengths
+        h = _degree_n(self.lam, self.mu, self.kappa, self.n)
         object.__setattr__(self, "lam", h.lam)
         object.__setattr__(self, "mu", h.mu)
         object.__setattr__(self, "kappa", h.kappa)
-        if h.n != self.n:
-            raise BadShape("lambda/mu length must match the degree of M")
 
     @property
     def n(self):
@@ -76,10 +75,8 @@ def gj_identity(n):
 def gj_compose(g, gp):
     if g.n != gp.n:
         raise BadShape(f"degree mismatch: {g.n} vs {gp.n}")
-    ap, bp, cp, dp = blocks(gp.M)
-    lt = g.lam @ ap + g.mu @ cp
-    mt = g.lam @ bp + g.mu @ dp
-    kappa = g.kappa + gp.kappa + float(lt @ gp.mu) - float(mt @ gp.lam)
+    lt, mt = lm_from_pq(g.lam, g.mu, gp.M)
+    kappa = g.kappa + gp.kappa + _omega((lt, mt), (gp.lam, gp.mu))
     return _trusted(JacobiElement, g.M @ gp.M, lt + gp.lam, mt + gp.mu, kappa)
 
 
@@ -279,27 +276,27 @@ def act_xjn(g, point):
 
 
 def act_pq(g, point):
-    """Action on (x, y, p, q): Moebius on x + iy, affine on (p, q).
+    """Action on (x, y, p, q): Moebius on x + iy, affine on (p, q):
 
-    (p1, q1) = (p, q)_g + (p', q') M^{-1} = (p_g + p' d^t - q' c^t,
-                                             q_g - p' b^t + q' a^t).
+    (p1, q1) = (p, q)_g + (p', q') M^{-1}.
     """
     x, y, p, q = point
-    gp, gq = pq_from_lm(g.lam, g.mu, g.M)
-    a, b, c, d = blocks(g.M)
-    v1, _ = _mobius(g.M, check_symmetric(x) + 1j * check_spd(y))
-    p = _row(p)
-    q = _row(q)
-    p1 = gp + p @ d.T - q @ c.T
-    q1 = gq - p @ b.T + q @ a.T
-    return v1.real, v1.imag, p1, q1
+    return _act_pq(g, _siegel_xy(x, y) + (p, q))
+
+
+def _act_pq(g, point):
+    """:func:`act_pq` at a pq-chart point the library has validated."""
+    x, y, p, q = point
+    v1, _ = _mobius(g.M, x + 1j * y)
+    (gp, gq), (dp, dq) = pq_from_lm(g.lam, g.mu, g.M), pq_from_lm(p, q, g.M)
+    return v1.real, v1.imag, gp + dp, gq + dq
 
 
 def act_extended(g, point):
-    """Action on (x, y, p, q, kappa); kappa picks up lambda q'^t - mu p'^t."""
+    """Action on (x, y, p, q, kappa); kappa picks up omega((lambda, mu), (p', q'))."""
     x, y, p, q, kappa = point
     x1, y1, p1, q1 = act_pq(g, (x, y, p, q))
-    k1 = g.kappa + float(kappa) + float(g.lam @ _row(q)) - float(g.mu @ _row(p))
+    k1 = g.kappa + float(kappa) + _omega((g.lam, g.mu), (_row(p), _row(q)))
     return x1, y1, p1, q1, k1
 
 
@@ -330,9 +327,10 @@ class SnChart:
         object.__setattr__(self, "y", f.y)
         object.__setattr__(self, "X", f.X)
         object.__setattr__(self, "Y", f.Y)
-        object.__setattr__(self, "p", _row(self.p))
-        object.__setattr__(self, "q", _row(self.q))
-        object.__setattr__(self, "kappa", float(self.kappa))
+        h = _degree_n(self.p, self.q, self.kappa, f.n)
+        object.__setattr__(self, "p", h.lam)
+        object.__setattr__(self, "q", h.mu)
+        object.__setattr__(self, "kappa", h.kappa)
 
     @property
     def n(self):
@@ -378,23 +376,24 @@ def chart_convert(point, src, dst):
             q = xi - rho y^{-1} x (the transformation has non-vanishing
             Jacobian for y SPD);
     chipsi: (x, y, chi, psi) columns with chi = q^t, psi = p^t.
+
+    With ``src == dst`` the point itself is returned, after the same entry check.
     """
     if src not in CHARTS or dst not in CHARTS:
         raise ValueError(f"charts must be one of {CHARTS}")
-    if src == dst:
-        return point
-    return _from_pq(_to_pq(point, src), dst)
+    pq = _to_pq(point, src)
+    return point if src == dst else _from_pq(pq, dst)
 
 
 def _to_pq(point, src):
-    """A point of chart ``src`` in the pq chart; the entry check of y is here."""
+    """A point of chart ``src`` in the pq chart; the entry check of x + iy is here."""
     if src == "vu":
         v, u = point
-        v = np.asarray(v, dtype=complex)
-        u = np.asarray(u, dtype=complex).ravel()
-        point, src = (v.real, v.imag, u.real, u.imag), "xirho"
-    x, y, first, second = point
-    x, y = np.asarray(x, dtype=float), np.asarray(check_spd(y), dtype=float)
+        v, u = check_siegel(v), np.asarray(u, dtype=complex).ravel()
+        x, y, first, second, src = v.real, v.imag, u.real, u.imag, "xirho"
+    else:
+        x, y, first, second = point
+        x, y = _siegel_xy(x, y)
     if src == "xirho":
         p = np.linalg.solve(y.T, _row(second).T).T
         return x, y, p, _row(first) - p @ x

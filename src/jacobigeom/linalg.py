@@ -1,7 +1,7 @@
 """Structured linear-algebra primitives.
 
 Symmetric/SPD validation, vec/vech calculus with duplication and
-elimination matrices, Kronecker product and sum, dense Sylvester solves,
+elimination matrices, the Kronecker sum, dense Sylvester solves,
 the principal square root of an SPD matrix together with its
 directional derivative (Frechet derivative along a symmetric direction),
 and a numpy-only matrix exponential for sampling group elements.
@@ -95,11 +95,6 @@ def check_spd(a):
     w = np.linalg.eigvalsh(symmetrize(a))
     _gate(w[0], SPD_EIG_RTOL * max(w[-1], 0.0), NotSpd, "smallest eigenvalue", lower=True)
     return a
-
-
-def kron(a, b):
-    """Kronecker product; thin wrapper kept for a uniform namespace."""
-    return np.kron(np.asarray(a), np.asarray(b))
 
 
 def kron_sum(a, b):
@@ -260,29 +255,3 @@ def expm(a):
     for _ in range(s):
         r = r @ r
     return r
-
-
-def odot(a, b):
-    """Symmetrized outer product  (a . b)_ij = a_i b_j + a_j b_i - a_i b_j delta_ij."""
-    a = np.asarray(a, dtype=float).ravel()
-    b = np.asarray(b, dtype=float).ravel()
-    if a.shape != b.shape:
-        raise BadShape(f"vector lengths differ: {a.shape} vs {b.shape}")
-    out = np.outer(a, b) + np.outer(b, a)
-    np.fill_diagonal(out, a * b)
-    return out
-
-
-def sym_mask(n):
-    """Coefficient matrix  e_ij = (1 + delta_ij)/2.
-
-    Weights relating naive entrywise derivatives of a symmetric matrix to
-    derivatives in the independent lower-triangle variables; the inverse
-    weights are ``2 - delta_ij``.
-    """
-    return 0.5 * (np.ones((n, n)) + np.eye(n))
-
-
-def pairwise_delta_derivative(i, j, p, q):
-    """d w_ij / d w_pq for a symmetric matrix w with independent lower triangle."""
-    return float((i == p) * (j == q) + (i == q) * (j == p) - (i == j) * (p == q) * (i == p))

@@ -29,18 +29,19 @@ import numpy as np
 
 from . import sampling as smp
 from .exceptions import BadShape, ContractionViolation
-from .jacobi import _from_pq, act_extended, act_pq, act_xjn, chart_convert, gj_compose
-from .jacobi import sn_chart, sn_chart_inverse
+from .heisenberg import _omega
+from .jacobi import _act_pq, _from_pq, _to_pq, act_extended, act_xjn, gj_compose
+from .jacobi import pq_from_lm, sn_chart, sn_chart_inverse
 from . import linalg
-from .linalg import _gate, _row, check_spd, sym_residual
+from .linalg import _gate, _row, sym_residual
 from .numdiff import fd_push, fd_push_sn
 from .forms import oneforms_sn
-from .symplectic import blocks
+from .symplectic import _siegel_xy, blocks, check_siegel
 
 
 @dataclass(frozen=True)
 class MetricParams:
-    """Weights of the group metric; alpha strictly positive, others >= 0
+    """Weights of the group metric, all finite; alpha strictly positive, others >= 0
     (zeros select the specializations)."""
 
     alpha: float = 1.0
@@ -49,23 +50,23 @@ class MetricParams:
     delta: float = 1.0
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError("alpha must be positive")
-        if not all(w >= 0 for w in (self.beta, self.gamma, self.delta)):
-            raise ValueError("beta, gamma, delta must be nonnegative")
+        if not 0 < self.alpha < np.inf:
+            raise ValueError("alpha must be positive and finite")
+        if not all(0 <= w < np.inf for w in (self.beta, self.gamma, self.delta)):
+            raise ValueError("beta, gamma, delta must be nonnegative and finite")
 
 
 @dataclass(frozen=True)
 class KahlerParams:
     """k indexes the holomorphic discrete series weight, nu the Heisenberg
-    representation; both positive."""
+    representation; both positive and finite."""
 
     k: float
     nu: float
 
     def __post_init__(self):
-        if not (self.k > 0 and self.nu > 0):
-            raise ValueError("k and nu must be positive")
+        if not (0 < self.k < np.inf and 0 < self.nu < np.inf):
+            raise ValueError("k and nu must be positive and finite")
 
 
 def metric_group(params, chart, t1, t2):
@@ -107,8 +108,7 @@ def metric_xjn(alpha, gamma, chart, point, t1, t2):
     if chart not in XJN_CHARTS:
         raise ValueError(f"chart must be one of {XJN_CHARTS}")
     _check_arity(4, point=point, t1=t1, t2=t2)
-    x, y = np.asarray(point[0], dtype=float), np.asarray(point[1], dtype=float)
-    check_spd(y)
+    x, y = _siegel_xy(point[0], point[1])
     yi = np.linalg.inv(y)
     dx1, dy1 = np.asarray(t1[0], dtype=float), np.asarray(t1[1], dtype=float)
     dx2, dy2 = np.asarray(t2[0], dtype=float), np.asarray(t2[1], dtype=float)
@@ -135,11 +135,12 @@ def metric_xjn(alpha, gamma, chart, point, t1, t2):
 
 
 def lambda_r(point_pq_kappa, tangent):
-    """The invariant one-form  dkappa - p dq^t + q dp^t  on the extended space."""
+    """The invariant one-form  dkappa - p dq^t + q dp^t = dkappa - omega((p, q), (dp, dq))
+    on the extended space."""
     _check_arity(5, point=point_pq_kappa, tangent=tangent)
     p, q = _row(point_pq_kappa[2]), _row(point_pq_kappa[3])
     dp, dq, dk = _row(tangent[2]), _row(tangent[3]), float(tangent[4])
-    return dk - float(p @ dq) + float(q @ dp)
+    return dk - _omega((p, q), (dp, dq))
 
 
 def metric_extended(alpha, gamma, delta, point, t1, t2):
@@ -181,9 +182,8 @@ def fc_inverse(w, eta):
 def cayley(v, u):
     """Partial Cayley transform to the ball:  W = (v - iI)(v + iI)^{-1},
     z^t = 2i (v + iI)^{-1} u^t.  Sends iI to the center."""
-    v = np.asarray(v, dtype=complex)
+    v = check_siegel(v)
     u = np.asarray(u, dtype=complex).ravel()
-    check_spd(v.imag)
     n = v.shape[0]
     eye = np.eye(n)
     w = np.linalg.solve((v + 1j * eye).T, (v - 1j * eye).T).T
@@ -207,8 +207,12 @@ def g_form(v, u, tangent):
 
     In pq coordinates this equals dp v + dq.
     """
+    return _g_form(check_siegel(v), u, tangent)
+
+
+def _g_form(v, u, tangent):
+    """:func:`g_form` at a Siegel point ``v`` the caller has checked."""
     dv, du = tangent
-    v = np.asarray(v, dtype=complex)
     u = np.asarray(u, dtype=complex).ravel()
     dv = np.asarray(dv, dtype=complex)
     du = np.asarray(du, dtype=complex).ravel()
@@ -248,12 +252,12 @@ def kahler_xjn(kparams, v, u, t1, t2):
     -i omega = (k/2) tr(H wedge Hbar) + (2 nu / i) tr(G^t D wedge Gbar)
     with D = (vbar - v)^{-1} and H = D dv.
     """
-    v = np.asarray(v, dtype=complex)
+    v = check_siegel(v)
     dmat = np.linalg.inv(v.conj() - v)
 
     def parts(t):
         dv = np.asarray(t[0], dtype=complex)
-        return dmat @ dv, g_form(v, u, t)
+        return dmat @ dv, _g_form(v, u, t)
 
     h1, g1 = parts(t1)
     h2, g2 = parts(t2)
@@ -348,13 +352,14 @@ def _draw_group(rng, n):
 
 
 def _draw_xjn(chart):
-    # points and tangents are drawn in the pq chart whatever the target chart
+    # points and tangents are drawn in the pq chart whatever the target chart;
+    # the conversion to it is the one entry check of the action
     def draw(rng, n):
         g = smp.rand_jacobi(rng, n)
         point = _from_pq(smp.rand_pq_point(rng, n), chart)
 
         def act(pt):
-            return _from_pq(act_pq(g, chart_convert(pt, chart, "pq")), chart)
+            return _from_pq(_act_pq(g, _to_pq(pt, chart)), chart)
 
         return act, point, smp.rand_pq_tangent(rng, n), smp.rand_pq_tangent(rng, n)
 
@@ -416,10 +421,8 @@ def _lambda_r_sample(rng, n, step):
     g = smp.rand_jacobi(rng, n)
     point = _with_kappa(rng, smp.rand_pq_point(rng, n))
     tan = _with_kappa(rng, smp.rand_pq_tangent(rng, n))
-    a, b, c, d = blocks(g.M)
     dp, dq, dk = tan[2:]
-    pushed = (tan[0], tan[1], dp @ d.T - dq @ c.T, -dp @ b.T + dq @ a.T,
-              dk + float(g.lam @ dq) - float(g.mu @ dp))
+    pushed = (tan[0], tan[1], *pq_from_lm(dp, dq, g.M), dk + _omega((g.lam, g.mu), (dp, dq)))
     orig = lambda_r(point, tan)
     return orig, lambda_r(act_extended(g, point), pushed), max(1.0, abs(orig))
 

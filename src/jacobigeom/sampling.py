@@ -104,7 +104,7 @@ def rand_unitary_tangent(rng, x, y):
     k = rand_matrix(rng, n) + 1j * rand_matrix(rng, n)
     k = 0.5 * (k - k.conj().T)
     du = (x + 1j * y) @ k
-    return du.real, du.imag, k
+    return du.real, du.imag
 
 
 def rand_sn_tangent(rng, chart):
@@ -112,7 +112,7 @@ def rand_sn_tangent(rng, chart):
     n = chart.n
     dx = rand_sym(rng, n)
     dy = rand_sym(rng, n)
-    dX, dY, _ = rand_unitary_tangent(rng, chart.X, chart.Y)
+    dX, dY = rand_unitary_tangent(rng, chart.X, chart.Y)
     dp = rand_matrix(rng, 1, n).ravel()
     dq = rand_matrix(rng, 1, n).ravel()
     dk = float(rng.uniform(-1.0, 1.0))
@@ -125,10 +125,6 @@ def rand_ball_point(rng, n, margin=0.2):
     w = 0.5 * (s + s.T)
     norm = np.linalg.norm(w, ord=2)
     w = (1.0 - margin) * w / max(1.0, norm / (1.0 - margin)) if norm > 0 else w
-    # rescale once more in case the first clamp was inactive but norm ~ 1
-    norm = np.linalg.norm(w, ord=2)
-    if norm > 1.0 - margin:
-        w = w * (1.0 - margin) / norm
     z = (rand_matrix(rng, 1, n) + 1j * rand_matrix(rng, 1, n)).ravel()
     return w, z
 

@@ -251,9 +251,11 @@ def check_siegel(v):
     return v
 
 
-def siegel_base_point(n):
-    """The distinguished point i I_n."""
-    return 1j * np.eye(n)
+def _siegel_xy(x, y):
+    """``x`` and ``y`` as float arrays, once x + iy has passed :func:`check_siegel`."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    check_siegel(x + 1j * y)
+    return x, y
 
 
 def mobius_act(m, v):

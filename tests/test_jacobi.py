@@ -4,6 +4,7 @@ import pytest
 from jacobigeom import (
     BadShape,
     JacobiElement,
+    SnChart,
     act_extended,
     act_pq,
     act_xjn,
@@ -46,6 +47,19 @@ def test_element_rejects_non_finite_heisenberg_part(part):
     parts[part] = np.inf if part == "kappa" else np.array([np.nan])
     with pytest.raises(BadShape):
         JacobiElement(np.eye(2), **parts)
+
+
+@pytest.mark.parametrize("heis", [
+    {"p": [np.nan, 0.0]}, {"q": [0.0, np.inf]}, {"kappa": np.inf},
+    {"p": np.zeros(3)}, {"p": np.zeros(3), "q": np.zeros(3)},
+], ids=["p-nan", "q-inf", "kappa-inf", "p-length-3", "pq-length-3"])
+def test_sn_chart_validates_its_heisenberg_part(heis):
+    # (p, q, kappa) enters through HeisenbergElement and must have length n = 2;
+    # before, a NaN reached oneforms_sn and sn_chart_inverse's trusted element,
+    # and a wrong length ended in numpy's matmul ValueError
+    parts = {"p": np.zeros(2), "q": np.zeros(2), "kappa": 0.0, **heis}
+    with pytest.raises(BadShape):
+        SnChart(np.zeros((2, 2)), np.eye(2), np.eye(2), np.zeros((2, 2)), **parts)
 
 
 def _pure_heisenberg(h):

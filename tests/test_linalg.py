@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from jacobigeom import (
     NotSpd,
@@ -10,24 +8,14 @@ from jacobigeom import (
     dsqrtm,
     duplication_matrix,
     elimination_matrix,
-    kron,
     kron_sum,
-    odot,
     sqrtm_spd,
     sylvester_solve,
-    sym_mask,
     vec,
     vech,
 )
-from jacobigeom.linalg import expm, pairwise_delta_derivative, unvech
+from jacobigeom.linalg import expm, unvech
 from jacobigeom.sampling import rand_sp_algebra, rand_spd, rand_sym
-
-
-def test_kron_identities():
-    assert np.array_equal(kron(np.eye(2), np.eye(3)), np.eye(6))
-    a = np.arange(6.0).reshape(2, 3)
-    assert np.allclose(kron(a, np.array([[2.0]])), 2 * a)
-    assert kron(np.ones((2, 3)), np.ones((4, 5))).shape == (8, 15)
 
 
 def test_kron_sum_identity_and_eigenvalues():
@@ -37,7 +25,7 @@ def test_kron_sum_identity_and_eigenvalues():
     ks = kron_sum(np.diag([1.0, 2.0]), np.diag([3.0, 4.0]))
     assert np.allclose(sorted(np.linalg.eigvals(ks).real), [4, 5, 5, 6])
     a = np.arange(4.0).reshape(2, 2)
-    assert np.allclose(kron_sum(a, np.zeros((3, 3))), kron(a, np.eye(3)))
+    assert np.allclose(kron_sum(a, np.zeros((3, 3))), np.kron(a, np.eye(3)))
 
 
 def test_vech_definition_and_duplication():
@@ -125,46 +113,6 @@ def test_dsqrtm_matches_central_differences(rng):
         fd = (sqrtm_spd(a + h * e) - sqrtm_spd(a - h * e)) / (2 * h)
         an = dsqrtm(a, e)
         assert np.max(np.abs(fd - an)) <= 1e-6 * max(1.0, np.max(np.abs(an)))
-
-
-def test_odot():
-    e1 = np.array([1.0, 0.0])
-    e2 = np.array([0.0, 1.0])
-    assert np.array_equal(odot(e1, e2), [[0.0, 1.0], [1.0, 0.0]])
-    assert np.array_equal(odot(e1, e1), [[1.0, 0.0], [0.0, 0.0]])
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.integers(1, 5), st.integers(0, 2**32 - 1))
-def test_odot_symmetry(n, seed):
-    rng = np.random.default_rng(seed)
-    a = rng.normal(size=n)
-    b = rng.normal(size=n)
-    left = odot(a, b)
-    assert np.allclose(left, left.T)
-    assert np.allclose(left, odot(b, a))
-
-
-def test_sym_mask():
-    assert np.array_equal(sym_mask(1), [[1.0]])
-    assert np.array_equal(sym_mask(2), [[1.0, 0.5], [0.5, 1.0]])
-
-
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_sym_mask_contracts(n):
-    e = sym_mask(n)
-    # inverse weights recover the other derivative convention exactly
-    assert np.array_equal(e * (2 - np.eye(n)), np.ones((n, n)))
-    # the symmetric-dependence rule reconstructs each entry differential
-    # from the independent lower-triangle variables: for every (i, j),
-    # sum_{p<=q} (d w_ij / d w_pq) w_pq == w_ij
-    rng = np.random.default_rng(n)
-    w = rand_sym(rng, n)
-    for i in range(n):
-        for j in range(n):
-            total = sum(pairwise_delta_derivative(i, j, p, q) * w[p, q]
-                        for p in range(n) for q in range(p, n))
-            assert np.isclose(total, w[i, j])
 
 
 @pytest.mark.parametrize("scale", [None, 1.0, 3.0], ids=["default", "1", "3"])

@@ -438,6 +438,17 @@ def test_invariance_deterministic():
     assert a == b
 
 
+@pytest.mark.parametrize("make,weights", [
+    pytest.param(MetricParams, w, id=f"MetricParams-{name}-inf")
+    for name, w in zip(("alpha", "beta", "gamma", "delta"), np.where(np.eye(4), np.inf, 1.0))
+] + [pytest.param(KahlerParams, w, id=f"KahlerParams-{name}-inf")
+     for name, w in zip(("k", "nu"), np.where(np.eye(2), np.inf, 1.0))])
+def test_weights_must_be_finite(make, weights):
+    # an infinite weight was accepted and metric_group returned inf
+    with pytest.raises(ValueError, match="must be .*finite"):
+        make(*weights)
+
+
 @pytest.mark.parametrize("kwargs", [
     {"fd_step": 0.0}, {"fd_step": -1e-6}, {"fd_step": np.nan}, {"fd_step": np.inf},
     {"tol": np.nan}, {"tol": -1.0}, {"tol": np.inf},

@@ -17,6 +17,8 @@ import jacobigeom
 from jacobigeom import (
     BadShape,
     ContractionViolation,
+    GeometryError,
+    KahlerParams,
     JacobiAlgebraElement,
     NotSpd,
     NotSymmetric,
@@ -27,11 +29,19 @@ from jacobigeom import (
     SpAlgebraElement,
     act_pq,
     act_xjn,
+    cayley,
+    chart_convert,
     check_symplectic,
+    fvf,
+    g_form,
     gj_basis,
+    gj_basis_elements,
     gj_embed,
     gj_from_embedding,
     gj_identity,
+    kahler_xjn,
+    metric_extended,
+    metric_xjn,
     mobius_act,
     sylvester_solve,
     unitary_iso_inverse,
@@ -106,6 +116,46 @@ def test_siegel_point_has_one_symmetry_bound():
                  lambda: act_pq(g, (x, y, np.zeros(2), np.zeros(2)))):
         with pytest.raises(NotSymmetric):
             call()
+
+
+# Siegel points x + iy that are not: each public entry point must refuse them
+# through check_siegel with a GeometryError, not return a value or let numpy
+# raise LinAlgError
+NOT_SIEGEL = {
+    "asymmetric x": (np.array([[0.3, 0.4], [0.0, -0.2]]), np.eye(2)),
+    "Im v = -I": (np.zeros((2, 2)), -np.eye(2)),
+    "Im v = 0": (np.zeros((2, 2)), np.zeros((2, 2))),
+}
+_ROWS = (np.array([0.3, -0.5]), np.array([0.2, 0.1]))
+_PQ_TANGENT = (np.eye(2), np.eye(2)) + _ROWS
+_VU_TANGENT = (np.eye(2) + 1j * np.eye(2), np.array([1.0, 1j]))
+_Z = gj_basis_elements(2)[0]
+SIEGEL_ENTRIES = {
+    "metric_xjn": lambda x, y: metric_xjn(1.0, 1.0, "pq", (x, y) + _ROWS,
+                                          _PQ_TANGENT, _PQ_TANGENT),
+    "metric_extended": lambda x, y: metric_extended(1.0, 1.0, 1.0, (x, y) + _ROWS + (0.5,),
+                                                    _PQ_TANGENT + (1.0,), _PQ_TANGENT + (1.0,)),
+    "chart_convert": lambda x, y: chart_convert((x, y) + _ROWS, "pq", "vu"),
+    "chart_convert_same": lambda x, y: chart_convert((x, y) + _ROWS, "pq", "pq"),
+    "cayley": lambda x, y: cayley(x + 1j * y, _ROWS[0]),
+    "kahler_xjn": lambda x, y: kahler_xjn(KahlerParams(2.0, 1.0), x + 1j * y, _ROWS[0],
+                                          _VU_TANGENT, _VU_TANGENT),
+    "g_form": lambda x, y: g_form(x + 1j * y, _ROWS[0], _VU_TANGENT),
+    "fvf_xjn_pq": lambda x, y: fvf(_Z, (x, y) + _ROWS, "xjn_pq"),
+    "fvf_xjn_holo": lambda x, y: fvf(_Z, (x + 1j * y, _ROWS[0]), "xjn_holo"),
+    "fvf_extended_xirho": lambda x, y: fvf(_Z, (x, y) + _ROWS + (0.5,), "extended_xirho"),
+}
+# these checked y already (extended_xirho through chart_convert) and lacked
+# only the symmetry check of x
+_X_ONLY = ("metric_xjn", "metric_extended", "chart_convert", "cayley", "fvf_extended_xirho")
+
+
+@pytest.mark.parametrize("entry,case", [
+    pytest.param(e, c, id=f"{e}-{c}") for e in SIEGEL_ENTRIES for c in NOT_SIEGEL
+    if c == "asymmetric x" or e not in _X_ONLY])
+def test_siegel_entry_points_refuse_non_siegel_points(entry, case):
+    with pytest.raises(GeometryError):
+        SIEGEL_ENTRIES[entry](*NOT_SIEGEL[case])
 
 
 # the tolerance parameters a caller may still pass; every other bound is read
