@@ -45,10 +45,11 @@ class HeisenbergElement:
 
 
 def _degree_n(lam, mu, kappa, n):
-    """``HeisenbergElement(lam, mu, kappa)``, which must have degree ``n`` (else BadShape)."""
+    """``HeisenbergElement(lam, mu, kappa)``, which must have degree ``n`` (else BadShape):
+    the one check of a pair of finite rows of length n and a finite scalar."""
     h = HeisenbergElement(lam, mu, kappa)
     if h.n != n:
-        raise BadShape(f"Heisenberg rows must have length {n}, got {h.n}")
+        raise BadShape(f"rows must have length {n}, got {h.n}")
     return h
 
 

@@ -272,6 +272,7 @@ def act_xjn(g, point):
     v, u = point
     v = check_siegel(v)
     u = np.asarray(u, dtype=complex).ravel()
+    _degree_n(u.real, u.imag, 0.0, _point_degree(g, v))
     return _mobius(g.M, v, u + g.lam @ v + g.mu)
 
 
@@ -281,7 +282,16 @@ def act_pq(g, point):
     (p1, q1) = (p, q)_g + (p', q') M^{-1}.
     """
     x, y, p, q = point
-    return _act_pq(g, _siegel_xy(x, y) + (p, q))
+    x, y = _siegel_xy(x, y)
+    h = _degree_n(p, q, 0.0, _point_degree(g, x))
+    return _act_pq(g, (x, y, h.lam, h.mu))
+
+
+def _point_degree(g, v):
+    """The degree of ``g``, which the checked square Siegel matrix ``v`` must share."""
+    if v.shape[0] != g.n:
+        raise BadShape(f"degree mismatch: element {g.n} vs point {v.shape[0]}")
+    return g.n
 
 
 def _act_pq(g, point):

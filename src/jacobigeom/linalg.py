@@ -6,6 +6,12 @@ the principal square root of an SPD matrix together with its
 directional derivative (Frechet derivative along a symmetric direction),
 and a numpy-only matrix exponential for sampling group elements.
 
+The derivative of the square root has two independent routes: the
+public :func:`dsqrtm` solves the Sylvester equation by the dense
+Kronecker linearization of the paper's appendix, while the S_n-chart
+frame :func:`_sqrt_frame` divides in the eigenbasis of its one ``eigh``
+(the Daleckii-Krein form), with no n^2 x n^2 system.
+
 Conventions fixed here and relied on everywhere else:
 
 * ``vec`` stacks columns (column-major).
@@ -215,16 +221,26 @@ def dsqrtm(a, da):
 
     Solves ``X A^{1/2} + A^{1/2} X = dA`` for X, i.e. applies the inverse
     Kronecker sum ``(A^{1/2} (+) A^{1/2})^{-1}`` to ``vec(dA)``.  X is
-    symmetric whenever ``da`` is.
+    symmetric whenever ``da`` is.  This is the Kronecker route of the
+    paper's appendix, kept as the independent check of :func:`_sqrt_frame`.
     """
-    return _sqrt_frame(check_spd(a), check_symmetric(da))[2]
+    s = _spd_powers(check_spd(a), 0.5)[0]
+    return symmetrize(sylvester_solve(s, s, check_symmetric(da)))
 
 
 def _sqrt_frame(y, dy):
-    """(s, s^{-1}, ds) for a validated SPD y: s = y^{1/2} and s^{-1} from one
-    ``eigh``, ds its derivative along dy from the Sylvester equation s ds + ds s = dy."""
-    s, si = _spd_powers(y, 0.5, -0.5)
-    return s, si, symmetrize(sylvester_solve(s, s, dy))
+    """(s, s^{-1}, ds) for a validated SPD y and symmetric dy, all from one ``eigh``
+    y = U diag(w) U^t: s = y^{1/2}, and ds, the derivative of s along dy, in the
+    Daleckii-Krein form ds = U [(U^t dy U)_ij / (w_i^{1/2} + w_j^{1/2})] U^t
+    (Higham, Functions of Matrices, SIAM 2008).  ds solves s ds + ds s = dy; its
+    residual is gated by SYLVESTER_RTOL as in :func:`sylvester_solve`."""
+    w, u = np.linalg.eigh(symmetrize(y))
+    r = w ** 0.5
+    s, si = (symmetrize((u * p) @ u.T) for p in (r, w ** -0.5))
+    ds = symmetrize(u @ ((u.T @ dy @ u) / (r[:, None] + r)) @ u.T)
+    _gate(np.linalg.norm(s @ ds + ds @ s - dy), SYLVESTER_RTOL * max(1.0, np.linalg.norm(dy)),
+          SingularSylvester, "Sylvester residual of the square-root derivative")
+    return s, si, ds
 
 
 # [7/7] Pade coefficients b_0..b_7 and the 1-norm bound theta_7 below which the

@@ -29,11 +29,11 @@ import numpy as np
 
 from . import sampling as smp
 from .exceptions import BadShape, ContractionViolation
-from .heisenberg import _omega
+from .heisenberg import HeisenbergElement, _degree_n, _omega
 from .jacobi import _act_pq, _from_pq, _to_pq, act_extended, act_xjn, gj_compose
 from .jacobi import pq_from_lm, sn_chart, sn_chart_inverse
 from . import linalg
-from .linalg import _gate, _row, sym_residual
+from .linalg import _gate, _row, check_symmetric, sym_residual
 from .numdiff import fd_push, fd_push_sn
 from .forms import oneforms_sn
 from .symplectic import _siegel_xy, blocks, check_siegel
@@ -91,6 +91,21 @@ def _check_arity(size, **parts):
             raise BadShape(f"{name} must have {size} components, got {len(part)}")
 
 
+def _checked_xjn(point, *tangents):
+    """``point`` with x and y as float arrays, once it and its ``tangents`` pass: x + iy
+    :func:`check_siegel`; each dx and dy n x n and symmetric within TANGENT_SYM_RTOL (so
+    finite); every pair of rows finite of length n, and a fifth component (kappa) finite.
+    Else a GeometryError."""
+    x, y = _siegel_xy(point[0], point[1])
+    n = x.shape[0]
+    for part in (point, *tangents):
+        _degree_n(part[2], part[3], part[4] if len(part) == 5 else 0.0, n)
+    for d in (d for t in tangents for d in t[:2]):
+        if check_symmetric(d, linalg.TANGENT_SYM_RTOL).shape != (n, n):
+            raise BadShape(f"dx and dy must be {n}x{n}, got {np.shape(d)}")
+    return (x, y) + tuple(point[2:])
+
+
 def metric_xjn(alpha, gamma, chart, point, t1, t2):
     """Two-parameter invariant metric on the Siegel-Jacobi space.
 
@@ -103,12 +118,19 @@ def metric_xjn(alpha, gamma, chart, point, t1, t2):
     xirho:  alpha part + gamma [r y^-1 r^t + s y^-1 s^t] with
             r = dxi - rho y^-1 dx and s = drho - rho y^-1 dy.
 
-    All three agree under the chart conversions.
+    All three agree under the chart conversions.  The point and both
+    tangents are checked as in :func:`_checked_xjn`.
     """
     if chart not in XJN_CHARTS:
         raise ValueError(f"chart must be one of {XJN_CHARTS}")
     _check_arity(4, point=point, t1=t1, t2=t2)
-    x, y = _siegel_xy(point[0], point[1])
+    point = _checked_xjn(point, t1, t2)
+    return _metric_xjn(alpha, gamma, chart, point, t1, t2)
+
+
+def _metric_xjn(alpha, gamma, chart, point, t1, t2):
+    """:func:`metric_xjn` at a point and tangents the library has validated or built."""
+    x, y = point[0], point[1]
     yi = np.linalg.inv(y)
     dx1, dy1 = np.asarray(t1[0], dtype=float), np.asarray(t1[1], dtype=float)
     dx2, dy2 = np.asarray(t2[0], dtype=float), np.asarray(t2[1], dtype=float)
@@ -136,8 +158,15 @@ def metric_xjn(alpha, gamma, chart, point, t1, t2):
 
 def lambda_r(point_pq_kappa, tangent):
     """The invariant one-form  dkappa - p dq^t + q dp^t = dkappa - omega((p, q), (dp, dq))
-    on the extended space."""
+    on the extended space.  The rows and kappas of the point and the tangent must be
+    finite, the rows of one length."""
     _check_arity(5, point=point_pq_kappa, tangent=tangent)
+    _degree_n(*tangent[2:], HeisenbergElement(*point_pq_kappa[2:]).n)
+    return _lambda_r(point_pq_kappa, tangent)
+
+
+def _lambda_r(point_pq_kappa, tangent):
+    """:func:`lambda_r` at a point and tangent the library has validated or built."""
     p, q = _row(point_pq_kappa[2]), _row(point_pq_kappa[3])
     dp, dq, dk = _row(tangent[2]), _row(tangent[3]), float(tangent[4])
     return dk - _omega((p, q), (dp, dq))
@@ -145,10 +174,17 @@ def lambda_r(point_pq_kappa, tangent):
 
 def metric_extended(alpha, gamma, delta, point, t1, t2):
     """Three-parameter metric on the extended space: the pq metric plus
-    delta * lambda_R (x) lambda_R.  Point and tangents carry kappa last."""
+    delta * lambda_R (x) lambda_R.  Point and tangents carry kappa last and
+    are checked as in :func:`_checked_xjn`."""
     _check_arity(5, point=point, t1=t1, t2=t2)
-    base = metric_xjn(alpha, gamma, "pq", point[:4], t1[:4], t2[:4])
-    return base + delta * lambda_r(point, t1) * lambda_r(point, t2)
+    point = _checked_xjn(point, t1, t2)
+    return _metric_extended(alpha, gamma, delta, point, t1, t2)
+
+
+def _metric_extended(alpha, gamma, delta, point, t1, t2):
+    """:func:`metric_extended` at a point and tangents the library has validated or built."""
+    base = _metric_xjn(alpha, gamma, "pq", point[:4], t1[:4], t2[:4])
+    return base + delta * _lambda_r(point, t1) * _lambda_r(point, t2)
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +365,7 @@ class InvarianceReport:
 
 def _metric_xjn_broken(alpha, gamma, point, t1, t2):
     # negative control: a beta-style contamination that is not invariant
-    return (metric_xjn(alpha, gamma, "pq", point, t1, t2)
+    return (_metric_xjn(alpha, gamma, "pq", point, t1, t2)
             + float(_row(t1[2]) @ _row(t2[2])))
 
 
@@ -423,8 +459,8 @@ def _lambda_r_sample(rng, n, step):
     tan = _with_kappa(rng, smp.rand_pq_tangent(rng, n))
     dp, dq, dk = tan[2:]
     pushed = (tan[0], tan[1], *pq_from_lm(dp, dq, g.M), dk + _omega((g.lam, g.mu), (dp, dq)))
-    orig = lambda_r(point, tan)
-    return orig, lambda_r(act_extended(g, point), pushed), max(1.0, abs(orig))
+    orig = _lambda_r(point, tan)
+    return orig, _lambda_r(act_extended(g, point), pushed), max(1.0, abs(orig))
 
 
 _GROUP_PARAMS = MetricParams(1.0, 1.0, 1.0, 1.0)
@@ -435,10 +471,10 @@ _INVARIANCE_SPECS = {
     "metric_group": _Bilinear(
         _draw_group, lambda c, u1, u2: metric_group(_GROUP_PARAMS, c, u1, u2), fd_push_sn),
     **{f"metric_xjn_{chart}": _Bilinear(
-        _draw_xjn(chart), lambda pt, u1, u2, c=chart: metric_xjn(1.0, 1.0, c, pt, u1, u2))
+        _draw_xjn(chart), lambda pt, u1, u2, c=chart: _metric_xjn(1.0, 1.0, c, pt, u1, u2))
        for chart in XJN_CHARTS},
     "metric_extended": _Bilinear(
-        _draw_extended, lambda pt, u1, u2: metric_extended(1.0, 1.0, 1.0, pt, u1, u2)),
+        _draw_extended, lambda pt, u1, u2: _metric_extended(1.0, 1.0, 1.0, pt, u1, u2)),
     "metric_xjn_broken": _Bilinear(
         _draw_xjn("pq"), lambda pt, u1, u2: _metric_xjn_broken(1.0, 1.0, pt, u1, u2)),
     "kahler_ball": _Bilinear(

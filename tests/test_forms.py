@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from jacobigeom import (
+    MetricParams,
+    dsqrtm,
     duality_pairing,
     pq_from_lm,
     fvf,
@@ -12,6 +14,7 @@ from jacobigeom import (
     gj_identity,
     invariant_vf,
     maurer_cartan,
+    metric_group,
     oneforms_matrix_chart,
     oneforms_n1,
     oneforms_sn,
@@ -19,6 +22,7 @@ from jacobigeom import (
     sn_chart_identity,
     sn_chart_inverse,
 )
+from jacobigeom import linalg
 from jacobigeom.forms import d_sn_chart_inverse
 from jacobigeom.numdiff import fd_push_sn
 from jacobigeom.sampling import (
@@ -199,6 +203,31 @@ def test_maurer_cartan_sn_route(rng):
     lf = oneforms_sn(chart, t)
     assert np.max(np.abs(mc.b - lf.F)) < 1e-11
     assert np.max(np.abs(mc.a - lf.H)) < 1e-11
+
+
+class _KroneckerCalled(Exception):
+    pass
+
+
+def _kronecker_called(*args):
+    raise _KroneckerCalled
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_sn_chart_routes_skip_the_kronecker_solve(rng, n):
+    # the S_n-chart callers take ds from the eigenbasis frame; the public dsqrtm
+    # stays on the Kronecker route, so the two stay independent of each other
+    chart = rand_sn_chart(rng, n)
+    t = rand_sn_tangent(rng, chart)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "sylvester_solve", _kronecker_called)
+        mp.setattr(linalg, "kron_sum", _kronecker_called)
+        oneforms_sn(chart, t)
+        d_sn_chart_inverse(chart, t)
+        maurer_cartan(chart, t, chart="sn")
+        metric_group(MetricParams(), chart, t, t)
+        with pytest.raises(_KroneckerCalled):
+            dsqrtm(chart.y, t[1])
 
 
 def test_oneforms_n1_capa_values():

@@ -14,7 +14,7 @@ from jacobigeom import (
     vec,
     vech,
 )
-from jacobigeom.linalg import expm, unvech
+from jacobigeom.linalg import _sqrt_frame, expm, symmetrize, unvech
 from jacobigeom.sampling import rand_sp_algebra, rand_spd, rand_sym
 
 
@@ -113,6 +113,34 @@ def test_dsqrtm_matches_central_differences(rng):
         fd = (sqrtm_spd(a + h * e) - sqrtm_spd(a - h * e)) / (2 * h)
         an = dsqrtm(a, e)
         assert np.max(np.abs(fd - an)) <= 1e-6 * max(1.0, np.max(np.abs(an)))
+
+
+def _spd_with_cond(rng, n, cond):
+    """Random SPD matrix with eigenvalues cond^-t, t in [0, 1]; both ends are taken when n > 1."""
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    t = rng.uniform(size=n)
+    if n > 1:
+        t[:2] = 0.0, 1.0
+    return symmetrize((q * cond ** -t) @ q.T)
+
+
+@pytest.mark.parametrize("cond,bound", [(1.0, 1e-13), (1e4, 1e-13), (1e8, 1e-11)],
+                         ids=["cond1", "cond1e4", "cond1e8"])
+@pytest.mark.parametrize("n", [1, 2, 4, 10])
+def test_sqrt_frame_matches_sylvester_routes(n, cond, bound):
+    # the eigenbasis quotient of the frame against the two Sylvester solves:
+    # the library's Kronecker route (dsqrtm) and scipy's Bartels-Stewart
+    from scipy.linalg import solve_sylvester
+
+    rng = np.random.default_rng(200 + n)
+    for _ in range(100):
+        y = _spd_with_cond(rng, n, cond)
+        dy = rand_sym(rng, n)
+        s, si, ds = _sqrt_frame(y, dy)
+        assert np.array_equal(s, sqrtm_spd(y))
+        assert np.max(np.abs(s @ si - np.eye(n))) <= 1e-13 * np.sqrt(cond)
+        for ref in (dsqrtm(y, dy), solve_sylvester(s, s, dy)):
+            assert np.max(np.abs(ds - ref)) <= bound * max(1.0, np.max(np.abs(ref)))
 
 
 @pytest.mark.parametrize("scale", [None, 1.0, 3.0], ids=["default", "1", "3"])

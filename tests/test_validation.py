@@ -40,9 +40,12 @@ from jacobigeom import (
     gj_from_embedding,
     gj_identity,
     kahler_xjn,
+    lambda_r,
     metric_extended,
     metric_xjn,
     mobius_act,
+    oneforms_sn,
+    sn_chart_identity,
     sylvester_solve,
     unitary_iso_inverse,
 )
@@ -96,6 +99,10 @@ NAN_CASES = [
      lambda: check_matrix_tangent(gj_identity(1), (np.full((1, 1), np.nan),) * 4
                                   + (np.zeros(1), np.zeros(1), 0.0)),
      NotSymplectic),
+    ("sqrt_frame_residual",
+     _under_nan_bound("SYLVESTER_RTOL", lambda: oneforms_sn(
+         sn_chart_identity(2), (np.eye(2),) * 4 + (np.zeros(2), np.zeros(2), 0.0))),
+     SingularSylvester),
 ]
 
 
@@ -188,3 +195,45 @@ def test_only_the_kept_tolerance_knobs_remain():
     knobs = {f"{qual}.{param}" for qual, fn in _public_callables()
              for param in inspect.signature(fn).parameters if "tol" in param}
     assert knobs == KEPT_TOLERANCE_KNOBS
+
+
+# wrong shapes at n = 2 that reached numpy and ended in its plain ValueError
+_X, _Y = np.zeros((2, 2)), np.eye(2)
+_ROW3 = np.zeros(3)
+BAD_SHAPES = {
+    "act_pq p of length 3": lambda: act_pq(gj_identity(2), (_X, _Y, _ROW3, _ROWS[1])),
+    "act_pq x 2x2, y 3x3": lambda: act_pq(gj_identity(2), (_X, np.eye(3)) + _ROWS),
+    "act_pq point of degree 2, element of degree 3":
+        lambda: act_pq(gj_identity(3), (_X, _Y) + _ROWS),
+    "act_xjn u of length 3": lambda: act_xjn(gj_identity(2), (_X + 1j * _Y, _ROW3)),
+    "lambda_r p of length 3": lambda: lambda_r((_X, _Y, _ROW3, _ROWS[1], 0.5),
+                                               _PQ_TANGENT + (1.0,)),
+    "metric_xjn dp of length 3": lambda: metric_xjn(
+        1.0, 1.0, "pq", (_X, _Y) + _ROWS, (_Y, _Y, _ROW3, _ROWS[1]), _PQ_TANGENT),
+}
+
+
+@pytest.mark.parametrize("case", BAD_SHAPES)
+def test_wrong_shapes_raise_bad_shape(case):
+    with pytest.raises(BadShape):
+        BAD_SHAPES[case]()
+
+
+# tangents that are not: dx must be symmetric, every component finite
+BAD_TANGENTS = {
+    "asymmetric dx": (np.array([[0.0, 1.0], [0.0, 0.0]]), _Y) + _ROWS,
+    "NaN dx": (NAN, _Y) + _ROWS,
+    "inf dq": (_Y, _Y, _ROWS[0], np.array([np.inf, 0.0])),
+}
+TANGENT_ENTRIES = {
+    "metric_xjn": lambda t: metric_xjn(1.0, 1.0, "pq", (_X, _Y) + _ROWS, t, _PQ_TANGENT),
+    "metric_extended": lambda t: metric_extended(1.0, 1.0, 1.0, (_X, _Y) + _ROWS + (0.5,),
+                                                 _PQ_TANGENT + (1.0,), t + (1.0,)),
+}
+
+
+@pytest.mark.parametrize("entry", TANGENT_ENTRIES)
+@pytest.mark.parametrize("case", BAD_TANGENTS)
+def test_metrics_refuse_non_tangents(entry, case):
+    with pytest.raises(GeometryError):
+        TANGENT_ENTRIES[entry](BAD_TANGENTS[case])
