@@ -204,7 +204,7 @@ def cmd_commutators(args, payload, out):
 
 def cmd_invariance(args, payload, out):
     rep = invariance_report(args.object, n=args.n, samples=args.samples,
-                            seed=args.seed, fd_step=args.fd_step, tol=args.tol)
+                            seed=args.seed, tol=args.tol)
     _emit(rep.as_dict(), out)
     return 0 if rep.passed else DOMAIN_ERROR
 
@@ -246,8 +246,8 @@ def build_parser():
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--fd-step", type=float, default=1e-6)
-    p.add_argument("--tol", type=_tolerance, default=1e-6)
+    p.add_argument("--tol", type=_tolerance, default=None,
+                   help="verdict bound on max_rel (default: linalg.INVARIANCE_RTOL)")
     add("sqrt-diff", cmd_sqrt_diff)
     return parser
 

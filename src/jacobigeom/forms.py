@@ -20,9 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import BadShape, NotSymplectic
-from .heisenberg import _omega
+from .heisenberg import _degree_n, _omega
 from .jacobi import (
     JacobiAlgebraElement,
+    _tangent_to_pq,
     _to_pq,
     gj_embed,
     gj_inverse,
@@ -35,19 +36,34 @@ from .linalg import _gate, _row, _sqrt_frame, check_symmetric, sym_residual, sym
 from .symplectic import _jacobi_matrix, blocks, check_siegel, from_blocks, j_matrix
 
 
-def _sym_component(a):
-    return symmetrize(check_symmetric(a, linalg.TANGENT_SYM_RTOL))
+def _checked_sn_tangent(chart, tangent):
+    """``tangent`` at the S_n chart point ``chart`` once it passes: dx and dy n x n and
+    symmetric within TANGENT_SYM_RTOL (and then symmetrized), dp and dq finite rows of
+    length n, dkappa finite; else a GeometryError.  (dX, dY) is checked by the
+    one-forms' F/G symmetry."""
+    dx, dy, dX, dY, dp, dq, dk = tangent
+    h = _degree_n(dp, dq, dk, chart.n)
+    dx, dy = (check_symmetric(d, linalg.TANGENT_SYM_RTOL) for d in (dx, dy))
+    if dx.shape != (chart.n, chart.n) or dy.shape != dx.shape:
+        raise BadShape(f"dx and dy must be {chart.n}x{chart.n}, got {dx.shape} and {dy.shape}")
+    return symmetrize(dx), symmetrize(dy), dX, dY, h.lam, h.mu, h.kappa
 
 
 def check_matrix_tangent(g, tangent):
-    """Validate the linearized symplectic constraint of a matrix-chart tangent."""
+    """Validate a matrix-chart tangent at ``g`` and return it with float blocks and
+    1-d rows: da, db, dc, dd n x n and meeting the linearized symplectic
+    constraint, dp and dq finite rows of length n, dkappa finite."""
     da, db, dc, dd, dp, dq, dk = tangent
-    dm = from_blocks(da, db, dc, dd)
+    blks = tuple(np.asarray(b, dtype=float) for b in (da, db, dc, dd))
+    if any(b.shape != (g.n, g.n) for b in blks):
+        raise BadShape(f"da, db, dc, dd must be {g.n}x{g.n}, got {[b.shape for b in blks]}")
+    h = _degree_n(dp, dq, dk, g.n)
+    dm = from_blocks(*blks)
     j = j_matrix(g.n)
     _gate(np.max(np.abs(dm.T @ j @ g.M + g.M.T @ j @ dm)),
           linalg.TANGENT_SP_RTOL * max(1.0, np.max(np.abs(g.M))), NotSymplectic,
           "residual of the linearized symplectic condition")
-    return tangent
+    return (*blks, h.lam, h.mu, h.kappa)
 
 
 @dataclass(frozen=True)
@@ -120,10 +136,15 @@ def d_sn_chart_inverse(chart, tangent):
     """Analytic differential of the S_n chart inverse (Sn tangent -> matrix tangent).
 
     Uses the directional derivative of the SPD square root, since the
-    recomposition involves y^{1/2} and y^{-1/2}.
+    recomposition involves y^{1/2} and y^{-1/2}.  The tangent is checked as
+    in :func:`_checked_sn_tangent`.
     """
+    return _d_sn_chart_inverse(chart, _checked_sn_tangent(chart, tangent))
+
+
+def _d_sn_chart_inverse(chart, tangent):
+    """:func:`d_sn_chart_inverse` on a tangent the library has validated or built."""
     dx, dy, dX, dY, dp, dq, dk = tangent
-    dx, dy = _sym_component(dx), _sym_component(dy)
     x = chart.x
     s, si, ds = _sqrt_frame(chart.y, dy)
     dsi = -si @ ds @ si
@@ -133,6 +154,34 @@ def d_sn_chart_inverse(chart, tangent):
     dc = -(dsi @ Y) - si @ dY
     dd = dsi @ X + si @ dX
     return da, db, dc, dd, _row(dp), _row(dq), float(dk)
+
+
+def d_sn_chart(g, tangent):
+    """Analytic differential of the S_n chart map at ``g`` (matrix tangent -> S_n
+    tangent at ``sn_chart(g)``), the inverse of :func:`d_sn_chart_inverse`.
+
+    Differentiates the modified pre-Iwasawa factors on the square-root frame
+    of y = A^{-1}, A = d d^t + c c^t:
+
+        dy = -y dA y,   dA = dd d^t + d dd^t + dc c^t + c dc^t,
+        dx = sym(dy (d b^t + c a^t) + y (dd b^t + d db^t + dc a^t + c da^t)),
+        dX = ds d + s dd,   dY = -(ds c + s dc),
+
+    with s = y^{1/2} and ds its derivative along dy; (dp, dq, dkappa) carry
+    over.  The tangent must pass :func:`check_matrix_tangent`.
+    """
+    return _d_sn_chart(g, check_matrix_tangent(g, tangent))
+
+
+def _d_sn_chart(g, tangent):
+    """:func:`d_sn_chart` on a tangent the library has validated or built."""
+    da, db, dc, dd, dp, dq, dk = tangent
+    a, b, c, d = blocks(g.M)
+    y = symmetrize(np.linalg.inv(d @ d.T + c @ c.T))
+    dy = symmetrize(-y @ (dd @ d.T + d @ dd.T + dc @ c.T + c @ dc.T) @ y)
+    s, _, ds = _sqrt_frame(y, dy)
+    dx = symmetrize(dy @ (d @ b.T + c @ a.T) + y @ (dd @ b.T + d @ db.T + dc @ a.T + c @ da.T))
+    return dx, dy, ds @ d + s @ dd, -(ds @ c + s @ dc), _row(dp), _row(dq), float(dk)
 
 
 def oneforms_sn(chart, tangent):
@@ -150,10 +199,10 @@ def oneforms_sn(chart, tangent):
 
     This is an independent evaluation route from
     :func:`oneforms_matrix_chart`; their agreement through the chart
-    differential is part of the verified contract.
+    differential is part of the verified contract.  The tangent is checked
+    as in :func:`_checked_sn_tangent`.
     """
-    dx, dy, dX, dY, dp, dq, dk = tangent
-    dx, dy = _sym_component(dx), _sym_component(dy)
+    dx, dy, dX, dY, dp, dq, dk = _checked_sn_tangent(chart, tangent)
     x = chart.x
     s, si, ds = _sqrt_frame(chart.y, dy)
     ell = si @ ds
@@ -165,10 +214,9 @@ def oneforms_sn(chart, tangent):
     h = X.T @ dX + Y.T @ dY + X.T @ ell @ X - X.T @ cc @ Y - Y.T @ arr @ Y
     f = symmetrize(check_symmetric(f, linalg.FORM_SN_SYM_RTOL))
     g = symmetrize(check_symmetric(g, linalg.FORM_SN_SYM_RTOL))
-    dp, dq = _row(dp), _row(dq)
     lam_p = dp @ (s @ X - x @ si @ Y) - dq @ si @ Y
     lam_q = dq @ si @ X + dp @ (s @ Y + x @ si @ X)
-    lam_r = float(dk) - _omega((chart.p, chart.q), (dp, dq))
+    lam_r = dk - _omega((chart.p, chart.q), (dp, dq))
     return OneForms(f, g, h, lam_p, lam_q, lam_r)
 
 
@@ -302,9 +350,7 @@ def fvf(z, point, space):
         out = (dv.real, dv.imag, du.real, du.imag)
     else:
         dv, du = _holomorphic_fvf(z, v, p @ v + q)
-        dx_, dy_ = dv.real, dv.imag
-        dp = (du.imag - p @ dy_) @ np.linalg.inv(y)
-        out = (dx_, dy_, dp, du.real - dp @ x - p @ dx_)
+        out = _tangent_to_pq((x, y, p, q), (dv.real, dv.imag, du.real, du.imag), "xirho")
     if space.startswith("extended"):
         out += (z.r + _omega((z.p, z.q), (p, q)),)
     return out

@@ -269,11 +269,18 @@ def commutator_table(n):
 
 def act_xjn(g, point):
     """Action on (v, u): v Moebius-transformed, u -> (u + lambda v + mu)(c v + d)^{-1}."""
-    v, u = point
-    v = check_siegel(v)
-    u = np.asarray(u, dtype=complex).ravel()
-    _degree_n(u.real, u.imag, 0.0, _point_degree(g, v))
+    v, u = _checked_vu(point)
+    _point_degree(g, v)
     return _mobius(g.M, v, u + g.lam @ v + g.mu)
+
+
+def _checked_vu(point):
+    """``(v, u)`` as complex arrays once v passes :func:`check_siegel` and the real and
+    imaginary parts of u are finite rows of length n: the one check of a vu point."""
+    v, u = point
+    v, u = check_siegel(v), np.asarray(u, dtype=complex).ravel()
+    _degree_n(u.real, u.imag, 0.0, v.shape[0])
+    return v, u
 
 
 def act_pq(g, point):
@@ -281,10 +288,7 @@ def act_pq(g, point):
 
     (p1, q1) = (p, q)_g + (p', q') M^{-1}.
     """
-    x, y, p, q = point
-    x, y = _siegel_xy(x, y)
-    h = _degree_n(p, q, 0.0, _point_degree(g, x))
-    return _act_pq(g, (x, y, h.lam, h.mu))
+    return act_extended(g, (*point, 0.0))[:4]
 
 
 def _point_degree(g, v):
@@ -303,11 +307,13 @@ def _act_pq(g, point):
 
 
 def act_extended(g, point):
-    """Action on (x, y, p, q, kappa); kappa picks up omega((lambda, mu), (p', q'))."""
+    """Action on (x, y, p, q, kappa); kappa picks up omega((lambda, mu), (p', q')).
+    The rows must be finite of length n and kappa finite."""
     x, y, p, q, kappa = point
-    x1, y1, p1, q1 = act_pq(g, (x, y, p, q))
-    k1 = g.kappa + float(kappa) + _omega((g.lam, g.mu), (_row(p), _row(q)))
-    return x1, y1, p1, q1, k1
+    x, y = _siegel_xy(x, y)
+    h = _degree_n(p, q, kappa, _point_degree(g, x))
+    k1 = g.kappa + h.kappa + _omega((g.lam, g.mu), (h.lam, h.mu))
+    return (*_act_pq(g, (x, y, h.lam, h.mu)), k1)
 
 
 # ---------------------------------------------------------------------------
@@ -396,14 +402,21 @@ def chart_convert(point, src, dst):
 
 
 def _to_pq(point, src):
-    """A point of chart ``src`` in the pq chart; the entry check of x + iy is here."""
+    """A point of chart ``src`` in the pq chart; the entry check of x + iy and of the
+    two rows (finite, of length n) is here."""
     if src == "vu":
-        v, u = point
-        v, u = check_siegel(v), np.asarray(u, dtype=complex).ravel()
-        x, y, first, second, src = v.real, v.imag, u.real, u.imag, "xirho"
-    else:
-        x, y, first, second = point
-        x, y = _siegel_xy(x, y)
+        v, u = _checked_vu(point)
+        return _pq_of((v.real, v.imag, u.real, u.imag), "xirho")
+    x, y, first, second = point
+    x, y = _siegel_xy(x, y)
+    h = _degree_n(first, second, 0.0, x.shape[0])
+    return _pq_of((x, y, h.lam, h.mu), src)
+
+
+def _pq_of(point, src):
+    """A point of chart ``src`` (not vu) the library has validated or built, in the
+    pq chart."""
+    x, y, first, second = point
     if src == "xirho":
         p = np.linalg.solve(y.T, _row(second).T).T
         return x, y, p, _row(first) - p @ x
@@ -423,3 +436,25 @@ def _from_pq(pq, dst):
     if dst == "xirho":
         return x, y, p @ x + q, p @ y
     return x, y, q.copy(), p.copy()  # chipsi: columns stored as 1-d arrays
+
+
+def _tangent_to_pq(pq, tangent, src):
+    """A tangent of chart ``src`` (not vu) at the point ``pq`` (pq coordinates) as a
+    pq tangent: chipsi swaps the rows; xirho has dp = (drho - p dy) y^{-1} and
+    dq = dxi - dp x - p dx."""
+    dx, dy, first, second = tangent
+    if src == "xirho":
+        x, y, p, _ = pq
+        dp = np.linalg.solve(y.T, second - p @ dy)
+        return dx, dy, dp, first - dp @ x - p @ dx
+    return (dx, dy, second, first) if src == "chipsi" else tangent
+
+
+def _tangent_from_pq(pq, tangent, dst):
+    """The inverse of :func:`_tangent_to_pq`: xirho has dxi = dp x + p dx + dq and
+    drho = dp y + p dy."""
+    dx, dy, dp, dq = tangent
+    if dst == "xirho":
+        x, y, p, _ = pq
+        return dx, dy, dp @ x + p @ dx + dq, dp @ y + p @ dy
+    return (dx, dy, dq, dp) if dst == "chipsi" else tangent

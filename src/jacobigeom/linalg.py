@@ -49,6 +49,7 @@ FORM_SN_SYM_RTOL = 1e-8  # rel: asymmetry of F and G in the S_n chart (a (dX, dY
 TANGENT_SP_RTOL = 1e-10  # rel max(1, ||M||_max): linearized symplectic residual of a tangent
 BALL_SYM_RTOL = 1e-10    # rel: asymmetry of a ball point W
 BALL_MIN_EIG = 1e-10     # abs: smallest eigenvalue of I - W conj(W) at a ball point (strict)
+INVARIANCE_RTOL = 1e-12  # rel the sample's scale: invariance_report's default verdict bound
 
 
 def _gate(residual, bound, exc, what, lower=False):

@@ -30,13 +30,13 @@ import numpy as np
 from . import sampling as smp
 from .exceptions import BadShape, ContractionViolation
 from .heisenberg import HeisenbergElement, _degree_n, _omega
-from .jacobi import _act_pq, _from_pq, _to_pq, act_extended, act_xjn, gj_compose
-from .jacobi import pq_from_lm, sn_chart, sn_chart_inverse
+from .jacobi import _act_pq, _checked_vu, _from_pq, _pq_of, _tangent_from_pq, _tangent_to_pq
+from .jacobi import _to_pq, act_extended, act_xjn, gj_compose, gj_embed, pq_from_lm, sn_chart
+from .jacobi import sn_chart_inverse
 from . import linalg
-from .linalg import _gate, _row, check_symmetric, sym_residual
-from .numdiff import fd_push, fd_push_sn
-from .forms import oneforms_sn
-from .symplectic import _siegel_xy, blocks, check_siegel
+from .linalg import _gate, _row, check_symmetric, sym_residual, symmetrize
+from .forms import _d_sn_chart, _d_sn_chart_inverse, _embed_tangent, oneforms_sn
+from .symplectic import _dmobius, _jacobi_parts, _siegel_xy, blocks, check_siegel
 
 
 @dataclass(frozen=True)
@@ -72,8 +72,9 @@ class KahlerParams:
 def metric_group(params, chart, t1, t2):
     """g(t1, t2) = alpha (<F1 + G1, F2 + G2> + <H1, H2>) + beta <F1 - G1, F2 - G2>
     + gamma (P1 P2^t + Q1 Q2^t) + delta R1 R2 with <A, B> = tr(A B^t), from one
-    ``oneforms_sn`` per tangent: the one-forms are linear in the tangent."""
-    f1, f2 = oneforms_sn(chart, t1), oneforms_sn(chart, t2)
+    ``oneforms_sn`` per distinct tangent: the one-forms are linear in the tangent."""
+    f1 = oneforms_sn(chart, t1)
+    f2 = f1 if t2 is t1 else oneforms_sn(chart, t2)
     val = params.alpha * (np.vdot(f1.F + f1.G, f2.F + f2.G) + np.vdot(f1.H, f2.H))
     val += params.beta * np.vdot(f1.F - f1.G, f2.F - f2.G)
     val += params.gamma * (float(f1.P @ f2.P) + float(f1.Q @ f2.Q))
@@ -241,15 +242,15 @@ def cayley_inverse(w, z):
 def g_form(v, u, tangent):
     """Row form  G^t = du - (u - ubar)(v - vbar)^{-1} dv  at a Siegel-Jacobi point.
 
-    In pq coordinates this equals dp v + dq.
+    In pq coordinates this equals dp v + dq.  The point is checked as in
+    :func:`jacobi.act_xjn`.
     """
-    return _g_form(check_siegel(v), u, tangent)
+    return _g_form(*_checked_vu((v, u)), tangent)
 
 
 def _g_form(v, u, tangent):
-    """:func:`g_form` at a Siegel point ``v`` the caller has checked."""
+    """:func:`g_form` at a point (v, u) the library has validated or built."""
     dv, du = tangent
-    u = np.asarray(u, dtype=complex).ravel()
     dv = np.asarray(dv, dtype=complex)
     du = np.asarray(du, dtype=complex).ravel()
     diff = v - v.conj()
@@ -264,8 +265,12 @@ def kahler_ball(kparams, w, z, t1, t2):
     M = (I - W Wbar)^{-1}, B = M dW, A = dz^t + dW etabar and eta the
     FC image of z.  Antisymmetric in (t1, t2).
     """
-    w = check_ball_point(w)
-    z = np.asarray(z, dtype=complex).ravel()
+    return _kahler_ball(kparams, check_ball_point(w), np.asarray(z, dtype=complex).ravel(),
+                        t1, t2)
+
+
+def _kahler_ball(kparams, w, z, t1, t2):
+    """:func:`kahler_ball` at a ball point the library has validated or built."""
     m = np.linalg.inv(np.eye(w.shape[0]) - w @ w.conj())
     eta = m @ (z + w @ z.conj())
 
@@ -286,9 +291,14 @@ def kahler_xjn(kparams, v, u, t1, t2):
     """Kaehler two-form of the upper-half-space model.
 
     -i omega = (k/2) tr(H wedge Hbar) + (2 nu / i) tr(G^t D wedge Gbar)
-    with D = (vbar - v)^{-1} and H = D dv.
+    with D = (vbar - v)^{-1} and H = D dv.  The point is checked as in
+    :func:`jacobi.act_xjn`.
     """
-    v = check_siegel(v)
+    return _kahler_xjn(kparams, *_checked_vu((v, u)), t1, t2)
+
+
+def _kahler_xjn(kparams, v, u, t1, t2):
+    """:func:`kahler_xjn` at a point (v, u) the library has validated or built."""
     dmat = np.linalg.inv(v.conj() - v)
 
     def parts(t):
@@ -327,10 +337,12 @@ def ball_act(element, point):
 
     W1 = (W Q^dag + P^dag)^{-1} (Q^t + W P^t),
     z1^t = (W Q^dag + P^dag)^{-1} (z^t + alpha^t - W alphabar^t).
+
+    The point's W must pass :func:`check_ball_point`.
     """
     (p, q), alpha = element
     w, z = point
-    w = np.asarray(w, dtype=complex)
+    w = check_ball_point(w)
     z = np.asarray(z, dtype=complex).ravel()
     alpha = np.asarray(alpha, dtype=complex).ravel()
     den = w @ q.conj().T + p.conj().T
@@ -350,7 +362,6 @@ class InvarianceReport:
     n: int
     samples: int
     seed: int
-    fd_step: float
     tol: float
     max_abs: float
     max_rel: float
@@ -377,14 +388,53 @@ def _times_i(tangent):
     return tuple(1j * np.asarray(c) for c in tangent)
 
 
+def _push_pq(g, point, image, tangent):
+    """A pq tangent (dx, dy, dp, dq, ...) pushed through ``g``: dv1 = (a - v1 c) dv
+    (c v + d)^{-1} on v = x + iy, and (dp1, dq1) = (dp, dq) M^{-1}, since the action
+    is affine in (p, q)."""
+    dv1, _ = _dmobius(g.M, point[0] + 1j * point[1], image[0] + 1j * image[1],
+                      tangent[0] + 1j * tangent[1])
+    return (dv1.real, dv1.imag, *pq_from_lm(tangent[2], tangent[3], g.M))
+
+
+def _push_kappa(g, tangent):
+    """The pushed dkappa of an extended tangent: dkappa + omega((lambda, mu), (dp, dq))."""
+    return float(tangent[4]) + _omega((g.lam, g.mu), tangent[2:4])
+
+
+def _push_vu(g, point, image, tangent):
+    """du1 = (du + lambda dv - u1 c dv)(c v + d)^{-1}, dv1 as in :func:`_push_pq`."""
+    (v, _), (v1, u1), (dv, du) = point, image, tangent
+    c = blocks(g.M)[2]
+    return _dmobius(g.M, v, v1, dv, du + g.lam @ dv - u1 @ c @ dv)
+
+
+def _push_ball(pq_pair, alpha, point, image, tangent):
+    """With den = W Q^dag + P^dag: dW1 = den^{-1} (dW P^t - dW Q^dag W1), symmetrized,
+    and dz1 = den^{-1} (dz - dW alphabar - dW Q^dag z1)."""
+    (p, q), (w, _), (w1, z1), (dw, dz) = pq_pair, point, image, tangent
+    dwq = dw @ q.conj().T
+    rhs = np.column_stack([dw @ p.T - dwq @ w1, dz - dw @ alpha.conj() - dwq @ z1])
+    sol = np.linalg.solve(w @ q.conj().T + p.conj().T, rhs)
+    return symmetrize(sol[:, :-1]), sol[:, -1]
+
+
 def _draw_group(rng, n):
     g = smp.rand_jacobi(rng, n)
     chart = smp.rand_sn_chart(rng, n)
+    embed_g = gj_embed(g)
 
     def act(c):
         return sn_chart(gj_compose(g, sn_chart_inverse(c)))
 
-    return act, chart, smp.rand_sn_tangent(rng, chart), smp.rand_sn_tangent(rng, chart)
+    def push(c, image, t):
+        # left translation is linear in the embedding: dE(g h) = E(g) dE(h)
+        h = sn_chart_inverse(c)
+        blks, _, (dq, minus_dp), dk = _jacobi_parts(
+            embed_g @ _embed_tangent(h, _d_sn_chart_inverse(c, t)))
+        return _d_sn_chart(gj_compose(g, h), (*blks, -minus_dp, dq, dk))
+
+    return act, push, chart, smp.rand_sn_tangent(rng, chart), smp.rand_sn_tangent(rng, chart)
 
 
 def _draw_xjn(chart):
@@ -397,7 +447,12 @@ def _draw_xjn(chart):
         def act(pt):
             return _from_pq(_act_pq(g, _to_pq(pt, chart)), chart)
 
-        return act, point, smp.rand_pq_tangent(rng, n), smp.rand_pq_tangent(rng, n)
+        def push(pt, image, t):
+            pq, pq1 = _pq_of(pt, chart), _pq_of(image, chart)
+            return _tangent_from_pq(pq1, _push_pq(g, pq, pq1, _tangent_to_pq(pq, t, chart)),
+                                    chart)
+
+        return act, push, point, smp.rand_pq_tangent(rng, n), smp.rand_pq_tangent(rng, n)
 
     return draw
 
@@ -407,58 +462,60 @@ def _draw_extended(rng, n):
     point = _with_kappa(rng, smp.rand_pq_point(rng, n))
     t1 = _with_kappa(rng, smp.rand_pq_tangent(rng, n))
     t2 = _with_kappa(rng, smp.rand_pq_tangent(rng, n))
-    return (lambda pt: act_extended(g, pt)), point, t1, t2
+    return ((lambda pt: act_extended(g, pt)),
+            (lambda pt, image, t: (*_push_pq(g, pt, image, t), _push_kappa(g, t))),
+            point, t1, t2)
 
 
 def _draw_ball(rng, n):
     pq_pair = sp_to_ball_rep(smp.rand_symplectic(rng, n))
     alpha = (smp.rand_matrix(rng, 1, n) + 1j * smp.rand_matrix(rng, 1, n)).ravel()
-    return ((lambda pt: ball_act((pq_pair, alpha), pt)), smp.rand_ball_point(rng, n),
-            smp.rand_ball_tangent(rng, n), smp.rand_ball_tangent(rng, n))
+    return ((lambda pt: ball_act((pq_pair, alpha), pt)),
+            (lambda pt, image, t: _push_ball(pq_pair, alpha, pt, image, t)),
+            smp.rand_ball_point(rng, n), smp.rand_ball_tangent(rng, n),
+            smp.rand_ball_tangent(rng, n))
 
 
 def _draw_vu(rng, n):
     g = smp.rand_jacobi(rng, n)
-    return ((lambda pt: act_xjn(g, pt)), smp.rand_vu_point(rng, n),
-            smp.rand_vu_tangent(rng, n), smp.rand_vu_tangent(rng, n))
+    return ((lambda pt: act_xjn(g, pt)), (lambda pt, image, t: _push_vu(g, pt, image, t)),
+            smp.rand_vu_point(rng, n), smp.rand_vu_tangent(rng, n), smp.rand_vu_tangent(rng, n))
 
 
 @dataclass(frozen=True)
 class _Bilinear:
     """Invariance spec of a metric or a Kaehler two-form.
 
-    ``draw(rng, n)`` returns ``(act, point, t1, t2)`` and fixes the order in
-    which a sample consumes the rng; ``push(act, point, t, step)`` carries a
-    tangent through the action; ``form(point, t1, t2)`` is the object.  The
-    error is scaled by |form(t1, turn t1)| + |form(t2, turn t2)| + |form(t1, t2)|,
-    where ``turn`` is the identity for metrics and multiplication by i for
-    the Kaehler forms, whose diagonal vanishes.
+    ``draw(rng, n)`` returns ``(act, push, point, t1, t2)`` and fixes the order
+    in which a sample consumes the rng; ``push(point, image, t)`` is the exact
+    pushforward of a tangent at ``point`` through ``act``, with ``image =
+    act(point)``; ``form(point, t1, t2)`` is the object.  The action checks
+    the point once, at its entry.  The error is scaled by
+    |form(t1, turn t1)| + |form(t2, turn t2)| + |form(t1, t2)|, where ``turn``
+    is the identity for metrics and multiplication by i for the Kaehler forms,
+    whose diagonal vanishes.
     """
 
     draw: object
     form: object
-    push: object = fd_push
     turn: object = lambda t: t
 
-    def __call__(self, rng, n, step):
-        act, point, t1, t2 = self.draw(rng, n)
+    def __call__(self, rng, n):
+        act, push, point, t1, t2 = self.draw(rng, n)
         image = act(point)
-        s1 = self.push(act, point, t1, step)
-        s2 = self.push(act, point, t2, step)
         orig = self.form(point, t1, t2)
         scale = (abs(self.form(point, t1, self.turn(t1)))
                  + abs(self.form(point, t2, self.turn(t2))) + abs(orig))
-        return orig, self.form(image, s1, s2), scale
+        return orig, self.form(image, push(point, image, t1), push(point, image, t2)), scale
 
 
-def _lambda_r_sample(rng, n, step):
-    # lambda_R is a one-form and the action is affine in (p, q, kappa), so the
-    # tangent is pushed exactly and the error is scaled by max(1, |value|)
+def _lambda_r_sample(rng, n):
+    # lambda_R is a one-form and the action is affine in (p, q, kappa), so only the
+    # rows and kappa of the tangent are pushed; the error is scaled by max(1, |value|)
     g = smp.rand_jacobi(rng, n)
     point = _with_kappa(rng, smp.rand_pq_point(rng, n))
     tan = _with_kappa(rng, smp.rand_pq_tangent(rng, n))
-    dp, dq, dk = tan[2:]
-    pushed = (tan[0], tan[1], *pq_from_lm(dp, dq, g.M), dk + _omega((g.lam, g.mu), (dp, dq)))
+    pushed = (tan[0], tan[1], *pq_from_lm(tan[2], tan[3], g.M), _push_kappa(g, tan))
     orig = _lambda_r(point, tan)
     return orig, _lambda_r(act_extended(g, point), pushed), max(1.0, abs(orig))
 
@@ -466,10 +523,10 @@ def _lambda_r_sample(rng, n, step):
 _GROUP_PARAMS = MetricParams(1.0, 1.0, 1.0, 1.0)
 _KAHLER_PARAMS = KahlerParams(2.0, 1.0)
 
-# object -> sample(rng, n, fd_step) returning (value, pulled-back value, scale)
+# object -> sample(rng, n) returning (value, pulled-back value, scale)
 _INVARIANCE_SPECS = {
     "metric_group": _Bilinear(
-        _draw_group, lambda c, u1, u2: metric_group(_GROUP_PARAMS, c, u1, u2), fd_push_sn),
+        _draw_group, lambda c, u1, u2: metric_group(_GROUP_PARAMS, c, u1, u2)),
     **{f"metric_xjn_{chart}": _Bilinear(
         _draw_xjn(chart), lambda pt, u1, u2, c=chart: _metric_xjn(1.0, 1.0, c, pt, u1, u2))
        for chart in XJN_CHARTS},
@@ -478,32 +535,32 @@ _INVARIANCE_SPECS = {
     "metric_xjn_broken": _Bilinear(
         _draw_xjn("pq"), lambda pt, u1, u2: _metric_xjn_broken(1.0, 1.0, pt, u1, u2)),
     "kahler_ball": _Bilinear(
-        _draw_ball, lambda pt, u1, u2: kahler_ball(_KAHLER_PARAMS, *pt, u1, u2), turn=_times_i),
+        _draw_ball, lambda pt, u1, u2: _kahler_ball(_KAHLER_PARAMS, *pt, u1, u2), turn=_times_i),
     "kahler_xjn": _Bilinear(
-        _draw_vu, lambda pt, u1, u2: kahler_xjn(_KAHLER_PARAMS, *pt, u1, u2), turn=_times_i),
+        _draw_vu, lambda pt, u1, u2: _kahler_xjn(_KAHLER_PARAMS, *pt, u1, u2), turn=_times_i),
     "lambda_R": _lambda_r_sample,
 }
 INVARIANCE_OBJECTS = tuple(_INVARIANCE_SPECS)
 
 
-def invariance_report(obj, n, samples=1000, seed=0, fd_step=1e-6, tol=1e-6):
+def invariance_report(obj, n, samples=1000, seed=0, tol=None):
     """Verify the invariance of a metric/two-form object by random sampling.
 
     Per sample: draw a group element, a point and two tangents, push the
-    tangents through the action by central differences (exactly, for the
-    affine lambda_R case), and compare the pulled-back value with the
-    original.  Errors are reported absolutely and relative to the scale
-    of the object on the sampled tangents.  Deterministic given the seed.
-    Before any sample: ``n`` and ``samples`` must be ints >= 1, ``fd_step``
-    finite and > 0, ``tol`` finite and >= 0.
+    tangents through the action by its closed-form differential, and
+    compare the pulled-back value with the original.  Errors are reported
+    absolutely and relative to the scale of the object on the sampled
+    tangents; the run passes when the largest relative error is at most
+    ``tol`` (default INVARIANCE_RTOL).  Deterministic given the seed.
+    Before any sample: ``n`` and ``samples`` must be ints >= 1, ``tol``
+    finite and >= 0.
     """
     if obj not in _INVARIANCE_SPECS:
         raise ValueError(f"object must be one of {INVARIANCE_OBJECTS}")
     for name, value in (("n", n), ("samples", samples)):
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
             raise ValueError(f"{name} must be an int >= 1, got {value!r}")
-    if not (np.isfinite(fd_step) and fd_step > 0):
-        raise ValueError(f"fd_step must be finite and positive, got {fd_step!r}")
+    tol = linalg.INVARIANCE_RTOL if tol is None else tol
     if not (np.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
     sample = _INVARIANCE_SPECS[obj]
@@ -511,14 +568,14 @@ def invariance_report(obj, n, samples=1000, seed=0, fd_step=1e-6, tol=1e-6):
     abs_errs = np.zeros(samples)
     rel_errs = np.zeros(samples)
     for i in range(samples):
-        orig, pulled, scale = sample(rng, n, fd_step)
+        orig, pulled, scale = sample(rng, n)
         err = abs(pulled - orig)
         abs_errs[i] = err
         rel_errs[i] = err / max(scale, 1e-12)
 
     max_rel = float(np.max(rel_errs))
     return InvarianceReport(
-        object=obj, n=n, samples=samples, seed=seed, fd_step=fd_step, tol=tol,
+        object=obj, n=n, samples=samples, seed=seed, tol=tol,
         max_abs=float(np.max(abs_errs)), max_rel=max_rel,
         mean_rel=float(np.mean(rel_errs)), passed=bool(max_rel <= tol),
     )

@@ -1,10 +1,11 @@
 """Central-difference machinery for pushforwards and field brackets.
 
-Differential-geometric cross-checks in this package avoid symbolic
-Jacobians: tangents are pushed through smooth maps by central differences
-along curves.  Straight-line curves are used for unconstrained
-components; the orthogonal-pair components of an S_n chart move along
-``U exp(t K)`` so the curve stays exactly on the manifold.
+The invariance engine pushes tangents by closed-form differentials; the
+central differences here are the independent second route that checks
+them, and the route of the field-bracket cross-checks: tangents are
+pushed through smooth maps along curves.  Straight-line curves are used
+for unconstrained components; the orthogonal-pair components of an S_n
+chart move along ``U exp(t K)`` so the curve stays exactly on the manifold.
 """
 
 import numpy as np

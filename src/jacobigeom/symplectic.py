@@ -277,15 +277,29 @@ def _mobius(m, v, u=None):
     """Moebius image of a validated Siegel point under a validated symplectic M,
     and ``u (c v + d)^{-1}`` of a row ``u`` (empty without one), from one solve."""
     a, b, c, d = blocks(m)
-    rhs = (a @ v + b).T if u is None else np.column_stack([(a @ v + b).T, u])
+    return _right_divide(a @ v + b, c @ v + d, u)
+
+
+def _dmobius(m, v, v1, dv, u=None):
+    """The differential ``(a - v1 c) dv (c v + d)^{-1}`` of the Moebius action of a
+    validated M at v along a symmetric dv, where v1 is the image of v (it equals
+    ``(c v + d)^{-t} dv (c v + d)^{-1}``), and ``u (c v + d)^{-1}`` of a row ``u``,
+    from one solve as in :func:`_mobius`."""
+    a, _, c, d = blocks(m)
+    return _right_divide((a - v1 @ c) @ dv, c @ v + d, u)
+
+
+def _right_divide(top, den, u=None):
+    """``top den^{-1}``, symmetrized, and ``u den^{-1}`` of a row ``u`` (empty without
+    one), from one transposed solve."""
+    rhs = top.T if u is None else np.column_stack([top.T, u])
     try:
-        # right division by c v + d via a transposed solve
-        sol = np.linalg.solve((c @ v + d).T, rhs)
+        sol = np.linalg.solve(den.T, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularDenominator(str(exc)) from exc
     if not np.all(np.isfinite(sol)):
         raise SingularDenominator("non-finite entries in the Moebius image")
-    return symmetrize(sol[:, :v.shape[0]]), sol[:, v.shape[0]:].ravel()
+    return symmetrize(sol[:, :top.shape[0]]), sol[:, top.shape[0]:].ravel()
 
 
 def m_point(x, y):

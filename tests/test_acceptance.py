@@ -240,7 +240,7 @@ def test_07_invariance_suite():
     ok = True
     for obj in ("metric_xjn_pq", "metric_xjn_chipsi", "metric_xjn_xirho",
                 "metric_extended", "kahler_ball", "kahler_xjn"):
-        rep = invariance_report(obj, n=1, samples=1000, seed=42, fd_step=1e-6, tol=1e-6)
+        rep = invariance_report(obj, n=1, samples=1000, seed=42, tol=1e-6)
         ok = ok and rep.passed
         lines.append(f"{obj}={rep.max_rel:.1e}")
     rep = invariance_report("lambda_R", n=1, samples=1000, seed=42, tol=1e-9)

@@ -23,7 +23,8 @@ from jacobigeom import (
     sn_chart_inverse,
 )
 from jacobigeom import linalg
-from jacobigeom.forms import d_sn_chart_inverse
+from jacobigeom.forms import d_sn_chart, d_sn_chart_inverse
+from jacobigeom.metrics import _INVARIANCE_SPECS
 from jacobigeom.numdiff import fd_push_sn
 from jacobigeom.sampling import (
     rand_gj_algebra,
@@ -193,6 +194,39 @@ def test_oneforms_sn_left_invariance(rng):
         b = of_tuple(oneforms_sn(act(chart), pushed))
         for u, v in zip(a, b):
             assert np.max(np.abs(np.asarray(u) - np.asarray(v))) < 1e-8
+
+
+def _rel(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return np.max(np.abs(got - want)) / max(1.0, np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 10])
+def test_each_oneform_family_is_invariant_under_the_exact_push(n):
+    # the paper's claim family by family, not only through metric_group's weighted
+    # sum, where errors of different families could cancel
+    rng = np.random.default_rng(500 + n)
+    for _ in range(40 if n < 10 else 10):
+        act, push, chart, t1, t2 = _INVARIANCE_SPECS["metric_group"].draw(rng, n)
+        image = act(chart)
+        for t in (t1, t2):
+            before, after = oneforms_sn(chart, t), oneforms_sn(image, push(chart, image, t))
+            for family in ("F", "G", "H", "P", "Q", "R"):
+                err = _rel(getattr(after, family), getattr(before, family))
+                assert err <= 1e-12, (family, err)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 10])
+def test_d_sn_chart_inverts_d_sn_chart_inverse(rng, n):
+    for _ in range(20):
+        chart = rand_sn_chart(rng, n)
+        g = sn_chart_inverse(chart)
+        t = rand_sn_tangent(rng, chart)
+        back = d_sn_chart(g, d_sn_chart_inverse(chart, t))
+        assert max(_rel(b, a) for a, b in zip(t, back)) <= 1e-12
+        dm = tangent_from_algebra(g, rand_gj_algebra(rng, n))
+        again = d_sn_chart_inverse(chart, d_sn_chart(g, dm))
+        assert max(_rel(b, a) for a, b in zip(dm, again)) <= 1e-12
 
 
 def test_maurer_cartan_sn_route(rng):

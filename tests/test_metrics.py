@@ -25,7 +25,7 @@ from jacobigeom import (
     sn_chart_inverse,
     sp_to_ball_rep,
 )
-from jacobigeom import metrics
+from jacobigeom import linalg, metrics, numdiff
 from jacobigeom.metrics import INVARIANCE_OBJECTS
 from jacobigeom.numdiff import fd_push, fd_push_sn
 from jacobigeom.sampling import (
@@ -432,6 +432,64 @@ def test_invariance_negative_control():
         assert not rep.passed, rep
 
 
+@pytest.mark.parametrize("n", [1, 2, 4, 10])
+def test_default_gate_is_the_exact_route_bound(n):
+    # the exact pushes leave roundoff only, so the default verdict bound is
+    # INVARIANCE_RTOL = 1e-12, and the negative control misses it by >= 8 decades
+    samples = 40 if n < 10 else 10
+    for obj in INVARIANCE_OBJECTS:
+        rep = invariance_report(obj, n=n, samples=samples, seed=7)
+        assert rep.tol == linalg.INVARIANCE_RTOL == 1e-12
+        if obj == "metric_xjn_broken":
+            assert not rep.passed and rep.max_rel >= 1e8 * rep.tol, rep
+        else:
+            assert rep.passed, rep
+
+
+BILINEAR_SPECS = {obj: spec for obj, spec in metrics._INVARIANCE_SPECS.items()
+                  if isinstance(spec, metrics._Bilinear)}
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+@pytest.mark.parametrize("obj", BILINEAR_SPECS)
+def test_exact_push_matches_finite_differences(obj, n):
+    # finite differences of the same action are the independent second route
+    spec = BILINEAR_SPECS[obj]
+    fd = fd_push_sn if obj == "metric_group" else fd_push
+    rng = np.random.default_rng(900 + n)
+    for _ in range(10):
+        act, push, point, t1, t2 = spec.draw(rng, n)
+        image = act(point)
+        fd1, fd2 = fd(act, point, t1, 1e-6), fd(act, point, t2, 1e-6)
+        for t, by_fd in ((t1, fd1), (t2, fd2)):
+            exact = push(point, image, t)
+            assert len(exact) == len(by_fd)
+            for e, f in zip(exact, by_fd):
+                e, f = np.asarray(e), np.asarray(f)
+                assert np.max(np.abs(e - f)) <= 1e-6 * max(1.0, np.max(np.abs(e)))
+        if obj == "metric_xjn_broken":
+            continue  # its push is the pq one; its form is not invariant
+        orig = spec.form(point, t1, t2)
+        scale = (abs(spec.form(point, t1, spec.turn(t1)))
+                 + abs(spec.form(point, t2, spec.turn(t2))) + abs(orig))
+        assert abs(spec.form(image, fd1, fd2) - orig) <= 1e-6 * scale
+
+
+def _finite_differences_called(*args, **kwargs):
+    raise AssertionError("the invariance engine reached a finite difference")
+
+
+def test_invariance_engine_takes_no_finite_differences():
+    # fd_push reaches tuple_line through the module, so a copy of fd_push bound
+    # elsewhere at import is caught too
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("fd_push", "fd_push_sn", "sn_chart_curve", "tuple_line"):
+            mp.setattr(numdiff, name, _finite_differences_called)
+        for obj in INVARIANCE_OBJECTS:
+            for n in (1, 2):
+                invariance_report(obj, n=n, samples=2, seed=5)
+
+
 def test_invariance_deterministic():
     a = invariance_report("metric_xjn_pq", n=2, samples=50, seed=11)
     b = invariance_report("metric_xjn_pq", n=2, samples=50, seed=11)
@@ -450,14 +508,12 @@ def test_weights_must_be_finite(make, weights):
 
 
 @pytest.mark.parametrize("kwargs", [
-    {"fd_step": 0.0}, {"fd_step": -1e-6}, {"fd_step": np.nan}, {"fd_step": np.inf},
     {"tol": np.nan}, {"tol": -1.0}, {"tol": np.inf},
     {"n": 0}, {"n": 1.5}, {"samples": 0},
-], ids=["fd_step-0", "fd_step-negative", "fd_step-nan", "fd_step-inf",
-        "tol-nan", "tol-negative", "tol-inf", "n-0", "n-float", "samples-0"])
+], ids=["tol-nan", "tol-negative", "tol-inf", "n-0", "n-float", "samples-0"])
 @pytest.mark.parametrize("obj", ["metric_xjn_pq", "lambda_R"])
 def test_invariance_rejects_bad_numeric_arguments_before_sampling(monkeypatch, obj, kwargs):
-    def no_sample(rng, n, step):
+    def no_sample(rng, n):
         raise AssertionError("a sample was drawn")
 
     monkeypatch.setitem(metrics._INVARIANCE_SPECS, obj, no_sample)

@@ -20,6 +20,7 @@ from jacobigeom import (
     GeometryError,
     KahlerParams,
     JacobiAlgebraElement,
+    MetricParams,
     NotSpd,
     NotSymmetric,
     NotSymplectic,
@@ -27,6 +28,7 @@ from jacobigeom import (
     ProjectionResidual,
     SingularSylvester,
     SpAlgebraElement,
+    act_extended,
     act_pq,
     act_xjn,
     cayley,
@@ -42,6 +44,7 @@ from jacobigeom import (
     kahler_xjn,
     lambda_r,
     metric_extended,
+    metric_group,
     metric_xjn,
     mobius_act,
     oneforms_sn,
@@ -50,7 +53,7 @@ from jacobigeom import (
     unitary_iso_inverse,
 )
 from jacobigeom import linalg
-from jacobigeom.forms import check_matrix_tangent
+from jacobigeom.forms import check_matrix_tangent, d_sn_chart, d_sn_chart_inverse
 from jacobigeom.linalg import check_spd, check_symmetric
 from jacobigeom.metrics import check_ball_point
 from jacobigeom.symplectic import check_siegel, check_unitary_pair
@@ -200,6 +203,12 @@ def test_only_the_kept_tolerance_knobs_remain():
 # wrong shapes at n = 2 that reached numpy and ended in its plain ValueError
 _X, _Y = np.zeros((2, 2)), np.eye(2)
 _ROW3 = np.zeros(3)
+
+
+def _sn_tangent(dp=_ROWS[0], dk=0.0):
+    return (_Y, _Y, _X, _X, dp, _ROWS[1], dk)
+
+
 BAD_SHAPES = {
     "act_pq p of length 3": lambda: act_pq(gj_identity(2), (_X, _Y, _ROW3, _ROWS[1])),
     "act_pq x 2x2, y 3x3": lambda: act_pq(gj_identity(2), (_X, np.eye(3)) + _ROWS),
@@ -210,6 +219,23 @@ BAD_SHAPES = {
                                                _PQ_TANGENT + (1.0,)),
     "metric_xjn dp of length 3": lambda: metric_xjn(
         1.0, 1.0, "pq", (_X, _Y) + _ROWS, (_Y, _Y, _ROW3, _ROWS[1]), _PQ_TANGENT),
+    "oneforms_sn dp of length 3": lambda: oneforms_sn(sn_chart_identity(2), _sn_tangent(_ROW3)),
+    "metric_group dp of length 3": lambda: metric_group(
+        MetricParams(), sn_chart_identity(2), _sn_tangent(_ROW3), _sn_tangent()),
+    "d_sn_chart_inverse dp of length 3":
+        lambda: d_sn_chart_inverse(sn_chart_identity(2), _sn_tangent(_ROW3)),
+    "chart_convert rho of length 3":
+        lambda: chart_convert((_X, _Y, _ROWS[0], _ROW3), "xirho", "pq"),
+    "kahler_xjn u of length 3": lambda: kahler_xjn(KahlerParams(2.0, 1.0), _X + 1j * _Y, _ROW3,
+                                                   _VU_TANGENT, _VU_TANGENT),
+    "g_form u of length 3": lambda: g_form(_X + 1j * _Y, _ROW3, _VU_TANGENT),
+    # a non-finite kappa is refused with the rows it travels with
+    "oneforms_sn NaN dkappa": lambda: oneforms_sn(sn_chart_identity(2), _sn_tangent(dk=np.nan)),
+    "act_extended NaN kappa": lambda: act_extended(gj_identity(2), (_X, _Y) + _ROWS + (np.nan,)),
+    "d_sn_chart da 3x3":
+        lambda: d_sn_chart(gj_identity(2), (np.eye(3), _X, _X, _X) + _ROWS + (0.0,)),
+    "d_sn_chart dp of length 3":
+        lambda: d_sn_chart(gj_identity(2), (_X,) * 4 + (_ROW3, _ROWS[1], 0.0)),
 }
 
 
