@@ -111,6 +111,7 @@ from .metrics import (
     metric_extended,
     metric_group,
     metric_xjn,
+    replay,
     sp_to_ball_rep,
 )
 

@@ -32,7 +32,7 @@ from .jacobi import (
     sn_chart_inverse,
 )
 from . import linalg
-from .linalg import _gate, _row, _sqrt_frame, check_symmetric, sym_residual, symmetrize
+from .linalg import _gate, _mT, _row, _sqrt_frame, check_symmetric, sym_residual, symmetrize
 from .symplectic import _jacobi_matrix, blocks, check_siegel, from_blocks, j_matrix
 
 
@@ -40,11 +40,11 @@ def _checked_sn_tangent(chart, tangent):
     """``tangent`` at the S_n chart point ``chart`` once it passes: dx and dy n x n and
     symmetric within TANGENT_SYM_RTOL (and then symmetrized), dp and dq finite rows of
     length n, dkappa finite; else a GeometryError.  (dX, dY) is checked by the
-    one-forms' F/G symmetry."""
+    one-forms' F/G symmetry.  Over stacks as well."""
     dx, dy, dX, dY, dp, dq, dk = tangent
     h = _degree_n(dp, dq, dk, chart.n)
     dx, dy = (check_symmetric(d, linalg.TANGENT_SYM_RTOL) for d in (dx, dy))
-    if dx.shape != (chart.n, chart.n) or dy.shape != dx.shape:
+    if dx.shape[-2:] != (chart.n, chart.n) or dy.shape != dx.shape:
         raise BadShape(f"dx and dy must be {chart.n}x{chart.n}, got {dx.shape} and {dy.shape}")
     return symmetrize(dx), symmetrize(dy), dX, dY, h.lam, h.mu, h.kappa
 
@@ -53,17 +53,23 @@ def check_matrix_tangent(g, tangent):
     """Validate a matrix-chart tangent at ``g`` and return it with float blocks and
     1-d rows: da, db, dc, dd n x n and meeting the linearized symplectic
     constraint, dp and dq finite rows of length n, dkappa finite."""
-    da, db, dc, dd, dp, dq, dk = tangent
-    blks = tuple(np.asarray(b, dtype=float) for b in (da, db, dc, dd))
+    blks = tuple(np.asarray(b, dtype=float) for b in tangent[:4])
     if any(b.shape != (g.n, g.n) for b in blks):
         raise BadShape(f"da, db, dc, dd must be {g.n}x{g.n}, got {[b.shape for b in blks]}")
-    h = _degree_n(dp, dq, dk, g.n)
+    rows = _checked_rows(g, tangent)[4:]
     dm = from_blocks(*blks)
     j = j_matrix(g.n)
     _gate(np.max(np.abs(dm.T @ j @ g.M + g.M.T @ j @ dm)),
           linalg.TANGENT_SP_RTOL * max(1.0, np.max(np.abs(g.M))), NotSymplectic,
           "residual of the linearized symplectic condition")
-    return (*blks, h.lam, h.mu, h.kappa)
+    return (*blks, *rows)
+
+
+def _checked_rows(g, tangent):
+    """A matrix-chart tangent at ``g`` with (dp, dq, dkappa) checked by ``_degree_n``
+    (finite rows of length n, a finite dkappa) and normalized; the blocks as given."""
+    h = _degree_n(*tangent[4:], g.n)
+    return (*tangent[:4], h.lam, h.mu, h.kappa)
 
 
 @dataclass(frozen=True)
@@ -85,14 +91,14 @@ class OneForms:
 
 
 def _embed_tangent(g, tangent):
-    """Derivative of the embedding along a matrix-chart tangent."""
+    """Derivative of the embedding along a matrix-chart tangent with checked rows
+    (or along a stack of them)."""
     da, db, dc, dd, dp, dq, dk = tangent
-    dp, dq = _row(dp), _row(dq)
     a, b, c, d = blocks(g.M)
     p, q = pq_from_lm(g.lam, g.mu, g.M)
     dlam = dp @ a + p @ da + dq @ c + q @ dc
     dmu = dp @ b + p @ db + dq @ d + q @ dd
-    return _jacobi_matrix((da, db, dc, dd), (dlam, dmu), (dq, -dp), float(dk), 0.0)
+    return _jacobi_matrix((da, db, dc, dd), (dlam, dmu), (dq, -dp), dk, 0.0)
 
 
 def maurer_cartan(g, tangent, chart="matrix"):
@@ -102,11 +108,14 @@ def maurer_cartan(g, tangent, chart="matrix"):
     the analytic differential of the chart inverse (see
     :func:`d_sn_chart_inverse`).  The embedded value must lie in the
     Jacobi algebra up to PROJ_RTOL (see
-    :meth:`JacobiAlgebraElement.from_matrix`).
+    :meth:`JacobiAlgebraElement.from_matrix`).  A matrix-chart tangent's rows
+    and dkappa are checked as in :func:`check_matrix_tangent`.
     """
     if chart == "sn":
         tangent = d_sn_chart_inverse(g, tangent)
         g = sn_chart_inverse(g)
+    else:
+        tangent = _checked_rows(g, tangent)
     xi = gj_embed(gj_inverse(g)) @ _embed_tangent(g, tangent)
     return JacobiAlgebraElement.from_matrix(xi)
 
@@ -118,17 +127,17 @@ def oneforms_matrix_chart(g, tangent):
     H = d^t da - b^t dc,
     (P, Q) = (dp, dq) M,          R = dkappa - omega((p, q), (dp, dq)).
 
-    F and G are asserted symmetric; H is returned as computed.
+    F and G are asserted symmetric; H is returned as computed.  The rows and
+    dkappa are checked as in :func:`check_matrix_tangent`.
     """
-    da, db, dc, dd, dp, dq, dk = tangent
+    da, db, dc, dd, dp, dq, dk = _checked_rows(g, tangent)
     a, b, c, d = blocks(g.M)
-    dp, dq = _row(dp), _row(dq)
     f = d.T @ db - b.T @ dd
     gg = -c.T @ da + a.T @ dc
     h = d.T @ da - b.T @ dc
     f = symmetrize(check_symmetric(f, linalg.FORM_SYM_RTOL))
     gg = symmetrize(check_symmetric(gg, linalg.FORM_SYM_RTOL))
-    lam_r = float(dk) - _omega(pq_from_lm(g.lam, g.mu, g.M), (dp, dq))
+    lam_r = dk - _omega(pq_from_lm(g.lam, g.mu, g.M), (dp, dq))
     return OneForms(f, gg, h, *lm_from_pq(dp, dq, g.M), lam_r)
 
 
@@ -143,7 +152,8 @@ def d_sn_chart_inverse(chart, tangent):
 
 
 def _d_sn_chart_inverse(chart, tangent):
-    """:func:`d_sn_chart_inverse` on a tangent the library has validated or built."""
+    """:func:`d_sn_chart_inverse` on a tangent the library has validated or built, or
+    on stacks of charts and tangents."""
     dx, dy, dX, dY, dp, dq, dk = tangent
     x = chart.x
     s, si, ds = _sqrt_frame(chart.y, dy)
@@ -153,7 +163,7 @@ def _d_sn_chart_inverse(chart, tangent):
     db = ds @ Y + s @ dY + dx @ si @ X + x @ dsi @ X + x @ si @ dX
     dc = -(dsi @ Y) - si @ dY
     dd = dsi @ X + si @ dX
-    return da, db, dc, dd, _row(dp), _row(dq), float(dk)
+    return da, db, dc, dd, dp, dq, dk
 
 
 def d_sn_chart(g, tangent):
@@ -174,14 +184,16 @@ def d_sn_chart(g, tangent):
 
 
 def _d_sn_chart(g, tangent):
-    """:func:`d_sn_chart` on a tangent the library has validated or built."""
+    """:func:`d_sn_chart` on a tangent the library has validated or built, or on
+    stacks of elements and tangents."""
     da, db, dc, dd, dp, dq, dk = tangent
     a, b, c, d = blocks(g.M)
-    y = symmetrize(np.linalg.inv(d @ d.T + c @ c.T))
-    dy = symmetrize(-y @ (dd @ d.T + d @ dd.T + dc @ c.T + c @ dc.T) @ y)
+    y = symmetrize(np.linalg.inv(d @ _mT(d) + c @ _mT(c)))
+    dy = symmetrize(-y @ (dd @ _mT(d) + d @ _mT(dd) + dc @ _mT(c) + c @ _mT(dc)) @ y)
     s, _, ds = _sqrt_frame(y, dy)
-    dx = symmetrize(dy @ (d @ b.T + c @ a.T) + y @ (dd @ b.T + d @ db.T + dc @ a.T + c @ da.T))
-    return dx, dy, ds @ d + s @ dd, -(ds @ c + s @ dc), _row(dp), _row(dq), float(dk)
+    dx = symmetrize(dy @ (d @ _mT(b) + c @ _mT(a))
+                    + y @ (dd @ _mT(b) + d @ _mT(db) + dc @ _mT(a) + c @ _mT(da)))
+    return dx, dy, ds @ d + s @ dd, -(ds @ c + s @ dc), dp, dq, dk
 
 
 def oneforms_sn(chart, tangent):
@@ -200,7 +212,7 @@ def oneforms_sn(chart, tangent):
     This is an independent evaluation route from
     :func:`oneforms_matrix_chart`; their agreement through the chart
     differential is part of the verified contract.  The tangent is checked
-    as in :func:`_checked_sn_tangent`.
+    as in :func:`_checked_sn_tangent`; charts and tangents may be stacks.
     """
     dx, dy, dX, dY, dp, dq, dk = _checked_sn_tangent(chart, tangent)
     x = chart.x
@@ -209,9 +221,10 @@ def oneforms_sn(chart, tangent):
     arr = ds @ si
     cc = si @ dx @ si
     X, Y = chart.X, chart.Y
-    f = X.T @ dY - Y.T @ dX + X.T @ ell @ Y + X.T @ cc @ X + Y.T @ arr @ X
-    g = -X.T @ dY + Y.T @ dX + Y.T @ ell @ X - Y.T @ cc @ Y + X.T @ arr @ Y
-    h = X.T @ dX + Y.T @ dY + X.T @ ell @ X - X.T @ cc @ Y - Y.T @ arr @ Y
+    Xt, Yt = _mT(X), _mT(Y)
+    f = Xt @ dY - Yt @ dX + Xt @ ell @ Y + Xt @ cc @ X + Yt @ arr @ X
+    g = -Xt @ dY + Yt @ dX + Yt @ ell @ X - Yt @ cc @ Y + Xt @ arr @ Y
+    h = Xt @ dX + Yt @ dY + Xt @ ell @ X - Xt @ cc @ Y - Yt @ arr @ Y
     f = symmetrize(check_symmetric(f, linalg.FORM_SN_SYM_RTOL))
     g = symmetrize(check_symmetric(g, linalg.FORM_SN_SYM_RTOL))
     lam_p = dp @ (s @ X - x @ si @ Y) - dq @ si @ Y

@@ -19,12 +19,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import BadShape
-from .linalg import _row, _trusted
+from .linalg import _dot, _gate, _row, _trusted
 from .symplectic import _jacobi_matrix
 
 
 @dataclass(frozen=True)
 class HeisenbergElement:
+    """(lambda, mu, kappa); also a stack of elements, with rows (..., 1, n) and
+    kappa of shape (...) (see ``linalg._row``)."""
+
     lam: np.ndarray
     mu: np.ndarray
     kappa: float
@@ -32,16 +35,17 @@ class HeisenbergElement:
     def __post_init__(self):
         object.__setattr__(self, "lam", _row(self.lam))
         object.__setattr__(self, "mu", _row(self.mu))
-        object.__setattr__(self, "kappa", float(self.kappa))
-        if self.lam.shape != self.mu.shape:
-            raise BadShape("lambda and mu must have equal length")
-        if not (np.isfinite(self.lam).all() and np.isfinite(self.mu).all()
-                and np.isfinite(self.kappa)):
-            raise BadShape("entries must be finite")
+        kappa = np.asarray(self.kappa, dtype=float)
+        object.__setattr__(self, "kappa", kappa if self.lam.ndim > 1 else float(kappa))
+        if self.lam.shape != self.mu.shape or kappa.shape != self.lam.shape[:-2]:
+            raise BadShape("lambda and mu must have equal length, with one kappa per pair")
+        entries = np.concatenate([self.lam.reshape(kappa.shape + (-1,)),
+                                  self.mu.reshape(kappa.shape + (-1,)), kappa[..., None]], -1)
+        _gate(np.sum(~np.isfinite(entries), axis=-1), 0, BadShape, "count of non-finite entries")
 
     @property
     def n(self):
-        return self.lam.shape[0]
+        return self.lam.shape[-1]
 
 
 def _degree_n(lam, mu, kappa, n):
@@ -54,9 +58,9 @@ def _degree_n(lam, mu, kappa, n):
 
 
 def _omega(r, s):
-    """The pairing r_1 s_2^t - r_2 s_1^t of two pairs of 1-d rows: the only
-    place its sign convention is written."""
-    return float(r[0] @ s[1]) - float(r[1] @ s[0])
+    """The pairing r_1 s_2^t - r_2 s_1^t of two pairs of rows (or stacks of rows):
+    the only place its sign convention is written."""
+    return _dot(r[0], s[1]) - _dot(r[1], s[0])
 
 
 def h_identity(n):

@@ -28,9 +28,10 @@ import numpy as np
 from .exceptions import BadShape, BasisClosureFailure, ProjectionResidual
 from .heisenberg import HeisenbergElement, _degree_n, _omega
 from . import linalg
-from .linalg import _gate, _row, _trusted, check_symmetric, symmetrize
+from .linalg import _col, _from_col, _gate, _mT, _row, _trusted, check_symmetric, symmetrize
 from .symplectic import (
     PreIwasawaFactors,
+    _dmobius,
     _jacobi_matrix,
     _jacobi_parts,
     _mobius,
@@ -48,6 +49,8 @@ from .symplectic import (
 
 @dataclass(frozen=True)
 class JacobiElement:
+    """(M, lambda, mu, kappa); also a stack of elements (see ``HeisenbergElement``)."""
+
     M: np.ndarray
     lam: np.ndarray
     mu: np.ndarray
@@ -62,7 +65,7 @@ class JacobiElement:
 
     @property
     def n(self):
-        return self.M.shape[0] // 2
+        return self.M.shape[-1] // 2
 
     def heisenberg_part(self):
         return _trusted(HeisenbergElement, self.lam, self.mu, self.kappa)
@@ -81,10 +84,11 @@ def gj_compose(g, gp):
 
 
 def pq_from_lm(lam, mu, m):
-    """(p, q) = (lambda, mu) M^{-1} = (lambda d^t - mu c^t, -lambda b^t + mu a^t)."""
+    """(p, q) = (lambda, mu) M^{-1} = (lambda d^t - mu c^t, -lambda b^t + mu a^t), for rows
+    and M or for stacks of them."""
     lam, mu = _row(lam), _row(mu)
     a, b, c, d = blocks(m)
-    return lam @ d.T - mu @ c.T, -(lam @ b.T) + mu @ a.T
+    return lam @ _mT(d) - mu @ _mT(c), -(lam @ _mT(b)) + mu @ _mT(a)
 
 
 def lm_from_pq(p, q, m):
@@ -278,8 +282,8 @@ def _checked_vu(point):
     """``(v, u)`` as complex arrays once v passes :func:`check_siegel` and the real and
     imaginary parts of u are finite rows of length n: the one check of a vu point."""
     v, u = point
-    v, u = check_siegel(v), np.asarray(u, dtype=complex).ravel()
-    _degree_n(u.real, u.imag, 0.0, v.shape[0])
+    v, u = check_siegel(v), _row(u, complex)
+    _degree_n(u.real, u.imag, np.zeros(v.shape[:-2]), v.shape[-1])
     return v, u
 
 
@@ -293,8 +297,8 @@ def act_pq(g, point):
 
 def _point_degree(g, v):
     """The degree of ``g``, which the checked square Siegel matrix ``v`` must share."""
-    if v.shape[0] != g.n:
-        raise BadShape(f"degree mismatch: element {g.n} vs point {v.shape[0]}")
+    if v.shape[-1] != g.n:
+        raise BadShape(f"degree mismatch: element {g.n} vs point {v.shape[-1]}")
     return g.n
 
 
@@ -314,6 +318,27 @@ def act_extended(g, point):
     h = _degree_n(p, q, kappa, _point_degree(g, x))
     k1 = g.kappa + h.kappa + _omega((g.lam, g.mu), (h.lam, h.mu))
     return (*_act_pq(g, (x, y, h.lam, h.mu)), k1)
+
+
+def _push_pq(g, point, image, tangent):
+    """A pq tangent (dx, dy, dp, dq, ...) pushed through ``g``: dv1 = (a - v1 c) dv
+    (c v + d)^{-1} on v = x + iy, and (dp1, dq1) = (dp, dq) M^{-1}, since the action
+    is affine in (p, q)."""
+    dv1, _ = _dmobius(g.M, point[0] + 1j * point[1], image[0] + 1j * image[1],
+                      tangent[0] + 1j * tangent[1])
+    return (dv1.real, dv1.imag, *pq_from_lm(tangent[2], tangent[3], g.M))
+
+
+def _push_kappa(g, tangent):
+    """The pushed dkappa of an extended tangent: dkappa + omega((lambda, mu), (dp, dq))."""
+    return tangent[4] + _omega((g.lam, g.mu), tangent[2:4])
+
+
+def _push_vu(g, point, image, tangent):
+    """du1 = (du + lambda dv - u1 c dv)(c v + d)^{-1}, dv1 as in :func:`_push_pq`."""
+    (v, _), (v1, u1), (dv, du) = point, image, tangent
+    c = blocks(g.M)[2]
+    return _dmobius(g.M, v, v1, dv, du + g.lam @ dv - u1 @ c @ dv)
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +375,7 @@ class SnChart:
 
     @property
     def n(self):
-        return self.x.shape[0]
+        return self.x.shape[-1]
 
     def theta(self):
         """Angle for n = 1: X = cos(theta), Y = sin(theta)."""
@@ -409,7 +434,7 @@ def _to_pq(point, src):
         return _pq_of((v.real, v.imag, u.real, u.imag), "xirho")
     x, y, first, second = point
     x, y = _siegel_xy(x, y)
-    h = _degree_n(first, second, 0.0, x.shape[0])
+    h = _degree_n(first, second, np.zeros(x.shape[:-2]), x.shape[-1])
     return _pq_of((x, y, h.lam, h.mu), src)
 
 
@@ -418,7 +443,7 @@ def _pq_of(point, src):
     pq chart."""
     x, y, first, second = point
     if src == "xirho":
-        p = np.linalg.solve(y.T, _row(second).T).T
+        p = _from_col(np.linalg.solve(_mT(y), _col(_row(second))))
         return x, y, p, _row(first) - p @ x
     if src == "chipsi":
         return x, y, _row(second), _row(first)
@@ -445,7 +470,7 @@ def _tangent_to_pq(pq, tangent, src):
     dx, dy, first, second = tangent
     if src == "xirho":
         x, y, p, _ = pq
-        dp = np.linalg.solve(y.T, second - p @ dy)
+        dp = _from_col(np.linalg.solve(_mT(y), _col(second - p @ dy)))
         return dx, dy, dp, first - dp @ x - p @ dx
     return (dx, dy, second, first) if src == "chipsi" else tangent
 

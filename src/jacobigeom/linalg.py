@@ -54,14 +54,75 @@ INVARIANCE_RTOL = 1e-12  # rel the sample's scale: invariance_report's default v
 
 def _gate(residual, bound, exc, what, lower=False):
     """Raise ``exc`` unless ``residual <= bound`` (``residual > bound`` if ``lower``),
-    written so that a NaN residual or bound fails: every validation gate's one exit."""
-    if not (residual > bound if lower else residual <= bound):
-        raise exc(f"{what} {residual:.3e} {'is not above' if lower else 'exceeds'} {bound:.3e}")
+    written so that a NaN residual or bound fails: every validation gate's one exit.
+    Over a stack (residuals of shape (k,)) every entry must pass, and the message
+    names the stack index of the first that does not."""
+    ok = residual > bound if lower else residual <= bound
+    if ok is True or ok is np.True_:
+        return
+    where = ""
+    if np.ndim(ok):
+        if ok.all():
+            return
+        i = int(np.argmin(ok))
+        residual, bound = (np.broadcast_to(v, ok.shape)[i] for v in (residual, bound))
+        where = f" at stack index {i}"
+    raise exc(f"{what} {residual:.3e} {'is not above' if lower else 'exceeds'} {bound:.3e}"
+              f"{where}")
 
 
-def _row(v):
-    """A row vector as a 1-d float array."""
-    return np.asarray(v, dtype=float).ravel()
+def _mT(a):
+    """The transpose of a matrix, or of each matrix of a stack (..., n, m): numpy's
+    ``swapaxes(-1, -2)``, as a method call, which costs a third of ``np.swapaxes``."""
+    return a.swapaxes(-1, -2)
+
+
+def _row(v, dtype=float):
+    """A row vector as a 1-d array, or a stack of rows (..., 1, n) as it is.
+
+    Kernels take rows in either form: ``r @ m`` is then a row or a stack of
+    rows, :func:`_dot` pairs two of them, and :func:`_col` and
+    :func:`_from_col` carry them through ``solve``."""
+    v = np.asarray(v, dtype=dtype)
+    return v if v.ndim > 2 else v.ravel()
+
+
+def _dot(r, s):
+    """r s^t of two rows: a scalar, or shape (...) for stacks of rows (..., 1, n)."""
+    return r @ s if r.ndim == 1 else (r @ _mT(s))[..., 0, 0]
+
+
+def _col(r):
+    """A row (n,) or a stack of rows (..., 1, n) as columns (n, 1) or (..., n, 1),
+    the right-hand side ``solve`` takes."""
+    return _mT(np.atleast_2d(r))
+
+
+def _from_col(c):
+    """The inverse of :func:`_col`."""
+    return c[:, 0] if c.ndim == 2 else _mT(c)
+
+
+def _frobenius(a, b):
+    """<a, b> = tr(a b^t) of two real matrices, or per matrix of two stacks."""
+    return _dot(*(m.reshape(m.shape[:-2] + ((1, -1) if m.ndim > 2 else (-1,))) for m in (a, b)))
+
+
+def _fro(a):
+    """The Frobenius norm of a real matrix, or per matrix of a stack."""
+    return np.sqrt(np.square(a).sum((-2, -1)))
+
+
+def _trace(a):
+    """The trace of a matrix, or per matrix of a stack."""
+    return np.trace(a, axis1=-2, axis2=-1)
+
+
+def _modulus(v):
+    """|v| entrywise as hypot(Re v, Im v), which numpy computes alike on a stack of one
+    and on a long stack (its complex ``abs`` does not), so that a replayed sample gives
+    its error bit for bit."""
+    return np.hypot(np.real(v), np.imag(v))
 
 
 def _trusted(cls, *values):
@@ -74,22 +135,24 @@ def _trusted(cls, *values):
 
 
 def sym_residual(a):
-    """Max-norm asymmetry of ``a`` relative to max(1, ||a||_max)."""
+    """Max-norm asymmetry of ``a`` relative to max(1, ||a||_max), per matrix of a stack."""
     a = np.asarray(a)
-    return np.max(np.abs(a - a.T)) / max(1.0, np.max(np.abs(a)))
+    return np.abs(a - _mT(a)).max((-2, -1)) / np.abs(a).max((-2, -1), initial=1.0)
 
 
 def check_symmetric(a, rtol=None):
-    """Return ``a`` if symmetric within ``rtol`` (default SYM_RTOL), else raise NotSymmetric."""
+    """Return ``a`` (a square matrix or a stack of them) if symmetric within ``rtol``
+    (default SYM_RTOL), else raise NotSymmetric."""
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise BadShape(f"expected a square matrix, got shape {a.shape}")
     _gate(sym_residual(a), SYM_RTOL if rtol is None else rtol, NotSymmetric, "asymmetry")
     return a
 
 
 def symmetrize(a):
-    return 0.5 * (np.asarray(a) + np.asarray(a).T)
+    a = np.asarray(a)
+    return 0.5 * (a + _mT(a))
 
 
 def check_spd(a):
@@ -100,7 +163,8 @@ def check_spd(a):
     except NotSymmetric as exc:
         raise NotSpd(str(exc)) from exc
     w = np.linalg.eigvalsh(symmetrize(a))
-    _gate(w[0], SPD_EIG_RTOL * max(w[-1], 0.0), NotSpd, "smallest eigenvalue", lower=True)
+    _gate(w[..., 0], SPD_EIG_RTOL * np.maximum(w[..., -1], 0.0), NotSpd, "smallest eigenvalue",
+          lower=True)
     return a
 
 
@@ -214,7 +278,7 @@ def sqrtm_spd(a):
 def _spd_powers(a, *powers):
     """Powers ``a^p`` of an SPD matrix the library has validated, from one ``eigh``."""
     w, u = np.linalg.eigh(symmetrize(a))
-    return tuple(symmetrize((u * w ** p) @ u.T) for p in powers)
+    return tuple(symmetrize((u * w[..., None, :] ** p) @ _mT(u)) for p in powers)
 
 
 def dsqrtm(a, da):
@@ -230,16 +294,17 @@ def dsqrtm(a, da):
 
 
 def _sqrt_frame(y, dy):
-    """(s, s^{-1}, ds) for a validated SPD y and symmetric dy, all from one ``eigh``
-    y = U diag(w) U^t: s = y^{1/2}, and ds, the derivative of s along dy, in the
+    """(s, s^{-1}, ds) for a validated SPD y and symmetric dy (or stacks of them), all
+    from one ``eigh`` y = U diag(w) U^t: s = y^{1/2}, and ds, the derivative of s along dy, in the
     Daleckii-Krein form ds = U [(U^t dy U)_ij / (w_i^{1/2} + w_j^{1/2})] U^t
     (Higham, Functions of Matrices, SIAM 2008).  ds solves s ds + ds s = dy; its
     residual is gated by SYLVESTER_RTOL as in :func:`sylvester_solve`."""
     w, u = np.linalg.eigh(symmetrize(y))
+    w = w[..., None, :]
     r = w ** 0.5
-    s, si = (symmetrize((u * p) @ u.T) for p in (r, w ** -0.5))
-    ds = symmetrize(u @ ((u.T @ dy @ u) / (r[:, None] + r)) @ u.T)
-    _gate(np.linalg.norm(s @ ds + ds @ s - dy), SYLVESTER_RTOL * max(1.0, np.linalg.norm(dy)),
+    s, si = (symmetrize((u * p) @ _mT(u)) for p in (r, w ** -0.5))
+    ds = symmetrize(u @ ((_mT(u) @ dy @ u) / (_mT(r) + r)) @ _mT(u))
+    _gate(_fro(s @ ds + ds @ s - dy), SYLVESTER_RTOL * np.maximum(1.0, _fro(dy)),
           SingularSylvester, "Sylvester residual of the square-root derivative")
     return s, si, ds
 
@@ -257,18 +322,19 @@ def expm(a):
     ``A`` is scaled by ``2^-s`` with the smallest ``s >= 0`` that brings
     ``||A||_1`` below theta_7; the approximant ``r = (V - U)^{-1} (V + U)``,
     with ``U`` the odd and ``V`` the even part, is then squared ``s`` times.
+    Over a stack each matrix has its own ``s``.
     """
     a = np.asarray(a, dtype=float)
-    s = max(0, int(np.frexp(np.linalg.norm(a, 1) / _THETA7)[1]))
-    a = a / 2.0 ** s
+    s = np.maximum(0, np.frexp(np.linalg.norm(a, 1, axis=(-2, -1)) / _THETA7)[1])
+    a = a / np.exp2(s)[..., None, None]
     b = _PADE7
     a2 = a @ a
     a4 = a2 @ a2
     a6 = a4 @ a2
-    eye = np.eye(a.shape[0])
+    eye = np.eye(a.shape[-1])
     u = a @ (b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
     v = b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
     r = np.linalg.solve(v - u, v + u)
-    for _ in range(s):
-        r = r @ r
+    for k in range(int(np.max(s))):
+        r = np.where((s > k)[..., None, None], r @ r, r)
     return r

@@ -30,13 +30,14 @@ import numpy as np
 from . import sampling as smp
 from .exceptions import BadShape, ContractionViolation
 from .heisenberg import HeisenbergElement, _degree_n, _omega
-from .jacobi import _act_pq, _checked_vu, _from_pq, _pq_of, _tangent_from_pq, _tangent_to_pq
-from .jacobi import _to_pq, act_extended, act_xjn, gj_compose, gj_embed, pq_from_lm, sn_chart
-from .jacobi import sn_chart_inverse
+from .jacobi import _act_pq, _checked_vu, _from_pq, _pq_of, _push_kappa, _push_pq, _push_vu
+from .jacobi import _tangent_from_pq, _tangent_to_pq, _to_pq, act_extended, act_xjn, gj_compose
+from .jacobi import gj_embed, sn_chart, sn_chart_inverse
 from . import linalg
-from .linalg import _gate, _row, check_symmetric, sym_residual, symmetrize
+from .linalg import _col, _dot, _frobenius, _from_col, _gate, _modulus, _mT, _row, _trace
+from .linalg import check_symmetric, sym_residual, symmetrize
 from .forms import _d_sn_chart, _d_sn_chart_inverse, _embed_tangent, oneforms_sn
-from .symplectic import _dmobius, _jacobi_parts, _siegel_xy, blocks, check_siegel
+from .symplectic import _jacobi_parts, _siegel_xy, blocks
 
 
 @dataclass(frozen=True)
@@ -72,12 +73,13 @@ class KahlerParams:
 def metric_group(params, chart, t1, t2):
     """g(t1, t2) = alpha (<F1 + G1, F2 + G2> + <H1, H2>) + beta <F1 - G1, F2 - G2>
     + gamma (P1 P2^t + Q1 Q2^t) + delta R1 R2 with <A, B> = tr(A B^t), from one
-    ``oneforms_sn`` per distinct tangent: the one-forms are linear in the tangent."""
+    ``oneforms_sn`` per distinct tangent: the one-forms are linear in the tangent.
+    Charts and tangents may be stacks, as in ``oneforms_sn``."""
     f1 = oneforms_sn(chart, t1)
     f2 = f1 if t2 is t1 else oneforms_sn(chart, t2)
-    val = params.alpha * (np.vdot(f1.F + f1.G, f2.F + f2.G) + np.vdot(f1.H, f2.H))
-    val += params.beta * np.vdot(f1.F - f1.G, f2.F - f2.G)
-    val += params.gamma * (float(f1.P @ f2.P) + float(f1.Q @ f2.Q))
+    val = params.alpha * (_frobenius(f1.F + f1.G, f2.F + f2.G) + _frobenius(f1.H, f2.H))
+    val += params.beta * _frobenius(f1.F - f1.G, f2.F - f2.G)
+    val += params.gamma * (_dot(f1.P, f2.P) + _dot(f1.Q, f2.Q))
     val += params.delta * f1.R * f2.R
     return val
 
@@ -130,12 +132,13 @@ def metric_xjn(alpha, gamma, chart, point, t1, t2):
 
 
 def _metric_xjn(alpha, gamma, chart, point, t1, t2):
-    """:func:`metric_xjn` at a point and tangents the library has validated or built."""
+    """:func:`metric_xjn` at a point and tangents the library has validated or built, or
+    at stacks of them."""
     x, y = point[0], point[1]
     yi = np.linalg.inv(y)
     dx1, dy1 = np.asarray(t1[0], dtype=float), np.asarray(t1[1], dtype=float)
     dx2, dy2 = np.asarray(t2[0], dtype=float), np.asarray(t2[1], dtype=float)
-    val = alpha * float(np.trace(yi @ dx1 @ yi @ dx2) + np.trace(yi @ dy1 @ yi @ dy2))
+    val = alpha * (_trace(yi @ dx1 @ yi @ dx2) + _trace(yi @ dy1 @ yi @ dy2))
 
     if chart in ("pq", "chipsi"):
         # chipsi stores the transposed rows; the bilinear form is identical
@@ -143,9 +146,8 @@ def _metric_xjn(alpha, gamma, chart, point, t1, t2):
         dp2, dq2 = (_row(t2[2]), _row(t2[3])) if chart == "pq" else (_row(t2[3]), _row(t2[2]))
         core = x @ yi @ x + y
         cross = x @ yi
-        val += gamma * (float(dp1 @ core @ dp2)
-                        + float(dq1 @ yi @ dq2)
-                        + float(dp1 @ cross @ dq2) + float(dp2 @ cross @ dq1))
+        val += gamma * (_dot(dp1 @ core, dp2) + _dot(dq1 @ yi, dq2)
+                        + _dot(dp1 @ cross, dq2) + _dot(dp2 @ cross, dq1))
         return val
 
     rho = _row(point[3])
@@ -153,7 +155,7 @@ def _metric_xjn(alpha, gamma, chart, point, t1, t2):
     s1 = _row(t1[3]) - rho @ yi @ dy1
     r2 = _row(t2[2]) - rho @ yi @ dx2
     s2 = _row(t2[3]) - rho @ yi @ dy2
-    val += gamma * (float(r1 @ yi @ r2) + float(s1 @ yi @ s2))
+    val += gamma * (_dot(r1 @ yi, r2) + _dot(s1 @ yi, s2))
     return val
 
 
@@ -169,8 +171,7 @@ def lambda_r(point_pq_kappa, tangent):
 def _lambda_r(point_pq_kappa, tangent):
     """:func:`lambda_r` at a point and tangent the library has validated or built."""
     p, q = _row(point_pq_kappa[2]), _row(point_pq_kappa[3])
-    dp, dq, dk = _row(tangent[2]), _row(tangent[3]), float(tangent[4])
-    return dk - _omega((p, q), (dp, dq))
+    return tangent[4] - _omega((p, q), (_row(tangent[2]), _row(tangent[3])))
 
 
 def metric_extended(alpha, gamma, delta, point, t1, t2):
@@ -193,50 +194,57 @@ def _metric_extended(alpha, gamma, delta, point, t1, t2):
 
 
 def check_ball_point(w):
+    """Return W (or a stack of them) as complex once symmetric and a strict contraction."""
     w = np.asarray(w, dtype=complex)
     _gate(sym_residual(w), linalg.BALL_SYM_RTOL, ContractionViolation, "asymmetry of W")
-    contraction = np.eye(w.shape[0]) - w @ w.conj()
-    _gate(np.linalg.eigvalsh(0.5 * (contraction + contraction.conj().T))[0], linalg.BALL_MIN_EIG,
-          ContractionViolation, "smallest eigenvalue of I - W conj(W)", lower=True)
+    contraction = np.eye(w.shape[-1]) - w @ w.conj()
+    _gate(np.linalg.eigvalsh(0.5 * (contraction + _mT(contraction.conj())))[..., 0],
+          linalg.BALL_MIN_EIG, ContractionViolation, "smallest eigenvalue of I - W conj(W)",
+          lower=True)
     return w
+
+
+def _checked_wz(w, z):
+    """``(w, z)`` once W passes :func:`check_ball_point` and z is a row of length n with
+    finite real and imaginary parts: ``jacobi._checked_vu`` on the ball."""
+    w, z = check_ball_point(w), _row(z, complex)
+    _degree_n(z.real, z.imag, np.zeros(w.shape[:-2]), w.shape[-1])
+    return w, z
+
+
+def _fc(w, z):
+    """(M, eta) with M = (I - W Wbar)^{-1} and eta^t = M (z^t + W zbar^t), over stacks too."""
+    m = np.linalg.inv(np.eye(w.shape[-1]) - w @ w.conj())
+    return m, _from_col(m @ (_col(z) + w @ _col(z.conj())))
 
 
 def fc_transform(w, z):
     """Coordinate change z -> eta on the ball: eta = (I - W Wbar)^{-1} (z^t + W zbar^t)."""
-    w = check_ball_point(w)
-    z = np.asarray(z, dtype=complex).ravel()
-    m = np.linalg.inv(np.eye(w.shape[0]) - w @ w.conj())
-    return m @ (z + w @ z.conj())
+    return _fc(*_checked_wz(w, z))[1]
 
 
 def fc_inverse(w, eta):
     """Inverse change eta -> z:  z^t = eta - W etabar."""
-    w = check_ball_point(w)
-    eta = np.asarray(eta, dtype=complex).ravel()
+    w, eta = _checked_wz(w, eta)
     return eta - w @ eta.conj()
 
 
 def cayley(v, u):
     """Partial Cayley transform to the ball:  W = (v - iI)(v + iI)^{-1},
-    z^t = 2i (v + iI)^{-1} u^t.  Sends iI to the center."""
-    v = check_siegel(v)
-    u = np.asarray(u, dtype=complex).ravel()
-    n = v.shape[0]
-    eye = np.eye(n)
-    w = np.linalg.solve((v + 1j * eye).T, (v - 1j * eye).T).T
-    w = 0.5 * (w + w.T)
+    z^t = 2i (v + iI)^{-1} u^t.  Sends iI to the center.  The point is checked as in
+    :func:`jacobi.act_xjn`."""
+    v, u = _checked_vu((v, u))
+    eye = np.eye(v.shape[0])
+    w = symmetrize(np.linalg.solve((v + 1j * eye).T, (v - 1j * eye).T).T)
     z = 2j * np.linalg.solve(v + 1j * eye, u)
     return check_ball_point(w), z
 
 
 def cayley_inverse(w, z):
     """Inverse Cayley:  v = i (I - W)^{-1} (I + W),  u^t = (I - W)^{-1} z^t."""
-    w = check_ball_point(w)
-    z = np.asarray(z, dtype=complex).ravel()
-    n = w.shape[0]
-    eye = np.eye(n)
-    v = 1j * np.linalg.solve(eye - w, eye + w)
-    return 0.5 * (v + v.T), np.linalg.solve(eye - w, z)
+    w, z = _checked_wz(w, z)
+    eye = np.eye(w.shape[0])
+    return symmetrize(1j * np.linalg.solve(eye - w, eye + w)), np.linalg.solve(eye - w, z)
 
 
 def g_form(v, u, tangent):
@@ -249,13 +257,11 @@ def g_form(v, u, tangent):
 
 
 def _g_form(v, u, tangent):
-    """:func:`g_form` at a point (v, u) the library has validated or built."""
+    """:func:`g_form` at a point (v, u) the library has validated or built (or stacks)."""
     dv, du = tangent
     dv = np.asarray(dv, dtype=complex)
-    du = np.asarray(du, dtype=complex).ravel()
-    diff = v - v.conj()
-    coeff = np.linalg.solve(diff.T, (u - u.conj()))
-    return du - coeff @ dv
+    coeff = _from_col(np.linalg.solve(_mT(v - v.conj()), _col(u - u.conj())))
+    return _row(du, complex) - coeff @ dv
 
 
 def kahler_ball(kparams, w, z, t1, t2):
@@ -263,27 +269,25 @@ def kahler_ball(kparams, w, z, t1, t2):
 
     -i omega = (k/2) tr(B wedge Bbar) + nu tr(A^t Mbar wedge Abar) with
     M = (I - W Wbar)^{-1}, B = M dW, A = dz^t + dW etabar and eta the
-    FC image of z.  Antisymmetric in (t1, t2).
+    FC image of z.  Antisymmetric in (t1, t2).  The point is checked as in
+    :func:`fc_transform`.
     """
-    return _kahler_ball(kparams, check_ball_point(w), np.asarray(z, dtype=complex).ravel(),
-                        t1, t2)
+    return _kahler_ball(kparams, *_checked_wz(w, z), t1, t2)
 
 
 def _kahler_ball(kparams, w, z, t1, t2):
-    """:func:`kahler_ball` at a ball point the library has validated or built."""
-    m = np.linalg.inv(np.eye(w.shape[0]) - w @ w.conj())
-    eta = m @ (z + w @ z.conj())
+    """:func:`kahler_ball` at a ball point the library has validated or built (or stacks)."""
+    m, eta = _fc(w, z)
 
     def parts(t):
         dw = np.asarray(t[0], dtype=complex)
-        dz = np.asarray(t[1], dtype=complex).ravel()
-        return m @ dw, dz + dw @ eta.conj()
+        return m @ dw, _row(t[1], complex) + eta.conj() @ _mT(dw)
 
     b1, a1 = parts(t1)
     b2, a2 = parts(t2)
     mbar = m.conj()
-    val = 0.5 * kparams.k * (np.trace(b1 @ b2.conj()) - np.trace(b2 @ b1.conj()))
-    val += kparams.nu * (a1 @ mbar @ a2.conj() - a2 @ mbar @ a1.conj())
+    val = 0.5 * kparams.k * (_trace(b1 @ b2.conj()) - _trace(b2 @ b1.conj()))
+    val += kparams.nu * (_dot(a1 @ mbar, a2.conj()) - _dot(a2 @ mbar, a1.conj()))
     return 1j * val
 
 
@@ -298,17 +302,16 @@ def kahler_xjn(kparams, v, u, t1, t2):
 
 
 def _kahler_xjn(kparams, v, u, t1, t2):
-    """:func:`kahler_xjn` at a point (v, u) the library has validated or built."""
+    """:func:`kahler_xjn` at a point (v, u) the library has validated or built (or stacks)."""
     dmat = np.linalg.inv(v.conj() - v)
 
     def parts(t):
-        dv = np.asarray(t[0], dtype=complex)
-        return dmat @ dv, _g_form(v, u, t)
+        return dmat @ np.asarray(t[0], dtype=complex), _g_form(v, u, t)
 
     h1, g1 = parts(t1)
     h2, g2 = parts(t2)
-    val = 1j * 0.5 * kparams.k * (np.trace(h1 @ h2.conj()) - np.trace(h2 @ h1.conj()))
-    val += 2.0 * kparams.nu * (g1 @ dmat @ g2.conj() - g2 @ dmat @ g1.conj())
+    val = 1j * 0.5 * kparams.k * (_trace(h1 @ h2.conj()) - _trace(h2 @ h1.conj()))
+    val += 2.0 * kparams.nu * (_dot(g1 @ dmat, g2.conj()) - _dot(g2 @ dmat, g1.conj()))
     return val
 
 
@@ -327,9 +330,7 @@ def sp_to_ball_rep(m):
     the pair satisfies P P^dag - Q Q^dag = I and P Q^t = Q P^t.
     """
     a, b, c, d = blocks(m)
-    p = 0.5 * ((a + d) + 1j * (b - c))
-    q = 0.5 * ((a - d) - 1j * (b + c))
-    return p, q
+    return 0.5 * ((a + d) + 1j * (b - c)), 0.5 * ((a - d) - 1j * (b + c))
 
 
 def ball_act(element, point):
@@ -338,18 +339,15 @@ def ball_act(element, point):
     W1 = (W Q^dag + P^dag)^{-1} (Q^t + W P^t),
     z1^t = (W Q^dag + P^dag)^{-1} (z^t + alpha^t - W alphabar^t).
 
-    The point's W must pass :func:`check_ball_point`.
+    The point is checked as in :func:`fc_transform`; element and point may be stacks.
     """
     (p, q), alpha = element
-    w, z = point
-    w = check_ball_point(w)
-    z = np.asarray(z, dtype=complex).ravel()
-    alpha = np.asarray(alpha, dtype=complex).ravel()
-    den = w @ q.conj().T + p.conj().T
-    w1 = np.linalg.solve(den, q.T + w @ p.T)
-    w1 = 0.5 * (w1 + w1.T)
-    z1 = np.linalg.solve(den, z + alpha - w @ alpha.conj())
-    return w1, z1
+    w, z = _checked_wz(*point)
+    alpha = _row(alpha, complex)
+    sol = np.linalg.solve(w @ _mT(q.conj()) + _mT(p.conj()),
+                          np.concatenate([_mT(q) + w @ _mT(p),
+                                          _col(z + alpha) - w @ _col(alpha.conj())], axis=-1))
+    return symmetrize(sol[..., :-1]), _from_col(sol[..., -1:])
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +364,7 @@ class InvarianceReport:
     max_abs: float
     max_rel: float
     mean_rel: float
+    worst_sample: int
     passed: bool
 
     def as_dict(self):
@@ -376,47 +375,22 @@ class InvarianceReport:
 
 def _metric_xjn_broken(alpha, gamma, point, t1, t2):
     # negative control: a beta-style contamination that is not invariant
-    return (_metric_xjn(alpha, gamma, "pq", point, t1, t2)
-            + float(_row(t1[2]) @ _row(t2[2])))
-
-
-def _with_kappa(rng, parts):
-    return parts + (float(rng.uniform(-1, 1)),)
+    return _metric_xjn(alpha, gamma, "pq", point, t1, t2) + _dot(_row(t1[2]), _row(t2[2]))
 
 
 def _times_i(tangent):
     return tuple(1j * np.asarray(c) for c in tangent)
 
 
-def _push_pq(g, point, image, tangent):
-    """A pq tangent (dx, dy, dp, dq, ...) pushed through ``g``: dv1 = (a - v1 c) dv
-    (c v + d)^{-1} on v = x + iy, and (dp1, dq1) = (dp, dq) M^{-1}, since the action
-    is affine in (p, q)."""
-    dv1, _ = _dmobius(g.M, point[0] + 1j * point[1], image[0] + 1j * image[1],
-                      tangent[0] + 1j * tangent[1])
-    return (dv1.real, dv1.imag, *pq_from_lm(tangent[2], tangent[3], g.M))
-
-
-def _push_kappa(g, tangent):
-    """The pushed dkappa of an extended tangent: dkappa + omega((lambda, mu), (dp, dq))."""
-    return float(tangent[4]) + _omega((g.lam, g.mu), tangent[2:4])
-
-
-def _push_vu(g, point, image, tangent):
-    """du1 = (du + lambda dv - u1 c dv)(c v + d)^{-1}, dv1 as in :func:`_push_pq`."""
-    (v, _), (v1, u1), (dv, du) = point, image, tangent
-    c = blocks(g.M)[2]
-    return _dmobius(g.M, v, v1, dv, du + g.lam @ dv - u1 @ c @ dv)
-
-
 def _push_ball(pq_pair, alpha, point, image, tangent):
     """With den = W Q^dag + P^dag: dW1 = den^{-1} (dW P^t - dW Q^dag W1), symmetrized,
     and dz1 = den^{-1} (dz - dW alphabar - dW Q^dag z1)."""
     (p, q), (w, _), (w1, z1), (dw, dz) = pq_pair, point, image, tangent
-    dwq = dw @ q.conj().T
-    rhs = np.column_stack([dw @ p.T - dwq @ w1, dz - dw @ alpha.conj() - dwq @ z1])
-    sol = np.linalg.solve(w @ q.conj().T + p.conj().T, rhs)
-    return symmetrize(sol[:, :-1]), sol[:, -1]
+    dwq = dw @ _mT(q.conj())
+    rhs = np.concatenate([dw @ _mT(p) - dwq @ w1,
+                          _col(dz) - dw @ _col(alpha.conj()) - dwq @ _col(z1)], axis=-1)
+    sol = np.linalg.solve(w @ _mT(q.conj()) + _mT(p.conj()), rhs)
+    return symmetrize(sol[..., :-1]), _from_col(sol[..., -1:])
 
 
 def _draw_group(rng, n):
@@ -459,9 +433,8 @@ def _draw_xjn(chart):
 
 def _draw_extended(rng, n):
     g = smp.rand_jacobi(rng, n)
-    point = _with_kappa(rng, smp.rand_pq_point(rng, n))
-    t1 = _with_kappa(rng, smp.rand_pq_tangent(rng, n))
-    t2 = _with_kappa(rng, smp.rand_pq_tangent(rng, n))
+    point, t1, t2 = ((*draw(rng, n), smp._uniform(rng))  # kappa last
+                     for draw in (smp.rand_pq_point, smp.rand_pq_tangent, smp.rand_pq_tangent))
     return ((lambda pt: act_extended(g, pt)),
             (lambda pt, image, t: (*_push_pq(g, pt, image, t), _push_kappa(g, t))),
             point, t1, t2)
@@ -469,7 +442,7 @@ def _draw_extended(rng, n):
 
 def _draw_ball(rng, n):
     pq_pair = sp_to_ball_rep(smp.rand_symplectic(rng, n))
-    alpha = (smp.rand_matrix(rng, 1, n) + 1j * smp.rand_matrix(rng, 1, n)).ravel()
+    alpha = smp.rand_complex_row(rng, n)
     return ((lambda pt: ball_act((pq_pair, alpha), pt)),
             (lambda pt, image, t: _push_ball(pq_pair, alpha, pt, image, t)),
             smp.rand_ball_point(rng, n), smp.rand_ball_tangent(rng, n),
@@ -483,64 +456,100 @@ def _draw_vu(rng, n):
 
 
 @dataclass(frozen=True)
-class _Bilinear:
-    """Invariance spec of a metric or a Kaehler two-form.
+class _Spec:
+    """Invariance spec of a metric, a Kaehler two-form or (``turn=None``) a one-form.
 
-    ``draw(rng, n)`` returns ``(act, push, point, t1, t2)`` and fixes the order
-    in which a sample consumes the rng; ``push(point, image, t)`` is the exact
-    pushforward of a tangent at ``point`` through ``act``, with ``image =
-    act(point)``; ``form(point, t1, t2)`` is the object.  The action checks
-    the point once, at its entry.  The error is scaled by
-    |form(t1, turn t1)| + |form(t2, turn t2)| + |form(t1, t2)|, where ``turn``
-    is the identity for metrics and multiplication by i for the Kaehler forms,
-    whose diagonal vanishes.
-    """
+    ``draw(rng, n)`` returns ``(act, push, point, t1, t2)``: one sample from a
+    generator, or one per generator of a sequence, stacked (see ``sampling``).
+    ``push(point, image, t)`` is the exact pushforward of a tangent at ``point``
+    through ``act``, with ``image = act(point)``; ``form(point, t1, t2)`` is the
+    object.  The action checks the point once, at its entry.  The error is scaled by
+    |form(t1, turn t1)| + |form(t2, turn t2)| + |form(t1, t2)|; ``turn`` is 1 for the
+    metrics and i for the Kaehler forms, whose diagonal vanishes.  A one-form reads
+    t1 only and is scaled by max(1, |form|)."""
 
     draw: object
     form: object
     turn: object = lambda t: t
 
-    def __call__(self, rng, n):
-        act, push, point, t1, t2 = self.draw(rng, n)
-        image = act(point)
-        orig = self.form(point, t1, t2)
-        scale = (abs(self.form(point, t1, self.turn(t1)))
-                 + abs(self.form(point, t2, self.turn(t2))) + abs(orig))
-        return orig, self.form(image, push(point, image, t1), push(point, image, t2)), scale
-
-
-def _lambda_r_sample(rng, n):
-    # lambda_R is a one-form and the action is affine in (p, q, kappa), so only the
-    # rows and kappa of the tangent are pushed; the error is scaled by max(1, |value|)
-    g = smp.rand_jacobi(rng, n)
-    point = _with_kappa(rng, smp.rand_pq_point(rng, n))
-    tan = _with_kappa(rng, smp.rand_pq_tangent(rng, n))
-    pushed = (tan[0], tan[1], *pq_from_lm(tan[2], tan[3], g.M), _push_kappa(g, tan))
-    orig = _lambda_r(point, tan)
-    return orig, _lambda_r(act_extended(g, point), pushed), max(1.0, abs(orig))
+    def scale(self, point, t1, t2, orig):
+        if self.turn is None:
+            return np.maximum(1.0, _modulus(orig))
+        return (_modulus(self.form(point, t1, self.turn(t1)))
+                + _modulus(self.form(point, t2, self.turn(t2))) + _modulus(orig))
 
 
 _GROUP_PARAMS = MetricParams(1.0, 1.0, 1.0, 1.0)
 _KAHLER_PARAMS = KahlerParams(2.0, 1.0)
 
-# object -> sample(rng, n) returning (value, pulled-back value, scale)
 _INVARIANCE_SPECS = {
-    "metric_group": _Bilinear(
+    "metric_group": _Spec(
         _draw_group, lambda c, u1, u2: metric_group(_GROUP_PARAMS, c, u1, u2)),
-    **{f"metric_xjn_{chart}": _Bilinear(
+    **{f"metric_xjn_{chart}": _Spec(
         _draw_xjn(chart), lambda pt, u1, u2, c=chart: _metric_xjn(1.0, 1.0, c, pt, u1, u2))
        for chart in XJN_CHARTS},
-    "metric_extended": _Bilinear(
+    "metric_extended": _Spec(
         _draw_extended, lambda pt, u1, u2: _metric_extended(1.0, 1.0, 1.0, pt, u1, u2)),
-    "metric_xjn_broken": _Bilinear(
+    "metric_xjn_broken": _Spec(
         _draw_xjn("pq"), lambda pt, u1, u2: _metric_xjn_broken(1.0, 1.0, pt, u1, u2)),
-    "kahler_ball": _Bilinear(
+    "kahler_ball": _Spec(
         _draw_ball, lambda pt, u1, u2: _kahler_ball(_KAHLER_PARAMS, *pt, u1, u2), turn=_times_i),
-    "kahler_xjn": _Bilinear(
+    "kahler_xjn": _Spec(
         _draw_vu, lambda pt, u1, u2: _kahler_xjn(_KAHLER_PARAMS, *pt, u1, u2), turn=_times_i),
-    "lambda_R": _lambda_r_sample,
+    "lambda_R": _Spec(_draw_extended, lambda pt, u1, u2: _lambda_r(pt, u1), turn=None),
 }
 INVARIANCE_OBJECTS = tuple(_INVARIANCE_SPECS)
+
+# samples evaluated as one stack; a longer run takes several, which bounds its memory
+_CHUNK = 1024
+
+
+def _check_int(name, value, low):
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        raise ValueError(f"{name} must be an int >= {low}, got {value!r}")
+
+
+def _checked_spec(obj, n, seed):
+    """The spec of ``obj`` once ``n`` (>= 1) and ``seed`` (>= 0) pass as ints."""
+    if obj not in _INVARIANCE_SPECS:
+        raise ValueError(f"object must be one of {INVARIANCE_OBJECTS}")
+    _check_int("n", n, 1)
+    _check_int("seed", seed, 0)
+    return _INVARIANCE_SPECS[obj]
+
+
+def _evaluate(spec, n, seed, start, stop):
+    """Samples ``start .. stop - 1`` as one stack, sample i drawn from its own generator
+    ``default_rng(SeedSequence([seed, i]))``: the tuple :func:`replay` returns, with
+    value, pulled-back value and scale of shape (stop - start,)."""
+    rngs = [np.random.default_rng(np.random.SeedSequence([seed, i])) for i in range(start, stop)]
+    act, push, point, t1, t2 = spec.draw(rngs, n)
+    image = act(point)
+    pushed = tuple(push(point, image, t) for t in (t1, t2))
+    orig = spec.form(point, t1, t2)
+    return (point, t1, t2, image, pushed, orig, spec.form(image, *pushed),
+            spec.scale(point, t1, t2, orig))
+
+
+def _errors(spec, n, samples, seed):
+    """Absolute and relative errors of samples 0 .. samples - 1, in stacks of _CHUNK."""
+    abs_errs, rel_errs = [], []
+    for start in range(0, samples, _CHUNK):
+        *_, orig, pulled, scale = _evaluate(spec, n, seed, start, min(start + _CHUNK, samples))
+        abs_errs.append(_modulus(pulled - orig))
+        rel_errs.append(abs_errs[-1] / np.maximum(scale, 1e-12))
+    return np.concatenate(abs_errs), np.concatenate(rel_errs)
+
+
+def replay(obj, n, seed, i):
+    """Sample ``i`` of ``invariance_report(obj, n, seed=seed)`` alone, as a stack of one:
+    ``(point, t1, t2, image, (pushed t1, pushed t2), value, pulled-back value, scale)``,
+    the last three scalars.  Its error |pulled - value| / max(scale, 1e-12) is the
+    report's bit for bit: at ``report.worst_sample`` it is ``report.max_rel``."""
+    spec = _checked_spec(obj, n, seed)
+    _check_int("i", i, 0)
+    *parts, orig, pulled, scale = _evaluate(spec, n, seed, i, i + 1)
+    return (*parts, orig[0], pulled[0], scale[0])
 
 
 def invariance_report(obj, n, samples=1000, seed=0, tol=None):
@@ -551,31 +560,21 @@ def invariance_report(obj, n, samples=1000, seed=0, tol=None):
     compare the pulled-back value with the original.  Errors are reported
     absolutely and relative to the scale of the object on the sampled
     tangents; the run passes when the largest relative error is at most
-    ``tol`` (default INVARIANCE_RTOL).  Deterministic given the seed.
-    Before any sample: ``n`` and ``samples`` must be ints >= 1, ``tol``
-    finite and >= 0.
+    ``tol`` (default INVARIANCE_RTOL).  Sample i is drawn from its own
+    generator, seeded by ``(seed, i)``, and evaluated in a stack of up to
+    ``_CHUNK``; ``worst_sample`` is the first of the largest relative error
+    (see :func:`replay`).  Before any sample: ``n`` and ``samples`` must be
+    ints >= 1, ``seed`` an int >= 0, ``tol`` finite and >= 0.
     """
-    if obj not in _INVARIANCE_SPECS:
-        raise ValueError(f"object must be one of {INVARIANCE_OBJECTS}")
-    for name, value in (("n", n), ("samples", samples)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-            raise ValueError(f"{name} must be an int >= 1, got {value!r}")
+    spec = _checked_spec(obj, n, seed)
+    _check_int("samples", samples, 1)
     tol = linalg.INVARIANCE_RTOL if tol is None else tol
     if not (np.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
-    sample = _INVARIANCE_SPECS[obj]
-    rng = np.random.default_rng(seed)
-    abs_errs = np.zeros(samples)
-    rel_errs = np.zeros(samples)
-    for i in range(samples):
-        orig, pulled, scale = sample(rng, n)
-        err = abs(pulled - orig)
-        abs_errs[i] = err
-        rel_errs[i] = err / max(scale, 1e-12)
-
-    max_rel = float(np.max(rel_errs))
+    abs_errs, rel_errs = _errors(spec, n, samples, seed)
+    worst = int(np.argmax(rel_errs))
     return InvarianceReport(
         object=obj, n=n, samples=samples, seed=seed, tol=tol,
-        max_abs=float(np.max(abs_errs)), max_rel=max_rel,
-        mean_rel=float(np.mean(rel_errs)), passed=bool(max_rel <= tol),
+        max_abs=float(np.max(abs_errs)), max_rel=float(rel_errs[worst]),
+        mean_rel=float(np.mean(rel_errs)), worst_sample=worst, passed=bool(rel_errs[worst] <= tol),
     )

@@ -13,7 +13,7 @@ import numpy as np
 from . import linalg
 from .exceptions import NotUnitaryPair
 from .jacobi import SnChart
-from .linalg import _gate
+from .linalg import _gate, _mT
 
 DEFAULT_STEP = 1e-6
 
@@ -45,15 +45,17 @@ def sn_chart_curve(chart, tangent, t):
     t = 0 and keeps the pair exactly orthogonal-symplectic.  K must be
     skew-Hermitian, i.e. (dX, dY) tangent to the pair manifold; else
     NotUnitaryPair.  exp(t K) = V exp(-i t w) V^dagger from the
-    eigendecomposition i K = V diag(w) V^dagger, which is unitary.
+    eigendecomposition i K = V diag(w) V^dagger, which is unitary.  Charts and
+    tangents may be stacks.
     """
     dx, dy, dX, dY, dp, dq, dk = tangent
     u = chart.X + 1j * chart.Y
-    k = u.conj().T @ (dX + 1j * dY)
-    _gate(0.5 * np.max(np.abs(k + k.conj().T)), linalg.UP_TOL * np.max(np.abs(k)), NotUnitaryPair,
+    k = _mT(u.conj()) @ (dX + 1j * dY)
+    _gate(0.5 * np.max(np.abs(k + _mT(k.conj())), axis=(-2, -1)),
+          linalg.UP_TOL * np.max(np.abs(k), axis=(-2, -1)), NotUnitaryPair,
           "Hermitian part of the pair tangent's K")
     w, v = np.linalg.eigh(1j * k)
-    ut = u @ ((v * np.exp(-1j * t * w)) @ v.conj().T)
+    ut = u @ ((v * np.exp(-1j * t * w[..., None, :])) @ _mT(v.conj()))
     return SnChart(chart.x + t * dx, chart.y + t * dy, ut.real, ut.imag,
                    chart.p + t * dp, chart.q + t * dq, chart.kappa + t * dk)
 

@@ -1,7 +1,11 @@
 """Seeded random samplers for group elements, points and tangents.
 
 All samplers take a ``numpy.random.Generator`` so that every verification
-run is reproducible from a single seed.  Symplectic matrices are sampled
+run is reproducible from a single seed.  Given a sequence of generators
+instead, a sampler draws one sample from each, in the order one generator
+would, and returns the samples stacked on a leading axis (rows as
+(k, 1, n), scalars as (k,)); the shaping after the draws runs once over the
+stack.  The invariance engine draws this way.  Symplectic matrices are sampled
 by exponentiating algebra elements with entries uniform in [-1, 1] scaled
 by 1/(2n), which keeps condition numbers modest at the target sizes; the
 exponential is the scaling-and-squaring Pade kernel ``linalg.expm``.
@@ -11,14 +15,49 @@ import numpy as np
 
 from .heisenberg import HeisenbergElement
 from .jacobi import JacobiAlgebraElement, JacobiElement, sn_chart
-from .linalg import expm, symmetrize
+from .linalg import _mT, _row, expm, symmetrize
 from .symplectic import SpAlgebraElement
+
+
+def _fill(rngs, size, method):
+    """One ``method`` draw of shape ``size`` from each generator of ``rngs``, written in
+    place into one array of shape (len(rngs), *size)."""
+    out = np.empty((len(rngs),) + ((size,) if isinstance(size, int) else size))
+    for k, r in enumerate(rngs):
+        getattr(r, method)(out=out[k:k + 1])
+    return out
+
+
+def _normal(rng, size):
+    """Standard normal draws of shape ``size``, stacked as in :func:`_uniform`."""
+    if isinstance(rng, np.random.Generator):
+        return rng.normal(size=size)
+    return _fill(rng, size, "standard_normal")
+
+
+def _uniform(rng, size=(), low=-1.0, high=1.0):
+    """Uniform draws on [low, high) of shape ``size`` (a float when ``size`` is () and
+    ``rng`` one generator), or from each of a sequence of generators, stacked on a
+    leading axis; ``low + (high - low) u`` is ``Generator.uniform`` bit for bit."""
+    if isinstance(rng, np.random.Generator):
+        return rng.uniform(low, high, size=size) if size else float(rng.uniform(low, high))
+    return low + (high - low) * _fill(rng, size, "random")
 
 
 def rand_matrix(rng, n, m=None, scale=1.0):
     if m is None:
         m = n
-    return scale * rng.uniform(-1.0, 1.0, size=(n, m))
+    return scale * _uniform(rng, (n, m))
+
+
+def rand_row(rng, n, scale=1.0):
+    """A row of n entries uniform in [-scale, scale]: 1-d, or (k, 1, n) for k generators."""
+    return _row(rand_matrix(rng, 1, n, scale=scale))
+
+
+def rand_complex_row(rng, n):
+    """A row with real and imaginary parts uniform in [-1, 1], stacked as :func:`rand_row`."""
+    return rand_row(rng, n) + 1j * rand_row(rng, n)
 
 
 def rand_sym(rng, n, scale=1.0):
@@ -27,9 +66,9 @@ def rand_sym(rng, n, scale=1.0):
 
 def rand_spd(rng, n, spread=0.7):
     """SPD matrix with eigenvalues in roughly [e^-spread, e^spread]."""
-    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
-    w = np.exp(rng.uniform(-spread, spread, size=n))
-    return symmetrize(q @ np.diag(w) @ q.T)
+    q, _ = np.linalg.qr(_normal(rng, (n, n)))
+    w = np.exp(_uniform(rng, n, -spread, spread))
+    return symmetrize((q * w[..., None, :]) @ _mT(q))
 
 
 def rand_sp_algebra(rng, n, scale=None):
@@ -47,18 +86,12 @@ def rand_symplectic(rng, n, scale=None):
 
 
 def rand_heisenberg(rng, n):
-    return HeisenbergElement(rand_matrix(rng, 1, n).ravel(),
-                             rand_matrix(rng, 1, n).ravel(),
-                             float(rng.uniform(-1.0, 1.0)))
+    return HeisenbergElement(rand_row(rng, n), rand_row(rng, n), _uniform(rng))
 
 
 def rand_jacobi(rng, n, scale=None):
-    return JacobiElement(
-        rand_symplectic(rng, n, scale),
-        rand_matrix(rng, 1, n).ravel(),
-        rand_matrix(rng, 1, n).ravel(),
-        float(rng.uniform(-1.0, 1.0)),
-    )
+    return JacobiElement(rand_symplectic(rng, n, scale), rand_row(rng, n), rand_row(rng, n),
+                         _uniform(rng))
 
 
 def rand_gj_algebra(rng, n, scale=None):
@@ -68,9 +101,9 @@ def rand_gj_algebra(rng, n, scale=None):
         rand_matrix(rng, n, scale=scale),
         rand_sym(rng, n, scale=scale),
         rand_sym(rng, n, scale=scale),
-        rand_matrix(rng, 1, n).ravel() * scale,
-        rand_matrix(rng, 1, n).ravel() * scale,
-        float(rng.uniform(-1.0, 1.0)) * scale,
+        rand_row(rng, n) * scale,
+        rand_row(rng, n) * scale,
+        _uniform(rng) * scale,
     )
 
 
@@ -81,12 +114,11 @@ def rand_siegel(rng, n):
 
 def rand_pq_point(rng, n):
     v = rand_siegel(rng, n)
-    return v.real, v.imag, rand_matrix(rng, 1, n).ravel(), rand_matrix(rng, 1, n).ravel()
+    return v.real, v.imag, rand_row(rng, n), rand_row(rng, n)
 
 
 def rand_pq_tangent(rng, n):
-    return (rand_sym(rng, n), rand_sym(rng, n),
-            rand_matrix(rng, 1, n).ravel(), rand_matrix(rng, 1, n).ravel())
+    return rand_sym(rng, n), rand_sym(rng, n), rand_row(rng, n), rand_row(rng, n)
 
 
 def rand_sn_chart(rng, n):
@@ -100,9 +132,9 @@ def rand_unitary_tangent(rng, x, y):
     of the exact curve U exp(t K) in U(n); avoids hand-deriving the pair
     constraints.
     """
-    n = x.shape[0]
+    n = x.shape[-1]
     k = rand_matrix(rng, n) + 1j * rand_matrix(rng, n)
-    k = 0.5 * (k - k.conj().T)
+    k = 0.5 * (k - _mT(k.conj()))
     du = (x + 1j * y) @ k
     return du.real, du.imag
 
@@ -113,35 +145,24 @@ def rand_sn_tangent(rng, chart):
     dx = rand_sym(rng, n)
     dy = rand_sym(rng, n)
     dX, dY = rand_unitary_tangent(rng, chart.X, chart.Y)
-    dp = rand_matrix(rng, 1, n).ravel()
-    dq = rand_matrix(rng, 1, n).ravel()
-    dk = float(rng.uniform(-1.0, 1.0))
-    return dx, dy, dX, dY, dp, dq, dk
+    return dx, dy, dX, dY, rand_row(rng, n), rand_row(rng, n), _uniform(rng)
 
 
 def rand_ball_point(rng, n, margin=0.2):
     """Ball point (W, z): W symmetric with spectral norm <= 1 - margin."""
-    s = rand_matrix(rng, n) + 1j * rand_matrix(rng, n)
-    w = 0.5 * (s + s.T)
-    norm = np.linalg.norm(w, ord=2)
-    w = (1.0 - margin) * w / max(1.0, norm / (1.0 - margin)) if norm > 0 else w
-    z = (rand_matrix(rng, 1, n) + 1j * rand_matrix(rng, 1, n)).ravel()
-    return w, z
+    w = symmetrize(rand_matrix(rng, n) + 1j * rand_matrix(rng, n))
+    norm = np.linalg.norm(w, 2, axis=(-2, -1))[..., None, None]
+    return (1.0 - margin) * w / np.maximum(1.0, norm / (1.0 - margin)), rand_complex_row(rng, n)
 
 
 def rand_ball_tangent(rng, n):
-    dw = 0.5 * ((s := rand_matrix(rng, n) + 1j * rand_matrix(rng, n)) + s.T)
-    dz = (rand_matrix(rng, 1, n) + 1j * rand_matrix(rng, 1, n)).ravel()
-    return dw, dz
+    dw = symmetrize(rand_matrix(rng, n) + 1j * rand_matrix(rng, n))
+    return dw, rand_complex_row(rng, n)
 
 
 def rand_vu_point(rng, n):
-    v = rand_siegel(rng, n)
-    u = (rand_matrix(rng, 1, n) + 1j * rand_matrix(rng, 1, n)).ravel()
-    return v, u
+    return rand_siegel(rng, n), rand_complex_row(rng, n)
 
 
 def rand_vu_tangent(rng, n):
-    dv = rand_sym(rng, n) + 1j * rand_sym(rng, n)
-    du = (rand_matrix(rng, 1, n) + 1j * rand_matrix(rng, 1, n)).ravel()
-    return dv, du
+    return rand_sym(rng, n) + 1j * rand_sym(rng, n), rand_complex_row(rng, n)

@@ -22,7 +22,8 @@ import numpy as np
 
 from .exceptions import BadShape, NotSymplectic, NotUnitaryPair, SingularDenominator
 from . import linalg
-from .linalg import _gate, _spd_powers, _trusted, check_spd, check_symmetric, symmetrize
+from .linalg import _col, _from_col, _gate, _mT, _spd_powers, _trusted, check_spd
+from .linalg import check_symmetric, symmetrize
 
 
 def j_matrix(n):
@@ -34,10 +35,10 @@ def j_matrix(n):
 
 
 def blocks(m):
-    """Split a 2n x 2n matrix into its (a, b, c, d) blocks."""
+    """Split a 2n x 2n matrix, or each of a stack, into its (a, b, c, d) blocks."""
     m = np.asarray(m)
-    n = m.shape[0] // 2
-    return m[:n, :n], m[:n, n:], m[n:, :n], m[n:, n:]
+    n = m.shape[-1] // 2
+    return m[..., :n, :n], m[..., :n, n:], m[..., n:, :n], m[..., n:, n:]
 
 
 def from_blocks(a, b, c, d):
@@ -54,16 +55,17 @@ def _jacobi_matrix(blks, row, col, corner, unit):
         [ c     0     d     col2  ]
         [ 0     0     0     unit  ]
 
-    from blks = (a, b, c, d), row = (row1, row2) and col = (col1, col2).
+    from blks = (a, b, c, d), row = (row1, row2) and col = (col1, col2), all rows
+    (see ``linalg._row``); over a stack when the blocks are stacked.
     """
-    n = blks[0].shape[0]
+    lead, n = blks[0].shape[:-2], blks[0].shape[-1]
     lo, hi = slice(0, n), slice(n + 1, 2 * n + 1)  # the two size-n block rows/columns
-    out = np.zeros((2 * n + 2, 2 * n + 2))
-    out[lo, lo], out[lo, hi], out[hi, lo], out[hi, hi] = blks
-    out[n, lo], out[n, hi] = row
-    out[lo, -1], out[hi, -1] = col
-    out[n, -1] = corner
-    out[n, n] = out[-1, -1] = unit
+    out = np.zeros(lead + (2 * n + 2, 2 * n + 2))
+    out[..., lo, lo], out[..., lo, hi], out[..., hi, lo], out[..., hi, hi] = blks
+    out[..., n, lo], out[..., n, hi], out[..., lo, -1], out[..., hi, -1] = (
+        np.reshape(r, lead + (n,)) for r in row + col)
+    out[..., n, -1] = corner
+    out[..., n, n] = out[..., -1, -1] = unit
     return out
 
 
@@ -71,21 +73,26 @@ def _jacobi_parts(mat):
     """Read (blks, row, col, corner) back from the layout of :func:`_jacobi_matrix`.
 
     The unit entries and the structural zeros are not read; callers that
-    need them compare against a re-assembled matrix.
+    need them compare against a re-assembled matrix.  Over a stack the rows come
+    back as (..., 1, n).
     """
-    n = (mat.shape[0] - 2) // 2
+    n = (mat.shape[-1] - 2) // 2
     lo, hi = slice(0, n), slice(n + 1, 2 * n + 1)
-    return ((mat[lo, lo], mat[lo, hi], mat[hi, lo], mat[hi, hi]),
-            (mat[n, lo], mat[n, hi]), (mat[lo, -1], mat[hi, -1]), mat[n, -1])
+    rows = (mat[..., n, lo], mat[..., n, hi], mat[..., lo, -1], mat[..., hi, -1])
+    if mat.ndim > 2:
+        rows = tuple(r[..., None, :] for r in rows)
+    return ((mat[..., lo, lo], mat[..., lo, hi], mat[..., hi, lo], mat[..., hi, hi]),
+            rows[:2], rows[2:], mat[..., n, -1])
 
 
 def symplectic_residual(m):
-    """Max-norm of M^t J M - J.  Raises BadShape for non-even-dimensional input."""
+    """Max-norm of M^t J M - J, per matrix of a stack.  Raises BadShape for
+    non-even-dimensional input."""
     m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] % 2:
         raise BadShape(f"expected an even-dimensional square matrix, got {m.shape}")
-    j = j_matrix(m.shape[0] // 2)
-    return np.max(np.abs(m.T @ j @ m - j))
+    j = j_matrix(m.shape[-1] // 2)
+    return np.max(np.abs(_mT(m) @ j @ m - j), axis=(-2, -1))
 
 
 def is_symplectic(m, tol=None):
@@ -94,11 +101,13 @@ def is_symplectic(m, tol=None):
 
 
 def check_symplectic(m):
-    """Validate the symplectic invariants (residual and det = 1); return M."""
+    """Validate the symplectic invariants (residual and det = 1) of M, or of each
+    matrix of a stack; return M."""
     m = np.asarray(m, dtype=float)
     _gate(symplectic_residual(m), linalg.SP_TOL, NotSymplectic, "symplectic residual")
     det = np.linalg.det(m)
-    _gate(abs(det - 1.0), linalg.DET_TOL * max(1.0, abs(det)), NotSymplectic, "|det M - 1|")
+    _gate(abs(det - 1.0), linalg.DET_TOL * np.maximum(1.0, abs(det)), NotSymplectic,
+          "|det M - 1|")
     return m
 
 
@@ -109,7 +118,7 @@ def sp_inverse(m):
 
 def _sp_inverse(m):
     a, b, c, d = blocks(m)
-    return from_blocks(d.T, -b.T, -c.T, a.T)
+    return from_blocks(_mT(d), -_mT(b), -_mT(c), _mT(a))
 
 
 def check_block_relations(m, tol=None):
@@ -154,10 +163,10 @@ class SpAlgebraElement:
 
     @property
     def n(self):
-        return self.a.shape[0]
+        return self.a.shape[-1]
 
     def to_matrix(self):
-        return from_blocks(self.a, self.b, self.c, -self.a.T)
+        return from_blocks(self.a, self.b, self.c, -_mT(self.a))
 
     @classmethod
     def from_matrix(cls, z):
@@ -201,18 +210,17 @@ def sp_basis(n):
 
 def unitary_pair_residual(x, y):
     """Max violation of the four pair relations X^tX+Y^tY = XX^t+YY^t = I,
-    X^tY = Y^tX, YX^t = XY^t."""
+    X^tY = Y^tX, YX^t = XY^t, per pair of a stack."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    n = x.shape[0]
-    eye = np.eye(n)
+    eye = np.eye(x.shape[-1])
     rels = [
-        x.T @ x + y.T @ y - eye,
-        x @ x.T + y @ y.T - eye,
-        x.T @ y - y.T @ x,
-        y @ x.T - x @ y.T,
+        _mT(x) @ x + _mT(y) @ y - eye,
+        x @ _mT(x) + y @ _mT(y) - eye,
+        _mT(x) @ y - _mT(y) @ x,
+        y @ _mT(x) - x @ _mT(y),
     ]
-    return max(np.max(np.abs(r)) for r in rels)
+    return np.max([np.max(np.abs(r), axis=(-2, -1)) for r in rels], axis=0)
 
 
 def check_unitary_pair(x, y):
@@ -275,7 +283,8 @@ def mobius_act(m, v):
 
 def _mobius(m, v, u=None):
     """Moebius image of a validated Siegel point under a validated symplectic M,
-    and ``u (c v + d)^{-1}`` of a row ``u`` (empty without one), from one solve."""
+    and ``u (c v + d)^{-1}`` of a row ``u`` (None without one), from one solve;
+    over stacks as :func:`_right_divide`."""
     a, b, c, d = blocks(m)
     return _right_divide(a @ v + b, c @ v + d, u)
 
@@ -290,16 +299,18 @@ def _dmobius(m, v, v1, dv, u=None):
 
 
 def _right_divide(top, den, u=None):
-    """``top den^{-1}``, symmetrized, and ``u den^{-1}`` of a row ``u`` (empty without
-    one), from one transposed solve."""
-    rhs = top.T if u is None else np.column_stack([top.T, u])
+    """``top den^{-1}``, symmetrized, and ``u den^{-1}`` of a row ``u`` (None without
+    one), from one transposed solve; over stacks of matrices and rows alike.  A
+    non-finite entry raises SingularDenominator, naming the first such stack index."""
+    rhs = _mT(top) if u is None else np.concatenate([_mT(top), _col(u)], axis=-1)
     try:
-        sol = np.linalg.solve(den.T, rhs)
+        sol = np.linalg.solve(_mT(den), rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularDenominator(str(exc)) from exc
-    if not np.all(np.isfinite(sol)):
-        raise SingularDenominator("non-finite entries in the Moebius image")
-    return symmetrize(sol[:, :top.shape[0]]), sol[:, top.shape[0]:].ravel()
+    k = top.shape[-1]
+    _gate(np.sum(~np.isfinite(sol), axis=(-2, -1)), 0, SingularDenominator,
+          "count of non-finite entries in the Moebius image")
+    return symmetrize(sol[..., :k]), None if u is None else _from_col(sol[..., k:])
 
 
 def m_point(x, y):
@@ -342,16 +353,16 @@ class PreIwasawaFactors:
 
     @property
     def n(self):
-        return self.x.shape[0]
+        return self.x.shape[-1]
 
 
 def _pre_iwasawa(m):
-    """(x, y, y^{1/2}, X, Y) of a validated symplectic matrix, with the modified
+    """(x, y, y^{1/2}, X, Y) of a validated symplectic matrix (or stack), with the modified
     y = (d d^t + c c^t)^{-1} and its root from one ``eigh``; x is symmetric
     for symplectic input (a theorem) and is symmetrized to clean up roundoff."""
     a, b, c, d = blocks(m)
-    y, root = _spd_powers(d @ d.T + c @ c.T, -1.0, -0.5)
-    x = symmetrize(y @ (d @ b.T + c @ a.T))
+    y, root = _spd_powers(d @ _mT(d) + c @ _mT(c), -1.0, -0.5)
+    x = symmetrize(y @ (d @ _mT(b) + c @ _mT(a)))
     return x, y, root, root @ d, -(root @ c)
 
 

@@ -242,10 +242,10 @@ def test_07_invariance_suite():
                 "metric_extended", "kahler_ball", "kahler_xjn"):
         rep = invariance_report(obj, n=1, samples=1000, seed=42, tol=1e-6)
         ok = ok and rep.passed
-        lines.append(f"{obj}={rep.max_rel:.1e}")
+        lines.append(f"{obj}={rep.max_rel:.1e} (sample {rep.worst_sample})")
     rep = invariance_report("lambda_R", n=1, samples=1000, seed=42, tol=1e-9)
     ok = ok and rep.passed
-    lines.append(f"lambda_R={rep.max_rel:.1e}")
+    lines.append(f"lambda_R={rep.max_rel:.1e} (sample {rep.worst_sample})")
     rep = invariance_report("lambda_R", n=2, samples=200, seed=42, tol=1e-9)
     ok = ok and rep.passed
     neg = invariance_report("metric_xjn_broken", n=1, samples=200, seed=42, tol=1e-6)

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from jacobigeom import replay
 from jacobigeom.sampling import rand_jacobi, rand_symplectic
 
 
@@ -142,6 +143,18 @@ def test_invariance_pass_and_determinism():
     assert res1.returncode == 0
     assert res1.stdout == res2.stdout  # byte-identical given the seed
     assert json.loads(res1.stdout)["pass"] is True
+
+
+@pytest.mark.parametrize("obj,n", [("kahler_ball", 2), ("metric_xjn_broken", 1)])
+def test_invariance_worst_sample_replays_the_printed_max_rel(obj, n):
+    # the CLI prints worst_sample; replay on (object, n, seed, worst_sample) gives
+    # the printed max_rel bit for bit (JSON floats round-trip exactly)
+    res = run_cli(["invariance", "--object", obj, "--n", str(n), "--samples", "30",
+                   "--seed", "9"])
+    assert res.returncode == (1 if obj == "metric_xjn_broken" else 0)
+    out = json.loads(res.stdout)
+    *_, orig, pulled, scale = replay(out["object"], out["n"], out["seed"], out["worst_sample"])
+    assert abs(pulled - orig) / max(scale, 1e-12) == out["max_rel"]
 
 
 def test_invariance_negative_control_exit_code():

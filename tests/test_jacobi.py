@@ -371,3 +371,23 @@ def test_chart_convert_cycles(rng):
                 back = chart_convert(there, dst, src)
                 for a, b in zip(back, src_pt):
                     assert np.max(np.abs(np.asarray(a) - np.asarray(b))) < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_commutator_table_equals_exact_rational_brackets(n):
+    # an exact second route: the basis entries are 0, +-1 and +-1/2, so the brackets
+    # and their coordinates are rational; here they are computed in sympy Rational
+    # arithmetic, with the coordinates solved from the embedded basis, not read
+    # back through JacobiAlgebraElement.from_matrix
+    import sympy
+    labels, table = commutator_table(n)
+    mats = [sympy.Matrix(e.to_matrix()).applyfunc(sympy.Rational)
+            for e in gj_basis_elements(n)]
+    basis = sympy.Matrix.hstack(*(m.reshape(m.rows * m.cols, 1) for m in mats))
+    solve = (basis.T * basis).inv() * basis.T  # exact left inverse: the basis is independent
+    for i, a in enumerate(mats):
+        for j, b in enumerate(mats):
+            comm = (a * b - b * a).reshape(a.rows * a.cols, 1)
+            coeffs = solve * comm
+            assert basis * coeffs == comm  # the bracket closes exactly in the span
+            assert [sympy.Rational(c) for c in table[i, j]] == list(coeffs), (labels[i], labels[j])

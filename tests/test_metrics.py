@@ -20,6 +20,7 @@ from jacobigeom import (
     metric_extended,
     metric_group,
     metric_xjn,
+    replay,
     sn_chart,
     sn_chart_identity,
     sn_chart_inverse,
@@ -446,33 +447,37 @@ def test_default_gate_is_the_exact_route_bound(n):
             assert rep.passed, rep
 
 
-BILINEAR_SPECS = {obj: spec for obj, spec in metrics._INVARIANCE_SPECS.items()
-                  if isinstance(spec, metrics._Bilinear)}
+def _per_sample(stack):
+    """Each sample's entries of a stacked component, one row per sample."""
+    stack = np.asarray(stack)
+    return stack.reshape(stack.shape[0], -1)
 
 
 @pytest.mark.parametrize("n", [1, 2, 4])
-@pytest.mark.parametrize("obj", BILINEAR_SPECS)
+@pytest.mark.parametrize("obj", INVARIANCE_OBJECTS)
 def test_exact_push_matches_finite_differences(obj, n):
-    # finite differences of the same action are the independent second route
-    spec = BILINEAR_SPECS[obj]
+    # finite differences of the same action are the independent second route; the
+    # 10 draws are one stack, as the engine evaluates them, and each is held to the bound
+    spec = metrics._INVARIANCE_SPECS[obj]
     fd = fd_push_sn if obj == "metric_group" else fd_push
-    rng = np.random.default_rng(900 + n)
-    for _ in range(10):
-        act, push, point, t1, t2 = spec.draw(rng, n)
-        image = act(point)
-        fd1, fd2 = fd(act, point, t1, 1e-6), fd(act, point, t2, 1e-6)
-        for t, by_fd in ((t1, fd1), (t2, fd2)):
-            exact = push(point, image, t)
-            assert len(exact) == len(by_fd)
-            for e, f in zip(exact, by_fd):
-                e, f = np.asarray(e), np.asarray(f)
-                assert np.max(np.abs(e - f)) <= 1e-6 * max(1.0, np.max(np.abs(e)))
-        if obj == "metric_xjn_broken":
-            continue  # its push is the pq one; its form is not invariant
-        orig = spec.form(point, t1, t2)
-        scale = (abs(spec.form(point, t1, spec.turn(t1)))
-                 + abs(spec.form(point, t2, spec.turn(t2))) + abs(orig))
-        assert abs(spec.form(image, fd1, fd2) - orig) <= 1e-6 * scale
+    rngs = [np.random.default_rng(np.random.SeedSequence([900 + n, i])) for i in range(10)]
+    act, push, point, t1, t2 = spec.draw(rngs, n)
+    image = act(point)
+    fd1, fd2 = fd(act, point, t1, 1e-6), fd(act, point, t2, 1e-6)
+    for t, by_fd in ((t1, fd1), (t2, fd2)):
+        exact = push(point, image, t)
+        assert len(exact) == len(by_fd)
+        for e, f in zip(exact, by_fd):
+            e, f = _per_sample(e), _per_sample(f)
+            assert e.shape == f.shape == (10, e.shape[1])
+            assert np.all(np.max(np.abs(e - f), axis=1)
+                          <= 1e-6 * np.maximum(1.0, np.max(np.abs(e), axis=1)))
+    if obj == "metric_xjn_broken":
+        return  # its push is the pq one; its form is not invariant
+    orig = spec.form(point, t1, t2)
+    assert orig.shape == (10,)
+    bound = 1e-6 * spec.scale(point, t1, t2, orig)
+    assert np.all(np.abs(spec.form(image, fd1, fd2) - orig) <= bound)
 
 
 def _finite_differences_called(*args, **kwargs):
@@ -494,6 +499,37 @@ def test_invariance_deterministic():
     a = invariance_report("metric_xjn_pq", n=2, samples=50, seed=11)
     b = invariance_report("metric_xjn_pq", n=2, samples=50, seed=11)
     assert a == b
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+@pytest.mark.parametrize("obj", INVARIANCE_OBJECTS)
+def test_replay_reproduces_the_worst_sample(obj, n):
+    rep = invariance_report(obj, n=n, samples=25, seed=13)
+    assert 0 <= rep.worst_sample < rep.samples
+    point, t1, t2, image, pushed, orig, pulled, scale = replay(obj, n, 13, rep.worst_sample)
+    assert abs(pulled - orig) / max(scale, 1e-12) == rep.max_rel
+    # a stack of one: the intermediates of that sample alone
+    assert len(pushed) == 2 and len(pushed[0]) == len(t1)
+    assert all(np.shape(c)[0] == 1 for c in (*t1, *t2, *pushed[0], *pushed[1]))
+
+
+def test_reports_do_not_depend_on_chunking():
+    # sample i comes from its own (seed, i) stream, so the first k samples of a run
+    # longer than one stack are the samples of a run of k
+    big = metrics._CHUNK + 6
+    for obj in INVARIANCE_OBJECTS:
+        spec = metrics._INVARIANCE_SPECS[obj]
+        long_ = metrics._errors(spec, 1, big, 17)  # (absolute, relative) errors
+        assert long_[1].shape == (big,)
+        for k in (1, 5):
+            short = metrics._errors(spec, 1, k, 17)
+            for a, b in zip(short, long_):
+                assert np.array_equal(a, b[:k]), obj
+        # and a sample of the second stack is that sample alone
+        *_, orig, pulled, scale = replay(obj, 1, 17, big - 1)
+        assert abs(pulled - orig) / max(scale, 1e-12) == long_[1][-1], obj
+        rep = invariance_report(obj, n=1, samples=5, seed=17)
+        assert rep.max_rel == np.max(long_[1][:5]) and rep.worst_sample == np.argmax(long_[1][:5])
 
 
 @pytest.mark.parametrize("make,weights", [

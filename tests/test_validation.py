@@ -31,9 +31,13 @@ from jacobigeom import (
     act_extended,
     act_pq,
     act_xjn,
+    ball_act,
     cayley,
+    cayley_inverse,
     chart_convert,
     check_symplectic,
+    fc_inverse,
+    fc_transform,
     fvf,
     g_form,
     gj_basis,
@@ -41,12 +45,15 @@ from jacobigeom import (
     gj_embed,
     gj_from_embedding,
     gj_identity,
+    kahler_ball,
     kahler_xjn,
     lambda_r,
+    maurer_cartan,
     metric_extended,
     metric_group,
     metric_xjn,
     mobius_act,
+    oneforms_matrix_chart,
     oneforms_sn,
     sn_chart_identity,
     sylvester_solve,
@@ -203,6 +210,7 @@ def test_only_the_kept_tolerance_knobs_remain():
 # wrong shapes at n = 2 that reached numpy and ended in its plain ValueError
 _X, _Y = np.zeros((2, 2)), np.eye(2)
 _ROW3 = np.zeros(3)
+_BALL_TANGENT = (np.eye(2) + 0j, np.array([1.0, 1j]))
 
 
 def _sn_tangent(dp=_ROWS[0], dk=0.0):
@@ -236,6 +244,26 @@ BAD_SHAPES = {
         lambda: d_sn_chart(gj_identity(2), (np.eye(3), _X, _X, _X) + _ROWS + (0.0,)),
     "d_sn_chart dp of length 3":
         lambda: d_sn_chart(gj_identity(2), (_X,) * 4 + (_ROW3, _ROWS[1], 0.0)),
+    # the ball model's rows, at W = 0 (v = iI for cayley)
+    "kahler_ball z of length 3":
+        lambda: kahler_ball(KahlerParams(2.0, 1.0), _X, _ROW3, _BALL_TANGENT, _BALL_TANGENT),
+    "kahler_ball NaN z": lambda: kahler_ball(KahlerParams(2.0, 1.0), _X, np.array([np.nan, 0.0]),
+                                             _BALL_TANGENT, _BALL_TANGENT),
+    "fc_transform z of length 3": lambda: fc_transform(_X, _ROW3),
+    "fc_inverse eta of length 3": lambda: fc_inverse(_X, _ROW3),
+    "cayley_inverse z of length 3": lambda: cayley_inverse(_X, _ROW3),
+    "ball_act z of length 3":
+        lambda: ball_act(((_Y + 0j, _X + 0j), np.zeros(2)), (_X, _ROW3)),
+    "cayley u of length 3": lambda: cayley(1j * _Y, _ROW3),
+    # matrix-chart tangents' rows and dkappa, at the identity
+    "oneforms_matrix_chart dp of length 3":
+        lambda: oneforms_matrix_chart(gj_identity(2), (_X,) * 4 + (_ROW3, _ROWS[1], 0.0)),
+    "oneforms_matrix_chart NaN dkappa":
+        lambda: oneforms_matrix_chart(gj_identity(2), (_X,) * 4 + _ROWS + (np.nan,)),
+    "maurer_cartan dp of length 3":
+        lambda: maurer_cartan(gj_identity(2), (_X,) * 4 + (_ROW3, _ROWS[1], 0.0)),
+    "maurer_cartan NaN dkappa":
+        lambda: maurer_cartan(gj_identity(2), (_X,) * 4 + _ROWS + (np.nan,)),
 }
 
 
