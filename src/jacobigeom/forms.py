@@ -53,23 +53,24 @@ def check_matrix_tangent(g, tangent):
     """Validate a matrix-chart tangent at ``g`` and return it with float blocks and
     1-d rows: da, db, dc, dd n x n and meeting the linearized symplectic
     constraint, dp and dq finite rows of length n, dkappa finite."""
-    blks = tuple(np.asarray(b, dtype=float) for b in tangent[:4])
-    if any(b.shape != (g.n, g.n) for b in blks):
-        raise BadShape(f"da, db, dc, dd must be {g.n}x{g.n}, got {[b.shape for b in blks]}")
-    rows = _checked_rows(g, tangent)[4:]
-    dm = from_blocks(*blks)
+    tangent = _checked_shapes(g, tangent)
+    dm = from_blocks(*tangent[:4])
     j = j_matrix(g.n)
     _gate(np.max(np.abs(dm.T @ j @ g.M + g.M.T @ j @ dm)),
           linalg.TANGENT_SP_RTOL * max(1.0, np.max(np.abs(g.M))), NotSymplectic,
           "residual of the linearized symplectic condition")
-    return (*blks, *rows)
+    return tangent
 
 
-def _checked_rows(g, tangent):
-    """A matrix-chart tangent at ``g`` with (dp, dq, dkappa) checked by ``_degree_n``
-    (finite rows of length n, a finite dkappa) and normalized; the blocks as given."""
+def _checked_shapes(g, tangent):
+    """A matrix-chart tangent at ``g`` with float n x n blocks and (dp, dq, dkappa) checked
+    by ``_degree_n`` (finite rows of length n, a finite dkappa); else BadShape.  The
+    linearized symplectic condition is :func:`check_matrix_tangent`'s."""
+    blks = tuple(np.asarray(b, dtype=float) for b in tangent[:4])
+    if any(b.shape != (g.n, g.n) for b in blks):
+        raise BadShape(f"da, db, dc, dd must be {g.n}x{g.n}, got {[b.shape for b in blks]}")
     h = _degree_n(*tangent[4:], g.n)
-    return (*tangent[:4], h.lam, h.mu, h.kappa)
+    return (*blks, h.lam, h.mu, h.kappa)
 
 
 @dataclass(frozen=True)
@@ -108,14 +109,14 @@ def maurer_cartan(g, tangent, chart="matrix"):
     the analytic differential of the chart inverse (see
     :func:`d_sn_chart_inverse`).  The embedded value must lie in the
     Jacobi algebra up to PROJ_RTOL (see
-    :meth:`JacobiAlgebraElement.from_matrix`).  A matrix-chart tangent's rows
-    and dkappa are checked as in :func:`check_matrix_tangent`.
+    :meth:`JacobiAlgebraElement.from_matrix`).  A matrix-chart tangent's block
+    shapes, rows and dkappa are checked as in :func:`check_matrix_tangent`.
     """
     if chart == "sn":
         tangent = d_sn_chart_inverse(g, tangent)
         g = sn_chart_inverse(g)
     else:
-        tangent = _checked_rows(g, tangent)
+        tangent = _checked_shapes(g, tangent)
     xi = gj_embed(gj_inverse(g)) @ _embed_tangent(g, tangent)
     return JacobiAlgebraElement.from_matrix(xi)
 
@@ -127,10 +128,10 @@ def oneforms_matrix_chart(g, tangent):
     H = d^t da - b^t dc,
     (P, Q) = (dp, dq) M,          R = dkappa - omega((p, q), (dp, dq)).
 
-    F and G are asserted symmetric; H is returned as computed.  The rows and
-    dkappa are checked as in :func:`check_matrix_tangent`.
+    F and G are asserted symmetric; H is returned as computed.  The block
+    shapes, rows and dkappa are checked as in :func:`check_matrix_tangent`.
     """
-    da, db, dc, dd, dp, dq, dk = _checked_rows(g, tangent)
+    da, db, dc, dd, dp, dq, dk = _checked_shapes(g, tangent)
     a, b, c, d = blocks(g.M)
     f = d.T @ db - b.T @ dd
     gg = -c.T @ da + a.T @ dc

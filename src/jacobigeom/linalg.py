@@ -55,8 +55,8 @@ INVARIANCE_RTOL = 1e-12  # rel the sample's scale: invariance_report's default v
 def _gate(residual, bound, exc, what, lower=False):
     """Raise ``exc`` unless ``residual <= bound`` (``residual > bound`` if ``lower``),
     written so that a NaN residual or bound fails: every validation gate's one exit.
-    Over a stack (residuals of shape (k,)) every entry must pass, and the message
-    names the stack index of the first that does not."""
+    Over a stack (residuals of shape (k,), or (j, k, ...)) every entry must pass, and
+    the message names the stack index of the first that does not, in C order."""
     ok = residual > bound if lower else residual <= bound
     if ok is True or ok is np.True_:
         return
@@ -64,9 +64,9 @@ def _gate(residual, bound, exc, what, lower=False):
     if np.ndim(ok):
         if ok.all():
             return
-        i = int(np.argmin(ok))
+        i = tuple(int(j) for j in np.unravel_index(np.argmin(ok), ok.shape))
         residual, bound = (np.broadcast_to(v, ok.shape)[i] for v in (residual, bound))
-        where = f" at stack index {i}"
+        where = f" at stack index {i[0] if len(i) == 1 else i}"
     raise exc(f"{what} {residual:.3e} {'is not above' if lower else 'exceeds'} {bound:.3e}"
               f"{where}")
 

@@ -32,7 +32,7 @@ from .exceptions import BadShape, ContractionViolation
 from .heisenberg import HeisenbergElement, _degree_n, _omega
 from .jacobi import _act_pq, _checked_vu, _from_pq, _pq_of, _push_kappa, _push_pq, _push_vu
 from .jacobi import _tangent_from_pq, _tangent_to_pq, _to_pq, act_extended, act_xjn, gj_compose
-from .jacobi import gj_embed, sn_chart, sn_chart_inverse
+from .jacobi import SnChart, gj_embed, sn_chart, sn_chart_inverse
 from . import linalg
 from .linalg import _col, _dot, _frobenius, _from_col, _gate, _modulus, _mT, _row, _trace
 from .linalg import check_symmetric, sym_residual, symmetrize
@@ -462,7 +462,8 @@ class _Spec:
     ``draw(rng, n)`` returns ``(act, push, point, t1, t2)``: one sample from a
     generator, or one per generator of a sequence, stacked (see ``sampling``).
     ``push(point, image, t)`` is the exact pushforward of a tangent at ``point``
-    through ``act``, with ``image = act(point)``; ``form(point, t1, t2)`` is the
+    through ``act``, with ``image = act(point)``; ``t`` may carry a further leading
+    axis, which broadcasts against the drawn element.  ``form(point, t1, t2)`` is the
     object.  The action checks the point once, at its entry.  The error is scaled by
     |form(t1, turn t1)| + |form(t2, turn t2)| + |form(t1, t2)|; ``turn`` is 1 for the
     metrics and i for the Kaehler forms, whose diagonal vanishes.  A one-form reads
@@ -472,11 +473,15 @@ class _Spec:
     form: object
     turn: object = lambda t: t
 
-    def scale(self, point, t1, t2, orig):
+    def diagonal(self, point, t1, t2):
+        """The triples (point, t, turn t) of the scale's diagonal terms; none for a one-form."""
+        return () if self.turn is None else tuple((point, t, self.turn(t)) for t in (t1, t2))
+
+    def scale(self, orig, *diagonal):
+        """The error's scale from the value and the form's values at :meth:`diagonal`."""
         if self.turn is None:
             return np.maximum(1.0, _modulus(orig))
-        return (_modulus(self.form(point, t1, self.turn(t1)))
-                + _modulus(self.form(point, t2, self.turn(t2))) + _modulus(orig))
+        return _modulus(diagonal[0]) + _modulus(diagonal[1]) + _modulus(orig)
 
 
 _GROUP_PARAMS = MetricParams(1.0, 1.0, 1.0, 1.0)
@@ -518,17 +523,29 @@ def _checked_spec(obj, n, seed):
     return _INVARIANCE_SPECS[obj]
 
 
+def _stack(*trees):
+    """Trees of one structure (tuples, SnCharts, arrays, scalars) as one, leaves stacked."""
+    if isinstance(trees[0], SnChart):
+        fields = (tuple(getattr(t, f) for f in SnChart.__dataclass_fields__) for t in trees)
+        return linalg._trusted(SnChart, *_stack(*fields))
+    if isinstance(trees[0], tuple):
+        return tuple(_stack(*parts) for parts in zip(*trees))
+    return np.array(trees)
+
+
 def _evaluate(spec, n, seed, start, stop):
     """Samples ``start .. stop - 1`` as one stack, sample i drawn from its own generator
     ``default_rng(SeedSequence([seed, i]))``: the tuple :func:`replay` returns, with
-    value, pulled-back value and scale of shape (stop - start,)."""
+    value, pulled-back value and scale of shape (stop - start,).  One push takes t1 and
+    t2 stacked on a new leading axis, and one form call the triples of the value, the
+    pulled-back value and the scale's diagonal, stacked likewise (up to 4 x _CHUNK)."""
     rngs = [np.random.default_rng(np.random.SeedSequence([seed, i])) for i in range(start, stop)]
     act, push, point, t1, t2 = spec.draw(rngs, n)
     image = act(point)
-    pushed = tuple(push(point, image, t) for t in (t1, t2))
-    orig = spec.form(point, t1, t2)
-    return (point, t1, t2, image, pushed, orig, spec.form(image, *pushed),
-            spec.scale(point, t1, t2, orig))
+    pushed = tuple(zip(*push(point, image, _stack(t1, t2))))
+    orig, pulled, *diagonal = spec.form(
+        *_stack((point, t1, t2), (image, *pushed), *spec.diagonal(point, t1, t2)))
+    return point, t1, t2, image, pushed, orig, pulled, spec.scale(orig, *diagonal)
 
 
 def _errors(spec, n, samples, seed):

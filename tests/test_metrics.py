@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -476,7 +478,7 @@ def test_exact_push_matches_finite_differences(obj, n):
         return  # its push is the pq one; its form is not invariant
     orig = spec.form(point, t1, t2)
     assert orig.shape == (10,)
-    bound = 1e-6 * spec.scale(point, t1, t2, orig)
+    bound = 1e-6 * spec.scale(orig, *(spec.form(*t) for t in spec.diagonal(point, t1, t2)))
     assert np.all(np.abs(spec.form(image, fd1, fd2) - orig) <= bound)
 
 
@@ -493,6 +495,54 @@ def test_invariance_engine_takes_no_finite_differences():
         for obj in INVARIANCE_OBJECTS:
             for n in (1, 2):
                 invariance_report(obj, n=n, samples=2, seed=5)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+@pytest.mark.parametrize("obj", INVARIANCE_OBJECTS)
+def test_fused_stages_match_separate_calls(obj, n):
+    # the engine pushes both tangents in one call and evaluates the value, the
+    # pulled-back value and the scale's diagonal in one form call; split back, each
+    # must be what its own call gives, so a mis-split (say, a diagonal term read as
+    # the value) shows even where the verdict would not
+    spec = metrics._INVARIANCE_SPECS[obj]
+    point, t1, t2, image, pushed, orig, pulled, scale = metrics._evaluate(spec, n, 19, 0, 6)
+    want_orig, want_pulled = spec.form(point, t1, t2), spec.form(image, *pushed)
+    if spec.turn is None:
+        want_scale = np.maximum(1.0, np.abs(want_orig))
+    else:
+        want_scale = (np.abs(spec.form(point, t1, spec.turn(t1)))
+                      + np.abs(spec.form(point, t2, spec.turn(t2))) + np.abs(want_orig))
+    for got, want in ((orig, want_orig), (pulled, want_pulled), (scale, want_scale)):
+        assert got.shape == want.shape == (6,)
+        assert np.all(np.abs(got - want) <= 1e-14 * want_scale), obj
+
+
+def test_one_call_per_engine_stage(monkeypatch):
+    # one report stack: one push (t1 and t2 stacked), one form call (value, pulled-back
+    # value and the scale's diagonal stacked), and so two oneforms_sn for metric_group
+    calls = {"push": 0, "form": 0, "oneforms_sn": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    def draw_counted(draw):
+        def wrapped(rng, n):
+            act, push, *rest = draw(rng, n)
+            return (act, counted("push", push), *rest)
+        return wrapped
+
+    monkeypatch.setattr(metrics, "oneforms_sn", counted("oneforms_sn", metrics.oneforms_sn))
+    for obj in INVARIANCE_OBJECTS:
+        spec = metrics._INVARIANCE_SPECS[obj]
+        monkeypatch.setitem(metrics._INVARIANCE_SPECS, obj, dataclasses.replace(
+            spec, draw=draw_counted(spec.draw), form=counted("form", spec.form)))
+        calls.update(push=0, form=0, oneforms_sn=0)
+        assert invariance_report(obj, n=2, samples=4, seed=23).passed == (obj != "metric_xjn_broken")
+        assert (calls["push"], calls["form"]) == (1, 1), obj
+        assert calls["oneforms_sn"] == (2 if obj == "metric_group" else 0), obj
 
 
 def test_invariance_deterministic():

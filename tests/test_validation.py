@@ -122,6 +122,19 @@ def test_validation_gates_reject_nan(call, exc):
         call()
 
 
+@pytest.mark.parametrize("check,exc", [(check_symmetric, NotSymmetric), (check_spd, NotSpd)])
+def test_gate_names_the_failing_index_of_a_stack(check, exc):
+    # a stack with more than one leading axis, as a push of two stacked tangents
+    # gives: the flat index of the failing matrix once overran the first axis
+    stack = np.broadcast_to(np.eye(2), (2, 3, 2, 2)).copy()
+    stack[1, 2, 0, 1] = 0.5
+    with pytest.raises(exc, match=r"at stack index \(1, 2\)$"):
+        check(stack)
+    with pytest.raises(exc, match=r"at stack index 5$"):
+        check(stack.reshape(6, 2, 2))
+    check(np.broadcast_to(np.eye(2), (2, 3, 2, 2)))
+
+
 def test_siegel_point_has_one_symmetry_bound():
     # x asymmetric by 5e-11: above SYM_RTOL, below the 1e-10 that check_siegel
     # once applied on its own, so mobius_act and act_xjn accepted what act_pq refused
@@ -264,6 +277,11 @@ BAD_SHAPES = {
         lambda: maurer_cartan(gj_identity(2), (_X,) * 4 + (_ROW3, _ROWS[1], 0.0)),
     "maurer_cartan NaN dkappa":
         lambda: maurer_cartan(gj_identity(2), (_X,) * 4 + _ROWS + (np.nan,)),
+    # and their block shapes
+    "oneforms_matrix_chart da 3x3":
+        lambda: oneforms_matrix_chart(gj_identity(2), (np.eye(3), _X, _X, _X) + _ROWS + (0.0,)),
+    "maurer_cartan da 3x3":
+        lambda: maurer_cartan(gj_identity(2), (np.eye(3), _X, _X, _X) + _ROWS + (0.0,)),
 }
 
 
