@@ -460,7 +460,7 @@ class _Spec:
     """Invariance spec of a metric, a Kaehler two-form or (``turn=None``) a one-form.
 
     ``draw(rng, n)`` returns ``(act, push, point, t1, t2)``: one sample from a
-    generator, or one per generator of a sequence, stacked (see ``sampling``).
+    generator, or a stack of them from a ``sampling.StackStream``.
     ``push(point, image, t)`` is the exact pushforward of a tangent at ``point``
     through ``act``, with ``image = act(point)``; ``t`` may carry a further leading
     axis, which broadcasts against the drawn element.  ``form(point, t1, t2)`` is the
@@ -534,13 +534,12 @@ def _stack(*trees):
 
 
 def _evaluate(spec, n, seed, start, stop):
-    """Samples ``start .. stop - 1`` as one stack, sample i drawn from its own generator
-    ``default_rng(SeedSequence([seed, i]))``: the tuple :func:`replay` returns, with
-    value, pulled-back value and scale of shape (stop - start,).  One push takes t1 and
-    t2 stacked on a new leading axis, and one form call the triples of the value, the
+    """Samples ``start .. stop - 1`` as one stack, drawn from one ``sampling.StackStream``
+    (sample i from its own window of the seed's stream): the tuple :func:`replay` returns,
+    with value, pulled-back value and scale of shape (stop - start,).  One push takes t1
+    and t2 stacked on a new leading axis, and one form call the triples of the value, the
     pulled-back value and the scale's diagonal, stacked likewise (up to 4 x _CHUNK)."""
-    rngs = [np.random.default_rng(np.random.SeedSequence([seed, i])) for i in range(start, stop)]
-    act, push, point, t1, t2 = spec.draw(rngs, n)
+    act, push, point, t1, t2 = spec.draw(smp.StackStream(seed, n, start, stop), n)
     image = act(point)
     pushed = tuple(zip(*push(point, image, _stack(t1, t2))))
     orig, pulled, *diagonal = spec.form(
@@ -559,7 +558,8 @@ def _errors(spec, n, samples, seed):
 
 
 def replay(obj, n, seed, i):
-    """Sample ``i`` of ``invariance_report(obj, n, seed=seed)`` alone, as a stack of one:
+    """Sample ``i`` of ``invariance_report(obj, n, seed=seed)`` alone, from its own stream
+    window, as a stack of one:
     ``(point, t1, t2, image, (pushed t1, pushed t2), value, pulled-back value, scale)``,
     the last three scalars.  Its error |pulled - value| / max(scale, 1e-12) is the
     report's bit for bit: at ``report.worst_sample`` it is ``report.max_rel``."""
@@ -577,10 +577,10 @@ def invariance_report(obj, n, samples=1000, seed=0, tol=None):
     compare the pulled-back value with the original.  Errors are reported
     absolutely and relative to the scale of the object on the sampled
     tangents; the run passes when the largest relative error is at most
-    ``tol`` (default INVARIANCE_RTOL).  Sample i is drawn from its own
-    generator, seeded by ``(seed, i)``, and evaluated in a stack of up to
-    ``_CHUNK``; ``worst_sample`` is the first of the largest relative error
-    (see :func:`replay`).  Before any sample: ``n`` and ``samples`` must be
+    ``tol`` (default INVARIANCE_RTOL).  Sample i draws from its own window
+    of one Philox stream keyed by ``seed``, so it depends on ``(seed, i)``
+    alone, and is evaluated in a stack of up to ``_CHUNK``; ``worst_sample``
+    is the first of the largest relative error (see :func:`replay`).  Before any sample: ``n`` and ``samples`` must be
     ints >= 1, ``seed`` an int >= 0, ``tol`` finite and >= 0.
     """
     spec = _checked_spec(obj, n, seed)

@@ -1,15 +1,17 @@
 """Seeded random samplers for group elements, points and tangents.
 
-All samplers take a ``numpy.random.Generator`` so that every verification
-run is reproducible from a single seed.  Given a sequence of generators
-instead, a sampler draws one sample from each, in the order one generator
-would, and returns the samples stacked on a leading axis (rows as
-(k, 1, n), scalars as (k,)); the shaping after the draws runs once over the
-stack.  The invariance engine draws this way.  Symplectic matrices are sampled
-by exponentiating algebra elements with entries uniform in [-1, 1] scaled
-by 1/(2n), which keeps condition numbers modest at the target sizes; the
-exponential is the scaling-and-squaring Pade kernel ``linalg.expm``.
+Every sampler draws through ``rng.random`` and ``rng.standard_normal``, so
+that every verification run is reproducible from a single seed.  ``rng`` is
+a ``numpy.random.Generator`` (one sample), or the :class:`StackStream` of a
+stack of samples, which gives every draw one leading axis of samples (rows
+as (k, 1, n), scalars as (k,)); the shaping after the draws runs once over
+the stack.  The invariance engine draws this way.  Symplectic matrices are
+sampled by exponentiating algebra elements with entries uniform in [-1, 1]
+scaled by 1/(2n), which keeps condition numbers modest at the target sizes;
+the exponential is the scaling-and-squaring Pade kernel ``linalg.expm``.
 """
+
+from math import prod
 
 import numpy as np
 
@@ -19,29 +21,44 @@ from .linalg import _mT, _row, expm, symmetrize
 from .symplectic import SpAlgebraElement
 
 
-def _fill(rngs, size, method):
-    """One ``method`` draw of shape ``size`` from each generator of ``rngs``, written in
-    place into one array of shape (len(rngs), *size)."""
-    out = np.empty((len(rngs),) + ((size,) if isinstance(size, int) else size))
-    for k, r in enumerate(rngs):
-        getattr(r, method)(out=out[k:k + 1])
-    return out
+def window_words(n):
+    """Stream words per sample at degree n: 16 (n + 1)^2, whole Philox blocks of 4 words,
+    above the 14 n^2 + 8 n + 4 of the hungriest draw (``metric_group``)."""
+    return 16 * (n + 1) ** 2
 
 
-def _normal(rng, size):
-    """Standard normal draws of shape ``size``, stacked as in :func:`_uniform`."""
-    if isinstance(rng, np.random.Generator):
-        return rng.normal(size=size)
-    return _fill(rng, size, "standard_normal")
+class StackStream:
+    """The draws of samples ``start .. stop - 1`` at degree n from one Philox stream keyed
+    by ``SeedSequence(seed)``: sample i reads words i W .. (i + 1) W - 1 with
+    W = window_words(n), so word j of sample i depends on (seed, i, j) alone.  Uniforms are
+    ``Generator.random``'s ``(word >> 11) 2^-53``; a draw past W raises."""
+
+    def __init__(self, seed, n, start, stop):
+        words = window_words(n)
+        bits = np.random.Philox(seed)  # keyed by SeedSequence(seed).generate_state(2, uint64)
+        bits.advance(start * words // 4)
+        raw = bits.random_raw((stop - start) * words)
+        raw >>= np.uint64(11)
+        self._u = (raw * 2.0 ** -53).reshape(stop - start, words)
+        self._at = 0
+
+    def random(self, size=None):
+        size = () if size is None else (size,) if isinstance(size, int) else tuple(size)
+        at, self._at = self._at, self._at + prod(size)
+        if self._at > self._u.shape[1]:
+            raise RuntimeError(f"a sample drew more than its {self._u.shape[1]} stream words")
+        return self._u[:, at:self._at].reshape(len(self._u), *size)
+
+    def standard_normal(self, size=None):
+        """Box-Muller, cos branch, on two uniforms per draw; log1p(-u) is finite at u = 0."""
+        radius = np.sqrt(-2.0 * np.log1p(-self.random(size)))
+        return radius * np.cos(2.0 * np.pi * self.random(size))
 
 
-def _uniform(rng, size=(), low=-1.0, high=1.0):
-    """Uniform draws on [low, high) of shape ``size`` (a float when ``size`` is () and
-    ``rng`` one generator), or from each of a sequence of generators, stacked on a
-    leading axis; ``low + (high - low) u`` is ``Generator.uniform`` bit for bit."""
-    if isinstance(rng, np.random.Generator):
-        return rng.uniform(low, high, size=size) if size else float(rng.uniform(low, high))
-    return low + (high - low) * _fill(rng, size, "random")
+def _uniform(rng, size=None, low=-1.0, high=1.0):
+    """Uniform draws on [low, high) of shape ``size``, a float from a Generator when size is
+    None; there ``low + (high - low) u`` is ``Generator.uniform`` bit for bit."""
+    return low + (high - low) * rng.random(size)
 
 
 def rand_matrix(rng, n, m=None, scale=1.0):
@@ -51,7 +68,7 @@ def rand_matrix(rng, n, m=None, scale=1.0):
 
 
 def rand_row(rng, n, scale=1.0):
-    """A row of n entries uniform in [-scale, scale]: 1-d, or (k, 1, n) for k generators."""
+    """A row of n entries uniform in [-scale, scale]: 1-d, or (k, 1, n) from a stack."""
     return _row(rand_matrix(rng, 1, n, scale=scale))
 
 
@@ -66,7 +83,7 @@ def rand_sym(rng, n, scale=1.0):
 
 def rand_spd(rng, n, spread=0.7):
     """SPD matrix with eigenvalues in roughly [e^-spread, e^spread]."""
-    q, _ = np.linalg.qr(_normal(rng, (n, n)))
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     w = np.exp(_uniform(rng, n, -spread, spread))
     return symmetrize((q * w[..., None, :]) @ _mT(q))
 

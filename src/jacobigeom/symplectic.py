@@ -42,7 +42,9 @@ def blocks(m):
 
 
 def from_blocks(a, b, c, d):
-    return np.block([[np.asarray(a), np.asarray(b)], [np.asarray(c), np.asarray(d)]])
+    """[[a, b], [c, d]] from n x n blocks, or from (k, n, n) stacks of them."""
+    return np.concatenate([np.concatenate([a, b], axis=-1), np.concatenate([c, d], axis=-1)],
+                          axis=-2)
 
 
 def _jacobi_matrix(blks, row, col, corner, unit):

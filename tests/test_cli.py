@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from jacobigeom import replay
+from jacobigeom import invariance_report, replay
 from jacobigeom.sampling import rand_jacobi, rand_symplectic
 
 
@@ -154,6 +154,17 @@ def test_invariance_worst_sample_replays_the_printed_max_rel(obj, n):
     assert res.returncode == (1 if obj == "metric_xjn_broken" else 0)
     out = json.loads(res.stdout)
     *_, orig, pulled, scale = replay(out["object"], out["n"], out["seed"], out["worst_sample"])
+    assert abs(pulled - orig) / max(scale, 1e-12) == out["max_rel"]
+
+
+def test_invariance_takes_seeds_beyond_128_bits():
+    seed = 2**200
+    res = run_cli(["invariance", "--object", "metric_extended", "--n", "1", "--samples", "8",
+                   "--seed", str(seed)])
+    assert res.returncode == 0
+    out = json.loads(res.stdout)
+    assert out == invariance_report("metric_extended", 1, samples=8, seed=seed).as_dict()
+    *_, orig, pulled, scale = replay("metric_extended", 1, seed, out["worst_sample"])
     assert abs(pulled - orig) / max(scale, 1e-12) == out["max_rel"]
 
 

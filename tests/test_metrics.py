@@ -32,6 +32,7 @@ from jacobigeom import linalg, metrics, numdiff
 from jacobigeom.metrics import INVARIANCE_OBJECTS
 from jacobigeom.numdiff import fd_push, fd_push_sn
 from jacobigeom.sampling import (
+    StackStream,
     rand_ball_point,
     rand_ball_tangent,
     rand_jacobi,
@@ -462,8 +463,7 @@ def test_exact_push_matches_finite_differences(obj, n):
     # 10 draws are one stack, as the engine evaluates them, and each is held to the bound
     spec = metrics._INVARIANCE_SPECS[obj]
     fd = fd_push_sn if obj == "metric_group" else fd_push
-    rngs = [np.random.default_rng(np.random.SeedSequence([900 + n, i])) for i in range(10)]
-    act, push, point, t1, t2 = spec.draw(rngs, n)
+    act, push, point, t1, t2 = spec.draw(StackStream(900 + n, n, 0, 10), n)
     image = act(point)
     fd1, fd2 = fd(act, point, t1, 1e-6), fd(act, point, t2, 1e-6)
     for t, by_fd in ((t1, fd1), (t2, fd2)):
@@ -580,6 +580,18 @@ def test_reports_do_not_depend_on_chunking():
         assert abs(pulled - orig) / max(scale, 1e-12) == long_[1][-1], obj
         rep = invariance_report(obj, n=1, samples=5, seed=17)
         assert rep.max_rel == np.max(long_[1][:5]) and rep.worst_sample == np.argmax(long_[1][:5])
+
+
+def test_seeds_beyond_128_bits_run_and_replay():
+    # the stream's key is hashed from the seed, so any int seed >= 0 works
+    seed = 2**200
+    for obj in ("metric_group", "lambda_R"):
+        rep = invariance_report(obj, n=2, samples=6, seed=seed)
+        assert rep.passed and rep.seed == seed
+        *_, orig, pulled, scale = replay(obj, 2, seed, rep.worst_sample)
+        assert abs(pulled - orig) / max(scale, 1e-12) == rep.max_rel
+    assert invariance_report("metric_xjn_pq", 1, samples=3, seed=seed) != invariance_report(
+        "metric_xjn_pq", 1, samples=3, seed=seed + 1)
 
 
 @pytest.mark.parametrize("make,weights", [

@@ -1,0 +1,138 @@
+import dataclasses
+
+import numpy as np
+import pytest
+
+from jacobigeom import metrics, sampling
+from jacobigeom.sampling import StackStream, window_words
+
+
+def _philox_words(seed, count):
+    """The first ``count`` raw words of the Philox stream keyed by SeedSequence(seed),
+    drawn in order from a fresh bit generator (no advance)."""
+    key = np.random.SeedSequence(seed).generate_state(2, np.uint64)
+    return np.random.Philox(key=key).random_raw(count), key
+
+
+@pytest.mark.parametrize("seed,n,start,stop", [
+    (0, 1, 0, 4), (42, 2, 5, 9), (2**70, 3, 1000, 1003), (7, 10, 3, 4),
+])
+def test_stream_windows_are_words_of_one_philox_stream(seed, n, start, stop):
+    # word j of sample i is raw word i W + j of one stream, converted as Generator.random
+    w = window_words(n)
+    assert w % 4 == 0
+    words, key = _philox_words(seed, stop * w)
+    got = StackStream(seed, n, start, stop).random(w)
+    assert got.shape == (stop - start, w)
+    want = (words[start * w:].reshape(stop - start, w) >> np.uint64(11)) * 2.0 ** -53
+    assert np.array_equal(got, want)
+    by_generator = np.random.Generator(np.random.Philox(key=key)).random(stop * w)
+    assert np.array_equal(got.ravel(), by_generator[start * w:])
+
+
+def test_stream_draws_read_each_window_in_order():
+    # successive draws take successive words of every sample's window, shaped (k, *size)
+    n, w = 2, window_words(2)
+    whole = StackStream(5, n, 2, 5).random(w)
+    stream = StackStream(5, n, 2, 5)
+    a, b, c = stream.random((2, 3)), stream.random(4), stream.random()
+    assert (a.shape, b.shape, c.shape) == ((3, 2, 3), (3, 4), (3,))
+    assert np.array_equal(a.reshape(3, 6), whole[:, :6])
+    assert np.array_equal(b, whole[:, 6:10]) and np.array_equal(c, whole[:, 10])
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_every_draw_fits_its_window(n):
+    # the hungriest spec, metric_group, takes 14 n^2 + 8 n + 4 words of the window
+    used = {}
+    for obj, spec in metrics._INVARIANCE_SPECS.items():
+        stream = StackStream(3, n, 0, 2)
+        spec.draw(stream, n)
+        used[obj] = stream._at
+    assert max(used.values()) == used["metric_group"] == 14 * n * n + 8 * n + 4
+    assert used["metric_group"] <= window_words(n)
+
+
+def test_a_draw_past_the_window_raises():
+    w = window_words(1)
+    stream = StackStream(0, 1, 0, 3)
+    stream.random(w - 1)
+    with pytest.raises(RuntimeError, match="stream words"):
+        stream.random(2)
+    with pytest.raises(RuntimeError, match="stream words"):
+        StackStream(0, 1, 0, 3).random(w + 1)
+
+
+def test_box_muller_is_finite_at_the_ends_and_standard():
+    stream = StackStream(0, 1, 0, 1)
+    stream._u[0, :4] = (0.0, 1.0 - 2.0 ** -53, 0.25, 0.0)  # u1 at 0 and at its largest
+    z = stream.standard_normal(2)
+    assert z[0, 0] == 0.0 and np.isclose(z[0, 1], np.sqrt(106.0 * np.log(2.0)), rtol=1e-15)
+    z = StackStream(11, 4, 0, 1000).standard_normal(window_words(4) // 2).ravel()
+    assert np.all(np.isfinite(z))
+    assert abs(np.mean(z)) < 0.01 and abs(np.var(z) - 1.0) < 0.015
+    assert abs(np.mean(np.abs(z) < 1.0) - 0.6827) < 0.005
+
+
+def _previous_uniform(rng, size=None, low=-1.0, high=1.0):
+    # the draw formula of the generator-list engine: Generator.uniform
+    return float(rng.gen.uniform(low, high)) if size is None else rng.gen.uniform(
+        low, high, size=size)
+
+
+class _PreviousNormals:
+    """A Generator seen through the previous formulas: normals by Generator.normal."""
+
+    def __init__(self, gen):
+        self.gen = gen
+
+    def standard_normal(self, size):
+        return self.gen.normal(size=size)
+
+
+def _leaves(x):
+    if dataclasses.is_dataclass(x):
+        return [leaf for f in dataclasses.fields(x) for leaf in _leaves(getattr(x, f.name))]
+    if isinstance(x, tuple):
+        return [leaf for part in x for leaf in _leaves(part)]
+    return [x]
+
+
+_SAMPLERS = {
+    "rand_matrix": lambda rng, n: sampling.rand_matrix(rng, n, n + 1, scale=0.5),
+    "rand_row": sampling.rand_row,
+    "rand_complex_row": sampling.rand_complex_row,
+    "rand_sym": sampling.rand_sym,
+    "rand_spd": sampling.rand_spd,
+    "rand_sp_algebra": sampling.rand_sp_algebra,
+    "rand_symplectic": sampling.rand_symplectic,
+    "rand_heisenberg": sampling.rand_heisenberg,
+    "rand_jacobi": sampling.rand_jacobi,
+    "rand_gj_algebra": sampling.rand_gj_algebra,
+    "rand_siegel": sampling.rand_siegel,
+    "rand_pq_point": sampling.rand_pq_point,
+    "rand_pq_tangent": sampling.rand_pq_tangent,
+    "rand_sn_chart": sampling.rand_sn_chart,
+    "rand_sn_tangent": lambda rng, n: sampling.rand_sn_tangent(
+        rng, sampling.rand_sn_chart(rng, n)),
+    "rand_ball_point": sampling.rand_ball_point,
+    "rand_ball_tangent": sampling.rand_ball_tangent,
+    "rand_vu_point": sampling.rand_vu_point,
+    "rand_vu_tangent": sampling.rand_vu_tangent,
+}
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("name", _SAMPLERS)
+def test_generator_draws_keep_their_bits(monkeypatch, name, n):
+    # a Generator still gives the scalar API what Generator.uniform and .normal gave it,
+    # bit for bit and with the same types, and consumes the same words
+    now_rng, then_rng = np.random.default_rng(77 + n), np.random.default_rng(77 + n)
+    now = _leaves(_SAMPLERS[name](now_rng, n))
+    monkeypatch.setattr(sampling, "_uniform", _previous_uniform)
+    then = _leaves(_SAMPLERS[name](_PreviousNormals(then_rng), n))
+    assert len(now) == len(then)
+    for a, b in zip(now, then):
+        assert type(a) is type(b)
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), name
+    assert now_rng.bit_generator.state == then_rng.bit_generator.state

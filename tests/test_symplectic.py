@@ -21,7 +21,7 @@ from jacobigeom import (
     unitary_iso_inverse,
 )
 from jacobigeom.sampling import rand_sp_algebra, rand_spd, rand_sym, rand_symplectic
-from jacobigeom.symplectic import PreIwasawaFactors, pair_to_symplectic
+from jacobigeom.symplectic import PreIwasawaFactors, from_blocks, pair_to_symplectic
 
 
 def test_is_symplectic_basics():
@@ -223,3 +223,14 @@ def test_act_modified_chart_mobius_compatibility(rng):
             x1, y1, _, _ = act_modified_chart(m, (f.x, f.y, f.X, f.Y))
             v1 = mobius_act(m, f.x + 1j * f.y)
             assert np.max(np.abs(x1 + 1j * y1 - v1)) < 1e-9
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 3), (5, 2, 2), (2, 3, 4, 4)])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_from_blocks_is_np_block_bit_for_bit(shape, dtype):
+    rng = np.random.default_rng(len(shape) * 10 + shape[-1])
+    blks = [rng.standard_normal(shape) * (1 + 1j if dtype is complex else 1) for _ in range(4)]
+    got = from_blocks(*blks)
+    want = np.block([[blks[0], blks[1]], [blks[2], blks[3]]])
+    assert got.shape == shape[:-2] + (2 * shape[-2], 2 * shape[-1])
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
