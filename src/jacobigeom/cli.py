@@ -29,6 +29,7 @@ from . import (
     commutator_table,
     dsqrtm,
     invariance_report,
+    is_symplectic,
     metric_extended,
     metric_group,
     metric_xjn,
@@ -108,12 +109,11 @@ def _element_from_json(node):
 
 def cmd_check(args, payload, out):
     mat = _real(payload["matrix"])
-    residual = symplectic_residual(mat)
-    ok = residual <= args.tol
+    ok = is_symplectic(mat, args.tol)
     _emit({
         "symplectic": bool(ok),
         "block_relations": bool(check_block_relations(mat, args.tol)),
-        "residual": float(residual),
+        "residual": float(symplectic_residual(mat)),
         "n": mat.shape[0] // 2,
     }, out)
     return 0 if ok else DOMAIN_ERROR
@@ -230,7 +230,7 @@ def build_parser():
         p.add_argument("--output", default=None, help="output file (default: stdout)")
         return p
 
-    add("check", cmd_check).add_argument("--tol", type=_tolerance, default=1e-10)
+    add("check", cmd_check).add_argument("--tol", type=_tolerance, default=None)
     p = add("decompose", cmd_decompose)
     p.add_argument("--variant", choices=("plain", "modified"), default="modified")
     p = add("act", cmd_act)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import BadShape, NotSymplectic
-from .heisenberg import _degree_n, _omega
+from .heisenberg import _omega, _rows
 from .jacobi import (
     JacobiAlgebraElement,
     _tangent_to_pq,
@@ -36,17 +36,23 @@ from .linalg import _gate, _mT, _row, _sqrt_frame, check_symmetric, sym_residual
 from .symplectic import _jacobi_matrix, blocks, check_siegel, from_blocks, j_matrix
 
 
+def _checked_xy_rows(n, dx, dy, dp, dq, dk=None):
+    """``(dx, dy, dp, dq)``, and dk if given, once dx and dy share one shape (..., n, n), each
+    symmetric within TANGENT_SYM_RTOL (so finite), and ``heisenberg._rows`` passes the rest,
+    else BadShape or NotSymmetric: the one check of an S_n or a Siegel-Jacobi tangent."""
+    dx, dy = (check_symmetric(d, linalg.TANGENT_SYM_RTOL) for d in (dx, dy))
+    if dx.shape[-2:] != (n, n) or dy.shape != dx.shape:
+        raise BadShape(f"dx and dy must be {n}x{n}, got {dx.shape} and {dy.shape}")
+    return (dx, dy, *_rows(n, dp, dq, kappa=dk))
+
+
 def _checked_sn_tangent(chart, tangent):
-    """``tangent`` at the S_n chart point ``chart`` once it passes: dx and dy n x n and
-    symmetric within TANGENT_SYM_RTOL (and then symmetrized), dp and dq finite rows of
-    length n, dkappa finite; else a GeometryError.  (dX, dY) is checked by the
+    """``tangent`` at the S_n chart point ``chart`` once it passes
+    :func:`_checked_xy_rows` (dx and dy are then symmetrized).  (dX, dY) is checked by the
     one-forms' F/G symmetry.  Over stacks as well."""
     dx, dy, dX, dY, dp, dq, dk = tangent
-    h = _degree_n(dp, dq, dk, chart.n)
-    dx, dy = (check_symmetric(d, linalg.TANGENT_SYM_RTOL) for d in (dx, dy))
-    if dx.shape[-2:] != (chart.n, chart.n) or dy.shape != dx.shape:
-        raise BadShape(f"dx and dy must be {chart.n}x{chart.n}, got {dx.shape} and {dy.shape}")
-    return symmetrize(dx), symmetrize(dy), dX, dY, h.lam, h.mu, h.kappa
+    dx, dy, dp, dq, dk = _checked_xy_rows(chart.n, dx, dy, dp, dq, dk)
+    return symmetrize(dx), symmetrize(dy), dX, dY, dp, dq, dk
 
 
 def check_matrix_tangent(g, tangent):
@@ -64,13 +70,13 @@ def check_matrix_tangent(g, tangent):
 
 def _checked_shapes(g, tangent):
     """A matrix-chart tangent at ``g`` with float n x n blocks and (dp, dq, dkappa) checked
-    by ``_degree_n`` (finite rows of length n, a finite dkappa); else BadShape.  The
+    by ``heisenberg._rows`` (finite rows of length n, a finite dkappa); else BadShape.  The
     linearized symplectic condition is :func:`check_matrix_tangent`'s."""
     blks = tuple(np.asarray(b, dtype=float) for b in tangent[:4])
     if any(b.shape != (g.n, g.n) for b in blks):
         raise BadShape(f"da, db, dc, dd must be {g.n}x{g.n}, got {[b.shape for b in blks]}")
-    h = _degree_n(*tangent[4:], g.n)
-    return (*blks, h.lam, h.mu, h.kappa)
+    dp, dq, dk = tangent[4:]
+    return (*blks, *_rows(g.n, dp, dq, kappa=dk))
 
 
 @dataclass(frozen=True)
@@ -85,10 +91,6 @@ class OneForms:
     def h_asymmetry(self):
         """Measured asymmetry of the H family (not asserted to vanish)."""
         return sym_residual(self.H)
-
-    def as_algebra_element(self):
-        """Repackage as a Jacobi algebra element (a=H, b=F, c=G, p=P, q=Q, r=R)."""
-        return JacobiAlgebraElement(self.H, self.F, self.G, self.P, self.Q, self.R)
 
 
 def _embed_tangent(g, tangent):

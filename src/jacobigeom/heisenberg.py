@@ -33,28 +33,35 @@ class HeisenbergElement:
     kappa: float
 
     def __post_init__(self):
-        object.__setattr__(self, "lam", _row(self.lam))
-        object.__setattr__(self, "mu", _row(self.mu))
-        kappa = np.asarray(self.kappa, dtype=float)
-        object.__setattr__(self, "kappa", kappa if self.lam.ndim > 1 else float(kappa))
-        if self.lam.shape != self.mu.shape or kappa.shape != self.lam.shape[:-2]:
-            raise BadShape("lambda and mu must have equal length, with one kappa per pair")
-        entries = np.concatenate([self.lam.reshape(kappa.shape + (-1,)),
-                                  self.mu.reshape(kappa.shape + (-1,)), kappa[..., None]], -1)
-        _gate(np.sum(~np.isfinite(entries), axis=-1), 0, BadShape, "count of non-finite entries")
+        rows = _rows(_row(self.lam).shape[-1], self.lam, self.mu, kappa=self.kappa)
+        for name, value in zip(("lam", "mu", "kappa"), rows):
+            object.__setattr__(self, name, value)
 
     @property
     def n(self):
         return self.lam.shape[-1]
 
 
-def _degree_n(lam, mu, kappa, n):
-    """``HeisenbergElement(lam, mu, kappa)``, which must have degree ``n`` (else BadShape):
-    the one check of a pair of finite rows of length n and a finite scalar."""
-    h = HeisenbergElement(lam, mu, kappa)
-    if h.n != n:
-        raise BadShape(f"rows must have length {n}, got {h.n}")
-    return h
+def _rows(n, *rows, kappa=None, dtype=float):
+    """``rows`` as ``dtype`` arrays (see ``linalg._row``), then ``kappa``, if given, as a float
+    (a float array over a stack), once the rows share one shape with length n, there is one
+    kappa per row and every entry is finite; else BadShape, naming the first failing stack
+    index: the one check of Heisenberg rows, point rows and kappas."""
+    rows = [_row(r, dtype) for r in rows]
+    shape = rows[0].shape
+    lead = shape[:-2]
+    if shape[-1] != n or shape[-2:-1] not in ((), (1,)) or any(r.shape != shape for r in rows):
+        raise BadShape(f"rows must be of one shape with length {n}, got {[r.shape for r in rows]}")
+    entries = [r.reshape(lead + (-1,)) for r in rows]
+    if kappa is not None:
+        kappa = np.asarray(kappa, dtype=float)
+        if kappa.shape != lead:
+            raise BadShape(f"expected one kappa per row, got shape {kappa.shape} for rows {shape}")
+        entries.append(kappa[..., None])
+        rows.append(kappa if lead else float(kappa))
+    _gate((~np.isfinite(np.concatenate(entries, -1))).sum(-1), 0, BadShape,
+          "count of non-finite entries")
+    return rows
 
 
 def _omega(r, s):
@@ -97,11 +104,12 @@ def h_oneforms(g, tangent):
     """Left-invariant one-form values (l^p, l^q, l^r) at g on a tangent.
 
     l^p = d lambda,  l^q = d mu,  l^r = d kappa - lambda d mu^t + mu d lambda^t.
-    These are the coefficients of g^{-1} dg on the P/Q/R generators.
+    These are the coefficients of g^{-1} dg on the P/Q/R generators; the tangent is
+    checked as in :func:`_rows`.
     """
     dlam, dmu, dkap = tangent
-    dlam, dmu = _row(dlam), _row(dmu)
-    return dlam.copy(), dmu.copy(), float(dkap) - _omega((g.lam, g.mu), (dlam, dmu))
+    dlam, dmu, dkap = _rows(g.n, dlam, dmu, kappa=dkap)
+    return dlam.copy(), dmu.copy(), dkap - _omega((g.lam, g.mu), (dlam, dmu))
 
 
 def h_metric(g, tangent):

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import BadShape, BasisClosureFailure, ProjectionResidual
-from .heisenberg import HeisenbergElement, _degree_n, _omega
+from .heisenberg import _omega, _rows
 from . import linalg
 from .linalg import _col, _from_col, _gate, _mT, _row, _trusted, check_symmetric, symmetrize
 from .symplectic import (
@@ -58,17 +58,13 @@ class JacobiElement:
 
     def __post_init__(self):
         object.__setattr__(self, "M", check_symplectic(self.M))
-        h = _degree_n(self.lam, self.mu, self.kappa, self.n)
-        object.__setattr__(self, "lam", h.lam)
-        object.__setattr__(self, "mu", h.mu)
-        object.__setattr__(self, "kappa", h.kappa)
+        for name, value in zip(("lam", "mu", "kappa"),
+                               _rows(self.n, self.lam, self.mu, kappa=self.kappa)):
+            object.__setattr__(self, name, value)
 
     @property
     def n(self):
         return self.M.shape[-1] // 2
-
-    def heisenberg_part(self):
-        return _trusted(HeisenbergElement, self.lam, self.mu, self.kappa)
 
 
 def gj_identity(n):
@@ -273,18 +269,25 @@ def commutator_table(n):
 
 def act_xjn(g, point):
     """Action on (v, u): v Moebius-transformed, u -> (u + lambda v + mu)(c v + d)^{-1}."""
-    v, u = _checked_vu(point)
+    v, u = _checked_point(check_siegel, *point)
     _point_degree(g, v)
     return _mobius(g.M, v, u + g.lam @ v + g.mu)
 
 
-def _checked_vu(point):
-    """``(v, u)`` as complex arrays once v passes :func:`check_siegel` and the real and
-    imaginary parts of u are finite rows of length n: the one check of a vu point."""
-    v, u = point
-    v, u = check_siegel(v), _row(u, complex)
-    _degree_n(u.real, u.imag, np.zeros(v.shape[:-2]), v.shape[-1])
-    return v, u
+def _checked_point(check, v, u, *tangents):
+    """``(v, u, *tangents)``, v and u as complex arrays, once ``check`` passes v
+    (:func:`check_siegel`, or ``metrics.check_ball_point`` at a ball point (W, z)), u is a
+    finite row of length n and each tangent (dv, du) has dv n x n with finite entries and du
+    a finite row of length n; else a GeometryError: the one check of a point of either
+    model, and of tangents there."""
+    v = check(v)
+    n = v.shape[-1]
+    for dv, du in tangents:
+        if np.shape(dv) != (n, n):
+            raise BadShape(f"dv must be {n}x{n}, got {np.shape(dv)}")
+        _rows(n * n, dv, dtype=complex)  # the entries of dv, as one row
+        _rows(n, du, dtype=complex)
+    return (v, *_rows(n, u, dtype=complex), *tangents)
 
 
 def act_pq(g, point):
@@ -315,9 +318,8 @@ def act_extended(g, point):
     The rows must be finite of length n and kappa finite."""
     x, y, p, q, kappa = point
     x, y = _siegel_xy(x, y)
-    h = _degree_n(p, q, kappa, _point_degree(g, x))
-    k1 = g.kappa + h.kappa + _omega((g.lam, g.mu), (h.lam, h.mu))
-    return (*_act_pq(g, (x, y, h.lam, h.mu)), k1)
+    p, q, kappa = _rows(_point_degree(g, x), p, q, kappa=kappa)
+    return (*_act_pq(g, (x, y, p, q)), g.kappa + kappa + _omega((g.lam, g.mu), (p, q)))
 
 
 def _push_pq(g, point, image, tangent):
@@ -334,11 +336,11 @@ def _push_kappa(g, tangent):
     return tangent[4] + _omega((g.lam, g.mu), tangent[2:4])
 
 
-def _push_vu(g, point, image, tangent):
-    """du1 = (du + lambda dv - u1 c dv)(c v + d)^{-1}, dv1 as in :func:`_push_pq`."""
+def _push_vu(m, lam, point, image, tangent):
+    """du1 = (du + lam dv - u1 c dv)(c v + d)^{-1}, dv1 as in :func:`_push_pq`: the push of
+    :func:`act_xjn` with (M, lambda) = (m, lam), and so of ``metrics.ball_act``."""
     (v, _), (v1, u1), (dv, du) = point, image, tangent
-    c = blocks(g.M)[2]
-    return _dmobius(g.M, v, v1, dv, du + g.lam @ dv - u1 @ c @ dv)
+    return _dmobius(m, v, v1, dv, du + lam @ dv - u1 @ blocks(m)[2] @ dv)
 
 
 # ---------------------------------------------------------------------------
@@ -368,10 +370,8 @@ class SnChart:
         object.__setattr__(self, "y", f.y)
         object.__setattr__(self, "X", f.X)
         object.__setattr__(self, "Y", f.Y)
-        h = _degree_n(self.p, self.q, self.kappa, f.n)
-        object.__setattr__(self, "p", h.lam)
-        object.__setattr__(self, "q", h.mu)
-        object.__setattr__(self, "kappa", h.kappa)
+        for name, value in zip(("p", "q", "kappa"), _rows(f.n, self.p, self.q, kappa=self.kappa)):
+            object.__setattr__(self, name, value)
 
     @property
     def n(self):
@@ -430,12 +430,11 @@ def _to_pq(point, src):
     """A point of chart ``src`` in the pq chart; the entry check of x + iy and of the
     two rows (finite, of length n) is here."""
     if src == "vu":
-        v, u = _checked_vu(point)
+        v, u = _checked_point(check_siegel, *point)
         return _pq_of((v.real, v.imag, u.real, u.imag), "xirho")
     x, y, first, second = point
     x, y = _siegel_xy(x, y)
-    h = _degree_n(first, second, np.zeros(x.shape[:-2]), x.shape[-1])
-    return _pq_of((x, y, h.lam, h.mu), src)
+    return _pq_of((x, y, *_rows(x.shape[-1], first, second)), src)
 
 
 def _pq_of(point, src):

@@ -29,15 +29,15 @@ import numpy as np
 
 from . import sampling as smp
 from .exceptions import BadShape, ContractionViolation
-from .heisenberg import HeisenbergElement, _degree_n, _omega
-from .jacobi import _act_pq, _checked_vu, _from_pq, _pq_of, _push_kappa, _push_pq, _push_vu
+from .heisenberg import _omega, _rows
+from .jacobi import _act_pq, _checked_point, _from_pq, _pq_of, _push_kappa, _push_pq, _push_vu
 from .jacobi import _tangent_from_pq, _tangent_to_pq, _to_pq, act_extended, act_xjn, gj_compose
 from .jacobi import SnChart, gj_embed, sn_chart, sn_chart_inverse
 from . import linalg
 from .linalg import _col, _dot, _frobenius, _from_col, _gate, _modulus, _mT, _row, _trace
-from .linalg import check_symmetric, sym_residual, symmetrize
-from .forms import _d_sn_chart, _d_sn_chart_inverse, _embed_tangent, oneforms_sn
-from .symplectic import _jacobi_parts, _siegel_xy, blocks
+from .linalg import sym_residual
+from .forms import _d_sn_chart, _d_sn_chart_inverse, _checked_xy_rows, _embed_tangent, oneforms_sn
+from .symplectic import _jacobi_parts, _mobius, _siegel_xy, blocks, check_siegel, from_blocks
 
 
 @dataclass(frozen=True)
@@ -96,16 +96,13 @@ def _check_arity(size, **parts):
 
 def _checked_xjn(point, *tangents):
     """``point`` with x and y as float arrays, once it and its ``tangents`` pass: x + iy
-    :func:`check_siegel`; each dx and dy n x n and symmetric within TANGENT_SYM_RTOL (so
-    finite); every pair of rows finite of length n, and a fifth component (kappa) finite.
-    Else a GeometryError."""
+    :func:`check_siegel`, the rows finite of length n and a fifth component (kappa) finite;
+    each tangent as in ``forms._checked_xy_rows``.  Else a GeometryError."""
     x, y = _siegel_xy(point[0], point[1])
-    n = x.shape[0]
-    for part in (point, *tangents):
-        _degree_n(part[2], part[3], part[4] if len(part) == 5 else 0.0, n)
-    for d in (d for t in tangents for d in t[:2]):
-        if check_symmetric(d, linalg.TANGENT_SYM_RTOL).shape != (n, n):
-            raise BadShape(f"dx and dy must be {n}x{n}, got {np.shape(d)}")
+    n = x.shape[-1]
+    _rows(n, point[2], point[3], kappa=point[4] if len(point) == 5 else None)
+    for t in tangents:
+        _checked_xy_rows(n, *t)
     return (x, y) + tuple(point[2:])
 
 
@@ -164,7 +161,9 @@ def lambda_r(point_pq_kappa, tangent):
     on the extended space.  The rows and kappas of the point and the tangent must be
     finite, the rows of one length."""
     _check_arity(5, point=point_pq_kappa, tangent=tangent)
-    _degree_n(*tangent[2:], HeisenbergElement(*point_pq_kappa[2:]).n)
+    n = _row(point_pq_kappa[2]).shape[-1]
+    for part in (point_pq_kappa, tangent):
+        _rows(n, part[2], part[3], kappa=part[4])
     return _lambda_r(point_pq_kappa, tangent)
 
 
@@ -204,14 +203,6 @@ def check_ball_point(w):
     return w
 
 
-def _checked_wz(w, z):
-    """``(w, z)`` once W passes :func:`check_ball_point` and z is a row of length n with
-    finite real and imaginary parts: ``jacobi._checked_vu`` on the ball."""
-    w, z = check_ball_point(w), _row(z, complex)
-    _degree_n(z.real, z.imag, np.zeros(w.shape[:-2]), w.shape[-1])
-    return w, z
-
-
 def _fc(w, z):
     """(M, eta) with M = (I - W Wbar)^{-1} and eta^t = M (z^t + W zbar^t), over stacks too."""
     m = np.linalg.inv(np.eye(w.shape[-1]) - w @ w.conj())
@@ -220,40 +211,40 @@ def _fc(w, z):
 
 def fc_transform(w, z):
     """Coordinate change z -> eta on the ball: eta = (I - W Wbar)^{-1} (z^t + W zbar^t)."""
-    return _fc(*_checked_wz(w, z))[1]
+    return _fc(*_checked_point(check_ball_point, w, z))[1]
 
 
 def fc_inverse(w, eta):
     """Inverse change eta -> z:  z^t = eta - W etabar."""
-    w, eta = _checked_wz(w, eta)
+    w, eta = _checked_point(check_ball_point, w, eta)
     return eta - w @ eta.conj()
 
 
 def cayley(v, u):
-    """Partial Cayley transform to the ball:  W = (v - iI)(v + iI)^{-1},
-    z^t = 2i (v + iI)^{-1} u^t.  Sends iI to the center.  The point is checked as in
-    :func:`jacobi.act_xjn`."""
-    v, u = _checked_vu((v, u))
-    eye = np.eye(v.shape[0])
-    w = symmetrize(np.linalg.solve((v + 1j * eye).T, (v - 1j * eye).T).T)
-    z = 2j * np.linalg.solve(v + 1j * eye, u)
+    """Partial Cayley transform to the ball, the Moebius map of [[I, -iI], [I, iI]] with the
+    row 2i u:  W = (v - iI)(v + iI)^{-1}, z^t = 2i (v + iI)^{-1} u^t.  Sends iI to the
+    center.  The point is checked as in :func:`jacobi.act_xjn`."""
+    v, u = _checked_point(check_siegel, v, u)
+    eye = np.eye(v.shape[-1])
+    w, z = _mobius(from_blocks(eye, -1j * eye, eye, 1j * eye), v, 2j * u)
     return check_ball_point(w), z
 
 
 def cayley_inverse(w, z):
-    """Inverse Cayley:  v = i (I - W)^{-1} (I + W),  u^t = (I - W)^{-1} z^t."""
-    w, z = _checked_wz(w, z)
-    eye = np.eye(w.shape[0])
-    return symmetrize(1j * np.linalg.solve(eye - w, eye + w)), np.linalg.solve(eye - w, z)
+    """Inverse Cayley, the Moebius map of [[iI, iI], [-I, I]] with the row z:
+    v = i (I - W)^{-1} (I + W),  u^t = (I - W)^{-1} z^t."""
+    w, z = _checked_point(check_ball_point, w, z)
+    eye = np.eye(w.shape[-1])
+    return _mobius(from_blocks(1j * eye, 1j * eye, -eye, eye), w, z)
 
 
 def g_form(v, u, tangent):
     """Row form  G^t = du - (u - ubar)(v - vbar)^{-1} dv  at a Siegel-Jacobi point.
 
     In pq coordinates this equals dp v + dq.  The point is checked as in
-    :func:`jacobi.act_xjn`.
+    :func:`jacobi.act_xjn`, the tangent as in ``jacobi._checked_point``.
     """
-    return _g_form(*_checked_vu((v, u)), tangent)
+    return _g_form(*_checked_point(check_siegel, v, u, tangent))
 
 
 def _g_form(v, u, tangent):
@@ -270,9 +261,9 @@ def kahler_ball(kparams, w, z, t1, t2):
     -i omega = (k/2) tr(B wedge Bbar) + nu tr(A^t Mbar wedge Abar) with
     M = (I - W Wbar)^{-1}, B = M dW, A = dz^t + dW etabar and eta the
     FC image of z.  Antisymmetric in (t1, t2).  The point is checked as in
-    :func:`fc_transform`.
+    :func:`fc_transform`, the tangents as in ``jacobi._checked_point``.
     """
-    return _kahler_ball(kparams, *_checked_wz(w, z), t1, t2)
+    return _kahler_ball(kparams, *_checked_point(check_ball_point, w, z, t1, t2))
 
 
 def _kahler_ball(kparams, w, z, t1, t2):
@@ -296,9 +287,9 @@ def kahler_xjn(kparams, v, u, t1, t2):
 
     -i omega = (k/2) tr(H wedge Hbar) + (2 nu / i) tr(G^t D wedge Gbar)
     with D = (vbar - v)^{-1} and H = D dv.  The point is checked as in
-    :func:`jacobi.act_xjn`.
+    :func:`jacobi.act_xjn`, the tangents as in ``jacobi._checked_point``.
     """
-    return _kahler_xjn(kparams, *_checked_vu((v, u)), t1, t2)
+    return _kahler_xjn(kparams, *_checked_point(check_siegel, v, u, t1, t2))
 
 
 def _kahler_xjn(kparams, v, u, t1, t2):
@@ -333,21 +324,28 @@ def sp_to_ball_rep(m):
     return 0.5 * ((a + d) + 1j * (b - c)), 0.5 * ((a - d) - 1j * (b + c))
 
 
+def _ball_matrix(p, q):
+    """[[P, Q], [Qbar, Pbar]], the matrix whose Moebius action is the ball action."""
+    return from_blocks(p, q, np.conj(q), np.conj(p))
+
+
 def ball_act(element, point):
     """Action of ((P, Q), alpha) on a ball point (W, z):
 
     W1 = (W Q^dag + P^dag)^{-1} (Q^t + W P^t),
-    z1^t = (W Q^dag + P^dag)^{-1} (z^t + alpha^t - W alphabar^t).
+    z1^t = (W Q^dag + P^dag)^{-1} (z^t + alpha^t - W alphabar^t),
 
-    The point is checked as in :func:`fc_transform`; element and point may be stacks.
+    which is :func:`jacobi.act_xjn` for M = :func:`_ball_matrix` and (lambda, mu) =
+    (-alphabar, alpha).  The point is checked as in :func:`fc_transform`; P and Q must be
+    n x n and alpha a finite row of length n.  Element and point may be stacks.
     """
     (p, q), alpha = element
-    w, z = _checked_wz(*point)
-    alpha = _row(alpha, complex)
-    sol = np.linalg.solve(w @ _mT(q.conj()) + _mT(p.conj()),
-                          np.concatenate([_mT(q) + w @ _mT(p),
-                                          _col(z + alpha) - w @ _col(alpha.conj())], axis=-1))
-    return symmetrize(sol[..., :-1]), _from_col(sol[..., -1:])
+    w, z = _checked_point(check_ball_point, *point)
+    n = w.shape[-1]
+    if np.shape(p)[-2:] != (n, n) or np.shape(q) != np.shape(p):
+        raise BadShape(f"P and Q must be {n}x{n}, got {np.shape(p)} and {np.shape(q)}")
+    (alpha,) = _rows(n, alpha, dtype=complex)
+    return _mobius(_ball_matrix(p, q), w, z - alpha.conj() @ w + alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -380,17 +378,6 @@ def _metric_xjn_broken(alpha, gamma, point, t1, t2):
 
 def _times_i(tangent):
     return tuple(1j * np.asarray(c) for c in tangent)
-
-
-def _push_ball(pq_pair, alpha, point, image, tangent):
-    """With den = W Q^dag + P^dag: dW1 = den^{-1} (dW P^t - dW Q^dag W1), symmetrized,
-    and dz1 = den^{-1} (dz - dW alphabar - dW Q^dag z1)."""
-    (p, q), (w, _), (w1, z1), (dw, dz) = pq_pair, point, image, tangent
-    dwq = dw @ _mT(q.conj())
-    rhs = np.concatenate([dw @ _mT(p) - dwq @ w1,
-                          _col(dz) - dw @ _col(alpha.conj()) - dwq @ _col(z1)], axis=-1)
-    sol = np.linalg.solve(w @ _mT(q.conj()) + _mT(p.conj()), rhs)
-    return symmetrize(sol[..., :-1]), _from_col(sol[..., -1:])
 
 
 def _draw_group(rng, n):
@@ -441,17 +428,19 @@ def _draw_extended(rng, n):
 
 
 def _draw_ball(rng, n):
-    pq_pair = sp_to_ball_rep(smp.rand_symplectic(rng, n))
+    p, q = sp_to_ball_rep(smp.rand_symplectic(rng, n))
     alpha = smp.rand_complex_row(rng, n)
-    return ((lambda pt: ball_act((pq_pair, alpha), pt)),
-            (lambda pt, image, t: _push_ball(pq_pair, alpha, pt, image, t)),
+    m, lam = _ball_matrix(p, q), -alpha.conj()  # ball_act is act_xjn's action of (m, lam)
+    return ((lambda pt: ball_act(((p, q), alpha), pt)),
+            (lambda pt, image, t: _push_vu(m, lam, pt, image, t)),
             smp.rand_ball_point(rng, n), smp.rand_ball_tangent(rng, n),
             smp.rand_ball_tangent(rng, n))
 
 
 def _draw_vu(rng, n):
     g = smp.rand_jacobi(rng, n)
-    return ((lambda pt: act_xjn(g, pt)), (lambda pt, image, t: _push_vu(g, pt, image, t)),
+    return ((lambda pt: act_xjn(g, pt)),
+            (lambda pt, image, t: _push_vu(g.M, g.lam, pt, image, t)),
             smp.rand_vu_point(rng, n), smp.rand_vu_tangent(rng, n), smp.rand_vu_tangent(rng, n))
 
 

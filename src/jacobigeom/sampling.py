@@ -112,16 +112,12 @@ def rand_jacobi(rng, n, scale=None):
 
 
 def rand_gj_algebra(rng, n, scale=None):
+    """:func:`rand_sp_algebra`'s (a, b, c), then p, q and r scaled alike."""
     if scale is None:
         scale = 1.0 / (2 * n)
-    return JacobiAlgebraElement(
-        rand_matrix(rng, n, scale=scale),
-        rand_sym(rng, n, scale=scale),
-        rand_sym(rng, n, scale=scale),
-        rand_row(rng, n) * scale,
-        rand_row(rng, n) * scale,
-        _uniform(rng) * scale,
-    )
+    s = rand_sp_algebra(rng, n, scale)
+    return JacobiAlgebraElement(s.a, s.b, s.c, rand_row(rng, n) * scale,
+                                rand_row(rng, n) * scale, _uniform(rng) * scale)
 
 
 def rand_siegel(rng, n):
@@ -172,14 +168,12 @@ def rand_ball_point(rng, n, margin=0.2):
     return (1.0 - margin) * w / np.maximum(1.0, norm / (1.0 - margin)), rand_complex_row(rng, n)
 
 
-def rand_ball_tangent(rng, n):
-    dw = symmetrize(rand_matrix(rng, n) + 1j * rand_matrix(rng, n))
-    return dw, rand_complex_row(rng, n)
-
-
 def rand_vu_point(rng, n):
     return rand_siegel(rng, n), rand_complex_row(rng, n)
 
 
 def rand_vu_tangent(rng, n):
     return rand_sym(rng, n) + 1j * rand_sym(rng, n), rand_complex_row(rng, n)
+
+
+rand_ball_tangent = rand_vu_tangent  # (dW, dz): a complex symmetric matrix and a complex row

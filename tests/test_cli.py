@@ -37,6 +37,24 @@ def test_check_perturbed_false():
     assert json.loads(res.stdout)["symplectic"] is False
 
 
+def test_check_default_tol_is_the_table_bound(monkeypatch, tmp_path, capsys):
+    # J with an a-block 1e-9 off symmetric: outside SP_TOL = 1e-10, inside 1e-8; without
+    # --tol the verdict follows linalg.SP_TOL, read when the check runs
+    from jacobigeom import cli, linalg
+
+    m = j2()
+    m[0, 1] = 1e-9
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"matrix": m.tolist()}))
+    verdicts = []
+    for bound in (1e-10, 1e-8):
+        monkeypatch.setattr(linalg, "SP_TOL", bound)
+        code = cli.main(["check", "--input", str(path)])
+        out = json.loads(capsys.readouterr().out)
+        verdicts.append((code, out["symplectic"], out["block_relations"]))
+    assert verdicts == [(1, False, False), (0, True, True)]
+
+
 def test_check_bad_shape_is_usage_error():
     res = run_cli(["check"], {"matrix": np.eye(3).tolist()})
     assert res.returncode == 2

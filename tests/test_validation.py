@@ -26,6 +26,7 @@ from jacobigeom import (
     NotSymplectic,
     NotUnitaryPair,
     ProjectionResidual,
+    SingularDenominator,
     SingularSylvester,
     SpAlgebraElement,
     act_extended,
@@ -45,6 +46,9 @@ from jacobigeom import (
     gj_embed,
     gj_from_embedding,
     gj_identity,
+    h_identity,
+    h_metric,
+    h_oneforms,
     kahler_ball,
     kahler_xjn,
     lambda_r,
@@ -230,6 +234,24 @@ def _sn_tangent(dp=_ROWS[0], dk=0.0):
     return (_Y, _Y, _X, _X, dp, _ROWS[1], dk)
 
 
+_KP = KahlerParams(2.0, 1.0)
+_NAN_ROW = np.array([np.nan, 0.0])
+# complex tangents (dv, du) of the Kaehler forms and g_form, which reached numpy's
+# ValueError, or returned NaN, before their entry checks
+_BAD_COMPLEX_TANGENTS = {
+    "dv 3x3": (np.eye(3) + 0j, _VU_TANGENT[1]),
+    "du of length 3": (_VU_TANGENT[0], _ROW3 + 0j),
+    "NaN dv": (NAN + 0j, _VU_TANGENT[1]),
+    "NaN du": (_VU_TANGENT[0], _NAN_ROW + 0j),
+}
+_COMPLEX_TANGENT_ENTRIES = {
+    "kahler_xjn": lambda t: kahler_xjn(_KP, _X + 1j * _Y, _ROWS[0], _VU_TANGENT, t),
+    "kahler_ball": lambda t: kahler_ball(_KP, _X, _ROWS[0], t, _BALL_TANGENT),
+    "g_form": lambda t: g_form(_X + 1j * _Y, _ROWS[0], t),
+}
+_BALL_PQ = (_Y + 0j, _X + 0j)  # (P, Q) of the identity
+
+
 BAD_SHAPES = {
     "act_pq p of length 3": lambda: act_pq(gj_identity(2), (_X, _Y, _ROW3, _ROWS[1])),
     "act_pq x 2x2, y 3x3": lambda: act_pq(gj_identity(2), (_X, np.eye(3)) + _ROWS),
@@ -268,6 +290,20 @@ BAD_SHAPES = {
     "ball_act z of length 3":
         lambda: ball_act(((_Y + 0j, _X + 0j), np.zeros(2)), (_X, _ROW3)),
     "cayley u of length 3": lambda: cayley(1j * _Y, _ROW3),
+    "ball_act P 3x3": lambda: ball_act(((np.eye(3) + 0j, _X + 0j), np.zeros(2)), (_X, _ROWS[0])),
+    "ball_act Q of shape 2x3":
+        lambda: ball_act(((_Y + 0j, np.zeros((2, 3))), np.zeros(2)), (_X, _ROWS[0])),
+    "ball_act alpha of length 3": lambda: ball_act((_BALL_PQ, _ROW3), (_X, _ROWS[0])),
+    "ball_act NaN alpha": lambda: ball_act((_BALL_PQ, _NAN_ROW), (_X, _ROWS[0])),
+    **{f"{entry} {case}": (lambda e=entry, c=case: _COMPLEX_TANGENT_ENTRIES[e](
+        _BAD_COMPLEX_TANGENTS[c])) for entry in _COMPLEX_TANGENT_ENTRIES
+       for case in _BAD_COMPLEX_TANGENTS},
+    # the Heisenberg one-forms' tangent (dlambda, dmu, dkappa)
+    "h_oneforms dlambda of length 3":
+        lambda: h_oneforms(h_identity(2), (_ROW3, _ROWS[1], 0.0)),
+    "h_oneforms NaN dmu": lambda: h_oneforms(h_identity(2), (_ROWS[0], _NAN_ROW, 0.0)),
+    "h_metric dmu of length 3": lambda: h_metric(h_identity(2), (_ROWS[0], _ROW3, 0.0)),
+    "h_metric NaN dkappa": lambda: h_metric(h_identity(2), _ROWS + (np.nan,)),
     # matrix-chart tangents' rows and dkappa, at the identity
     "oneforms_matrix_chart dp of length 3":
         lambda: oneforms_matrix_chart(gj_identity(2), (_X,) * 4 + (_ROW3, _ROWS[1], 0.0)),
@@ -309,3 +345,17 @@ TANGENT_ENTRIES = {
 def test_metrics_refuse_non_tangents(entry, case):
     with pytest.raises(GeometryError):
         TANGENT_ENTRIES[entry](BAD_TANGENTS[case])
+
+
+# a singular or non-finite Moebius image: ball_act's denominator W Q^dag + P^dag, which
+# numpy's LinAlgError (P = Q = 0) or a NaN result (NaN P) reported before
+SINGULAR = {
+    "ball_act P = Q = 0": lambda: ball_act(((_X + 0j, _X + 0j), np.zeros(2)), (_X, _ROWS[0])),
+    "ball_act NaN P": lambda: ball_act(((NAN + 0j, _X + 0j), np.zeros(2)), (_X, _ROWS[0])),
+}
+
+
+@pytest.mark.parametrize("case", SINGULAR)
+def test_singular_images_raise_singular_denominator(case):
+    with pytest.raises(SingularDenominator):
+        SINGULAR[case]()
