@@ -32,7 +32,8 @@ from .jacobi import (
     sn_chart_inverse,
 )
 from . import linalg
-from .linalg import _gate, _mT, _row, _sqrt_frame, check_symmetric, sym_residual, symmetrize
+from .linalg import _check_lead, _gate, _mT, _row, _sqrt_frame, check_symmetric, sym_residual
+from .linalg import symmetrize
 from .symplectic import _jacobi_matrix, blocks, check_siegel, from_blocks, j_matrix
 
 
@@ -47,11 +48,12 @@ def _checked_xy_rows(n, dx, dy, dp, dq, dk=None):
 
 
 def _checked_sn_tangent(chart, tangent):
-    """``tangent`` at the S_n chart point ``chart`` once it passes
-    :func:`_checked_xy_rows` (dx and dy are then symmetrized).  (dX, dY) is checked by the
-    one-forms' F/G symmetry.  Over stacks as well."""
+    """``tangent`` at the S_n chart point ``chart`` once it passes :func:`_checked_xy_rows`
+    (dx and dy are then symmetrized) and ``linalg._check_lead``.  (dX, dY) is checked by
+    the one-forms' F/G symmetry."""
     dx, dy, dX, dY, dp, dq, dk = tangent
     dx, dy, dp, dq, dk = _checked_xy_rows(chart.n, dx, dy, dp, dq, dk)
+    _check_lead(chart.x.shape[:-2], dx.shape[:-2])
     return symmetrize(dx), symmetrize(dy), dX, dY, dp, dq, dk
 
 
@@ -112,9 +114,11 @@ def maurer_cartan(g, tangent, chart="matrix"):
     :func:`d_sn_chart_inverse`).  The embedded value must lie in the
     Jacobi algebra up to PROJ_RTOL (see
     :meth:`JacobiAlgebraElement.from_matrix`).  A matrix-chart tangent's block
-    shapes, rows and dkappa are checked as in :func:`check_matrix_tangent`.
+    shapes, rows and dkappa are checked as in :func:`check_matrix_tangent`; stacks raise.
     """
     if chart == "sn":
+        if g.x.ndim != 2 or np.ndim(tangent[0]) != 2:
+            raise BadShape("the S_n route takes one chart and one tangent, not stacks")
         tangent = d_sn_chart_inverse(g, tangent)
         g = sn_chart_inverse(g)
     else:
@@ -215,23 +219,32 @@ def oneforms_sn(chart, tangent):
     This is an independent evaluation route from
     :func:`oneforms_matrix_chart`; their agreement through the chart
     differential is part of the verified contract.  The tangent is checked
-    as in :func:`_checked_sn_tangent`; charts and tangents may be stacks.
+    as in :func:`_checked_sn_tangent`: a chart serves one tangent or a stack of them.
     """
     dx, dy, dX, dY, dp, dq, dk = _checked_sn_tangent(chart, tangent)
-    x = chart.x
+    n = chart.n
     s, si, ds = _sqrt_frame(chart.y, dy)
-    ell = si @ ds
-    arr = ds @ si
-    cc = si @ dx @ si
-    X, Y = chart.X, chart.Y
-    Xt, Yt = _mT(X), _mT(Y)
-    f = Xt @ dY - Yt @ dX + Xt @ ell @ Y + Xt @ cc @ X + Yt @ arr @ X
-    g = -Xt @ dY + Yt @ dX + Yt @ ell @ X - Yt @ cc @ Y + Xt @ arr @ Y
-    h = Xt @ dX + Yt @ dY + Xt @ ell @ X - Xt @ cc @ Y - Yt @ arr @ Y
+    z = np.concatenate((chart.X, chart.Y), -1)  # Z = [X Y]
+    siz = si @ z
+    # the products a^t M b, a and b in {X, Y}, as the blocks of one product per M, taken
+    # one at a time to bound the memory of a long stack; R = L^t, as s and ds are symmetric
+    a, b, c, d = blocks(_mT(siz) @ ds @ z)  # (s^-1 Z)^t ds Z: X^t L X, X^t L Y, Y^t L X, Y^t L Y
+    f, g, h = b + _mT(b), c + _mT(c), a - _mT(d)
+    del a, b, c, d
+    a, b, c, d = blocks(_mT(siz) @ dx @ siz)  # the products with C
+    f += a
+    g -= d
+    h -= b
+    del a, b, c, d
+    a, b, c, d = blocks(_mT(z) @ np.concatenate((dX, dY), -1))  # X^t dX, X^t dY, Y^t dX, Y^t dY
+    f += b - c
+    g += c - b
+    h += a + d
     f = symmetrize(check_symmetric(f, linalg.FORM_SN_SYM_RTOL))
     g = symmetrize(check_symmetric(g, linalg.FORM_SN_SYM_RTOL))
-    lam_p = dp @ (s @ X - x @ si @ Y) - dq @ si @ Y
-    lam_q = dq @ si @ X + dp @ (s @ Y + x @ si @ X)
+    six, siy = siz[..., :n], siz[..., n:]
+    lam_p = dp @ (s @ chart.X - chart.x @ siy) - dq @ siy
+    lam_q = dq @ six + dp @ (s @ chart.Y + chart.x @ six)
     lam_r = dk - _omega((chart.p, chart.q), (dp, dq))
     return OneForms(f, g, h, lam_p, lam_q, lam_r)
 

@@ -278,14 +278,14 @@ def _checked_point(check, v, u, *tangents):
     """``(v, u, *tangents)``, v and u as complex arrays, once ``check`` passes v
     (:func:`check_siegel`, or ``metrics.check_ball_point`` at a ball point (W, z)), u is a
     finite row of length n and each tangent (dv, du) has dv n x n with finite entries and du
-    a finite row of length n; else a GeometryError: the one check of a point of either
-    model, and of tangents there."""
+    a finite row of length n, or is a stack of such (dv (..., n, n), du (..., 1, n)); else a
+    GeometryError: the one check of a point of either model, and of tangents there."""
     v = check(v)
     n = v.shape[-1]
     for dv, du in tangents:
-        if np.shape(dv) != (n, n):
+        if np.shape(dv)[-2:] != (n, n):
             raise BadShape(f"dv must be {n}x{n}, got {np.shape(dv)}")
-        _rows(n * n, dv, dtype=complex)  # the entries of dv, as one row
+        _rows(n * n, np.reshape(dv, np.shape(dv)[:-2] + (1, n * n)), dtype=complex)  # entries
         _rows(n, du, dtype=complex)
     return (v, *_rows(n, u, dtype=complex), *tangents)
 

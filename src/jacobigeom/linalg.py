@@ -88,8 +88,22 @@ def _row(v, dtype=float):
 
 
 def _dot(r, s):
-    """r s^t of two rows: a scalar, or shape (...) for stacks of rows (..., 1, n)."""
-    return r @ s if r.ndim == 1 else (r @ _mT(s))[..., 0, 0]
+    """r s^t of two rows: a scalar, or shape (...) for stacks of rows (..., 1, n); a row
+    pairs with each row of a stack, and stacks broadcast against each other."""
+    if s.ndim == 1:
+        return r @ s if r.ndim == 1 else (r @ s)[..., 0]
+    return (s @ r)[..., 0] if r.ndim == 1 else (r @ _mT(s))[..., 0, 0]
+
+
+def _check_lead(lead, tangent_lead):
+    """BadShape unless ``lead``, a point's stack shape, broadcasts into ``tangent_lead``,
+    its tangents': one point serves a stack of tangents, a stack of points needs them alike."""
+    try:
+        if not lead or np.broadcast_shapes(lead, tangent_lead) == tangent_lead:
+            return
+    except ValueError:
+        pass
+    raise BadShape(f"a point stack {lead} does not broadcast over tangents stacked {tangent_lead}")
 
 
 def _col(r):
@@ -103,19 +117,9 @@ def _from_col(c):
     return c[:, 0] if c.ndim == 2 else _mT(c)
 
 
-def _frobenius(a, b):
-    """<a, b> = tr(a b^t) of two real matrices, or per matrix of two stacks."""
-    return _dot(*(m.reshape(m.shape[:-2] + ((1, -1) if m.ndim > 2 else (-1,))) for m in (a, b)))
-
-
 def _fro(a):
     """The Frobenius norm of a real matrix, or per matrix of a stack."""
     return np.sqrt(np.square(a).sum((-2, -1)))
-
-
-def _trace(a):
-    """The trace of a matrix, or per matrix of a stack."""
-    return np.trace(a, axis1=-2, axis2=-1)
 
 
 def _modulus(v):
@@ -302,9 +306,10 @@ def _sqrt_frame(y, dy):
     w, u = np.linalg.eigh(symmetrize(y))
     w = w[..., None, :]
     r = w ** 0.5
-    s, si = (symmetrize((u * p) @ _mT(u)) for p in (r, w ** -0.5))
+    s, si = (symmetrize((u * p) @ _mT(u)) for p in (r, 1.0 / r))
     ds = symmetrize(u @ ((_mT(u) @ dy @ u) / (_mT(r) + r)) @ _mT(u))
-    _gate(_fro(s @ ds + ds @ s - dy), SYLVESTER_RTOL * np.maximum(1.0, _fro(dy)),
+    sds = s @ ds  # ds s = (s ds)^t, as both are symmetric
+    _gate(_fro(sds + _mT(sds) - dy), SYLVESTER_RTOL * np.maximum(1.0, _fro(dy)),
           SingularSylvester, "Sylvester residual of the square-root derivative")
     return s, si, ds
 

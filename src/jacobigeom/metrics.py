@@ -1,6 +1,10 @@
 """Invariant metrics on the Jacobi group and its homogeneous spaces.
 
-The 4-parameter group metric is the sum of squares of the six weighted
+Each metric is the Gram form <Phi(t1), Phi(t2)> of a frame Phi(point, t) of
+invariant one-forms, linear in the tangent t, and each Kaehler two-form the
+Hermitian antisymmetric pairing -Im <Phi(t1), conj Phi(t2)> of a complex one.  A
+public call evaluates the frame once, on t1 and t2 stacked, at the point factored
+once.  The 4-parameter group metric is the sum of squares of the six weighted
 invariant one-form families
 
     l1 = sqrt(alpha) (F + G),  l2 = sqrt(alpha) H,  l3 = sqrt(beta) (F - G),
@@ -13,9 +17,10 @@ gamma = delta = 0), the symplectic group (gamma = delta = 0), the
 Siegel-Jacobi space (beta = delta = 0) and its extension (beta = 0).
 
 On the Siegel-Jacobi space itself the two-parameter metric has the three
-closed coordinate expressions implemented in :func:`metric_xjn`; adding
-``delta (dkappa - p dq^t + q dp^t)^2`` gives the three-parameter metric
-on the extended space (:func:`metric_extended`).
+closed coordinate expressions implemented in :func:`metric_xjn`, each the Gram
+form of a frame from one Cholesky factor of y; adding the square of one more
+invariant one-form, ``delta (dkappa - p dq^t + q dp^t)^2``, gives the
+three-parameter metric on the extended space (:func:`metric_extended`).
 
 Kaehler two-forms on the ball and upper-half-space models, the partial
 Cayley transform and the normalized/un-normalized coordinate change on
@@ -34,8 +39,7 @@ from .jacobi import _act_pq, _checked_point, _from_pq, _pq_of, _push_kappa, _pus
 from .jacobi import _tangent_from_pq, _tangent_to_pq, _to_pq, act_extended, act_xjn, gj_compose
 from .jacobi import SnChart, gj_embed, sn_chart, sn_chart_inverse
 from . import linalg
-from .linalg import _col, _dot, _frobenius, _from_col, _gate, _modulus, _mT, _row, _trace
-from .linalg import sym_residual
+from .linalg import _check_lead, _col, _from_col, _gate, _modulus, _mT, _row, sym_residual
 from .forms import _d_sn_chart, _d_sn_chart_inverse, _checked_xy_rows, _embed_tangent, oneforms_sn
 from .symplectic import _jacobi_parts, _mobius, _siegel_xy, blocks, check_siegel, from_blocks
 
@@ -70,18 +74,48 @@ class KahlerParams:
             raise ValueError("k and nu must be positive and finite")
 
 
+def _flat(*parts):
+    """A frame's components, each (..., a, b) over one stack shape, as one array (..., m)."""
+    return np.concatenate([c.reshape(c.shape[:-2] + (-1,)) for c in parts], -1)
+
+
+def _gram(f1, f2):
+    """The pairing of the metrics: the sum of the products of two real frame values."""
+    return f1 @ f2 if f1.ndim == 1 else (f1[..., None, :] @ f2[..., None])[..., 0, 0]
+
+
+def _hermitian(f1, f2):
+    """The pairing of the Kaehler forms: (i/2) (h(f1, f2) - h(f2, f1)) = -Im h(f1, f2) with
+    h(a, b) = sum a conj(b), of two complex frame values; real, as the two-form is."""
+    return -_gram(f1, f2.conj()).imag
+
+
+def _pair(lead, t1, t2):
+    """t1 and t2 stacked on a new leading axis (a row (n,) as (2, 1, n)) for one frame call;
+    BadShape unless they have one shape, into whose stack shape ``lead`` broadcasts."""
+    tangent_lead = np.shape(t1[0])[:-2]
+    _check_lead(lead, tangent_lead)
+    try:
+        return tuple(np.array(c)[:, None] if not tangent_lead and np.ndim(c[0]) == 1
+                     else np.array(c) for c in zip(t1, t2, strict=True))
+    except ValueError as exc:
+        raise BadShape(f"t1 and t2 must have one shape: {exc}") from exc
+
+
+def _sn_frame(params, chart, t):
+    """:func:`metric_group`'s frame: the weighted families l1 .. l6 of one ``oneforms_sn``."""
+    f = oneforms_sn(chart, t)
+    a, b, c, d = np.sqrt((params.alpha, params.beta, params.gamma, params.delta))
+    return _flat(a * (f.F + f.G), a * f.H, b * (f.F - f.G), c * f.P, c * f.Q,
+                 d * f.R[..., None, None])
+
+
 def metric_group(params, chart, t1, t2):
     """g(t1, t2) = alpha (<F1 + G1, F2 + G2> + <H1, H2>) + beta <F1 - G1, F2 - G2>
-    + gamma (P1 P2^t + Q1 Q2^t) + delta R1 R2 with <A, B> = tr(A B^t), from one
-    ``oneforms_sn`` per distinct tangent: the one-forms are linear in the tangent.
-    Charts and tangents may be stacks, as in ``oneforms_sn``."""
-    f1 = oneforms_sn(chart, t1)
-    f2 = f1 if t2 is t1 else oneforms_sn(chart, t2)
-    val = params.alpha * (_frobenius(f1.F + f1.G, f2.F + f2.G) + _frobenius(f1.H, f2.H))
-    val += params.beta * _frobenius(f1.F - f1.G, f2.F - f2.G)
-    val += params.gamma * (_dot(f1.P, f2.P) + _dot(f1.Q, f2.Q))
-    val += params.delta * f1.R * f2.R
-    return val
+    + gamma (P1 P2^t + Q1 Q2^t) + delta R1 R2 with <A, B> = tr(A B^t): the Gram form of the
+    frame l1 .. l6, from one ``oneforms_sn`` call on t1 and t2 stacked (the one-forms are
+    linear in the tangent), which checks the tangents and the stack shapes."""
+    return _gram(*_sn_frame(params, chart, _pair(chart.x.shape[:-2], t1, t2)))
 
 
 XJN_CHARTS = ("pq", "chipsi", "xirho")
@@ -94,16 +128,38 @@ def _check_arity(size, **parts):
             raise BadShape(f"{name} must have {size} components, got {len(part)}")
 
 
-def _checked_xjn(point, *tangents):
-    """``point`` with x and y as float arrays, once it and its ``tangents`` pass: x + iy
-    :func:`check_siegel`, the rows finite of length n and a fifth component (kappa) finite;
-    each tangent as in ``forms._checked_xy_rows``.  Else a GeometryError."""
+def _checked_xjn(point, t1, t2):
+    """``point`` with float arrays and 1-d rows, and t1 and t2 as one tangent (``_pair``),
+    once x + iy passes :func:`check_siegel`, the rows are finite of length n, a fifth
+    component (kappa) is finite and the tangents pass ``forms._checked_xy_rows``."""
     x, y = _siegel_xy(point[0], point[1])
     n = x.shape[-1]
-    _rows(n, point[2], point[3], kappa=point[4] if len(point) == 5 else None)
-    for t in tangents:
-        _checked_xy_rows(n, *t)
-    return (x, y) + tuple(point[2:])
+    rows = _rows(n, point[2], point[3], kappa=point[4] if len(point) == 5 else None)
+    return (x, y, *rows), _checked_xy_rows(n, *_pair(x.shape[:-2], t1, t2))
+
+
+def _roots(*weights):
+    """The square roots of metric weights, once each is finite and >= 0; else ValueError."""
+    if not all(0 <= w < np.inf for w in weights):
+        raise ValueError(f"metric weights must be nonnegative and finite, got {weights}")
+    return tuple(w ** 0.5 for w in weights)
+
+
+def _xjn_frame(roots, chart, point, t, *extra):
+    """:func:`metric_xjn`'s frame in ``chart`` at a validated point (or stacks), weighted by
+    ``roots``, from y = L L^t: (L^-1 dx L^-t, L^-1 dy L^-t), then ((dq + dp x) L^-t, dp L)
+    in pq and chipsi or (r L^-t, s L^-t) in xirho, then the ``extra`` components."""
+    ell = np.linalg.cholesky(point[1])
+    li = np.linalg.inv(ell)
+    lit = _mT(li)
+    lit_a, lit_c = roots[0] * lit, roots[1] * lit  # weighted once per point, not per tangent
+    if chart == "xirho":
+        rho = np.atleast_2d(point[3]) @ lit @ li  # rho y^-1
+        rows = ((t[2] - rho @ t[0]) @ lit_c, (t[3] - rho @ t[1]) @ lit_c)
+    else:
+        dp, dq = (t[2], t[3]) if chart == "pq" else (t[3], t[2])
+        rows = ((dq + dp @ point[0]) @ lit_c, dp @ (roots[1] * ell))
+    return _flat(li @ t[0] @ lit_a, li @ t[1] @ lit_a, *rows, *extra)
 
 
 def metric_xjn(alpha, gamma, chart, point, t1, t2):
@@ -118,42 +174,15 @@ def metric_xjn(alpha, gamma, chart, point, t1, t2):
     xirho:  alpha part + gamma [r y^-1 r^t + s y^-1 s^t] with
             r = dxi - rho y^-1 dx and s = drho - rho y^-1 dy.
 
-    All three agree under the chart conversions.  The point and both
-    tangents are checked as in :func:`_checked_xjn`.
+    All three agree under the chart conversions; each is the Gram form of
+    :func:`_xjn_frame` on t1 and t2 stacked.  The weights must be finite and >= 0 (else
+    ValueError), the point and tangents pass :func:`_checked_xjn`.
     """
     if chart not in XJN_CHARTS:
         raise ValueError(f"chart must be one of {XJN_CHARTS}")
     _check_arity(4, point=point, t1=t1, t2=t2)
-    point = _checked_xjn(point, t1, t2)
-    return _metric_xjn(alpha, gamma, chart, point, t1, t2)
-
-
-def _metric_xjn(alpha, gamma, chart, point, t1, t2):
-    """:func:`metric_xjn` at a point and tangents the library has validated or built, or
-    at stacks of them."""
-    x, y = point[0], point[1]
-    yi = np.linalg.inv(y)
-    dx1, dy1 = np.asarray(t1[0], dtype=float), np.asarray(t1[1], dtype=float)
-    dx2, dy2 = np.asarray(t2[0], dtype=float), np.asarray(t2[1], dtype=float)
-    val = alpha * (_trace(yi @ dx1 @ yi @ dx2) + _trace(yi @ dy1 @ yi @ dy2))
-
-    if chart in ("pq", "chipsi"):
-        # chipsi stores the transposed rows; the bilinear form is identical
-        dp1, dq1 = (_row(t1[2]), _row(t1[3])) if chart == "pq" else (_row(t1[3]), _row(t1[2]))
-        dp2, dq2 = (_row(t2[2]), _row(t2[3])) if chart == "pq" else (_row(t2[3]), _row(t2[2]))
-        core = x @ yi @ x + y
-        cross = x @ yi
-        val += gamma * (_dot(dp1 @ core, dp2) + _dot(dq1 @ yi, dq2)
-                        + _dot(dp1 @ cross, dq2) + _dot(dp2 @ cross, dq1))
-        return val
-
-    rho = _row(point[3])
-    r1 = _row(t1[2]) - rho @ yi @ dx1
-    s1 = _row(t1[3]) - rho @ yi @ dy1
-    r2 = _row(t2[2]) - rho @ yi @ dx2
-    s2 = _row(t2[3]) - rho @ yi @ dy2
-    val += gamma * (_dot(r1 @ yi, r2) + _dot(s1 @ yi, s2))
-    return val
+    point, t = _checked_xjn(point, t1, t2)
+    return _gram(*_xjn_frame(_roots(alpha, gamma), chart, point, t))
 
 
 def lambda_r(point_pq_kappa, tangent):
@@ -173,19 +202,17 @@ def _lambda_r(point_pq_kappa, tangent):
     return tangent[4] - _omega((p, q), (_row(tangent[2]), _row(tangent[3])))
 
 
+def _extended_frame(roots, point, t):
+    """:func:`metric_extended`'s frame: the pq frame, then sqrt(delta) lambda_R."""
+    return _xjn_frame(roots[:2], "pq", point, t, roots[2] * _lambda_r(point, t)[..., None, None])
+
+
 def metric_extended(alpha, gamma, delta, point, t1, t2):
     """Three-parameter metric on the extended space: the pq metric plus
-    delta * lambda_R (x) lambda_R.  Point and tangents carry kappa last and
-    are checked as in :func:`_checked_xjn`."""
+    delta * lambda_R (x) lambda_R, the Gram form of :func:`_extended_frame`.  Point and
+    tangents carry kappa last and are checked as in :func:`metric_xjn`."""
     _check_arity(5, point=point, t1=t1, t2=t2)
-    point = _checked_xjn(point, t1, t2)
-    return _metric_extended(alpha, gamma, delta, point, t1, t2)
-
-
-def _metric_extended(alpha, gamma, delta, point, t1, t2):
-    """:func:`metric_extended` at a point and tangents the library has validated or built."""
-    base = _metric_xjn(alpha, gamma, "pq", point[:4], t1[:4], t2[:4])
-    return base + delta * _lambda_r(point, t1) * _lambda_r(point, t2)
+    return _gram(*_extended_frame(_roots(alpha, gamma, delta), *_checked_xjn(point, t1, t2)))
 
 
 # ---------------------------------------------------------------------------
@@ -203,15 +230,11 @@ def check_ball_point(w):
     return w
 
 
-def _fc(w, z):
-    """(M, eta) with M = (I - W Wbar)^{-1} and eta^t = M (z^t + W zbar^t), over stacks too."""
-    m = np.linalg.inv(np.eye(w.shape[-1]) - w @ w.conj())
-    return m, _from_col(m @ (_col(z) + w @ _col(z.conj())))
-
-
 def fc_transform(w, z):
     """Coordinate change z -> eta on the ball: eta = (I - W Wbar)^{-1} (z^t + W zbar^t)."""
-    return _fc(*_checked_point(check_ball_point, w, z))[1]
+    w, z = _checked_point(check_ball_point, w, z)
+    return _from_col(np.linalg.solve(np.eye(w.shape[-1]) - w @ w.conj(),
+                                     _col(z) + w @ _col(z.conj())))
 
 
 def fc_inverse(w, eta):
@@ -244,66 +267,53 @@ def g_form(v, u, tangent):
     In pq coordinates this equals dp v + dq.  The point is checked as in
     :func:`jacobi.act_xjn`, the tangent as in ``jacobi._checked_point``.
     """
-    return _g_form(*_checked_point(check_siegel, v, u, tangent))
-
-
-def _g_form(v, u, tangent):
-    """:func:`g_form` at a point (v, u) the library has validated or built (or stacks)."""
-    dv, du = tangent
-    dv = np.asarray(dv, dtype=complex)
+    v, u, (dv, du) = _checked_point(check_siegel, v, u, tangent)
     coeff = _from_col(np.linalg.solve(_mT(v - v.conj()), _col(u - u.conj())))
-    return _row(du, complex) - coeff @ dv
+    return _row(du, complex) - coeff @ np.asarray(dv, dtype=complex)
+
+
+def _ball_frame(kparams, w, z, t):
+    """:func:`kahler_ball`'s frame at a validated ball point (or stacks): with I - W Wbar = K K^H
+    (M = K^-H K^-1), sqrt(k) K^-1 dW K^-t and sqrt(2 nu) (dz + etabar dW^t) K^-t."""
+    ki = np.linalg.inv(np.linalg.cholesky(np.eye(w.shape[-1]) - w @ w.conj()))
+    kit = _mT(ki)
+    z = np.atleast_2d(z)
+    eta_bar = (z.conj() + z @ w.conj()) @ kit.conj() @ ki  # eta = (z + zbar W) M^t
+    return _flat(np.sqrt(kparams.k) * (ki @ t[0] @ kit),
+                 np.sqrt(2 * kparams.nu) * ((t[1] + eta_bar @ _mT(t[0])) @ kit))
 
 
 def kahler_ball(kparams, w, z, t1, t2):
     """Kaehler two-form of the ball model evaluated on two tangents.
 
     -i omega = (k/2) tr(B wedge Bbar) + nu tr(A^t Mbar wedge Abar) with
-    M = (I - W Wbar)^{-1}, B = M dW, A = dz^t + dW etabar and eta the
-    FC image of z.  Antisymmetric in (t1, t2).  The point is checked as in
+    M = (I - W Wbar)^{-1}, B = M dW, A = dz^t + dW etabar and eta the FC image
+    of z; real, from :func:`_ball_frame`.  The point is checked as in
     :func:`fc_transform`, the tangents as in ``jacobi._checked_point``.
     """
-    return _kahler_ball(kparams, *_checked_point(check_ball_point, w, z, t1, t2))
+    w, z, t = _checked_point(check_ball_point, w, z, _pair(np.shape(w)[:-2], t1, t2))
+    return _hermitian(*_ball_frame(kparams, w, z, t))
 
 
-def _kahler_ball(kparams, w, z, t1, t2):
-    """:func:`kahler_ball` at a ball point the library has validated or built (or stacks)."""
-    m, eta = _fc(w, z)
-
-    def parts(t):
-        dw = np.asarray(t[0], dtype=complex)
-        return m @ dw, _row(t[1], complex) + eta.conj() @ _mT(dw)
-
-    b1, a1 = parts(t1)
-    b2, a2 = parts(t2)
-    mbar = m.conj()
-    val = 0.5 * kparams.k * (_trace(b1 @ b2.conj()) - _trace(b2 @ b1.conj()))
-    val += kparams.nu * (_dot(a1 @ mbar, a2.conj()) - _dot(a2 @ mbar, a1.conj()))
-    return 1j * val
+def _vu_frame(kparams, v, u, t):
+    """:func:`kahler_xjn`'s frame at a validated point (or stacks): with Im v = y = L L^t,
+    sqrt(k/4) L^-1 dv L^-t and sqrt(2 nu) G L^-t, G = du - Im(u) y^-1 dv the row of g_form."""
+    li = np.linalg.inv(np.linalg.cholesky(v.imag))
+    lit = _mT(li)
+    h = li @ t[0] @ lit
+    return _flat(np.sqrt(kparams.k / 4) * h,
+                 np.sqrt(2 * kparams.nu) * (t[1] @ lit - (np.atleast_2d(u.imag) @ lit) @ h))
 
 
 def kahler_xjn(kparams, v, u, t1, t2):
     """Kaehler two-form of the upper-half-space model.
 
     -i omega = (k/2) tr(H wedge Hbar) + (2 nu / i) tr(G^t D wedge Gbar)
-    with D = (vbar - v)^{-1} and H = D dv.  The point is checked as in
-    :func:`jacobi.act_xjn`, the tangents as in ``jacobi._checked_point``.
+    with D = (vbar - v)^{-1} and H = D dv; real, from :func:`_vu_frame`.  The point is
+    checked as in :func:`jacobi.act_xjn`, the tangents as in ``jacobi._checked_point``.
     """
-    return _kahler_xjn(kparams, *_checked_point(check_siegel, v, u, t1, t2))
-
-
-def _kahler_xjn(kparams, v, u, t1, t2):
-    """:func:`kahler_xjn` at a point (v, u) the library has validated or built (or stacks)."""
-    dmat = np.linalg.inv(v.conj() - v)
-
-    def parts(t):
-        return dmat @ np.asarray(t[0], dtype=complex), _g_form(v, u, t)
-
-    h1, g1 = parts(t1)
-    h2, g2 = parts(t2)
-    val = 1j * 0.5 * kparams.k * (_trace(h1 @ h2.conj()) - _trace(h2 @ h1.conj()))
-    val += 2.0 * kparams.nu * (_dot(g1 @ dmat, g2.conj()) - _dot(g2 @ dmat, g1.conj()))
-    return val
+    v, u, t = _checked_point(check_siegel, v, u, _pair(np.shape(v)[:-2], t1, t2))
+    return _hermitian(*_vu_frame(kparams, v, u, t))
 
 
 # ---------------------------------------------------------------------------
@@ -371,15 +381,6 @@ class InvarianceReport:
         return out
 
 
-def _metric_xjn_broken(alpha, gamma, point, t1, t2):
-    # negative control: a beta-style contamination that is not invariant
-    return _metric_xjn(alpha, gamma, "pq", point, t1, t2) + _dot(_row(t1[2]), _row(t2[2]))
-
-
-def _times_i(tangent):
-    return tuple(1j * np.asarray(c) for c in tangent)
-
-
 def _draw_group(rng, n):
     g = smp.rand_jacobi(rng, n)
     chart = smp.rand_sn_chart(rng, n)
@@ -393,7 +394,8 @@ def _draw_group(rng, n):
         h = sn_chart_inverse(c)
         blks, _, (dq, minus_dp), dk = _jacobi_parts(
             embed_g @ _embed_tangent(h, _d_sn_chart_inverse(c, t)))
-        return _d_sn_chart(gj_compose(g, h), (*blks, -minus_dp, dq, dk))
+        # copies of the rows: views would keep the whole embedded product alive
+        return _d_sn_chart(gj_compose(g, h), (*blks, -minus_dp, dq.copy(), dk.copy()))
 
     return act, push, chart, smp.rand_sn_tangent(rng, chart), smp.rand_sn_tangent(rng, chart)
 
@@ -448,49 +450,47 @@ def _draw_vu(rng, n):
 class _Spec:
     """Invariance spec of a metric, a Kaehler two-form or (``turn=None``) a one-form.
 
-    ``draw(rng, n)`` returns ``(act, push, point, t1, t2)``: one sample from a
-    generator, or a stack of them from a ``sampling.StackStream``.
-    ``push(point, image, t)`` is the exact pushforward of a tangent at ``point``
-    through ``act``, with ``image = act(point)``; ``t`` may carry a further leading
-    axis, which broadcasts against the drawn element.  ``form(point, t1, t2)`` is the
-    object.  The action checks the point once, at its entry.  The error is scaled by
-    |form(t1, turn t1)| + |form(t2, turn t2)| + |form(t1, t2)|; ``turn`` is 1 for the
-    metrics and i for the Kaehler forms, whose diagonal vanishes.  A one-form reads
-    t1 only and is scaled by max(1, |form|)."""
+    ``draw(rng, n)`` returns ``(act, push, point, t1, t2)``: one sample from a generator,
+    or a stack of them from a ``sampling.StackStream``.  ``push(point, image, t)`` is the
+    exact pushforward through ``act`` (``image = act(point)``); t may carry a further
+    leading axis.  The object is ``pair(f1, f2)`` with f1, f2 = ``frame(point, t)``, linear
+    in t, at t1, t2; a stack of points broadcasts against tangents with further leading
+    axes.  The error is scaled by |pair(f1, turn f1)| + |pair(f2, turn f2)| + |value|, with
+    ``turn`` 1 for the metrics and i for the Kaehler forms, whose diagonal vanishes; for a
+    one-form (a frame of one component, read at t1) by max(1, |value|)."""
 
     draw: object
-    form: object
-    turn: object = lambda t: t
+    frame: object
+    pair: object = _gram
+    turn: object = 1
 
-    def diagonal(self, point, t1, t2):
-        """The triples (point, t, turn t) of the scale's diagonal terms; none for a one-form."""
-        return () if self.turn is None else tuple((point, t, self.turn(t)) for t in (t1, t2))
-
-    def scale(self, orig, *diagonal):
-        """The error's scale from the value and the form's values at :meth:`diagonal`."""
+    def scale(self, orig, f1, f2):
+        """The error's scale from the value and the frame values f1, f2 of t1, t2."""
         if self.turn is None:
             return np.maximum(1.0, _modulus(orig))
-        return _modulus(diagonal[0]) + _modulus(diagonal[1]) + _modulus(orig)
+        return (_modulus(self.pair(f1, self.turn * f1)) + _modulus(self.pair(f2, self.turn * f2))
+                + _modulus(orig))
 
 
 _GROUP_PARAMS = MetricParams(1.0, 1.0, 1.0, 1.0)
 _KAHLER_PARAMS = KahlerParams(2.0, 1.0)
+_UNIT = (1.0, 1.0, 1.0)  # the square roots of unit metric weights
 
 _INVARIANCE_SPECS = {
-    "metric_group": _Spec(
-        _draw_group, lambda c, u1, u2: metric_group(_GROUP_PARAMS, c, u1, u2)),
+    "metric_group": _Spec(_draw_group, lambda c, t: _sn_frame(_GROUP_PARAMS, c, t)),
     **{f"metric_xjn_{chart}": _Spec(
-        _draw_xjn(chart), lambda pt, u1, u2, c=chart: _metric_xjn(1.0, 1.0, c, pt, u1, u2))
+        _draw_xjn(chart), lambda pt, t, c=chart: _xjn_frame(_UNIT[:2], c, pt, t))
        for chart in XJN_CHARTS},
-    "metric_extended": _Spec(
-        _draw_extended, lambda pt, u1, u2: _metric_extended(1.0, 1.0, 1.0, pt, u1, u2)),
+    "metric_extended": _Spec(_draw_extended, lambda pt, t: _extended_frame(_UNIT, pt, t)),
+    # negative control: a beta-style contamination dp1 dp2^t that is not invariant
     "metric_xjn_broken": _Spec(
-        _draw_xjn("pq"), lambda pt, u1, u2: _metric_xjn_broken(1.0, 1.0, pt, u1, u2)),
+        _draw_xjn("pq"), lambda pt, t: _xjn_frame(_UNIT[:2], "pq", pt, t, t[2])),
     "kahler_ball": _Spec(
-        _draw_ball, lambda pt, u1, u2: _kahler_ball(_KAHLER_PARAMS, *pt, u1, u2), turn=_times_i),
+        _draw_ball, lambda pt, t: _ball_frame(_KAHLER_PARAMS, *pt, t), _hermitian, 1j),
     "kahler_xjn": _Spec(
-        _draw_vu, lambda pt, u1, u2: _kahler_xjn(_KAHLER_PARAMS, *pt, u1, u2), turn=_times_i),
-    "lambda_R": _Spec(_draw_extended, lambda pt, u1, u2: _lambda_r(pt, u1), turn=None),
+        _draw_vu, lambda pt, t: _vu_frame(_KAHLER_PARAMS, *pt, t), _hermitian, 1j),
+    "lambda_R": _Spec(_draw_extended, lambda pt, t: _lambda_r(pt, t)[..., None],
+                      lambda f1, f2: f1[..., 0], None),
 }
 INVARIANCE_OBJECTS = tuple(_INVARIANCE_SPECS)
 
@@ -526,14 +526,17 @@ def _evaluate(spec, n, seed, start, stop):
     """Samples ``start .. stop - 1`` as one stack, drawn from one ``sampling.StackStream``
     (sample i from its own window of the seed's stream): the tuple :func:`replay` returns,
     with value, pulled-back value and scale of shape (stop - start,).  One push takes t1
-    and t2 stacked on a new leading axis, and one form call the triples of the value, the
-    pulled-back value and the scale's diagonal, stacked likewise (up to 4 x _CHUNK)."""
+    and t2 stacked on a new leading axis, and one frame call the four distinct (point,
+    tangent) pairs: the point and the image, stacked as (2, 1, k), against (t1, t2) and
+    their pushes, stacked as (2, 2, k); each point is factored once, for both tangents."""
     act, push, point, t1, t2 = spec.draw(smp.StackStream(seed, n, start, stop), n)
     image = act(point)
-    pushed = tuple(zip(*push(point, image, _stack(t1, t2))))
-    orig, pulled, *diagonal = spec.form(
-        *_stack((point, t1, t2), (image, *pushed), *spec.diagonal(point, t1, t2)))
-    return point, t1, t2, image, pushed, orig, pulled, spec.scale(orig, *diagonal)
+    pushed = push(point, image, _stack(t1, t2))
+    (f1, f2), (g1, g2) = spec.frame(_stack(_stack(point), _stack(image)),
+                                    _stack(_stack(t1, t2), tuple(pushed)))
+    orig = spec.pair(f1, f2)
+    return (point, t1, t2, image, tuple(zip(*pushed)), orig, spec.pair(g1, g2),
+            spec.scale(orig, f1, f2))
 
 
 def _errors(spec, n, samples, seed):

@@ -17,7 +17,7 @@ import numpy as np
 
 from .heisenberg import HeisenbergElement
 from .jacobi import JacobiAlgebraElement, JacobiElement, sn_chart
-from .linalg import _mT, _row, expm, symmetrize
+from .linalg import _mT, _row, _trusted, expm, symmetrize
 from .symplectic import SpAlgebraElement
 
 
@@ -89,13 +89,11 @@ def rand_spd(rng, n, spread=0.7):
 
 
 def rand_sp_algebra(rng, n, scale=None):
+    """(a, b, c) uniform in [-scale, scale], b and c symmetrized, so built unchecked."""
     if scale is None:
         scale = 1.0 / (2 * n)
-    return SpAlgebraElement(
-        rand_matrix(rng, n, scale=scale),
-        rand_sym(rng, n, scale=scale),
-        rand_sym(rng, n, scale=scale),
-    )
+    return _trusted(SpAlgebraElement, rand_matrix(rng, n, scale=scale),
+                    rand_sym(rng, n, scale=scale), rand_sym(rng, n, scale=scale))
 
 
 def rand_symplectic(rng, n, scale=None):
@@ -107,8 +105,10 @@ def rand_heisenberg(rng, n):
 
 
 def rand_jacobi(rng, n, scale=None):
-    return JacobiElement(rand_symplectic(rng, n, scale), rand_row(rng, n), rand_row(rng, n),
-                         _uniform(rng))
+    """The exponential of :func:`rand_sp_algebra` with uniform rows and kappa, built
+    unchecked: tests hold the draws to ``check_symplectic`` at n = 1 .. 10."""
+    return _trusted(JacobiElement, rand_symplectic(rng, n, scale), rand_row(rng, n),
+                    rand_row(rng, n), _uniform(rng))
 
 
 def rand_gj_algebra(rng, n, scale=None):

@@ -262,13 +262,12 @@ def check_siegel(v):
 
 
 def _siegel_xy(x, y):
-    """``x`` and ``y`` as float arrays of one shape, once x + iy has passed
-    :func:`check_siegel`."""
+    """``x`` and ``y`` as float arrays of one shape, once x + iy passes the checks of
+    :func:`check_siegel`, made on x and y without forming x + iy."""
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if x.shape != y.shape:
         raise BadShape(f"x and y must have one shape, got {x.shape} and {y.shape}")
-    check_siegel(x + 1j * y)
-    return x, y
+    return check_symmetric(x), check_spd(y)
 
 
 def mobius_act(m, v):

@@ -1,4 +1,8 @@
 import dataclasses
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -476,10 +480,17 @@ def test_exact_push_matches_finite_differences(obj, n):
                           <= 1e-6 * np.maximum(1.0, np.max(np.abs(e), axis=1)))
     if obj == "metric_xjn_broken":
         return  # its push is the pq one; its form is not invariant
-    orig = spec.form(point, t1, t2)
+    orig, f1, f2 = _form(spec, point, t1, t2)
     assert orig.shape == (10,)
-    bound = 1e-6 * spec.scale(orig, *(spec.form(*t) for t in spec.diagonal(point, t1, t2)))
-    assert np.all(np.abs(spec.form(image, fd1, fd2) - orig) <= bound)
+    bound = 1e-6 * spec.scale(orig, f1, f2)
+    assert np.all(np.abs(_form(spec, image, fd1, fd2)[0] - orig) <= bound)
+
+
+def _form(spec, point, t1, t2):
+    """A spec's object at (point, t1, t2) and the frame values of t1 and t2, from one
+    frame call on the two tangents stacked."""
+    f1, f2 = spec.frame(point, metrics._stack(t1, t2))
+    return spec.pair(f1, f2), f1, f2
 
 
 def _finite_differences_called(*args, **kwargs):
@@ -501,26 +512,53 @@ def test_invariance_engine_takes_no_finite_differences():
 @pytest.mark.parametrize("obj", INVARIANCE_OBJECTS)
 def test_fused_stages_match_separate_calls(obj, n):
     # the engine pushes both tangents in one call and evaluates the value, the
-    # pulled-back value and the scale's diagonal in one form call; split back, each
-    # must be what its own call gives, so a mis-split (say, a diagonal term read as
+    # pulled-back value and the scale's diagonal from one frame call; split back, each
+    # must be what the public calls give, so a mis-split (say, a diagonal term read as
     # the value) shows even where the verdict would not
     spec = metrics._INVARIANCE_SPECS[obj]
     point, t1, t2, image, pushed, orig, pulled, scale = metrics._evaluate(spec, n, 19, 0, 6)
-    want_orig, want_pulled = spec.form(point, t1, t2), spec.form(image, *pushed)
+    want_orig, want_pulled = _public(obj, point, t1, t2), _public(obj, image, *pushed)
     if spec.turn is None:
         want_scale = np.maximum(1.0, np.abs(want_orig))
     else:
-        want_scale = (np.abs(spec.form(point, t1, spec.turn(t1)))
-                      + np.abs(spec.form(point, t2, spec.turn(t2))) + np.abs(want_orig))
+        turned = [tuple(spec.turn * np.asarray(c) for c in t) for t in (t1, t2)]
+        want_scale = (np.abs(_public(obj, point, t1, turned[0]))
+                      + np.abs(_public(obj, point, t2, turned[1])) + np.abs(want_orig))
     for got, want in ((orig, want_orig), (pulled, want_pulled), (scale, want_scale)):
         assert got.shape == want.shape == (6,)
         assert np.all(np.abs(got - want) <= 1e-14 * want_scale), obj
 
 
+def _at(tree, i):
+    """Sample ``i`` of a stacked tuple of arrays."""
+    return tuple(_at(c, i) for c in tree) if isinstance(tree, tuple) else np.asarray(tree)[i]
+
+
+def _public(obj, point, t1, t2):
+    """The engine object ``obj`` on stacks, by the public API: one call on the stacks, or,
+    for the Kaehler forms, whose tangents are single, one call per sample."""
+    if obj.startswith("kahler"):
+        form = kahler_ball if obj == "kahler_ball" else kahler_xjn
+        return np.array([form(metrics._KAHLER_PARAMS, *_at(point, i), _at(t1, i), _at(t2, i))
+                         for i in range(len(t1[1]))])
+    if obj == "lambda_R":
+        return lambda_r(point, t1)
+    if obj == "metric_group":
+        return metric_group(metrics._GROUP_PARAMS, point, t1, t2)
+    if obj == "metric_extended":
+        return metric_extended(1.0, 1.0, 1.0, point, t1, t2)
+    chart = obj.rsplit("_", 1)[1]
+    if chart == "broken":  # the pq metric plus dp1 dp2^t
+        return metric_xjn(1.0, 1.0, "pq", point, t1, t2) + linalg._dot(t1[2], t2[2])
+    return metric_xjn(1.0, 1.0, chart, point, t1, t2)
+
+
 def test_one_call_per_engine_stage(monkeypatch):
-    # one report stack: one push (t1 and t2 stacked), one form call (value, pulled-back
-    # value and the scale's diagonal stacked), and so two oneforms_sn for metric_group
-    calls = {"push": 0, "form": 0, "oneforms_sn": 0}
+    # one report stack: one push (t1 and t2 stacked) and one frame call on the four
+    # distinct (point, tangent) pairs, so for metric_group one oneforms_sn on 4k
+    # tangents over 2k charts
+    calls = {"push": 0, "frame": 0}
+    leads = []
 
     def counted(name, fn):
         def wrapper(*args):
@@ -534,15 +572,35 @@ def test_one_call_per_engine_stage(monkeypatch):
             return (act, counted("push", push), *rest)
         return wrapped
 
-    monkeypatch.setattr(metrics, "oneforms_sn", counted("oneforms_sn", metrics.oneforms_sn))
+    oneforms_sn = metrics.oneforms_sn
+
+    def oneforms_seen(chart, t):
+        leads.append((chart.kappa.shape, np.shape(t[6])))
+        return oneforms_sn(chart, t)
+
+    monkeypatch.setattr(metrics, "oneforms_sn", oneforms_seen)
     for obj in INVARIANCE_OBJECTS:
         spec = metrics._INVARIANCE_SPECS[obj]
         monkeypatch.setitem(metrics._INVARIANCE_SPECS, obj, dataclasses.replace(
-            spec, draw=draw_counted(spec.draw), form=counted("form", spec.form)))
-        calls.update(push=0, form=0, oneforms_sn=0)
+            spec, draw=draw_counted(spec.draw), frame=counted("frame", spec.frame)))
+        calls.update(push=0, frame=0)
+        leads.clear()
         assert invariance_report(obj, n=2, samples=4, seed=23).passed == (obj != "metric_xjn_broken")
-        assert (calls["push"], calls["form"]) == (1, 1), obj
-        assert calls["oneforms_sn"] == (2 if obj == "metric_group" else 0), obj
+        assert (calls["push"], calls["frame"]) == (1, 1), obj
+        assert leads == ([((2, 1, 4), (2, 2, 4))] if obj == "metric_group" else []), obj
+
+
+def test_metric_group_report_memory():
+    # the frame evaluates 4 tangents per sample where the fused bilinear form evaluated 8:
+    # a process running the longest n = 10 report peaked at 172 MB, over this bound
+    code = ("import resource; from jacobigeom import invariance_report; "
+            "invariance_report('metric_group', 10, samples=1024); "
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(metrics.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS="1")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True, timeout=300)
+    assert int(out.stdout) / 1024 <= 150.0
 
 
 def test_invariance_deterministic():

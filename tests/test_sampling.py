@@ -5,6 +5,7 @@ import pytest
 
 from jacobigeom import metrics, sampling
 from jacobigeom.sampling import StackStream, window_words
+from jacobigeom.symplectic import check_symplectic
 
 
 def _philox_words(seed, count):
@@ -136,3 +137,18 @@ def test_generator_draws_keep_their_bits(monkeypatch, name, n):
         assert type(a) is type(b)
         assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), name
     assert now_rng.bit_generator.state == then_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_unchecked_group_draws_are_symplectic(n):
+    # rand_jacobi builds its element without JacobiElement's entry check; the check it
+    # skips holds here, at the unchanged bound SP_TOL, for single draws and for stacks
+    for rng in (np.random.default_rng(300 + n), StackStream(300 + n, n, 0, 64)):
+        g = sampling.rand_jacobi(rng, n)
+        assert np.shape(g.M)[-2:] == (2 * n, 2 * n)
+        check_symplectic(g.M)
+        check_symplectic(sampling.rand_symplectic(rng, n))
+        # and the algebra element's b and c are symmetric, as its entry check required
+        s = sampling.rand_sp_algebra(rng, n)
+        assert np.array_equal(s.b, np.swapaxes(s.b, -1, -2))
+        assert np.array_equal(s.c, np.swapaxes(s.c, -1, -2))

@@ -67,6 +67,7 @@ from jacobigeom import linalg
 from jacobigeom.forms import check_matrix_tangent, d_sn_chart, d_sn_chart_inverse
 from jacobigeom.linalg import check_spd, check_symmetric
 from jacobigeom.metrics import check_ball_point
+from jacobigeom.sampling import StackStream, rand_pq_point, rand_sn_chart, rand_sn_tangent
 from jacobigeom.symplectic import check_siegel, check_unitary_pair
 
 NAN = np.full((2, 2), np.nan)
@@ -359,3 +360,60 @@ SINGULAR = {
 def test_singular_images_raise_singular_denominator(case):
     with pytest.raises(SingularDenominator):
         SINGULAR[case]()
+
+
+def _stacked(tangents):
+    """S_n tangents as one stack: matrices (k, n, n), rows (k, 1, n), kappas (k,)."""
+    parts = tuple(np.array(c) for c in zip(*tangents))
+    return parts[:4] + (parts[4][:, None], parts[5][:, None], parts[6])
+
+
+def test_one_chart_serves_a_stack_of_tangents():
+    # numpy's matmul ValueError from the Heisenberg pairing, at one chart and rows (2, 1, 3)
+    rng = np.random.default_rng(3)
+    chart = rand_sn_chart(rng, 3)
+    ts = [rand_sn_tangent(rng, chart) for _ in range(2)]
+    stack = _stacked(ts)
+    assert stack[4].shape == (2, 1, 3)
+    forms = oneforms_sn(chart, stack)
+    params = MetricParams(0.5, 1.5, 2.0, 0.7)
+    values = metric_group(params, chart, stack, _stacked(ts[::-1]))
+    assert values.shape == (2,)
+    for i, t in enumerate(ts):
+        one = oneforms_sn(chart, t)
+        for family in "FGHPQR":
+            got, want = getattr(forms, family)[i], getattr(one, family)
+            assert np.max(np.abs(np.reshape(got, np.shape(want)) - want)) <= 1e-13
+        want = metric_group(params, chart, t, ts[1 - i])
+        assert abs(values[i] - want) <= 1e-13 * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_a_stack_of_charts_refuses_one_tangent(k):
+    # numpy's AxisError at k = 3; at k = 2 the stacked pair (t1, t2) had the charts' own
+    # stack shape and would have paired t1 with chart 0 and t2 with chart 1
+    charts = rand_sn_chart(StackStream(5, 3, 0, k), 3)
+    t = rand_sn_tangent(np.random.default_rng(5), sn_chart_identity(3))
+    with pytest.raises(BadShape, match="does not broadcast"):
+        oneforms_sn(charts, t)
+    with pytest.raises(BadShape, match="does not broadcast"):
+        metric_group(MetricParams(), charts, t, t)
+
+
+def test_a_stack_of_points_refuses_one_tangent_pair():
+    # the same rule in the Siegel-Jacobi metric: a stack of points takes tangents alike
+    x, y, p, q = rand_pq_point(StackStream(6, 2, 0, 2), 2)
+    with pytest.raises(BadShape, match="does not broadcast"):
+        metric_xjn(1.0, 1.0, "pq", (x, y, p, q), _PQ_TANGENT, _PQ_TANGENT)
+
+
+def test_maurer_cartan_sn_refuses_stacks():
+    # numpy's ValueError "operands could not be broadcast together" on a stack
+    stream = StackStream(7, 3, 0, 2)
+    charts = rand_sn_chart(stream, 3)
+    with pytest.raises(BadShape):
+        maurer_cartan(charts, rand_sn_tangent(stream, charts), chart="sn")
+    rng = np.random.default_rng(7)
+    chart = rand_sn_chart(rng, 3)
+    with pytest.raises(BadShape):
+        maurer_cartan(chart, _stacked([rand_sn_tangent(rng, chart)] * 2), chart="sn")
