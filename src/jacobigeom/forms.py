@@ -23,13 +23,13 @@ from .exceptions import BadShape, NotSymplectic
 from .heisenberg import _omega, _rows
 from .jacobi import (
     JacobiAlgebraElement,
+    _sn_chart_inverse,
     _tangent_to_pq,
     _to_pq,
     gj_embed,
     gj_inverse,
     lm_from_pq,
     pq_from_lm,
-    sn_chart_inverse,
 )
 from . import linalg
 from .linalg import _check_lead, _gate, _mT, _row, _sqrt_frame, check_symmetric, sym_residual
@@ -119,8 +119,8 @@ def maurer_cartan(g, tangent, chart="matrix"):
     if chart == "sn":
         if g.x.ndim != 2 or np.ndim(tangent[0]) != 2:
             raise BadShape("the S_n route takes one chart and one tangent, not stacks")
-        tangent = d_sn_chart_inverse(g, tangent)
-        g = sn_chart_inverse(g)
+        tangent, (s, si) = _d_sn_chart_inverse(g, _checked_sn_tangent(g, tangent))
+        g = _sn_chart_inverse(g, s, si)
     else:
         tangent = _checked_shapes(g, tangent)
     xi = gj_embed(gj_inverse(g)) @ _embed_tangent(g, tangent)
@@ -155,12 +155,12 @@ def d_sn_chart_inverse(chart, tangent):
     recomposition involves y^{1/2} and y^{-1/2}.  The tangent is checked as
     in :func:`_checked_sn_tangent`.
     """
-    return _d_sn_chart_inverse(chart, _checked_sn_tangent(chart, tangent))
+    return _d_sn_chart_inverse(chart, _checked_sn_tangent(chart, tangent))[0]
 
 
 def _d_sn_chart_inverse(chart, tangent):
     """:func:`d_sn_chart_inverse` on a tangent the library has validated or built, or
-    on stacks of charts and tangents."""
+    on stacks of charts and tangents, and (s, s^{-1}) of the chart's y, from its frame."""
     dx, dy, dX, dY, dp, dq, dk = tangent
     x = chart.x
     s, si, ds = _sqrt_frame(chart.y, dy)
@@ -170,7 +170,7 @@ def _d_sn_chart_inverse(chart, tangent):
     db = ds @ Y + s @ dY + dx @ si @ X + x @ dsi @ X + x @ si @ dX
     dc = -(dsi @ Y) - si @ dY
     dd = dsi @ X + si @ dX
-    return da, db, dc, dd, dp, dq, dk
+    return (da, db, dc, dd, dp, dq, dk), (s, si)
 
 
 def d_sn_chart(g, tangent):

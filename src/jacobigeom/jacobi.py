@@ -28,9 +28,12 @@ import numpy as np
 from .exceptions import BadShape, BasisClosureFailure, ProjectionResidual
 from .heisenberg import _omega, _rows
 from . import linalg
-from .linalg import _col, _from_col, _gate, _mT, _row, _trusted, check_symmetric, symmetrize
+from .linalg import _assign, _col, _from_col, _gate, _mT, _row, _spd_powers, _trusted
+from .linalg import check_symmetric, symmetrize
 from .symplectic import (
     PreIwasawaFactors,
+    _compose,
+    _degree,
     _dmobius,
     _jacobi_matrix,
     _jacobi_parts,
@@ -42,7 +45,6 @@ from .symplectic import (
     check_siegel,
     check_symplectic,
     from_blocks,
-    pre_iwasawa_compose,
     sp_basis,
 )
 
@@ -57,10 +59,8 @@ class JacobiElement:
     kappa: float
 
     def __post_init__(self):
-        object.__setattr__(self, "M", check_symplectic(self.M))
-        for name, value in zip(("lam", "mu", "kappa"),
-                               _rows(self.n, self.lam, self.mu, kappa=self.kappa)):
-            object.__setattr__(self, name, value)
+        m = check_symplectic(self.M)
+        _assign(self, m, *_rows(m.shape[-1] // 2, self.lam, self.mu, kappa=self.kappa))
 
     @property
     def n(self):
@@ -149,12 +149,9 @@ class JacobiAlgebraElement:
     r: float
 
     def __post_init__(self):
-        object.__setattr__(self, "a", np.asarray(self.a, dtype=float))
-        object.__setattr__(self, "b", check_symmetric(self.b, linalg.ALG_SYM_RTOL))
-        object.__setattr__(self, "c", check_symmetric(self.c, linalg.ALG_SYM_RTOL))
-        object.__setattr__(self, "p", _row(self.p))
-        object.__setattr__(self, "q", _row(self.q))
-        object.__setattr__(self, "r", float(self.r))
+        b, c = (check_symmetric(m, linalg.ALG_SYM_RTOL) for m in (self.b, self.c))
+        _assign(self, np.asarray(self.a, dtype=float), b, c, _row(self.p), _row(self.q),
+                float(self.r))
 
     @property
     def n(self):
@@ -197,12 +194,8 @@ class JacobiAlgebraElement:
 
 def gj_basis_labels(n):
     labels = [f"H{i + 1}{j + 1}" for i in range(n) for j in range(n)]
-    labels += [f"F{i + 1}{j + 1}" for i in range(n) for j in range(i, n)]
-    labels += [f"G{i + 1}{j + 1}" for i in range(n) for j in range(i, n)]
-    labels += [f"P{p + 1}" for p in range(n)]
-    labels += [f"Q{q + 1}" for q in range(n)]
-    labels += ["R"]
-    return labels
+    labels += [f"{k}{i + 1}{j + 1}" for k in "FG" for i in range(n) for j in range(i, n)]
+    return labels + [f"{k}{i + 1}" for k in "PQ" for i in range(n)] + ["R"]
 
 
 def gj_basis_elements(n):
@@ -214,10 +207,8 @@ def gj_basis_elements(n):
     zero = np.zeros((n, n))
     zrow = np.zeros(n)
     elems = [JacobiAlgebraElement(s.a, s.b, s.c, zrow, zrow, 0.0) for s in sp_basis(n)]
-    for k in range(2 * n):  # P_1..P_n, then Q_1..Q_n
-        pq = np.zeros(2 * n)
-        pq[k] = 1.0
-        elems.append(JacobiAlgebraElement(zero, zero, zero, pq[:n], pq[n:], 0.0))
+    elems += [JacobiAlgebraElement(zero, zero, zero, pq[:n], pq[n:], 0.0)  # P_1..P_n, Q_1..Q_n
+              for pq in np.eye(2 * n)]
     elems.append(JacobiAlgebraElement(zero, zero, zero, zrow, zrow, 1.0))
     return elems
 
@@ -270,8 +261,7 @@ def commutator_table(n):
 def act_xjn(g, point):
     """Action on (v, u): v Moebius-transformed, u -> (u + lambda v + mu)(c v + d)^{-1}."""
     v, u = _checked_point(check_siegel, *point)
-    _point_degree(g, v)
-    return _mobius(g.M, v, u + g.lam @ v + g.mu)
+    return _mobius(_degree(g.M, v), v, u + g.lam @ v + g.mu)
 
 
 def _checked_point(check, v, u, *tangents):
@@ -298,13 +288,6 @@ def act_pq(g, point):
     return act_extended(g, (*point, 0.0))[:4]
 
 
-def _point_degree(g, v):
-    """The degree of ``g``, which the checked square Siegel matrix ``v`` must share."""
-    if v.shape[-1] != g.n:
-        raise BadShape(f"degree mismatch: element {g.n} vs point {v.shape[-1]}")
-    return g.n
-
-
 def _act_pq(g, point):
     """:func:`act_pq` at a pq-chart point the library has validated."""
     x, y, p, q = point
@@ -318,7 +301,8 @@ def act_extended(g, point):
     The rows must be finite of length n and kappa finite."""
     x, y, p, q, kappa = point
     x, y = _siegel_xy(x, y)
-    p, q, kappa = _rows(_point_degree(g, x), p, q, kappa=kappa)
+    _degree(g.M, x)
+    p, q, kappa = _rows(g.n, p, q, kappa=kappa)
     return (*_act_pq(g, (x, y, p, q)), g.kappa + kappa + _omega((g.lam, g.mu), (p, q)))
 
 
@@ -366,12 +350,7 @@ class SnChart:
 
     def __post_init__(self):
         f = PreIwasawaFactors(self.x, self.y, self.X, self.Y, "modified")
-        object.__setattr__(self, "x", f.x)
-        object.__setattr__(self, "y", f.y)
-        object.__setattr__(self, "X", f.X)
-        object.__setattr__(self, "Y", f.Y)
-        for name, value in zip(("p", "q", "kappa"), _rows(f.n, self.p, self.q, kappa=self.kappa)):
-            object.__setattr__(self, name, value)
+        _assign(self, f.x, f.y, f.X, f.Y, *_rows(f.n, self.p, self.q, kappa=self.kappa))
 
     @property
     def n(self):
@@ -396,8 +375,12 @@ def sn_chart(g):
 
 
 def sn_chart_inverse(chart):
-    m = pre_iwasawa_compose(
-        _trusted(PreIwasawaFactors, chart.x, chart.y, chart.X, chart.Y, "modified"))
+    return _sn_chart_inverse(chart, *_spd_powers(np.linalg.eigh(symmetrize(chart.y)), 0.5, -0.5))
+
+
+def _sn_chart_inverse(chart, s, si):
+    """:func:`sn_chart_inverse` from s = y^{1/2} and s^{-1} of the chart's y."""
+    m = _compose(chart.x, s, si, chart.X, chart.Y)
     lam, mu = lm_from_pq(chart.p, chart.q, m)
     return _trusted(JacobiElement, m, lam, mu, chart.kappa)
 

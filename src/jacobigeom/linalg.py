@@ -24,7 +24,9 @@ Conventions fixed here and relied on everywhere else:
   compares through :func:`_gate`, whose ``not residual <= bound`` form
   fails on a NaN residual or bound instead of letting it slip past.
 * Validation happens once, where a value enters from a caller; a value
-  derived from validated ones is built by :func:`_trusted`, unchecked.
+  derived from validated ones is built by :func:`_trusted`, unchecked.  An
+  SPD input that is factored is checked by :func:`_spd_eigh`, whose one
+  ``eigh`` is also the factorization the kernel uses.
 """
 
 import numpy as np
@@ -132,23 +134,32 @@ def _modulus(v):
 def _trusted(cls, *values):
     """The frozen dataclass ``cls`` with ``values`` as its fields, in declaration
     order, built without ``__post_init__``: for values derived from validated ones."""
-    obj = object.__new__(cls)
-    for name, value in zip(cls.__dataclass_fields__, values, strict=True):
+    return _assign(object.__new__(cls), *values)
+
+
+def _assign(obj, *values):
+    """``obj``, a frozen dataclass, with ``values`` as its fields in declaration order."""
+    for name, value in zip(obj.__dataclass_fields__, values, strict=True):
         object.__setattr__(obj, name, value)
     return obj
 
 
 def sym_residual(a):
-    """Max-norm asymmetry of ``a`` relative to max(1, ||a||_max), per matrix of a stack."""
+    """Max-norm asymmetry of ``a`` relative to max(1, ||a||_max), per matrix of a stack;
+    NaN for a matrix with a non-finite entry (so inf - inf is never formed)."""
     a = np.asarray(a)
-    return np.abs(a - _mT(a)).max((-2, -1)) / np.abs(a).max((-2, -1), initial=1.0)
+    scale = np.abs(a).max((-2, -1), initial=1.0)
+    top = scale if scale.ndim == 0 else scale.max(initial=1.0)  # not .all(): 3 us on a scalar
+    if not top < np.inf:
+        a = np.where(np.isfinite(a), a, np.nan)
+    return np.abs(a - _mT(a)).max((-2, -1)) / scale
 
 
 def check_symmetric(a, rtol=None):
-    """Return ``a`` (a square matrix or a stack of them) if symmetric within ``rtol``
-    (default SYM_RTOL), else raise NotSymmetric."""
+    """Return ``a`` (a non-empty square matrix or a stack of them) if symmetric within
+    ``rtol`` (default SYM_RTOL), else raise NotSymmetric."""
     a = np.asarray(a, dtype=float)
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] == 0:
         raise BadShape(f"expected a square matrix, got shape {a.shape}")
     _gate(sym_residual(a), SYM_RTOL if rtol is None else rtol, NotSymmetric, "asymmetry")
     return a
@@ -160,16 +171,27 @@ def symmetrize(a):
 
 
 def check_spd(a):
-    """Return ``a`` if symmetric positive definite, else raise NotSpd: the smallest
-    eigenvalue must exceed SPD_EIG_RTOL times the largest (strict, as on paper)."""
+    """Return ``a`` if symmetric positive definite, else raise NotSpd (see :func:`_spd`)."""
+    return _spd(a, np.linalg.eigvalsh)[0]
+
+
+def _spd_eigh(a):
+    """The eigenpairs (w, U) of an SPD ``a``, from the one ``eigh`` that checks it."""
+    return _spd(a, np.linalg.eigh)[1]
+
+
+def _spd(a, decompose):
+    """``a`` and ``decompose`` (``eigvalsh`` or ``eigh``) of its symmetric part, once the
+    smallest eigenvalue exceeds SPD_EIG_RTOL times the largest (strict, as on paper)."""
     try:
         a = check_symmetric(a)
     except NotSymmetric as exc:
         raise NotSpd(str(exc)) from exc
-    w = np.linalg.eigvalsh(symmetrize(a))
+    out = decompose(symmetrize(a))
+    w = getattr(out, "eigenvalues", out)
     _gate(w[..., 0], SPD_EIG_RTOL * np.maximum(w[..., -1], 0.0), NotSpd, "smallest eigenvalue",
           lower=True)
-    return a
+    return a, out
 
 
 def kron_sum(a, b):
@@ -185,7 +207,10 @@ def kron_sum(a, b):
     if b.ndim != 2 or b.shape[0] != b.shape[1]:
         raise BadShape(f"second operand must be square, got {b.shape}")
     n, m = a.shape[0], b.shape[0]
-    return np.kron(a, np.eye(m)) + np.kron(np.eye(n), b)
+    out = np.zeros((n, m, n, m))  # entry ((i, k), (j, l)) at [i, k, j, l]
+    out[:, np.arange(m), :, np.arange(m)] = a  # a_ij where k = l
+    out[np.arange(n), :, np.arange(n), :] += b  # b_kl where i = j
+    return out.reshape(n * m, n * m)
 
 
 def vec(a):
@@ -213,7 +238,9 @@ def vech(a):
 
 
 def unvech(v, n):
-    """Symmetric matrix from its half-vectorization."""
+    """Symmetric matrix from its half-vectorization, of shape (n(n + 1)/2,)."""
+    if np.shape(v) != (n * (n + 1) // 2,):
+        raise BadShape(f"expected the vech of a {n}x{n} matrix, got shape {np.shape(v)}")
     a = np.zeros((n, n))
     for k, (i, j) in enumerate(_vech_indices(n)):
         a[i, j] = v[k]
@@ -276,12 +303,12 @@ def sqrtm_spd(a):
     Deterministic and accurate at the target scale; Newton iterations are
     not used.  The result S is SPD and satisfies ``S S = A`` to roundoff.
     """
-    return _spd_powers(check_spd(a), 0.5)[0]
+    return _spd_powers(_spd_eigh(a), 0.5)[0]
 
 
-def _spd_powers(a, *powers):
-    """Powers ``a^p`` of an SPD matrix the library has validated, from one ``eigh``."""
-    w, u = np.linalg.eigh(symmetrize(a))
+def _spd_powers(eig, *powers):
+    """Powers ``U diag(w^p) U^t`` of an SPD matrix from its eigenpairs ``eig`` = (w, U)."""
+    w, u = eig
     return tuple(symmetrize((u * w[..., None, :] ** p) @ _mT(u)) for p in powers)
 
 
@@ -293,7 +320,7 @@ def dsqrtm(a, da):
     symmetric whenever ``da`` is.  This is the Kronecker route of the
     paper's appendix, kept as the independent check of :func:`_sqrt_frame`.
     """
-    s = _spd_powers(check_spd(a), 0.5)[0]
+    s = _spd_powers(_spd_eigh(a), 0.5)[0]
     return symmetrize(sylvester_solve(s, s, check_symmetric(da)))
 
 

@@ -18,9 +18,10 @@ Siegel-Jacobi space (beta = delta = 0) and its extension (beta = 0).
 
 On the Siegel-Jacobi space itself the two-parameter metric has the three
 closed coordinate expressions implemented in :func:`metric_xjn`, each the Gram
-form of a frame from one Cholesky factor of y; adding the square of one more
-invariant one-form, ``delta (dkappa - p dq^t + q dp^t)^2``, gives the
-three-parameter metric on the extended space (:func:`metric_extended`).
+form of a frame from the factor y = L L^t that the ``eigh`` of the entry check
+of y gives; adding the square of one more invariant one-form,
+``delta (dkappa - p dq^t + q dp^t)^2``, gives the three-parameter metric on
+the extended space (:func:`metric_extended`).
 
 Kaehler two-forms on the ball and upper-half-space models, the partial
 Cayley transform and the normalized/un-normalized coordinate change on
@@ -37,11 +38,13 @@ from .exceptions import BadShape, ContractionViolation
 from .heisenberg import _omega, _rows
 from .jacobi import _act_pq, _checked_point, _from_pq, _pq_of, _push_kappa, _push_pq, _push_vu
 from .jacobi import _tangent_from_pq, _tangent_to_pq, _to_pq, act_extended, act_xjn, gj_compose
-from .jacobi import SnChart, gj_embed, sn_chart, sn_chart_inverse
+from .jacobi import SnChart, _sn_chart_inverse, gj_embed, sn_chart, sn_chart_inverse
 from . import linalg
-from .linalg import _check_lead, _col, _from_col, _gate, _modulus, _mT, _row, sym_residual
+from .linalg import _check_lead, _col, _from_col, _gate, _modulus, _mT, _row, _spd_eigh
+from .linalg import sym_residual
 from .forms import _d_sn_chart, _d_sn_chart_inverse, _checked_xy_rows, _embed_tangent, oneforms_sn
-from .symplectic import _jacobi_parts, _mobius, _siegel_xy, blocks, check_siegel, from_blocks
+from .symplectic import _jacobi_parts, _mobius, _siegel_xy, blocks, check_siegel, check_symplectic
+from .symplectic import from_blocks
 
 
 @dataclass(frozen=True)
@@ -129,13 +132,14 @@ def _check_arity(size, **parts):
 
 
 def _checked_xjn(point, t1, t2):
-    """``point`` with float arrays and 1-d rows, and t1 and t2 as one tangent (``_pair``),
-    once x + iy passes :func:`check_siegel`, the rows are finite of length n, a fifth
-    component (kappa) is finite and the tangents pass ``forms._checked_xy_rows``."""
-    x, y = _siegel_xy(point[0], point[1])
+    """``point`` with float arrays and 1-d rows, y's eigenpairs and t1, t2 as one tangent
+    (``_pair``), once x + iy passes :func:`check_siegel`, the rows are finite of length n, a
+    fifth component (kappa) is finite and the tangents pass ``forms._checked_xy_rows``."""
+    x, eig = _siegel_xy(point[0], point[1], _spd_eigh)
     n = x.shape[-1]
     rows = _rows(n, point[2], point[3], kappa=point[4] if len(point) == 5 else None)
-    return (x, y, *rows), _checked_xy_rows(n, *_pair(x.shape[:-2], t1, t2))
+    point = (x, np.asarray(point[1], dtype=float), *rows)
+    return point, eig, _checked_xy_rows(n, *_pair(x.shape[:-2], t1, t2))
 
 
 def _roots(*weights):
@@ -145,12 +149,18 @@ def _roots(*weights):
     return tuple(w ** 0.5 for w in weights)
 
 
-def _xjn_frame(roots, chart, point, t, *extra):
+def _factor(eig):
+    """(L, L^-1), L = U diag(sqrt w), from the eigenpairs (w, U) of y = U diag(w) U^H = L L^H."""
+    w, u = eig
+    r = np.sqrt(w)[..., None, :]
+    return u * r, _mT(u.conj()) / _mT(r)
+
+
+def _xjn_frame(roots, chart, point, eig, t, *extra):
     """:func:`metric_xjn`'s frame in ``chart`` at a validated point (or stacks), weighted by
-    ``roots``, from y = L L^t: (L^-1 dx L^-t, L^-1 dy L^-t), then ((dq + dp x) L^-t, dp L)
-    in pq and chipsi or (r L^-t, s L^-t) in xirho, then the ``extra`` components."""
-    ell = np.linalg.cholesky(point[1])
-    li = np.linalg.inv(ell)
+    ``roots``, from y = L L^t (:func:`_factor`): (L^-1 dx L^-t, L^-1 dy L^-t), then
+    ((dq + dp x) L^-t, dp L) in pq and chipsi or (r L^-t, s L^-t) in xirho, then ``extra``."""
+    ell, li = _factor(eig)
     lit = _mT(li)
     lit_a, lit_c = roots[0] * lit, roots[1] * lit  # weighted once per point, not per tangent
     if chart == "xirho":
@@ -181,8 +191,8 @@ def metric_xjn(alpha, gamma, chart, point, t1, t2):
     if chart not in XJN_CHARTS:
         raise ValueError(f"chart must be one of {XJN_CHARTS}")
     _check_arity(4, point=point, t1=t1, t2=t2)
-    point, t = _checked_xjn(point, t1, t2)
-    return _gram(*_xjn_frame(_roots(alpha, gamma), chart, point, t))
+    point, eig, t = _checked_xjn(point, t1, t2)
+    return _gram(*_xjn_frame(_roots(alpha, gamma), chart, point, eig, t))
 
 
 def lambda_r(point_pq_kappa, tangent):
@@ -202,9 +212,10 @@ def _lambda_r(point_pq_kappa, tangent):
     return tangent[4] - _omega((p, q), (_row(tangent[2]), _row(tangent[3])))
 
 
-def _extended_frame(roots, point, t):
+def _extended_frame(roots, point, eig, t):
     """:func:`metric_extended`'s frame: the pq frame, then sqrt(delta) lambda_R."""
-    return _xjn_frame(roots[:2], "pq", point, t, roots[2] * _lambda_r(point, t)[..., None, None])
+    return _xjn_frame(roots[:2], "pq", point, eig, t,
+                      roots[2] * _lambda_r(point, t)[..., None, None])
 
 
 def metric_extended(alpha, gamma, delta, point, t1, t2):
@@ -220,21 +231,31 @@ def metric_extended(alpha, gamma, delta, point, t1, t2):
 
 
 def check_ball_point(w):
-    """Return W (or a stack of them) as complex once symmetric and a strict contraction."""
+    """Return W (or a stack of them) as complex once a ball point (see :func:`_ball_point`)."""
+    return _ball_point(w, np.linalg.eigvalsh)[0]
+
+
+def _contraction(w):
+    """I - W Wbar, Hermitian at a symmetric W."""
+    return np.eye(w.shape[-1]) - w @ w.conj()
+
+
+def _ball_point(w, decompose):
+    """W and ``decompose`` (``eigvalsh`` or ``eigh``) of the Hermitian part of I - W Wbar, once
+    W is symmetric and a strict contraction (that smallest eigenvalue above BALL_MIN_EIG)."""
     w = np.asarray(w, dtype=complex)
     _gate(sym_residual(w), linalg.BALL_SYM_RTOL, ContractionViolation, "asymmetry of W")
-    contraction = np.eye(w.shape[-1]) - w @ w.conj()
-    _gate(np.linalg.eigvalsh(0.5 * (contraction + _mT(contraction.conj())))[..., 0],
-          linalg.BALL_MIN_EIG, ContractionViolation, "smallest eigenvalue of I - W conj(W)",
-          lower=True)
-    return w
+    k = _contraction(w)
+    out = decompose(0.5 * (k + _mT(k.conj())))
+    _gate(getattr(out, "eigenvalues", out)[..., 0], linalg.BALL_MIN_EIG, ContractionViolation,
+          "smallest eigenvalue of I - W conj(W)", lower=True)
+    return w, out
 
 
 def fc_transform(w, z):
     """Coordinate change z -> eta on the ball: eta = (I - W Wbar)^{-1} (z^t + W zbar^t)."""
     w, z = _checked_point(check_ball_point, w, z)
-    return _from_col(np.linalg.solve(np.eye(w.shape[-1]) - w @ w.conj(),
-                                     _col(z) + w @ _col(z.conj())))
+    return _from_col(np.linalg.solve(_contraction(w), _col(z) + w @ _col(z.conj())))
 
 
 def fc_inverse(w, eta):
@@ -272,10 +293,10 @@ def g_form(v, u, tangent):
     return _row(du, complex) - coeff @ np.asarray(dv, dtype=complex)
 
 
-def _ball_frame(kparams, w, z, t):
+def _ball_frame(kparams, w, z, eig, t):
     """:func:`kahler_ball`'s frame at a validated ball point (or stacks): with I - W Wbar = K K^H
-    (M = K^-H K^-1), sqrt(k) K^-1 dW K^-t and sqrt(2 nu) (dz + etabar dW^t) K^-t."""
-    ki = np.linalg.inv(np.linalg.cholesky(np.eye(w.shape[-1]) - w @ w.conj()))
+    (:func:`_factor`, M = K^-H K^-1), sqrt(k) K^-1 dW K^-t, sqrt(2 nu) (dz + etabar dW^t) K^-t."""
+    ki = _factor(eig)[1]
     kit = _mT(ki)
     z = np.atleast_2d(z)
     eta_bar = (z.conj() + z @ w.conj()) @ kit.conj() @ ki  # eta = (z + zbar W) M^t
@@ -291,14 +312,15 @@ def kahler_ball(kparams, w, z, t1, t2):
     of z; real, from :func:`_ball_frame`.  The point is checked as in
     :func:`fc_transform`, the tangents as in ``jacobi._checked_point``.
     """
-    w, z, t = _checked_point(check_ball_point, w, z, _pair(np.shape(w)[:-2], t1, t2))
-    return _hermitian(*_ball_frame(kparams, w, z, t))
+    w, eig = _ball_point(w, np.linalg.eigh)
+    w, z, t = _checked_point(np.asarray, w, z, _pair(w.shape[:-2], t1, t2))
+    return _hermitian(*_ball_frame(kparams, w, z, eig, t))
 
 
-def _vu_frame(kparams, v, u, t):
-    """:func:`kahler_xjn`'s frame at a validated point (or stacks): with Im v = y = L L^t,
-    sqrt(k/4) L^-1 dv L^-t and sqrt(2 nu) G L^-t, G = du - Im(u) y^-1 dv the row of g_form."""
-    li = np.linalg.inv(np.linalg.cholesky(v.imag))
+def _vu_frame(kparams, v, u, eig, t):
+    """:func:`kahler_xjn`'s frame at a validated point (or stacks): with Im v = y = L L^t
+    (:func:`_factor`), sqrt(k/4) L^-1 dv L^-t and sqrt(2 nu) G L^-t, G the row of g_form."""
+    li = _factor(eig)[1]
     lit = _mT(li)
     h = li @ t[0] @ lit
     return _flat(np.sqrt(kparams.k / 4) * h,
@@ -312,8 +334,9 @@ def kahler_xjn(kparams, v, u, t1, t2):
     with D = (vbar - v)^{-1} and H = D dv; real, from :func:`_vu_frame`.  The point is
     checked as in :func:`jacobi.act_xjn`, the tangents as in ``jacobi._checked_point``.
     """
-    v, u, t = _checked_point(check_siegel, v, u, _pair(np.shape(v)[:-2], t1, t2))
-    return _hermitian(*_vu_frame(kparams, v, u, t))
+    eig = _siegel_xy(np.real(v), np.imag(v), _spd_eigh)[1]  # the checks of check_siegel
+    v, u, t = _checked_point(np.asarray, v, u, _pair(np.shape(v)[:-2], t1, t2))
+    return _hermitian(*_vu_frame(kparams, v, u, eig, t))
 
 
 # ---------------------------------------------------------------------------
@@ -328,8 +351,13 @@ def sp_to_ball_rep(m):
 
         P = ((a + d) + i(b - c))/2,  Q = ((a - d) - i(b + c))/2;
 
-    the pair satisfies P P^dag - Q Q^dag = I and P Q^t = Q P^t.
+    the pair satisfies P P^dag - Q Q^dag = I and P Q^t = Q P^t.  M is checked symplectic.
     """
+    return _sp_to_ball_rep(check_symplectic(m))
+
+
+def _sp_to_ball_rep(m):
+    """:func:`sp_to_ball_rep` of a symplectic matrix the library has drawn or validated."""
     a, b, c, d = blocks(m)
     return 0.5 * ((a + d) + 1j * (b - c)), 0.5 * ((a - d) - 1j * (b + c))
 
@@ -391,9 +419,9 @@ def _draw_group(rng, n):
 
     def push(c, image, t):
         # left translation is linear in the embedding: dE(g h) = E(g) dE(h)
-        h = sn_chart_inverse(c)
-        blks, _, (dq, minus_dp), dk = _jacobi_parts(
-            embed_g @ _embed_tangent(h, _d_sn_chart_inverse(c, t)))
+        dh, (s, si) = _d_sn_chart_inverse(c, t)
+        h = _sn_chart_inverse(c, s, si)
+        blks, _, (dq, minus_dp), dk = _jacobi_parts(embed_g @ _embed_tangent(h, dh))
         # copies of the rows: views would keep the whole embedded product alive
         return _d_sn_chart(gj_compose(g, h), (*blks, -minus_dp, dq.copy(), dk.copy()))
 
@@ -430,7 +458,7 @@ def _draw_extended(rng, n):
 
 
 def _draw_ball(rng, n):
-    p, q = sp_to_ball_rep(smp.rand_symplectic(rng, n))
+    p, q = _sp_to_ball_rep(smp.rand_symplectic(rng, n))
     alpha = smp.rand_complex_row(rng, n)
     m, lam = _ball_matrix(p, q), -alpha.conj()  # ball_act is act_xjn's action of (m, lam)
     return ((lambda pt: ball_act(((p, q), alpha), pt)),
@@ -478,17 +506,17 @@ _UNIT = (1.0, 1.0, 1.0)  # the square roots of unit metric weights
 
 _INVARIANCE_SPECS = {
     "metric_group": _Spec(_draw_group, lambda c, t: _sn_frame(_GROUP_PARAMS, c, t)),
-    **{f"metric_xjn_{chart}": _Spec(
-        _draw_xjn(chart), lambda pt, t, c=chart: _xjn_frame(_UNIT[:2], c, pt, t))
-       for chart in XJN_CHARTS},
-    "metric_extended": _Spec(_draw_extended, lambda pt, t: _extended_frame(_UNIT, pt, t)),
+    **{f"metric_xjn_{chart}": _Spec(_draw_xjn(chart), lambda pt, t, c=chart: _xjn_frame(
+        _UNIT[:2], c, pt, np.linalg.eigh(pt[1]), t)) for chart in XJN_CHARTS},
+    "metric_extended": _Spec(
+        _draw_extended, lambda pt, t: _extended_frame(_UNIT, pt, np.linalg.eigh(pt[1]), t)),
     # negative control: a beta-style contamination dp1 dp2^t that is not invariant
-    "metric_xjn_broken": _Spec(
-        _draw_xjn("pq"), lambda pt, t: _xjn_frame(_UNIT[:2], "pq", pt, t, t[2])),
-    "kahler_ball": _Spec(
-        _draw_ball, lambda pt, t: _ball_frame(_KAHLER_PARAMS, *pt, t), _hermitian, 1j),
-    "kahler_xjn": _Spec(
-        _draw_vu, lambda pt, t: _vu_frame(_KAHLER_PARAMS, *pt, t), _hermitian, 1j),
+    "metric_xjn_broken": _Spec(_draw_xjn("pq"), lambda pt, t: _xjn_frame(
+        _UNIT[:2], "pq", pt, np.linalg.eigh(pt[1]), t, t[2])),
+    "kahler_ball": _Spec(_draw_ball, lambda pt, t: _ball_frame(
+        _KAHLER_PARAMS, *pt, np.linalg.eigh(_contraction(pt[0])), t), _hermitian, 1j),
+    "kahler_xjn": _Spec(_draw_vu, lambda pt, t: _vu_frame(
+        _KAHLER_PARAMS, *pt, np.linalg.eigh(pt[0].imag), t), _hermitian, 1j),
     "lambda_R": _Spec(_draw_extended, lambda pt, t: _lambda_r(pt, t)[..., None],
                       lambda f1, f2: f1[..., 0], None),
 }

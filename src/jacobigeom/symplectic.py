@@ -22,8 +22,8 @@ import numpy as np
 
 from .exceptions import BadShape, NotSymplectic, NotUnitaryPair, SingularDenominator
 from . import linalg
-from .linalg import _col, _from_col, _gate, _mT, _spd_powers, _trusted, check_spd
-from .linalg import check_symmetric, symmetrize
+from .linalg import _assign, _col, _from_col, _gate, _mT, _spd_eigh, _spd_powers, _trusted
+from .linalg import check_spd, check_symmetric, symmetrize
 
 
 def j_matrix(n):
@@ -159,9 +159,8 @@ class SpAlgebraElement:
     c: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "a", np.asarray(self.a, dtype=float))
-        object.__setattr__(self, "b", check_symmetric(self.b))
-        object.__setattr__(self, "c", check_symmetric(self.c))
+        _assign(self, np.asarray(self.a, dtype=float), check_symmetric(self.b),
+                check_symmetric(self.c))
 
     @property
     def n(self):
@@ -184,26 +183,15 @@ def sp_basis(n):
     H_ij has a-block E_ij; 2 F_ij has b-block E_ij + E_ji; 2 G_ij has
     c-block E_ij + E_ji.  Count: 2 n^2 + n.
     """
-    gens = []
-    zero = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            a = np.zeros((n, n))
-            a[i, j] = 1.0
-            gens.append(SpAlgebraElement(a, zero, zero))
-    for i in range(n):
-        for j in range(i, n):
-            b = np.zeros((n, n))
-            b[i, j] += 0.5
-            b[j, i] += 0.5
-            gens.append(SpAlgebraElement(zero, b, zero))
-    for i in range(n):
-        for j in range(i, n):
-            c = np.zeros((n, n))
-            c[i, j] += 0.5
-            c[j, i] += 0.5
-            gens.append(SpAlgebraElement(zero, zero, c))
-    return gens
+    zero, e = np.zeros((n, n)), np.eye(n)
+    upper = [(i, j) for i in range(n) for j in range(i, n)]
+
+    def sym(i, j):  # (E_ij + E_ji) / 2
+        return 0.5 * (np.outer(e[i], e[j]) + np.outer(e[j], e[i]))
+
+    return ([SpAlgebraElement(np.outer(e[i], e[j]), zero, zero) for i in range(n) for j in range(n)]
+            + [SpAlgebraElement(zero, sym(i, j), zero) for i, j in upper]
+            + [SpAlgebraElement(zero, zero, sym(i, j)) for i, j in upper])
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +203,8 @@ def unitary_pair_residual(x, y):
     X^tY = Y^tX, YX^t = XY^t, per pair of a stack."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    if x.ndim < 2 or x.shape[-1] != x.shape[-2] or y.shape != x.shape:
+        raise BadShape(f"X and Y must be square of one shape, got {x.shape} and {y.shape}")
     eye = np.eye(x.shape[-1])
     rels = [
         _mT(x) @ x + _mT(y) @ y - eye,
@@ -244,6 +234,8 @@ def unitary_iso(x, y):
 def unitary_iso_inverse(u):
     """Inverse isomorphism: unitary U -> pair (Re U, Im U)."""
     u = np.asarray(u, dtype=complex)
+    if u.ndim != 2 or u.shape[0] != u.shape[1]:
+        raise BadShape(f"expected a square matrix, got shape {u.shape}")
     _gate(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))), linalg.UP_TOL, NotUnitaryPair,
           "unitarity residual")
     return u.real.copy(), u.imag.copy()
@@ -261,13 +253,20 @@ def check_siegel(v):
     return v
 
 
-def _siegel_xy(x, y):
-    """``x`` and ``y`` as float arrays of one shape, once x + iy passes the checks of
-    :func:`check_siegel`, made on x and y without forming x + iy."""
+def _siegel_xy(x, y, spd=check_spd):
+    """``x`` as a float array and ``spd(y)`` (y, or its eigenpairs by ``linalg._spd_eigh``),
+    once x + iy, x and y of one shape, passes the checks of :func:`check_siegel`."""
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if x.shape != y.shape:
         raise BadShape(f"x and y must have one shape, got {x.shape} and {y.shape}")
-    return check_symmetric(x), check_spd(y)
+    return check_symmetric(x), spd(y)
+
+
+def _degree(m, v):
+    """``m`` once the n x n matrix ``v`` has the degree n of the 2n x 2n ``m``, else BadShape."""
+    if 2 * v.shape[-1] != m.shape[-1]:
+        raise BadShape(f"degree mismatch: element {m.shape[-1] // 2} vs point {v.shape[-1]}")
+    return m
 
 
 def mobius_act(m, v):
@@ -279,7 +278,8 @@ def mobius_act(m, v):
     denominator therefore raises SingularDenominator to flag an
     input-contract violation.
     """
-    return _mobius(check_symplectic(m), check_siegel(v))[0]
+    v = check_siegel(v)
+    return _mobius(_degree(check_symplectic(m), v), v)[0]
 
 
 def _mobius(m, v, u=None):
@@ -319,8 +319,8 @@ def m_point(x, y):
 
     Sends the base point iI to x + iy under :func:`mobius_act`.
     """
-    x = check_symmetric(x)
-    s, si = _spd_powers(check_spd(y), 0.5, -0.5)
+    x, eig = _siegel_xy(x, y, _spd_eigh)
+    s, si = _spd_powers(eig, 0.5, -0.5)
     n = x.shape[0]
     return from_blocks(s, x @ si, np.zeros((n, n)), si)
 
@@ -346,11 +346,8 @@ class PreIwasawaFactors:
     def __post_init__(self):
         if self.variant not in ("plain", "modified"):
             raise ValueError(f"unknown variant {self.variant!r}")
-        object.__setattr__(self, "x", check_symmetric(self.x))
-        object.__setattr__(self, "y", np.asarray(check_spd(self.y), dtype=float))
-        x_, y_ = check_unitary_pair(self.X, self.Y)
-        object.__setattr__(self, "X", x_)
-        object.__setattr__(self, "Y", y_)
+        _assign(self, *_siegel_xy(self.x, self.y), *check_unitary_pair(self.X, self.Y),
+                self.variant)
 
     @property
     def n(self):
@@ -362,7 +359,7 @@ def _pre_iwasawa(m):
     y = (d d^t + c c^t)^{-1} and its root from one ``eigh``; x is symmetric
     for symplectic input (a theorem) and is symmetrized to clean up roundoff."""
     a, b, c, d = blocks(m)
-    y, root = _spd_powers(d @ _mT(d) + c @ _mT(c), -1.0, -0.5)
+    y, root = _spd_powers(np.linalg.eigh(symmetrize(d @ _mT(d) + c @ _mT(c))), -1.0, -0.5)
     x = symmetrize(y @ (d @ _mT(b) + c @ _mT(a)))
     return x, y, root, root @ d, -(root @ c)
 
@@ -394,12 +391,12 @@ def pre_iwasawa_compose(factors):
     """
     f = factors
     power = 1.0 if f.variant == "plain" else 0.5
-    r, ri = _spd_powers(f.y, power, -power)
-    a = r @ f.X - f.x @ ri @ f.Y
-    b = r @ f.Y + f.x @ ri @ f.X
-    c = -(ri @ f.Y)
-    d = ri @ f.X
-    return from_blocks(a, b, c, d)
+    return _compose(f.x, *_spd_powers(np.linalg.eigh(symmetrize(f.y)), power, -power), f.X, f.Y)
+
+
+def _compose(x, r, ri, xu, yu):
+    """:func:`pre_iwasawa_compose` from r, the diagonal factor's root of y, and r^{-1}."""
+    return from_blocks(r @ xu - x @ ri @ yu, r @ yu + x @ ri @ xu, -(ri @ yu), ri @ xu)
 
 
 def act_modified_chart(m, chart):
@@ -415,14 +412,16 @@ def act_modified_chart(m, chart):
         X1 - i Y1 = y1^{1/2} {(c x' + d) y'^{-1/2} X' + c y'^{1/2} Y'
                     + i [c y'^{1/2} X' - (c x' + d) y'^{-1/2} Y']}.
     """
-    a, b, c, d = blocks(check_symplectic(m))
-    f = PreIwasawaFactors(*chart, "modified")
-    xp, yp, xu, yu = f.x, f.y, f.X, f.Y
-    sp, spi, ypi = _spd_powers(yp, 0.5, -0.5, -1.0)
+    m = check_symplectic(m)
+    xp, eig = _siegel_xy(chart[0], chart[1], _spd_eigh)  # the checks of PreIwasawaFactors
+    xu, yu = check_unitary_pair(chart[2], chart[3])
+    a, b, c, d = blocks(_degree(_degree(m, xp), xu))
+    yp = np.asarray(chart[1], dtype=float)
+    sp, spi, ypi = _spd_powers(eig, 0.5, -0.5, -1.0)
     core = yp + xp @ ypi @ xp
     big_a = c @ core @ c.T + d @ ypi @ d.T + c @ xp @ ypi @ d.T + d @ ypi @ xp @ c.T
     big_n = c @ core @ a.T + c @ xp @ ypi @ b.T + d @ ypi @ xp @ a.T + d @ ypi @ b.T
-    y1, s1 = _spd_powers(big_a, -1.0, -0.5)
+    y1, s1 = _spd_powers(np.linalg.eigh(symmetrize(big_a)), -1.0, -0.5)
     x1 = symmetrize(y1 @ big_n)
     cxd = c @ xp + d
     x_new = s1 @ (cxd @ spi @ xu + c @ sp @ yu)

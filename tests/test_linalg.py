@@ -28,6 +28,14 @@ def test_kron_sum_identity_and_eigenvalues():
     assert np.allclose(kron_sum(a, np.zeros((3, 3))), np.kron(a, np.eye(3)))
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 10])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 10])
+def test_kron_sum_is_the_two_kronecker_products_entry_for_entry(n, m):
+    rng = np.random.default_rng(100 * n + m)
+    a, b = rng.standard_normal((n, n)), rng.standard_normal((m, m))
+    assert np.array_equal(kron_sum(a, b), np.kron(a, np.eye(m)) + np.kron(np.eye(n), b))
+
+
 def test_vech_definition_and_duplication():
     a, b, d = 1.0, 2.0, 3.0
     m = np.array([[a, b], [b, d]])

@@ -30,6 +30,7 @@ from jacobigeom import (
     SingularSylvester,
     SpAlgebraElement,
     act_extended,
+    act_modified_chart,
     act_pq,
     act_xjn,
     ball_act,
@@ -52,6 +53,7 @@ from jacobigeom import (
     kahler_ball,
     kahler_xjn,
     lambda_r,
+    m_point,
     maurer_cartan,
     metric_extended,
     metric_group,
@@ -60,8 +62,10 @@ from jacobigeom import (
     oneforms_matrix_chart,
     oneforms_sn,
     sn_chart_identity,
+    sp_to_ball_rep,
     sylvester_solve,
     unitary_iso_inverse,
+    unvech,
 )
 from jacobigeom import linalg
 from jacobigeom.forms import check_matrix_tangent, d_sn_chart, d_sn_chart_inverse
@@ -118,6 +122,7 @@ NAN_CASES = [
      _under_nan_bound("SYLVESTER_RTOL", lambda: oneforms_sn(
          sn_chart_identity(2), (np.eye(2),) * 4 + (np.zeros(2), np.zeros(2), 0.0))),
      SingularSylvester),
+    ("sp_to_ball_rep", lambda: sp_to_ball_rep(np.full((4, 4), np.nan)), NotSymplectic),
 ]
 
 
@@ -125,6 +130,48 @@ NAN_CASES = [
 def test_validation_gates_reject_nan(call, exc):
     with pytest.raises(exc):
         call()
+
+
+# an infinite entry once reached numpy's inf - inf in sym_residual, a RuntimeWarning
+# (an error under the suite's warning filter) before any gate
+INF = np.array([[np.inf, 0.0], [0.0, 1.0]])
+INF_CASES = [
+    ("check_symmetric", lambda: check_symmetric(INF), NotSymmetric),
+    ("check_spd", lambda: check_spd(INF), NotSpd),
+    ("check_spd -inf", lambda: check_spd(-INF), NotSpd),
+    ("mobius_act", lambda: mobius_act(np.eye(2), np.array([[np.inf + 1j]])), NotSymmetric),
+    ("check_ball_point", lambda: check_ball_point(INF + 0j), ContractionViolation),
+]
+
+
+@pytest.mark.parametrize("call,exc", [pytest.param(c, e, id=name) for name, c, e in INF_CASES])
+def test_validation_gates_reject_inf(call, exc):
+    with pytest.raises(exc):
+        call()
+
+
+def test_an_infinite_matrix_fails_alone_in_its_stack():
+    stack = np.stack([np.eye(2), INF, np.eye(2)])
+    with pytest.raises(NotSymmetric, match=r"at stack index 1$"):
+        check_symmetric(stack)
+    assert np.array_equal(linalg.sym_residual(stack)[[0, 2]], [0.0, 0.0])
+
+
+@pytest.mark.parametrize("m", [np.ones((4, 4)), np.diag([2.0, 1.0, 1.0, 1.0])])
+def test_sp_to_ball_rep_refuses_non_symplectic_matrices(m):
+    # the blocks of a non-symplectic matrix were returned as a ball-model pair
+    with pytest.raises(NotSymplectic):
+        sp_to_ball_rep(m)
+
+
+def test_the_engine_reads_its_own_ball_draw_unchecked():
+    # the invariance engine draws symplectic matrices and does not re-check them
+    def refuse(m):
+        raise AssertionError("check_symplectic called on an engine draw")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(jacobigeom.metrics, "check_symplectic", refuse)
+        assert jacobigeom.invariance_report("kahler_ball", 2, samples=4).passed
 
 
 @pytest.mark.parametrize("check,exc", [(check_symmetric, NotSymmetric), (check_spd, NotSpd)])
@@ -227,6 +274,7 @@ def test_only_the_kept_tolerance_knobs_remain():
 
 # wrong shapes at n = 2 that reached numpy and ended in its plain ValueError
 _X, _Y = np.zeros((2, 2)), np.eye(2)
+_Y3 = np.diag([1.0, 2.0, 0.5])  # SPD of degree 3
 _ROW3 = np.zeros(3)
 _BALL_TANGENT = (np.eye(2) + 0j, np.array([1.0, 1j]))
 
@@ -319,6 +367,20 @@ BAD_SHAPES = {
         lambda: oneforms_matrix_chart(gj_identity(2), (np.eye(3), _X, _X, _X) + _ROWS + (0.0,)),
     "maurer_cartan da 3x3":
         lambda: maurer_cartan(gj_identity(2), (np.eye(3), _X, _X, _X) + _ROWS + (0.0,)),
+    # a degree mismatch between an element and a point, which ended in numpy's matmul error
+    "mobius_act element of degree 2, point of degree 3": lambda: mobius_act(np.eye(4), 1j * _Y3),
+    "m_point x 2x2, y 3x3": lambda: m_point(_Y, _Y3),
+    "act_modified_chart element of degree 2, chart of degree 3":
+        lambda: act_modified_chart(np.eye(4), (0 * _Y3, _Y3, np.eye(3), 0 * _Y3)),
+    "act_modified_chart (X, Y) of degree 3": lambda: act_modified_chart(
+        np.eye(4), (_X, _Y, np.eye(3), 0 * _Y3)),
+    # the linalg and symplectic boundary
+    "check_symmetric 0x0": lambda: check_symmetric(np.zeros((0, 0))),
+    "check_spd 0x0": lambda: check_spd(np.zeros((0, 0))),
+    "unvech 10 entries for n = 3": lambda: unvech(np.arange(10.0), 3),
+    "unvech 2 entries for n = 3": lambda: unvech(np.ones(2), 3),
+    "check_unitary_pair X 2x2, Y 3x3": lambda: check_unitary_pair(_Y, np.zeros((3, 3))),
+    "unitary_iso_inverse 2x3": lambda: unitary_iso_inverse(np.ones((2, 3))),
 }
 
 
