@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import BadShape
-from .linalg import _assign, _dot, _gate, _row, _trusted
+from .linalg import _dot, _gate, _row, _trusted
 from .symplectic import _jacobi_matrix
 
 
@@ -33,7 +33,9 @@ class HeisenbergElement:
     kappa: float
 
     def __post_init__(self):
-        _assign(self, *_rows(_row(self.lam).shape[-1], self.lam, self.mu, kappa=self.kappa))
+        rows = _rows(_row(self.lam).shape[-1], self.lam, self.mu, kappa=self.kappa)
+        for name, value in zip(("lam", "mu", "kappa"), rows):
+            object.__setattr__(self, name, value)
 
     @property
     def n(self):
@@ -125,11 +127,16 @@ def h_fvf(generator, g):
         Q_q* = d/d mu_q    - lambda_q d/d kappa,
         R*   = d/d kappa.
     """
-    dlam, dmu = np.zeros(g.n), np.zeros(g.n)
+    n = g.n
+    dlam = np.zeros(n)
+    dmu = np.zeros(n)
     if generator == "R":
         return dlam, dmu, 1.0
     kind, idx = generator
-    if kind not in ("P", "Q"):
-        raise ValueError(f"unknown generator {generator!r}")
-    (dlam if kind == "P" else dmu)[idx] = 1.0
-    return dlam, dmu, float(g.mu[idx]) if kind == "P" else -float(g.lam[idx])
+    if kind == "P":
+        dlam[idx] = 1.0
+        return dlam, dmu, float(g.mu[idx])
+    if kind == "Q":
+        dmu[idx] = 1.0
+        return dlam, dmu, -float(g.lam[idx])
+    raise ValueError(f"unknown generator {generator!r}")

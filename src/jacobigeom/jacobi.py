@@ -28,7 +28,7 @@ import numpy as np
 from .exceptions import BadShape, BasisClosureFailure, ProjectionResidual
 from .heisenberg import _omega, _rows
 from . import linalg
-from .linalg import _assign, _col, _from_col, _gate, _mT, _row, _spd_powers, _trusted
+from .linalg import _col, _from_col, _gate, _mT, _row, _spd_powers, _trusted
 from .linalg import check_symmetric, symmetrize
 from .symplectic import (
     PreIwasawaFactors,
@@ -59,8 +59,10 @@ class JacobiElement:
     kappa: float
 
     def __post_init__(self):
-        m = check_symplectic(self.M)
-        _assign(self, m, *_rows(m.shape[-1] // 2, self.lam, self.mu, kappa=self.kappa))
+        object.__setattr__(self, "M", check_symplectic(self.M))
+        for name, value in zip(("lam", "mu", "kappa"),
+                               _rows(self.n, self.lam, self.mu, kappa=self.kappa)):
+            object.__setattr__(self, name, value)
 
     @property
     def n(self):
@@ -149,9 +151,12 @@ class JacobiAlgebraElement:
     r: float
 
     def __post_init__(self):
-        b, c = (check_symmetric(m, linalg.ALG_SYM_RTOL) for m in (self.b, self.c))
-        _assign(self, np.asarray(self.a, dtype=float), b, c, _row(self.p), _row(self.q),
-                float(self.r))
+        object.__setattr__(self, "a", np.asarray(self.a, dtype=float))
+        object.__setattr__(self, "b", check_symmetric(self.b, linalg.ALG_SYM_RTOL))
+        object.__setattr__(self, "c", check_symmetric(self.c, linalg.ALG_SYM_RTOL))
+        object.__setattr__(self, "p", _row(self.p))
+        object.__setattr__(self, "q", _row(self.q))
+        object.__setattr__(self, "r", float(self.r))
 
     @property
     def n(self):
@@ -194,8 +199,12 @@ class JacobiAlgebraElement:
 
 def gj_basis_labels(n):
     labels = [f"H{i + 1}{j + 1}" for i in range(n) for j in range(n)]
-    labels += [f"{k}{i + 1}{j + 1}" for k in "FG" for i in range(n) for j in range(i, n)]
-    return labels + [f"{k}{i + 1}" for k in "PQ" for i in range(n)] + ["R"]
+    labels += [f"F{i + 1}{j + 1}" for i in range(n) for j in range(i, n)]
+    labels += [f"G{i + 1}{j + 1}" for i in range(n) for j in range(i, n)]
+    labels += [f"P{p + 1}" for p in range(n)]
+    labels += [f"Q{q + 1}" for q in range(n)]
+    labels += ["R"]
+    return labels
 
 
 def gj_basis_elements(n):
@@ -207,8 +216,10 @@ def gj_basis_elements(n):
     zero = np.zeros((n, n))
     zrow = np.zeros(n)
     elems = [JacobiAlgebraElement(s.a, s.b, s.c, zrow, zrow, 0.0) for s in sp_basis(n)]
-    elems += [JacobiAlgebraElement(zero, zero, zero, pq[:n], pq[n:], 0.0)  # P_1..P_n, Q_1..Q_n
-              for pq in np.eye(2 * n)]
+    for k in range(2 * n):  # P_1..P_n, then Q_1..Q_n
+        pq = np.zeros(2 * n)
+        pq[k] = 1.0
+        elems.append(JacobiAlgebraElement(zero, zero, zero, pq[:n], pq[n:], 0.0))
     elems.append(JacobiAlgebraElement(zero, zero, zero, zrow, zrow, 1.0))
     return elems
 
@@ -350,7 +361,12 @@ class SnChart:
 
     def __post_init__(self):
         f = PreIwasawaFactors(self.x, self.y, self.X, self.Y, "modified")
-        _assign(self, f.x, f.y, f.X, f.Y, *_rows(f.n, self.p, self.q, kappa=self.kappa))
+        object.__setattr__(self, "x", f.x)
+        object.__setattr__(self, "y", f.y)
+        object.__setattr__(self, "X", f.X)
+        object.__setattr__(self, "Y", f.Y)
+        for name, value in zip(("p", "q", "kappa"), _rows(f.n, self.p, self.q, kappa=self.kappa)):
+            object.__setattr__(self, name, value)
 
     @property
     def n(self):

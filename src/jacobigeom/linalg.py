@@ -134,12 +134,8 @@ def _modulus(v):
 def _trusted(cls, *values):
     """The frozen dataclass ``cls`` with ``values`` as its fields, in declaration
     order, built without ``__post_init__``: for values derived from validated ones."""
-    return _assign(object.__new__(cls), *values)
-
-
-def _assign(obj, *values):
-    """``obj``, a frozen dataclass, with ``values`` as its fields in declaration order."""
-    for name, value in zip(obj.__dataclass_fields__, values, strict=True):
+    obj = object.__new__(cls)
+    for name, value in zip(cls.__dataclass_fields__, values, strict=True):
         object.__setattr__(obj, name, value)
     return obj
 
@@ -171,27 +167,33 @@ def symmetrize(a):
 
 
 def check_spd(a):
-    """Return ``a`` if symmetric positive definite, else raise NotSpd (see :func:`_spd`)."""
-    return _spd(a, np.linalg.eigvalsh)[0]
+    """Return ``a`` if symmetric positive definite, else raise NotSpd (see :func:`_spd_gate`)."""
+    a = _spd_symmetric(a)
+    _spd_gate(np.linalg.eigvalsh(symmetrize(a)))
+    return a
 
 
 def _spd_eigh(a):
-    """The eigenpairs (w, U) of an SPD ``a``, from the one ``eigh`` that checks it."""
-    return _spd(a, np.linalg.eigh)[1]
+    """The eigenpairs (w, U) of an SPD ``a``, from the one ``eigh`` that checks it as
+    :func:`check_spd` does."""
+    w, u = np.linalg.eigh(symmetrize(_spd_symmetric(a)))
+    _spd_gate(w)
+    return w, u
 
 
-def _spd(a, decompose):
-    """``a`` and ``decompose`` (``eigvalsh`` or ``eigh``) of its symmetric part, once the
-    smallest eigenvalue exceeds SPD_EIG_RTOL times the largest (strict, as on paper)."""
+def _spd_symmetric(a):
+    """``a`` once :func:`check_symmetric` passes it, with NotSymmetric raised as NotSpd."""
     try:
-        a = check_symmetric(a)
+        return check_symmetric(a)
     except NotSymmetric as exc:
         raise NotSpd(str(exc)) from exc
-    out = decompose(symmetrize(a))
-    w = getattr(out, "eigenvalues", out)
+
+
+def _spd_gate(w):
+    """Raise NotSpd unless the smallest of the ascending eigenvalues ``w`` (per row of a
+    stack) exceeds SPD_EIG_RTOL times the largest (strict, as on paper)."""
     _gate(w[..., 0], SPD_EIG_RTOL * np.maximum(w[..., -1], 0.0), NotSpd, "smallest eigenvalue",
           lower=True)
-    return a, out
 
 
 def kron_sum(a, b):

@@ -18,8 +18,8 @@ Siegel-Jacobi space (beta = delta = 0) and its extension (beta = 0).
 
 On the Siegel-Jacobi space itself the two-parameter metric has the three
 closed coordinate expressions implemented in :func:`metric_xjn`, each the Gram
-form of a frame from the factor y = L L^t that the ``eigh`` of the entry check
-of y gives; adding the square of one more invariant one-form,
+form of a frame from a factor y = L L^t, which a public call takes from the
+``eigh`` of its entry check of y; adding the square of one more invariant one-form,
 ``delta (dkappa - p dq^t + q dp^t)^2``, gives the three-parameter metric on
 the extended space (:func:`metric_extended`).
 
@@ -41,9 +41,9 @@ from .jacobi import _tangent_from_pq, _tangent_to_pq, _to_pq, act_extended, act_
 from .jacobi import SnChart, _sn_chart_inverse, gj_embed, sn_chart, sn_chart_inverse
 from . import linalg
 from .linalg import _check_lead, _col, _from_col, _gate, _modulus, _mT, _row, _spd_eigh
-from .linalg import sym_residual
+from .linalg import check_symmetric, sym_residual
 from .forms import _d_sn_chart, _d_sn_chart_inverse, _checked_xy_rows, _embed_tangent, oneforms_sn
-from .symplectic import _jacobi_parts, _mobius, _siegel_xy, blocks, check_siegel, check_symplectic
+from .symplectic import _jacobi_parts, _mobius, _one_shape, blocks, check_siegel, check_symplectic
 from .symplectic import from_blocks
 
 
@@ -132,14 +132,15 @@ def _check_arity(size, **parts):
 
 
 def _checked_xjn(point, t1, t2):
-    """``point`` with float arrays and 1-d rows, y's eigenpairs and t1, t2 as one tangent
-    (``_pair``), once x + iy passes :func:`check_siegel`, the rows are finite of length n, a
-    fifth component (kappa) is finite and the tangents pass ``forms._checked_xy_rows``."""
-    x, eig = _siegel_xy(point[0], point[1], _spd_eigh)
+    """``point`` with float arrays and 1-d rows, y's factor pair (:func:`_factor`) and t1, t2
+    as one tangent (``_pair``), once x + iy passes :func:`check_siegel`, the rows are finite
+    of length n, a fifth component (kappa) is finite and the tangents pass
+    ``forms._checked_xy_rows``."""
+    x, y = _one_shape(point[0], point[1])  # then the checks of _siegel_xy, with y's eigh kept
+    x, eig = check_symmetric(x), _spd_eigh(y)
     n = x.shape[-1]
     rows = _rows(n, point[2], point[3], kappa=point[4] if len(point) == 5 else None)
-    point = (x, np.asarray(point[1], dtype=float), *rows)
-    return point, eig, _checked_xy_rows(n, *_pair(x.shape[:-2], t1, t2))
+    return (x, y, *rows), _factor(eig), _checked_xy_rows(n, *_pair(x.shape[:-2], t1, t2))
 
 
 def _roots(*weights):
@@ -150,17 +151,24 @@ def _roots(*weights):
 
 
 def _factor(eig):
-    """(L, L^-1), L = U diag(sqrt w), from the eigenpairs (w, U) of y = U diag(w) U^H = L L^H."""
+    """(L, L^-1), L = U diag(sqrt w), from the eigenpairs (w, U) of y = U diag(w) U^H = L L^H:
+    the factor pair of a public call, from the ``eigh`` of its entry check."""
     w, u = eig
     r = np.sqrt(w)[..., None, :]
     return u * r, _mT(u.conj()) / _mT(r)
 
 
-def _xjn_frame(roots, chart, point, eig, t, *extra):
+def _chol(y):
+    """(L, L^-1) with y = L L^H by Cholesky: the factor pair of a point the engine drew."""
+    ell = np.linalg.cholesky(y)
+    return ell, np.linalg.inv(ell)
+
+
+def _xjn_frame(roots, chart, point, factor, t, *extra):
     """:func:`metric_xjn`'s frame in ``chart`` at a validated point (or stacks), weighted by
-    ``roots``, from y = L L^t (:func:`_factor`): (L^-1 dx L^-t, L^-1 dy L^-t), then
+    ``roots``, from a factor pair (L, L^-1) of y = L L^t: (L^-1 dx L^-t, L^-1 dy L^-t), then
     ((dq + dp x) L^-t, dp L) in pq and chipsi or (r L^-t, s L^-t) in xirho, then ``extra``."""
-    ell, li = _factor(eig)
+    ell, li = factor
     lit = _mT(li)
     lit_a, lit_c = roots[0] * lit, roots[1] * lit  # weighted once per point, not per tangent
     if chart == "xirho":
@@ -191,8 +199,7 @@ def metric_xjn(alpha, gamma, chart, point, t1, t2):
     if chart not in XJN_CHARTS:
         raise ValueError(f"chart must be one of {XJN_CHARTS}")
     _check_arity(4, point=point, t1=t1, t2=t2)
-    point, eig, t = _checked_xjn(point, t1, t2)
-    return _gram(*_xjn_frame(_roots(alpha, gamma), chart, point, eig, t))
+    return _gram(*_xjn_frame(_roots(alpha, gamma), chart, *_checked_xjn(point, t1, t2)))
 
 
 def lambda_r(point_pq_kappa, tangent):
@@ -212,9 +219,9 @@ def _lambda_r(point_pq_kappa, tangent):
     return tangent[4] - _omega((p, q), (_row(tangent[2]), _row(tangent[3])))
 
 
-def _extended_frame(roots, point, eig, t):
+def _extended_frame(roots, point, factor, t):
     """:func:`metric_extended`'s frame: the pq frame, then sqrt(delta) lambda_R."""
-    return _xjn_frame(roots[:2], "pq", point, eig, t,
+    return _xjn_frame(roots[:2], "pq", point, factor, t,
                       roots[2] * _lambda_r(point, t)[..., None, None])
 
 
@@ -231,31 +238,32 @@ def metric_extended(alpha, gamma, delta, point, t1, t2):
 
 
 def check_ball_point(w):
-    """Return W (or a stack of them) as complex once a ball point (see :func:`_ball_point`)."""
-    return _ball_point(w, np.linalg.eigvalsh)[0]
+    """Return W (or a stack of them) as complex once symmetric and a strict contraction."""
+    w, k = _contraction(w)
+    _ball_gate(np.linalg.eigvalsh(k))
+    return w
 
 
 def _contraction(w):
-    """I - W Wbar, Hermitian at a symmetric W."""
-    return np.eye(w.shape[-1]) - w @ w.conj()
-
-
-def _ball_point(w, decompose):
-    """W and ``decompose`` (``eigvalsh`` or ``eigh``) of the Hermitian part of I - W Wbar, once
-    W is symmetric and a strict contraction (that smallest eigenvalue above BALL_MIN_EIG)."""
+    """W as complex and the Hermitian part of I - W Wbar, once W is symmetric."""
     w = np.asarray(w, dtype=complex)
     _gate(sym_residual(w), linalg.BALL_SYM_RTOL, ContractionViolation, "asymmetry of W")
-    k = _contraction(w)
-    out = decompose(0.5 * (k + _mT(k.conj())))
-    _gate(getattr(out, "eigenvalues", out)[..., 0], linalg.BALL_MIN_EIG, ContractionViolation,
+    k = np.eye(w.shape[-1]) - w @ w.conj()
+    return w, 0.5 * (k + _mT(k.conj()))
+
+
+def _ball_gate(e):
+    """Raise ContractionViolation unless the smallest of the ascending eigenvalues ``e`` of
+    I - W Wbar (per row of a stack) exceeds BALL_MIN_EIG: W a strict contraction."""
+    _gate(e[..., 0], linalg.BALL_MIN_EIG, ContractionViolation,
           "smallest eigenvalue of I - W conj(W)", lower=True)
-    return w, out
 
 
 def fc_transform(w, z):
     """Coordinate change z -> eta on the ball: eta = (I - W Wbar)^{-1} (z^t + W zbar^t)."""
     w, z = _checked_point(check_ball_point, w, z)
-    return _from_col(np.linalg.solve(_contraction(w), _col(z) + w @ _col(z.conj())))
+    return _from_col(np.linalg.solve(np.eye(w.shape[-1]) - w @ w.conj(),
+                                     _col(z) + w @ _col(z.conj())))
 
 
 def fc_inverse(w, eta):
@@ -293,10 +301,11 @@ def g_form(v, u, tangent):
     return _row(du, complex) - coeff @ np.asarray(dv, dtype=complex)
 
 
-def _ball_frame(kparams, w, z, eig, t):
-    """:func:`kahler_ball`'s frame at a validated ball point (or stacks): with I - W Wbar = K K^H
-    (:func:`_factor`, M = K^-H K^-1), sqrt(k) K^-1 dW K^-t, sqrt(2 nu) (dz + etabar dW^t) K^-t."""
-    ki = _factor(eig)[1]
+def _ball_frame(kparams, w, z, factor, t):
+    """:func:`kahler_ball`'s frame at a validated ball point (or stacks), from a factor pair
+    (K, K^-1) of I - W Wbar = K K^H (M = K^-H K^-1): sqrt(k) K^-1 dW K^-t and
+    sqrt(2 nu) (dz + etabar dW^t) K^-t."""
+    ki = factor[1]
     kit = _mT(ki)
     z = np.atleast_2d(z)
     eta_bar = (z.conj() + z @ w.conj()) @ kit.conj() @ ki  # eta = (z + zbar W) M^t
@@ -312,15 +321,18 @@ def kahler_ball(kparams, w, z, t1, t2):
     of z; real, from :func:`_ball_frame`.  The point is checked as in
     :func:`fc_transform`, the tangents as in ``jacobi._checked_point``.
     """
-    w, eig = _ball_point(w, np.linalg.eigh)
+    w, k = _contraction(w)  # then the gate of check_ball_point, with the eigh kept
+    e, u = np.linalg.eigh(k)
+    _ball_gate(e)
     w, z, t = _checked_point(np.asarray, w, z, _pair(w.shape[:-2], t1, t2))
-    return _hermitian(*_ball_frame(kparams, w, z, eig, t))
+    return _hermitian(*_ball_frame(kparams, w, z, _factor((e, u)), t))
 
 
-def _vu_frame(kparams, v, u, eig, t):
-    """:func:`kahler_xjn`'s frame at a validated point (or stacks): with Im v = y = L L^t
-    (:func:`_factor`), sqrt(k/4) L^-1 dv L^-t and sqrt(2 nu) G L^-t, G the row of g_form."""
-    li = _factor(eig)[1]
+def _vu_frame(kparams, v, u, factor, t):
+    """:func:`kahler_xjn`'s frame at a validated point (or stacks), from a factor pair
+    (L, L^-1) of Im v = y = L L^t: sqrt(k/4) L^-1 dv L^-t and sqrt(2 nu) G L^-t, G the row
+    of g_form."""
+    li = factor[1]
     lit = _mT(li)
     h = li @ t[0] @ lit
     return _flat(np.sqrt(kparams.k / 4) * h,
@@ -334,9 +346,11 @@ def kahler_xjn(kparams, v, u, t1, t2):
     with D = (vbar - v)^{-1} and H = D dv; real, from :func:`_vu_frame`.  The point is
     checked as in :func:`jacobi.act_xjn`, the tangents as in ``jacobi._checked_point``.
     """
-    eig = _siegel_xy(np.real(v), np.imag(v), _spd_eigh)[1]  # the checks of check_siegel
-    v, u, t = _checked_point(np.asarray, v, u, _pair(np.shape(v)[:-2], t1, t2))
-    return _hermitian(*_vu_frame(kparams, v, u, eig, t))
+    v = np.asarray(v, dtype=complex)
+    check_symmetric(v.real)  # then the check of check_siegel on y, with its eigh kept
+    factor = _factor(_spd_eigh(v.imag))
+    v, u, t = _checked_point(np.asarray, v, u, _pair(v.shape[:-2], t1, t2))
+    return _hermitian(*_vu_frame(kparams, v, u, factor, t))
 
 
 # ---------------------------------------------------------------------------
@@ -507,16 +521,17 @@ _UNIT = (1.0, 1.0, 1.0)  # the square roots of unit metric weights
 _INVARIANCE_SPECS = {
     "metric_group": _Spec(_draw_group, lambda c, t: _sn_frame(_GROUP_PARAMS, c, t)),
     **{f"metric_xjn_{chart}": _Spec(_draw_xjn(chart), lambda pt, t, c=chart: _xjn_frame(
-        _UNIT[:2], c, pt, np.linalg.eigh(pt[1]), t)) for chart in XJN_CHARTS},
+        _UNIT[:2], c, pt, _chol(pt[1]), t)) for chart in XJN_CHARTS},
     "metric_extended": _Spec(
-        _draw_extended, lambda pt, t: _extended_frame(_UNIT, pt, np.linalg.eigh(pt[1]), t)),
+        _draw_extended, lambda pt, t: _extended_frame(_UNIT, pt, _chol(pt[1]), t)),
     # negative control: a beta-style contamination dp1 dp2^t that is not invariant
     "metric_xjn_broken": _Spec(_draw_xjn("pq"), lambda pt, t: _xjn_frame(
-        _UNIT[:2], "pq", pt, np.linalg.eigh(pt[1]), t, t[2])),
+        _UNIT[:2], "pq", pt, _chol(pt[1]), t, t[2])),
     "kahler_ball": _Spec(_draw_ball, lambda pt, t: _ball_frame(
-        _KAHLER_PARAMS, *pt, np.linalg.eigh(_contraction(pt[0])), t), _hermitian, 1j),
+        _KAHLER_PARAMS, *pt, _chol(np.eye(pt[0].shape[-1]) - pt[0] @ pt[0].conj()), t),
+        _hermitian, 1j),
     "kahler_xjn": _Spec(_draw_vu, lambda pt, t: _vu_frame(
-        _KAHLER_PARAMS, *pt, np.linalg.eigh(pt[0].imag), t), _hermitian, 1j),
+        _KAHLER_PARAMS, *pt, _chol(pt[0].imag), t), _hermitian, 1j),
     "lambda_R": _Spec(_draw_extended, lambda pt, t: _lambda_r(pt, t)[..., None],
                       lambda f1, f2: f1[..., 0], None),
 }

@@ -22,7 +22,7 @@ import numpy as np
 
 from .exceptions import BadShape, NotSymplectic, NotUnitaryPair, SingularDenominator
 from . import linalg
-from .linalg import _assign, _col, _from_col, _gate, _mT, _spd_eigh, _spd_powers, _trusted
+from .linalg import _col, _from_col, _gate, _mT, _spd_eigh, _spd_powers, _trusted
 from .linalg import check_spd, check_symmetric, symmetrize
 
 
@@ -159,8 +159,9 @@ class SpAlgebraElement:
     c: np.ndarray
 
     def __post_init__(self):
-        _assign(self, np.asarray(self.a, dtype=float), check_symmetric(self.b),
-                check_symmetric(self.c))
+        object.__setattr__(self, "a", np.asarray(self.a, dtype=float))
+        object.__setattr__(self, "b", check_symmetric(self.b))
+        object.__setattr__(self, "c", check_symmetric(self.c))
 
     @property
     def n(self):
@@ -183,15 +184,26 @@ def sp_basis(n):
     H_ij has a-block E_ij; 2 F_ij has b-block E_ij + E_ji; 2 G_ij has
     c-block E_ij + E_ji.  Count: 2 n^2 + n.
     """
-    zero, e = np.zeros((n, n)), np.eye(n)
-    upper = [(i, j) for i in range(n) for j in range(i, n)]
-
-    def sym(i, j):  # (E_ij + E_ji) / 2
-        return 0.5 * (np.outer(e[i], e[j]) + np.outer(e[j], e[i]))
-
-    return ([SpAlgebraElement(np.outer(e[i], e[j]), zero, zero) for i in range(n) for j in range(n)]
-            + [SpAlgebraElement(zero, sym(i, j), zero) for i, j in upper]
-            + [SpAlgebraElement(zero, zero, sym(i, j)) for i, j in upper])
+    gens = []
+    zero = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            a = np.zeros((n, n))
+            a[i, j] = 1.0
+            gens.append(SpAlgebraElement(a, zero, zero))
+    for i in range(n):
+        for j in range(i, n):
+            b = np.zeros((n, n))
+            b[i, j] += 0.5
+            b[j, i] += 0.5
+            gens.append(SpAlgebraElement(zero, b, zero))
+    for i in range(n):
+        for j in range(i, n):
+            c = np.zeros((n, n))
+            c[i, j] += 0.5
+            c[j, i] += 0.5
+            gens.append(SpAlgebraElement(zero, zero, c))
+    return gens
 
 
 # ---------------------------------------------------------------------------
@@ -253,13 +265,19 @@ def check_siegel(v):
     return v
 
 
-def _siegel_xy(x, y, spd=check_spd):
-    """``x`` as a float array and ``spd(y)`` (y, or its eigenpairs by ``linalg._spd_eigh``),
-    once x + iy, x and y of one shape, passes the checks of :func:`check_siegel`."""
+def _one_shape(x, y):
+    """``x`` and ``y`` as float arrays, once of one shape."""
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if x.shape != y.shape:
         raise BadShape(f"x and y must have one shape, got {x.shape} and {y.shape}")
-    return check_symmetric(x), spd(y)
+    return x, y
+
+
+def _siegel_xy(x, y):
+    """``x`` and ``y`` as float arrays of one shape, once x + iy passes the checks of
+    :func:`check_siegel`, made on x and y without forming x + iy."""
+    x, y = _one_shape(x, y)
+    return check_symmetric(x), check_spd(y)
 
 
 def _degree(m, v):
@@ -319,8 +337,9 @@ def m_point(x, y):
 
     Sends the base point iI to x + iy under :func:`mobius_act`.
     """
-    x, eig = _siegel_xy(x, y, _spd_eigh)
-    s, si = _spd_powers(eig, 0.5, -0.5)
+    x, y = _one_shape(x, y)
+    x = check_symmetric(x)
+    s, si = _spd_powers(_spd_eigh(y), 0.5, -0.5)
     n = x.shape[0]
     return from_blocks(s, x @ si, np.zeros((n, n)), si)
 
@@ -346,8 +365,11 @@ class PreIwasawaFactors:
     def __post_init__(self):
         if self.variant not in ("plain", "modified"):
             raise ValueError(f"unknown variant {self.variant!r}")
-        _assign(self, *_siegel_xy(self.x, self.y), *check_unitary_pair(self.X, self.Y),
-                self.variant)
+        object.__setattr__(self, "x", check_symmetric(self.x))
+        object.__setattr__(self, "y", np.asarray(check_spd(self.y), dtype=float))
+        x_, y_ = check_unitary_pair(self.X, self.Y)
+        object.__setattr__(self, "X", x_)
+        object.__setattr__(self, "Y", y_)
 
     @property
     def n(self):
@@ -396,7 +418,11 @@ def pre_iwasawa_compose(factors):
 
 def _compose(x, r, ri, xu, yu):
     """:func:`pre_iwasawa_compose` from r, the diagonal factor's root of y, and r^{-1}."""
-    return from_blocks(r @ xu - x @ ri @ yu, r @ yu + x @ ri @ xu, -(ri @ yu), ri @ xu)
+    a = r @ xu - x @ ri @ yu
+    b = r @ yu + x @ ri @ xu
+    c = -(ri @ yu)
+    d = ri @ xu
+    return from_blocks(a, b, c, d)
 
 
 def act_modified_chart(m, chart):
@@ -413,10 +439,11 @@ def act_modified_chart(m, chart):
                     + i [c y'^{1/2} X' - (c x' + d) y'^{-1/2} Y']}.
     """
     m = check_symplectic(m)
-    xp, eig = _siegel_xy(chart[0], chart[1], _spd_eigh)  # the checks of PreIwasawaFactors
-    xu, yu = check_unitary_pair(chart[2], chart[3])
+    xp, yp, xu, yu = chart
+    xp, yp = _one_shape(xp, yp)  # then the checks of PreIwasawaFactors, with y's eigh kept
+    xp, eig = check_symmetric(xp), _spd_eigh(yp)
+    xu, yu = check_unitary_pair(xu, yu)
     a, b, c, d = blocks(_degree(_degree(m, xp), xu))
-    yp = np.asarray(chart[1], dtype=float)
     sp, spi, ypi = _spd_powers(eig, 0.5, -0.5, -1.0)
     core = yp + xp @ ypi @ xp
     big_a = c @ core @ c.T + d @ ypi @ d.T + c @ xp @ ypi @ d.T + d @ ypi @ xp @ c.T

@@ -62,9 +62,15 @@ def _calls(rng):
 _NAMES = [name for name, _, _ in _calls(np.random.default_rng(0))]
 
 
+def _call(name):
+    """The call named ``name`` and its budget."""
+    (call, budget), = [(c, b) for n, c, b in _calls(np.random.default_rng(31)) if n == name]
+    return call, budget
+
+
 @pytest.mark.parametrize("name", _NAMES)
 def test_each_input_is_factored_once(name):
-    (call, budget), = [(c, b) for n, c, b in _calls(np.random.default_rng(31)) if n == name]
+    call, budget = _call(name)
     counts = Counter()
 
     def counting(fname, fn):
@@ -78,3 +84,13 @@ def test_each_input_is_factored_once(name):
             mp.setattr(np.linalg, fname, counting(fname, getattr(np.linalg, fname)))
         call()
     assert dict(counts) == budget
+
+
+@pytest.mark.parametrize("name", _NAMES)
+def test_each_call_reads_eigh_as_a_plain_pair(name):
+    # numpy before 2.0 returns eigh's eigenpairs as a plain tuple, without named fields
+    call, _ = _call(name)
+    eigh = np.linalg.eigh
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "eigh", lambda a: tuple(eigh(a)))
+        call()
