@@ -23,6 +23,7 @@ from .exceptions import BadShape, NotSymplectic
 from .heisenberg import _omega, _rows
 from .jacobi import (
     JacobiAlgebraElement,
+    _checked_point,
     _sn_chart_inverse,
     _tangent_to_pq,
     _to_pq,
@@ -364,12 +365,13 @@ def fvf(z, point, space):
     * ``extended_xirho``, ``extended_pq``: the same plus kappa, with
       dkappa = r + omega((p_z, q_z), (p', q')); on the non-extended space the
       center generator acts trivially (R* = 0).
+
+    The point is checked as ``chart_convert`` checks a point of its chart.
     """
     if space not in FVF_SPACES:
         raise ValueError(f"space must be one of {FVF_SPACES}")
     if space == "xjn_holo":
-        v, u = point
-        return _holomorphic_fvf(z, check_siegel(v), np.asarray(u, dtype=complex).ravel())
+        return _holomorphic_fvf(z, *_checked_point(check_siegel, *point))
 
     src = "xirho" if space.endswith("xirho") else "pq"
     x, y, p, q = _to_pq(point[:4], src)  # the entry check of x + iy

@@ -121,7 +121,7 @@ def h_metric(g, tangent):
 def h_fvf(generator, g):
     """Fundamental vector field of a one-parameter subgroup, evaluated at g.
 
-    ``generator`` is ("P", p), ("Q", q) or "R" (indices 0-based):
+    ``generator`` is ("P", p), ("Q", q) or "R", with p, q in range(n) (else ValueError):
 
         P_p* = d/d lambda_p + mu_p d/d kappa,
         Q_q* = d/d mu_q    - lambda_q d/d kappa,
@@ -133,10 +133,10 @@ def h_fvf(generator, g):
     if generator == "R":
         return dlam, dmu, 1.0
     kind, idx = generator
+    if kind not in ("P", "Q") or not isinstance(idx, (int, np.integer)) or not 0 <= idx < n:
+        raise ValueError(f"unknown generator {generator!r} at degree {n}")
     if kind == "P":
         dlam[idx] = 1.0
         return dlam, dmu, float(g.mu[idx])
-    if kind == "Q":
-        dmu[idx] = 1.0
-        return dlam, dmu, -float(g.lam[idx])
-    raise ValueError(f"unknown generator {generator!r}")
+    dmu[idx] = 1.0
+    return dlam, dmu, -float(g.lam[idx])

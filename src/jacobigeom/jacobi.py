@@ -28,10 +28,10 @@ import numpy as np
 from .exceptions import BadShape, BasisClosureFailure, ProjectionResidual
 from .heisenberg import _omega, _rows
 from . import linalg
-from .linalg import _col, _from_col, _gate, _mT, _row, _spd_powers, _trusted
+from .linalg import _col, _from_col, _gate, _max_norm, _mT, _row, _spd_powers, _trusted
 from .linalg import check_symmetric, symmetrize
 from .symplectic import (
-    PreIwasawaFactors,
+    _chart,
     _compose,
     _degree,
     _dmobius,
@@ -39,7 +39,7 @@ from .symplectic import (
     _jacobi_parts,
     _mobius,
     _pre_iwasawa,
-    _siegel_xy,
+    _siegel,
     _sp_inverse,
     blocks,
     check_siegel,
@@ -115,12 +115,12 @@ def gj_from_embedding(mat):
     entries with (lambda, mu) M^{-1}; raises ProjectionResidual if the
     matrix does not have the Jacobi block form.
     """
-    mat = np.asarray(mat, dtype=float)
+    scale, mat = _max_norm(np.asarray(mat, dtype=float))
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] % 2:
         raise BadShape(f"expected even square matrix, got {mat.shape}")
     blks, (lam, mu), _, kappa = _jacobi_parts(mat)
     g = JacobiElement(from_blocks(*blks), lam, mu, kappa)
-    _gate(np.max(np.abs(mat - gj_embed(g))), linalg.EMBED_RTOL * max(1.0, np.max(np.abs(mat))),
+    _gate(np.max(np.abs(mat - gj_embed(g))), linalg.EMBED_RTOL * max(1.0, scale),
           ProjectionResidual, "Jacobi embedding residual")
     return g
 
@@ -175,11 +175,11 @@ class JacobiAlgebraElement:
         algebra; the remaining residual must vanish up to PROJ_RTOL or
         ProjectionResidual is raised.
         """
-        z = np.asarray(z, dtype=float)
+        scale, z = _max_norm(np.asarray(z, dtype=float))
         (a, b, c, d), (p, q), (q_col, minus_p_col), r = _jacobi_parts(z)
         elem = _trusted(cls, 0.5 * (a - d.T), symmetrize(b), symmetrize(c),
                         0.5 * (p - minus_p_col), 0.5 * (q + q_col), float(r))
-        _gate(np.max(np.abs(z - elem.to_matrix())), linalg.PROJ_RTOL * max(1.0, np.max(np.abs(z))),
+        _gate(np.max(np.abs(z - elem.to_matrix())), linalg.PROJ_RTOL * max(1.0, scale),
               ProjectionResidual, "Jacobi algebra projection residual")
         return elem
 
@@ -311,7 +311,7 @@ def act_extended(g, point):
     """Action on (x, y, p, q, kappa); kappa picks up omega((lambda, mu), (p', q')).
     The rows must be finite of length n and kappa finite."""
     x, y, p, q, kappa = point
-    x, y = _siegel_xy(x, y)
+    x, y, _ = _siegel(x, y)
     _degree(g.M, x)
     p, q, kappa = _rows(g.n, p, q, kappa=kappa)
     return (*_act_pq(g, (x, y, p, q)), g.kappa + kappa + _omega((g.lam, g.mu), (p, q)))
@@ -360,12 +360,9 @@ class SnChart:
     kappa: float
 
     def __post_init__(self):
-        f = PreIwasawaFactors(self.x, self.y, self.X, self.Y, "modified")
-        object.__setattr__(self, "x", f.x)
-        object.__setattr__(self, "y", f.y)
-        object.__setattr__(self, "X", f.X)
-        object.__setattr__(self, "Y", f.Y)
-        for name, value in zip(("p", "q", "kappa"), _rows(f.n, self.p, self.q, kappa=self.kappa)):
+        x, y, xu, yu = _chart(self.x, self.y, self.X, self.Y)[0]
+        rows = _rows(x.shape[-1], self.p, self.q, kappa=self.kappa)
+        for name, value in zip(self.__dataclass_fields__, (x, y, xu, yu, *rows), strict=True):
             object.__setattr__(self, name, value)
 
     @property
@@ -432,7 +429,7 @@ def _to_pq(point, src):
         v, u = _checked_point(check_siegel, *point)
         return _pq_of((v.real, v.imag, u.real, u.imag), "xirho")
     x, y, first, second = point
-    x, y = _siegel_xy(x, y)
+    x, y, _ = _siegel(x, y)
     return _pq_of((x, y, *_rows(x.shape[-1], first, second)), src)
 
 

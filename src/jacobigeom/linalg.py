@@ -22,11 +22,12 @@ Conventions fixed here and relied on everywhere else:
 * Every validation bound of the package is a constant in the one block
   below, read at call time (not bound as a default), and every gate
   compares through :func:`_gate`, whose ``not residual <= bound`` form
-  fails on a NaN residual or bound instead of letting it slip past.
+  fails on a NaN residual or bound instead of letting it slip past; a
+  non-finite input entry is made NaN first (:func:`_max_norm`).
 * Validation happens once, where a value enters from a caller; a value
-  derived from validated ones is built by :func:`_trusted`, unchecked.  An
-  SPD input that is factored is checked by :func:`_spd_eigh`, whose one
-  ``eigh`` is also the factorization the kernel uses.
+  derived from validated ones is built by :func:`_trusted`, unchecked.  Each
+  kind of input has one check, which returns the ``eigh`` it made for the
+  kernel: :func:`_spd`, ``symplectic._siegel`` and ``metrics._ball``.
 """
 
 import numpy as np
@@ -140,6 +141,14 @@ def _trusted(cls, *values):
     return obj
 
 
+def _max_norm(a):
+    """||a||_max and ``a``, each non-finite entry made NaN if the norm is not finite: a
+    residual formed from ``a`` is then NaN, which every gate refuses, with no inf - inf
+    or 0 inf (numpy's invalid-value warning) on the way.  ``a`` is not copied if finite."""
+    top = np.abs(a).max(initial=0.0)
+    return top, a if top < np.inf else np.where(np.isfinite(a), a, np.nan)
+
+
 def sym_residual(a):
     """Max-norm asymmetry of ``a`` relative to max(1, ||a||_max), per matrix of a stack;
     NaN for a matrix with a non-finite entry (so inf - inf is never formed)."""
@@ -167,33 +176,23 @@ def symmetrize(a):
 
 
 def check_spd(a):
-    """Return ``a`` if symmetric positive definite, else raise NotSpd (see :func:`_spd_gate`)."""
-    a = _spd_symmetric(a)
-    _spd_gate(np.linalg.eigvalsh(symmetrize(a)))
-    return a
+    """Return ``a`` if symmetric positive definite, else raise NotSpd (see :func:`_spd`)."""
+    return _spd(a)[0]
 
 
-def _spd_eigh(a):
-    """The eigenpairs (w, U) of an SPD ``a``, from the one ``eigh`` that checks it as
-    :func:`check_spd` does."""
-    w, u = np.linalg.eigh(symmetrize(_spd_symmetric(a)))
-    _spd_gate(w)
-    return w, u
-
-
-def _spd_symmetric(a):
-    """``a`` once :func:`check_symmetric` passes it, with NotSymmetric raised as NotSpd."""
+def _spd(a):
+    """``a`` and its eigenpairs (w, U), once ``a`` is SPD: the one SPD check.  NotSpd
+    unless :func:`check_symmetric` passes ``a`` and the smallest eigenvalue of its one
+    ``eigh`` (per matrix of a stack) exceeds SPD_EIG_RTOL times the largest (strict, as
+    on paper); a caller that factors ``a`` takes the eigenpairs."""
     try:
-        return check_symmetric(a)
+        a = check_symmetric(a)
     except NotSymmetric as exc:
         raise NotSpd(str(exc)) from exc
-
-
-def _spd_gate(w):
-    """Raise NotSpd unless the smallest of the ascending eigenvalues ``w`` (per row of a
-    stack) exceeds SPD_EIG_RTOL times the largest (strict, as on paper)."""
+    w, u = np.linalg.eigh(symmetrize(a))
     _gate(w[..., 0], SPD_EIG_RTOL * np.maximum(w[..., -1], 0.0), NotSpd, "smallest eigenvalue",
           lower=True)
+    return a, (w, u)
 
 
 def kron_sum(a, b):
@@ -278,9 +277,7 @@ def sylvester_solve(a, b, c):
     enough and no Schur-based algorithm is needed.  Raises SingularSylvester
     if the operator is singular, exactly or by the residual (SYLVESTER_RTOL).
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    c = np.asarray(c, dtype=float)
+    a, b, c = (_max_norm(np.asarray(v, dtype=float))[1] for v in (a, b, c))
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise BadShape(f"A must be square, got {a.shape}")
     if b.ndim != 2 or b.shape[0] != b.shape[1]:
@@ -305,7 +302,7 @@ def sqrtm_spd(a):
     Deterministic and accurate at the target scale; Newton iterations are
     not used.  The result S is SPD and satisfies ``S S = A`` to roundoff.
     """
-    return _spd_powers(_spd_eigh(a), 0.5)[0]
+    return _spd_powers(_spd(a)[1], 0.5)[0]
 
 
 def _spd_powers(eig, *powers):
@@ -322,7 +319,7 @@ def dsqrtm(a, da):
     symmetric whenever ``da`` is.  This is the Kronecker route of the
     paper's appendix, kept as the independent check of :func:`_sqrt_frame`.
     """
-    s = _spd_powers(_spd_eigh(a), 0.5)[0]
+    s = _spd_powers(_spd(a)[1], 0.5)[0]
     return symmetrize(sylvester_solve(s, s, check_symmetric(da)))
 
 

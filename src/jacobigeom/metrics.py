@@ -40,10 +40,9 @@ from .jacobi import _act_pq, _checked_point, _from_pq, _pq_of, _push_kappa, _pus
 from .jacobi import _tangent_from_pq, _tangent_to_pq, _to_pq, act_extended, act_xjn, gj_compose
 from .jacobi import SnChart, _sn_chart_inverse, gj_embed, sn_chart, sn_chart_inverse
 from . import linalg
-from .linalg import _check_lead, _col, _from_col, _gate, _modulus, _mT, _row, _spd_eigh
-from .linalg import check_symmetric, sym_residual
+from .linalg import _check_lead, _col, _from_col, _gate, _modulus, _mT, _row, sym_residual
 from .forms import _d_sn_chart, _d_sn_chart_inverse, _checked_xy_rows, _embed_tangent, oneforms_sn
-from .symplectic import _jacobi_parts, _mobius, _one_shape, blocks, check_siegel, check_symplectic
+from .symplectic import _jacobi_parts, _mobius, _siegel, blocks, check_siegel, check_symplectic
 from .symplectic import from_blocks
 
 
@@ -133,11 +132,10 @@ def _check_arity(size, **parts):
 
 def _checked_xjn(point, t1, t2):
     """``point`` with float arrays and 1-d rows, y's factor pair (:func:`_factor`) and t1, t2
-    as one tangent (``_pair``), once x + iy passes :func:`check_siegel`, the rows are finite
-    of length n, a fifth component (kappa) is finite and the tangents pass
+    as one tangent (``_pair``), once x + iy passes ``symplectic._siegel``, the rows are
+    finite of length n, a fifth component (kappa) is finite and the tangents pass
     ``forms._checked_xy_rows``."""
-    x, y = _one_shape(point[0], point[1])  # then the checks of _siegel_xy, with y's eigh kept
-    x, eig = check_symmetric(x), _spd_eigh(y)
+    x, y, eig = _siegel(point[0], point[1])
     n = x.shape[-1]
     rows = _rows(n, point[2], point[3], kappa=point[4] if len(point) == 5 else None)
     return (x, y, *rows), _factor(eig), _checked_xy_rows(n, *_pair(x.shape[:-2], t1, t2))
@@ -238,25 +236,22 @@ def metric_extended(alpha, gamma, delta, point, t1, t2):
 
 
 def check_ball_point(w):
-    """Return W (or a stack of them) as complex once symmetric and a strict contraction."""
-    w, k = _contraction(w)
-    _ball_gate(np.linalg.eigvalsh(k))
-    return w
+    """Return W (or a stack of them) as complex once a ball point (see :func:`_ball`)."""
+    return _ball(w)[0]
 
 
-def _contraction(w):
-    """W as complex and the Hermitian part of I - W Wbar, once W is symmetric."""
+def _ball(w):
+    """W as complex and the eigenpairs of the Hermitian part of I - W Wbar, once W is a
+    ball point: the one check of one.  ContractionViolation unless W is symmetric within
+    BALL_SYM_RTOL and the smallest eigenvalue of that one ``eigh`` (per matrix of a stack)
+    exceeds BALL_MIN_EIG: W a strict contraction."""
     w = np.asarray(w, dtype=complex)
     _gate(sym_residual(w), linalg.BALL_SYM_RTOL, ContractionViolation, "asymmetry of W")
     k = np.eye(w.shape[-1]) - w @ w.conj()
-    return w, 0.5 * (k + _mT(k.conj()))
-
-
-def _ball_gate(e):
-    """Raise ContractionViolation unless the smallest of the ascending eigenvalues ``e`` of
-    I - W Wbar (per row of a stack) exceeds BALL_MIN_EIG: W a strict contraction."""
+    e, u = np.linalg.eigh(0.5 * (k + _mT(k.conj())))
     _gate(e[..., 0], linalg.BALL_MIN_EIG, ContractionViolation,
           "smallest eigenvalue of I - W conj(W)", lower=True)
+    return w, (e, u)
 
 
 def fc_transform(w, z):
@@ -321,11 +316,9 @@ def kahler_ball(kparams, w, z, t1, t2):
     of z; real, from :func:`_ball_frame`.  The point is checked as in
     :func:`fc_transform`, the tangents as in ``jacobi._checked_point``.
     """
-    w, k = _contraction(w)  # then the gate of check_ball_point, with the eigh kept
-    e, u = np.linalg.eigh(k)
-    _ball_gate(e)
+    w, eig = _ball(w)
     w, z, t = _checked_point(np.asarray, w, z, _pair(w.shape[:-2], t1, t2))
-    return _hermitian(*_ball_frame(kparams, w, z, _factor((e, u)), t))
+    return _hermitian(*_ball_frame(kparams, w, z, _factor(eig), t))
 
 
 def _vu_frame(kparams, v, u, factor, t):
@@ -347,10 +340,9 @@ def kahler_xjn(kparams, v, u, t1, t2):
     checked as in :func:`jacobi.act_xjn`, the tangents as in ``jacobi._checked_point``.
     """
     v = np.asarray(v, dtype=complex)
-    check_symmetric(v.real)  # then the check of check_siegel on y, with its eigh kept
-    factor = _factor(_spd_eigh(v.imag))
+    eig = _siegel(v.real, v.imag)[2]
     v, u, t = _checked_point(np.asarray, v, u, _pair(v.shape[:-2], t1, t2))
-    return _hermitian(*_vu_frame(kparams, v, u, factor, t))
+    return _hermitian(*_vu_frame(kparams, v, u, _factor(eig), t))
 
 
 # ---------------------------------------------------------------------------

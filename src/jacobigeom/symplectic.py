@@ -22,8 +22,8 @@ import numpy as np
 
 from .exceptions import BadShape, NotSymplectic, NotUnitaryPair, SingularDenominator
 from . import linalg
-from .linalg import _col, _from_col, _gate, _mT, _spd_eigh, _spd_powers, _trusted
-from .linalg import check_spd, check_symmetric, symmetrize
+from .linalg import _col, _from_col, _gate, _max_norm, _mT, _spd, _spd_powers, _trusted
+from .linalg import check_symmetric, symmetrize
 
 
 def j_matrix(n):
@@ -93,7 +93,7 @@ def symplectic_residual(m):
     m = np.asarray(m, dtype=float)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] % 2:
         raise BadShape(f"expected an even-dimensional square matrix, got {m.shape}")
-    j = j_matrix(m.shape[-1] // 2)
+    m, j = _max_norm(m)[1], j_matrix(m.shape[-1] // 2)
     return np.max(np.abs(_mT(m) @ j @ m - j), axis=(-2, -1))
 
 
@@ -136,9 +136,8 @@ def check_block_relations(m, tol=None):
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2:
         raise BadShape(f"expected an even-dimensional square matrix, got {m.shape}")
-    a, b, c, d = blocks(m)
-    n = a.shape[0]
-    eye = np.eye(n)
+    a, b, c, d = blocks(_max_norm(m)[1])
+    eye = np.eye(a.shape[0])
     rels = [
         a @ b.T - b @ a.T,
         a @ d.T - b @ c.T - eye,
@@ -172,8 +171,9 @@ class SpAlgebraElement:
 
     @classmethod
     def from_matrix(cls, z):
+        scale, z = _max_norm(np.asarray(z, dtype=float))
         a, b, c, d = blocks(z)
-        _gate(np.max(np.abs(d + a.T)), linalg.PROJ_RTOL * max(1.0, np.max(np.abs(z))), BadShape,
+        _gate(np.max(np.abs(d + a.T)), linalg.PROJ_RTOL * max(1.0, scale), BadShape,
               "deviation of the lower-right block from -a^t")
         return _trusted(cls, a, symmetrize(b), symmetrize(c))
 
@@ -213,8 +213,7 @@ def sp_basis(n):
 def unitary_pair_residual(x, y):
     """Max violation of the four pair relations X^tX+Y^tY = XX^t+YY^t = I,
     X^tY = Y^tX, YX^t = XY^t, per pair of a stack."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = (_max_norm(np.asarray(v, dtype=float))[1] for v in (x, y))
     if x.ndim < 2 or x.shape[-1] != x.shape[-2] or y.shape != x.shape:
         raise BadShape(f"X and Y must be square of one shape, got {x.shape} and {y.shape}")
     eye = np.eye(x.shape[-1])
@@ -245,7 +244,7 @@ def unitary_iso(x, y):
 
 def unitary_iso_inverse(u):
     """Inverse isomorphism: unitary U -> pair (Re U, Im U)."""
-    u = np.asarray(u, dtype=complex)
+    u = _max_norm(np.asarray(u, dtype=complex))[1]
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise BadShape(f"expected a square matrix, got shape {u.shape}")
     _gate(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))), linalg.UP_TOL, NotUnitaryPair,
@@ -258,26 +257,20 @@ def unitary_iso_inverse(u):
 
 
 def check_siegel(v):
-    """Validate a Siegel point v = x + iy: x symmetric, y SPD."""
+    """Validate a Siegel point v = x + iy: x symmetric, y SPD (see :func:`_siegel`)."""
     v = np.asarray(v, dtype=complex)
-    check_symmetric(v.real)
-    check_spd(v.imag)
+    _siegel(v.real, v.imag)
     return v
 
 
-def _one_shape(x, y):
-    """``x`` and ``y`` as float arrays, once of one shape."""
+def _siegel(x, y):
+    """``x``, ``y`` as float arrays and y's eigenpairs (``linalg._spd``), once x + iy is a
+    Siegel point: the one check of one, made without forming x + iy.  x and y must have one
+    shape, then x is checked symmetric (first, so a NaN point is NotSymmetric) and y SPD."""
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if x.shape != y.shape:
         raise BadShape(f"x and y must have one shape, got {x.shape} and {y.shape}")
-    return x, y
-
-
-def _siegel_xy(x, y):
-    """``x`` and ``y`` as float arrays of one shape, once x + iy passes the checks of
-    :func:`check_siegel`, made on x and y without forming x + iy."""
-    x, y = _one_shape(x, y)
-    return check_symmetric(x), check_spd(y)
+    return (check_symmetric(x), *_spd(y))
 
 
 def _degree(m, v):
@@ -337,9 +330,8 @@ def m_point(x, y):
 
     Sends the base point iI to x + iy under :func:`mobius_act`.
     """
-    x, y = _one_shape(x, y)
-    x = check_symmetric(x)
-    s, si = _spd_powers(_spd_eigh(y), 0.5, -0.5)
+    x, _, eig = _siegel(x, y)
+    s, si = _spd_powers(eig, 0.5, -0.5)
     n = x.shape[0]
     return from_blocks(s, x @ si, np.zeros((n, n)), si)
 
@@ -365,15 +357,23 @@ class PreIwasawaFactors:
     def __post_init__(self):
         if self.variant not in ("plain", "modified"):
             raise ValueError(f"unknown variant {self.variant!r}")
-        object.__setattr__(self, "x", check_symmetric(self.x))
-        object.__setattr__(self, "y", np.asarray(check_spd(self.y), dtype=float))
-        x_, y_ = check_unitary_pair(self.X, self.Y)
-        object.__setattr__(self, "X", x_)
-        object.__setattr__(self, "Y", y_)
+        for name, value in zip("xyXY", _chart(self.x, self.y, self.X, self.Y)[0]):
+            object.__setattr__(self, name, value)
 
     @property
     def n(self):
         return self.x.shape[-1]
+
+
+def _chart(x, y, xu, yu):
+    """``(x, y, X, Y)`` as float arrays and y's eigenpairs, once x + iy passes
+    :func:`_siegel`, (X, Y) :func:`check_unitary_pair` and (X, Y) has the degree of x: the
+    one check of a pre-Iwasawa chart point."""
+    x, y, eig = _siegel(x, y)
+    xu, yu = check_unitary_pair(xu, yu)
+    if xu.shape[-1] != x.shape[-1]:
+        raise BadShape(f"degree mismatch: x {x.shape[-1]} vs (X, Y) {xu.shape[-1]}")
+    return (x, y, xu, yu), eig
 
 
 def _pre_iwasawa(m):
@@ -439,11 +439,8 @@ def act_modified_chart(m, chart):
                     + i [c y'^{1/2} X' - (c x' + d) y'^{-1/2} Y']}.
     """
     m = check_symplectic(m)
-    xp, yp, xu, yu = chart
-    xp, yp = _one_shape(xp, yp)  # then the checks of PreIwasawaFactors, with y's eigh kept
-    xp, eig = check_symmetric(xp), _spd_eigh(yp)
-    xu, yu = check_unitary_pair(xu, yu)
-    a, b, c, d = blocks(_degree(_degree(m, xp), xu))
+    (xp, yp, xu, yu), eig = _chart(*chart)
+    a, b, c, d = blocks(_degree(m, xp))
     sp, spi, ypi = _spd_powers(eig, 0.5, -0.5, -1.0)
     core = yp + xp @ ypi @ xp
     big_a = c @ core @ c.T + d @ ypi @ d.T + c @ xp @ ypi @ d.T + d @ ypi @ xp @ c.T

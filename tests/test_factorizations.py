@@ -2,7 +2,9 @@
 
 Each call below factors a matrix input at most once: an entry check that decomposes an
 SPD (or, on the ball, Hermitian) matrix by its eigenvalues hands that ``eigh`` to the
-kernel.  The test counts the ``numpy.linalg`` decompositions one call makes at n = 3.
+kernel.  Each point kind (SPD, Siegel, pre-Iwasawa chart, ball) has one check, which makes
+one ``eigh`` and no ``eigvalsh``, whether or not its caller factors the point.  The test
+counts the ``numpy.linalg`` decompositions one call makes at n = 3.
 """
 
 from collections import Counter
@@ -12,7 +14,12 @@ import pytest
 
 from jacobigeom import (
     KahlerParams,
+    PreIwasawaFactors,
+    SnChart,
     act_modified_chart,
+    act_pq,
+    act_xjn,
+    chart_convert,
     dsqrtm,
     kahler_ball,
     kahler_xjn,
@@ -20,9 +27,14 @@ from jacobigeom import (
     maurer_cartan,
     metric_extended,
     metric_xjn,
+    mobius_act,
     sqrtm_spd,
 )
 from jacobigeom import sampling as smp
+from jacobigeom.jacobi import CHARTS
+from jacobigeom.linalg import check_spd
+from jacobigeom.metrics import check_ball_point
+from jacobigeom.symplectic import check_siegel
 
 _DECOMPOSITIONS = ("cholesky", "det", "eig", "eigh", "eigvals", "eigvalsh", "inv", "lstsq",
                    "qr", "slogdet", "solve", "svd")
@@ -41,7 +53,9 @@ def _calls(rng):
                         smp.rand_vu_tangent(rng, N))
     ball, ball_t1, ball_t2 = (smp.rand_ball_point(rng, N), smp.rand_ball_tangent(rng, N),
                               smp.rand_ball_tangent(rng, N))
-    kp, one = KahlerParams(2.0, 1.0), {"eigh": 1}
+    g = smp.rand_jacobi(rng, N)
+    points = {src: chart_convert(pq, "pq", src) for src in CHARTS}
+    kp, one, solved = KahlerParams(2.0, 1.0), {"eigh": 1}, {"eigh": 1, "solve": 1}
     return [
         ("sqrtm_spd", lambda: sqrtm_spd(a), one),
         ("dsqrtm", lambda: dsqrtm(a, da), {"eigh": 1, "solve": 1}),
@@ -56,6 +70,20 @@ def _calls(rng):
             1.0, 1.0, 1.0, (*pq, 0.3), (*pq_t1, 0.5), (*pq_t2, -0.2)), one),
         ("kahler_xjn", lambda: kahler_xjn(kp, *vu, vu_t1, vu_t2), one),
         ("kahler_ball", lambda: kahler_ball(kp, *ball, ball_t1, ball_t2), one),
+        # the checks of each point kind, and the entry points that only check a point
+        ("check_spd", lambda: check_spd(a), one),
+        ("check_siegel", lambda: check_siegel(x + 1j * y), one),
+        ("check_ball_point", lambda: check_ball_point(ball[0]), one),
+        ("PreIwasawaFactors",
+         lambda: PreIwasawaFactors(chart.x, chart.y, chart.X, chart.Y, "modified"), one),
+        ("SnChart", lambda: SnChart(chart.x, chart.y, chart.X, chart.Y, chart.p, chart.q,
+                                    chart.kappa), one),
+        ("mobius_act", lambda: mobius_act(m, x + 1j * y), {"det": 1, **solved}),
+        ("act_xjn", lambda: act_xjn(g, vu), solved),
+        ("act_pq", lambda: act_pq(g, pq), solved),
+        # vu and xirho solve for p: p = Im(u) y^-1
+        *((f"chart_convert_{src}", lambda src=src: chart_convert(points[src], src, "pq"),
+           solved if src in ("vu", "xirho") else one) for src in CHARTS),
     ]
 
 

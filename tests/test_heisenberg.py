@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from jacobigeom import (
     HeisenbergElement,
@@ -148,6 +149,15 @@ def test_fvf_values(rng):
     assert np.isclose(lp[1], 1.0) and np.allclose(lq, 0)
     lp, lq, lr = h_oneforms(g, h_fvf(("Q", 0), g))
     assert np.allclose(lp, 0) and np.isclose(lq[0], 1.0)
+
+
+@pytest.mark.parametrize("generator", [("P", 2), ("P", 5), ("Q", 2), ("P", -1), ("Q", -2),
+                                       ("P", 1.5), ("X", 0)], ids=lambda g: f"{g[0]}{g[1]}")
+def test_fvf_refuses_a_generator_outside_the_degree(generator):
+    # an index past n, or not an integer, raised IndexError, and a negative one returned
+    # the field of index n + idx; an unknown generator was already refused
+    with pytest.raises(ValueError):
+        h_fvf(generator, h_identity(2))
 
 
 def _flow(generator, g, t):

@@ -25,9 +25,11 @@ from jacobigeom import (
     NotSymmetric,
     NotSymplectic,
     NotUnitaryPair,
+    PreIwasawaFactors,
     ProjectionResidual,
     SingularDenominator,
     SingularSylvester,
+    SnChart,
     SpAlgebraElement,
     act_extended,
     act_modified_chart,
@@ -50,6 +52,7 @@ from jacobigeom import (
     h_identity,
     h_metric,
     h_oneforms,
+    is_symplectic,
     kahler_ball,
     kahler_xjn,
     lambda_r,
@@ -72,7 +75,7 @@ from jacobigeom.forms import check_matrix_tangent, d_sn_chart, d_sn_chart_invers
 from jacobigeom.linalg import check_spd, check_symmetric
 from jacobigeom.metrics import check_ball_point
 from jacobigeom.sampling import StackStream, rand_pq_point, rand_sn_chart, rand_sn_tangent
-from jacobigeom.symplectic import check_siegel, check_unitary_pair
+from jacobigeom.symplectic import check_block_relations, check_siegel, check_unitary_pair
 
 NAN = np.full((2, 2), np.nan)
 
@@ -132,20 +135,42 @@ def test_validation_gates_reject_nan(call, exc):
         call()
 
 
-# an infinite entry once reached numpy's inf - inf in sym_residual, a RuntimeWarning
-# (an error under the suite's warning filter) before any gate
+# an infinite entry once reached numpy's inf - inf or 0 inf (in sym_residual, in a matmul
+# or in a subtraction), a RuntimeWarning (an error under the suite's warning filter) before
+# any gate, or passed a bound relative to ||Z||_max = inf; a predicate answers False
 INF = np.array([[np.inf, 0.0], [0.0, 1.0]])
+_INF_IN_LAST_ROW = np.eye(4)
+_INF_IN_LAST_ROW[-1, 0] = np.inf
 INF_CASES = [
     ("check_symmetric", lambda: check_symmetric(INF), NotSymmetric),
     ("check_spd", lambda: check_spd(INF), NotSpd),
     ("check_spd -inf", lambda: check_spd(-INF), NotSpd),
     ("mobius_act", lambda: mobius_act(np.eye(2), np.array([[np.inf + 1j]])), NotSymmetric),
     ("check_ball_point", lambda: check_ball_point(INF + 0j), ContractionViolation),
+    ("check_symplectic", lambda: check_symplectic(INF), NotSymplectic),
+    ("mobius_act element", lambda: mobius_act(INF, np.array([[1j]])), NotSymplectic),
+    ("is_symplectic", lambda: is_symplectic(INF), False),
+    ("check_block_relations", lambda: check_block_relations(INF), False),
+    ("check_unitary_pair", lambda: check_unitary_pair(INF, np.zeros((2, 2))), NotUnitaryPair),
+    ("unitary_iso_inverse", lambda: unitary_iso_inverse(INF), NotUnitaryPair),
+    ("gj_from_embedding", lambda: gj_from_embedding(np.diag([np.inf, 1.0, 1.0, 1.0])),
+     NotSymplectic),
+    ("gj_from_embedding last row", lambda: gj_from_embedding(_INF_IN_LAST_ROW),
+     ProjectionResidual),
+    ("sylvester_solve", lambda: sylvester_solve([[np.inf]], np.eye(1), np.eye(1)),
+     SingularSylvester),
+    ("algebra_from_matrix", lambda: JacobiAlgebraElement.from_matrix(np.diag([np.inf, 0, 0, 0])),
+     ProjectionResidual),
+    ("sp_algebra_from_matrix", lambda: SpAlgebraElement.from_matrix(np.diag([np.inf, 0.0])),
+     BadShape),
 ]
 
 
 @pytest.mark.parametrize("call,exc", [pytest.param(c, e, id=name) for name, c, e in INF_CASES])
 def test_validation_gates_reject_inf(call, exc):
+    if exc is False:
+        assert not call()
+        return
     with pytest.raises(exc):
         call()
 
@@ -374,6 +399,17 @@ BAD_SHAPES = {
         lambda: act_modified_chart(np.eye(4), (0 * _Y3, _Y3, np.eye(3), 0 * _Y3)),
     "act_modified_chart (X, Y) of degree 3": lambda: act_modified_chart(
         np.eye(4), (_X, _Y, np.eye(3), 0 * _Y3)),
+    # a chart whose x, y and (X, Y) disagree in degree, which ended in numpy's matmul
+    # error at pre_iwasawa_compose or sn_chart_inverse
+    "PreIwasawaFactors x 2x2, y 3x3":
+        lambda: PreIwasawaFactors(_X, np.eye(3), np.eye(3), 0 * _Y3, "modified"),
+    "PreIwasawaFactors (X, Y) of degree 3":
+        lambda: PreIwasawaFactors(_X, _Y, np.eye(3), 0 * _Y3, "modified"),
+    "SnChart x 2x2, y 3x3": lambda: SnChart(_X, np.eye(3), np.eye(3), 0 * _Y3, *_ROWS, 0.0),
+    "SnChart (X, Y) of degree 3": lambda: SnChart(_X, _Y, np.eye(3), 0 * _Y3, *_ROWS, 0.0),
+    # the holomorphic point's row, which numpy's ValueError refused, or a NaN field took
+    "fvf xjn_holo u of length 3": lambda: fvf(_Z, (_X + 1j * _Y, _ROW3), "xjn_holo"),
+    "fvf xjn_holo NaN u": lambda: fvf(_Z, (_X + 1j * _Y, _NAN_ROW), "xjn_holo"),
     # the linalg and symplectic boundary
     "check_symmetric 0x0": lambda: check_symmetric(np.zeros((0, 0))),
     "check_spd 0x0": lambda: check_spd(np.zeros((0, 0))),
