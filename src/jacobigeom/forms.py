@@ -2,12 +2,12 @@
 
 Tangent conventions
 -------------------
-* matrix chart: tuple ``(da, db, dc, dd, dp, dq, dkappa)`` at a group
-  element; the symplectic part must satisfy the linearized condition
-  ``dM^t J M + M^t J dM = 0``.
-* S_n chart: tuple ``(dx, dy, dX, dY, dp, dq, dkappa)`` at an SnChart
-  point, with dx, dy symmetric and (dX, dY) tangent to the
-  orthogonal-pair manifold.
+* matrix chart: ``(da, db, dc, dd, dp, dq, dkappa)`` at a group element, a kind "matrix"
+  of ``linalg._checked``; :func:`check_matrix_tangent` also gates dM^t J M + M^t J dM = 0.
+* S_n chart: ``(dx, dy, dX, dY, dp, dq, dkappa)`` at an SnChart point, a kind "sn": dx, dy
+  symmetric, (dX, dY) tangent to the orthogonal-pair manifold (:func:`oneforms_sn` gates it
+  by the symmetry of F and G).  Both kinds want n x n blocks, rows of length n and finite
+  entries, else BadShape.
 
 The six invariant one-form families evaluated on a tangent are collected
 in :class:`OneForms`; F and G are symmetric matrices, H is a full n x n
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import BadShape, NotSymplectic
-from .heisenberg import _omega, _rows
+from .heisenberg import _omega
 from .jacobi import (
     JacobiAlgebraElement,
     _checked_point,
@@ -33,53 +33,31 @@ from .jacobi import (
     pq_from_lm,
 )
 from . import linalg
-from .linalg import _check_lead, _gate, _mT, _row, _sqrt_frame, check_symmetric, sym_residual
-from .linalg import symmetrize
+from .linalg import _check_lead, _checked, _gate, _mT, _row, _sqrt_frame, check_symmetric
+from .linalg import sym_residual, symmetrize
 from .symplectic import _jacobi_matrix, blocks, check_siegel, from_blocks, j_matrix
 
 
-def _checked_xy_rows(n, dx, dy, dp, dq, dk=None):
-    """``(dx, dy, dp, dq)``, and dk if given, once dx and dy share one shape (..., n, n), each
-    symmetric within TANGENT_SYM_RTOL (so finite), and ``heisenberg._rows`` passes the rest,
-    else BadShape or NotSymmetric: the one check of an S_n or a Siegel-Jacobi tangent."""
-    dx, dy = (check_symmetric(d, linalg.TANGENT_SYM_RTOL) for d in (dx, dy))
-    if dx.shape[-2:] != (n, n) or dy.shape != dx.shape:
-        raise BadShape(f"dx and dy must be {n}x{n}, got {dx.shape} and {dy.shape}")
-    return (dx, dy, *_rows(n, dp, dq, kappa=dk))
-
-
 def _checked_sn_tangent(chart, tangent):
-    """``tangent`` at the S_n chart point ``chart`` once it passes :func:`_checked_xy_rows`
-    (dx and dy are then symmetrized) and ``linalg._check_lead``.  (dX, dY) is checked by
-    the one-forms' F/G symmetry."""
-    dx, dy, dX, dY, dp, dq, dk = tangent
-    dx, dy, dp, dq, dk = _checked_xy_rows(chart.n, dx, dy, dp, dq, dk)
+    """``tangent`` at the S_n chart point ``chart``, dx and dy symmetrized, once ``linalg._checked``
+    and ``linalg._check_lead`` pass it; (dX, dY) is checked by the one-forms' F/G symmetry."""
+    dx, dy, *rest = _checked("sn", chart.n, tangent)
     _check_lead(chart.x.shape[:-2], dx.shape[:-2])
-    return symmetrize(dx), symmetrize(dy), dX, dY, dp, dq, dk
+    return symmetrize(dx), symmetrize(dy), *rest
 
 
 def check_matrix_tangent(g, tangent):
-    """Validate a matrix-chart tangent at ``g`` and return it with float blocks and
-    1-d rows: da, db, dc, dd n x n and meeting the linearized symplectic
-    constraint, dp and dq finite rows of length n, dkappa finite."""
-    tangent = _checked_shapes(g, tangent)
-    dm = from_blocks(*tangent[:4])
+    """Validate a matrix-chart tangent at ``g`` and return it with float blocks and 1-d
+    rows: a ``linalg._checked`` kind "matrix" meeting the linearized symplectic condition."""
     j = j_matrix(g.n)
-    _gate(np.max(np.abs(dm.T @ j @ g.M + g.M.T @ j @ dm)),
-          linalg.TANGENT_SP_RTOL * max(1.0, np.max(np.abs(g.M))), NotSymplectic,
-          "residual of the linearized symplectic condition")
-    return tangent
 
+    def symplectic(da, db, dc, dd, *_):
+        dm = from_blocks(da, db, dc, dd)
+        _gate(np.max(np.abs(dm.T @ j @ g.M + g.M.T @ j @ dm)),
+              linalg.TANGENT_SP_RTOL * max(1.0, np.max(np.abs(g.M))), NotSymplectic,
+              "residual of the linearized symplectic condition")
 
-def _checked_shapes(g, tangent):
-    """A matrix-chart tangent at ``g`` with float n x n blocks and (dp, dq, dkappa) checked
-    by ``heisenberg._rows`` (finite rows of length n, a finite dkappa); else BadShape.  The
-    linearized symplectic condition is :func:`check_matrix_tangent`'s."""
-    blks = tuple(np.asarray(b, dtype=float) for b in tangent[:4])
-    if any(b.shape != (g.n, g.n) for b in blks):
-        raise BadShape(f"da, db, dc, dd must be {g.n}x{g.n}, got {[b.shape for b in blks]}")
-    dp, dq, dk = tangent[4:]
-    return (*blks, *_rows(g.n, dp, dq, kappa=dk))
+    return _checked("matrix", g.n, tangent, symplectic)
 
 
 @dataclass(frozen=True)
@@ -114,8 +92,8 @@ def maurer_cartan(g, tangent, chart="matrix"):
     the analytic differential of the chart inverse (see
     :func:`d_sn_chart_inverse`).  The embedded value must lie in the
     Jacobi algebra up to PROJ_RTOL (see
-    :meth:`JacobiAlgebraElement.from_matrix`).  A matrix-chart tangent's block
-    shapes, rows and dkappa are checked as in :func:`check_matrix_tangent`; stacks raise.
+    :meth:`JacobiAlgebraElement.from_matrix`).  A matrix-chart tangent is checked as a
+    ``linalg._checked`` kind "matrix", with no symplectic gate; stacks raise.
     """
     if chart == "sn":
         if g.x.ndim != 2 or np.ndim(tangent[0]) != 2:
@@ -123,7 +101,7 @@ def maurer_cartan(g, tangent, chart="matrix"):
         tangent, (s, si) = _d_sn_chart_inverse(g, _checked_sn_tangent(g, tangent))
         g = _sn_chart_inverse(g, s, si)
     else:
-        tangent = _checked_shapes(g, tangent)
+        tangent = _checked("matrix", g.n, tangent)
     xi = gj_embed(gj_inverse(g)) @ _embed_tangent(g, tangent)
     return JacobiAlgebraElement.from_matrix(xi)
 
@@ -135,10 +113,10 @@ def oneforms_matrix_chart(g, tangent):
     H = d^t da - b^t dc,
     (P, Q) = (dp, dq) M,          R = dkappa - omega((p, q), (dp, dq)).
 
-    F and G are asserted symmetric; H is returned as computed.  The block
-    shapes, rows and dkappa are checked as in :func:`check_matrix_tangent`.
+    F and G are asserted symmetric; H is returned as computed.  The tangent is
+    checked as in :func:`maurer_cartan`.
     """
-    da, db, dc, dd, dp, dq, dk = _checked_shapes(g, tangent)
+    da, db, dc, dd, dp, dq, dk = _checked("matrix", g.n, tangent)
     a, b, c, d = blocks(g.M)
     f = d.T @ db - b.T @ dd
     gg = -c.T @ da + a.T @ dc
@@ -262,10 +240,9 @@ def oneforms_n1(x, y, theta, tangent, p=0.0, q=0.0):
 
     so F - G = dx/y + 2 dt.  P, Q, R follow the general expressions with
     y^{1/2} in place of y; the R form needs the Heisenberg coordinates of
-    the point, which default to zero.
+    the point, which default to zero.  Its 11 scalars are a ``linalg._checked`` kind "n1".
     """
-    dx, dy, dth, dp, dq, dk, = tangent
-    x, y = float(x), float(y)
+    x, y, theta, p, q, dx, dy, dth, dp, dq, dk = _checked("n1", 1, (x, y, theta, p, q, *tangent))
     if y <= 0:
         raise BadShape("y must be positive")
     ct, st = np.cos(theta), np.sin(theta)
@@ -276,7 +253,7 @@ def oneforms_n1(x, y, theta, tangent, p=0.0, q=0.0):
     r = np.sqrt(y)
     lam_p = dp * (r * ct - x / r * st) - dq / r * st
     lam_q = dq / r * ct + dp * (r * st + x / r * ct)
-    lam_r = float(dk) - dq * float(p) + dp * float(q)
+    lam_r = dk - dq * p + dp * q
     return (np.array([[f]]), np.array([[g]]), np.array([[h]]),
             np.array([lam_p]), np.array([lam_q]), lam_r)
 
@@ -347,7 +324,9 @@ FVF_SPACES = ("xjn_holo", "xjn_real_xirho", "xjn_pq", "extended_xirho", "extende
 
 def _holomorphic_fvf(z, v, u):
     """Action generator on (v, u):  dv = a v + v a^t + b - v c v,
-    du = p v + q - u c v + u a^t."""
+    du = p v + q - u c v + u a^t; BadShape unless v has the degree of z."""
+    if v.shape[-1] != z.n:
+        raise BadShape(f"degree mismatch: element {z.n} vs point {v.shape[-1]}")
     dv = z.a @ v + v @ z.a.T + z.b - v @ z.c @ v
     du = z.p @ v + z.q - u @ z.c @ v + u @ z.a.T
     return dv, du
@@ -366,7 +345,8 @@ def fvf(z, point, space):
       dkappa = r + omega((p_z, q_z), (p', q')); on the non-extended space the
       center generator acts trivially (R* = 0).
 
-    The point is checked as ``chart_convert`` checks a point of its chart.
+    The point is checked as ``chart_convert`` checks a point of its chart, and its degree
+    against z's by :func:`_holomorphic_fvf`.
     """
     if space not in FVF_SPACES:
         raise ValueError(f"space must be one of {FVF_SPACES}")

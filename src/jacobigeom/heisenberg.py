@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import BadShape
-from .linalg import _dot, _gate, _row, _trusted
+from .linalg import _checked, _dot, _row, _trusted
 from .symplectic import _jacobi_matrix
 
 
@@ -33,35 +33,13 @@ class HeisenbergElement:
     kappa: float
 
     def __post_init__(self):
-        rows = _rows(_row(self.lam).shape[-1], self.lam, self.mu, kappa=self.kappa)
-        for name, value in zip(("lam", "mu", "kappa"), rows):
+        rows = _checked("rrk", _row(self.lam).shape[-1], (self.lam, self.mu, self.kappa))
+        for name, value in zip(self.__dataclass_fields__, rows):
             object.__setattr__(self, name, value)
 
     @property
     def n(self):
         return self.lam.shape[-1]
-
-
-def _rows(n, *rows, kappa=None, dtype=float):
-    """``rows`` as ``dtype`` arrays (see ``linalg._row``), then ``kappa``, if given, as a float
-    (a float array over a stack), once the rows share one shape with length n, there is one
-    kappa per row and every entry is finite; else BadShape, naming the first failing stack
-    index: the one check of Heisenberg rows, point rows and kappas."""
-    rows = [_row(r, dtype) for r in rows]
-    shape = rows[0].shape
-    lead = shape[:-2]
-    if shape[-1] != n or shape[-2:-1] not in ((), (1,)) or any(r.shape != shape for r in rows):
-        raise BadShape(f"rows must be of one shape with length {n}, got {[r.shape for r in rows]}")
-    entries = [r.reshape(lead + (-1,)) for r in rows]
-    if kappa is not None:
-        kappa = np.asarray(kappa, dtype=float)
-        if kappa.shape != lead:
-            raise BadShape(f"expected one kappa per row, got shape {kappa.shape} for rows {shape}")
-        entries.append(kappa[..., None])
-        rows.append(kappa if lead else float(kappa))
-    _gate((~np.isfinite(np.concatenate(entries, -1))).sum(-1), 0, BadShape,
-          "count of non-finite entries")
-    return rows
 
 
 def _omega(r, s):
@@ -105,10 +83,9 @@ def h_oneforms(g, tangent):
 
     l^p = d lambda,  l^q = d mu,  l^r = d kappa - lambda d mu^t + mu d lambda^t.
     These are the coefficients of g^{-1} dg on the P/Q/R generators; the tangent is
-    checked as in :func:`_rows`.
+    checked as a ``linalg._checked`` kind "rrk".
     """
-    dlam, dmu, dkap = tangent
-    dlam, dmu, dkap = _rows(g.n, dlam, dmu, kappa=dkap)
+    dlam, dmu, dkap = _checked("rrk", g.n, tangent)
     return dlam.copy(), dmu.copy(), dkap - _omega((g.lam, g.mu), (dlam, dmu))
 
 

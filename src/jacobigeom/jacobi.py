@@ -26,9 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import BadShape, BasisClosureFailure, ProjectionResidual
-from .heisenberg import _omega, _rows
+from .heisenberg import _omega
 from . import linalg
-from .linalg import _col, _from_col, _gate, _max_norm, _mT, _row, _spd_powers, _trusted
+from .linalg import _checked, _col, _from_col, _gate, _max_norm, _mT, _row, _spd_powers, _trusted
 from .linalg import check_symmetric, symmetrize
 from .symplectic import (
     _chart,
@@ -61,7 +61,7 @@ class JacobiElement:
     def __post_init__(self):
         object.__setattr__(self, "M", check_symplectic(self.M))
         for name, value in zip(("lam", "mu", "kappa"),
-                               _rows(self.n, self.lam, self.mu, kappa=self.kappa)):
+                               _checked("rrk", self.n, (self.lam, self.mu, self.kappa))):
             object.__setattr__(self, name, value)
 
     @property
@@ -154,9 +154,8 @@ class JacobiAlgebraElement:
         object.__setattr__(self, "a", np.asarray(self.a, dtype=float))
         object.__setattr__(self, "b", check_symmetric(self.b, linalg.ALG_SYM_RTOL))
         object.__setattr__(self, "c", check_symmetric(self.c, linalg.ALG_SYM_RTOL))
-        object.__setattr__(self, "p", _row(self.p))
-        object.__setattr__(self, "q", _row(self.q))
-        object.__setattr__(self, "r", float(self.r))
+        for name, value in zip("pqr", _checked("rrk", self.n, (self.p, self.q, self.r))):
+            object.__setattr__(self, name, value)
 
     @property
     def n(self):
@@ -276,19 +275,12 @@ def act_xjn(g, point):
 
 
 def _checked_point(check, v, u, *tangents):
-    """``(v, u, *tangents)``, v and u as complex arrays, once ``check`` passes v
-    (:func:`check_siegel`, or ``metrics.check_ball_point`` at a ball point (W, z)), u is a
-    finite row of length n and each tangent (dv, du) has dv n x n with finite entries and du
-    a finite row of length n, or is a stack of such (dv (..., n, n), du (..., 1, n)); else a
-    GeometryError: the one check of a point of either model, and of tangents there."""
+    """``(v, u, *tangents)`` as complex arrays once ``check`` passes v (:func:`check_siegel`,
+    or ``metrics.check_ball_point`` at a ball point (W, z)) and ``linalg._checked`` u and each
+    tangent (dv, du): the one check of a point of either model, and of tangents there."""
     v = check(v)
     n = v.shape[-1]
-    for dv, du in tangents:
-        if np.shape(dv)[-2:] != (n, n):
-            raise BadShape(f"dv must be {n}x{n}, got {np.shape(dv)}")
-        _rows(n * n, np.reshape(dv, np.shape(dv)[:-2] + (1, n * n)), dtype=complex)  # entries
-        _rows(n, du, dtype=complex)
-    return (v, *_rows(n, u, dtype=complex), *tangents)
+    return (v, *_checked("u", n, (u,)), *(_checked("vu", n, t) for t in tangents))
 
 
 def act_pq(g, point):
@@ -313,7 +305,7 @@ def act_extended(g, point):
     x, y, p, q, kappa = point
     x, y, _ = _siegel(x, y)
     _degree(g.M, x)
-    p, q, kappa = _rows(g.n, p, q, kappa=kappa)
+    p, q, kappa = _checked("rrk", g.n, (p, q, kappa))
     return (*_act_pq(g, (x, y, p, q)), g.kappa + kappa + _omega((g.lam, g.mu), (p, q)))
 
 
@@ -361,7 +353,7 @@ class SnChart:
 
     def __post_init__(self):
         x, y, xu, yu = _chart(self.x, self.y, self.X, self.Y)[0]
-        rows = _rows(x.shape[-1], self.p, self.q, kappa=self.kappa)
+        rows = _checked("rrk", x.shape[-1], (self.p, self.q, self.kappa))
         for name, value in zip(self.__dataclass_fields__, (x, y, xu, yu, *rows), strict=True):
             object.__setattr__(self, name, value)
 
@@ -430,7 +422,7 @@ def _to_pq(point, src):
         return _pq_of((v.real, v.imag, u.real, u.imag), "xirho")
     x, y, first, second = point
     x, y, _ = _siegel(x, y)
-    return _pq_of((x, y, *_rows(x.shape[-1], first, second)), src)
+    return _pq_of((x, y, *_checked("rr", x.shape[-1], (first, second))), src)
 
 
 def _pq_of(point, src):

@@ -26,8 +26,9 @@ Conventions fixed here and relied on everywhere else:
   non-finite input entry is made NaN first (:func:`_max_norm`).
 * Validation happens once, where a value enters from a caller; a value
   derived from validated ones is built by :func:`_trusted`, unchecked.  Each
-  kind of input has one check, which returns the ``eigh`` it made for the
-  kernel: :func:`_spd`, ``symplectic._siegel`` and ``metrics._ball``.
+  kind of point has one check, which returns the ``eigh`` it made for the
+  kernel: :func:`_spd`, ``symplectic._siegel`` and ``metrics._ball``; each kind
+  of tangent, row or kappa tuple goes through :func:`_checked` and its table.
 """
 
 import numpy as np
@@ -173,6 +174,53 @@ def check_symmetric(a, rtol=None):
 def symmetrize(a):
     a = np.asarray(a)
     return 0.5 * (a + _mT(a))
+
+
+def _symmetric_xy(dx, dy, *_):
+    """The gate of an S_n or a Siegel-Jacobi tangent: dx, dy symmetric within TANGENT_SYM_RTOL."""
+    _gate(np.maximum(sym_residual(dx), sym_residual(dy)), TANGENT_SYM_RTOL, NotSymmetric,
+          "asymmetry of dx or dy")
+
+
+# Each kind of tangent and row tuple: layout, dtype, whether a stack, gate (see _checked).
+_KINDS = {
+    "matrix": ("mmmmrrk", float, False, None),        # (da, db, dc, dd, dp, dq, dkappa)
+    "sn": ("mmmmrrk", float, True, _symmetric_xy),    # (dx, dy, dX, dY, dp, dq, dkappa)
+    "xjn": ("mmrr", float, True, _symmetric_xy),      # (dx, dy, dp, dq)
+    "extended": ("mmrrk", float, True, _symmetric_xy),  # (dx, dy, dp, dq, dkappa)
+    "vu": ("mr", complex, True, None),                # (dv, du); (dW, dz) on the ball
+    "rrk": ("rrk", float, True, None),                # (lambda, mu, kappa), (p, q, kappa)
+    "rr": ("rr", float, True, None),                  # the two rows of a point chart
+    "u": ("r", complex, True, None),                  # u, z or alpha of a vu or ball point
+    "n1": ("k" * 11, float, False, None),             # oneforms_n1's point and tangent
+}
+
+
+def _checked(kind, n, parts, gate=None):
+    """``parts`` of ``kind`` (_KINDS) as arrays of its dtype, rows as by :func:`_row` and an
+    unstacked scalar as a float, once (1) each part, "m" an n x n matrix, "r" a row of length
+    n or "k" a scalar, has that trailing shape over one lead shape, () unless the kind may be
+    a stack, else BadShape; (2) the kind's gate, or ``gate``, passes the parts with non-finite
+    entries made NaN (:func:`_max_norm`); (3) every entry is finite, else BadShape naming the
+    first failing stack index: the one check of a tangent, and of rows and kappas."""
+    layout, dtype, stacks, kind_gate = _KINDS[kind]
+    gate = gate or kind_gate
+    if len(parts) != len(layout):
+        raise BadShape(f"{kind} tuples have {len(layout)} parts, got {len(parts)}")
+    parts = [_row(p, dtype) if c == "r" else np.asarray(p, dtype) for c, p in zip(layout, parts)]
+    lead = parts[0].shape if layout[0] == "k" else parts[0].shape[:-2]
+    depth, tails = len(lead), {"m": ((n, n),), "r": ((n,), (1, n)), "k": ((),)}
+    if (depth and not stacks) or any(p.shape[:depth] != lead or p.shape[depth:] not in tails[c]
+                                     for c, p in zip(layout, parts)):
+        raise BadShape(f"a {kind} tuple {layout} at n = {n} takes m n x n, r rows of length n and "
+                       f"k scalars over one stack shape, got {[p.shape for p in parts]}")
+    finite = np.isfinite(np.concatenate([p.reshape(lead + (-1,)) for p in parts], -1))
+    whole = finite.all()
+    if gate is not None:
+        gate(*(parts if whole else [_max_norm(p)[1] for p in parts]))
+    if not whole:
+        _gate((~finite).sum(-1), 0, BadShape, "count of non-finite entries")
+    return tuple(float(p) if c == "k" and not depth else p for c, p in zip(layout, parts))
 
 
 def check_spd(a):

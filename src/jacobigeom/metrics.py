@@ -35,13 +35,14 @@ import numpy as np
 
 from . import sampling as smp
 from .exceptions import BadShape, ContractionViolation
-from .heisenberg import _omega, _rows
+from .heisenberg import _omega
 from .jacobi import _act_pq, _checked_point, _from_pq, _pq_of, _push_kappa, _push_pq, _push_vu
 from .jacobi import _tangent_from_pq, _tangent_to_pq, _to_pq, act_extended, act_xjn, gj_compose
 from .jacobi import SnChart, _sn_chart_inverse, gj_embed, sn_chart, sn_chart_inverse
 from . import linalg
-from .linalg import _check_lead, _col, _from_col, _gate, _modulus, _mT, _row, sym_residual
-from .forms import _d_sn_chart, _d_sn_chart_inverse, _checked_xy_rows, _embed_tangent, oneforms_sn
+from .linalg import _check_lead, _checked, _col, _from_col, _gate, _modulus, _mT, _row
+from .linalg import sym_residual
+from .forms import _d_sn_chart, _d_sn_chart_inverse, _embed_tangent, oneforms_sn
 from .symplectic import _jacobi_parts, _mobius, _siegel, blocks, check_siegel, check_symplectic
 from .symplectic import from_blocks
 
@@ -132,13 +133,13 @@ def _check_arity(size, **parts):
 
 def _checked_xjn(point, t1, t2):
     """``point`` with float arrays and 1-d rows, y's factor pair (:func:`_factor`) and t1, t2
-    as one tangent (``_pair``), once x + iy passes ``symplectic._siegel``, the rows are
-    finite of length n, a fifth component (kappa) is finite and the tangents pass
-    ``forms._checked_xy_rows``."""
+    as one tangent (``_pair``), once x + iy passes ``symplectic._siegel`` and ``linalg._checked``
+    the point's rows (and kappa, a fifth component) and the tangent."""
     x, y, eig = _siegel(point[0], point[1])
     n = x.shape[-1]
-    rows = _rows(n, point[2], point[3], kappa=point[4] if len(point) == 5 else None)
-    return (x, y, *rows), _factor(eig), _checked_xy_rows(n, *_pair(x.shape[:-2], t1, t2))
+    rows = _checked("rrk" if len(point) == 5 else "rr", n, point[2:])
+    t = _pair(x.shape[:-2], t1, t2)
+    return (x, y, *rows), _factor(eig), _checked("extended" if len(t) == 5 else "xjn", n, t)
 
 
 def _roots(*weights):
@@ -202,12 +203,12 @@ def metric_xjn(alpha, gamma, chart, point, t1, t2):
 
 def lambda_r(point_pq_kappa, tangent):
     """The invariant one-form  dkappa - p dq^t + q dp^t = dkappa - omega((p, q), (dp, dq))
-    on the extended space.  The rows and kappas of the point and the tangent must be
-    finite, the rows of one length."""
+    on the extended space.  ``linalg._checked`` checks the point's (p, q, kappa) and the
+    tangent, an extended Siegel-Jacobi tangent (dx, dy, dp, dq, dkappa)."""
     _check_arity(5, point=point_pq_kappa, tangent=tangent)
     n = _row(point_pq_kappa[2]).shape[-1]
-    for part in (point_pq_kappa, tangent):
-        _rows(n, part[2], part[3], kappa=part[4])
+    _checked("rrk", n, point_pq_kappa[2:])
+    _checked("extended", n, tangent)
     return _lambda_r(point_pq_kappa, tangent)
 
 
@@ -388,7 +389,7 @@ def ball_act(element, point):
     n = w.shape[-1]
     if np.shape(p)[-2:] != (n, n) or np.shape(q) != np.shape(p):
         raise BadShape(f"P and Q must be {n}x{n}, got {np.shape(p)} and {np.shape(q)}")
-    (alpha,) = _rows(n, alpha, dtype=complex)
+    (alpha,) = _checked("u", n, (alpha,))
     return _mobius(_ball_matrix(p, q), w, z - alpha.conj() @ w + alpha)
 
 

@@ -9,6 +9,7 @@ to one gate.
 import importlib
 import inspect
 import pkgutil
+import re
 
 import numpy as np
 import pytest
@@ -63,6 +64,7 @@ from jacobigeom import (
     metric_xjn,
     mobius_act,
     oneforms_matrix_chart,
+    oneforms_n1,
     oneforms_sn,
     sn_chart_identity,
     sp_to_ball_rep,
@@ -141,6 +143,15 @@ def test_validation_gates_reject_nan(call, exc):
 INF = np.array([[np.inf, 0.0], [0.0, 1.0]])
 _INF_IN_LAST_ROW = np.eye(4)
 _INF_IN_LAST_ROW[-1, 0] = np.inf
+_ZERO1, _INF1 = np.zeros((1, 1)), np.array([[np.inf]])
+_MATRIX_INF_DA = (_INF1, _ZERO1, _ZERO1, _ZERO1, np.zeros(1), np.zeros(1), 0.0)
+
+
+def _sn1(dX=_ZERO1, dY=_ZERO1):
+    """An S_n tangent at n = 1 with the given (dX, dY) and every other part zero."""
+    return (_ZERO1, _ZERO1, dX, dY, np.zeros(1), np.zeros(1), 0.0)
+
+
 INF_CASES = [
     ("check_symmetric", lambda: check_symmetric(INF), NotSymmetric),
     ("check_spd", lambda: check_spd(INF), NotSpd),
@@ -163,6 +174,21 @@ INF_CASES = [
      ProjectionResidual),
     ("sp_algebra_from_matrix", lambda: SpAlgebraElement.from_matrix(np.diag([np.inf, 0.0])),
      BadShape),
+    # tangent blocks that no check read for finiteness: the matrix chart's four blocks
+    # and an S_n tangent's (dX, dY) reached numpy's matmul
+    ("check_matrix_tangent inf da",
+     lambda: check_matrix_tangent(gj_identity(1), _MATRIX_INF_DA), NotSymplectic),
+    ("d_sn_chart inf da", lambda: d_sn_chart(gj_identity(1), _MATRIX_INF_DA), NotSymplectic),
+    ("maurer_cartan inf da", lambda: maurer_cartan(gj_identity(1), _MATRIX_INF_DA), BadShape),
+    ("oneforms_matrix_chart inf da",
+     lambda: oneforms_matrix_chart(gj_identity(1), _MATRIX_INF_DA), BadShape),
+    ("oneforms_sn inf dX", lambda: oneforms_sn(sn_chart_identity(1), _sn1(dX=_INF1)), BadShape),
+    ("maurer_cartan inf dX at an S_n chart",
+     lambda: maurer_cartan(sn_chart_identity(1), _sn1(dX=_INF1), chart="sn"), BadShape),
+    ("d_sn_chart_inverse inf dY",
+     lambda: d_sn_chart_inverse(sn_chart_identity(1), _sn1(dY=_INF1)), BadShape),
+    ("metric_group inf dX",
+     lambda: metric_group(MetricParams(), sn_chart_identity(1), _sn1(), _sn1(dX=_INF1)), BadShape),
 ]
 
 
@@ -410,6 +436,31 @@ BAD_SHAPES = {
     # the holomorphic point's row, which numpy's ValueError refused, or a NaN field took
     "fvf xjn_holo u of length 3": lambda: fvf(_Z, (_X + 1j * _Y, _ROW3), "xjn_holo"),
     "fvf xjn_holo NaN u": lambda: fvf(_Z, (_X + 1j * _Y, _NAN_ROW), "xjn_holo"),
+    # an algebra element of degree 3 at a point of degree 2, which ended in numpy's matmul error
+    "fvf xjn_holo element of degree 3, point of degree 2":
+        lambda: fvf(gj_basis_elements(3)[0], (1j * _Y, np.zeros(2)), "xjn_holo"),
+    "fvf xjn_pq element of degree 3, point of degree 2":
+        lambda: fvf(gj_basis_elements(3)[0], (_X, _Y) + _ROWS, "xjn_pq"),
+    # an S_n tangent's (dX, dY): a NaN was returned, a 2 x 2 block at n = 1 met numpy's error
+    "d_sn_chart_inverse NaN dX": lambda: d_sn_chart_inverse(sn_chart_identity(1),
+                                                            _sn1(dX=np.full((1, 1), np.nan))),
+    "oneforms_sn dX 2x2 at n = 1": lambda: oneforms_sn(sn_chart_identity(1), _sn1(dX=_X)),
+    "d_sn_chart_inverse dX 2x2 at n = 1":
+        lambda: d_sn_chart_inverse(sn_chart_identity(1), _sn1(dX=_X)),
+    # the closed degree-1 forms checked y > 0 only: a NaN dx gave NaN forms, an infinite y
+    # or theta numpy's RuntimeWarning, a length-2 dx forms of shape (1, 1, 2)
+    "oneforms_n1 NaN dx": lambda: oneforms_n1(0.1, 1.5, 0.3, (np.nan,) + (0.1,) * 5),
+    "oneforms_n1 inf y": lambda: oneforms_n1(0.1, np.inf, 0.3, (0.1,) * 6),
+    "oneforms_n1 inf theta": lambda: oneforms_n1(0.1, 1.5, np.inf, (0.1,) * 6),
+    "oneforms_n1 dx of length 2": lambda: oneforms_n1(0.1, 1.5, 0.3, (np.ones(2),) + (0.1,) * 5),
+    # lambda_r's tangent is an extended Siegel-Jacobi tangent: a 3 x 3 dx returned a value
+    "lambda_r dx 3x3": lambda: lambda_r((_X, _Y) + _ROWS + (0.5,),
+                                        (np.eye(3), _Y) + _ROWS + (1.0,)),
+    "lambda_r NaN dkappa": lambda: lambda_r((_X, _Y) + _ROWS + (0.5,), _PQ_TANGENT + (np.nan,)),
+    # an algebra element's (p, q, r) took any row: a NaN, or a length that to_matrix refused
+    "JacobiAlgebraElement NaN p": lambda: JacobiAlgebraElement(_X, _X, _X, _NAN_ROW, _ROWS[1], 0.0),
+    "JacobiAlgebraElement q of length 3":
+        lambda: JacobiAlgebraElement(_X, _X, _X, _ROWS[0], _ROW3, 0.0),
     # the linalg and symplectic boundary
     "check_symmetric 0x0": lambda: check_symmetric(np.zeros((0, 0))),
     "check_spd 0x0": lambda: check_spd(np.zeros((0, 0))),
@@ -515,3 +566,26 @@ def test_maurer_cartan_sn_refuses_stacks():
     chart = rand_sn_chart(rng, 3)
     with pytest.raises(BadShape):
         maurer_cartan(chart, _stacked([rand_sn_tangent(rng, chart)] * 2), chart="sn")
+
+
+# numdiff's functions take tangents but are the test suite's finite-difference route, which
+# validates nothing: the one exemption from the rule below
+TANGENT_CHECK_EXEMPT = {"numdiff": "the test suite's finite-difference route"}
+
+
+def _non_finite_tangent_cases():
+    """The names of the functions with a case above that feeds a non-finite tangent part,
+    from the case ids "<function> NaN d..." or "<function> inf d..."."""
+    ids = [name for name, *_ in NAN_CASES + INF_CASES] + list(BAD_SHAPES)
+    ids += [f"{entry} {case}" for entry in TANGENT_ENTRIES for case in BAD_TANGENTS]
+    return {m.group(1) for m in map(re.compile(r"(\w+) (?:NaN|inf) d").match, ids) if m}
+
+
+def test_every_tangent_entry_point_has_a_non_finite_tangent_case():
+    # a new public function that takes a tangent must show that it refuses a non-finite one
+    takers = [qual for qual, fn in _public_callables()
+              if {"tangent", "t1", "t2"} & set(inspect.signature(fn).parameters)]
+    assert len(takers) >= 16
+    covered = _non_finite_tangent_cases()
+    assert [q for q in takers if q.split(".")[0] not in TANGENT_CHECK_EXEMPT
+            and q.split(".")[-1] not in covered] == []
