@@ -23,19 +23,19 @@ from .exceptions import BadShape, NotSymplectic
 from .heisenberg import _omega
 from .jacobi import (
     JacobiAlgebraElement,
-    _checked_point,
+    _point,
+    _pq_of,
     _sn_chart_inverse,
     _tangent_to_pq,
-    _to_pq,
     gj_embed,
     gj_inverse,
     lm_from_pq,
     pq_from_lm,
 )
 from . import linalg
-from .linalg import _check_lead, _checked, _gate, _mT, _row, _sqrt_frame, check_symmetric
+from .linalg import _check_lead, _checked, _gate, _mT, _sqrt_frame, check_symmetric
 from .linalg import sym_residual, symmetrize
-from .symplectic import _jacobi_matrix, blocks, check_siegel, from_blocks, j_matrix
+from .symplectic import _jacobi_matrix, blocks, from_blocks, j_matrix
 
 
 def _checked_sn_tangent(chart, tangent):
@@ -345,19 +345,20 @@ def fvf(z, point, space):
       dkappa = r + omega((p_z, q_z), (p', q')); on the non-extended space the
       center generator acts trivially (R* = 0).
 
-    The point is checked as ``chart_convert`` checks a point of its chart, and its degree
-    against z's by :func:`_holomorphic_fvf`.
+    The point passes ``jacobi._point`` in the space "vu", "xjn" or "extended", and its
+    degree is checked against z's by :func:`_holomorphic_fvf`.
     """
     if space not in FVF_SPACES:
         raise ValueError(f"space must be one of {FVF_SPACES}")
     if space == "xjn_holo":
-        return _holomorphic_fvf(z, *_checked_point(check_siegel, *point))
+        return _holomorphic_fvf(z, *_point("vu", point)[0])
 
     src = "xirho" if space.endswith("xirho") else "pq"
-    x, y, p, q = _to_pq(point[:4], src)  # the entry check of x + iy
+    point, _ = _point(space.split("_")[0], point)
+    x, y, p, q = _pq_of(point[:4], src)
     v = x + 1j * y
     if src == "xirho":
-        dv, du = _holomorphic_fvf(z, v, _row(point[2]) + 1j * _row(point[3]))
+        dv, du = _holomorphic_fvf(z, v, point[2] + 1j * point[3])
         out = (dv.real, dv.imag, du.real, du.imag)
     else:
         dv, du = _holomorphic_fvf(z, v, p @ v + q)

@@ -29,24 +29,10 @@ from .exceptions import BadShape, BasisClosureFailure, ProjectionResidual
 from .heisenberg import _omega
 from . import linalg
 from .linalg import _checked, _col, _from_col, _gate, _max_norm, _mT, _row, _spd_powers, _trusted
-from .linalg import check_symmetric, symmetrize
-from .symplectic import (
-    _chart,
-    _compose,
-    _degree,
-    _dmobius,
-    _jacobi_matrix,
-    _jacobi_parts,
-    _mobius,
-    _pre_iwasawa,
-    _siegel,
-    _sp_inverse,
-    blocks,
-    check_siegel,
-    check_symplectic,
-    from_blocks,
-    sp_basis,
-)
+from .linalg import symmetrize
+from .symplectic import _ball, _chart, _compose, _degree, _dmobius, _jacobi_matrix, _jacobi_parts
+from .symplectic import _mobius, _pre_iwasawa, _siegel, _sp_blocks, _sp_inverse, blocks
+from .symplectic import check_symplectic, from_blocks, sp_basis
 
 
 @dataclass(frozen=True)
@@ -140,7 +126,7 @@ class JacobiAlgebraElement:
         [ c   0  -a^t -p^t ]
         [ 0   0   0    0   ]
 
-    b and c are symmetric; a is unrestricted.
+    b and c are symmetric within ALG_SYM_RTOL; a is any finite n x n matrix.
     """
 
     a: np.ndarray
@@ -151,10 +137,9 @@ class JacobiAlgebraElement:
     r: float
 
     def __post_init__(self):
-        object.__setattr__(self, "a", np.asarray(self.a, dtype=float))
-        object.__setattr__(self, "b", check_symmetric(self.b, linalg.ALG_SYM_RTOL))
-        object.__setattr__(self, "c", check_symmetric(self.c, linalg.ALG_SYM_RTOL))
-        for name, value in zip("pqr", _checked("rrk", self.n, (self.p, self.q, self.r))):
+        blks = _sp_blocks(self.a, self.b, self.c, linalg.ALG_SYM_RTOL)
+        rows = _checked("rrk", blks[0].shape[0], (self.p, self.q, self.r))
+        for name, value in zip(self.__dataclass_fields__, (*blks, *rows), strict=True):
             object.__setattr__(self, name, value)
 
     @property
@@ -268,19 +253,40 @@ def commutator_table(n):
 # actions on the Siegel-Jacobi spaces
 
 
+# Each space of points (see _point): the check of its matrix part, and the linalg._checked
+# kinds of its rows and of its tangents, whose layout is also the point's.
+_SPACES = {
+    "vu": (_siegel, "u", "vu"),                # (v, u) with v = x + iy
+    "ball": (_ball, "u", "vu"),                # (W, z)
+    "xjn": (_siegel, "rr", "xjn"),             # (x, y, p, q), or the rows of another chart
+    "extended": (_siegel, "rrk", "extended"),  # (x, y, p, q, kappa)
+}
+
+
+def _point(space, point, *tangents):
+    """``(point, eig, *tangents)`` as arrays, ``eig`` the eigenpairs of the one ``eigh`` of the
+    matrix part, once the point has a tangent's number of parts (BadShape), its matrix part
+    passes its check and its rows and the tangents ``linalg._checked``: the one point check."""
+    check, rows, kind = _SPACES[space]
+    layout = linalg._KINDS[kind][0]
+    if len(point) != len(layout):
+        raise BadShape(f"a {space} point has {len(layout)} parts, got {len(point)}")
+    width = layout.count("m")
+    *matrix, eig = check(*point[:width])
+    n = matrix[0].shape[-1]
+    return ((*matrix, *_checked(rows, n, point[width:])), eig,
+            *(_checked(kind, n, t) for t in tangents))
+
+
 def act_xjn(g, point):
     """Action on (v, u): v Moebius-transformed, u -> (u + lambda v + mu)(c v + d)^{-1}."""
-    v, u = _checked_point(check_siegel, *point)
-    return _mobius(_degree(g.M, v), v, u + g.lam @ v + g.mu)
+    (v, u), _ = _point("vu", point)
+    return _act_vu(_degree(g.M, v), g.lam, g.mu, v, u)
 
 
-def _checked_point(check, v, u, *tangents):
-    """``(v, u, *tangents)`` as complex arrays once ``check`` passes v (:func:`check_siegel`,
-    or ``metrics.check_ball_point`` at a ball point (W, z)) and ``linalg._checked`` u and each
-    tangent (dv, du): the one check of a point of either model, and of tangents there."""
-    v = check(v)
-    n = v.shape[-1]
-    return (v, *_checked("u", n, (u,)), *(_checked("vu", n, t) for t in tangents))
+def _act_vu(m, lam, mu, v, u):
+    """:func:`act_xjn` of (m, lam, mu) at a validated (v, u), and so ``metrics.ball_act``."""
+    return _mobius(m, v, u + lam @ v + mu)
 
 
 def act_pq(g, point):
@@ -288,7 +294,9 @@ def act_pq(g, point):
 
     (p1, q1) = (p, q)_g + (p', q') M^{-1}.
     """
-    return act_extended(g, (*point, 0.0))[:4]
+    point, _ = _point("xjn", point)
+    _degree(g.M, point[0])
+    return _act_pq(g, point)
 
 
 def _act_pq(g, point):
@@ -302,10 +310,14 @@ def _act_pq(g, point):
 def act_extended(g, point):
     """Action on (x, y, p, q, kappa); kappa picks up omega((lambda, mu), (p', q')).
     The rows must be finite of length n and kappa finite."""
+    point, _ = _point("extended", point)
+    _degree(g.M, point[0])
+    return _act_extended(g, point)
+
+
+def _act_extended(g, point):
+    """:func:`act_extended` at a point the library has validated."""
     x, y, p, q, kappa = point
-    x, y, _ = _siegel(x, y)
-    _degree(g.M, x)
-    p, q, kappa = _checked("rrk", g.n, (p, q, kappa))
     return (*_act_pq(g, (x, y, p, q)), g.kappa + kappa + _omega((g.lam, g.mu), (p, q)))
 
 
@@ -410,19 +422,12 @@ def chart_convert(point, src, dst):
     """
     if src not in CHARTS or dst not in CHARTS:
         raise ValueError(f"charts must be one of {CHARTS}")
-    pq = _to_pq(point, src)
-    return point if src == dst else _from_pq(pq, dst)
-
-
-def _to_pq(point, src):
-    """A point of chart ``src`` in the pq chart; the entry check of x + iy and of the
-    two rows (finite, of length n) is here."""
     if src == "vu":
-        v, u = _checked_point(check_siegel, *point)
-        return _pq_of((v.real, v.imag, u.real, u.imag), "xirho")
-    x, y, first, second = point
-    x, y, _ = _siegel(x, y)
-    return _pq_of((x, y, *_checked("rr", x.shape[-1], (first, second))), src)
+        (v, u), _ = _point("vu", point)
+        pq = _pq_of((v.real, v.imag, u.real, u.imag), "xirho")
+    else:
+        pq = _pq_of(_point("xjn", point)[0], src)
+    return point if src == dst else _from_pq(pq, dst)
 
 
 def _pq_of(point, src):

@@ -26,9 +26,11 @@ Conventions fixed here and relied on everywhere else:
   non-finite input entry is made NaN first (:func:`_max_norm`).
 * Validation happens once, where a value enters from a caller; a value
   derived from validated ones is built by :func:`_trusted`, unchecked.  Each
-  kind of point has one check, which returns the ``eigh`` it made for the
-  kernel: :func:`_spd`, ``symplectic._siegel`` and ``metrics._ball``; each kind
-  of tangent, row or kappa tuple goes through :func:`_checked` and its table.
+  kind of matrix point has one check, which returns the ``eigh`` it made for
+  the kernel: :func:`_spd`, ``symplectic._siegel`` and ``symplectic._ball``;
+  each kind of tangent, row or kappa tuple goes through :func:`_checked` and
+  its table; a whole point of the Siegel-Jacobi space, of its extension or of
+  the ball goes with its tangents through ``jacobi._point`` and its table.
 """
 
 import numpy as np
@@ -193,6 +195,7 @@ _KINDS = {
     "rr": ("rr", float, True, None),                  # the two rows of a point chart
     "u": ("r", complex, True, None),                  # u, z or alpha of a vu or ball point
     "n1": ("k" * 11, float, False, None),             # oneforms_n1's point and tangent
+    "abc": ("mmm", float, True, None),                # (a, b, c) of an algebra element
 }
 
 

@@ -34,17 +34,15 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import sampling as smp
-from .exceptions import BadShape, ContractionViolation
+from .exceptions import BadShape
 from .heisenberg import _omega
-from .jacobi import _act_pq, _checked_point, _from_pq, _pq_of, _push_kappa, _push_pq, _push_vu
-from .jacobi import _tangent_from_pq, _tangent_to_pq, _to_pq, act_extended, act_xjn, gj_compose
+from .jacobi import _act_extended, _act_pq, _act_vu, _from_pq, _point, _pq_of, _push_kappa
+from .jacobi import _push_pq, _push_vu, _tangent_from_pq, _tangent_to_pq, gj_compose
 from .jacobi import SnChart, _sn_chart_inverse, gj_embed, sn_chart, sn_chart_inverse
 from . import linalg
-from .linalg import _check_lead, _checked, _col, _from_col, _gate, _modulus, _mT, _row
-from .linalg import sym_residual
+from .linalg import _check_lead, _checked, _col, _from_col, _modulus, _mT
 from .forms import _d_sn_chart, _d_sn_chart_inverse, _embed_tangent, oneforms_sn
-from .symplectic import _jacobi_parts, _mobius, _siegel, blocks, check_siegel, check_symplectic
-from .symplectic import from_blocks
+from .symplectic import _ball, _jacobi_parts, _mobius, blocks, check_symplectic, from_blocks
 
 
 @dataclass(frozen=True)
@@ -124,24 +122,6 @@ def metric_group(params, chart, t1, t2):
 XJN_CHARTS = ("pq", "chipsi", "xirho")
 
 
-def _check_arity(size, **parts):
-    """Raise BadShape unless each named tuple has ``size`` components."""
-    for name, part in parts.items():
-        if len(part) != size:
-            raise BadShape(f"{name} must have {size} components, got {len(part)}")
-
-
-def _checked_xjn(point, t1, t2):
-    """``point`` with float arrays and 1-d rows, y's factor pair (:func:`_factor`) and t1, t2
-    as one tangent (``_pair``), once x + iy passes ``symplectic._siegel`` and ``linalg._checked``
-    the point's rows (and kappa, a fifth component) and the tangent."""
-    x, y, eig = _siegel(point[0], point[1])
-    n = x.shape[-1]
-    rows = _checked("rrk" if len(point) == 5 else "rr", n, point[2:])
-    t = _pair(x.shape[:-2], t1, t2)
-    return (x, y, *rows), _factor(eig), _checked("extended" if len(t) == 5 else "xjn", n, t)
-
-
 def _roots(*weights):
     """The square roots of metric weights, once each is finite and >= 0; else ValueError."""
     if not all(0 <= w < np.inf for w in weights):
@@ -193,29 +173,26 @@ def metric_xjn(alpha, gamma, chart, point, t1, t2):
 
     All three agree under the chart conversions; each is the Gram form of
     :func:`_xjn_frame` on t1 and t2 stacked.  The weights must be finite and >= 0 (else
-    ValueError), the point and tangents pass :func:`_checked_xjn`.
+    ValueError); the point and t1, t2 stacked (``_pair``) pass ``jacobi._point``, whose
+    eigenpairs of y give the factor (:func:`_factor`).
     """
     if chart not in XJN_CHARTS:
         raise ValueError(f"chart must be one of {XJN_CHARTS}")
-    _check_arity(4, point=point, t1=t1, t2=t2)
-    return _gram(*_xjn_frame(_roots(alpha, gamma), chart, *_checked_xjn(point, t1, t2)))
+    point, eig, t = _point("xjn", point, _pair(np.shape(point[0])[:-2], t1, t2))
+    return _gram(*_xjn_frame(_roots(alpha, gamma), chart, point, _factor(eig), t))
 
 
 def lambda_r(point_pq_kappa, tangent):
     """The invariant one-form  dkappa - p dq^t + q dp^t = dkappa - omega((p, q), (dp, dq))
-    on the extended space.  ``linalg._checked`` checks the point's (p, q, kappa) and the
-    tangent, an extended Siegel-Jacobi tangent (dx, dy, dp, dq, dkappa)."""
-    _check_arity(5, point=point_pq_kappa, tangent=tangent)
-    n = _row(point_pq_kappa[2]).shape[-1]
-    _checked("rrk", n, point_pq_kappa[2:])
-    _checked("extended", n, tangent)
-    return _lambda_r(point_pq_kappa, tangent)
+    on the extended space.  The point (x, y, p, q, kappa) and the tangent
+    (dx, dy, dp, dq, dkappa) pass ``jacobi._point``."""
+    point, _, tangent = _point("extended", point_pq_kappa, tangent)
+    return _lambda_r(point, tangent)
 
 
-def _lambda_r(point_pq_kappa, tangent):
+def _lambda_r(point, tangent):
     """:func:`lambda_r` at a point and tangent the library has validated or built."""
-    p, q = _row(point_pq_kappa[2]), _row(point_pq_kappa[3])
-    return tangent[4] - _omega((p, q), (_row(tangent[2]), _row(tangent[3])))
+    return tangent[4] - _omega(point[2:4], tangent[2:4])
 
 
 def _extended_frame(roots, point, factor, t):
@@ -228,8 +205,8 @@ def metric_extended(alpha, gamma, delta, point, t1, t2):
     """Three-parameter metric on the extended space: the pq metric plus
     delta * lambda_R (x) lambda_R, the Gram form of :func:`_extended_frame`.  Point and
     tangents carry kappa last and are checked as in :func:`metric_xjn`."""
-    _check_arity(5, point=point, t1=t1, t2=t2)
-    return _gram(*_extended_frame(_roots(alpha, gamma, delta), *_checked_xjn(point, t1, t2)))
+    point, eig, t = _point("extended", point, _pair(np.shape(point[0])[:-2], t1, t2))
+    return _gram(*_extended_frame(_roots(alpha, gamma, delta), point, _factor(eig), t))
 
 
 # ---------------------------------------------------------------------------
@@ -237,42 +214,28 @@ def metric_extended(alpha, gamma, delta, point, t1, t2):
 
 
 def check_ball_point(w):
-    """Return W (or a stack of them) as complex once a ball point (see :func:`_ball`)."""
+    """Return W (or a stack of them) as complex once a ball point (``symplectic._ball``)."""
     return _ball(w)[0]
-
-
-def _ball(w):
-    """W as complex and the eigenpairs of the Hermitian part of I - W Wbar, once W is a
-    ball point: the one check of one.  ContractionViolation unless W is symmetric within
-    BALL_SYM_RTOL and the smallest eigenvalue of that one ``eigh`` (per matrix of a stack)
-    exceeds BALL_MIN_EIG: W a strict contraction."""
-    w = np.asarray(w, dtype=complex)
-    _gate(sym_residual(w), linalg.BALL_SYM_RTOL, ContractionViolation, "asymmetry of W")
-    k = np.eye(w.shape[-1]) - w @ w.conj()
-    e, u = np.linalg.eigh(0.5 * (k + _mT(k.conj())))
-    _gate(e[..., 0], linalg.BALL_MIN_EIG, ContractionViolation,
-          "smallest eigenvalue of I - W conj(W)", lower=True)
-    return w, (e, u)
 
 
 def fc_transform(w, z):
     """Coordinate change z -> eta on the ball: eta = (I - W Wbar)^{-1} (z^t + W zbar^t)."""
-    w, z = _checked_point(check_ball_point, w, z)
+    (w, z), _ = _point("ball", (w, z))
     return _from_col(np.linalg.solve(np.eye(w.shape[-1]) - w @ w.conj(),
                                      _col(z) + w @ _col(z.conj())))
 
 
 def fc_inverse(w, eta):
     """Inverse change eta -> z:  z^t = eta - W etabar."""
-    w, eta = _checked_point(check_ball_point, w, eta)
+    (w, eta), _ = _point("ball", (w, eta))
     return eta - w @ eta.conj()
 
 
 def cayley(v, u):
     """Partial Cayley transform to the ball, the Moebius map of [[I, -iI], [I, iI]] with the
     row 2i u:  W = (v - iI)(v + iI)^{-1}, z^t = 2i (v + iI)^{-1} u^t.  Sends iI to the
-    center.  The point is checked as in :func:`jacobi.act_xjn`."""
-    v, u = _checked_point(check_siegel, v, u)
+    center.  The point (v, u) passes ``jacobi._point``, as in :func:`jacobi.act_xjn`."""
+    (v, u), _ = _point("vu", (v, u))
     eye = np.eye(v.shape[-1])
     w, z = _mobius(from_blocks(eye, -1j * eye, eye, 1j * eye), v, 2j * u)
     return check_ball_point(w), z
@@ -281,7 +244,7 @@ def cayley(v, u):
 def cayley_inverse(w, z):
     """Inverse Cayley, the Moebius map of [[iI, iI], [-I, I]] with the row z:
     v = i (I - W)^{-1} (I + W),  u^t = (I - W)^{-1} z^t."""
-    w, z = _checked_point(check_ball_point, w, z)
+    (w, z), _ = _point("ball", (w, z))
     eye = np.eye(w.shape[-1])
     return _mobius(from_blocks(1j * eye, 1j * eye, -eye, eye), w, z)
 
@@ -289,12 +252,12 @@ def cayley_inverse(w, z):
 def g_form(v, u, tangent):
     """Row form  G^t = du - (u - ubar)(v - vbar)^{-1} dv  at a Siegel-Jacobi point.
 
-    In pq coordinates this equals dp v + dq.  The point is checked as in
-    :func:`jacobi.act_xjn`, the tangent as in ``jacobi._checked_point``.
+    In pq coordinates this equals dp v + dq.  The point and the tangent (dv, du) pass
+    ``jacobi._point``.
     """
-    v, u, (dv, du) = _checked_point(check_siegel, v, u, tangent)
+    (v, u), _, (dv, du) = _point("vu", (v, u), tangent)
     coeff = _from_col(np.linalg.solve(_mT(v - v.conj()), _col(u - u.conj())))
-    return _row(du, complex) - coeff @ np.asarray(dv, dtype=complex)
+    return du - coeff @ dv
 
 
 def _ball_frame(kparams, w, z, factor, t):
@@ -314,11 +277,10 @@ def kahler_ball(kparams, w, z, t1, t2):
 
     -i omega = (k/2) tr(B wedge Bbar) + nu tr(A^t Mbar wedge Abar) with
     M = (I - W Wbar)^{-1}, B = M dW, A = dz^t + dW etabar and eta the FC image
-    of z; real, from :func:`_ball_frame`.  The point is checked as in
-    :func:`fc_transform`, the tangents as in ``jacobi._checked_point``.
+    of z; real, from :func:`_ball_frame`.  The point and t1, t2 stacked (``_pair``) pass
+    ``jacobi._point``, whose eigenpairs give the factor.
     """
-    w, eig = _ball(w)
-    w, z, t = _checked_point(np.asarray, w, z, _pair(w.shape[:-2], t1, t2))
+    (w, z), eig, t = _point("ball", (w, z), _pair(np.shape(w)[:-2], t1, t2))
     return _hermitian(*_ball_frame(kparams, w, z, _factor(eig), t))
 
 
@@ -337,12 +299,10 @@ def kahler_xjn(kparams, v, u, t1, t2):
     """Kaehler two-form of the upper-half-space model.
 
     -i omega = (k/2) tr(H wedge Hbar) + (2 nu / i) tr(G^t D wedge Gbar)
-    with D = (vbar - v)^{-1} and H = D dv; real, from :func:`_vu_frame`.  The point is
-    checked as in :func:`jacobi.act_xjn`, the tangents as in ``jacobi._checked_point``.
+    with D = (vbar - v)^{-1} and H = D dv; real, from :func:`_vu_frame`.  The point and
+    the tangents are checked as in :func:`kahler_ball`.
     """
-    v = np.asarray(v, dtype=complex)
-    eig = _siegel(v.real, v.imag)[2]
-    v, u, t = _checked_point(np.asarray, v, u, _pair(v.shape[:-2], t1, t2))
+    (v, u), eig, t = _point("vu", (v, u), _pair(np.shape(v)[:-2], t1, t2))
     return _hermitian(*_vu_frame(kparams, v, u, _factor(eig), t))
 
 
@@ -380,17 +340,17 @@ def ball_act(element, point):
     W1 = (W Q^dag + P^dag)^{-1} (Q^t + W P^t),
     z1^t = (W Q^dag + P^dag)^{-1} (z^t + alpha^t - W alphabar^t),
 
-    which is :func:`jacobi.act_xjn` for M = :func:`_ball_matrix` and (lambda, mu) =
-    (-alphabar, alpha).  The point is checked as in :func:`fc_transform`; P and Q must be
+    the kernel ``jacobi._act_vu`` of :func:`jacobi.act_xjn` for M = :func:`_ball_matrix` and
+    (lambda, mu) = (-alphabar, alpha).  The point passes ``jacobi._point``; P and Q must be
     n x n and alpha a finite row of length n.  Element and point may be stacks.
     """
     (p, q), alpha = element
-    w, z = _checked_point(check_ball_point, *point)
+    (w, z), _ = _point("ball", point)
     n = w.shape[-1]
     if np.shape(p)[-2:] != (n, n) or np.shape(q) != np.shape(p):
         raise BadShape(f"P and Q must be {n}x{n}, got {np.shape(p)} and {np.shape(q)}")
     (alpha,) = _checked("u", n, (alpha,))
-    return _mobius(_ball_matrix(p, q), w, z - alpha.conj() @ w + alpha)
+    return _act_vu(_ball_matrix(p, q), -alpha.conj(), alpha, w, z)
 
 
 # ---------------------------------------------------------------------------
@@ -436,14 +396,14 @@ def _draw_group(rng, n):
 
 
 def _draw_xjn(chart):
-    # points and tangents are drawn in the pq chart whatever the target chart;
-    # the conversion to it is the one entry check of the action
+    # points and tangents are drawn in the pq chart whatever the target chart; the
+    # action reads its point back through the unchecked conversion _pq_of
     def draw(rng, n):
         g = smp.rand_jacobi(rng, n)
         point = _from_pq(smp.rand_pq_point(rng, n), chart)
 
         def act(pt):
-            return _from_pq(_act_pq(g, _to_pq(pt, chart)), chart)
+            return _from_pq(_act_pq(g, _pq_of(pt, chart)), chart)
 
         def push(pt, image, t):
             pq, pq1 = _pq_of(pt, chart), _pq_of(image, chart)
@@ -459,7 +419,7 @@ def _draw_extended(rng, n):
     g = smp.rand_jacobi(rng, n)
     point, t1, t2 = ((*draw(rng, n), smp._uniform(rng))  # kappa last
                      for draw in (smp.rand_pq_point, smp.rand_pq_tangent, smp.rand_pq_tangent))
-    return ((lambda pt: act_extended(g, pt)),
+    return ((lambda pt: _act_extended(g, pt)),
             (lambda pt, image, t: (*_push_pq(g, pt, image, t), _push_kappa(g, t))),
             point, t1, t2)
 
@@ -468,7 +428,7 @@ def _draw_ball(rng, n):
     p, q = _sp_to_ball_rep(smp.rand_symplectic(rng, n))
     alpha = smp.rand_complex_row(rng, n)
     m, lam = _ball_matrix(p, q), -alpha.conj()  # ball_act is act_xjn's action of (m, lam)
-    return ((lambda pt: ball_act(((p, q), alpha), pt)),
+    return ((lambda pt: _act_vu(m, lam, alpha, *pt)),
             (lambda pt, image, t: _push_vu(m, lam, pt, image, t)),
             smp.rand_ball_point(rng, n), smp.rand_ball_tangent(rng, n),
             smp.rand_ball_tangent(rng, n))
@@ -476,7 +436,7 @@ def _draw_ball(rng, n):
 
 def _draw_vu(rng, n):
     g = smp.rand_jacobi(rng, n)
-    return ((lambda pt: act_xjn(g, pt)),
+    return ((lambda pt: _act_vu(g.M, g.lam, g.mu, *pt)),
             (lambda pt, image, t: _push_vu(g.M, g.lam, pt, image, t)),
             smp.rand_vu_point(rng, n), smp.rand_vu_tangent(rng, n), smp.rand_vu_tangent(rng, n))
 

@@ -20,10 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import BadShape, NotSymplectic, NotUnitaryPair, SingularDenominator
+from .exceptions import BadShape, ContractionViolation, NotSymplectic, NotUnitaryPair
+from .exceptions import SingularDenominator
 from . import linalg
-from .linalg import _col, _from_col, _gate, _max_norm, _mT, _spd, _spd_powers, _trusted
-from .linalg import check_symmetric, symmetrize
+from .linalg import _checked, _col, _from_col, _gate, _max_norm, _mT, _spd, _spd_powers, _trusted
+from .linalg import check_symmetric, sym_residual, symmetrize
 
 
 def j_matrix(n):
@@ -158,9 +159,8 @@ class SpAlgebraElement:
     c: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "a", np.asarray(self.a, dtype=float))
-        object.__setattr__(self, "b", check_symmetric(self.b))
-        object.__setattr__(self, "c", check_symmetric(self.c))
+        for name, value in zip("abc", _sp_blocks(self.a, self.b, self.c)):
+            object.__setattr__(self, name, value)
 
     @property
     def n(self):
@@ -171,11 +171,23 @@ class SpAlgebraElement:
 
     @classmethod
     def from_matrix(cls, z):
+        """Project ``z`` onto sp(n), b and c symmetrized; BadShape unless the residual of the
+        projection (d + a^t, the asymmetry of b and c) is within PROJ_RTOL max(1, ||z||_max)."""
         scale, z = _max_norm(np.asarray(z, dtype=float))
-        a, b, c, d = blocks(z)
-        _gate(np.max(np.abs(d + a.T)), linalg.PROJ_RTOL * max(1.0, scale), BadShape,
-              "deviation of the lower-right block from -a^t")
-        return _trusted(cls, a, symmetrize(b), symmetrize(c))
+        if z.ndim != 2 or z.shape[0] != z.shape[1] or z.shape[0] % 2:
+            raise BadShape(f"expected an even-dimensional square matrix, got {z.shape}")
+        a, b, c, _ = blocks(z)
+        elem = _trusted(cls, a, symmetrize(b), symmetrize(c))
+        _gate(np.max(np.abs(z - elem.to_matrix())), linalg.PROJ_RTOL * max(1.0, scale), BadShape,
+              "sp(n) projection residual")
+        return elem
+
+
+def _sp_blocks(a, b, c, rtol=None):
+    """(a, b, c) of an sp(n) or Jacobi algebra element as float arrays, once b and c pass
+    :func:`check_symmetric` within ``rtol`` and all three ``linalg._checked`` (BadShape)."""
+    b, c = check_symmetric(b, rtol), check_symmetric(c, rtol)
+    return _checked("abc", b.shape[-1], (a, b, c))
 
 
 def sp_basis(n):
@@ -258,19 +270,34 @@ def unitary_iso_inverse(u):
 
 def check_siegel(v):
     """Validate a Siegel point v = x + iy: x symmetric, y SPD (see :func:`_siegel`)."""
-    v = np.asarray(v, dtype=complex)
-    _siegel(v.real, v.imag)
-    return v
+    return _siegel(v)[0]
 
 
-def _siegel(x, y):
+def _siegel(x, y=None):
     """``x``, ``y`` as float arrays and y's eigenpairs (``linalg._spd``), once x + iy is a
-    Siegel point: the one check of one, made without forming x + iy.  x and y must have one
-    shape, then x is checked symmetric (first, so a NaN point is NotSymmetric) and y SPD."""
+    Siegel point: the one check of one (given v = x + iy alone, v as complex and y's
+    eigenpairs).  x and y must have one shape, x symmetric (first: NaN is NotSymmetric), y SPD."""
+    if y is None:
+        v = np.asarray(x, dtype=complex)
+        return v, _siegel(v.real, v.imag)[2]
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if x.shape != y.shape:
         raise BadShape(f"x and y must have one shape, got {x.shape} and {y.shape}")
     return (check_symmetric(x), *_spd(y))
+
+
+def _ball(w):
+    """W as complex and the eigenpairs of the Hermitian part of I - W Wbar, once W is a
+    ball point: the one check of one.  ContractionViolation unless W is symmetric within
+    BALL_SYM_RTOL and the smallest eigenvalue of that one ``eigh`` (per matrix of a stack)
+    exceeds BALL_MIN_EIG: W a strict contraction."""
+    w = np.asarray(w, dtype=complex)
+    _gate(sym_residual(w), linalg.BALL_SYM_RTOL, ContractionViolation, "asymmetry of W")
+    k = np.eye(w.shape[-1]) - w @ w.conj()
+    e, u = np.linalg.eigh(0.5 * (k + _mT(k.conj())))
+    _gate(e[..., 0], linalg.BALL_MIN_EIG, ContractionViolation,
+          "smallest eigenvalue of I - W conj(W)", lower=True)
+    return w, (e, u)
 
 
 def _degree(m, v):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from jacobigeom import metrics, sampling
+from jacobigeom.jacobi import _point
 from jacobigeom.sampling import StackStream, window_words
 from jacobigeom.symplectic import check_symplectic
 
@@ -152,3 +153,10 @@ def test_unchecked_group_draws_are_symplectic(n):
         s = sampling.rand_sp_algebra(rng, n)
         assert np.array_equal(s.b, np.swapaxes(s.b, -1, -2))
         assert np.array_equal(s.c, np.swapaxes(s.c, -1, -2))
+    # the engine acts on its point draws through unchecked kernels; the one point check
+    # holds for them, for single draws and for stacks (a fresh stream: the windows are sized
+    # for one report's draws)
+    for rng in (np.random.default_rng(400 + n), StackStream(400 + n, n, 0, 64)):
+        _point("extended", (*sampling.rand_pq_point(rng, n), sampling._uniform(rng)))
+        _point("vu", sampling.rand_vu_point(rng, n))
+        _point("ball", sampling.rand_ball_point(rng, n))

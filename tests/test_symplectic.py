@@ -21,7 +21,8 @@ from jacobigeom import (
     unitary_iso_inverse,
 )
 from jacobigeom.sampling import rand_sp_algebra, rand_spd, rand_sym, rand_symplectic
-from jacobigeom.symplectic import PreIwasawaFactors, from_blocks, pair_to_symplectic
+from jacobigeom.symplectic import PreIwasawaFactors, SpAlgebraElement, from_blocks
+from jacobigeom.symplectic import pair_to_symplectic
 
 
 def test_is_symplectic_basics():
@@ -68,6 +69,25 @@ def test_sp_basis(n):
     for g in gens:
         z = g.to_matrix()
         assert np.max(np.abs(z.T @ j + j @ z)) == 0.0
+
+
+@pytest.mark.parametrize("block", ["b", "c"])
+def test_sp_algebra_from_matrix_refuses_an_asymmetric_b_or_c(block):
+    # the projection once symmetrized b = [[0, 1], [0, 0]] to [[0, .5], [.5, 0]] silently,
+    # where JacobiAlgebraElement.from_matrix refused it
+    zero, skewed = np.zeros((2, 2)), np.array([[0.0, 1.0], [0.0, 0.0]])
+    z = from_blocks(zero, skewed, zero, zero) if block == "b" else from_blocks(
+        zero, zero, skewed, zero)
+    with pytest.raises(BadShape, match="projection residual"):
+        SpAlgebraElement.from_matrix(z)
+
+
+def test_sp_algebra_from_matrix_returns_an_element_as_it_was(rng):
+    for n in (1, 2, 5):
+        s = rand_sp_algebra(rng, n)
+        back = SpAlgebraElement.from_matrix(s.to_matrix())
+        for got, want in zip((back.a, back.b, back.c), (s.a, s.b, s.c)):
+            assert np.array_equal(got, want)
 
 
 def test_unitary_iso():

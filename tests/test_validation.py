@@ -225,6 +225,21 @@ def test_the_engine_reads_its_own_ball_draw_unchecked():
         assert jacobigeom.invariance_report("kahler_ball", 2, samples=4).passed
 
 
+def test_the_engine_checks_no_drawn_point():
+    # the engine acts on its draws through the unchecked kernels of the actions, so neither
+    # a drawn point nor its image meets the one point check or its Siegel and ball checks
+    def refuse(*args):
+        raise AssertionError("an engine draw was checked")
+
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (jacobigeom.jacobi, jacobigeom.metrics, jacobigeom.forms):
+            for name in ("_point", "_siegel", "_ball"):
+                if hasattr(module, name):
+                    mp.setattr(module, name, refuse)
+        for obj in jacobigeom.metrics.INVARIANCE_OBJECTS:
+            assert jacobigeom.invariance_report(obj, 2, samples=4).max_rel < 1.0
+
+
 @pytest.mark.parametrize("check,exc", [(check_symmetric, NotSymmetric), (check_spd, NotSpd)])
 def test_gate_names_the_failing_index_of_a_stack(check, exc):
     # a stack with more than one leading axis, as a push of two stacked tangents
@@ -277,6 +292,13 @@ SIEGEL_ENTRIES = {
     "fvf_xjn_pq": lambda x, y: fvf(_Z, (x, y) + _ROWS, "xjn_pq"),
     "fvf_xjn_holo": lambda x, y: fvf(_Z, (x + 1j * y, _ROWS[0]), "xjn_holo"),
     "fvf_extended_xirho": lambda x, y: fvf(_Z, (x, y) + _ROWS + (0.5,), "extended_xirho"),
+    # lambda_r never read x and y: it returned a value at a point of none of the spaces
+    "lambda_r": lambda x, y: lambda_r((x, y) + _ROWS + (0.5,), _PQ_TANGENT + (1.0,)),
+    "act_xjn": lambda x, y: act_xjn(gj_identity(2), (x + 1j * y, _ROWS[0])),
+    "act_pq": lambda x, y: act_pq(gj_identity(2), (x, y) + _ROWS),
+    "act_extended": lambda x, y: act_extended(gj_identity(2), (x, y) + _ROWS + (0.5,)),
+    "mobius_act": lambda x, y: mobius_act(np.eye(4), x + 1j * y),
+    "check_siegel": lambda x, y: check_siegel(x + 1j * y),
 }
 # these checked y already (extended_xirho through chart_convert) and lacked
 # only the symmetry check of x
@@ -289,6 +311,33 @@ _X_ONLY = ("metric_xjn", "metric_extended", "chart_convert", "cayley", "fvf_exte
 def test_siegel_entry_points_refuse_non_siegel_points(entry, case):
     with pytest.raises(GeometryError):
         SIEGEL_ENTRIES[entry](*NOT_SIEGEL[case])
+
+
+# ball points W that are not, at n = 2: each public entry point that takes one must refuse
+# it through the one ball check with a GeometryError
+NOT_BALL = {
+    "asymmetric W": np.array([[0.3, 0.4], [0.0, -0.2]]) + 0j,
+    "W = I": np.eye(2) + 0j,
+    "W = 2 I": 2 * np.eye(2) + 0j,
+    "NaN W": NAN + 0j,
+}
+BALL_ENTRIES = {
+    "check_ball_point": lambda w: check_ball_point(w),
+    "fc_transform": lambda w: fc_transform(w, _ROWS[0]),
+    "fc_inverse": lambda w: fc_inverse(w, _ROWS[0]),
+    "cayley_inverse": lambda w: cayley_inverse(w, _ROWS[0]),
+    "ball_act": lambda w: ball_act(((np.eye(2) + 0j, np.zeros((2, 2)) + 0j), np.zeros(2)),
+                                   (w, _ROWS[0])),
+    "kahler_ball": lambda w: kahler_ball(KahlerParams(2.0, 1.0), w, _ROWS[0], _VU_TANGENT,
+                                         _VU_TANGENT),
+}
+
+
+@pytest.mark.parametrize("entry,case", [
+    pytest.param(e, c, id=f"{e}-{c}") for e in BALL_ENTRIES for c in NOT_BALL])
+def test_ball_entry_points_refuse_non_ball_points(entry, case):
+    with pytest.raises(ContractionViolation):
+        BALL_ENTRIES[entry](NOT_BALL[case])
 
 
 # the tolerance parameters a caller may still pass; every other bound is read
@@ -461,6 +510,25 @@ BAD_SHAPES = {
     "JacobiAlgebraElement NaN p": lambda: JacobiAlgebraElement(_X, _X, _X, _NAN_ROW, _ROWS[1], 0.0),
     "JacobiAlgebraElement q of length 3":
         lambda: JacobiAlgebraElement(_X, _X, _X, _ROWS[0], _ROW3, 0.0),
+    # and any a: a NaN that to_matrix carried, or a 2 x 3 a that it refused with numpy's error
+    "JacobiAlgebraElement NaN a": lambda: JacobiAlgebraElement(NAN, _X, _X, *_ROWS, 0.0),
+    "JacobiAlgebraElement inf a": lambda: JacobiAlgebraElement(INF, _X, _X, *_ROWS, 0.0),
+    "JacobiAlgebraElement a of shape 2x3":
+        lambda: JacobiAlgebraElement(np.zeros((2, 3)), _X, _X, *_ROWS, 0.0),
+    "SpAlgebraElement NaN a": lambda: SpAlgebraElement(NAN, _X, _X),
+    "SpAlgebraElement a 2x2, b and c 3x3": lambda: SpAlgebraElement(_Y, np.eye(3), np.eye(3)),
+    "SpAlgebraElement a of shape 2x3": lambda: SpAlgebraElement(np.zeros((2, 3)), _X, _X),
+    # a matrix that is not even and square: 2 x 3 came back as an element with a 2 x 2 b
+    "sp_algebra_from_matrix 2x3": lambda: SpAlgebraElement.from_matrix(np.zeros((2, 3))),
+    "sp_algebra_from_matrix 3x3": lambda: SpAlgebraElement.from_matrix(np.eye(3)),
+    # a point of the wrong number of parts, which argument unpacking refused with TypeError
+    # or ValueError, or whose extra part was never read
+    "act_xjn point of 3 parts": lambda: act_xjn(gj_identity(2), (1j * _Y, _ROWS[0], _ROWS[0])),
+    "act_pq point of 5 parts": lambda: act_pq(gj_identity(2), (_X, _Y) + _ROWS + (0.5,)),
+    "chart_convert pq point of 3 parts": lambda: chart_convert((_X, _Y, _ROWS[0]), "pq", "vu"),
+    "ball_act point of 1 part": lambda: ball_act((_BALL_PQ, np.zeros(2)), (_X,)),
+    "fvf xjn_pq point of 5 parts": lambda: fvf(_Z, (_X, _Y) + _ROWS + (0.5,), "xjn_pq"),
+    "fvf extended_pq NaN kappa": lambda: fvf(_Z, (_X, _Y) + _ROWS + (np.nan,), "extended_pq"),
     # the linalg and symplectic boundary
     "check_symmetric 0x0": lambda: check_symmetric(np.zeros((0, 0))),
     "check_spd 0x0": lambda: check_spd(np.zeros((0, 0))),
@@ -579,6 +647,22 @@ def _non_finite_tangent_cases():
     ids = [name for name, *_ in NAN_CASES + INF_CASES] + list(BAD_SHAPES)
     ids += [f"{entry} {case}" for entry in TANGENT_ENTRIES for case in BAD_TANGENTS]
     return {m.group(1) for m in map(re.compile(r"(\w+) (?:NaN|inf) d").match, ids) if m}
+
+
+# the functions whose `v` is a vector rather than a point, and the finite-difference route
+POINT_CHECK_EXEMPT = {"linalg": "vec and vech calculus", **TANGENT_CHECK_EXEMPT}
+
+
+def test_every_point_entry_point_has_a_non_point_case():
+    # a new public function that takes a point must show that it refuses one outside its
+    # space: some case of SIEGEL_ENTRIES or BALL_ENTRIES calls it
+    takers = [qual for qual, fn in _public_callables()
+              if {"point", "point_pq_kappa", "v", "w"} & set(inspect.signature(fn).parameters)]
+    assert len(takers) >= 18
+    called = {name for entries in (SIEGEL_ENTRIES, BALL_ENTRIES) for case in entries.values()
+              for name in case.__code__.co_names}
+    assert [q for q in takers if q.split(".")[0] not in POINT_CHECK_EXEMPT
+            and q.split(".")[-1] not in called] == []
 
 
 def test_every_tangent_entry_point_has_a_non_finite_tangent_case():
