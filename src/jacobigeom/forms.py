@@ -25,15 +25,15 @@ from .jacobi import (
     JacobiAlgebraElement,
     _point,
     _pq_of,
-    _sn_chart_inverse,
     _tangent_to_pq,
     gj_embed,
     gj_inverse,
     lm_from_pq,
     pq_from_lm,
+    sn_chart_inverse,
 )
 from . import linalg
-from .linalg import _check_lead, _checked, _gate, _mT, _sqrt_frame, check_symmetric
+from .linalg import _check_lead, _checked, _gate, _mT, _root_frame, _sqrt_frame, check_symmetric
 from .linalg import sym_residual, symmetrize
 from .symplectic import _jacobi_matrix, blocks, from_blocks, j_matrix
 
@@ -98,8 +98,8 @@ def maurer_cartan(g, tangent, chart="matrix"):
     if chart == "sn":
         if g.x.ndim != 2 or np.ndim(tangent[0]) != 2:
             raise BadShape("the S_n route takes one chart and one tangent, not stacks")
-        tangent, (s, si) = _d_sn_chart_inverse(g, _checked_sn_tangent(g, tangent))
-        g = _sn_chart_inverse(g, s, si)
+        tangent = _d_sn_chart_inverse(g, _checked_sn_tangent(g, tangent))
+        g = sn_chart_inverse(g)
     else:
         tangent = _checked("matrix", g.n, tangent)
     xi = gj_embed(gj_inverse(g)) @ _embed_tangent(g, tangent)
@@ -131,25 +131,27 @@ def d_sn_chart_inverse(chart, tangent):
     """Analytic differential of the S_n chart inverse (Sn tangent -> matrix tangent).
 
     Uses the directional derivative of the SPD square root, since the
-    recomposition involves y^{1/2} and y^{-1/2}.  The tangent is checked as
+    recomposition involves y^{1/2} and y^{-1/2}, in the square-root frame the
+    chart keeps (no ``eigh``).  The tangent is checked as
     in :func:`_checked_sn_tangent`.
     """
-    return _d_sn_chart_inverse(chart, _checked_sn_tangent(chart, tangent))[0]
+    return _d_sn_chart_inverse(chart, _checked_sn_tangent(chart, tangent))
 
 
 def _d_sn_chart_inverse(chart, tangent):
     """:func:`d_sn_chart_inverse` on a tangent the library has validated or built, or
-    on stacks of charts and tangents, and (s, s^{-1}) of the chart's y, from its frame."""
+    on stacks of charts and tangents, in the chart's square-root frame."""
     dx, dy, dX, dY, dp, dq, dk = tangent
     x = chart.x
-    s, si, ds = _sqrt_frame(chart.y, dy)
+    s, si, ds = _sqrt_frame(chart._frame, dy)
     dsi = -si @ ds @ si
     X, Y = chart.X, chart.Y
-    da = ds @ X + s @ dX - dx @ si @ Y - x @ dsi @ Y - x @ si @ dY
-    db = ds @ Y + s @ dY + dx @ si @ X + x @ dsi @ X + x @ si @ dX
+    dxsi, xdsi, xsi = dx @ si, x @ dsi, x @ si  # each shared by da and db
+    da = ds @ X + s @ dX - dxsi @ Y - xdsi @ Y - xsi @ dY
+    db = ds @ Y + s @ dY + dxsi @ X + xdsi @ X + xsi @ dX
     dc = -(dsi @ Y) - si @ dY
     dd = dsi @ X + si @ dX
-    return (da, db, dc, dd, dp, dq, dk), (s, si)
+    return da, db, dc, dd, dp, dq, dk
 
 
 def d_sn_chart(g, tangent):
@@ -176,7 +178,7 @@ def _d_sn_chart(g, tangent):
     a, b, c, d = blocks(g.M)
     y = symmetrize(np.linalg.inv(d @ _mT(d) + c @ _mT(c)))
     dy = symmetrize(-y @ (dd @ _mT(d) + d @ _mT(dd) + dc @ _mT(c) + c @ _mT(dc)) @ y)
-    s, _, ds = _sqrt_frame(y, dy)
+    s, _, ds = _sqrt_frame(_root_frame(np.linalg.eigh(y)), dy)  # y is symmetric
     dx = symmetrize(dy @ (d @ _mT(b) + c @ _mT(a))
                     + y @ (dd @ _mT(b) + d @ _mT(db) + dc @ _mT(a) + c @ _mT(da)))
     return dx, dy, ds @ d + s @ dd, -(ds @ c + s @ dc), dp, dq, dk
@@ -202,7 +204,7 @@ def oneforms_sn(chart, tangent):
     """
     dx, dy, dX, dY, dp, dq, dk = _checked_sn_tangent(chart, tangent)
     n = chart.n
-    s, si, ds = _sqrt_frame(chart.y, dy)
+    s, si, ds = _sqrt_frame(chart._frame, dy)
     z = np.concatenate((chart.X, chart.Y), -1)  # Z = [X Y]
     siz = si @ z
     # the products a^t M b, a and b in {X, Y}, as the blocks of one product per M, taken

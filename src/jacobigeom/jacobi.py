@@ -21,15 +21,15 @@ columns of sizes (n, 1, n, 1):
 and is an exact group homomorphism.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .exceptions import BadShape, BasisClosureFailure, ProjectionResidual
 from .heisenberg import _omega
 from . import linalg
-from .linalg import _checked, _col, _from_col, _gate, _max_norm, _mT, _row, _spd_powers, _trusted
-from .linalg import symmetrize
+from .linalg import _checked, _col, _from_col, _gate, _max_norm, _mT, _root_frame, _row
+from .linalg import _spd_powers, _trusted, symmetrize
 from .symplectic import _ball, _chart, _compose, _degree, _dmobius, _jacobi_matrix, _jacobi_parts
 from .symplectic import _mobius, _pre_iwasawa, _siegel, _sp_blocks, _sp_inverse, blocks
 from .symplectic import check_symplectic, from_blocks, sp_basis
@@ -94,6 +94,15 @@ def gj_embed(g):
     return _jacobi_matrix(blocks(g.M), (g.lam, g.mu), (q, -p), g.kappa, 1.0)
 
 
+def _embedded(mat):
+    """||mat||_max and ``mat`` as by ``linalg._max_norm``, once it is one (2n + 2) x (2n + 2)
+    matrix with n >= 1, the size of the Jacobi embeddings, else BadShape."""
+    scale, mat = _max_norm(np.asarray(mat, dtype=float))
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] % 2 or mat.shape[0] < 4:
+        raise BadShape(f"expected a (2n + 2) x (2n + 2) matrix with n >= 1, got {mat.shape}")
+    return scale, mat
+
+
 def gj_from_embedding(mat):
     """Recover (M, lambda, mu, kappa) from an embedded matrix.
 
@@ -101,9 +110,7 @@ def gj_from_embedding(mat):
     entries with (lambda, mu) M^{-1}; raises ProjectionResidual if the
     matrix does not have the Jacobi block form.
     """
-    scale, mat = _max_norm(np.asarray(mat, dtype=float))
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] % 2:
-        raise BadShape(f"expected even square matrix, got {mat.shape}")
+    scale, mat = _embedded(mat)
     blks, (lam, mu), _, kappa = _jacobi_parts(mat)
     g = JacobiElement(from_blocks(*blks), lam, mu, kappa)
     _gate(np.max(np.abs(mat - gj_embed(g))), linalg.EMBED_RTOL * max(1.0, scale),
@@ -126,7 +133,9 @@ class JacobiAlgebraElement:
         [ c   0  -a^t -p^t ]
         [ 0   0   0    0   ]
 
-    b and c are symmetric within ALG_SYM_RTOL; a is any finite n x n matrix.
+    b and c are symmetric within ALG_SYM_RTOL; a is any finite n x n matrix.  Also a
+    stack of elements, as ``sampling.rand_gj_algebra`` draws from a ``StackStream``, whose
+    :meth:`to_matrix` is the stack of the embedded matrices.
     """
 
     a: np.ndarray
@@ -138,16 +147,16 @@ class JacobiAlgebraElement:
 
     def __post_init__(self):
         blks = _sp_blocks(self.a, self.b, self.c, linalg.ALG_SYM_RTOL)
-        rows = _checked("rrk", blks[0].shape[0], (self.p, self.q, self.r))
+        rows = _checked("rrk", blks[0].shape[-1], (self.p, self.q, self.r))
         for name, value in zip(self.__dataclass_fields__, (*blks, *rows), strict=True):
             object.__setattr__(self, name, value)
 
     @property
     def n(self):
-        return self.a.shape[0]
+        return self.a.shape[-1]
 
     def to_matrix(self):
-        return _jacobi_matrix((self.a, self.b, self.c, -self.a.T), (self.p, self.q),
+        return _jacobi_matrix((self.a, self.b, self.c, -_mT(self.a)), (self.p, self.q),
                               (self.q, -self.p), self.r, 0.0)
 
     @classmethod
@@ -157,9 +166,10 @@ class JacobiAlgebraElement:
         Duplicated blocks (a vs -a^t, the two copies of p and q) are
         averaged, which makes this the orthogonal projection onto the
         algebra; the remaining residual must vanish up to PROJ_RTOL or
-        ProjectionResidual is raised.
+        ProjectionResidual is raised.  ``z`` must be one (2n + 2) x (2n + 2)
+        matrix, n >= 1, else BadShape.
         """
-        scale, z = _max_norm(np.asarray(z, dtype=float))
+        scale, z = _embedded(z)
         (a, b, c, d), (p, q), (q_col, minus_p_col), r = _jacobi_parts(z)
         elem = _trusted(cls, 0.5 * (a - d.T), symmetrize(b), symmetrize(c),
                         0.5 * (p - minus_p_col), 0.5 * (q + q_col), float(r))
@@ -269,8 +279,12 @@ def _point(space, point, *tangents):
     passes its check and its rows and the tangents ``linalg._checked``: the one point check."""
     check, rows, kind = _SPACES[space]
     layout = linalg._KINDS[kind][0]
-    if len(point) != len(layout):
-        raise BadShape(f"a {space} point has {len(layout)} parts, got {len(point)}")
+    try:
+        parts = len(point)
+    except TypeError:
+        parts = f"an object of type {type(point).__name__}"
+    if parts != len(layout):
+        raise BadShape(f"a {space} point has {len(layout)} parts, got {parts}")
     width = layout.count("m")
     *matrix, eig = check(*point[:width])
     n = matrix[0].shape[-1]
@@ -353,6 +367,11 @@ class SnChart:
     (x, y, X, Y) are the modified pre-Iwasawa factors of the symplectic
     part and (p, q) = (lambda, mu) M^{-1}.  For n = 1 the pair (X, Y) is
     (cos theta, sin theta) of the classical S-coordinates.
+
+    The chart keeps the square-root frame of y (``linalg._root_frame``: the eigenpairs of
+    y with s = y^{1/2} and s^{-1}), from the ``eigh`` that its entry check makes, or, in
+    :func:`sn_chart`, from the ``eigh`` of y^{-1}; it is no constructor argument and no part
+    of ``repr`` or ``==``.  Every S_n kernel reads s and s^{-1} from it.
     """
 
     x: np.ndarray
@@ -362,11 +381,13 @@ class SnChart:
     p: np.ndarray
     q: np.ndarray
     kappa: float
+    _frame: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        x, y, xu, yu = _chart(self.x, self.y, self.X, self.Y)[0]
+        (x, y, xu, yu), eig = _chart(self.x, self.y, self.X, self.Y)
         rows = _checked("rrk", x.shape[-1], (self.p, self.q, self.kappa))
-        for name, value in zip(self.__dataclass_fields__, (x, y, xu, yu, *rows), strict=True):
+        for name, value in zip(self.__dataclass_fields__,
+                               (x, y, xu, yu, *rows, _root_frame(eig)), strict=True):
             object.__setattr__(self, name, value)
 
     @property
@@ -386,17 +407,17 @@ def sn_chart_identity(n):
 
 
 def sn_chart(g):
-    x, y, _, xu, yu = _pre_iwasawa(g.M)
+    """The S_n chart of ``g``; y = A^{-1} of the pre-Iwasawa factors, so the eigenpairs (w, U)
+    of A give the frame: U, r = w^{-1/2} and s = y^{1/2} the factors' own root."""
+    x, y, root, xu, yu, (w, u) = _pre_iwasawa(g.M)
     p, q = pq_from_lm(g.lam, g.mu, g.M)
-    return _trusted(SnChart, x, y, xu, yu, p, q, g.kappa)
+    frame = (w[..., None, :] ** -0.5, u, root, _spd_powers((w, u), 0.5)[0])
+    return _trusted(SnChart, x, y, xu, yu, p, q, g.kappa, frame)
 
 
 def sn_chart_inverse(chart):
-    return _sn_chart_inverse(chart, *_spd_powers(np.linalg.eigh(symmetrize(chart.y)), 0.5, -0.5))
-
-
-def _sn_chart_inverse(chart, s, si):
-    """:func:`sn_chart_inverse` from s = y^{1/2} and s^{-1} of the chart's y."""
+    """The Jacobi element of an S_n chart, from s = y^{1/2} and s^{-1} of its frame."""
+    _, _, s, si = chart._frame
     m = _compose(chart.x, s, si, chart.X, chart.Y)
     lam, mu = lm_from_pq(chart.p, chart.q, m)
     return _trusted(JacobiElement, m, lam, mu, chart.kappa)

@@ -9,8 +9,9 @@ and a numpy-only matrix exponential for sampling group elements.
 The derivative of the square root has two independent routes: the
 public :func:`dsqrtm` solves the Sylvester equation by the dense
 Kronecker linearization of the paper's appendix, while the S_n-chart
-frame :func:`_sqrt_frame` divides in the eigenbasis of its one ``eigh``
-(the Daleckii-Krein form), with no n^2 x n^2 system.
+frame :func:`_sqrt_frame` divides in the eigenbasis of a :func:`_root_frame`
+that the chart keeps from the ``eigh`` its check already made (the
+Daleckii-Krein form), with no n^2 x n^2 system and no further ``eigh``.
 
 Conventions fixed here and relied on everywhere else:
 
@@ -374,16 +375,23 @@ def dsqrtm(a, da):
     return symmetrize(sylvester_solve(s, s, check_symmetric(da)))
 
 
-def _sqrt_frame(y, dy):
-    """(s, s^{-1}, ds) for a validated SPD y and symmetric dy (or stacks of them), all
-    from one ``eigh`` y = U diag(w) U^t: s = y^{1/2}, and ds, the derivative of s along dy, in the
-    Daleckii-Krein form ds = U [(U^t dy U)_ij / (w_i^{1/2} + w_j^{1/2})] U^t
-    (Higham, Functions of Matrices, SIAM 2008).  ds solves s ds + ds s = dy; its
-    residual is gated by SYLVESTER_RTOL as in :func:`sylvester_solve`."""
-    w, u = np.linalg.eigh(symmetrize(y))
-    w = w[..., None, :]
-    r = w ** 0.5
-    s, si = (symmetrize((u * p) @ _mT(u)) for p in (r, 1.0 / r))
+def _root_frame(eig):
+    """The square-root frame ``(r, U, s, s^{-1})`` of an SPD y (or a stack) from its eigenpairs
+    (w, U), y = U diag(w) U^t: r = w^{1/2} as a row (..., 1, n), so s = y^{1/2} =
+    U diag(r) U^t.  :func:`_sqrt_frame` differentiates s in it; an ``SnChart`` keeps the frame
+    of its y, made from the ``eigh`` of its entry check or of its construction."""
+    w, u = eig
+    r = w[..., None, :] ** 0.5
+    return (r, u, *(symmetrize((u * p) @ _mT(u)) for p in (r, 1.0 / r)))
+
+
+def _sqrt_frame(frame, dy):
+    """(s, s^{-1}, ds) from the :func:`_root_frame` of a validated SPD y and a symmetric dy
+    (or stacks of them), with no further factorization: ds, the derivative of s along dy, in
+    the Daleckii-Krein form ds = U [(U^t dy U)_ij / (r_i + r_j)] U^t (Higham, Functions of
+    Matrices, SIAM 2008), whatever the order of the eigenpairs.  ds solves s ds + ds s = dy;
+    its residual is gated by SYLVESTER_RTOL as in :func:`sylvester_solve`."""
+    r, u, s, si = frame
     ds = symmetrize(u @ ((_mT(u) @ dy @ u) / (_mT(r) + r)) @ _mT(u))
     sds = s @ ds  # ds s = (s ds)^t, as both are symmetric
     _gate(_fro(sds + _mT(sds) - dy), SYLVESTER_RTOL * np.maximum(1.0, _fro(dy)),

@@ -38,7 +38,7 @@ from .exceptions import BadShape
 from .heisenberg import _omega
 from .jacobi import _act_extended, _act_pq, _act_vu, _from_pq, _point, _pq_of, _push_kappa
 from .jacobi import _push_pq, _push_vu, _tangent_from_pq, _tangent_to_pq, gj_compose
-from .jacobi import SnChart, _sn_chart_inverse, gj_embed, sn_chart, sn_chart_inverse
+from .jacobi import SnChart, gj_embed, sn_chart, sn_chart_inverse
 from . import linalg
 from .linalg import _check_lead, _checked, _col, _from_col, _modulus, _mT
 from .forms import _d_sn_chart, _d_sn_chart_inverse, _embed_tangent, oneforms_sn
@@ -386,8 +386,7 @@ def _draw_group(rng, n):
 
     def push(c, image, t):
         # left translation is linear in the embedding: dE(g h) = E(g) dE(h)
-        dh, (s, si) = _d_sn_chart_inverse(c, t)
-        h = _sn_chart_inverse(c, s, si)
+        dh, h = _d_sn_chart_inverse(c, t), sn_chart_inverse(c)
         blks, _, (dq, minus_dp), dk = _jacobi_parts(embed_g @ _embed_tangent(h, dh))
         # copies of the rows: views would keep the whole embedded product alive
         return _d_sn_chart(gj_compose(g, h), (*blks, -minus_dp, dq.copy(), dk.copy()))
@@ -490,8 +489,14 @@ _INVARIANCE_SPECS = {
 }
 INVARIANCE_OBJECTS = tuple(_INVARIANCE_SPECS)
 
-# samples evaluated as one stack; a longer run takes several, which bounds its memory
-_CHUNK = 1024
+# stream words of the samples evaluated as one stack (see _stack_len); a longer run takes
+# several stacks, which bounds its memory: 4096 samples at n = 1, 135 at n = 10
+_STACK_WORDS = 2 ** 18
+
+
+def _stack_len(n):
+    """Samples per stack at degree n: _STACK_WORDS over a sample's stream window, in [1, 16384]."""
+    return min(max(_STACK_WORDS // smp.window_words(n), 1), 16384)
 
 
 def _check_int(name, value, low):
@@ -509,7 +514,8 @@ def _checked_spec(obj, n, seed):
 
 
 def _stack(*trees):
-    """Trees of one structure (tuples, SnCharts, arrays, scalars) as one, leaves stacked."""
+    """Trees of one structure (tuples, SnCharts with their frames, arrays, scalars) as one,
+    leaves stacked."""
     if isinstance(trees[0], SnChart):
         fields = (tuple(getattr(t, f) for f in SnChart.__dataclass_fields__) for t in trees)
         return linalg._trusted(SnChart, *_stack(*fields))
@@ -536,10 +542,11 @@ def _evaluate(spec, n, seed, start, stop):
 
 
 def _errors(spec, n, samples, seed):
-    """Absolute and relative errors of samples 0 .. samples - 1, in stacks of _CHUNK."""
+    """Absolute and relative errors of samples 0 .. samples - 1, in stacks of _stack_len(n)."""
     abs_errs, rel_errs = [], []
-    for start in range(0, samples, _CHUNK):
-        *_, orig, pulled, scale = _evaluate(spec, n, seed, start, min(start + _CHUNK, samples))
+    step = _stack_len(n)
+    for start in range(0, samples, step):
+        *_, orig, pulled, scale = _evaluate(spec, n, seed, start, min(start + step, samples))
         abs_errs.append(_modulus(pulled - orig))
         rel_errs.append(abs_errs[-1] / np.maximum(scale, 1e-12))
     return np.concatenate(abs_errs), np.concatenate(rel_errs)
@@ -567,9 +574,10 @@ def invariance_report(obj, n, samples=1000, seed=0, tol=None):
     tangents; the run passes when the largest relative error is at most
     ``tol`` (default INVARIANCE_RTOL).  Sample i draws from its own window
     of one Philox stream keyed by ``seed``, so it depends on ``(seed, i)``
-    alone, and is evaluated in a stack of up to ``_CHUNK``; ``worst_sample``
-    is the first of the largest relative error (see :func:`replay`).  Before any sample: ``n`` and ``samples`` must be
-    ints >= 1, ``seed`` an int >= 0, ``tol`` finite and >= 0.
+    alone, and is evaluated in a stack of up to ``_stack_len(n)`` samples;
+    ``worst_sample`` is the first of the largest relative error (see
+    :func:`replay`).  Before any sample: ``n`` and ``samples`` must be ints
+    >= 1, ``seed`` an int >= 0, ``tol`` finite and >= 0.
     """
     spec = _checked_spec(obj, n, seed)
     _check_int("samples", samples, 1)

@@ -112,7 +112,8 @@ def rand_jacobi(rng, n, scale=None):
 
 
 def rand_gj_algebra(rng, n, scale=None):
-    """:func:`rand_sp_algebra`'s (a, b, c), then p, q and r scaled alike."""
+    """:func:`rand_sp_algebra`'s (a, b, c), then p, q and r scaled alike: one element, or
+    from a ``StackStream`` a stack of them."""
     if scale is None:
         scale = 1.0 / (2 * n)
     s = rand_sp_algebra(rng, n, scale)

@@ -404,13 +404,15 @@ def _chart(x, y, xu, yu):
 
 
 def _pre_iwasawa(m):
-    """(x, y, y^{1/2}, X, Y) of a validated symplectic matrix (or stack), with the modified
-    y = (d d^t + c c^t)^{-1} and its root from one ``eigh``; x is symmetric
-    for symplectic input (a theorem) and is symmetrized to clean up roundoff."""
+    """(x, y, y^{1/2}, X, Y, (w, U)) of a validated symplectic matrix (or stack), with the
+    modified y = A^{-1}, A = d d^t + c c^t, and its root from the one ``eigh`` of A, whose
+    eigenpairs (w, U) come last; x is symmetric for symplectic input (a theorem) and is
+    symmetrized to clean up roundoff."""
     a, b, c, d = blocks(m)
-    y, root = _spd_powers(np.linalg.eigh(symmetrize(d @ _mT(d) + c @ _mT(c))), -1.0, -0.5)
+    eig = np.linalg.eigh(symmetrize(d @ _mT(d) + c @ _mT(c)))
+    y, root = _spd_powers(eig, -1.0, -0.5)
     x = symmetrize(y @ (d @ _mT(b) + c @ _mT(a)))
-    return x, y, root, root @ d, -(root @ c)
+    return x, y, root, root @ d, -(root @ c), eig
 
 
 def pre_iwasawa(m):
@@ -420,14 +422,14 @@ def pre_iwasawa(m):
     ``y = (d d^t + c c^t)^{-1/2}``, ``X - iY = y (d + i c)`` and
     ``x = (d d^t + c c^t)^{-1} (d b^t + c a^t)``.  All factors are unique.
     """
-    x, _, root, xu, yu = _pre_iwasawa(check_symplectic(m))
+    x, _, root, xu, yu, _ = _pre_iwasawa(check_symplectic(m))
     return _trusted(PreIwasawaFactors, x, root, xu, yu, "plain")
 
 
 def modified_pre_iwasawa(m):
     """Modified pre-Iwasawa factors: ``y = (d d^t + c c^t)^{-1}``,
     ``X - iY = y^{1/2} (d + i c)``, ``x = y (d b^t + c a^t)``."""
-    x, y, _, xu, yu = _pre_iwasawa(check_symplectic(m))
+    x, y, _, xu, yu, _ = _pre_iwasawa(check_symplectic(m))
     return _trusted(PreIwasawaFactors, x, y, xu, yu, "modified")
 
 

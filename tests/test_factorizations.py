@@ -3,10 +3,13 @@
 Each call below factors a matrix input at most once: an entry check that decomposes an
 SPD (or, on the ball, Hermitian) matrix by its eigenvalues hands that ``eigh`` to the
 kernel.  Each point kind (SPD, Siegel, pre-Iwasawa chart, ball) has one check, which makes
-one ``eigh`` and no ``eigvalsh``, whether or not its caller factors the point.  The test
-counts the ``numpy.linalg`` decompositions one call makes at n = 3.
+one ``eigh`` and no ``eigvalsh``, whether or not its caller factors the point.  An S_n chart
+keeps the square-root frame of the ``eigh`` that made it, so a call at a chart factors
+nothing.  The test counts the ``numpy.linalg`` decompositions one call makes at n = 3.
 """
 
+import copy
+import inspect
 from collections import Counter
 
 import numpy as np
@@ -14,6 +17,7 @@ import pytest
 
 from jacobigeom import (
     KahlerParams,
+    MetricParams,
     PreIwasawaFactors,
     SnChart,
     act_modified_chart,
@@ -26,13 +30,19 @@ from jacobigeom import (
     m_point,
     maurer_cartan,
     metric_extended,
+    metric_group,
     metric_xjn,
     mobius_act,
+    oneforms_sn,
+    sn_chart,
+    sn_chart_inverse,
     sqrtm_spd,
 )
+from jacobigeom import metrics
+from jacobigeom.forms import d_sn_chart_inverse
 from jacobigeom import sampling as smp
 from jacobigeom.jacobi import CHARTS
-from jacobigeom.linalg import check_spd
+from jacobigeom.linalg import _root_frame, check_spd, symmetrize
 from jacobigeom.metrics import check_ball_point
 from jacobigeom.symplectic import check_siegel
 
@@ -46,7 +56,7 @@ def _calls(rng):
     a, da = smp.rand_spd(rng, N), smp.rand_sym(rng, N)
     x, y = smp.rand_sym(rng, N), smp.rand_spd(rng, N)
     m, chart = smp.rand_symplectic(rng, N), smp.rand_sn_chart(rng, N)
-    sn_t = smp.rand_sn_tangent(rng, chart)
+    sn_t, sn_t2 = smp.rand_sn_tangent(rng, chart), smp.rand_sn_tangent(rng, chart)
     pq, pq_t1, pq_t2 = (smp.rand_pq_point(rng, N), smp.rand_pq_tangent(rng, N),
                         smp.rand_pq_tangent(rng, N))
     vu, vu_t1, vu_t2 = (smp.rand_vu_point(rng, N), smp.rand_vu_tangent(rng, N),
@@ -63,7 +73,13 @@ def _calls(rng):
         ("act_modified_chart",
          lambda: act_modified_chart(m, (chart.x, chart.y, chart.X, chart.Y)),
          {"det": 1, "eigh": 2}),
-        ("maurer_cartan_sn", lambda: maurer_cartan(chart, sn_t, chart="sn"), one),
+        # at a chart: its frame, from its own construction, leaves nothing to factor
+        ("maurer_cartan_sn", lambda: maurer_cartan(chart, sn_t, chart="sn"), {}),
+        ("sn_chart_inverse", lambda: sn_chart_inverse(chart), {}),
+        ("oneforms_sn", lambda: oneforms_sn(chart, sn_t), {}),
+        ("d_sn_chart_inverse", lambda: d_sn_chart_inverse(chart, sn_t), {}),
+        ("metric_group", lambda: metric_group(MetricParams(), chart, sn_t, sn_t2), {}),
+        ("sn_chart", lambda: sn_chart(g), one),
         *((f"metric_xjn_{c}", lambda c=c: metric_xjn(1.0, 1.0, c, pq, pq_t1, pq_t2), one)
           for c in ("pq", "chipsi", "xirho")),
         ("metric_extended", lambda: metric_extended(
@@ -122,3 +138,42 @@ def test_each_call_reads_eigh_as_a_plain_pair(name):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(np.linalg, "eigh", lambda a: tuple(eigh(a)))
         call()
+
+
+def _fresh_frame(chart):
+    return _root_frame(np.linalg.eigh(symmetrize(chart.y)))
+
+
+@pytest.mark.parametrize("n", [1, 3, 10])
+def test_a_chart_keeps_the_frame_of_its_y(n):
+    rng = np.random.default_rng(50 + n)
+    made = smp.rand_sn_chart(rng, n)
+    # the constructor's frame is its check's eigh: a fresh one gives it bit for bit
+    built = SnChart(made.x, made.y, made.X, made.Y, made.p, made.q, made.kappa)
+    for mine, fresh in zip(built._frame, _fresh_frame(built), strict=True):
+        assert np.array_equal(mine, fresh)
+    # sn_chart's comes from the eigh of y^-1, eigenvalues in the other order: the same
+    # roots, the same s and s^-1, and eigenvectors up to order and sign, to roundoff
+    (r, u, s, si), (r0, u0, s0, si0) = made._frame, _fresh_frame(made)
+    assert np.allclose(np.sort(r, -1), r0, rtol=1e-13, atol=0)
+    assert np.allclose(np.abs(u0.T @ u[:, ::-1]), np.eye(n), rtol=0, atol=1e-8)
+    assert np.allclose((u * r**2) @ u.T, made.y, rtol=0, atol=1e-13)
+    for mine, fresh in ((s, s0), (si, si0)):
+        assert np.max(np.abs(mine - fresh)) <= 1e-13 * np.max(np.abs(fresh))
+
+
+def test_the_frame_survives_stacking_and_stays_out_of_sight():
+    rng = np.random.default_rng(61)
+    charts = [smp.rand_sn_chart(rng, 3) for _ in range(4)]
+    stacked = metrics._stack(*charts)
+    for i, chart in enumerate(charts):
+        for leaf, one in zip(stacked._frame, chart._frame, strict=True):
+            assert np.array_equal(leaf[i], one)
+    # no constructor argument, no part of repr or ==
+    chart = charts[0]
+    assert list(inspect.signature(SnChart).parameters) == ["x", "y", "X", "Y", "p", "q", "kappa"]
+    assert "_frame" not in repr(chart)
+    other = copy.copy(chart)  # the same field arrays, so == can compare them
+    object.__setattr__(other, "_frame", _fresh_frame(charts[1]))
+    assert other == chart
+    assert repr(other) == repr(chart)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from jacobigeom import metrics, sampling
-from jacobigeom.jacobi import _point
+from jacobigeom.jacobi import JacobiAlgebraElement, _point
 from jacobigeom.sampling import StackStream, window_words
 from jacobigeom.symplectic import check_symplectic
 
@@ -138,6 +138,27 @@ def test_generator_draws_keep_their_bits(monkeypatch, name, n):
         assert type(a) is type(b)
         assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), name
     assert now_rng.bit_generator.state == then_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("name", _SAMPLERS)
+def test_every_sampler_draws_a_stack(name):
+    # from a StackStream each sampler draws a stack (rand_gj_algebra's row check read the
+    # stack's length as n and refused it), and sample i of the stack is the draw of its window
+    n, k = 2, 3
+    stack = _leaves(_SAMPLERS[name](StackStream(5, n, 0, k), n))
+    for i in range(k):
+        alone = _leaves(_SAMPLERS[name](StackStream(5, n, i, i + 1), n))
+        assert len(alone) == len(stack)
+        for a, b in zip(stack, alone):
+            assert np.shape(a)[:1] == (k,) and np.array_equal(a[i], b[0]), name
+
+
+def test_a_stack_of_algebra_elements_embeds_sample_by_sample():
+    z = sampling.rand_gj_algebra(StackStream(5, 2, 0, 3), 2)
+    assert z.n == 2 and z.to_matrix().shape == (3, 6, 6)
+    for i in range(3):
+        one = JacobiAlgebraElement(z.a[i], z.b[i], z.c[i], z.p[i], z.q[i], z.r[i])
+        assert np.array_equal(z.to_matrix()[i], one.to_matrix())
 
 
 @pytest.mark.parametrize("n", range(1, 11))

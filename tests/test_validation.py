@@ -521,10 +521,19 @@ BAD_SHAPES = {
     # a matrix that is not even and square: 2 x 3 came back as an element with a 2 x 2 b
     "sp_algebra_from_matrix 2x3": lambda: SpAlgebraElement.from_matrix(np.zeros((2, 3))),
     "sp_algebra_from_matrix 3x3": lambda: SpAlgebraElement.from_matrix(np.eye(3)),
+    # nor (2n + 2) x (2n + 2) with n >= 1: numpy's broadcast ValueError, and at 2 x 2 a
+    # degree-0 element, refused by a projection residual or by numpy's ValueError
+    "algebra_from_matrix 5x5": lambda: JacobiAlgebraElement.from_matrix(np.zeros((5, 5))),
+    "algebra_from_matrix 3x3": lambda: JacobiAlgebraElement.from_matrix(np.zeros((3, 3))),
+    "algebra_from_matrix 2x2": lambda: JacobiAlgebraElement.from_matrix(np.eye(2)),
+    "gj_from_embedding 2x2": lambda: gj_from_embedding(np.eye(2)),
     # a point of the wrong number of parts, which argument unpacking refused with TypeError
     # or ValueError, or whose extra part was never read
     "act_xjn point of 3 parts": lambda: act_xjn(gj_identity(2), (1j * _Y, _ROWS[0], _ROWS[0])),
     "act_pq point of 5 parts": lambda: act_pq(gj_identity(2), (_X, _Y) + _ROWS + (0.5,)),
+    # a point that is no sequence, whose len() raised TypeError
+    **{f"act_xjn point {point!r}": (lambda p=point: act_xjn(gj_identity(1), p))
+       for point in (5, None, 3.0)},
     "chart_convert pq point of 3 parts": lambda: chart_convert((_X, _Y, _ROWS[0]), "pq", "vu"),
     "ball_act point of 1 part": lambda: ball_act((_BALL_PQ, np.zeros(2)), (_X,)),
     "fvf xjn_pq point of 5 parts": lambda: fvf(_Z, (_X, _Y) + _ROWS + (0.5,), "xjn_pq"),
