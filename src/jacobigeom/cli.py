@@ -90,21 +90,16 @@ def _emit(obj, stream):
 
 
 def _chart_from_json(node):
-    return SnChart(
-        _real(node["x"]), _real(node["y"]), _real(node["X"]), _real(node["Y"]),
-        _real(node["p"]), _real(node["q"]), _scalar(node, "kappa"),
-    )
+    return SnChart(*(_real(node[k]) for k in "x y X Y p q".split()), _scalar(node, "kappa"))
 
 
 def _sn_tangent_from_json(node):
-    return (_real(node["dx"]), _real(node["dy"]), _real(node["dX"]),
-            _real(node["dY"]), _real(node["dp"]), _real(node["dq"]),
+    return (*(_real(node[k]) for k in ("dx", "dy", "dX", "dY", "dp", "dq")),
             _scalar(node, "dkappa"))
 
 
 def _element_from_json(node):
-    return JacobiElement(_real(node["m"]), _real(node["lam"]),
-                         _real(node["mu"]), _scalar(node, "kappa"))
+    return JacobiElement(*(_real(node[k]) for k in ("m", "lam", "mu")), _scalar(node, "kappa"))
 
 
 def cmd_check(args, payload, out):
@@ -123,14 +118,8 @@ def cmd_decompose(args, payload, out):
     mat = _real(payload["matrix"])
     factors = pre_iwasawa(mat) if args.variant == "plain" else modified_pre_iwasawa(mat)
     residual = float(np.max(np.abs(pre_iwasawa_compose(factors) - mat)))
-    _emit({
-        "variant": factors.variant,
-        "x": _encode(factors.x),
-        "y": _encode(factors.y),
-        "X": _encode(factors.X),
-        "Y": _encode(factors.Y),
-        "recomposition_residual": residual,
-    }, out)
+    _emit({"variant": factors.variant, "recomposition_residual": residual,
+           **{k: _encode(getattr(factors, k)) for k in "xyXY"}}, out)
     return 0
 
 
@@ -140,16 +129,11 @@ def cmd_act(args, payload, out):
     if args.space == "xjn":
         v1, u1 = act_xjn(g, (_complex(point["v"], "v"), _complex(point["u"], "u")))
         _emit({"v": _encode(v1), "u": _encode(u1)}, out)
-    elif args.space == "pq":
-        x1, y1, p1, q1 = act_pq(
-            g, (_real(point["x"]), _real(point["y"]), _real(point["p"]), _real(point["q"])))
-        _emit({"x": _encode(x1), "y": _encode(y1), "p": _encode(p1), "q": _encode(q1)}, out)
-    else:
-        x1, y1, p1, q1, k1 = act_extended(
-            g, (_real(point["x"]), _real(point["y"]), _real(point["p"]),
-                _real(point["q"]), _scalar(point, "kappa")))
-        _emit({"x": _encode(x1), "y": _encode(y1), "p": _encode(p1),
-               "q": _encode(q1), "kappa": k1}, out)
+    else:  # pq, or extended with kappa last
+        pq = tuple(_real(point[k]) for k in "xypq")
+        image = act_pq(g, pq) if args.space == "pq" else act_extended(
+            g, (*pq, _scalar(point, "kappa")))
+        _emit({k: _encode(c) for k, c in zip(("x", "y", "p", "q", "kappa"), image)}, out)
     return 0
 
 
@@ -171,16 +155,13 @@ def cmd_metric(args, payload, out):
         value = metric_group(params, chart,
                              _sn_tangent_from_json(payload["t1"]),
                              _sn_tangent_from_json(payload["t2"]))
-    elif args.object in ("metric_xjn", "metric_extended"):
-        # metric_extended carries kappa / dkappa as a fifth, scalar component
+    else:  # metric_xjn or metric_extended, which carries kappa / dkappa as a fifth component
         point, t1, t2 = (tuple(_real(c, k) for c in payload[k]) for k in ("point", "t1", "t2"))
         alpha, gamma = _scalar(payload, "alpha"), _scalar(payload, "gamma")
         if args.object == "metric_xjn":
             value = metric_xjn(alpha, gamma, payload["chart"], point, t1, t2)
         else:
             value = metric_extended(alpha, gamma, _scalar(payload, "delta"), point, t1, t2)
-    else:
-        raise BadShape(f"unknown metric object {args.object!r}")
     _emit({"object": args.object, "value": float(value)}, out)
     return 0
 

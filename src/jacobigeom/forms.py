@@ -33,16 +33,15 @@ from .jacobi import (
     sn_chart_inverse,
 )
 from . import linalg
-from .linalg import _check_lead, _checked, _gate, _mT, _root_frame, _sqrt_frame, check_symmetric
-from .linalg import sym_residual, symmetrize
+from .linalg import _checked, _gate, _lift, _mT, _root_frame, _sqrt_frame, _tangent
+from .linalg import check_symmetric, sym_residual, symmetrize
 from .symplectic import _jacobi_matrix, blocks, from_blocks, j_matrix
 
 
-def _checked_sn_tangent(chart, tangent):
-    """``tangent`` at the S_n chart point ``chart``, dx and dy symmetrized, once ``linalg._checked``
-    and ``linalg._check_lead`` pass it; (dX, dY) is checked by the one-forms' F/G symmetry."""
-    dx, dy, *rest = _checked("sn", chart.n, tangent)
-    _check_lead(chart.x.shape[:-2], dx.shape[:-2])
+def _checked_sn_tangent(chart, tangent, pair=False):
+    """``tangent`` (``pair``: two) at the S_n chart ``chart`` by ``linalg._tangent``, dx and dy
+    symmetrized; (dX, dY) is checked by the one-forms' F/G symmetry."""
+    dx, dy, *rest = _tangent("sn", (chart.x.shape[:-2], chart.n), tangent, pair)
     return symmetrize(dx), symmetrize(dy), *rest
 
 
@@ -202,7 +201,12 @@ def oneforms_sn(chart, tangent):
     differential is part of the verified contract.  The tangent is checked
     as in :func:`_checked_sn_tangent`: a chart serves one tangent or a stack of them.
     """
-    dx, dy, dX, dY, dp, dq, dk = _checked_sn_tangent(chart, tangent)
+    return _oneforms_sn(chart, _checked_sn_tangent(chart, tangent))
+
+
+def _oneforms_sn(chart, tangent):
+    """:func:`oneforms_sn` on a tangent the library has validated or built."""
+    dx, dy, dX, dY, dp, dq, dk = tangent
     n = chart.n
     s, si, ds = _sqrt_frame(chart._frame, dy)
     z = np.concatenate((chart.X, chart.Y), -1)  # Z = [X Y]
@@ -326,11 +330,10 @@ FVF_SPACES = ("xjn_holo", "xjn_real_xirho", "xjn_pq", "extended_xirho", "extende
 
 def _holomorphic_fvf(z, v, u):
     """Action generator on (v, u):  dv = a v + v a^t + b - v c v,
-    du = p v + q - u c v + u a^t; BadShape unless v has the degree of z."""
-    if v.shape[-1] != z.n:
-        raise BadShape(f"degree mismatch: element {z.n} vs point {v.shape[-1]}")
-    dv = z.a @ v + v @ z.a.T + z.b - v @ z.c @ v
-    du = z.p @ v + z.q - u @ z.c @ v + u @ z.a.T
+    du = p v + q - u c v + u a^t."""
+    p, u = _lift(v.ndim > 2 or z.a.ndim > 2, z.p, u)
+    dv = z.a @ v + v @ _mT(z.a) + z.b - v @ z.c @ v
+    du = p @ v + z.q - u @ z.c @ v + u @ _mT(z.a)
     return dv, du
 
 
@@ -347,16 +350,17 @@ def fvf(z, point, space):
       dkappa = r + omega((p_z, q_z), (p', q')); on the non-extended space the
       center generator acts trivially (R* = 0).
 
-    The point passes ``jacobi._point`` in the space "vu", "xjn" or "extended", and its
-    degree is checked against z's by :func:`_holomorphic_fvf`.
+    The point passes ``jacobi._point`` in the space "vu", "xjn" or "extended", with z as
+    the acting element of its fit rule.
     """
     if space not in FVF_SPACES:
         raise ValueError(f"space must be one of {FVF_SPACES}")
+    by = (z.a.shape[:-2], z.n)
     if space == "xjn_holo":
-        return _holomorphic_fvf(z, *_point("vu", point)[0])
+        return _holomorphic_fvf(z, *_point("vu", point, by=by)[0])
 
     src = "xirho" if space.endswith("xirho") else "pq"
-    point, _ = _point(space.split("_")[0], point)
+    point, _ = _point(space.split("_")[0], point, by=by)
     x, y, p, q = _pq_of(point[:4], src)
     v = x + 1j * y
     if src == "xirho":

@@ -18,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import BadShape
-from .linalg import _checked, _dot, _row, _trusted
+from .linalg import _checked, _dot, _fit, _row, _trusted
 from .symplectic import _jacobi_matrix
 
 
@@ -53,8 +52,7 @@ def h_identity(n):
 
 
 def h_compose(g, gp):
-    if g.n != gp.n:
-        raise BadShape(f"degree mismatch: {g.n} vs {gp.n}")
+    _fit((g.lam.shape[:-2], g.n), (gp.lam.shape[:-2], gp.n))
     kappa = g.kappa + gp.kappa + _omega((g.lam, g.mu), (gp.lam, gp.mu))
     return _trusted(HeisenbergElement, g.lam + gp.lam, g.mu + gp.mu, kappa)
 
@@ -83,9 +81,10 @@ def h_oneforms(g, tangent):
 
     l^p = d lambda,  l^q = d mu,  l^r = d kappa - lambda d mu^t + mu d lambda^t.
     These are the coefficients of g^{-1} dg on the P/Q/R generators; the tangent is
-    checked as a ``linalg._checked`` kind "rrk".
+    checked as a ``linalg._checked`` kind "rrk" into whose stack shape g's broadcasts.
     """
     dlam, dmu, dkap = _checked("rrk", g.n, tangent)
+    _fit((g.lam.shape[:-2], g.n), (dlam.shape[:-2], g.n), into=True)
     return dlam.copy(), dmu.copy(), dkap - _omega((g.lam, g.mu), (dlam, dmu))
 
 

@@ -28,9 +28,9 @@ import numpy as np
 from .exceptions import BadShape, BasisClosureFailure, ProjectionResidual
 from .heisenberg import _omega
 from . import linalg
-from .linalg import _checked, _col, _from_col, _gate, _max_norm, _mT, _root_frame, _row
-from .linalg import _spd_powers, _trusted, symmetrize
-from .symplectic import _ball, _chart, _compose, _degree, _dmobius, _jacobi_matrix, _jacobi_parts
+from .linalg import _checked, _col, _fit, _from_col, _gate, _lift, _max_norm, _mT, _root_frame
+from .linalg import _row, _tangent, _trusted, symmetrize
+from .symplectic import _ball, _chart, _compose, _dmobius, _jacobi_matrix, _jacobi_parts
 from .symplectic import _mobius, _pre_iwasawa, _siegel, _sp_blocks, _sp_inverse, blocks
 from .symplectic import check_symplectic, from_blocks, sp_basis
 
@@ -60,9 +60,8 @@ def gj_identity(n):
 
 
 def gj_compose(g, gp):
-    if g.n != gp.n:
-        raise BadShape(f"degree mismatch: {g.n} vs {gp.n}")
-    lt, mt = lm_from_pq(g.lam, g.mu, gp.M)
+    _fit((g.M.shape[:-2], g.n), (gp.M.shape[:-2], gp.n))
+    lt, mt = lm_from_pq(*_lift(gp.M.ndim > 2, g.lam, g.mu), gp.M)
     kappa = g.kappa + gp.kappa + _omega((lt, mt), (gp.lam, gp.mu))
     return _trusted(JacobiElement, g.M @ gp.M, lt + gp.lam, mt + gp.mu, kappa)
 
@@ -229,6 +228,7 @@ def gj_bracket(z1, z2):
     Raises BasisClosureFailure if the commutator leaves the algebra span
     (which cannot happen for valid inputs).
     """
+    _fit((z1.a.shape[:-2], z1.n), (z2.a.shape[:-2], z2.n))
     comm = z1.to_matrix() @ z2.to_matrix() - z2.to_matrix() @ z1.to_matrix()
     try:
         return JacobiAlgebraElement.from_matrix(comm)
@@ -273,10 +273,12 @@ _SPACES = {
 }
 
 
-def _point(space, point, *tangents):
+def _point(space, point, *tangents, by=None, pair=False):
     """``(point, eig, *tangents)`` as arrays, ``eig`` the eigenpairs of the one ``eigh`` of the
     matrix part, once the point has a tangent's number of parts (BadShape), its matrix part
-    passes its check and its rows and the tangents ``linalg._checked``: the one point check."""
+    passes its check, its rows ``linalg._checked``, each tangent (``pair``: the two as one)
+    ``linalg._tangent``, and ``by``, an acting element's (stack shape, degree), ``linalg._fit``
+    with the point: the one point check."""
     check, rows, kind = _SPACES[space]
     layout = linalg._KINDS[kind][0]
     try:
@@ -287,20 +289,22 @@ def _point(space, point, *tangents):
         raise BadShape(f"a {space} point has {len(layout)} parts, got {parts}")
     width = layout.count("m")
     *matrix, eig = check(*point[:width])
-    n = matrix[0].shape[-1]
-    return ((*matrix, *_checked(rows, n, point[width:])), eig,
-            *(_checked(kind, n, t) for t in tangents))
+    at = (matrix[0].shape[:-2], matrix[0].shape[-1])
+    if by is not None:
+        _fit(by, at)
+    point = (*matrix, *_checked(rows, at[1], point[width:]))
+    return point, eig, *(_tangent(kind, at, t, pair) for t in ((tangents,) if pair else tangents))
 
 
 def act_xjn(g, point):
     """Action on (v, u): v Moebius-transformed, u -> (u + lambda v + mu)(c v + d)^{-1}."""
-    (v, u), _ = _point("vu", point)
-    return _act_vu(_degree(g.M, v), g.lam, g.mu, v, u)
+    (v, u), _ = _point("vu", point, by=(g.M.shape[:-2], g.n))
+    return _act_vu(g.M, g.lam, g.mu, v, u)
 
 
 def _act_vu(m, lam, mu, v, u):
     """:func:`act_xjn` of (m, lam, mu) at a validated (v, u), and so ``metrics.ball_act``."""
-    return _mobius(m, v, u + lam @ v + mu)
+    return _mobius(m, v, u + _lift(v.ndim > 2, lam)[0] @ v + mu)
 
 
 def act_pq(g, point):
@@ -308,25 +312,21 @@ def act_pq(g, point):
 
     (p1, q1) = (p, q)_g + (p', q') M^{-1}.
     """
-    point, _ = _point("xjn", point)
-    _degree(g.M, point[0])
-    return _act_pq(g, point)
+    return _act_pq(g, _point("xjn", point, by=(g.M.shape[:-2], g.n))[0])
 
 
 def _act_pq(g, point):
     """:func:`act_pq` at a pq-chart point the library has validated."""
-    x, y, p, q = point
+    x, y, *pq = point
     v1, _ = _mobius(g.M, x + 1j * y)
-    (gp, gq), (dp, dq) = pq_from_lm(g.lam, g.mu, g.M), pq_from_lm(p, q, g.M)
+    (gp, gq), (dp, dq) = pq_from_lm(g.lam, g.mu, g.M), pq_from_lm(*_lift(g.M.ndim > 2, *pq), g.M)
     return v1.real, v1.imag, gp + dp, gq + dq
 
 
 def act_extended(g, point):
     """Action on (x, y, p, q, kappa); kappa picks up omega((lambda, mu), (p', q')).
     The rows must be finite of length n and kappa finite."""
-    point, _ = _point("extended", point)
-    _degree(g.M, point[0])
-    return _act_extended(g, point)
+    return _act_extended(g, _point("extended", point, by=(g.M.shape[:-2], g.n))[0])
 
 
 def _act_extended(g, point):
@@ -407,11 +407,10 @@ def sn_chart_identity(n):
 
 
 def sn_chart(g):
-    """The S_n chart of ``g``; y = A^{-1} of the pre-Iwasawa factors, so the eigenpairs (w, U)
-    of A give the frame: U, r = w^{-1/2} and s = y^{1/2} the factors' own root."""
-    x, y, root, xu, yu, (w, u) = _pre_iwasawa(g.M)
+    """The S_n chart of ``g``, with the frame of its y = A^{-1} that ``symplectic._pre_iwasawa``
+    makes from the one ``eigh`` of A."""
+    x, y, _, xu, yu, frame = _pre_iwasawa(g.M)
     p, q = pq_from_lm(g.lam, g.mu, g.M)
-    frame = (w[..., None, :] ** -0.5, u, root, _spd_powers((w, u), 0.5)[0])
     return _trusted(SnChart, x, y, xu, yu, p, q, g.kappa, frame)
 
 
@@ -483,6 +482,7 @@ def _tangent_to_pq(pq, tangent, src):
     dx, dy, first, second = tangent
     if src == "xirho":
         x, y, p, _ = pq
+        (p,) = _lift(np.ndim(dy) > 2, p)
         dp = _from_col(np.linalg.solve(_mT(y), _col(second - p @ dy)))
         return dx, dy, dp, first - dp @ x - p @ dx
     return (dx, dy, second, first) if src == "chipsi" else tangent

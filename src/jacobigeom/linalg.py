@@ -31,7 +31,8 @@ Conventions fixed here and relied on everywhere else:
   the kernel: :func:`_spd`, ``symplectic._siegel`` and ``symplectic._ball``;
   each kind of tangent, row or kappa tuple goes through :func:`_checked` and
   its table; a whole point of the Siegel-Jacobi space, of its extension or of
-  the ball goes with its tangents through ``jacobi._point`` and its table.
+  the ball goes with its tangents through ``jacobi._point`` and its table; one
+  rule, :func:`_fit`, says if an element, a point and tangents go together.
 """
 
 import numpy as np
@@ -94,6 +95,12 @@ def _row(v, dtype=float):
     return v if v.ndim > 2 else v.ravel()
 
 
+def _lift(stacked, *rows):
+    """``rows`` (:func:`_row`), a 1-d one as a stack of one, (1, 1, n), if ``stacked``: its
+    product with a stack of matrices is then a stack of rows (..., 1, n), as ``_row`` keeps it."""
+    return tuple(r[None, None] if r.ndim == 1 else r for r in rows) if stacked else rows
+
+
 def _dot(r, s):
     """r s^t of two rows: a scalar, or shape (...) for stacks of rows (..., 1, n); a row
     pairs with each row of a stack, and stacks broadcast against each other."""
@@ -102,15 +109,38 @@ def _dot(r, s):
     return (s @ r)[..., 0] if r.ndim == 1 else (r @ _mT(s))[..., 0, 0]
 
 
-def _check_lead(lead, tangent_lead):
-    """BadShape unless ``lead``, a point's stack shape, broadcasts into ``tangent_lead``,
-    its tangents': one point serves a stack of tangents, a stack of points needs them alike."""
+def _fit(a, b, into=False):
+    """BadShape unless ``a`` and ``b``, each the (stack shape, degree) of an element, a point or
+    a tangent, have one degree and stack shapes that broadcast, both ways or, ``into`` (a point
+    and its tangents), a's into b's: the one fit rule.  Equal or empty shapes skip numpy."""
+    (lead, n), (other, m) = a, b
+    if n != m:
+        raise BadShape(f"degree mismatch: {n} vs {m}")
+    if lead == other or not lead or not (other or into):
+        return
     try:
-        if not lead or np.broadcast_shapes(lead, tangent_lead) == tangent_lead:
+        if np.broadcast_shapes(lead, other) == other or not into:
             return
     except ValueError:
         pass
-    raise BadShape(f"a point stack {lead} does not broadcast over tangents stacked {tangent_lead}")
+    where = f"over tangents stacked {other}" if into else f"against a stack {other}"
+    raise BadShape(f"a {'point stack' if into else 'stack'} {lead} does not broadcast {where}")
+
+
+def _tangent(kind, at, tangent, pair=False):
+    """``tangent`` of ``kind`` at a point of (stack shape, degree) ``at``, once :func:`_checked`
+    and :func:`_fit` pass it; with ``pair`` the two tangents ``tangent`` of one shape (else
+    BadShape), stacked on a new leading axis, no stack axis, for one frame call."""
+    if pair:
+        lift = not np.shape(tangent[0][0])[:-2]  # a row (n,) as (2, 1, n)
+        try:
+            tangent = tuple(np.array(c)[:, None] if lift and np.ndim(c[0]) == 1 else np.array(c)
+                            for c in zip(*tangent, strict=True))
+        except ValueError as exc:
+            raise BadShape(f"t1 and t2 must have one shape: {exc}") from exc
+    tangent = _checked(kind, at[1], tangent)
+    _fit(at, (tangent[0].shape[int(pair):-2], at[1]), into=True)
+    return tangent
 
 
 def _col(r):

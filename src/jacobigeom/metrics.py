@@ -40,8 +40,9 @@ from .jacobi import _act_extended, _act_pq, _act_vu, _from_pq, _point, _pq_of, _
 from .jacobi import _push_pq, _push_vu, _tangent_from_pq, _tangent_to_pq, gj_compose
 from .jacobi import SnChart, gj_embed, sn_chart, sn_chart_inverse
 from . import linalg
-from .linalg import _check_lead, _checked, _col, _from_col, _modulus, _mT
-from .forms import _d_sn_chart, _d_sn_chart_inverse, _embed_tangent, oneforms_sn
+from .linalg import _checked, _col, _from_col, _modulus, _mT
+from .forms import _checked_sn_tangent, _d_sn_chart, _d_sn_chart_inverse, _embed_tangent
+from .forms import _oneforms_sn
 from .symplectic import _ball, _jacobi_parts, _mobius, blocks, check_symplectic, from_blocks
 
 
@@ -91,21 +92,9 @@ def _hermitian(f1, f2):
     return -_gram(f1, f2.conj()).imag
 
 
-def _pair(lead, t1, t2):
-    """t1 and t2 stacked on a new leading axis (a row (n,) as (2, 1, n)) for one frame call;
-    BadShape unless they have one shape, into whose stack shape ``lead`` broadcasts."""
-    tangent_lead = np.shape(t1[0])[:-2]
-    _check_lead(lead, tangent_lead)
-    try:
-        return tuple(np.array(c)[:, None] if not tangent_lead and np.ndim(c[0]) == 1
-                     else np.array(c) for c in zip(t1, t2, strict=True))
-    except ValueError as exc:
-        raise BadShape(f"t1 and t2 must have one shape: {exc}") from exc
-
-
 def _sn_frame(params, chart, t):
     """:func:`metric_group`'s frame: the weighted families l1 .. l6 of one ``oneforms_sn``."""
-    f = oneforms_sn(chart, t)
+    f = _oneforms_sn(chart, t)
     a, b, c, d = np.sqrt((params.alpha, params.beta, params.gamma, params.delta))
     return _flat(a * (f.F + f.G), a * f.H, b * (f.F - f.G), c * f.P, c * f.Q,
                  d * f.R[..., None, None])
@@ -114,9 +103,9 @@ def _sn_frame(params, chart, t):
 def metric_group(params, chart, t1, t2):
     """g(t1, t2) = alpha (<F1 + G1, F2 + G2> + <H1, H2>) + beta <F1 - G1, F2 - G2>
     + gamma (P1 P2^t + Q1 Q2^t) + delta R1 R2 with <A, B> = tr(A B^t): the Gram form of the
-    frame l1 .. l6, from one ``oneforms_sn`` call on t1 and t2 stacked (the one-forms are
-    linear in the tangent), which checks the tangents and the stack shapes."""
-    return _gram(*_sn_frame(params, chart, _pair(chart.x.shape[:-2], t1, t2)))
+    frame l1 .. l6, from one ``oneforms_sn`` evaluation on t1 and t2 stacked (the one-forms are
+    linear in the tangent), checked as one pair (``forms._checked_sn_tangent``)."""
+    return _gram(*_sn_frame(params, chart, _checked_sn_tangent(chart, (t1, t2), pair=True)))
 
 
 XJN_CHARTS = ("pq", "chipsi", "xirho")
@@ -173,12 +162,12 @@ def metric_xjn(alpha, gamma, chart, point, t1, t2):
 
     All three agree under the chart conversions; each is the Gram form of
     :func:`_xjn_frame` on t1 and t2 stacked.  The weights must be finite and >= 0 (else
-    ValueError); the point and t1, t2 stacked (``_pair``) pass ``jacobi._point``, whose
+    ValueError); the point and t1, t2 as one pair pass ``jacobi._point``, whose
     eigenpairs of y give the factor (:func:`_factor`).
     """
     if chart not in XJN_CHARTS:
         raise ValueError(f"chart must be one of {XJN_CHARTS}")
-    point, eig, t = _point("xjn", point, _pair(np.shape(point[0])[:-2], t1, t2))
+    point, eig, t = _point("xjn", point, t1, t2, pair=True)
     return _gram(*_xjn_frame(_roots(alpha, gamma), chart, point, _factor(eig), t))
 
 
@@ -205,7 +194,7 @@ def metric_extended(alpha, gamma, delta, point, t1, t2):
     """Three-parameter metric on the extended space: the pq metric plus
     delta * lambda_R (x) lambda_R, the Gram form of :func:`_extended_frame`.  Point and
     tangents carry kappa last and are checked as in :func:`metric_xjn`."""
-    point, eig, t = _point("extended", point, _pair(np.shape(point[0])[:-2], t1, t2))
+    point, eig, t = _point("extended", point, t1, t2, pair=True)
     return _gram(*_extended_frame(_roots(alpha, gamma, delta), point, _factor(eig), t))
 
 
@@ -277,10 +266,10 @@ def kahler_ball(kparams, w, z, t1, t2):
 
     -i omega = (k/2) tr(B wedge Bbar) + nu tr(A^t Mbar wedge Abar) with
     M = (I - W Wbar)^{-1}, B = M dW, A = dz^t + dW etabar and eta the FC image
-    of z; real, from :func:`_ball_frame`.  The point and t1, t2 stacked (``_pair``) pass
+    of z; real, from :func:`_ball_frame`.  The point and t1, t2 as one pair pass
     ``jacobi._point``, whose eigenpairs give the factor.
     """
-    (w, z), eig, t = _point("ball", (w, z), _pair(np.shape(w)[:-2], t1, t2))
+    (w, z), eig, t = _point("ball", (w, z), t1, t2, pair=True)
     return _hermitian(*_ball_frame(kparams, w, z, _factor(eig), t))
 
 
@@ -302,7 +291,7 @@ def kahler_xjn(kparams, v, u, t1, t2):
     with D = (vbar - v)^{-1} and H = D dv; real, from :func:`_vu_frame`.  The point and
     the tangents are checked as in :func:`kahler_ball`.
     """
-    (v, u), eig, t = _point("vu", (v, u), _pair(np.shape(v)[:-2], t1, t2))
+    (v, u), eig, t = _point("vu", (v, u), t1, t2, pair=True)
     return _hermitian(*_vu_frame(kparams, v, u, _factor(eig), t))
 
 
@@ -341,15 +330,15 @@ def ball_act(element, point):
     z1^t = (W Q^dag + P^dag)^{-1} (z^t + alpha^t - W alphabar^t),
 
     the kernel ``jacobi._act_vu`` of :func:`jacobi.act_xjn` for M = :func:`_ball_matrix` and
-    (lambda, mu) = (-alphabar, alpha).  The point passes ``jacobi._point``; P and Q must be
-    n x n and alpha a finite row of length n.  Element and point may be stacks.
+    (lambda, mu) = (-alphabar, alpha).  P and Q must be square of one shape, the point pass
+    ``jacobi._point`` (P acting) and alpha be a finite row of length n; stacks broadcast.
     """
     (p, q), alpha = element
-    (w, z), _ = _point("ball", point)
-    n = w.shape[-1]
-    if np.shape(p)[-2:] != (n, n) or np.shape(q) != np.shape(p):
-        raise BadShape(f"P and Q must be {n}x{n}, got {np.shape(p)} and {np.shape(q)}")
-    (alpha,) = _checked("u", n, (alpha,))
+    shape = np.shape(p)
+    if len(shape) < 2 or shape[-1] != shape[-2] or np.shape(q) != shape:
+        raise BadShape(f"P and Q must be square of one shape, got {shape} and {np.shape(q)}")
+    (w, z), _ = _point("ball", point, by=(shape[:-2], shape[-1]))
+    (alpha,) = _checked("u", w.shape[-1], (alpha,))
     return _act_vu(_ball_matrix(p, q), -alpha.conj(), alpha, w, z)
 
 

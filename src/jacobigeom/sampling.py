@@ -30,16 +30,14 @@ def window_words(n):
 class StackStream:
     """The draws of samples ``start .. stop - 1`` at degree n from one Philox stream keyed
     by ``SeedSequence(seed)``: sample i reads words i W .. (i + 1) W - 1 with
-    W = window_words(n), so word j of sample i depends on (seed, i, j) alone.  Uniforms are
-    ``Generator.random``'s ``(word >> 11) 2^-53``; a draw past W raises."""
+    W = window_words(n), so word j of sample i depends on (seed, i, j) alone.  The uniforms
+    are ``Generator.random``'s, one per word; a draw past W raises."""
 
     def __init__(self, seed, n, start, stop):
         words = window_words(n)
         bits = np.random.Philox(seed)  # keyed by SeedSequence(seed).generate_state(2, uint64)
         bits.advance(start * words // 4)
-        raw = bits.random_raw((stop - start) * words)
-        raw >>= np.uint64(11)
-        self._u = (raw * 2.0 ** -53).reshape(stop - start, words)
+        self._u = np.random.Generator(bits).random((stop - start, words))
         self._at = 0
 
     def random(self, size=None):

@@ -16,15 +16,15 @@ The modified variant is the one that matches the fractional-linear
 ``M M'`` equals the Moebius image of ``x' + i y'`` under M.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .exceptions import BadShape, ContractionViolation, NotSymplectic, NotUnitaryPair
 from .exceptions import SingularDenominator
 from . import linalg
-from .linalg import _checked, _col, _from_col, _gate, _max_norm, _mT, _spd, _spd_powers, _trusted
-from .linalg import check_symmetric, sym_residual, symmetrize
+from .linalg import _checked, _col, _fit, _from_col, _gate, _max_norm, _mT, _root_frame, _spd
+from .linalg import _spd_powers, _trusted, check_symmetric, sym_residual, symmetrize
 
 
 def j_matrix(n):
@@ -300,13 +300,6 @@ def _ball(w):
     return w, (e, u)
 
 
-def _degree(m, v):
-    """``m`` once the n x n matrix ``v`` has the degree n of the 2n x 2n ``m``, else BadShape."""
-    if 2 * v.shape[-1] != m.shape[-1]:
-        raise BadShape(f"degree mismatch: element {m.shape[-1] // 2} vs point {v.shape[-1]}")
-    return m
-
-
 def mobius_act(m, v):
     """Fractional-linear action  v -> (a v + b)(c v + d)^{-1}  on the Siegel space.
 
@@ -316,8 +309,9 @@ def mobius_act(m, v):
     denominator therefore raises SingularDenominator to flag an
     input-contract violation.
     """
-    v = check_siegel(v)
-    return _mobius(_degree(check_symplectic(m), v), v)[0]
+    v, m = check_siegel(v), check_symplectic(m)
+    _fit((m.shape[:-2], m.shape[-1] // 2), (v.shape[:-2], v.shape[-1]))
+    return _mobius(m, v)[0]
 
 
 def _mobius(m, v, u=None):
@@ -372,7 +366,8 @@ class PreIwasawaFactors:
     """Factors (x, y, X, Y) of a pre-Iwasawa decomposition.
 
     ``variant`` is "plain" or "modified"; the two are related by
-    ``y_modified = y_plain^2`` with identical x and (X, Y).
+    ``y_modified = y_plain^2`` with identical x and (X, Y).  They keep the frame of the
+    modified y from the ``eigh`` they were made with, as ``jacobi.SnChart`` keeps its y's.
     """
 
     x: np.ndarray
@@ -380,11 +375,14 @@ class PreIwasawaFactors:
     X: np.ndarray
     Y: np.ndarray
     variant: str
+    _frame: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.variant not in ("plain", "modified"):
             raise ValueError(f"unknown variant {self.variant!r}")
-        for name, value in zip("xyXY", _chart(self.x, self.y, self.X, self.Y)[0]):
+        (x, y, xu, yu), (w, u) = _chart(self.x, self.y, self.X, self.Y)
+        frame = _root_frame((w * w if self.variant == "plain" else w, u))
+        for name, value in zip(self.__dataclass_fields__, (x, y, xu, yu, self.variant, frame)):
             object.__setattr__(self, name, value)
 
     @property
@@ -394,25 +392,24 @@ class PreIwasawaFactors:
 
 def _chart(x, y, xu, yu):
     """``(x, y, X, Y)`` as float arrays and y's eigenpairs, once x + iy passes
-    :func:`_siegel`, (X, Y) :func:`check_unitary_pair` and (X, Y) has the degree of x: the
-    one check of a pre-Iwasawa chart point."""
+    :func:`_siegel`, (X, Y) :func:`check_unitary_pair` and x and X ``linalg._fit``: the one
+    check of a pre-Iwasawa chart point."""
     x, y, eig = _siegel(x, y)
     xu, yu = check_unitary_pair(xu, yu)
-    if xu.shape[-1] != x.shape[-1]:
-        raise BadShape(f"degree mismatch: x {x.shape[-1]} vs (X, Y) {xu.shape[-1]}")
+    _fit((x.shape[:-2], x.shape[-1]), (xu.shape[:-2], xu.shape[-1]))
     return (x, y, xu, yu), eig
 
 
 def _pre_iwasawa(m):
-    """(x, y, y^{1/2}, X, Y, (w, U)) of a validated symplectic matrix (or stack), with the
-    modified y = A^{-1}, A = d d^t + c c^t, and its root from the one ``eigh`` of A, whose
-    eigenpairs (w, U) come last; x is symmetric for symplectic input (a theorem) and is
-    symmetrized to clean up roundoff."""
+    """(x, y, y^{1/2}, X, Y, frame) of a validated symplectic matrix (or stack), with the
+    modified y = A^{-1}, A = d d^t + c c^t = U diag(w) U^t by its one ``eigh``, and y's
+    ``linalg._root_frame`` (w^{-1/2}, U, y^{1/2}, A^{1/2}) from it; x is symmetric for
+    symplectic input (a theorem) and is symmetrized to clean up roundoff."""
     a, b, c, d = blocks(m)
-    eig = np.linalg.eigh(symmetrize(d @ _mT(d) + c @ _mT(c)))
-    y, root = _spd_powers(eig, -1.0, -0.5)
+    w, u = np.linalg.eigh(symmetrize(d @ _mT(d) + c @ _mT(c)))
+    y, root, root_a = _spd_powers((w, u), -1.0, -0.5, 0.5)
     x = symmetrize(y @ (d @ _mT(b) + c @ _mT(a)))
-    return x, y, root, root @ d, -(root @ c), eig
+    return x, y, root, root @ d, -(root @ c), (w[..., None, :] ** -0.5, u, root, root_a)
 
 
 def pre_iwasawa(m):
@@ -422,15 +419,15 @@ def pre_iwasawa(m):
     ``y = (d d^t + c c^t)^{-1/2}``, ``X - iY = y (d + i c)`` and
     ``x = (d d^t + c c^t)^{-1} (d b^t + c a^t)``.  All factors are unique.
     """
-    x, _, root, xu, yu, _ = _pre_iwasawa(check_symplectic(m))
-    return _trusted(PreIwasawaFactors, x, root, xu, yu, "plain")
+    x, _, root, xu, yu, frame = _pre_iwasawa(check_symplectic(m))
+    return _trusted(PreIwasawaFactors, x, root, xu, yu, "plain", frame)
 
 
 def modified_pre_iwasawa(m):
     """Modified pre-Iwasawa factors: ``y = (d d^t + c c^t)^{-1}``,
     ``X - iY = y^{1/2} (d + i c)``, ``x = y (d b^t + c a^t)``."""
-    x, y, _, xu, yu, _ = _pre_iwasawa(check_symplectic(m))
-    return _trusted(PreIwasawaFactors, x, y, xu, yu, "modified")
+    x, y, _, xu, yu, frame = _pre_iwasawa(check_symplectic(m))
+    return _trusted(PreIwasawaFactors, x, y, xu, yu, "modified", frame)
 
 
 def pre_iwasawa_compose(factors):
@@ -438,11 +435,11 @@ def pre_iwasawa_compose(factors):
 
     Plain:    a = y X - x y^{-1} Y,  b = y Y + x y^{-1} X,
               c = -y^{-1} Y,         d = y^{-1} X.
-    Modified: the same formulas with y replaced by y^{1/2}.
+    Modified: the same formulas with y replaced by y^{1/2}.  Both read s and s^{-1} of the
+    frame the factors keep, s the root of the modified y: no factorization.
     """
-    f = factors
-    power = 1.0 if f.variant == "plain" else 0.5
-    return _compose(f.x, *_spd_powers(np.linalg.eigh(symmetrize(f.y)), power, -power), f.X, f.Y)
+    _, _, s, si = factors._frame
+    return _compose(factors.x, s, si, factors.X, factors.Y)
 
 
 def _compose(x, r, ri, xu, yu):
@@ -469,11 +466,13 @@ def act_modified_chart(m, chart):
     """
     m = check_symplectic(m)
     (xp, yp, xu, yu), eig = _chart(*chart)
-    a, b, c, d = blocks(_degree(m, xp))
+    _fit((m.shape[:-2], m.shape[-1] // 2), (xp.shape[:-2], xp.shape[-1]))
+    a, b, c, d = blocks(m)
+    at, bt, ct, dt = map(_mT, (a, b, c, d))
     sp, spi, ypi = _spd_powers(eig, 0.5, -0.5, -1.0)
     core = yp + xp @ ypi @ xp
-    big_a = c @ core @ c.T + d @ ypi @ d.T + c @ xp @ ypi @ d.T + d @ ypi @ xp @ c.T
-    big_n = c @ core @ a.T + c @ xp @ ypi @ b.T + d @ ypi @ xp @ a.T + d @ ypi @ b.T
+    big_a = c @ core @ ct + d @ ypi @ dt + c @ xp @ ypi @ dt + d @ ypi @ xp @ ct
+    big_n = c @ core @ at + c @ xp @ ypi @ bt + d @ ypi @ xp @ at + d @ ypi @ bt
     y1, s1 = _spd_powers(np.linalg.eigh(symmetrize(big_a)), -1.0, -0.5)
     x1 = symmetrize(y1 @ big_n)
     cxd = c @ xp + d

@@ -4,8 +4,9 @@ Each call below factors a matrix input at most once: an entry check that decompo
 SPD (or, on the ball, Hermitian) matrix by its eigenvalues hands that ``eigh`` to the
 kernel.  Each point kind (SPD, Siegel, pre-Iwasawa chart, ball) has one check, which makes
 one ``eigh`` and no ``eigvalsh``, whether or not its caller factors the point.  An S_n chart
-keeps the square-root frame of the ``eigh`` that made it, so a call at a chart factors
-nothing.  The test counts the ``numpy.linalg`` decompositions one call makes at n = 3.
+keeps the square-root frame of the ``eigh`` that made it, and so do pre-Iwasawa factors, so
+a call at a chart, or a recomposition, factors nothing.  The test counts the ``numpy.linalg``
+decompositions one call makes at n = 3.
 """
 
 import copy
@@ -34,6 +35,8 @@ from jacobigeom import (
     metric_xjn,
     mobius_act,
     oneforms_sn,
+    pre_iwasawa,
+    pre_iwasawa_compose,
     sn_chart,
     sn_chart_inverse,
     sqrtm_spd,
@@ -65,6 +68,7 @@ def _calls(rng):
                               smp.rand_ball_tangent(rng, N))
     g = smp.rand_jacobi(rng, N)
     points = {src: chart_convert(pq, "pq", src) for src in CHARTS}
+    factors = (PreIwasawaFactors(chart.x, chart.y, chart.X, chart.Y, "modified"), pre_iwasawa(m))
     kp, one, solved = KahlerParams(2.0, 1.0), {"eigh": 1}, {"eigh": 1, "solve": 1}
     return [
         ("sqrtm_spd", lambda: sqrtm_spd(a), one),
@@ -80,6 +84,9 @@ def _calls(rng):
         ("d_sn_chart_inverse", lambda: d_sn_chart_inverse(chart, sn_t), {}),
         ("metric_group", lambda: metric_group(MetricParams(), chart, sn_t, sn_t2), {}),
         ("sn_chart", lambda: sn_chart(g), one),
+        # factors keep the frame of their y, as a chart does
+        ("pre_iwasawa_compose", lambda: pre_iwasawa_compose(factors[0]), {}),
+        ("pre_iwasawa_compose_plain", lambda: pre_iwasawa_compose(factors[1]), {}),
         *((f"metric_xjn_{c}", lambda c=c: metric_xjn(1.0, 1.0, c, pq, pq_t1, pq_t2), one)
           for c in ("pq", "chipsi", "xirho")),
         ("metric_extended", lambda: metric_extended(

@@ -572,13 +572,13 @@ def test_one_call_per_engine_stage(monkeypatch):
             return (act, counted("push", push), *rest)
         return wrapped
 
-    oneforms_sn = metrics.oneforms_sn
+    oneforms_sn = metrics._oneforms_sn
 
     def oneforms_seen(chart, t):
         leads.append((chart.kappa.shape, np.shape(t[6])))
         return oneforms_sn(chart, t)
 
-    monkeypatch.setattr(metrics, "oneforms_sn", oneforms_seen)
+    monkeypatch.setattr(metrics, "_oneforms_sn", oneforms_seen)
     for obj in INVARIANCE_OBJECTS:
         spec = metrics._INVARIANCE_SPECS[obj]
         monkeypatch.setitem(metrics._INVARIANCE_SPECS, obj, dataclasses.replace(

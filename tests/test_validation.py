@@ -47,9 +47,12 @@ from jacobigeom import (
     g_form,
     gj_basis,
     gj_basis_elements,
+    gj_bracket,
+    gj_compose,
     gj_embed,
     gj_from_embedding,
     gj_identity,
+    h_compose,
     h_identity,
     h_metric,
     h_oneforms,
@@ -73,6 +76,7 @@ from jacobigeom import (
     unvech,
 )
 from jacobigeom import linalg
+from jacobigeom import sampling as smp
 from jacobigeom.forms import check_matrix_tangent, d_sn_chart, d_sn_chart_inverse
 from jacobigeom.linalg import check_spd, check_symmetric
 from jacobigeom.metrics import check_ball_point
@@ -401,6 +405,64 @@ _COMPLEX_TANGENT_ENTRIES = {
 _BALL_PQ = (_Y + 0j, _X + 0j)  # (P, Q) of the identity
 
 
+def _draw(sampler, k, *args):
+    """``sampler`` at n = 2 as a stack of k (the stream's seed is k, so stacks differ)."""
+    return sampler(StackStream(k, 2, 0, k), *args)
+
+
+def _stacks(k):
+    """Stacks of k elements, points and tangents at n = 2, drawn by the samplers."""
+    g, pq, chart = (_draw(sampler, k, 2) for sampler in (smp.rand_jacobi, smp.rand_pq_point,
+                                                         smp.rand_sn_chart))
+    kappa, dkappa = np.zeros(k), np.ones(k)
+    return {
+        "g": g, "z": _draw(smp.rand_gj_algebra, k, 2), "h": _draw(smp.rand_heisenberg, k, 2),
+        "h_tangent": (g.lam, g.mu, kappa), "pq": pq, "extended": (*pq, kappa),
+        "pq_tangent": _draw(smp.rand_pq_tangent, k, 2),
+        "extended_tangent": (*_draw(smp.rand_pq_tangent, k, 2), dkappa),
+        "vu": _draw(smp.rand_vu_point, k, 2), "vu_tangent": _draw(smp.rand_vu_tangent, k, 2),
+        "ball": _draw(smp.rand_ball_point, k, 2), "ball_element": (sp_to_ball_rep(g.M), pq[2] + 0j),
+        "chart": chart, "chart4": (chart.x, chart.y, chart.X, chart.Y),
+        "sn_tangent": _draw(smp.rand_sn_tangent, k, chart),
+        "matrix_tangent": (pq[0], pq[0], pq[0], pq[0], pq[2], pq[3], kappa),
+    }
+
+
+_S3, _S2 = _stacks(3), _stacks(2)
+# stacks that do not broadcast, 3 against 2: an element and a point, two elements, a point
+# and its tangents.  The first twelve ended in numpy's broadcast ValueError; the fit rule
+# linalg._fit now refuses all of them
+_STACKS_3_AND_2 = {
+    "mobius_act": lambda: mobius_act(_S3["g"].M, _S2["pq"][0] + 1j * _S2["pq"][1]),
+    "act_modified_chart": lambda: act_modified_chart(_S3["g"].M, _S2["chart4"]),
+    "act_xjn": lambda: act_xjn(_S3["g"], _S2["vu"]),
+    "act_pq": lambda: act_pq(_S3["g"], _S2["pq"]),
+    "act_extended": lambda: act_extended(_S3["g"], _S2["extended"]),
+    "ball_act": lambda: ball_act(_S3["ball_element"], _S2["ball"]),
+    "gj_compose": lambda: gj_compose(_S3["g"], _S2["g"]),
+    "h_compose": lambda: h_compose(_S3["h"], _S2["h"]),
+    "h_oneforms": lambda: h_oneforms(_S3["h"], _S2["h_tangent"]),
+    "fvf": lambda: fvf(_S3["z"], _S2["pq"], "xjn_pq"),
+    "g_form": lambda: g_form(*_S3["vu"], _S2["vu_tangent"]),
+    "lambda_r": lambda: lambda_r(_S3["extended"], _S2["extended_tangent"]),
+    # and the rest, which refused them already, or, gj_bracket, met numpy's error too
+    "gj_bracket": lambda: gj_bracket(_S3["z"], _S2["z"]),
+    "h_metric": lambda: h_metric(_S3["h"], _S2["h_tangent"]),
+    "oneforms_sn": lambda: oneforms_sn(_S3["chart"], _S2["sn_tangent"]),
+    "d_sn_chart_inverse": lambda: d_sn_chart_inverse(_S3["chart"], _S2["sn_tangent"]),
+    "metric_group": lambda: metric_group(MetricParams(), _S3["chart"], *(_S2["sn_tangent"],) * 2),
+    "metric_xjn": lambda: metric_xjn(1.0, 1.0, "pq", _S3["pq"], *(_S2["pq_tangent"],) * 2),
+    "metric_extended": lambda: metric_extended(1.0, 1.0, 1.0, _S3["extended"],
+                                               *(_S2["extended_tangent"],) * 2),
+    "kahler_xjn": lambda: kahler_xjn(_KP, *_S3["vu"], *(_S2["vu_tangent"],) * 2),
+    "kahler_ball": lambda: kahler_ball(_KP, *_S3["ball"], *(_S2["vu_tangent"],) * 2),
+    # the matrix chart and the degree-1 forms take no stack of tangents at all
+    **{f.__name__: (lambda f=f: f(_S3["g"], _S2["matrix_tangent"]))
+       for f in (check_matrix_tangent, maurer_cartan, oneforms_matrix_chart, d_sn_chart)},
+    "oneforms_n1": lambda: oneforms_n1(np.zeros(3), 1.5, 0.3, (np.zeros(2),) + (0.1,) * 5),
+}
+
+
 BAD_SHAPES = {
     "act_pq p of length 3": lambda: act_pq(gj_identity(2), (_X, _Y, _ROW3, _ROWS[1])),
     "act_pq x 2x2, y 3x3": lambda: act_pq(gj_identity(2), (_X, np.eye(3)) + _ROWS),
@@ -545,6 +607,7 @@ BAD_SHAPES = {
     "unvech 2 entries for n = 3": lambda: unvech(np.ones(2), 3),
     "check_unitary_pair X 2x2, Y 3x3": lambda: check_unitary_pair(_Y, np.zeros((3, 3))),
     "unitary_iso_inverse 2x3": lambda: unitary_iso_inverse(np.ones((2, 3))),
+    **{f"{name} stacks of 3 and 2": call for name, call in _STACKS_3_AND_2.items()},
 }
 
 
@@ -672,6 +735,72 @@ def test_every_point_entry_point_has_a_non_point_case():
               for name in case.__code__.co_names}
     assert [q for q in takers if q.split(".")[0] not in POINT_CHECK_EXEMPT
             and q.split(".")[-1] not in called] == []
+
+
+def test_every_pairing_entry_point_has_a_case_of_stacks_that_do_not_broadcast():
+    # a new public function that takes an element with a point, two elements, or a point
+    # with a tangent must show that it refuses stacks that do not broadcast
+    def pairs(params):
+        return ({"g", "gp"} <= params or {"z1", "z2"} <= params or {"tangent", "t1"} & params
+                or bool({"g", "m", "z", "element"} & params and {"point", "v", "chart"} & params))
+
+    takers = [qual for qual, fn in _public_callables()
+              if pairs(set(inspect.signature(fn).parameters))]
+    assert len(takers) >= 26
+    assert [q for q in takers if q.split(".")[0] not in POINT_CHECK_EXEMPT
+            and q.split(".")[-1] not in _STACKS_3_AND_2] == []
+
+
+def _at(tree, i):
+    """Sample i of a stacked result or input: arrays indexed, tuples and elements per field."""
+    if isinstance(tree, tuple):
+        return tuple(_at(leaf, i) for leaf in tree)
+    if hasattr(tree, "__dataclass_fields__"):
+        return type(tree)(*(_at(getattr(tree, f), i) for f in tree.__dataclass_fields__))
+    return tree[i]
+
+
+def _leaves(tree):
+    if isinstance(tree, tuple):
+        return [leaf for part in tree for leaf in _leaves(part)]
+    if hasattr(tree, "__dataclass_fields__"):
+        return _leaves(tuple(getattr(tree, f) for f in tree.__dataclass_fields__))
+    return [np.asarray(tree)]
+
+
+# each action and composition, with the names of its two arguments in _stacks
+STACKED_ACTIONS = {
+    "mobius_act": (lambda m, v: mobius_act(m, v[0] + 1j * v[1]), "M", "pq"),
+    "act_modified_chart": (act_modified_chart, "M", "chart4"),
+    "act_xjn": (act_xjn, "g", "vu"),
+    "act_pq": (act_pq, "g", "pq"),
+    "act_extended": (act_extended, "g", "extended"),
+    "ball_act": (ball_act, "ball_element", "ball"),
+    "gj_compose": (gj_compose, "g", "g"),
+    "h_compose": (h_compose, "h", "h"),
+    "fvf xjn_pq": (lambda z, pt: fvf(z, pt, "xjn_pq"), "z", "pq"),
+    "fvf xjn_holo": (lambda z, pt: fvf(z, pt, "xjn_holo"), "z", "vu"),
+    "fvf extended_xirho": (lambda z, pt: fvf(z, pt, "extended_xirho"), "z", "extended"),
+}
+
+
+@pytest.mark.parametrize("stacked", ["element", "point"])
+@pytest.mark.parametrize("name", STACKED_ACTIONS)
+def test_a_stack_acts_on_one_and_one_on_a_stack(name, stacked):
+    # an element and a point (or two elements) broadcast both ways: a stack of three against
+    # one gives the three results of the unstacked calls; act_pq and act_extended returned
+    # rows of shape (3, 3, 2), and gj_compose of one element and a stack as well
+    act, first, second = STACKED_ACTIONS[name]
+    stack = {**_S3, "M": _S3["g"].M}
+    one = {key: _at(stack[key], 0) for key in (first, second)}
+    pick = stack if stacked == "element" else one, one if stacked == "element" else stack
+    out = act(pick[0][first], pick[1][second])
+    for i in range(3):
+        args = [_at(part[key], i) if part is stack else part[key]
+                for part, key in zip(pick, (first, second))]
+        for got, want in zip(_leaves(out), _leaves(act(*args)), strict=True):
+            got = np.reshape(got[i], want.shape)
+            assert np.max(np.abs(got - want), initial=0.0) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
 
 def test_every_tangent_entry_point_has_a_non_finite_tangent_case():
