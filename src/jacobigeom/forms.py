@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import BadShape, NotSymplectic
+from .exceptions import BadShape, NotSymmetric, NotSymplectic
 from .heisenberg import _omega
 from .jacobi import (
     JacobiAlgebraElement,
@@ -35,7 +35,7 @@ from .jacobi import (
 from . import linalg
 from .linalg import _checked, _gate, _lift, _mT, _root_frame, _sqrt_frame, _tangent
 from .linalg import check_symmetric, sym_residual, symmetrize
-from .symplectic import _jacobi_matrix, blocks, from_blocks, j_matrix
+from .symplectic import _j, _jacobi_matrix, blocks, from_blocks
 
 
 def _checked_sn_tangent(chart, tangent, pair=False):
@@ -48,7 +48,7 @@ def _checked_sn_tangent(chart, tangent, pair=False):
 def check_matrix_tangent(g, tangent):
     """Validate a matrix-chart tangent at ``g`` and return it with float blocks and 1-d
     rows: a ``linalg._checked`` kind "matrix" meeting the linearized symplectic condition."""
-    j = j_matrix(g.n)
+    j = _j(g.n)
 
     def symplectic(da, db, dc, dd, *_):
         dm = from_blocks(da, db, dc, dd)
@@ -225,8 +225,10 @@ def _oneforms_sn(chart, tangent):
     f += b - c
     g += c - b
     h += a + d
-    f = symmetrize(check_symmetric(f, linalg.FORM_SN_SYM_RTOL))
-    g = symmetrize(check_symmetric(g, linalg.FORM_SN_SYM_RTOL))
+    fg = np.array((f, g))  # F and G gated symmetric in one pass, F first
+    for asymmetry in sym_residual(fg):
+        _gate(asymmetry, linalg.FORM_SN_SYM_RTOL, NotSymmetric, "asymmetry")
+    f, g = symmetrize(fg)
     six, siy = siz[..., :n], siz[..., n:]
     lam_p = dp @ (s @ chart.X - chart.x @ siy) - dq @ siy
     lam_q = dq @ six + dp @ (s @ chart.Y + chart.x @ six)

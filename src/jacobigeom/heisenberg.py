@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _checked, _dot, _fit, _row, _trusted
+from .linalg import _checked, _dot, _fit, _row, _tangent, _trusted
 from .symplectic import _jacobi_matrix
 
 
@@ -83,15 +83,15 @@ def h_oneforms(g, tangent):
     These are the coefficients of g^{-1} dg on the P/Q/R generators; the tangent is
     checked as a ``linalg._checked`` kind "rrk" into whose stack shape g's broadcasts.
     """
-    dlam, dmu, dkap = _checked("rrk", g.n, tangent)
-    _fit((g.lam.shape[:-2], g.n), (dlam.shape[:-2], g.n), into=True)
+    dlam, dmu, dkap = _tangent("rrk", (g.lam.shape[:-2], g.n), tangent)
     return dlam.copy(), dmu.copy(), dkap - _omega((g.lam, g.mu), (dlam, dmu))
 
 
 def h_metric(g, tangent):
-    """Left-invariant metric  |d lambda|^2 + |d mu|^2 + (l^r)^2  (quadratic form)."""
+    """Left-invariant metric  |d lambda|^2 + |d mu|^2 + (l^r)^2  (quadratic form), per
+    element and tangent of stacks as :func:`h_oneforms` takes them."""
     lp, lq, lr = h_oneforms(g, tangent)
-    return float(lp @ lp) + float(lq @ lq) + lr * lr
+    return _dot(lp, lp) + _dot(lq, lq) + lr * lr
 
 
 def h_fvf(generator, g):

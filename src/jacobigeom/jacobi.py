@@ -29,7 +29,7 @@ from .exceptions import BadShape, BasisClosureFailure, ProjectionResidual
 from .heisenberg import _omega
 from . import linalg
 from .linalg import _checked, _col, _fit, _from_col, _gate, _lift, _max_norm, _mT, _root_frame
-from .linalg import _row, _tangent, _trusted, symmetrize
+from .linalg import _row, _spectral, _tangent, _trusted, symmetrize
 from .symplectic import _ball, _chart, _compose, _dmobius, _jacobi_matrix, _jacobi_parts
 from .symplectic import _mobius, _pre_iwasawa, _siegel, _sp_blocks, _sp_inverse, blocks
 from .symplectic import check_symplectic, from_blocks, sp_basis
@@ -46,8 +46,9 @@ class JacobiElement:
 
     def __post_init__(self):
         object.__setattr__(self, "M", check_symplectic(self.M))
-        for name, value in zip(("lam", "mu", "kappa"),
-                               _checked("rrk", self.n, (self.lam, self.mu, self.kappa))):
+        rows = _checked("rrk", self.n, (self.lam, self.mu, self.kappa))
+        _fit((self.M.shape[:-2], self.n), (rows[0].shape[:-2], self.n))
+        for name, value in zip(("lam", "mu", "kappa"), rows):
             object.__setattr__(self, name, value)
 
     @property
@@ -146,7 +147,9 @@ class JacobiAlgebraElement:
 
     def __post_init__(self):
         blks = _sp_blocks(self.a, self.b, self.c, linalg.ALG_SYM_RTOL)
-        rows = _checked("rrk", blks[0].shape[-1], (self.p, self.q, self.r))
+        n = blks[0].shape[-1]
+        rows = _checked("rrk", n, (self.p, self.q, self.r))
+        _fit((blks[0].shape[:-2], n), (rows[0].shape[:-2], n))
         for name, value in zip(self.__dataclass_fields__, (*blks, *rows), strict=True):
             object.__setattr__(self, name, value)
 
@@ -276,7 +279,8 @@ _SPACES = {
 def _point(space, point, *tangents, by=None, pair=False):
     """``(point, eig, *tangents)`` as arrays, ``eig`` the eigenpairs of the one ``eigh`` of the
     matrix part, once the point has a tangent's number of parts (BadShape), its matrix part
-    passes its check, its rows ``linalg._checked``, each tangent (``pair``: the two as one)
+    passes its check (one ``sym_residual`` for x and y), its rows ``linalg._checked`` and
+    ``linalg._fit`` with the matrix part, each tangent (``pair``: the two as one, in one pass)
     ``linalg._tangent``, and ``by``, an acting element's (stack shape, degree), ``linalg._fit``
     with the point: the one point check."""
     check, rows, kind = _SPACES[space]
@@ -293,6 +297,9 @@ def _point(space, point, *tangents, by=None, pair=False):
     if by is not None:
         _fit(by, at)
     point = (*matrix, *_checked(rows, at[1], point[width:]))
+    at = _fit(at, (point[width].shape[:-2], at[1]))
+    if by is not None:
+        _fit(by, at)
     return point, eig, *(_tangent(kind, at, t, pair) for t in ((tangents,) if pair else tangents))
 
 
@@ -386,6 +393,7 @@ class SnChart:
     def __post_init__(self):
         (x, y, xu, yu), eig = _chart(self.x, self.y, self.X, self.Y)
         rows = _checked("rrk", x.shape[-1], (self.p, self.q, self.kappa))
+        _fit((x.shape[:-2], x.shape[-1]), (rows[0].shape[:-2], x.shape[-1]))
         for name, value in zip(self.__dataclass_fields__,
                                (x, y, xu, yu, *rows, _root_frame(eig)), strict=True):
             object.__setattr__(self, name, value)
@@ -407,11 +415,11 @@ def sn_chart_identity(n):
 
 
 def sn_chart(g):
-    """The S_n chart of ``g``, with the frame of its y = A^{-1} that ``symplectic._pre_iwasawa``
-    makes from the one ``eigh`` of A."""
-    x, y, _, xu, yu, frame = _pre_iwasawa(g.M)
-    p, q = pq_from_lm(g.lam, g.mu, g.M)
-    return _trusted(SnChart, x, y, xu, yu, p, q, g.kappa, frame)
+    """The S_n chart of ``g``, with the frame of its y = A^{-1} from the one ``eigh`` of A that
+    ``symplectic._pre_iwasawa`` makes: r = w^{-1/2}, and s and s^{-1} from its frame."""
+    x, y, xu, yu, (s, u, root_w), w = _pre_iwasawa(g.M)
+    frame = (w[..., None, :] ** -0.5, u, s, _spectral(u, root_w))
+    return _trusted(SnChart, x, y, xu, yu, *pq_from_lm(g.lam, g.mu, g.M), g.kappa, frame)
 
 
 def sn_chart_inverse(chart):

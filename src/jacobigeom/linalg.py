@@ -33,7 +33,13 @@ Conventions fixed here and relied on everywhere else:
   its table; a whole point of the Siegel-Jacobi space, of its extension or of
   the ball goes with its tangents through ``jacobi._point`` and its table; one
   rule, :func:`_fit`, says if an element, a point and tangents go together.
+* A check makes one vectorised pass per group of inputs, not one numpy call
+  per part: :func:`_checked` reads the parts of each layout letter as one
+  array (a pair of tangents too) and gates the symmetric ones by one
+  :func:`sym_residual`; ``symplectic._siegel`` gates x and y by one.
 """
+
+import functools
 
 import numpy as np
 
@@ -112,15 +118,19 @@ def _dot(r, s):
 def _fit(a, b, into=False):
     """BadShape unless ``a`` and ``b``, each the (stack shape, degree) of an element, a point or
     a tangent, have one degree and stack shapes that broadcast, both ways or, ``into`` (a point
-    and its tangents), a's into b's: the one fit rule.  Equal or empty shapes skip numpy."""
+    and its tangents), a's into b's: the one fit rule.  Returns the (stack shape, degree) of the
+    two together; equal or empty shapes skip numpy."""
     (lead, n), (other, m) = a, b
     if n != m:
         raise BadShape(f"degree mismatch: {n} vs {m}")
-    if lead == other or not lead or not (other or into):
-        return
+    if lead == other or not lead:
+        return b
+    if not (other or into):
+        return a
     try:
-        if np.broadcast_shapes(lead, other) == other or not into:
-            return
+        both = np.broadcast_shapes(lead, other)
+        if both == other or not into:
+            return both, n
     except ValueError:
         pass
     where = f"over tangents stacked {other}" if into else f"against a stack {other}"
@@ -129,16 +139,8 @@ def _fit(a, b, into=False):
 
 def _tangent(kind, at, tangent, pair=False):
     """``tangent`` of ``kind`` at a point of (stack shape, degree) ``at``, once :func:`_checked`
-    and :func:`_fit` pass it; with ``pair`` the two tangents ``tangent`` of one shape (else
-    BadShape), stacked on a new leading axis, no stack axis, for one frame call."""
-    if pair:
-        lift = not np.shape(tangent[0][0])[:-2]  # a row (n,) as (2, 1, n)
-        try:
-            tangent = tuple(np.array(c)[:, None] if lift and np.ndim(c[0]) == 1 else np.array(c)
-                            for c in zip(*tangent, strict=True))
-        except ValueError as exc:
-            raise BadShape(f"t1 and t2 must have one shape: {exc}") from exc
-    tangent = _checked(kind, at[1], tangent)
+    (``pair``: the two tangents ``tangent`` as one) and :func:`_fit` pass it."""
+    tangent = _checked(kind, at[1], tangent, pair=pair)
     _fit(at, (tangent[0].shape[int(pair):-2], at[1]), into=True)
     return tangent
 
@@ -194,12 +196,17 @@ def sym_residual(a):
     return np.abs(a - _mT(a)).max((-2, -1)) / scale
 
 
+def _square(a):
+    """``a`` once a non-empty square matrix or a stack of them, else BadShape."""
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] == 0:
+        raise BadShape(f"expected a square matrix, got shape {a.shape}")
+    return a
+
+
 def check_symmetric(a, rtol=None):
     """Return ``a`` (a non-empty square matrix or a stack of them) if symmetric within
     ``rtol`` (default SYM_RTOL), else raise NotSymmetric."""
-    a = np.asarray(a, dtype=float)
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] == 0:
-        raise BadShape(f"expected a square matrix, got shape {a.shape}")
+    a = _square(np.asarray(a, dtype=float))
     _gate(sym_residual(a), SYM_RTOL if rtol is None else rtol, NotSymmetric, "asymmetry")
     return a
 
@@ -209,36 +216,73 @@ def symmetrize(a):
     return 0.5 * (a + _mT(a))
 
 
-def _symmetric_xy(dx, dy, *_):
-    """The gate of an S_n or a Siegel-Jacobi tangent: dx, dy symmetric within TANGENT_SYM_RTOL."""
-    _gate(np.maximum(sym_residual(dx), sym_residual(dy)), TANGENT_SYM_RTOL, NotSymmetric,
-          "asymmetry of dx or dy")
-
-
-# Each kind of tangent and row tuple: layout, dtype, whether a stack, gate (see _checked).
+# Each kind of tangent and row tuple: layout, dtype, whether a stack, and how many leading
+# matrices (dx, dy) must be symmetric within TANGENT_SYM_RTOL (see _checked).
 _KINDS = {
-    "matrix": ("mmmmrrk", float, False, None),        # (da, db, dc, dd, dp, dq, dkappa)
-    "sn": ("mmmmrrk", float, True, _symmetric_xy),    # (dx, dy, dX, dY, dp, dq, dkappa)
-    "xjn": ("mmrr", float, True, _symmetric_xy),      # (dx, dy, dp, dq)
-    "extended": ("mmrrk", float, True, _symmetric_xy),  # (dx, dy, dp, dq, dkappa)
-    "vu": ("mr", complex, True, None),                # (dv, du); (dW, dz) on the ball
-    "rrk": ("rrk", float, True, None),                # (lambda, mu, kappa), (p, q, kappa)
-    "rr": ("rr", float, True, None),                  # the two rows of a point chart
-    "u": ("r", complex, True, None),                  # u, z or alpha of a vu or ball point
-    "n1": ("k" * 11, float, False, None),             # oneforms_n1's point and tangent
-    "abc": ("mmm", float, True, None),                # (a, b, c) of an algebra element
+    "matrix": ("mmmmrrk", float, False, 0),   # (da, db, dc, dd, dp, dq, dkappa)
+    "sn": ("mmmmrrk", float, True, 2),        # (dx, dy, dX, dY, dp, dq, dkappa)
+    "xjn": ("mmrr", float, True, 2),          # (dx, dy, dp, dq)
+    "extended": ("mmrrk", float, True, 2),    # (dx, dy, dp, dq, dkappa)
+    "vu": ("mr", complex, True, 0),           # (dv, du); (dW, dz) on the ball
+    "rrk": ("rrk", float, True, 0),           # (lambda, mu, kappa), (p, q, kappa)
+    "rr": ("rr", float, True, 0),             # the two rows of a point chart
+    "u": ("r", complex, True, 0),             # u, z or alpha of a vu or ball point
+    "n1": ("k" * 11, float, False, 0),        # oneforms_n1's point and tangent
+    "abc": ("mmm", float, True, 0),           # (a, b, c) of an algebra element
 }
 
 
-def _checked(kind, n, parts, gate=None):
-    """``parts`` of ``kind`` (_KINDS) as arrays of its dtype, rows as by :func:`_row` and an
-    unstacked scalar as a float, once (1) each part, "m" an n x n matrix, "r" a row of length
-    n or "k" a scalar, has that trailing shape over one lead shape, () unless the kind may be
-    a stack, else BadShape; (2) the kind's gate, or ``gate``, passes the parts with non-finite
-    entries made NaN (:func:`_max_norm`); (3) every entry is finite, else BadShape naming the
-    first failing stack index: the one check of a tangent, and of rows and kappas."""
-    layout, dtype, stacks, kind_gate = _KINDS[kind]
-    gate = gate or kind_gate
+@functools.cache
+def _kind(kind, n):
+    """The _KINDS row of ``kind`` at degree n, worked out once: layout, dtype, whether a stack,
+    symmetric count, the runs (letter, slice of its parts, trailing shape) of the layout's
+    letters in order, and the shapes of their arrays that :func:`_read` takes, for one tuple
+    and for a pair."""
+    layout, dtype, stacks, sym = _KINDS[kind]
+    tails, flat = {"m": (n, n), "r": (1, n), "k": ()}, {"m": (n, n), "r": (n,), "k": ()}
+    runs = [(c, slice(layout.index(c), layout.index(c) + layout.count(c)), tails[c])
+            for c in dict.fromkeys(layout)]
+    one = [(layout.count(c), *flat[c]) for c in dict.fromkeys(layout)]
+    return layout, dtype, stacks, sym, runs, (one, [(j, 2, *tail) for j, *tail in one])
+
+
+def _read(row, parts, pair):
+    """(lead, arrays), step (1) of :func:`_checked` for ``row`` of :func:`_kind`, for parts in
+    the form the scalar API passes: one unstacked tuple with rows (n,), or (``pair``) two, t1
+    and t2, stacked part by part on a new leading axis; one array per run, (j, *lead, *tail)
+    with lead () or (2,).  None for any other form (a stack, rows (1, n), a malformed tuple),
+    which :func:`_reread` reads part by part."""
+    layout, dtype, _, _, runs, shapes = row
+    try:
+        if pair:
+            t1, t2 = parts
+            if len(t1) != len(layout) or len(t2) != len(layout):
+                return None
+            arrays = [np.array(tuple(zip(t1[s], t2[s])), dtype) for _, s, _ in runs]
+        elif len(parts) == len(layout):
+            arrays = [np.array(parts[s], dtype) for _, s, _ in runs]
+        else:
+            return None
+    except (TypeError, ValueError):
+        return None
+    if [a.shape for a in arrays] != shapes[pair]:
+        return None
+    if not pair:
+        return (), arrays
+    return (2,), [a[:, :, None] if c == "r" else a for (c, _, _), a in zip(runs, arrays)]
+
+
+def _reread(row, kind, n, parts, pair):
+    """Step (1) of :func:`_checked` part by part, rows by :func:`_row`, for parts of any form:
+    the BadShape of each step, or (lead, arrays) as :func:`_read` gives them."""
+    layout, dtype, stacks, _, runs, _ = row
+    if pair:
+        lift = not np.shape(parts[0][0])[:-2]  # a row (n,) as (2, 1, n)
+        try:
+            parts = tuple(np.array(c)[:, None] if lift and np.ndim(c[0]) == 1 else np.array(c)
+                          for c in zip(*parts, strict=True))
+        except ValueError as exc:
+            raise BadShape(f"t1 and t2 must have one shape: {exc}") from exc
     if len(parts) != len(layout):
         raise BadShape(f"{kind} tuples have {len(layout)} parts, got {len(parts)}")
     parts = [_row(p, dtype) if c == "r" else np.asarray(p, dtype) for c, p in zip(layout, parts)]
@@ -248,13 +292,39 @@ def _checked(kind, n, parts, gate=None):
                                      for c, p in zip(layout, parts)):
         raise BadShape(f"a {kind} tuple {layout} at n = {n} takes m n x n, r rows of length n and "
                        f"k scalars over one stack shape, got {[p.shape for p in parts]}")
-    finite = np.isfinite(np.concatenate([p.reshape(lead + (-1,)) for p in parts], -1))
-    whole = finite.all()
+    return lead, [np.array([p.reshape(lead + tail) if depth else p for p in parts[s]])
+                  for _, s, tail in runs]
+
+
+def _checked(kind, n, parts, gate=None, pair=False):
+    """``parts`` of ``kind`` (_KINDS; ``pair``: two tuples of it, as one stacked on a new leading
+    axis) as arrays of its dtype, rows as by :func:`_row` and an unstacked scalar as a float,
+    once (1) each part, "m" an n x n matrix, "r" a row of length n or "k" a scalar, has that
+    trailing shape over one lead shape, () unless the kind may be a stack, else BadShape; (2)
+    the kind's leading matrices are symmetric (NotSymmetric) and ``gate`` passes the parts with
+    non-finite entries made NaN (:func:`_max_norm`); (3) every entry is finite, else BadShape
+    naming the first failing stack index: the one check of a tangent, and of rows and kappas.
+    Each letter's parts are read as one array, so the check makes one ``sym_residual`` over the
+    symmetric matrices and one finiteness reduction over the rest."""
+    row = _kind(kind, n)
+    lead, arrays = _read(row, parts, pair) or _reread(row, kind, n, parts, pair)
+    sym = row[3]
+    if sym:
+        dx, dy = sym_residual(arrays[0][:sym])
+        _gate(np.maximum(dx, dy), TANGENT_SYM_RTOL, NotSymmetric, "asymmetry of dx or dy")
+    # the symmetric matrices that passed are finite (a non-finite one has a NaN residual)
+    rest = arrays[1:] if sym == len(arrays[0]) else [arrays[0][sym:], *arrays[1:]]
+    whole = np.isfinite(rest[0] if len(rest) == 1 else
+                        np.concatenate([a.ravel() for a in rest])).all()
+    parts = [p for a in arrays for p in a]  # the runs are the layout's, in order
     if gate is not None:
         gate(*(parts if whole else [_max_norm(p)[1] for p in parts]))
     if not whole:
-        _gate((~finite).sum(-1), 0, BadShape, "count of non-finite entries")
-    return tuple(float(p) if c == "k" and not depth else p for c, p in zip(layout, parts))
+        _gate(sum((~np.isfinite(a)).sum((0, *range(1 + len(lead), a.ndim))) for a in arrays), 0,
+              BadShape, "count of non-finite entries")
+    if not lead and row[0][-1] == "k":  # the kappas, the last run, as floats
+        parts[-len(arrays[-1]):] = arrays[-1].tolist()
+    return tuple(parts)
 
 
 def check_spd(a):
@@ -262,15 +332,16 @@ def check_spd(a):
     return _spd(a)[0]
 
 
-def _spd(a):
+def _spd(a, asymmetry=None):
     """``a`` and its eigenpairs (w, U), once ``a`` is SPD: the one SPD check.  NotSpd
-    unless :func:`check_symmetric` passes ``a`` and the smallest eigenvalue of its one
-    ``eigh`` (per matrix of a stack) exceeds SPD_EIG_RTOL times the largest (strict, as
-    on paper); a caller that factors ``a`` takes the eigenpairs."""
-    try:
-        a = check_symmetric(a)
-    except NotSymmetric as exc:
-        raise NotSpd(str(exc)) from exc
+    unless ``a`` passes :func:`check_symmetric` (its ``sym_residual`` is ``asymmetry`` if a
+    caller measured it with other matrices) and the smallest eigenvalue of its one ``eigh``
+    (per matrix of a stack) exceeds SPD_EIG_RTOL times the largest (strict, as on paper); a
+    caller that factors ``a`` takes the eigenpairs."""
+    if asymmetry is None:
+        a = _square(np.asarray(a, dtype=float))
+        asymmetry = sym_residual(a)
+    _gate(asymmetry, SYM_RTOL, NotSpd, "asymmetry")
     w, u = np.linalg.eigh(symmetrize(a))
     _gate(w[..., 0], SPD_EIG_RTOL * np.maximum(w[..., -1], 0.0), NotSpd, "smallest eigenvalue",
           lower=True)
@@ -390,7 +461,13 @@ def sqrtm_spd(a):
 def _spd_powers(eig, *powers):
     """Powers ``U diag(w^p) U^t`` of an SPD matrix from its eigenpairs ``eig`` = (w, U)."""
     w, u = eig
-    return tuple(symmetrize((u * w[..., None, :] ** p) @ _mT(u)) for p in powers)
+    return tuple(_spectral(u, w[..., None, :] ** p) for p in powers)
+
+
+def _spectral(u, d):
+    """``U diag(d) U^t``, symmetrized, of eigenvectors U and a row d (..., 1, n), or of stacks:
+    each power of an SPD matrix made from its eigenpairs, and each root of a frame."""
+    return symmetrize((u * d) @ _mT(u))
 
 
 def dsqrtm(a, da):
@@ -412,7 +489,7 @@ def _root_frame(eig):
     of its y, made from the ``eigh`` of its entry check or of its construction."""
     w, u = eig
     r = w[..., None, :] ** 0.5
-    return (r, u, *(symmetrize((u * p) @ _mT(u)) for p in (r, 1.0 / r)))
+    return r, u, _spectral(u, r), _spectral(u, 1.0 / r)
 
 
 def _sqrt_frame(frame, dy):

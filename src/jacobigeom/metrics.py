@@ -40,7 +40,7 @@ from .jacobi import _act_extended, _act_pq, _act_vu, _from_pq, _point, _pq_of, _
 from .jacobi import _push_pq, _push_vu, _tangent_from_pq, _tangent_to_pq, gj_compose
 from .jacobi import SnChart, gj_embed, sn_chart, sn_chart_inverse
 from . import linalg
-from .linalg import _checked, _col, _from_col, _modulus, _mT
+from .linalg import _checked, _col, _fit, _from_col, _modulus, _mT
 from .forms import _checked_sn_tangent, _d_sn_chart, _d_sn_chart_inverse, _embed_tangent
 from .forms import _oneforms_sn
 from .symplectic import _ball, _jacobi_parts, _mobius, blocks, check_symplectic, from_blocks
@@ -331,14 +331,18 @@ def ball_act(element, point):
 
     the kernel ``jacobi._act_vu`` of :func:`jacobi.act_xjn` for M = :func:`_ball_matrix` and
     (lambda, mu) = (-alphabar, alpha).  P and Q must be square of one shape, the point pass
-    ``jacobi._point`` (P acting) and alpha be a finite row of length n; stacks broadcast.
+    ``jacobi._point`` (P acting) and alpha be a finite row of length n; stacks broadcast, the
+    element's (P with alpha) and the point's (``linalg._fit``).
     """
     (p, q), alpha = element
     shape = np.shape(p)
     if len(shape) < 2 or shape[-1] != shape[-2] or np.shape(q) != shape:
         raise BadShape(f"P and Q must be square of one shape, got {shape} and {np.shape(q)}")
-    (w, z), _ = _point("ball", point, by=(shape[:-2], shape[-1]))
-    (alpha,) = _checked("u", w.shape[-1], (alpha,))
+    n = shape[-1]
+    (w, z), _ = _point("ball", point, by=(shape[:-2], n))
+    (alpha,) = _checked("u", n, (alpha,))
+    _fit(_fit((shape[:-2], n), (alpha.shape[:-2], n)),
+         (np.broadcast_shapes(w.shape[:-2], z.shape[:-2]), n))
     return _act_vu(_ball_matrix(p, q), -alpha.conj(), alpha, w, z)
 
 

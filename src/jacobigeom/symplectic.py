@@ -16,15 +16,17 @@ The modified variant is the one that matches the fractional-linear
 ``M M'`` equals the Moebius image of ``x' + i y'`` under M.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import BadShape, ContractionViolation, NotSymplectic, NotUnitaryPair
-from .exceptions import SingularDenominator
+from .exceptions import BadShape, ContractionViolation, NotSymmetric, NotSymplectic
+from .exceptions import NotUnitaryPair, SingularDenominator
 from . import linalg
-from .linalg import _checked, _col, _fit, _from_col, _gate, _max_norm, _mT, _root_frame, _spd
-from .linalg import _spd_powers, _trusted, check_symmetric, sym_residual, symmetrize
+from .linalg import _checked, _col, _fit, _from_col, _gate, _max_norm, _mT, _spd
+from .linalg import _spd_powers, _spectral, _square, _trusted, check_symmetric, sym_residual
+from .linalg import symmetrize
 
 
 def j_matrix(n):
@@ -32,6 +34,14 @@ def j_matrix(n):
     j = np.zeros((2 * n, 2 * n))
     j[:n, n:] = np.eye(n)
     j[n:, :n] = -np.eye(n)
+    return j
+
+
+@functools.cache
+def _j(n):
+    """:func:`j_matrix` of degree n, built once and read-only, for the residuals."""
+    j = j_matrix(n)
+    j.setflags(write=False)
     return j
 
 
@@ -94,7 +104,7 @@ def symplectic_residual(m):
     m = np.asarray(m, dtype=float)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] % 2:
         raise BadShape(f"expected an even-dimensional square matrix, got {m.shape}")
-    m, j = _max_norm(m)[1], j_matrix(m.shape[-1] // 2)
+    m, j = _max_norm(m)[1], _j(m.shape[-1] // 2)
     return np.max(np.abs(_mT(m) @ j @ m - j), axis=(-2, -1))
 
 
@@ -224,18 +234,16 @@ def sp_basis(n):
 
 def unitary_pair_residual(x, y):
     """Max violation of the four pair relations X^tX+Y^tY = XX^t+YY^t = I,
-    X^tY = Y^tX, YX^t = XY^t, per pair of a stack."""
+    X^tY = Y^tX, YX^t = XY^t, per pair of a stack: the blocks of two products, Z^t Z with
+    Z = [X Y] and W W^t with W = [X; Y]."""
     x, y = (_max_norm(np.asarray(v, dtype=float))[1] for v in (x, y))
     if x.ndim < 2 or x.shape[-1] != x.shape[-2] or y.shape != x.shape:
         raise BadShape(f"X and Y must be square of one shape, got {x.shape} and {y.shape}")
+    z, w = np.concatenate((x, y), -1), np.concatenate((x, y), -2)
+    (xtx, xty, ytx, yty), (xxt, xyt, yxt, yyt) = blocks(_mT(z) @ z), blocks(w @ _mT(w))
     eye = np.eye(x.shape[-1])
-    rels = [
-        _mT(x) @ x + _mT(y) @ y - eye,
-        x @ _mT(x) + y @ _mT(y) - eye,
-        _mT(x) @ y - _mT(y) @ x,
-        y @ _mT(x) - x @ _mT(y),
-    ]
-    return np.max([np.max(np.abs(r), axis=(-2, -1)) for r in rels], axis=0)
+    rels = np.array((xtx + yty - eye, xxt + yyt - eye, xty - ytx, yxt - xyt))
+    return np.abs(rels).max((0, -2, -1))
 
 
 def check_unitary_pair(x, y):
@@ -276,14 +284,17 @@ def check_siegel(v):
 def _siegel(x, y=None):
     """``x``, ``y`` as float arrays and y's eigenpairs (``linalg._spd``), once x + iy is a
     Siegel point: the one check of one (given v = x + iy alone, v as complex and y's
-    eigenpairs).  x and y must have one shape, x symmetric (first: NaN is NotSymmetric), y SPD."""
+    eigenpairs).  x and y must have one shape, x symmetric (first: NaN is NotSymmetric), y SPD;
+    one ``sym_residual`` measures both."""
     if y is None:
         v = np.asarray(x, dtype=complex)
         return v, _siegel(v.real, v.imag)[2]
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if x.shape != y.shape:
         raise BadShape(f"x and y must have one shape, got {x.shape} and {y.shape}")
-    return (check_symmetric(x), *_spd(y))
+    asymmetry = sym_residual(np.array((_square(x), y)))
+    _gate(asymmetry[0], linalg.SYM_RTOL, NotSymmetric, "asymmetry")
+    return (x, *_spd(y, asymmetry[1]))
 
 
 def _ball(w):
@@ -366,8 +377,9 @@ class PreIwasawaFactors:
     """Factors (x, y, X, Y) of a pre-Iwasawa decomposition.
 
     ``variant`` is "plain" or "modified"; the two are related by
-    ``y_modified = y_plain^2`` with identical x and (X, Y).  They keep the frame of the
-    modified y from the ``eigh`` they were made with, as ``jacobi.SnChart`` keeps its y's.
+    ``y_modified = y_plain^2`` with identical x and (X, Y).  From the ``eigh`` they were made
+    with they keep the frame (s, U, q) of the modified y: s its root, U the eigenvectors and
+    q the row of s^{-1} = U diag(q) U^t, which :func:`pre_iwasawa_compose` makes.
     """
 
     x: np.ndarray
@@ -381,7 +393,8 @@ class PreIwasawaFactors:
         if self.variant not in ("plain", "modified"):
             raise ValueError(f"unknown variant {self.variant!r}")
         (x, y, xu, yu), (w, u) = _chart(self.x, self.y, self.X, self.Y)
-        frame = _root_frame((w * w if self.variant == "plain" else w, u))
+        r = (w * w if self.variant == "plain" else w)[..., None, :] ** 0.5
+        frame = (_spectral(u, r), u, 1.0 / r)
         for name, value in zip(self.__dataclass_fields__, (x, y, xu, yu, self.variant, frame)):
             object.__setattr__(self, name, value)
 
@@ -401,15 +414,15 @@ def _chart(x, y, xu, yu):
 
 
 def _pre_iwasawa(m):
-    """(x, y, y^{1/2}, X, Y, frame) of a validated symplectic matrix (or stack), with the
-    modified y = A^{-1}, A = d d^t + c c^t = U diag(w) U^t by its one ``eigh``, and y's
-    ``linalg._root_frame`` (w^{-1/2}, U, y^{1/2}, A^{1/2}) from it; x is symmetric for
+    """(x, y, X, Y, (s, U, q), w) of a validated symplectic matrix (or stack), with the
+    modified y = A^{-1}, A = d d^t + c c^t = U diag(w) U^t by its one ``eigh``, and the frame
+    of ``PreIwasawaFactors``: s = y^{1/2} and q = w^{1/2} as a row; x is symmetric for
     symplectic input (a theorem) and is symmetrized to clean up roundoff."""
     a, b, c, d = blocks(m)
     w, u = np.linalg.eigh(symmetrize(d @ _mT(d) + c @ _mT(c)))
-    y, root, root_a = _spd_powers((w, u), -1.0, -0.5, 0.5)
+    y, root = _spd_powers((w, u), -1.0, -0.5)
     x = symmetrize(y @ (d @ _mT(b) + c @ _mT(a)))
-    return x, y, root, root @ d, -(root @ c), (w[..., None, :] ** -0.5, u, root, root_a)
+    return x, y, root @ d, -(root @ c), (root, u, w[..., None, :] ** 0.5), w
 
 
 def pre_iwasawa(m):
@@ -419,14 +432,14 @@ def pre_iwasawa(m):
     ``y = (d d^t + c c^t)^{-1/2}``, ``X - iY = y (d + i c)`` and
     ``x = (d d^t + c c^t)^{-1} (d b^t + c a^t)``.  All factors are unique.
     """
-    x, _, root, xu, yu, frame = _pre_iwasawa(check_symplectic(m))
-    return _trusted(PreIwasawaFactors, x, root, xu, yu, "plain", frame)
+    x, _, xu, yu, frame, _ = _pre_iwasawa(check_symplectic(m))
+    return _trusted(PreIwasawaFactors, x, frame[0], xu, yu, "plain", frame)
 
 
 def modified_pre_iwasawa(m):
     """Modified pre-Iwasawa factors: ``y = (d d^t + c c^t)^{-1}``,
     ``X - iY = y^{1/2} (d + i c)``, ``x = y (d b^t + c a^t)``."""
-    x, y, _, xu, yu, frame = _pre_iwasawa(check_symplectic(m))
+    x, y, xu, yu, frame, _ = _pre_iwasawa(check_symplectic(m))
     return _trusted(PreIwasawaFactors, x, y, xu, yu, "modified", frame)
 
 
@@ -435,11 +448,11 @@ def pre_iwasawa_compose(factors):
 
     Plain:    a = y X - x y^{-1} Y,  b = y Y + x y^{-1} X,
               c = -y^{-1} Y,         d = y^{-1} X.
-    Modified: the same formulas with y replaced by y^{1/2}.  Both read s and s^{-1} of the
-    frame the factors keep, s the root of the modified y: no factorization.
+    Modified: the same formulas with y replaced by y^{1/2}.  Both read s, the root of the
+    modified y, and make s^{-1} from what the factors keep: no factorization.
     """
-    _, _, s, si = factors._frame
-    return _compose(factors.x, s, si, factors.X, factors.Y)
+    s, u, q = factors._frame
+    return _compose(factors.x, s, _spectral(u, q), factors.X, factors.Y)
 
 
 def _compose(x, r, ri, xu, yu):

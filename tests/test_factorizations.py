@@ -1,4 +1,4 @@
-"""The factorization budget of the scalar API.
+"""The factorization and check-pass budgets of the scalar API.
 
 Each call below factors a matrix input at most once: an entry check that decomposes an
 SPD (or, on the ball, Hermitian) matrix by its eigenvalues hands that ``eigh`` to the
@@ -7,6 +7,10 @@ one ``eigh`` and no ``eigvalsh``, whether or not its caller factors the point.  
 keeps the square-root frame of the ``eigh`` that made it, and so do pre-Iwasawa factors, so
 a call at a chart, or a recomposition, factors nothing.  The test counts the ``numpy.linalg``
 decompositions one call makes at n = 3.
+
+Each check makes one pass over a group of inputs: one ``sym_residual`` for the matrix part of
+a point (x and y of a Siegel point together), one for a tangent or a pair of tangents (dx and
+dy of both), and one for the F and G forms of ``oneforms_sn``, whatever the number of parts.
 """
 
 import copy
@@ -41,11 +45,11 @@ from jacobigeom import (
     sn_chart_inverse,
     sqrtm_spd,
 )
-from jacobigeom import metrics
+from jacobigeom import forms, jacobi, linalg, metrics, symplectic
 from jacobigeom.forms import d_sn_chart_inverse
 from jacobigeom import sampling as smp
 from jacobigeom.jacobi import CHARTS
-from jacobigeom.linalg import _root_frame, check_spd, symmetrize
+from jacobigeom.linalg import _root_frame, check_spd, sym_residual, symmetrize
 from jacobigeom.metrics import check_ball_point
 from jacobigeom.symplectic import check_siegel
 
@@ -135,6 +139,39 @@ def test_each_input_is_factored_once(name):
             mp.setattr(np.linalg, fname, counting(fname, getattr(np.linalg, fname)))
         call()
     assert dict(counts) == budget
+
+
+# sym_residual passes per call: a point, a tangent set, an SPD input and F, G count one each
+_CHECK_PASSES = {
+    "sqrtm_spd": 1, "dsqrtm": 2, "m_point": 1, "act_modified_chart": 1, "maurer_cartan_sn": 1,
+    "sn_chart_inverse": 0, "oneforms_sn": 2, "d_sn_chart_inverse": 1, "metric_group": 2,
+    "sn_chart": 0, "pre_iwasawa_compose": 0, "pre_iwasawa_compose_plain": 0,
+    "metric_xjn_pq": 2, "metric_xjn_chipsi": 2, "metric_xjn_xirho": 2, "metric_extended": 2,
+    "kahler_xjn": 1, "kahler_ball": 1, "check_spd": 1, "check_siegel": 1, "check_ball_point": 1,
+    "PreIwasawaFactors": 1, "SnChart": 1, "mobius_act": 1, "act_xjn": 1, "act_pq": 1,
+    **{f"chart_convert_{src}": 1 for src in CHARTS},
+}
+
+
+def test_every_call_has_a_check_pass_budget():
+    assert set(_CHECK_PASSES) == set(_NAMES)
+
+
+@pytest.mark.parametrize("name", _NAMES)
+def test_each_input_is_checked_in_one_pass(name):
+    call, _ = _call(name)
+    calls = []
+
+    def counting(a):
+        calls.append(np.shape(a))
+        return sym_residual(a)
+
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (linalg, symplectic, forms, jacobi, metrics):
+            if hasattr(module, "sym_residual"):
+                mp.setattr(module, "sym_residual", counting)
+        call()
+    assert len(calls) == _CHECK_PASSES[name], calls
 
 
 @pytest.mark.parametrize("name", _NAMES)

@@ -12,7 +12,7 @@ from jacobigeom import (
     h_oneforms,
     is_symplectic,
 )
-from jacobigeom.sampling import rand_heisenberg
+from jacobigeom.sampling import StackStream, rand_heisenberg
 
 
 def test_compose_substitutions():
@@ -132,6 +132,24 @@ def test_metric_values_and_invariance(rng):
         a = h_metric(g, t)
         b = h_metric(h_compose(h, g), _left_push(h, g, t))
         assert abs(a - b) < 1e-8 * max(1.0, abs(a))
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_h_metric_takes_stacks(n):
+    # numpy's matmul ValueError at float(lp @ lp) on a stacked element and tangent
+    g = rand_heisenberg(StackStream(3, n, 0, 4), n)
+    t = rand_heisenberg(StackStream(4, n, 0, 4), n)
+    stacked = h_metric(g, (t.lam, t.mu, t.kappa))
+    assert stacked.shape == (4,)
+    for i in range(4):
+        one = HeisenbergElement(g.lam[i, 0], g.mu[i, 0], g.kappa[i])
+        want = h_metric(one, (t.lam[i, 0], t.mu[i, 0], t.kappa[i]))
+        assert abs(stacked[i] - want) <= 1e-14 * max(1.0, abs(want))
+    # one element against a stack of tangents
+    one = HeisenbergElement(g.lam[0, 0], g.mu[0, 0], g.kappa[0])
+    assert np.allclose(h_metric(one, (t.lam, t.mu, t.kappa)),
+                       [h_metric(one, (t.lam[i, 0], t.mu[i, 0], t.kappa[i])) for i in range(4)],
+                       rtol=1e-14, atol=0)
 
 
 def test_fvf_values(rng):

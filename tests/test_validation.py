@@ -21,6 +21,7 @@ from jacobigeom import (
     GeometryError,
     KahlerParams,
     JacobiAlgebraElement,
+    JacobiElement,
     MetricParams,
     NotSpd,
     NotSymmetric,
@@ -608,6 +609,22 @@ BAD_SHAPES = {
     "check_unitary_pair X 2x2, Y 3x3": lambda: check_unitary_pair(_Y, np.zeros((3, 3))),
     "unitary_iso_inverse 2x3": lambda: unitary_iso_inverse(np.ones((2, 3))),
     **{f"{name} stacks of 3 and 2": call for name, call in _STACKS_3_AND_2.items()},
+    # the fit rule inside one element or point: a matrix part and rows stacked 3 and 2, which
+    # constructed, or returned mixed stacks, or ended in numpy's broadcast ValueError
+    "JacobiElement M stacked 3, rows stacked 2":
+        lambda: JacobiElement(_S3["g"].M, _S2["g"].lam, _S2["g"].mu, _S2["g"].kappa),
+    "JacobiAlgebraElement (a, b, c) stacked 3, rows stacked 2": lambda: JacobiAlgebraElement(
+        _S3["z"].a, _S3["z"].b, _S3["z"].c, _S2["z"].p, _S2["z"].q, _S2["z"].r),
+    "SnChart (x, y, X, Y) stacked 3, rows stacked 2":
+        lambda: SnChart(*_S3["chart4"], _S2["chart"].p, _S2["chart"].q, _S2["chart"].kappa),
+    "act_pq x, y stacked 2, p, q stacked 3":
+        lambda: act_pq(gj_identity(2), (*_S2["pq"][:2], *_S3["pq"][2:])),
+    "chart_convert xirho x, y stacked 2, rows stacked 3":
+        lambda: chart_convert((*_S2["pq"][:2], *_S3["pq"][2:]), "xirho", "pq"),
+    "ball_act P stacked 3, alpha stacked 2":
+        lambda: ball_act((_S3["ball_element"][0], _S2["ball_element"][1]), _S3["ball"]),
+    "ball_act alpha stacked 3, point stacked 2": lambda: ball_act(
+        ((np.eye(2) + 0j, np.zeros((2, 2)) + 0j), _S3["ball_element"][1]), _S2["ball"]),
 }
 
 
