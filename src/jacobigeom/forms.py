@@ -34,7 +34,7 @@ from .jacobi import (
 )
 from . import linalg
 from .linalg import _checked, _gate, _lift, _mT, _root_frame, _sqrt_frame, _tangent
-from .linalg import check_symmetric, sym_residual, symmetrize
+from .linalg import sym_residual, symmetrize
 from .symplectic import _j, _jacobi_matrix, blocks, from_blocks
 
 
@@ -73,6 +73,14 @@ class OneForms:
         return sym_residual(self.H)
 
 
+def _symmetric_fg(f, g, rtol):
+    """F and G symmetrized once one ``sym_residual`` finds both within ``rtol``, F first."""
+    fg = np.array((f, g))
+    for asymmetry in sym_residual(fg):
+        _gate(asymmetry, rtol, NotSymmetric, "asymmetry")
+    return symmetrize(fg)
+
+
 def _embed_tangent(g, tangent):
     """Derivative of the embedding along a matrix-chart tangent with checked rows
     (or along a stack of them)."""
@@ -95,7 +103,8 @@ def maurer_cartan(g, tangent, chart="matrix"):
     ``linalg._checked`` kind "matrix", with no symplectic gate; stacks raise.
     """
     if chart == "sn":
-        if g.x.ndim != 2 or np.ndim(tangent[0]) != 2:
+        first = tangent[:1] if isinstance(tangent, (tuple, list)) else ()  # else the check says
+        if g.x.ndim != 2 or any(np.ndim(dx) != 2 for dx in first):
             raise BadShape("the S_n route takes one chart and one tangent, not stacks")
         tangent = _d_sn_chart_inverse(g, _checked_sn_tangent(g, tangent))
         g = sn_chart_inverse(g)
@@ -120,8 +129,7 @@ def oneforms_matrix_chart(g, tangent):
     f = d.T @ db - b.T @ dd
     gg = -c.T @ da + a.T @ dc
     h = d.T @ da - b.T @ dc
-    f = symmetrize(check_symmetric(f, linalg.FORM_SYM_RTOL))
-    gg = symmetrize(check_symmetric(gg, linalg.FORM_SYM_RTOL))
+    f, gg = _symmetric_fg(f, gg, linalg.FORM_SYM_RTOL)
     lam_r = dk - _omega(pq_from_lm(g.lam, g.mu, g.M), (dp, dq))
     return OneForms(f, gg, h, *lm_from_pq(dp, dq, g.M), lam_r)
 
@@ -225,10 +233,7 @@ def _oneforms_sn(chart, tangent):
     f += b - c
     g += c - b
     h += a + d
-    fg = np.array((f, g))  # F and G gated symmetric in one pass, F first
-    for asymmetry in sym_residual(fg):
-        _gate(asymmetry, linalg.FORM_SN_SYM_RTOL, NotSymmetric, "asymmetry")
-    f, g = symmetrize(fg)
+    f, g = _symmetric_fg(f, g, linalg.FORM_SN_SYM_RTOL)
     six, siy = siz[..., :n], siz[..., n:]
     lam_p = dp @ (s @ chart.X - chart.x @ siy) - dq @ siy
     lam_q = dq @ six + dp @ (s @ chart.Y + chart.x @ six)
@@ -250,7 +255,8 @@ def oneforms_n1(x, y, theta, tangent, p=0.0, q=0.0):
     y^{1/2} in place of y; the R form needs the Heisenberg coordinates of
     the point, which default to zero.  Its 11 scalars are a ``linalg._checked`` kind "n1".
     """
-    x, y, theta, p, q, dx, dy, dth, dp, dq, dk = _checked("n1", 1, (x, y, theta, p, q, *tangent))
+    parts = (x, y, theta, p, q, *tangent) if hasattr(tangent, "__iter__") else tangent
+    x, y, theta, p, q, dx, dy, dth, dp, dq, dk = _checked("n1", 1, parts)
     if y <= 0:
         raise BadShape("y must be positive")
     ct, st = np.cos(theta), np.sin(theta)

@@ -285,12 +285,7 @@ def _point(space, point, *tangents, by=None, pair=False):
     with the point: the one point check."""
     check, rows, kind = _SPACES[space]
     layout = linalg._KINDS[kind][0]
-    try:
-        parts = len(point)
-    except TypeError:
-        parts = f"an object of type {type(point).__name__}"
-    if parts != len(layout):
-        raise BadShape(f"a {space} point has {len(layout)} parts, got {parts}")
+    linalg._count(point, len(layout), f"a {space} point has")
     width = layout.count("m")
     *matrix, eig = check(*point[:width])
     at = (matrix[0].shape[:-2], matrix[0].shape[-1])
@@ -463,11 +458,9 @@ def _pq_of(point, src):
     pq chart."""
     x, y, first, second = point
     if src == "xirho":
-        p = _from_col(np.linalg.solve(_mT(y), _col(_row(second))))
-        return x, y, p, _row(first) - p @ x
-    if src == "chipsi":
-        return x, y, _row(second), _row(first)
-    return x, y, _row(first), _row(second)
+        p = _from_col(np.linalg.solve(_mT(y), _col(second)))
+        return x, y, p, first - p @ x
+    return (x, y, second, first) if src == "chipsi" else (x, y, first, second)
 
 
 def _from_pq(pq, dst):

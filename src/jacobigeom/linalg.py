@@ -34,9 +34,9 @@ Conventions fixed here and relied on everywhere else:
   the ball goes with its tangents through ``jacobi._point`` and its table; one
   rule, :func:`_fit`, says if an element, a point and tangents go together.
 * A check makes one vectorised pass per group of inputs, not one numpy call
-  per part: :func:`_checked` reads the parts of each layout letter as one
-  array (a pair of tangents too) and gates the symmetric ones by one
-  :func:`sym_residual`; ``symplectic._siegel`` gates x and y by one.
+  per part: one reader, :func:`_read`, takes each layout letter's parts of any
+  tuple or pair as one array, :func:`_checked` gates the symmetric ones by one
+  :func:`sym_residual`, and ``symplectic._siegel`` gates x and y by one.
 """
 
 import functools
@@ -232,83 +232,82 @@ _KINDS = {
 }
 
 
+def _count(parts, count, what):
+    """BadShape ("<what> <count> parts, got ...") unless ``parts`` is a sequence of ``count``."""
+    sized = hasattr(parts, "__len__") and getattr(parts, "shape", 1)
+    got = len(parts) if sized else f"an object of type {type(parts).__name__}"
+    if got != count:
+        raise BadShape(f"{what} {count} parts, got {got}")
+
+
 @functools.cache
 def _kind(kind, n):
     """The _KINDS row of ``kind`` at degree n, worked out once: layout, dtype, whether a stack,
-    symmetric count, the runs (letter, slice of its parts, trailing shape) of the layout's
-    letters in order, and the shapes of their arrays that :func:`_read` takes, for one tuple
-    and for a pair."""
+    symmetric count, the runs (letter, slice of its parts) of the layout's letters, and the
+    (shape, dtype) of each run's array for one unstacked tuple with rows (n,) and for a pair."""
     layout, dtype, stacks, sym = _KINDS[kind]
-    tails, flat = {"m": (n, n), "r": (1, n), "k": ()}, {"m": (n, n), "r": (n,), "k": ()}
-    runs = [(c, slice(layout.index(c), layout.index(c) + layout.count(c)), tails[c])
+    runs = [(c, slice(layout.index(c), layout.index(c) + layout.count(c)))
             for c in dict.fromkeys(layout)]
-    one = [(layout.count(c), *flat[c]) for c in dict.fromkeys(layout)]
-    return layout, dtype, stacks, sym, runs, (one, [(j, 2, *tail) for j, *tail in one])
+    flat, dtype = {"m": (n, n), "r": (n,), "k": ()}, np.dtype(dtype)
+    return layout, dtype, stacks, sym, runs, [[((s.stop - s.start, *lead, *flat[c]), dtype)
+                                                for c, s in runs] for lead in ((), (2,))]
 
 
-def _read(row, parts, pair):
-    """(lead, arrays), step (1) of :func:`_checked` for ``row`` of :func:`_kind`, for parts in
-    the form the scalar API passes: one unstacked tuple with rows (n,), or (``pair``) two, t1
-    and t2, stacked part by part on a new leading axis; one array per run, (j, *lead, *tail)
-    with lead () or (2,).  None for any other form (a stack, rows (1, n), a malformed tuple),
-    which :func:`_reread` reads part by part."""
-    layout, dtype, _, _, runs, shapes = row
+def _read(row, kind, n, parts, pair):
+    """Step (1) of :func:`_checked`: (lead, arrays), one array (j, *lead, *tail) per run of j
+    parts of ``row`` (:func:`_kind`), lead the stack shape, (2,) in front for a ``pair``.  A part
+    is the stack shape and (n, n) ("m"), () ("k") or (1, n) ("r"; (n,) unstacked) of a dtype cast
+    within its kind; rows are (n,) unstacked.  Scalar calls pass by one comparison, else a loop
+    over the runs as read."""
+    layout, dtype, stacks, _, runs, canonical = row
     try:
-        if pair:
-            t1, t2 = parts
-            if len(t1) != len(layout) or len(t2) != len(layout):
-                return None
-            arrays = [np.array(tuple(zip(t1[s], t2[s])), dtype) for _, s, _ in runs]
-        elif len(parts) == len(layout):
-            arrays = [np.array(parts[s], dtype) for _, s, _ in runs]
-        else:
-            return None
+        flat = tuple(zip(*parts, strict=True)) if pair else parts
+        read = [np.array(flat[s]) for _, s in runs] if len(flat) == len(layout) else None
     except (TypeError, ValueError):
-        return None
-    if [a.shape for a in arrays] != shapes[pair]:
-        return None
-    if not pair:
-        return (), arrays
-    return (2,), [a[:, :, None] if c == "r" else a for (c, _, _), a in zip(runs, arrays)]
-
-
-def _reread(row, kind, n, parts, pair):
-    """Step (1) of :func:`_checked` part by part, rows by :func:`_row`, for parts of any form:
-    the BadShape of each step, or (lead, arrays) as :func:`_read` gives them."""
-    layout, dtype, stacks, _, runs, _ = row
-    if pair:
-        lift = not np.shape(parts[0][0])[:-2]  # a row (n,) as (2, 1, n)
+        read = None
+    if read and [(a.shape, a.dtype) for a in read] == canonical[pair]:
+        return ((2,), [a[:, :, None] if c == "r" else a
+                       for (c, _), a in zip(runs, read)]) if pair else ((), read)
+    for t in parts if pair else (parts,):
+        _count(t, len(layout), f"{kind} tuples have")
+    parts, stack, arrays = tuple(zip(*parts)) if pair else parts, None, []
+    for k, (c, s) in enumerate(runs):
         try:
-            parts = tuple(np.array(c)[:, None] if lift and np.ndim(c[0]) == 1 else np.array(c)
-                          for c in zip(*parts, strict=True))
-        except ValueError as exc:
-            raise BadShape(f"t1 and t2 must have one shape: {exc}") from exc
-    if len(parts) != len(layout):
-        raise BadShape(f"{kind} tuples have {len(layout)} parts, got {len(parts)}")
-    parts = [_row(p, dtype) if c == "r" else np.asarray(p, dtype) for c, p in zip(layout, parts)]
-    lead = parts[0].shape if layout[0] == "k" else parts[0].shape[:-2]
-    depth, tails = len(lead), {"m": ((n, n),), "r": ((n,), (1, n)), "k": ((),)}
-    if (depth and not stacks) or any(p.shape[:depth] != lead or p.shape[depth:] not in tails[c]
-                                     for c, p in zip(layout, parts)):
-        raise BadShape(f"a {kind} tuple {layout} at n = {n} takes m n x n, r rows of length n and "
-                       f"k scalars over one stack shape, got {[p.shape for p in parts]}")
-    return lead, [np.array([p.reshape(lead + tail) if depth else p for p in parts[s]])
-                  for _, s, tail in runs]
+            try:
+                run = [read[k] if read else np.array(parts[s])]
+            except ValueError:  # parts of several shapes: rows (n,) beside (1, n), or a fault
+                run = [np.array(parts[i:i + 1]) for i in range(s.start, s.stop)]
+        except (TypeError, ValueError) as exc:
+            raise BadShape(("t1 and t2 must have one shape: " if pair else
+                            f"a {kind} tuple takes arrays: ") + str(exc)) from exc
+        if stack is None:  # the first part's shape, less a matrix's or a row's two axes
+            stack = run[0].shape[1 + pair:][:None if c == "k" else -2]
+        lead, tail = (2,) * pair + stack, {"m": (n, n), "r": (1, n), "k": ()}[c]
+        for i, a in enumerate(run):
+            rest = a.shape[1 + pair:]
+            if (stack and not stacks) or not (rest == stack + tail
+                                              or c == "r" and not stack and rest == (n,)):
+                raise BadShape(f"a {kind} tuple {layout} at n = {n} takes m n x n, r rows of n, k "
+                               f"scalars over one stack shape, got {c} {rest} over {stack}")
+            if not np.can_cast(a.dtype, dtype, "same_kind"):
+                raise BadShape(f"a {kind} tuple takes {dtype} parts, got {a.dtype}")
+            a = a.astype(dtype, copy=False)
+            run[i] = a.reshape((len(a), *lead, *tail) if lead else (len(a), n)) if c == "r" else a
+        arrays.append(run[0] if len(run) == 1 else np.concatenate(run))
+    return lead, arrays
 
 
 def _checked(kind, n, parts, gate=None, pair=False):
     """``parts`` of ``kind`` (_KINDS; ``pair``: two tuples of it, as one stacked on a new leading
-    axis) as arrays of its dtype, rows as by :func:`_row` and an unstacked scalar as a float,
-    once (1) each part, "m" an n x n matrix, "r" a row of length n or "k" a scalar, has that
-    trailing shape over one lead shape, () unless the kind may be a stack, else BadShape; (2)
-    the kind's leading matrices are symmetric (NotSymmetric) and ``gate`` passes the parts with
-    non-finite entries made NaN (:func:`_max_norm`); (3) every entry is finite, else BadShape
-    naming the first failing stack index: the one check of a tangent, and of rows and kappas.
-    Each letter's parts are read as one array, so the check makes one ``sym_residual`` over the
-    symmetric matrices and one finiteness reduction over the rest."""
-    row = _kind(kind, n)
-    lead, arrays = _read(row, parts, pair) or _reread(row, kind, n, parts, pair)
-    sym = row[3]
+    axis) as arrays of its dtype, rows as :func:`_read` gives them and an unstacked scalar as a
+    float, once (1) :func:`_read` takes them, else BadShape; (2) the kind's leading matrices
+    are symmetric (NotSymmetric) and ``gate`` passes the parts with non-finite entries made NaN
+    (:func:`_max_norm`); (3) every entry is finite, else BadShape naming the first failing stack
+    index: the one check of a tangent, and of rows and kappas.  Each letter's parts are one
+    array, so the check makes one ``sym_residual`` over the symmetric matrices and one
+    finiteness reduction over the rest."""
+    layout, _, _, sym, _, _ = row = _kind(kind, n)
+    lead, arrays = _read(row, kind, n, parts, pair)
     if sym:
         dx, dy = sym_residual(arrays[0][:sym])
         _gate(np.maximum(dx, dy), TANGENT_SYM_RTOL, NotSymmetric, "asymmetry of dx or dy")
@@ -322,7 +321,7 @@ def _checked(kind, n, parts, gate=None, pair=False):
     if not whole:
         _gate(sum((~np.isfinite(a)).sum((0, *range(1 + len(lead), a.ndim))) for a in arrays), 0,
               BadShape, "count of non-finite entries")
-    if not lead and row[0][-1] == "k":  # the kappas, the last run, as floats
+    if not lead and layout[-1] == "k":  # the kappas, the last run, as floats
         parts[-len(arrays[-1]):] = arrays[-1].tolist()
     return tuple(parts)
 

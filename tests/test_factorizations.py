@@ -10,7 +10,8 @@ decompositions one call makes at n = 3.
 
 Each check makes one pass over a group of inputs: one ``sym_residual`` for the matrix part of
 a point (x and y of a Siegel point together), one for a tangent or a pair of tangents (dx and
-dy of both), and one for the F and G forms of ``oneforms_sn``, whatever the number of parts.
+dy of both), and one for the F and G forms of ``oneforms_sn`` or ``oneforms_matrix_chart``,
+whatever the number of parts.
 """
 
 import copy
@@ -38,6 +39,7 @@ from jacobigeom import (
     metric_group,
     metric_xjn,
     mobius_act,
+    oneforms_matrix_chart,
     oneforms_sn,
     pre_iwasawa,
     pre_iwasawa_compose,
@@ -71,6 +73,7 @@ def _calls(rng):
     ball, ball_t1, ball_t2 = (smp.rand_ball_point(rng, N), smp.rand_ball_tangent(rng, N),
                               smp.rand_ball_tangent(rng, N))
     g = smp.rand_jacobi(rng, N)
+    g_sn, sn_dt = sn_chart_inverse(chart), d_sn_chart_inverse(chart, sn_t)  # a matrix tangent
     points = {src: chart_convert(pq, "pq", src) for src in CHARTS}
     factors = (PreIwasawaFactors(chart.x, chart.y, chart.X, chart.Y, "modified"), pre_iwasawa(m))
     kp, one, solved = KahlerParams(2.0, 1.0), {"eigh": 1}, {"eigh": 1, "solve": 1}
@@ -86,6 +89,7 @@ def _calls(rng):
         ("sn_chart_inverse", lambda: sn_chart_inverse(chart), {}),
         ("oneforms_sn", lambda: oneforms_sn(chart, sn_t), {}),
         ("d_sn_chart_inverse", lambda: d_sn_chart_inverse(chart, sn_t), {}),
+        ("oneforms_matrix_chart", lambda: oneforms_matrix_chart(g_sn, sn_dt), {}),
         ("metric_group", lambda: metric_group(MetricParams(), chart, sn_t, sn_t2), {}),
         ("sn_chart", lambda: sn_chart(g), one),
         # factors keep the frame of their y, as a chart does
@@ -145,6 +149,7 @@ def test_each_input_is_factored_once(name):
 _CHECK_PASSES = {
     "sqrtm_spd": 1, "dsqrtm": 2, "m_point": 1, "act_modified_chart": 1, "maurer_cartan_sn": 1,
     "sn_chart_inverse": 0, "oneforms_sn": 2, "d_sn_chart_inverse": 1, "metric_group": 2,
+    "oneforms_matrix_chart": 1,
     "sn_chart": 0, "pre_iwasawa_compose": 0, "pre_iwasawa_compose_plain": 0,
     "metric_xjn_pq": 2, "metric_xjn_chipsi": 2, "metric_xjn_xirho": 2, "metric_extended": 2,
     "kahler_xjn": 1, "kahler_ball": 1, "check_spd": 1, "check_siegel": 1, "check_ball_point": 1,

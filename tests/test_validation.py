@@ -464,7 +464,70 @@ _STACKS_3_AND_2 = {
 }
 
 
+# each public function that takes a tangent (or a pair, given the one tangent twice) at n = 2,
+# and the kind of its tangent, for the faults below
+_Z2, _Z1 = np.zeros((2, 2)), np.zeros(2)
+_ZERO_TANGENTS = {
+    "matrix": (_Z2,) * 4 + (_Z1, _Z1, 0.0), "sn": (_Z2,) * 4 + (_Z1, _Z1, 0.0),
+    "xjn": (_Z2, _Z2, _Z1, _Z1), "extended": (_Z2, _Z2, _Z1, _Z1, 0.0), "rrk": (_Z1, _Z1, 0.0),
+    "vu": (_Z2 + 0j, _Z1 + 0j), "n1": (0.0,) * 6,
+}
+_TANGENT_TAKERS = {
+    "check_matrix_tangent": ("matrix", lambda t: check_matrix_tangent(gj_identity(2), t)),
+    "maurer_cartan": ("sn", lambda t: maurer_cartan(sn_chart_identity(2), t, chart="sn")),
+    "oneforms_matrix_chart": ("matrix", lambda t: oneforms_matrix_chart(gj_identity(2), t)),
+    "d_sn_chart_inverse": ("sn", lambda t: d_sn_chart_inverse(sn_chart_identity(2), t)),
+    "d_sn_chart": ("matrix", lambda t: d_sn_chart(gj_identity(2), t)),
+    "oneforms_sn": ("sn", lambda t: oneforms_sn(sn_chart_identity(2), t)),
+    "oneforms_n1": ("n1", lambda t: oneforms_n1(0.0, 1.0, 0.3, t)),
+    "h_oneforms": ("rrk", lambda t: h_oneforms(h_identity(2), t)),
+    "h_metric": ("rrk", lambda t: h_metric(h_identity(2), t)),
+    "metric_group": ("sn", lambda t: metric_group(MetricParams(), sn_chart_identity(2), t, t)),
+    "metric_xjn": ("xjn", lambda t: metric_xjn(1.0, 1.0, "pq", (_X, _Y) + _ROWS, t, t)),
+    "lambda_r": ("extended", lambda t: lambda_r((_X, _Y) + _ROWS + (0.5,), t)),
+    "metric_extended": ("extended", lambda t: metric_extended(
+        1.0, 1.0, 1.0, (_X, _Y) + _ROWS + (0.5,), t, t)),
+    "g_form": ("vu", lambda t: g_form(_X + 1j * _Y, _ROWS[0], t)),
+    "kahler_ball": ("vu", lambda t: kahler_ball(_KP, _X, _ROWS[0], t, t)),
+    "kahler_xjn": ("vu", lambda t: kahler_xjn(_KP, _X + 1j * _Y, _ROWS[0], t, t)),
+}
+# a tangent that is no tuple, which ended in a builtin TypeError; a part that is no number,
+# which ended in numpy's ValueError; a complex part of a real tangent, whose imaginary part
+# numpy dropped with a ComplexWarning (a complex kappa: a TypeError)
+_NOT_TANGENTS = {
+    "tangent not a tuple": lambda t: None,
+    "tangent a number": lambda t: 3,
+    "last part a string": lambda t: t[:-1] + ("x",),
+    "first part complex": lambda t: (t[0] + 1j,) + t[1:],
+}
+_TANGENT_FAULTS = {
+    f"{name} {fault}": (lambda call=call, kind=kind, make=make: call(make(_ZERO_TANGENTS[kind])))
+    for name, (kind, call) in _TANGENT_TAKERS.items() for fault, make in _NOT_TANGENTS.items()
+    if not (kind == "vu" and fault == "first part complex")}
+# the one row rule: (n,) or (1, n) unstacked, (..., 1, n) over a stack, alone or in a pair; a
+# column (n, 1) was read as a row when alone, and a stacked pair took rows (k, n)
+_ROW_RULE = {
+    "oneforms_sn dp a column (2, 1)":
+        lambda: oneforms_sn(sn_chart_identity(2), _sn_tangent(_ROWS[0][:, None])),
+    "metric_xjn dp a column (2, 1)": lambda: metric_xjn(
+        1.0, 1.0, "pq", (_X, _Y) + _ROWS, *((_X, _Y, _ROWS[0][:, None], _ROWS[1]),) * 2),
+    "metric_xjn stacked tangents with rows (3, 2)": lambda: metric_xjn(
+        1.0, 1.0, "pq", _S3["pq"], *((*_S3["pq_tangent"][:2],
+                                      *(r[:, 0] for r in _S3["pq_tangent"][2:])),) * 2),
+    "metric_xjn t1 and t2 of two row forms": lambda: metric_xjn(
+        1.0, 1.0, "pq", (_X, _Y) + _ROWS, _PQ_TANGENT, (_Y, _Y, _ROWS[0][None], _ROWS[1])),
+}
+# a point's rows are read as a tangent's
+_POINT_ROW_FAULTS = {
+    "act_pq p a string": lambda: act_pq(gj_identity(2), (_X, _Y, "ab", _ROWS[1])),
+    "act_pq p complex": lambda: act_pq(gj_identity(2), (_X, _Y, _ROWS[0] + 1j, _ROWS[1])),
+}
+
+
 BAD_SHAPES = {
+    **_TANGENT_FAULTS,
+    **_ROW_RULE,
+    **_POINT_ROW_FAULTS,
     "act_pq p of length 3": lambda: act_pq(gj_identity(2), (_X, _Y, _ROW3, _ROWS[1])),
     "act_pq x 2x2, y 3x3": lambda: act_pq(gj_identity(2), (_X, np.eye(3)) + _ROWS),
     "act_pq point of degree 2, element of degree 3":
@@ -628,10 +691,53 @@ BAD_SHAPES = {
 }
 
 
+# the three messages of the tuple reader, linalg._read
+BAD_SHAPE_MESSAGES = {
+    "metric_xjn t1 and t2 of two row forms": "^t1 and t2 must have one shape",
+    "oneforms_sn tangent not a tuple": "^sn tuples have 7 parts, got an object of type NoneType$",
+    "oneforms_sn dp a column (2, 1)":
+        r"^a sn tuple mmmmrrk at n = 2 takes .* got r \(2, 1\) over \(\)$",
+}
+
+
 @pytest.mark.parametrize("case", BAD_SHAPES)
 def test_wrong_shapes_raise_bad_shape(case):
-    with pytest.raises(BadShape):
+    with pytest.raises(BadShape, match=BAD_SHAPE_MESSAGES.get(case)):
         BAD_SHAPES[case]()
+
+
+def test_every_tangent_taker_has_its_faults():
+    takers = [qual.split(".")[-1] for qual, fn in _public_callables()
+              if {"tangent", "t1", "t2"} & set(inspect.signature(fn).parameters)
+              and qual.split(".")[0] not in TANGENT_CHECK_EXEMPT]
+    assert sorted(takers) == sorted(_TANGENT_TAKERS)
+    assert set(BAD_SHAPE_MESSAGES) <= set(BAD_SHAPES)
+
+
+# the forms of one tangent's rows (its parts `rows`) that the row rule keeps, each read as
+# the (n,) form
+_ROW_FORMS = {
+    "(1, n)": lambda t, rows: tuple(p[None] if i in rows else p for i, p in enumerate(t)),
+    "(n,) beside (1, n)": lambda t, rows: tuple(
+        p[None] if i == rows[1] else p for i, p in enumerate(t)),
+    "(1, n) beside (n,)": lambda t, rows: tuple(
+        p[None] if i == rows[0] else p for i, p in enumerate(t)),
+    "nested lists": lambda t, rows: tuple(np.asarray(p).tolist() for p in t),
+}
+
+
+@pytest.mark.parametrize("form", _ROW_FORMS)
+def test_one_row_rule_for_a_tuple_and_a_pair(form):
+    rng = np.random.default_rng(17)
+    chart = rand_sn_chart(rng, 3)
+    t = rand_sn_tangent(rng, chart)
+    pq, t1, t2 = rand_pq_point(rng, 3), smp.rand_pq_tangent(rng, 3), smp.rand_pq_tangent(rng, 3)
+    make = _ROW_FORMS[form]
+    for got, want in ((oneforms_sn(chart, make(t, (4, 5))), oneforms_sn(chart, t)),
+                      (metric_xjn(1.0, 2.0, "pq", pq, make(t1, (2, 3)), make(t2, (2, 3))),
+                       metric_xjn(1.0, 2.0, "pq", pq, t1, t2))):
+        for g, w in zip(_leaves(got), _leaves(want), strict=True):
+            assert g.dtype == w.dtype and g.shape == w.shape and np.array_equal(g, w)
 
 
 # tangents that are not: dx must be symmetric, every component finite
@@ -818,6 +924,33 @@ def test_a_stack_acts_on_one_and_one_on_a_stack(name, stacked):
         for got, want in zip(_leaves(out), _leaves(act(*args)), strict=True):
             got = np.reshape(got[i], want.shape)
             assert np.max(np.abs(got - want), initial=0.0) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
+def _sample(tree, i):
+    """Sample i of a stacked input, an S_n chart with its frame, as the stack holds it."""
+    if isinstance(tree, SnChart):
+        fields = (getattr(tree, f)[i] for f in ("x", "y", "X", "Y", "p", "q", "kappa"))
+        return linalg._trusted(SnChart, *fields, tuple(leaf[i] for leaf in tree._frame))
+    return _at(tree, i)
+
+
+_HALF_PQ_TANGENT = tuple(-0.5 * part for part in _S3["pq_tangent"])
+# calls on stacks of 3 at n = 2 (one tangent, a pair, a point)
+STACKED_CALLS = {
+    "metric_xjn": (lambda pt, t1, t2: metric_xjn(1.0, 2.0, "pq", pt, t1, t2),
+                   (_S3["pq"], _S3["pq_tangent"], _HALF_PQ_TANGENT)),
+    "oneforms_sn": (oneforms_sn, (_S3["chart"], _S3["sn_tangent"])),
+    "act_pq": (act_pq, (_S3["g"], _S3["pq"])),
+}
+
+
+@pytest.mark.parametrize("name", STACKED_CALLS)
+def test_a_stacked_call_is_its_per_sample_loop_bit_for_bit(name):
+    call, args = STACKED_CALLS[name]
+    out = _leaves(call(*args))
+    for i in range(3):
+        for got, want in zip(out, _leaves(call(*(_sample(a, i) for a in args))), strict=True):
+            assert np.array_equal(np.reshape(got[i], want.shape), want)
 
 
 def test_every_tangent_entry_point_has_a_non_finite_tangent_case():
