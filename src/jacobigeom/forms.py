@@ -40,9 +40,9 @@ from .symplectic import _j, _jacobi_matrix, blocks, from_blocks
 
 def _checked_sn_tangent(chart, tangent, pair=False):
     """``tangent`` (``pair``: two) at the S_n chart ``chart`` by ``linalg._tangent``, dx and dy
-    symmetrized; (dX, dY) is checked by the one-forms' F/G symmetry."""
+    symmetrized by one call; (dX, dY) is checked by the one-forms' F/G symmetry."""
     dx, dy, *rest = _tangent("sn", (chart.x.shape[:-2], chart.n), tangent, pair)
-    return symmetrize(dx), symmetrize(dy), *rest
+    return *symmetrize((dx, dy)), *rest
 
 
 def check_matrix_tangent(g, tangent):
@@ -103,10 +103,10 @@ def maurer_cartan(g, tangent, chart="matrix"):
     ``linalg._checked`` kind "matrix", with no symplectic gate; stacks raise.
     """
     if chart == "sn":
-        first = tangent[:1] if isinstance(tangent, (tuple, list)) else ()  # else the check says
-        if g.x.ndim != 2 or any(np.ndim(dx) != 2 for dx in first):
+        tangent = _checked_sn_tangent(g, tangent)
+        if g.x.ndim != 2 or tangent[0].ndim != 2:
             raise BadShape("the S_n route takes one chart and one tangent, not stacks")
-        tangent = _d_sn_chart_inverse(g, _checked_sn_tangent(g, tangent))
+        tangent = _d_sn_chart_inverse(g, tangent)
         g = sn_chart_inverse(g)
     else:
         tangent = _checked("matrix", g.n, tangent)

@@ -32,7 +32,11 @@ class HeisenbergElement:
     kappa: float
 
     def __post_init__(self):
-        rows = _checked("rrk", _row(self.lam).shape[-1], (self.lam, self.mu, self.kappa))
+        try:  # lambda's length is the degree; the read below refuses a lambda without one
+            n = _row(self.lam).shape[-1]
+        except (TypeError, ValueError):
+            n = 0
+        rows = _checked("rrk", n, (self.lam, self.mu, self.kappa))
         for name, value in zip(self.__dataclass_fields__, rows):
             object.__setattr__(self, name, value)
 

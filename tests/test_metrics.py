@@ -625,6 +625,70 @@ def test_replay_reproduces_the_worst_sample(obj, n):
     assert all(np.shape(c)[0] == 1 for c in (*t1, *t2, *pushed[0], *pushed[1]))
 
 
+# object, n, samples, then float.hex of max_abs, max_rel and mean_rel, and worst_sample, at
+# seed 7: the engine's reports pinned to the bit, so that a change to how the samplers draw or
+# how a report is stacked shows as a moved bit, not only as a moved verdict
+_REPORT_BITS = {(obj, int(n), int(samples)): (*bits, int(worst))
+                 for obj, n, samples, *bits, worst in map(str.split, """
+metric_group 1 4 0x1.0000000000000p-49 0x1.b8621f93b84eep-53 0x1.51ea3b1bedc91p-54 2
+metric_group 2 4 0x1.4000000000000p-48 0x1.367596fd8c26ap-53 0x1.bbc3c03bbce60p-54 3
+metric_group 4 4 0x1.c000000000000p-48 0x1.1552530c1c4bcp-53 0x1.6491f5cfd27bfp-54 2
+metric_group 10 4 0x1.e000000000000p-45 0x1.c83b6bad0f67dp-53 0x1.451abfee7781dp-53 1
+metric_xjn_pq 1 4 0x1.2000000000000p-52 0x1.bb15cf4909c5ep-54 0x1.83dd0a2c012f6p-55 2
+metric_xjn_pq 2 4 0x1.0000000000000p-50 0x1.19367582439dap-53 0x1.211d963e57670p-54 0
+metric_xjn_pq 4 4 0x1.0000000000000p-51 0x1.6e7a4f8c83181p-56 0x1.5293a7dec7e01p-57 2
+metric_xjn_pq 10 4 0x1.2000000000000p-47 0x1.7bf5fe2186a92p-54 0x1.895218f63404bp-55 2
+metric_xjn_chipsi 1 4 0x1.c000000000000p-52 0x1.5e89db3b0740fp-53 0x1.84747fae3d395p-54 2
+metric_xjn_chipsi 2 4 0x1.0000000000000p-50 0x1.565110e76d443p-54 0x1.8c425d4c7de52p-55 2
+metric_xjn_chipsi 4 4 0x1.4000000000000p-49 0x1.ea6c65499be5fp-55 0x1.80f32e0e2b2afp-55 3
+metric_xjn_chipsi 10 4 0x1.6000000000000p-47 0x1.c11bd8240cdf7p-54 0x1.6519665a88bc6p-55 2
+metric_xjn_xirho 1 4 0x1.2000000000000p-51 0x1.6d40db4f7af10p-52 0x1.f0566b7e17d7fp-54 0
+metric_xjn_xirho 2 4 0x1.1000000000000p-50 0x1.9a9276c214e6bp-54 0x1.f35ef257ee329p-56 2
+metric_xjn_xirho 4 4 0x1.6000000000000p-48 0x1.cc6b829dae201p-53 0x1.1bba94021c21fp-54 2
+metric_xjn_xirho 10 4 0x1.2000000000000p-47 0x1.64db66b530a9ep-54 0x1.9c8cc2ad35205p-55 2
+metric_extended 1 4 0x1.0000000000000p-51 0x1.10cc86a937b5cp-53 0x1.0dcccced80138p-54 1
+metric_extended 2 4 0x1.2000000000000p-49 0x1.09dd2b0affa07p-53 0x1.23b8106bdb604p-54 1
+metric_extended 4 4 0x1.8000000000000p-50 0x1.35d5a02f0e05cp-55 0x1.aedcbbec714e9p-56 2
+metric_extended 10 4 0x1.0000000000000p-47 0x1.d38d311ebf746p-55 0x1.1c2cafe867caep-55 0
+metric_xjn_broken 1 4 0x1.ae31f86d4d787p-2 0x1.0cbaa9e3ffc48p-3 0x1.8efccf36fdca1p-5 1
+metric_xjn_broken 2 4 0x1.272f852783760p-3 0x1.7f47957eb53fcp-6 0x1.060be2cee631ap-7 0
+metric_xjn_broken 4 4 0x1.567702b6fd6b8p-3 0x1.0cafd65955bb2p-7 0x1.01c1bad056726p-8 0
+metric_xjn_broken 10 4 0x1.8d8e4e9359920p-2 0x1.52cd14ed8c66dp-9 0x1.7d0e7937d2c05p-10 0
+kahler_ball 1 4 0x1.e000000000000p-46 0x1.b058a6ba12f79p-51 0x1.4978950edcae3p-52 2
+kahler_ball 2 4 0x1.8000000000000p-48 0x1.61ac4e31fa0b8p-55 0x1.0a5782ea1cb14p-55 2
+kahler_ball 4 4 0x1.0000000000000p-45 0x1.67aa65f68726bp-53 0x1.275d6b3e06c8dp-54 0
+kahler_ball 10 4 0x1.4000000000000p-45 0x1.1f543148ba41cp-54 0x1.40725edf320a6p-55 2
+kahler_xjn 1 4 0x1.2000000000000p-50 0x1.73bcee21e02d4p-52 0x1.0600ee968d305p-53 0
+kahler_xjn 2 4 0x1.9000000000000p-50 0x1.924ce81af6c43p-53 0x1.2ac855f74b345p-54 0
+kahler_xjn 4 4 0x1.0000000000000p-48 0x1.f32ab04688d12p-54 0x1.06c060bc79963p-54 2
+kahler_xjn 10 4 0x1.8000000000000p-47 0x1.afa461a8c792ep-55 0x1.252412e667e88p-55 0
+lambda_R 1 4 0x1.0000000000000p-52 0x1.0000000000000p-52 0x1.8000000000000p-54 0
+lambda_R 2 4 0x1.0000000000000p-51 0x1.0000000000000p-51 0x1.1000000000000p-52 1
+lambda_R 4 4 0x1.4000000000000p-51 0x1.4000000000000p-51 0x1.8000000000000p-52 3
+lambda_R 10 4 0x1.1000000000000p-50 0x1.1000000000000p-50 0x1.08d1216d5cedep-51 3
+metric_group 4 100 0x1.e000000000000p-45 0x1.adbedd14712f1p-51 0x1.07e0d7bb5a0b8p-52 63
+metric_xjn_pq 4 100 0x1.8000000000000p-48 0x1.1cfb1da79fb16p-53 0x1.612f8935eaffbp-55 91
+metric_xjn_chipsi 4 100 0x1.0000000000000p-47 0x1.7d4eb8f162132p-53 0x1.740a2cda34b96p-55 34
+metric_xjn_xirho 4 100 0x1.8000000000000p-48 0x1.cc6b829dae201p-53 0x1.bf1607d13a5ecp-55 2
+metric_extended 4 100 0x1.4000000000000p-47 0x1.7ac012e3395bdp-53 0x1.6137b263e4163p-55 15
+metric_xjn_broken 4 100 0x1.8b78e8d046c5cp-1 0x1.c2b228ea6482ep-6 0x1.66ed27e8cd111p-8 23
+kahler_ball 4 100 0x1.4000000000000p-45 0x1.2b308d97c125ap-52 0x1.4fabd401ad21cp-54 45
+kahler_xjn 4 100 0x1.d000000000000p-46 0x1.13eef255f8483p-52 0x1.28994f3f4767ap-54 43
+lambda_R 4 100 0x1.c000000000000p-50 0x1.a3659c0e97678p-50 0x1.177467989d89fp-52 69
+""".strip().splitlines())}
+
+
+@pytest.mark.parametrize("obj,n,samples", _REPORT_BITS)
+def test_reports_keep_their_bits(obj, n, samples):
+    rep = invariance_report(obj, n, samples=samples, seed=7)
+    got = (rep.max_abs.hex(), rep.max_rel.hex(), rep.mean_rel.hex(), rep.worst_sample)
+    assert got == _REPORT_BITS[obj, n, samples]
+
+
+def test_every_object_has_pinned_report_bits():
+    assert {obj for obj, *_ in _REPORT_BITS} == set(INVARIANCE_OBJECTS)
+
+
 def test_reports_do_not_depend_on_chunking():
     # sample i comes from its own (seed, i) stream, so the first k samples of a run
     # longer than one stack are the samples of a run of k

@@ -55,6 +55,52 @@ def test_every_draw_fits_its_window(n):
     assert used["metric_group"] <= window_words(n)
 
 
+# the StackStream.random calls of each spec's draw: one per run of consecutive uniform words
+# (sampling._draw), and in rand_spd two for the Box-Muller normals and one for the eigenvalues
+_DRAW_CALLS = {
+    "metric_group": 6,  # rand_jacobi twice (the algebra, then the rows), two tangents
+    # rand_jacobi 2, the point 5 (rand_spd 3; the extended point's kappa with its rows), two
+    # tangents
+    **dict.fromkeys(["metric_xjn_pq", "metric_xjn_chipsi", "metric_xjn_xirho", "metric_extended",
+                     "metric_xjn_broken", "kahler_xjn", "lambda_R"], 9),
+    "kahler_ball": 5,  # the algebra, alpha, the point, two tangents
+}
+
+
+def test_every_spec_has_a_draw_call_budget():
+    assert set(_DRAW_CALLS) == set(metrics.INVARIANCE_OBJECTS)
+
+
+@pytest.mark.parametrize("obj", metrics.INVARIANCE_OBJECTS)
+def test_each_run_of_words_is_one_draw(monkeypatch, obj):
+    calls = []
+    random = StackStream.random
+    monkeypatch.setattr(StackStream, "random",
+                        lambda self, size=None: calls.append(size) or random(self, size))
+    metrics._INVARIANCE_SPECS[obj].draw(StackStream(3, 2, 0, 2), 2)
+    assert len(calls) == _DRAW_CALLS[obj], calls
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+@pytest.mark.parametrize("layout", ["mss", "ssmmrrk", "rrk"])
+def test_a_run_of_words_is_its_parts_drawn_one_by_one(layout, stacked):
+    # one _uniform call over the run gives the parts' draws bit for bit, with their types, and
+    # over a stack each part is contiguous, as when it was drawn alone
+    n, scale = 3, 0.25
+
+    def rng():
+        return StackStream(2, n, 0, 4) if stacked else np.random.default_rng(2)
+
+    together, one, alone = sampling._draw(rng(), n, layout, scale), rng(), []
+    for c in layout:
+        part = scale * sampling._uniform(one, {"r": (1, n), "k": None}.get(c, (n, n)))
+        part = sampling.symmetrize(part) if c == "s" else part
+        alone.append(sampling._row(part) if c == "r" else part)
+    for a, b in zip(together, alone, strict=True):
+        assert type(a) is type(b) and np.asarray(a).tobytes() == np.asarray(b).tobytes()
+        assert np.shape(a) == np.shape(b) and (not stacked or a.flags.c_contiguous)
+
+
 def test_a_draw_past_the_window_raises():
     w = window_words(1)
     stream = StackStream(0, 1, 0, 3)

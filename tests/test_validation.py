@@ -19,6 +19,7 @@ from jacobigeom import (
     BadShape,
     ContractionViolation,
     GeometryError,
+    HeisenbergElement,
     KahlerParams,
     JacobiAlgebraElement,
     JacobiElement,
@@ -579,6 +580,13 @@ BAD_SHAPES = {
     "h_oneforms NaN dmu": lambda: h_oneforms(h_identity(2), (_ROWS[0], _NAN_ROW, 0.0)),
     "h_metric dmu of length 3": lambda: h_metric(h_identity(2), (_ROWS[0], _ROW3, 0.0)),
     "h_metric NaN dkappa": lambda: h_metric(h_identity(2), _ROWS + (np.nan,)),
+    # a lambda without a length, whose degree was read before the reader: numpy's ValueError
+    "HeisenbergElement lambda a string": lambda: HeisenbergElement("ab", _ROWS[1], 0.0),
+    "HeisenbergElement ragged lambda":
+        lambda: HeisenbergElement([[0.3, -0.5], [0.2]], _ROWS[1], 0.0),
+    # and a ragged dx on the S_n route, whose stack was read before the reader
+    "maurer_cartan sn ragged dx": lambda: maurer_cartan(
+        sn_chart_identity(2), ([[1.0, 0.0], [0.0]], *_sn_tangent()[1:]), chart="sn"),
     # matrix-chart tangents' rows and dkappa, at the identity
     "oneforms_matrix_chart dp of length 3":
         lambda: oneforms_matrix_chart(gj_identity(2), (_X,) * 4 + (_ROW3, _ROWS[1], 0.0)),
