@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _checked, _dot, _fit, _row, _tangent, _trusted
+from .linalg import _checked, _degree, _dot, _fit, _tangent, _trusted
 from .symplectic import _jacobi_matrix
 
 
@@ -32,12 +32,8 @@ class HeisenbergElement:
     kappa: float
 
     def __post_init__(self):
-        try:  # lambda's length is the degree; the read below refuses a lambda without one
-            n = _row(self.lam).shape[-1]
-        except (TypeError, ValueError):
-            n = 0
-        rows = _checked("rrk", n, (self.lam, self.mu, self.kappa))
-        for name, value in zip(self.__dataclass_fields__, rows):
+        parts = (self.lam, self.mu, self.kappa)  # lambda's length is the degree
+        for name, value in zip(self.__dataclass_fields__, _checked("rrk", _degree(parts), parts)):
             object.__setattr__(self, name, value)
 
     @property

@@ -29,10 +29,10 @@ from .exceptions import BadShape, BasisClosureFailure, ProjectionResidual
 from .heisenberg import _omega
 from . import linalg
 from .linalg import _checked, _col, _fit, _from_col, _gate, _lift, _max_norm, _mT, _root_frame
-from .linalg import _row, _spectral, _tangent, _trusted, symmetrize
-from .symplectic import _ball, _chart, _compose, _dmobius, _jacobi_matrix, _jacobi_parts
-from .symplectic import _mobius, _pre_iwasawa, _siegel, _sp_blocks, _sp_inverse, blocks
-from .symplectic import check_symplectic, from_blocks, sp_basis
+from .linalg import _degree, _row, _spectral, _tangent, _trusted, symmetrize
+from .symplectic import _ball, _chart, _compose, _dmobius, _generators, _jacobi_matrix
+from .symplectic import _jacobi_parts, _mobius, _pre_iwasawa, _siegel, _sp_blocks, _sp_inverse
+from .symplectic import blocks, check_symplectic, from_blocks, sp_basis
 
 
 @dataclass(frozen=True)
@@ -194,13 +194,8 @@ class JacobiAlgebraElement:
 
 
 def gj_basis_labels(n):
-    labels = [f"H{i + 1}{j + 1}" for i in range(n) for j in range(n)]
-    labels += [f"F{i + 1}{j + 1}" for i in range(n) for j in range(i, n)]
-    labels += [f"G{i + 1}{j + 1}" for i in range(n) for j in range(i, n)]
-    labels += [f"P{p + 1}" for p in range(n)]
-    labels += [f"Q{q + 1}" for q in range(n)]
-    labels += ["R"]
-    return labels
+    return ([f"{f}{i + 1}{j + 1}" for f, i, j in _generators(n)] + [f"P{k + 1}" for k in range(n)]
+            + [f"Q{k + 1}" for k in range(n)] + ["R"])
 
 
 def gj_basis_elements(n):
@@ -266,36 +261,31 @@ def commutator_table(n):
 # actions on the Siegel-Jacobi spaces
 
 
-# Each space of points (see _point): the check of its matrix part, and the linalg._checked
-# kinds of its rows and of its tangents, whose layout is also the point's.
+# Each space of points (see _point): the check of its matrices, and the linalg._KINDS kind of
+# its tangents, whose layout is also the point's.
 _SPACES = {
-    "vu": (_siegel, "u", "vu"),                # (v, u) with v = x + iy
-    "ball": (_ball, "u", "vu"),                # (W, z)
-    "xjn": (_siegel, "rr", "xjn"),             # (x, y, p, q), or the rows of another chart
-    "extended": (_siegel, "rrk", "extended"),  # (x, y, p, q, kappa)
+    "vu": (_siegel, "vu"),              # (v, u) with v = x + iy
+    "ball": (_ball, "vu"),              # (W, z)
+    "xjn": (_siegel, "xjn"),            # (x, y, p, q), or the rows of another chart
+    "extended": (_siegel, "extended"),  # (x, y, p, q, kappa)
+    "sn": (_chart, "sn"),               # an SnChart's (x, y, X, Y, p, q, kappa)
 }
 
 
 def _point(space, point, *tangents, by=None, pair=False):
     """``(point, eig, *tangents)`` as arrays, ``eig`` the eigenpairs of the one ``eigh`` of the
-    matrix part, once the point has a tangent's number of parts (BadShape), its matrix part
-    passes its check (one ``sym_residual`` for x and y), its rows ``linalg._checked`` and
-    ``linalg._fit`` with the matrix part, each tangent (``pair``: the two as one, in one pass)
-    ``linalg._tangent``, and ``by``, an acting element's (stack shape, degree), ``linalg._fit``
-    with the point: the one point check."""
-    check, rows, kind = _SPACES[space]
-    layout = linalg._KINDS[kind][0]
-    linalg._count(point, len(layout), f"a {space} point has")
-    width = layout.count("m")
-    *matrix, eig = check(*point[:width])
-    at = (matrix[0].shape[:-2], matrix[0].shape[-1])
+    space's matrix check, once the point passes ``linalg._checked`` as a tuple of its tangents'
+    kind at the degree ``linalg._degree`` finds (its matrices to the check, one finiteness pass
+    for the rest), each tangent (``pair``: the two as one, in one pass) ``linalg._tangent``,
+    and ``by``, an acting element's (stack shape, degree), ``linalg._fit`` with the point: the
+    one point check."""
+    check, kind = _SPACES[space]
+    *point, checked = _checked(kind, _degree(point), point, matrices=check)
+    at = (point[0].shape[:-2], point[0].shape[-1])
     if by is not None:
         _fit(by, at)
-    point = (*matrix, *_checked(rows, at[1], point[width:]))
-    at = _fit(at, (point[width].shape[:-2], at[1]))
-    if by is not None:
-        _fit(by, at)
-    return point, eig, *(_tangent(kind, at, t, pair) for t in ((tangents,) if pair else tangents))
+    tangents = (tangents,) if pair else tangents
+    return point, checked[-1], *(_tangent(kind, at, t, pair) for t in tangents)
 
 
 def act_xjn(g, point):
@@ -386,11 +376,8 @@ class SnChart:
     _frame: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        (x, y, xu, yu), eig = _chart(self.x, self.y, self.X, self.Y)
-        rows = _checked("rrk", x.shape[-1], (self.p, self.q, self.kappa))
-        _fit((x.shape[:-2], x.shape[-1]), (rows[0].shape[:-2], x.shape[-1]))
-        for name, value in zip(self.__dataclass_fields__,
-                               (x, y, xu, yu, *rows, _root_frame(eig)), strict=True):
+        point, eig = _point("sn", (self.x, self.y, self.X, self.Y, self.p, self.q, self.kappa))
+        for name, value in zip(self.__dataclass_fields__, (*point, _root_frame(eig)), strict=True):
             object.__setattr__(self, name, value)
 
     @property

@@ -28,15 +28,18 @@ Conventions fixed here and relied on everywhere else:
 * Validation happens once, where a value enters from a caller; a value
   derived from validated ones is built by :func:`_trusted`, unchecked.  Each
   kind of matrix point has one check, which returns the ``eigh`` it made for
-  the kernel: :func:`_spd`, ``symplectic._siegel`` and ``symplectic._ball``;
+  the kernel: :func:`_spd`, ``symplectic._siegel``, ``_chart`` and ``_ball``;
   each kind of tangent, row or kappa tuple goes through :func:`_checked` and
   its table; a whole point of the Siegel-Jacobi space, of its extension or of
-  the ball goes with its tangents through ``jacobi._point`` and its table; one
-  rule, :func:`_fit`, says if an element, a point and tangents go together.
+  the ball, and an S_n chart, is read as its tangent is, by :func:`_checked`
+  under the tangent's kind before any other numpy call, and goes with its
+  tangents through ``jacobi._point`` and its table, its matrices to their
+  check; all parts of one tuple, point or element have one stack shape, and
+  one rule, :func:`_fit`, says if an element, a point and tangents go together.
 * A check makes one vectorised pass per group of inputs, not one numpy call
   per part: one reader, :func:`_read`, takes each layout letter's parts of any
-  tuple or pair as one array, :func:`_checked` gates the symmetric ones by one
-  :func:`sym_residual`, and ``symplectic._siegel`` gates x and y by one.
+  tuple, pair or point as one array, :func:`_checked` gates the symmetric ones
+  by one :func:`sym_residual`, and ``symplectic._siegel`` gates x and y by one.
 """
 
 import functools
@@ -225,19 +228,20 @@ _KINDS = {
     "extended": ("mmrrk", float, True, 2),    # (dx, dy, dp, dq, dkappa)
     "vu": ("mr", complex, True, 0),           # (dv, du); (dW, dz) on the ball
     "rrk": ("rrk", float, True, 0),           # (lambda, mu, kappa), (p, q, kappa)
-    "rr": ("rr", float, True, 0),             # the two rows of a point chart
-    "u": ("r", complex, True, 0),             # u, z or alpha of a vu or ball point
+    "ball_act": ("mmr", complex, True, 0),    # (P, Q, alpha) of a ball_act element
     "n1": ("k" * 11, float, False, 0),        # oneforms_n1's point and tangent
     "abc": ("mmm", float, True, 0),           # (a, b, c) of an algebra element
 }
 
 
-def _count(parts, count, what):
-    """BadShape ("<what> <count> parts, got ...") unless ``parts`` is a sequence of ``count``."""
-    sized = hasattr(parts, "__len__") and getattr(parts, "shape", 1)
-    got = len(parts) if sized else f"an object of type {type(parts).__name__}"
-    if got != count:
-        raise BadShape(f"{what} {count} parts, got {got}")
+def _degree(parts):
+    """The degree n of a tuple of parts: the last axis of its first (a matrix or a row), or 0 if
+    it has none, which the reader then refuses.  The probe of a point and of an element whose
+    degree its parts alone give."""
+    try:
+        return np.shape(parts[0])[-1]
+    except (IndexError, KeyError, TypeError, ValueError):
+        return 0
 
 
 @functools.cache
@@ -269,7 +273,10 @@ def _read(row, kind, n, parts, pair):
         return ((2,), [a[:, :, None] if c == "r" else a
                        for (c, _), a in zip(runs, read)]) if pair else ((), read)
     for t in parts if pair else (parts,):
-        _count(t, len(layout), f"{kind} tuples have")
+        got = (len(t) if hasattr(t, "__len__") and getattr(t, "shape", 1)
+               else f"an object of type {type(t).__name__}")
+        if got != len(layout):
+            raise BadShape(f"{kind} tuples have {len(layout)} parts, got {got}")
     parts, stack, arrays = tuple(zip(*parts)) if pair else parts, None, []
     for k, (c, s) in enumerate(runs):
         try:
@@ -297,21 +304,26 @@ def _read(row, kind, n, parts, pair):
     return lead, arrays
 
 
-def _checked(kind, n, parts, gate=None, pair=False):
+def _checked(kind, n, parts, gate=None, pair=False, matrices=None):
     """``parts`` of ``kind`` (_KINDS; ``pair``: two tuples of it, as one stacked on a new leading
     axis) as arrays of its dtype, rows as :func:`_read` gives them and an unstacked scalar as a
     float, once (1) :func:`_read` takes them, else BadShape; (2) the kind's leading matrices
-    are symmetric (NotSymmetric) and ``gate`` passes the parts with non-finite entries made NaN
-    (:func:`_max_norm`); (3) every entry is finite, else BadShape naming the first failing stack
-    index: the one check of a tangent, and of rows and kappas.  Each letter's parts are one
-    array, so the check makes one ``sym_residual`` over the symmetric matrices and one
-    finiteness reduction over the rest."""
+    are symmetric (NotSymmetric), or, ``matrices`` given, all of them go to it instead (a
+    point's check, which gates their values, or the element's own use of them) and its result
+    follows the parts, and ``gate`` passes the parts with non-finite entries made NaN
+    (:func:`_max_norm`); (3) every entry not given to ``matrices`` is finite, else BadShape
+    naming the first failing stack index: the one check of a tangent, of rows and kappas, and of
+    a point's parts.  Each letter's parts are one array, so the check makes one
+    ``sym_residual`` over the symmetric matrices and one finiteness reduction over the rest."""
     layout, _, _, sym, _, _ = row = _kind(kind, n)
     lead, arrays = _read(row, kind, n, parts, pair)
-    if sym:
+    if matrices is not None:
+        sym, made = len(arrays[0]), matrices(*arrays[0])
+    elif sym:
         dx, dy = sym_residual(arrays[0][:sym])
         _gate(np.maximum(dx, dy), TANGENT_SYM_RTOL, NotSymmetric, "asymmetry of dx or dy")
-    # the symmetric matrices that passed are finite (a non-finite one has a NaN residual)
+    # the symmetric matrices that passed are finite (a non-finite one has a NaN residual); the
+    # values of those given to ``matrices`` are its business
     rest = arrays[1:] if sym == len(arrays[0]) else [arrays[0][sym:], *arrays[1:]]
     whole = np.isfinite(rest[0] if len(rest) == 1 else
                         np.concatenate([a.ravel() for a in rest])).all()
@@ -323,7 +335,7 @@ def _checked(kind, n, parts, gate=None, pair=False):
               BadShape, "count of non-finite entries")
     if not lead and layout[-1] == "k":  # the kappas, the last run, as floats
         parts[-len(arrays[-1]):] = arrays[-1].tolist()
-    return tuple(parts)
+    return tuple(parts) if matrices is None else (*parts, made)
 
 
 def check_spd(a):

@@ -34,13 +34,12 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import sampling as smp
-from .exceptions import BadShape
 from .heisenberg import _omega
 from .jacobi import _act_extended, _act_pq, _act_vu, _from_pq, _point, _pq_of, _push_kappa
 from .jacobi import _push_pq, _push_vu, _tangent_from_pq, _tangent_to_pq, gj_compose
 from .jacobi import SnChart, gj_embed, sn_chart, sn_chart_inverse
 from . import linalg
-from .linalg import _checked, _col, _fit, _from_col, _modulus, _mT
+from .linalg import _checked, _col, _degree, _from_col, _modulus, _mT
 from .forms import _checked_sn_tangent, _d_sn_chart, _d_sn_chart_inverse, _embed_tangent
 from .forms import _oneforms_sn
 from .symplectic import _ball, _jacobi_parts, _mobius, blocks, check_symplectic, from_blocks
@@ -330,20 +329,15 @@ def ball_act(element, point):
     z1^t = (W Q^dag + P^dag)^{-1} (z^t + alpha^t - W alphabar^t),
 
     the kernel ``jacobi._act_vu`` of :func:`jacobi.act_xjn` for M = :func:`_ball_matrix` and
-    (lambda, mu) = (-alphabar, alpha).  P and Q must be square of one shape, the point pass
-    ``jacobi._point`` (P acting) and alpha be a finite row of length n; stacks broadcast, the
-    element's (P with alpha) and the point's (``linalg._fit``).
+    (lambda, mu) = (-alphabar, alpha).  (P, Q, alpha) is read as one complex tuple
+    (``linalg._checked``): P and Q square, alpha a finite row of length n, all of one stack
+    shape; the values of P and Q meet the action's SingularDenominator.  The point passes
+    ``jacobi._point`` with the element acting (``linalg._fit``).
     """
     (p, q), alpha = element
-    shape = np.shape(p)
-    if len(shape) < 2 or shape[-1] != shape[-2] or np.shape(q) != shape:
-        raise BadShape(f"P and Q must be square of one shape, got {shape} and {np.shape(q)}")
-    n = shape[-1]
-    (w, z), _ = _point("ball", point, by=(shape[:-2], n))
-    (alpha,) = _checked("u", n, (alpha,))
-    _fit(_fit((shape[:-2], n), (alpha.shape[:-2], n)),
-         (np.broadcast_shapes(w.shape[:-2], z.shape[:-2]), n))
-    return _act_vu(_ball_matrix(p, q), -alpha.conj(), alpha, w, z)
+    p, _, alpha, m = _checked("ball_act", _degree((p, q)), (p, q, alpha), matrices=_ball_matrix)
+    (w, z), _ = _point("ball", point, by=(p.shape[:-2], p.shape[-1]))
+    return _act_vu(m, -alpha.conj(), alpha, w, z)
 
 
 # ---------------------------------------------------------------------------
@@ -424,21 +418,23 @@ def _draw_extended(rng, n):
             point, t1, t2)
 
 
+def _vu_action(m, lam, mu):
+    """(act, push) of act_xjn's action of (m, lam, mu), and so of ball_act's."""
+    return ((lambda pt: _act_vu(m, lam, mu, *pt)),
+            (lambda pt, image, t: _push_vu(m, lam, pt, image, t)))
+
+
 def _draw_ball(rng, n):
     p, q = _sp_to_ball_rep(smp.rand_symplectic(rng, n))
     alpha = smp.rand_complex_row(rng, n)
-    m, lam = _ball_matrix(p, q), -alpha.conj()  # ball_act is act_xjn's action of (m, lam)
-    return ((lambda pt: _act_vu(m, lam, alpha, *pt)),
-            (lambda pt, image, t: _push_vu(m, lam, pt, image, t)),
-            smp.rand_ball_point(rng, n), smp.rand_ball_tangent(rng, n),
-            smp.rand_ball_tangent(rng, n))
+    return (*_vu_action(_ball_matrix(p, q), -alpha.conj(), alpha), smp.rand_ball_point(rng, n),
+            smp.rand_ball_tangent(rng, n), smp.rand_ball_tangent(rng, n))
 
 
 def _draw_vu(rng, n):
     g = smp.rand_jacobi(rng, n)
-    return ((lambda pt: _act_vu(g.M, g.lam, g.mu, *pt)),
-            (lambda pt, image, t: _push_vu(g.M, g.lam, pt, image, t)),
-            smp.rand_vu_point(rng, n), smp.rand_vu_tangent(rng, n), smp.rand_vu_tangent(rng, n))
+    return (*_vu_action(g.M, g.lam, g.mu), smp.rand_vu_point(rng, n),
+            smp.rand_vu_tangent(rng, n), smp.rand_vu_tangent(rng, n))
 
 
 @dataclass(frozen=True)

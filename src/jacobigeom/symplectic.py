@@ -200,31 +200,26 @@ def _sp_blocks(a, b, c, rtol=None):
     return _checked("abc", b.shape[-1], (a, b, c))
 
 
+def _generators(n):
+    """The generators of sp(n, R) in basis order as (family, i, j): H_ij (all i, j), then F_ij
+    and G_ij (i <= j, row by row): the one enumeration of :func:`sp_basis` and its labels."""
+    upper = list(zip(*np.triu_indices(n)))
+    return [("H", i, j) for i in range(n) for j in range(n)] + [
+        (family, i, j) for family in "FG" for i, j in upper]
+
+
 def sp_basis(n):
     """Generators H_ij (all i, j), F_ij and G_ij (i <= j) of sp(n, R).
 
     H_ij has a-block E_ij; 2 F_ij has b-block E_ij + E_ji; 2 G_ij has
     c-block E_ij + E_ji.  Count: 2 n^2 + n.
     """
-    gens = []
-    zero = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            a = np.zeros((n, n))
-            a[i, j] = 1.0
-            gens.append(SpAlgebraElement(a, zero, zero))
-    for i in range(n):
-        for j in range(i, n):
-            b = np.zeros((n, n))
-            b[i, j] += 0.5
-            b[j, i] += 0.5
-            gens.append(SpAlgebraElement(zero, b, zero))
-    for i in range(n):
-        for j in range(i, n):
-            c = np.zeros((n, n))
-            c[i, j] += 0.5
-            c[j, i] += 0.5
-            gens.append(SpAlgebraElement(zero, zero, c))
+    gens, zero = [], np.zeros((n, n))
+    for family, i, j in _generators(n):
+        e = np.zeros((n, n))
+        e[i, j] = 1.0
+        e = e if family == "H" else 0.5 * (e + e.T)
+        gens.append(SpAlgebraElement(*(e if f == family else zero for f in "HFG")))
     return gens
 
 
@@ -301,8 +296,8 @@ def _ball(w):
     """W as complex and the eigenpairs of the Hermitian part of I - W Wbar, once W is a
     ball point: the one check of one.  ContractionViolation unless W is symmetric within
     BALL_SYM_RTOL and the smallest eigenvalue of that one ``eigh`` (per matrix of a stack)
-    exceeds BALL_MIN_EIG: W a strict contraction."""
-    w = np.asarray(w, dtype=complex)
+    exceeds BALL_MIN_EIG: W a strict contraction; BadShape unless W is square and non-empty."""
+    w = _square(np.asarray(w, dtype=complex))
     _gate(sym_residual(w), linalg.BALL_SYM_RTOL, ContractionViolation, "asymmetry of W")
     k = np.eye(w.shape[-1]) - w @ w.conj()
     e, u = np.linalg.eigh(0.5 * (k + _mT(k.conj())))

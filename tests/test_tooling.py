@@ -91,3 +91,36 @@ def test_unread_private_check_sees_a_leftover():
 @pytest.mark.parametrize("path", _MODULES + [_PACKAGE / "__init__.py"], ids=lambda p: p.stem)
 def test_every_private_name_is_read_somewhere(path):
     assert _unread(path.read_text(), [p.read_text() for p in _SOURCES]) == []
+
+
+def _dead_rows(tables, sources):
+    """Per module-level dict named in ``tables``, its keys, sorted, that no call of ``sources``
+    passes as its first argument and no other of the tables holds in a value: rows nothing
+    reads.  ``_unread`` cannot see them, as a key is no name."""
+    rows, held, named = {}, {}, set()
+    for tree in map(ast.parse, sources):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and node.args and isinstance(node.args[0], ast.Constant):
+                named.add(node.args[0].value)
+            elif isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) in tables:
+                table = node.targets[0].id
+                rows[table] = [key.value for key in node.value.keys]
+                held[table] = {c.value for value in node.value.values for c in ast.walk(value)
+                               if isinstance(c, ast.Constant)}
+    return {table: sorted(key for key in keys if key not in named.union(
+        *(values for other, values in held.items() if other != table)))
+        for table, keys in rows.items()}
+
+
+def test_dead_row_check_sees_a_leftover():
+    # a row named only by an unrelated call's later argument, and a row nothing names
+    source = ('_KINDS = {"xjn": ("mmrr",), "rr": ("rr",), "u": ("r",)}\n'
+              '_SPACES = {"xjn": (None, "xjn"), "vu": (None, "u")}\n'
+              'def f(p):\n    return _point("xjn", p), _draw(p, "rr")\n')
+    assert _dead_rows({"_KINDS", "_SPACES"}, [source]) == {"_KINDS": ["rr"], "_SPACES": ["vu"]}
+
+
+def test_every_kind_and_space_is_named_outside_its_table():
+    # the reader's kinds (linalg._KINDS) and the point check's spaces (jacobi._SPACES)
+    sources = [p.read_text() for p in _MODULES]
+    assert _dead_rows({"_KINDS", "_SPACES"}, sources) == {"_KINDS": [], "_SPACES": []}

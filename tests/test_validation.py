@@ -696,6 +696,25 @@ BAD_SHAPES = {
         lambda: ball_act((_S3["ball_element"][0], _S2["ball_element"][1]), _S3["ball"]),
     "ball_act alpha stacked 3, point stacked 2": lambda: ball_act(
         ((np.eye(2) + 0j, np.zeros((2, 2)) + 0j), _S3["ball_element"][1]), _S2["ball"]),
+    # a point, chart or ball element is read whole, as a tangent is, before numpy meets its
+    # parts: one stack shape for all of them (a matrix part stacked 3 and rows unstacked came
+    # back as a mixed-stack image or object), and no numpy TypeError or ValueError, nor a
+    # ComplexWarning, for a point that is no tuple of arrays
+    "act_pq point a dict": lambda: act_pq(gj_identity(2), dict(zip("xypq", (_X, _Y) + _ROWS))),
+    "act_pq ragged x": lambda: act_pq(gj_identity(2), ([[0.0, 0.0], [0.0]], _Y) + _ROWS),
+    "act_pq complex x": lambda: act_pq(gj_identity(2), (_X + 1j * _Y, _Y) + _ROWS),
+    "act_xjn v unstacked, u stacked (1, 1, 2)":
+        lambda: act_xjn(gj_identity(2), (_X + 1j * _Y, _ROWS[0][None, None] + 0j)),
+    "cayley v unstacked, u stacked (1, 1, 2)": lambda: cayley(_X + 1j * _Y, _ROWS[0][None, None]),
+    "act_pq x, y stacked 3, p, q unstacked":
+        lambda: act_pq(gj_identity(2), (*_S3["pq"][:2], *_ROWS)),
+    "SnChart (x, y, X, Y) stacked 3, rows unstacked": lambda: SnChart(*_S3["chart4"], *_ROWS, 0.0),
+    "ball_act P, Q stacked 3, alpha unstacked":
+        lambda: ball_act((_S3["ball_element"][0], np.zeros(2) + 0j), _S3["ball"]),
+    # and the ball check takes a square, non-empty W: numpy's ValueError or AxisError before
+    "check_ball_point 2x3": lambda: check_ball_point(np.zeros((2, 3))),
+    "check_ball_point of one axis": lambda: check_ball_point(np.zeros(3)),
+    "fc_transform point of degree 0": lambda: fc_transform(np.zeros((0, 0)), np.zeros(0)),
 }
 
 
