@@ -299,8 +299,8 @@ def invariant_vf(g):
         "F": {"db": a, "dd": c},
         "G": {"da": b, "db": b, "dc": d, "dd": d},
         "H": {"da": a, "db": b, "dc": c, "dd": d},
-        "P": {"dp": d.T, "dq": -b.T, "dkappa": -g.mu},
-        "Q": {"dp": -c.T, "dq": a.T, "dkappa": g.lam},
+        "P": {"dp": _mT(d), "dq": -_mT(b), "dkappa": -g.mu},
+        "Q": {"dp": -_mT(c), "dq": _mT(a), "dkappa": g.lam},
         "R": {"dkappa": 1.0},
     }
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _checked, _degree, _dot, _fit, _tangent, _trusted
+from .linalg import _checked, _degree, _dot, _fill, _fit, _tangent, _trusted
 from .symplectic import _jacobi_matrix
 
 
@@ -33,8 +33,7 @@ class HeisenbergElement:
 
     def __post_init__(self):
         parts = (self.lam, self.mu, self.kappa)  # lambda's length is the degree
-        for name, value in zip(self.__dataclass_fields__, _checked("rrk", _degree(parts), parts)):
-            object.__setattr__(self, name, value)
+        _fill(self, *_checked("rrk", _degree(parts), parts))
 
     @property
     def n(self):
@@ -72,7 +71,8 @@ def h_embed(g):
         [ 0   0   I  -l^t  ]
         [ 0   0   0   1    ]
     """
-    eye, zero = np.eye(g.n), np.zeros((g.n, g.n))
+    eye = np.broadcast_to(np.eye(g.n), (*g.lam.shape[:-2], g.n, g.n))
+    zero = np.zeros_like(eye)
     return _jacobi_matrix((eye, zero, zero, eye), (g.lam, g.mu), (g.mu, -g.lam), g.kappa, 1.0)
 
 

@@ -28,9 +28,9 @@ import numpy as np
 from .exceptions import BadShape, BasisClosureFailure, ProjectionResidual
 from .heisenberg import _omega
 from . import linalg
-from .linalg import _checked, _col, _fit, _from_col, _gate, _lift, _max_norm, _mT, _root_frame
-from .linalg import _degree, _row, _spectral, _tangent, _trusted, symmetrize
-from .symplectic import _ball, _chart, _compose, _dmobius, _generators, _jacobi_matrix
+from .linalg import _checked, _col, _fill, _fit, _from_col, _gate, _lift, _max_norm, _mT
+from .linalg import _degree, _root_frame, _row, _spectral, _tangent, _trusted, symmetrize
+from .symplectic import _ball, _chart, _compose, _dmobius, _even, _generators, _jacobi_matrix
 from .symplectic import _jacobi_parts, _mobius, _pre_iwasawa, _siegel, _sp_blocks, _sp_inverse
 from .symplectic import blocks, check_symplectic, from_blocks, sp_basis
 
@@ -45,11 +45,11 @@ class JacobiElement:
     kappa: float
 
     def __post_init__(self):
-        object.__setattr__(self, "M", check_symplectic(self.M))
-        rows = _checked("rrk", self.n, (self.lam, self.mu, self.kappa))
-        _fit((self.M.shape[:-2], self.n), (rows[0].shape[:-2], self.n))
-        for name, value in zip(("lam", "mu", "kappa"), rows):
-            object.__setattr__(self, name, value)
+        m = check_symplectic(self.M)
+        n = m.shape[-1] // 2
+        rows = _checked("rrk", n, (self.lam, self.mu, self.kappa))
+        _fit((m.shape[:-2], n), (rows[0].shape[:-2], n))
+        _fill(self, m, *rows)
 
     @property
     def n(self):
@@ -94,15 +94,6 @@ def gj_embed(g):
     return _jacobi_matrix(blocks(g.M), (g.lam, g.mu), (q, -p), g.kappa, 1.0)
 
 
-def _embedded(mat):
-    """||mat||_max and ``mat`` as by ``linalg._max_norm``, once it is one (2n + 2) x (2n + 2)
-    matrix with n >= 1, the size of the Jacobi embeddings, else BadShape."""
-    scale, mat = _max_norm(np.asarray(mat, dtype=float))
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] % 2 or mat.shape[0] < 4:
-        raise BadShape(f"expected a (2n + 2) x (2n + 2) matrix with n >= 1, got {mat.shape}")
-    return scale, mat
-
-
 def gj_from_embedding(mat):
     """Recover (M, lambda, mu, kappa) from an embedded matrix.
 
@@ -110,7 +101,7 @@ def gj_from_embedding(mat):
     entries with (lambda, mu) M^{-1}; raises ProjectionResidual if the
     matrix does not have the Jacobi block form.
     """
-    scale, mat = _embedded(mat)
+    scale, mat = _max_norm(_even(mat, False, 4))  # (2n + 2) x (2n + 2), n >= 1
     blks, (lam, mu), _, kappa = _jacobi_parts(mat)
     g = JacobiElement(from_blocks(*blks), lam, mu, kappa)
     _gate(np.max(np.abs(mat - gj_embed(g))), linalg.EMBED_RTOL * max(1.0, scale),
@@ -150,8 +141,7 @@ class JacobiAlgebraElement:
         n = blks[0].shape[-1]
         rows = _checked("rrk", n, (self.p, self.q, self.r))
         _fit((blks[0].shape[:-2], n), (rows[0].shape[:-2], n))
-        for name, value in zip(self.__dataclass_fields__, (*blks, *rows), strict=True):
-            object.__setattr__(self, name, value)
+        _fill(self, *blks, *rows)
 
     @property
     def n(self):
@@ -171,7 +161,7 @@ class JacobiAlgebraElement:
         ProjectionResidual is raised.  ``z`` must be one (2n + 2) x (2n + 2)
         matrix, n >= 1, else BadShape.
         """
-        scale, z = _embedded(z)
+        scale, z = _max_norm(_even(z, False, 4))
         (a, b, c, d), (p, q), (q_col, minus_p_col), r = _jacobi_parts(z)
         elem = _trusted(cls, 0.5 * (a - d.T), symmetrize(b), symmetrize(c),
                         0.5 * (p - minus_p_col), 0.5 * (q + q_col), float(r))
@@ -280,12 +270,12 @@ def _point(space, point, *tangents, by=None, pair=False):
     and ``by``, an acting element's (stack shape, degree), ``linalg._fit`` with the point: the
     one point check."""
     check, kind = _SPACES[space]
-    *point, checked = _checked(kind, _degree(point), point, matrices=check)
+    *point, eig = _checked(kind, _degree(point), point, matrices=check)
     at = (point[0].shape[:-2], point[0].shape[-1])
     if by is not None:
         _fit(by, at)
     tangents = (tangents,) if pair else tangents
-    return point, checked[-1], *(_tangent(kind, at, t, pair) for t in tangents)
+    return point, eig, *(_tangent(kind, at, t, pair) for t in tangents)
 
 
 def act_xjn(g, point):
@@ -377,8 +367,7 @@ class SnChart:
 
     def __post_init__(self):
         point, eig = _point("sn", (self.x, self.y, self.X, self.Y, self.p, self.q, self.kappa))
-        for name, value in zip(self.__dataclass_fields__, (*point, _root_frame(eig)), strict=True):
-            object.__setattr__(self, name, value)
+        _fill(self, *point, _root_frame(eig))
 
     @property
     def n(self):

@@ -25,16 +25,15 @@ Conventions fixed here and relied on everywhere else:
   compares through :func:`_gate`, whose ``not residual <= bound`` form
   fails on a NaN residual or bound instead of letting it slip past; a
   non-finite input entry is made NaN first (:func:`_max_norm`).
-* Validation happens once, where a value enters from a caller; a value
-  derived from validated ones is built by :func:`_trusted`, unchecked.  Each
-  kind of matrix point has one check, which returns the ``eigh`` it made for
-  the kernel: :func:`_spd`, ``symplectic._siegel``, ``_chart`` and ``_ball``;
-  each kind of tangent, row or kappa tuple goes through :func:`_checked` and
-  its table; a whole point of the Siegel-Jacobi space, of its extension or of
-  the ball, and an S_n chart, is read as its tangent is, by :func:`_checked`
-  under the tangent's kind before any other numpy call, and goes with its
-  tangents through ``jacobi._point`` and its table, its matrices to their
-  check; all parts of one tuple, point or element have one stack shape, and
+* Validation happens once, where a value enters from a caller (a dataclass sets
+  the checked values by :func:`_fill`); a value derived from validated ones is
+  built by :func:`_trusted`, unchecked.  Every argument is read under one cast
+  rule, :func:`_cast`: a whole matrix by :func:`_square`, a tuple (a tangent,
+  rows and kappas, a point, a chart) by :func:`_checked` and its table, before
+  any other numpy call.  Each kind of matrix point has one check, which takes
+  the one array the reader made of its matrices and returns the ``eigh`` it
+  made for the kernel: ``symplectic._siegel``, ``_chart`` and ``_ball``, and
+  :func:`_spd` of a matrix; all parts of one tuple have one stack shape, and
   one rule, :func:`_fit`, says if an element, a point and tangents go together.
 * A check makes one vectorised pass per group of inputs, not one numpy call
   per part: one reader, :func:`_read`, takes each layout letter's parts of any
@@ -174,8 +173,13 @@ def _modulus(v):
 def _trusted(cls, *values):
     """The frozen dataclass ``cls`` with ``values`` as its fields, in declaration
     order, built without ``__post_init__``: for values derived from validated ones."""
-    obj = object.__new__(cls)
-    for name, value in zip(cls.__dataclass_fields__, values, strict=True):
+    return _fill(object.__new__(cls), *values)
+
+
+def _fill(obj, *values):
+    """``obj``, a frozen dataclass, with ``values`` as its fields in declaration order: the one
+    way to set them, for :func:`_trusted` and each ``__post_init__`` once it has checked them."""
+    for name, value in zip(obj.__dataclass_fields__, values, strict=True):
         object.__setattr__(obj, name, value)
     return obj
 
@@ -199,17 +203,32 @@ def sym_residual(a):
     return np.abs(a - _mT(a)).max((-2, -1)) / scale
 
 
-def _square(a):
-    """``a`` once a non-empty square matrix or a stack of them, else BadShape."""
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] == 0:
-        raise BadShape(f"expected a square matrix, got shape {a.shape}")
+def _cast(a, dtype, what):
+    """``a`` as an array of ``dtype`` once numpy makes one of it (no ragged list) of a dtype that
+    casts within its kind (no complex entry of a real argument, no string, no dict), else
+    BadShape: the one cast rule, of :func:`_read` and :func:`_square`."""
+    try:
+        a = np.asarray(a)
+    except (TypeError, ValueError) as exc:
+        raise BadShape(f"{what} takes an array: {exc}") from exc
+    if a.dtype != dtype and not np.can_cast(a.dtype, dtype, "same_kind"):
+        raise BadShape(f"{what} takes {np.dtype(dtype)} entries, got {a.dtype}")
+    return a.astype(dtype, copy=False)
+
+
+def _square(a, dtype=float, stack=True):
+    """``a`` as an array of ``dtype`` (:func:`_cast`) once a non-empty square matrix or, if
+    ``stack``, a stack of them, else BadShape: the one read of a whole-matrix argument."""
+    a = _cast(a, dtype, "a matrix")
+    if a.ndim < 2 or a.ndim > 2 and not stack or a.shape[-1] != a.shape[-2] or not a.shape[-1]:
+        raise BadShape(f"expected a square matrix{', no stack' * (not stack)}, got {a.shape}")
     return a
 
 
 def check_symmetric(a, rtol=None):
     """Return ``a`` (a non-empty square matrix or a stack of them) if symmetric within
     ``rtol`` (default SYM_RTOL), else raise NotSymmetric."""
-    a = _square(np.asarray(a, dtype=float))
+    a = _square(a)
     _gate(sym_residual(a), SYM_RTOL if rtol is None else rtol, NotSymmetric, "asymmetry")
     return a
 
@@ -220,17 +239,17 @@ def symmetrize(a):
 
 
 # Each kind of tangent and row tuple: layout, dtype, whether a stack, and how many leading
-# matrices (dx, dy) must be symmetric within TANGENT_SYM_RTOL (see _checked).
+# matrices (dx, dy) must be symmetric within TANGENT_SYM_RTOL (see _checked).  A kind with no
+# row is its own layout of float parts over a stack, no gate: "rrk" for (lambda, mu, kappa) or
+# (p, q, kappa), "mmm" (a, b, c), "mm" (x, y), "mmmm" (x, y, X, Y).
 _KINDS = {
     "matrix": ("mmmmrrk", float, False, 0),   # (da, db, dc, dd, dp, dq, dkappa)
     "sn": ("mmmmrrk", float, True, 2),        # (dx, dy, dX, dY, dp, dq, dkappa)
     "xjn": ("mmrr", float, True, 2),          # (dx, dy, dp, dq)
     "extended": ("mmrrk", float, True, 2),    # (dx, dy, dp, dq, dkappa)
     "vu": ("mr", complex, True, 0),           # (dv, du); (dW, dz) on the ball
-    "rrk": ("rrk", float, True, 0),           # (lambda, mu, kappa), (p, q, kappa)
     "ball_act": ("mmr", complex, True, 0),    # (P, Q, alpha) of a ball_act element
     "n1": ("k" * 11, float, False, 0),        # oneforms_n1's point and tangent
-    "abc": ("mmm", float, True, 0),           # (a, b, c) of an algebra element
 }
 
 
@@ -249,7 +268,7 @@ def _kind(kind, n):
     """The _KINDS row of ``kind`` at degree n, worked out once: layout, dtype, whether a stack,
     symmetric count, the runs (letter, slice of its parts) of the layout's letters, and the
     (shape, dtype) of each run's array for one unstacked tuple with rows (n,) and for a pair."""
-    layout, dtype, stacks, sym = _KINDS[kind]
+    layout, dtype, stacks, sym = _KINDS.get(kind, (kind, float, True, 0))
     runs = [(c, slice(layout.index(c), layout.index(c) + layout.count(c)))
             for c in dict.fromkeys(layout)]
     flat, dtype = {"m": (n, n), "r": (n,), "k": ()}, np.dtype(dtype)
@@ -260,16 +279,16 @@ def _kind(kind, n):
 def _read(row, kind, n, parts, pair):
     """Step (1) of :func:`_checked`: (lead, arrays), one array (j, *lead, *tail) per run of j
     parts of ``row`` (:func:`_kind`), lead the stack shape, (2,) in front for a ``pair``.  A part
-    is the stack shape and (n, n) ("m"), () ("k") or (1, n) ("r"; (n,) unstacked) of a dtype cast
-    within its kind; rows are (n,) unstacked.  Scalar calls pass by one comparison, else a loop
-    over the runs as read."""
+    is the stack shape and (n, n) ("m"), () ("k") or (1, n) ("r"; (n,) unstacked), n >= 1, of a
+    dtype :func:`_cast` takes; rows are (n,) unstacked.  Scalar calls pass by one comparison, else
+    a loop over the runs as read."""
     layout, dtype, stacks, _, runs, canonical = row
     try:
         flat = tuple(zip(*parts, strict=True)) if pair else parts
         read = [np.array(flat[s]) for _, s in runs] if len(flat) == len(layout) else None
     except (TypeError, ValueError):
         read = None
-    if read and [(a.shape, a.dtype) for a in read] == canonical[pair]:
+    if n and read and [(a.shape, a.dtype) for a in read] == canonical[pair]:
         return ((2,), [a[:, :, None] if c == "r" else a
                        for (c, _), a in zip(runs, read)]) if pair else ((), read)
     for t in parts if pair else (parts,):
@@ -277,6 +296,8 @@ def _read(row, kind, n, parts, pair):
                else f"an object of type {type(t).__name__}")
         if got != len(layout):
             raise BadShape(f"{kind} tuples have {len(layout)} parts, got {got}")
+    if not n:
+        raise BadShape(f"a {kind} tuple takes parts of degree n >= 1, got n = 0")
     parts, stack, arrays = tuple(zip(*parts)) if pair else parts, None, []
     for k, (c, s) in enumerate(runs):
         try:
@@ -296,9 +317,7 @@ def _read(row, kind, n, parts, pair):
                                               or c == "r" and not stack and rest == (n,)):
                 raise BadShape(f"a {kind} tuple {layout} at n = {n} takes m n x n, r rows of n, k "
                                f"scalars over one stack shape, got {c} {rest} over {stack}")
-            if not np.can_cast(a.dtype, dtype, "same_kind"):
-                raise BadShape(f"a {kind} tuple takes {dtype} parts, got {a.dtype}")
-            a = a.astype(dtype, copy=False)
+            a = _cast(a, dtype, f"a {kind} tuple")
             run[i] = a.reshape((len(a), *lead, *tail) if lead else (len(a), n)) if c == "r" else a
         arrays.append(run[0] if len(run) == 1 else np.concatenate(run))
     return lead, arrays
@@ -308,9 +327,9 @@ def _checked(kind, n, parts, gate=None, pair=False, matrices=None):
     """``parts`` of ``kind`` (_KINDS; ``pair``: two tuples of it, as one stacked on a new leading
     axis) as arrays of its dtype, rows as :func:`_read` gives them and an unstacked scalar as a
     float, once (1) :func:`_read` takes them, else BadShape; (2) the kind's leading matrices
-    are symmetric (NotSymmetric), or, ``matrices`` given, all of them go to it instead (a
-    point's check, which gates their values, or the element's own use of them) and its result
-    follows the parts, and ``gate`` passes the parts with non-finite entries made NaN
+    are symmetric (NotSymmetric), or, ``matrices`` given, all of them go to it instead as their
+    one array (a point's check, which gates their values, or the element's own use of them) and
+    its result follows the parts, and ``gate`` passes the parts with non-finite entries made NaN
     (:func:`_max_norm`); (3) every entry not given to ``matrices`` is finite, else BadShape
     naming the first failing stack index: the one check of a tangent, of rows and kappas, and of
     a point's parts.  Each letter's parts are one array, so the check makes one
@@ -318,15 +337,15 @@ def _checked(kind, n, parts, gate=None, pair=False, matrices=None):
     layout, _, _, sym, _, _ = row = _kind(kind, n)
     lead, arrays = _read(row, kind, n, parts, pair)
     if matrices is not None:
-        sym, made = len(arrays[0]), matrices(*arrays[0])
+        sym, made = len(arrays[0]), matrices(arrays[0])
     elif sym:
         dx, dy = sym_residual(arrays[0][:sym])
         _gate(np.maximum(dx, dy), TANGENT_SYM_RTOL, NotSymmetric, "asymmetry of dx or dy")
     # the symmetric matrices that passed are finite (a non-finite one has a NaN residual); the
     # values of those given to ``matrices`` are its business
     rest = arrays[1:] if sym == len(arrays[0]) else [arrays[0][sym:], *arrays[1:]]
-    whole = np.isfinite(rest[0] if len(rest) == 1 else
-                        np.concatenate([a.ravel() for a in rest])).all()
+    whole = not rest or np.isfinite(rest[0] if len(rest) == 1 else
+                                    np.concatenate([a.ravel() for a in rest])).all()
     parts = [p for a in arrays for p in a]  # the runs are the layout's, in order
     if gate is not None:
         gate(*(parts if whole else [_max_norm(p)[1] for p in parts]))
@@ -350,7 +369,7 @@ def _spd(a, asymmetry=None):
     (per matrix of a stack) exceeds SPD_EIG_RTOL times the largest (strict, as on paper); a
     caller that factors ``a`` takes the eigenpairs."""
     if asymmetry is None:
-        a = _square(np.asarray(a, dtype=float))
+        a = _square(a)
         asymmetry = sym_residual(a)
     _gate(asymmetry, SYM_RTOL, NotSpd, "asymmetry")
     w, u = np.linalg.eigh(symmetrize(a))
@@ -365,12 +384,7 @@ def kron_sum(a, b):
     Oriented so that ``kron_sum(B^t, A) vec(X) = vec(A X + X B)``.
     Eigenvalues are all sums lambda_i(A) + mu_j(B).
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise BadShape(f"first operand must be square, got {a.shape}")
-    if b.ndim != 2 or b.shape[0] != b.shape[1]:
-        raise BadShape(f"second operand must be square, got {b.shape}")
+    a, b = _square(a, stack=False), _square(b, stack=False)
     n, m = a.shape[0], b.shape[0]
     out = np.zeros((n, m, n, m))  # entry ((i, k), (j, l)) at [i, k, j, l]
     out[:, np.arange(m), :, np.arange(m)] = a  # a_ij where k = l
@@ -441,11 +455,8 @@ def sylvester_solve(a, b, c):
     enough and no Schur-based algorithm is needed.  Raises SingularSylvester
     if the operator is singular, exactly or by the residual (SYLVESTER_RTOL).
     """
-    a, b, c = (_max_norm(np.asarray(v, dtype=float))[1] for v in (a, b, c))
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise BadShape(f"A must be square, got {a.shape}")
-    if b.ndim != 2 or b.shape[0] != b.shape[1]:
-        raise BadShape(f"B must be square, got {b.shape}")
+    a, b, c = (_max_norm(v)[1] for v in (_square(a, stack=False), _square(b, stack=False),
+                                         _cast(c, float, "C")))
     n, m = a.shape[0], b.shape[0]
     if c.shape != (n, m):
         raise BadShape(f"C must be {n}x{m}, got {c.shape}")

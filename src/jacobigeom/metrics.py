@@ -39,7 +39,7 @@ from .jacobi import _act_extended, _act_pq, _act_vu, _from_pq, _point, _pq_of, _
 from .jacobi import _push_pq, _push_vu, _tangent_from_pq, _tangent_to_pq, gj_compose
 from .jacobi import SnChart, gj_embed, sn_chart, sn_chart_inverse
 from . import linalg
-from .linalg import _checked, _col, _degree, _from_col, _modulus, _mT
+from .linalg import _checked, _col, _degree, _from_col, _modulus, _mT, _square
 from .forms import _checked_sn_tangent, _d_sn_chart, _d_sn_chart_inverse, _embed_tangent
 from .forms import _oneforms_sn
 from .symplectic import _ball, _jacobi_parts, _mobius, blocks, check_symplectic, from_blocks
@@ -203,7 +203,9 @@ def metric_extended(alpha, gamma, delta, point, t1, t2):
 
 def check_ball_point(w):
     """Return W (or a stack of them) as complex once a ball point (``symplectic._ball``)."""
-    return _ball(w)[0]
+    w = _square(w, complex)
+    _ball(w[None])
+    return w
 
 
 def fc_transform(w, z):
@@ -214,9 +216,9 @@ def fc_transform(w, z):
 
 
 def fc_inverse(w, eta):
-    """Inverse change eta -> z:  z^t = eta - W etabar."""
+    """Inverse change eta -> z:  z = eta - etabar W^t, rows or stacks of rows."""
     (w, eta), _ = _point("ball", (w, eta))
-    return eta - w @ eta.conj()
+    return eta - eta.conj() @ _mT(w)
 
 
 def cayley(v, u):
@@ -317,9 +319,9 @@ def _sp_to_ball_rep(m):
     return 0.5 * ((a + d) + 1j * (b - c)), 0.5 * ((a - d) - 1j * (b + c))
 
 
-def _ball_matrix(p, q):
-    """[[P, Q], [Qbar, Pbar]], the matrix whose Moebius action is the ball action."""
-    return from_blocks(p, q, np.conj(q), np.conj(p))
+def _ball_matrix(pq):
+    """[[P, Q], [Qbar, Pbar]] of pq = (P, Q), the matrix whose Moebius action is the ball action."""
+    return from_blocks(*pq, np.conj(pq[1]), np.conj(pq[0]))
 
 
 def ball_act(element, point):
@@ -425,9 +427,9 @@ def _vu_action(m, lam, mu):
 
 
 def _draw_ball(rng, n):
-    p, q = _sp_to_ball_rep(smp.rand_symplectic(rng, n))
+    pq = _sp_to_ball_rep(smp.rand_symplectic(rng, n))
     alpha = smp.rand_complex_row(rng, n)
-    return (*_vu_action(_ball_matrix(p, q), -alpha.conj(), alpha), smp.rand_ball_point(rng, n),
+    return (*_vu_action(_ball_matrix(pq), -alpha.conj(), alpha), smp.rand_ball_point(rng, n),
             smp.rand_ball_tangent(rng, n), smp.rand_ball_tangent(rng, n))
 
 

@@ -24,7 +24,7 @@ import numpy as np
 from .exceptions import BadShape, ContractionViolation, NotSymmetric, NotSymplectic
 from .exceptions import NotUnitaryPair, SingularDenominator
 from . import linalg
-from .linalg import _checked, _col, _fit, _from_col, _gate, _max_norm, _mT, _spd
+from .linalg import _checked, _col, _degree, _fill, _fit, _from_col, _gate, _max_norm, _mT, _spd
 from .linalg import _spd_powers, _spectral, _square, _trusted, check_symmetric, sym_residual
 from .linalg import symmetrize
 
@@ -98,13 +98,20 @@ def _jacobi_parts(mat):
             rows[:2], rows[2:], mat[..., n, -1])
 
 
+def _even(m, stack=True, least=2):
+    """``m`` read by ``linalg._square`` once of even size, at least ``least``, else BadShape: a
+    symplectic matrix (or a stack), an sp(n) element or (``least`` 4) a Jacobi embedding."""
+    m = _square(m, stack=stack)
+    if m.shape[-1] % 2 or m.shape[-1] < least:
+        raise BadShape(f"expected a square matrix of even size >= {least}, got {m.shape}")
+    return m
+
+
 def symplectic_residual(m):
     """Max-norm of M^t J M - J, per matrix of a stack.  Raises BadShape for
     non-even-dimensional input."""
-    m = np.asarray(m, dtype=float)
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] % 2:
-        raise BadShape(f"expected an even-dimensional square matrix, got {m.shape}")
-    m, j = _max_norm(m)[1], _j(m.shape[-1] // 2)
+    m = _max_norm(_even(m))[1]
+    j = _j(m.shape[-1] // 2)
     return np.max(np.abs(_mT(m) @ j @ m - j), axis=(-2, -1))
 
 
@@ -116,7 +123,7 @@ def is_symplectic(m, tol=None):
 def check_symplectic(m):
     """Validate the symplectic invariants (residual and det = 1) of M, or of each
     matrix of a stack; return M."""
-    m = np.asarray(m, dtype=float)
+    m = _even(m)
     _gate(symplectic_residual(m), linalg.SP_TOL, NotSymplectic, "symplectic residual")
     det = np.linalg.det(m)
     _gate(abs(det - 1.0), linalg.DET_TOL * np.maximum(1.0, abs(det)), NotSymplectic,
@@ -144,10 +151,7 @@ def check_block_relations(m, tol=None):
     Agrees with :func:`is_symplectic` (the second set is M^t J M = J
     written out; the first is M J M^t = J).
     """
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2:
-        raise BadShape(f"expected an even-dimensional square matrix, got {m.shape}")
-    a, b, c, d = blocks(_max_norm(m)[1])
+    a, b, c, d = blocks(_max_norm(_even(m, stack=False))[1])
     eye = np.eye(a.shape[0])
     rels = [
         a @ b.T - b @ a.T,
@@ -169,8 +173,7 @@ class SpAlgebraElement:
     c: np.ndarray
 
     def __post_init__(self):
-        for name, value in zip("abc", _sp_blocks(self.a, self.b, self.c)):
-            object.__setattr__(self, name, value)
+        _fill(self, *_sp_blocks(self.a, self.b, self.c))
 
     @property
     def n(self):
@@ -183,9 +186,7 @@ class SpAlgebraElement:
     def from_matrix(cls, z):
         """Project ``z`` onto sp(n), b and c symmetrized; BadShape unless the residual of the
         projection (d + a^t, the asymmetry of b and c) is within PROJ_RTOL max(1, ||z||_max)."""
-        scale, z = _max_norm(np.asarray(z, dtype=float))
-        if z.ndim != 2 or z.shape[0] != z.shape[1] or z.shape[0] % 2:
-            raise BadShape(f"expected an even-dimensional square matrix, got {z.shape}")
+        scale, z = _max_norm(_even(z, stack=False))
         a, b, c, _ = blocks(z)
         elem = _trusted(cls, a, symmetrize(b), symmetrize(c))
         _gate(np.max(np.abs(z - elem.to_matrix())), linalg.PROJ_RTOL * max(1.0, scale), BadShape,
@@ -197,7 +198,7 @@ def _sp_blocks(a, b, c, rtol=None):
     """(a, b, c) of an sp(n) or Jacobi algebra element as float arrays, once b and c pass
     :func:`check_symmetric` within ``rtol`` and all three ``linalg._checked`` (BadShape)."""
     b, c = check_symmetric(b, rtol), check_symmetric(c, rtol)
-    return _checked("abc", b.shape[-1], (a, b, c))
+    return _checked("mmm", b.shape[-1], (a, b, c))
 
 
 def _generators(n):
@@ -229,11 +230,15 @@ def sp_basis(n):
 
 def unitary_pair_residual(x, y):
     """Max violation of the four pair relations X^tX+Y^tY = XX^t+YY^t = I,
-    X^tY = Y^tX, YX^t = XY^t, per pair of a stack: the blocks of two products, Z^t Z with
-    Z = [X Y] and W W^t with W = [X; Y]."""
-    x, y = (_max_norm(np.asarray(v, dtype=float))[1] for v in (x, y))
-    if x.ndim < 2 or x.shape[-1] != x.shape[-2] or y.shape != x.shape:
-        raise BadShape(f"X and Y must be square of one shape, got {x.shape} and {y.shape}")
+    X^tY = Y^tX, YX^t = XY^t, per pair of a stack; X and Y are read as one array by
+    ``linalg._square``, so they must have one shape."""
+    return _pair_residual(_square((x, y)))
+
+
+def _pair_residual(xy):
+    """:func:`unitary_pair_residual` of (X, Y) read as one array ``xy``: the blocks of two
+    products, Z^t Z with Z = [X Y] and W W^t with W = [X; Y]."""
+    x, y = _max_norm(xy)[1]
     z, w = np.concatenate((x, y), -1), np.concatenate((x, y), -2)
     (xtx, xty, ytx, yty), (xxt, xyt, yxt, yyt) = blocks(_mT(z) @ z), blocks(w @ _mT(w))
     eye = np.eye(x.shape[-1])
@@ -242,8 +247,9 @@ def unitary_pair_residual(x, y):
 
 
 def check_unitary_pair(x, y):
-    _gate(unitary_pair_residual(x, y), linalg.UP_TOL, NotUnitaryPair, "pair residual")
-    return np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    xy = _square((x, y))
+    _gate(_pair_residual(xy), linalg.UP_TOL, NotUnitaryPair, "pair residual")
+    return xy[0], xy[1]
 
 
 def pair_to_symplectic(x, y):
@@ -259,9 +265,7 @@ def unitary_iso(x, y):
 
 def unitary_iso_inverse(u):
     """Inverse isomorphism: unitary U -> pair (Re U, Im U)."""
-    u = _max_norm(np.asarray(u, dtype=complex))[1]
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise BadShape(f"expected a square matrix, got shape {u.shape}")
+    u = _max_norm(_square(u, complex, stack=False))[1]
     _gate(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))), linalg.UP_TOL, NotUnitaryPair,
           "unitarity residual")
     return u.real.copy(), u.imag.copy()
@@ -272,38 +276,34 @@ def unitary_iso_inverse(u):
 
 
 def check_siegel(v):
-    """Validate a Siegel point v = x + iy: x symmetric, y SPD (see :func:`_siegel`)."""
-    return _siegel(v)[0]
+    """v as complex once a Siegel point v = x + iy (:func:`_siegel`): x symmetric, y SPD."""
+    v = _square(v, complex)
+    _siegel(v[None])
+    return v
 
 
-def _siegel(x, y=None):
-    """``x``, ``y`` as float arrays and y's eigenpairs (``linalg._spd``), once x + iy is a
-    Siegel point: the one check of one (given v = x + iy alone, v as complex and y's
-    eigenpairs).  x and y must have one shape, x symmetric (first: NaN is NotSymmetric), y SPD;
-    one ``sym_residual`` measures both."""
-    if y is None:
-        v = np.asarray(x, dtype=complex)
-        return v, _siegel(v.real, v.imag)[2]
-    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    if x.shape != y.shape:
-        raise BadShape(f"x and y must have one shape, got {x.shape} and {y.shape}")
-    asymmetry = sym_residual(np.array((_square(x), y)))
+def _siegel(run):
+    """y's eigenpairs (``linalg._spd``) once the run of a point's matrices that ``linalg._read``
+    made, (x, y, ...) or (v,) with v = x + iy, is a Siegel point: the one check of one.  x
+    symmetric (first: NaN is NotSymmetric), y SPD; one ``sym_residual`` measures both."""
+    run = np.concatenate((run.real, run.imag)) if run.dtype.kind == "c" else run
+    asymmetry = sym_residual(run[:2])
     _gate(asymmetry[0], linalg.SYM_RTOL, NotSymmetric, "asymmetry")
-    return (x, *_spd(y, asymmetry[1]))
+    return _spd(run[1], asymmetry[1])[1]
 
 
-def _ball(w):
-    """W as complex and the eigenpairs of the Hermitian part of I - W Wbar, once W is a
-    ball point: the one check of one.  ContractionViolation unless W is symmetric within
+def _ball(run):
+    """The eigenpairs of the Hermitian part of I - W Wbar once the run (W,) that ``linalg._read``
+    made is a ball point: the one check of one.  ContractionViolation unless W is symmetric within
     BALL_SYM_RTOL and the smallest eigenvalue of that one ``eigh`` (per matrix of a stack)
-    exceeds BALL_MIN_EIG: W a strict contraction; BadShape unless W is square and non-empty."""
-    w = _square(np.asarray(w, dtype=complex))
+    exceeds BALL_MIN_EIG: W a strict contraction."""
+    w = run[0]
     _gate(sym_residual(w), linalg.BALL_SYM_RTOL, ContractionViolation, "asymmetry of W")
     k = np.eye(w.shape[-1]) - w @ w.conj()
     e, u = np.linalg.eigh(0.5 * (k + _mT(k.conj())))
     _gate(e[..., 0], linalg.BALL_MIN_EIG, ContractionViolation,
           "smallest eigenvalue of I - W conj(W)", lower=True)
-    return w, (e, u)
+    return e, u
 
 
 def mobius_act(m, v):
@@ -357,10 +357,9 @@ def m_point(x, y):
 
     Sends the base point iI to x + iy under :func:`mobius_act`.
     """
-    x, _, eig = _siegel(x, y)
+    x, _, eig = _checked("mm", _degree((x, y)), (x, y), matrices=_siegel)
     s, si = _spd_powers(eig, 0.5, -0.5)
-    n = x.shape[0]
-    return from_blocks(s, x @ si, np.zeros((n, n)), si)
+    return from_blocks(s, x @ si, np.zeros_like(s), si)
 
 
 # ---------------------------------------------------------------------------
@@ -387,25 +386,23 @@ class PreIwasawaFactors:
     def __post_init__(self):
         if self.variant not in ("plain", "modified"):
             raise ValueError(f"unknown variant {self.variant!r}")
-        (x, y, xu, yu), (w, u) = _chart(self.x, self.y, self.X, self.Y)
+        chart = (self.x, self.y, self.X, self.Y)
+        *chart, (w, u) = _checked("mmmm", _degree(chart), chart, matrices=_chart)
         r = (w * w if self.variant == "plain" else w)[..., None, :] ** 0.5
-        frame = (_spectral(u, r), u, 1.0 / r)
-        for name, value in zip(self.__dataclass_fields__, (x, y, xu, yu, self.variant, frame)):
-            object.__setattr__(self, name, value)
+        _fill(self, *chart, self.variant, (_spectral(u, r), u, 1.0 / r))
 
     @property
     def n(self):
         return self.x.shape[-1]
 
 
-def _chart(x, y, xu, yu):
-    """``(x, y, X, Y)`` as float arrays and y's eigenpairs, once x + iy passes
-    :func:`_siegel`, (X, Y) :func:`check_unitary_pair` and x and X ``linalg._fit``: the one
-    check of a pre-Iwasawa chart point."""
-    x, y, eig = _siegel(x, y)
-    xu, yu = check_unitary_pair(xu, yu)
-    _fit((x.shape[:-2], x.shape[-1]), (xu.shape[:-2], xu.shape[-1]))
-    return (x, y, xu, yu), eig
+def _chart(run):
+    """y's eigenpairs once the run (x, y, X, Y) of a pre-Iwasawa chart point's matrices, as
+    ``linalg._read`` makes it, passes: x + iy :func:`_siegel`, then (X, Y) the gate of
+    :func:`check_unitary_pair`.  The one check of a chart point."""
+    eig = _siegel(run)
+    _gate(_pair_residual(run[2:]), linalg.UP_TOL, NotUnitaryPair, "pair residual")
+    return eig
 
 
 def _pre_iwasawa(m):
@@ -473,7 +470,7 @@ def act_modified_chart(m, chart):
                     + i [c y'^{1/2} X' - (c x' + d) y'^{-1/2} Y']}.
     """
     m = check_symplectic(m)
-    (xp, yp, xu, yu), eig = _chart(*chart)
+    xp, yp, xu, yu, eig = _checked("mmmm", _degree(chart), chart, matrices=_chart)
     _fit((m.shape[:-2], m.shape[-1] // 2), (xp.shape[:-2], xp.shape[-1]))
     a, b, c, d = blocks(m)
     at, bt, ct, dt = map(_mT, (a, b, c, d))

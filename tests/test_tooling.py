@@ -124,3 +124,37 @@ def test_every_kind_and_space_is_named_outside_its_table():
     # the reader's kinds (linalg._KINDS) and the point check's spaces (jacobi._SPACES)
     sources = [p.read_text() for p in _MODULES]
     assert _dead_rows({"_KINDS", "_SPACES"}, sources) == {"_KINDS": [], "_SPACES": []}
+
+
+def _typed_reads(source, module):
+    """The ``module.function`` of each ``np.asarray`` call of ``source`` that is given a dtype,
+    sorted: a read of an argument beside the one cast rule, ``linalg._cast``, which refuses a
+    complex entry of a real argument where ``np.asarray(a, dtype=float)`` drops it."""
+    found = []
+    for top in ast.parse(source).body:
+        found += [f"{module}.{getattr(top, 'name', '')}" for node in ast.walk(top)
+                  if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "asarray"
+                  and (len(node.args) > 1 or any(k.arg == "dtype" for k in node.keywords))]
+    return sorted(found)
+
+
+# the reads with a dtype that stay, each with its reason
+_TYPED_READS = {
+    "linalg._row": "the rows of pq_from_lm and lm_from_pq, whose M is unchecked by design",
+    "linalg.expm": "the samplers' exponential of the algebra elements they draw",
+    "cli._real": "the CLI's real JSON input, which holds no complex number",
+    "numdiff._flatten": "the test suite's finite-difference route, which validates nothing",
+    "numdiff._unflatten": "as numdiff._flatten",
+}
+
+
+def test_typed_read_check_sees_a_leftover():
+    source = ("import numpy as np\n\ndef _spd(a):\n    return np.asarray(a, dtype=float)\n\n"
+              "def _row(v, dtype=float):\n    return np.asarray(v, dtype)\n\n"
+              "def _cast(a):\n    return np.asarray(a).astype(complex)\n")
+    assert _typed_reads(source, "m") == ["m._row", "m._spd"]
+
+
+def test_every_typed_read_is_allowed():
+    found = [r for p in _MODULES for r in _typed_reads(p.read_text(), p.stem)]
+    assert sorted(set(found)) == sorted(_TYPED_READS)

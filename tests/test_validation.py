@@ -79,11 +79,14 @@ from jacobigeom import (
 )
 from jacobigeom import linalg
 from jacobigeom import sampling as smp
-from jacobigeom.forms import check_matrix_tangent, d_sn_chart, d_sn_chart_inverse
-from jacobigeom.linalg import check_spd, check_symmetric
+from jacobigeom.forms import check_matrix_tangent, d_sn_chart, d_sn_chart_inverse, invariant_vf
+from jacobigeom.heisenberg import h_embed
+from jacobigeom.linalg import check_spd, check_symmetric, dsqrtm, kron_sum, sqrtm_spd, vech
 from jacobigeom.metrics import check_ball_point
 from jacobigeom.sampling import StackStream, rand_pq_point, rand_sn_chart, rand_sn_tangent
 from jacobigeom.symplectic import check_block_relations, check_siegel, check_unitary_pair
+from jacobigeom.symplectic import modified_pre_iwasawa, pre_iwasawa, sp_inverse
+from jacobigeom.symplectic import symplectic_residual, unitary_iso, unitary_pair_residual
 
 NAN = np.full((2, 2), np.nan)
 
@@ -733,6 +736,67 @@ def test_wrong_shapes_raise_bad_shape(case):
         BAD_SHAPES[case]()
 
 
+# each whole-matrix argument: the call of one faulty value for it, a valid value the faults are
+# made from, and whether the argument is real.  Each fault ended in numpy's TypeError or
+# ValueError, or, complex into a real argument, lost its imaginary part with a ComplexWarning
+_E2, _E4, _E6 = np.eye(2), np.eye(4), np.eye(6)
+_WHOLE_MATRICES = {
+    "check_symmetric": (check_symmetric, _E2, True),
+    "vech": (vech, _E2, True),
+    "check_spd": (check_spd, _E2, True),
+    "sqrtm_spd": (sqrtm_spd, _E2, True),
+    "dsqrtm a": (lambda a: dsqrtm(a, _E2), _E2, True),
+    "dsqrtm da": (lambda da: dsqrtm(_E2, da), _E2, True),
+    "kron_sum a": (lambda a: kron_sum(a, _E2), _E2, True),
+    "kron_sum b": (lambda b: kron_sum(_E2, b), _E2, True),
+    "sylvester_solve a": (lambda a: sylvester_solve(a, _E2, _E2), _E2, True),
+    "sylvester_solve b": (lambda b: sylvester_solve(_E2, b, _E2), _E2, True),
+    "sylvester_solve c": (lambda c: sylvester_solve(_E2, _E2, c), _E2, True),
+    "symplectic_residual": (symplectic_residual, _E4, True),
+    "is_symplectic": (is_symplectic, _E4, True),
+    "check_symplectic": (check_symplectic, _E4, True),
+    "sp_inverse": (sp_inverse, _E4, True),
+    "pre_iwasawa": (pre_iwasawa, _E4, True),
+    "modified_pre_iwasawa": (modified_pre_iwasawa, _E4, True),
+    "sp_to_ball_rep": (sp_to_ball_rep, _E4, True),
+    "JacobiElement M": (lambda m: JacobiElement(m, _Z1, _Z1, 0.0), _E4, True),
+    "check_block_relations": (check_block_relations, _E4, True),
+    "SpAlgebraElement.from_matrix": (SpAlgebraElement.from_matrix, _E4, True),
+    "unitary_pair_residual x": (lambda x: unitary_pair_residual(x, _X), _E2, True),
+    "unitary_pair_residual y": (lambda y: unitary_pair_residual(_E2, y), _X, True),
+    "check_unitary_pair x": (lambda x: check_unitary_pair(x, _X), _E2, True),
+    "check_unitary_pair y": (lambda y: check_unitary_pair(_E2, y), _X, True),
+    "unitary_iso x": (lambda x: unitary_iso(x, _X), _E2, True),
+    "unitary_iso_inverse": (unitary_iso_inverse, _E2 + 0j, False),
+    "gj_from_embedding": (gj_from_embedding, _E6, True),
+    "JacobiAlgebraElement.from_matrix": (JacobiAlgebraElement.from_matrix, 0 * _E6, True),
+    "check_siegel": (check_siegel, 1j * _E2, False),
+    "check_ball_point": (check_ball_point, 0j * _E2, False),
+    "mobius_act m": (lambda m: mobius_act(m, 1j * _E2), _E4, True),
+    "mobius_act v": (lambda v: mobius_act(_E4, v), 1j * _E2, False),
+    "act_modified_chart m": (lambda m: act_modified_chart(m, (_X, _Y, _E2, _X)), _E4, True),
+    "act_modified_chart x": (lambda x: act_modified_chart(_E4, (x, _Y, _E2, _X)), _X, True),
+    "m_point x": (lambda x: m_point(x, _Y), _X, True),
+    "m_point y": (lambda y: m_point(_X, y), _Y, True),
+    "PreIwasawaFactors X": (lambda xu: PreIwasawaFactors(_X, _Y, xu, _X, "plain"), _E2, True),
+}
+_NOT_ARRAY = {
+    "a dict": lambda a: {"a": a},
+    "a ragged list": lambda a: [*map(list, a[:-1]), list(a[-1, :-1])],
+    "strings": lambda a: np.full(a.shape, "x"),
+    "complex": lambda a: a * (1 + 1e-3j),
+}
+NOT_ARRAYS = {f"{name} {fault}": (lambda call=call, make=make, a=a: call(make(a)))
+              for name, (call, a, real) in _WHOLE_MATRICES.items()
+              for fault, make in _NOT_ARRAY.items() if real or fault != "complex"}
+
+
+@pytest.mark.parametrize("case", NOT_ARRAYS)
+def test_a_whole_matrix_that_is_no_array_of_its_kind_raises_bad_shape(case):
+    with pytest.raises(BadShape):
+        NOT_ARRAYS[case]()
+
+
 def test_every_tangent_taker_has_its_faults():
     takers = [qual.split(".")[-1] for qual, fn in _public_callables()
               if {"tangent", "t1", "t2"} & set(inspect.signature(fn).parameters)
@@ -968,6 +1032,14 @@ STACKED_CALLS = {
                    (_S3["pq"], _S3["pq_tangent"], _HALF_PQ_TANGENT)),
     "oneforms_sn": (oneforms_sn, (_S3["chart"], _S3["sn_tangent"])),
     "act_pq": (act_pq, (_S3["g"], _S3["pq"])),
+    # the fields' arrays (L^R's is the number 1.0); .T of a stack gave P (2, 2, 3) at k = 3
+    "invariant_vf": (lambda g: tuple(v for field in invariant_vf(g).values()
+                                     for v in field.values() if np.ndim(v)), (_S3["g"],)),
+    # an unstacked identity block, a matrix W applied to stacked rows, an unstacked zero block:
+    # each ended in numpy's ValueError on a stack
+    "h_embed": (h_embed, (_S3["h"],)),
+    "fc_inverse": (fc_inverse, _S3["ball"]),
+    "m_point": (m_point, _S3["pq"][:2]),
 }
 
 
