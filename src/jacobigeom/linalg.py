@@ -6,12 +6,12 @@ the principal square root of an SPD matrix together with its
 directional derivative (Frechet derivative along a symmetric direction),
 and a numpy-only matrix exponential for sampling group elements.
 
-The derivative of the square root has two independent routes: the
-public :func:`dsqrtm` solves the Sylvester equation by the dense
-Kronecker linearization of the paper's appendix, while the S_n-chart
-frame :func:`_sqrt_frame` divides in the eigenbasis of a :func:`_root_frame`
-that the chart keeps from the ``eigh`` its check already made (the
-Daleckii-Krein form), with no n^2 x n^2 system and no further ``eigh``.
+The derivative of the square root has two independent routes: the public
+:func:`dsqrtm` solves ``L_n (S (+) S) D_n vech(X) = vech(dA)``, the Kronecker
+linearization of the paper's appendix on the n(n+1)/2 unknowns of a symmetric X,
+while the S_n-chart frame :func:`_sqrt_frame` divides in the eigenbasis of a
+:func:`_root_frame` that the chart keeps from the ``eigh`` its check already
+made (the Daleckii-Krein form), with no linear system and no further ``eigh``.
 
 Conventions fixed here and relied on everywhere else:
 
@@ -409,22 +409,35 @@ def _vech_indices(n):
     return [(i, j) for j in range(n) for i in range(j, n)]
 
 
+@functools.cache
+def _sym_kron_tables(n):
+    """Read-only index tables of degree n in vech order, m = n(n+1)/2: ``op`` (2, m, m), the
+    entries of S.ravel() (n^2: a 0.0 pad) whose sum is L_n (S (+) S) D_n, at row (i, j) and
+    column (a, b) s_jb [i = a] + s_ia [j = b] + (s_ja [i = b] + s_ib [j = a]) [a != b], two
+    terms at most not 0; ``half`` (2, m), the entries (i, j), (j, i) of a ravel, whose mean is
+    vech of the symmetric part; ``whole`` (n^2,), the vech entry of each entry of a ravel."""
+    a, b = np.array(_vech_indices(n), dtype=int).reshape(-1, 2).T
+    (i, j), off, pad, whole = (a[:, None], b[:, None]), a != b, n * n, np.zeros(n * n, int)
+    op = np.array((np.where(i == a, j * n + b, np.where((i == b) & off, j * n + a, pad)),
+                   np.where(j == b, i * n + a, np.where((j == a) & off, i * n + b, pad))))
+    half = np.array((a * n + b, b * n + a))
+    whole[half] = np.arange(len(a))
+    for t in (op, half, whole):
+        t.setflags(write=False)
+    return op, half, whole
+
+
 def vech(a):
-    """Half-vectorization of a symmetric matrix (lower triangle, column-major)."""
+    """Half-vectorization (lower triangle, column-major) of a symmetric matrix or of a stack."""
     a = check_symmetric(a)
-    n = a.shape[0]
-    return np.array([a[i, j] for i, j in _vech_indices(n)])
+    return a.reshape(a.shape[:-2] + (-1,)).take(_sym_kron_tables(a.shape[-1])[1][0], -1)
 
 
 def unvech(v, n):
     """Symmetric matrix from its half-vectorization, of shape (n(n + 1)/2,)."""
     if np.shape(v) != (n * (n + 1) // 2,):
         raise BadShape(f"expected the vech of a {n}x{n} matrix, got shape {np.shape(v)}")
-    a = np.zeros((n, n))
-    for k, (i, j) in enumerate(_vech_indices(n)):
-        a[i, j] = v[k]
-        a[j, i] = v[k]
-    return a
+    return _cast(v, float, "a vech")[_sym_kron_tables(n)[2]].reshape(n, n)
 
 
 def duplication_matrix(n):
@@ -492,16 +505,34 @@ def _spectral(u, d):
     return symmetrize((u * d) @ _mT(u))
 
 
-def dsqrtm(a, da):
-    """Directional derivative of the SPD square root.
+def _sym_kron(s):
+    """L_n (S (+) S) D_n of a symmetric S, per matrix of a stack: the operator of S X + X S on
+    vech(X), gathered from S by :func:`_sym_kron_tables` with no n^2 x n^2 matrix."""
+    lead, n = s.shape[:-2], s.shape[-1]
+    flat = np.concatenate((s.reshape(lead + (n * n,)), np.zeros(lead + (1,))), -1)
+    return flat.take(_sym_kron_tables(n)[0], -1).sum(-3)
 
-    Solves ``X A^{1/2} + A^{1/2} X = dA`` for X, i.e. applies the inverse
-    Kronecker sum ``(A^{1/2} (+) A^{1/2})^{-1}`` to ``vec(dA)``.  X is
-    symmetric whenever ``da`` is.  This is the Kronecker route of the
-    paper's appendix, kept as the independent check of :func:`_sqrt_frame`.
-    """
-    s = _spd_powers(_spd(a)[1], 0.5)[0]
-    return symmetrize(sylvester_solve(s, s, check_symmetric(da)))
+
+def dsqrtm(a, da):
+    """Directional derivative of the SPD square root, per matrix of a stack.
+
+    Solves ``S X + X S = dA``, S = A^{1/2}, by the Kronecker route of the paper's appendix,
+    kept as the independent check of :func:`_sqrt_frame`, on the n(n+1)/2 unknowns of the
+    symmetric X: ``L_n (S (+) S) D_n vech(X) = vech(dA)``, of dA's symmetric part
+    (:func:`_sym_kron`).  SingularSylvester if the operator is singular, exactly or by the
+    Frobenius residual (SYLVESTER_RTOL), at the first failing stack index."""
+    s, da = _spd_powers(_spd(a)[1], 0.5)[0], check_symmetric(da)
+    lead, n = _fit((s.shape[:-2], s.shape[-1]), (da.shape[:-2], da.shape[-1]))
+    _, half, whole = _sym_kron_tables(n)
+    rhs = da.reshape(da.shape[:-2] + (n * n, 1)).take(half, -2).sum(-3) * 0.5
+    try:
+        x = np.linalg.solve(_sym_kron(s), rhs)[..., 0].take(whole, -1).reshape(lead + (n, n))
+    except np.linalg.LinAlgError as exc:
+        raise SingularSylvester(f"Kronecker-sum operator is singular: {exc}") from exc
+    sx = s @ x  # x s = (s x)^t, as both are symmetric
+    _gate(_fro(sx + _mT(sx) - da), SYLVESTER_RTOL * np.maximum(1.0, _fro(da)), SingularSylvester,
+          "Sylvester residual")
+    return x
 
 
 def _root_frame(eig):

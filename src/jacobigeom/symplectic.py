@@ -110,8 +110,12 @@ def _even(m, stack=True, least=2):
 def symplectic_residual(m):
     """Max-norm of M^t J M - J, per matrix of a stack.  Raises BadShape for
     non-even-dimensional input."""
-    m = _max_norm(_even(m))[1]
-    j = _j(m.shape[-1] // 2)
+    return _sp_residual(_even(m))
+
+
+def _sp_residual(m):
+    """:func:`symplectic_residual` of an M that :func:`_even` has read."""
+    m, j = _max_norm(m)[1], _j(m.shape[-1] // 2)
     return np.max(np.abs(_mT(m) @ j @ m - j), axis=(-2, -1))
 
 
@@ -124,7 +128,7 @@ def check_symplectic(m):
     """Validate the symplectic invariants (residual and det = 1) of M, or of each
     matrix of a stack; return M."""
     m = _even(m)
-    _gate(symplectic_residual(m), linalg.SP_TOL, NotSymplectic, "symplectic residual")
+    _gate(_sp_residual(m), linalg.SP_TOL, NotSymplectic, "symplectic residual")
     det = np.linalg.det(m)
     _gate(abs(det - 1.0), linalg.DET_TOL * np.maximum(1.0, abs(det)), NotSymplectic,
           "|det M - 1|")
@@ -464,8 +468,8 @@ def act_modified_chart(m, chart):
     (X1, Y1) is the transported orthogonal pair:
 
         y1 = A^{-1},  x1 = A^{-1} N,
-        A  = c(y' + x' y'^-1 x')c^t + d y'^-1 d^t + c x' y'^-1 d^t + d y'^-1 x' c^t,
-        N  = c(y' + x' y'^-1 x')a^t + c x' y'^-1 b^t + d y'^-1 x' a^t + d y'^-1 b^t,
+        A  = (c x' + d) y'^{-1} (c x' + d)^t + c y' c^t,
+        N  = (c x' + d) y'^{-1} (x' a^t + b^t) + c y' a^t,
         X1 - i Y1 = y1^{1/2} {(c x' + d) y'^{-1/2} X' + c y'^{1/2} Y'
                     + i [c y'^{1/2} X' - (c x' + d) y'^{-1/2} Y']}.
     """
@@ -473,14 +477,14 @@ def act_modified_chart(m, chart):
     xp, yp, xu, yu, eig = _checked("mmmm", _degree(chart), chart, matrices=_chart)
     _fit((m.shape[:-2], m.shape[-1] // 2), (xp.shape[:-2], xp.shape[-1]))
     a, b, c, d = blocks(m)
-    at, bt, ct, dt = map(_mT, (a, b, c, d))
     sp, spi, ypi = _spd_powers(eig, 0.5, -0.5, -1.0)
-    core = yp + xp @ ypi @ xp
-    big_a = c @ core @ ct + d @ ypi @ dt + c @ xp @ ypi @ dt + d @ ypi @ xp @ ct
-    big_n = c @ core @ at + c @ xp @ ypi @ bt + d @ ypi @ xp @ at + d @ ypi @ bt
+    cxd, cy = c @ xp + d, c @ yp
+    w = cxd @ ypi
+    big_a = w @ _mT(cxd) + cy @ _mT(c)
+    big_n = w @ (xp @ _mT(a) + _mT(b)) + cy @ _mT(a)
     y1, s1 = _spd_powers(np.linalg.eigh(symmetrize(big_a)), -1.0, -0.5)
     x1 = symmetrize(y1 @ big_n)
-    cxd = c @ xp + d
-    x_new = s1 @ (cxd @ spi @ xu + c @ sp @ yu)
-    y_new = s1 @ (cxd @ spi @ yu - c @ sp @ xu)
+    p, q = cxd @ spi, c @ sp
+    x_new = s1 @ (p @ xu + q @ yu)
+    y_new = s1 @ (p @ yu - q @ xu)
     return x1, y1, x_new, y_new

@@ -250,12 +250,13 @@ def _kronecker_called(*args):
 @pytest.mark.parametrize("n", [1, 2, 4])
 def test_sn_chart_routes_skip_the_kronecker_solve(rng, n):
     # the S_n-chart callers take ds from the eigenbasis frame; the public dsqrtm
-    # stays on the Kronecker route, so the two stay independent of each other
+    # stays on the Kronecker route, restricted to symmetric X by _sym_kron, so the
+    # two stay independent of each other
     chart = rand_sn_chart(rng, n)
     t = rand_sn_tangent(rng, chart)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(linalg, "sylvester_solve", _kronecker_called)
-        mp.setattr(linalg, "kron_sum", _kronecker_called)
+        for name in ("sylvester_solve", "kron_sum", "_sym_kron"):
+            mp.setattr(linalg, name, _kronecker_called)
         oneforms_sn(chart, t)
         d_sn_chart_inverse(chart, t)
         maurer_cartan(chart, t, chart="sn")

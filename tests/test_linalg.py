@@ -14,7 +14,9 @@ from jacobigeom import (
     vec,
     vech,
 )
-from jacobigeom.linalg import _root_frame, _sqrt_frame, expm, symmetrize, unvech
+from jacobigeom import linalg
+from jacobigeom.linalg import _root_frame, _sqrt_frame, _sym_kron, _sym_kron_tables, expm
+from jacobigeom.linalg import symmetrize, unvech
 from jacobigeom.sampling import rand_sp_algebra, rand_spd, rand_sym
 
 
@@ -55,9 +57,11 @@ def test_elimination_times_duplication_is_identity(n):
     assert np.array_equal(duplication_matrix(1), [[1.0]])
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 10])
 def test_vec_vech_roundtrips(rng, n):
     a = rand_sym(rng, n)
+    lower = [a[i, j] for j in range(n) for i in range(j, n)]  # column by column
+    assert np.array_equal(vech(a), lower) and np.array_equal(unvech(lower, n), a)
     assert np.allclose(vec(a), duplication_matrix(n) @ vech(a))
     assert np.allclose(elimination_matrix(n) @ vec(a), vech(a))
 
@@ -121,6 +125,35 @@ def test_dsqrtm_matches_central_differences(rng):
         fd = (sqrtm_spd(a + h * e) - sqrtm_spd(a - h * e)) / (2 * h)
         an = dsqrtm(a, e)
         assert np.max(np.abs(fd - an)) <= 1e-6 * max(1.0, np.max(np.abs(an)))
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_dsqrtm_operator_is_the_appendix_restriction(n):
+    # L_n (S (+) S) D_n, gathered from S, is the product of the appendix's matrices bit for bit
+    rng = np.random.default_rng(400 + n)
+    for _ in range(20):
+        s = sqrtm_spd(rand_spd(rng, n))
+        want = elimination_matrix(n) @ kron_sum(s, s) @ duplication_matrix(n)
+        assert np.array_equal(_sym_kron(s), want)
+    for table in _sym_kron_tables(n):
+        with pytest.raises(ValueError, match="read-only"):
+            table[...] = 0
+
+
+def test_dsqrtm_takes_a_stack_and_gates_each_matrix(monkeypatch):
+    rng = np.random.default_rng(7)
+    a = np.array([rand_spd(rng, 3) for _ in range(4)])
+    da = np.array([rand_sym(rng, 3) for _ in range(4)])
+    for i in range(4):
+        assert np.array_equal(dsqrtm(a, da)[i], dsqrtm(a[i], da[i]))
+        assert np.array_equal(dsqrtm(a[i][None], da[i][None])[0], dsqrtm(a[i], da[i]))
+    # one direction against a stack of points; and the residual of da = 0 is 0, within a bound
+    # of 0 where the residual of the next matrix's roundoff is not
+    assert np.array_equal(dsqrtm(a, da[0])[2], dsqrtm(a[2], da[0]))
+    da[0] = 0.0
+    monkeypatch.setattr(linalg, "SYLVESTER_RTOL", 0.0)
+    with pytest.raises(SingularSylvester, match=r"^Sylvester residual .* at stack index 1$"):
+        dsqrtm(a, da)
 
 
 def _spd_with_cond(rng, n, cond):

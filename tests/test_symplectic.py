@@ -20,7 +20,7 @@ from jacobigeom import (
     unitary_iso,
     unitary_iso_inverse,
 )
-from jacobigeom.sampling import rand_sp_algebra, rand_spd, rand_sym, rand_symplectic
+from jacobigeom.sampling import rand_sn_chart, rand_sp_algebra, rand_spd, rand_sym, rand_symplectic
 from jacobigeom.symplectic import PreIwasawaFactors, SpAlgebraElement, from_blocks
 from jacobigeom.symplectic import pair_to_symplectic
 
@@ -243,6 +243,19 @@ def test_act_modified_chart_mobius_compatibility(rng):
             x1, y1, _, _ = act_modified_chart(m, (f.x, f.y, f.X, f.Y))
             v1 = mobius_act(m, f.x + 1j * f.y)
             assert np.max(np.abs(x1 + 1j * y1 - v1)) < 1e-9
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 10])
+def test_act_modified_chart_is_the_factors_of_the_product(n):
+    # a second route for all four factors: the modified pre-Iwasawa factors of M times the
+    # matrix that the chart composes to
+    rng = np.random.default_rng(300 + n)
+    for _ in range(20):
+        m, c = rand_symplectic(rng, n), rand_sn_chart(rng, n)
+        chart = (c.x, c.y, c.X, c.Y)
+        f = modified_pre_iwasawa(m @ pre_iwasawa_compose(PreIwasawaFactors(*chart, "modified")))
+        for got, want in zip(act_modified_chart(m, chart), (f.x, f.y, f.X, f.Y), strict=True):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (3, 3), (5, 2, 2), (2, 3, 4, 4)])

@@ -465,6 +465,8 @@ _STACKS_3_AND_2 = {
     **{f.__name__: (lambda f=f: f(_S3["g"], _S2["matrix_tangent"]))
        for f in (check_matrix_tangent, maurer_cartan, oneforms_matrix_chart, d_sn_chart)},
     "oneforms_n1": lambda: oneforms_n1(np.zeros(3), 1.5, 0.3, (np.zeros(2),) + (0.1,) * 5),
+    # an SPD matrix and a direction, each stacked, go together by the same rule
+    "dsqrtm": lambda: dsqrtm(_S3["chart4"][1], _S2["sn_tangent"][1]),
 }
 
 
@@ -1040,6 +1042,8 @@ STACKED_CALLS = {
     "h_embed": (h_embed, (_S3["h"],)),
     "fc_inverse": (fc_inverse, _S3["ball"]),
     "m_point": (m_point, _S3["pq"][:2]),
+    # refused with "expected a square matrix, no stack"
+    "dsqrtm": (dsqrtm, (_S3["chart4"][1], _S3["sn_tangent"][1])),
 }
 
 
