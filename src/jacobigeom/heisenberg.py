@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .exceptions import BadShape
 from .linalg import _checked, _degree, _dot, _fill, _fit, _tangent, _trusted
 from .symplectic import _jacobi_matrix
 
@@ -95,7 +96,7 @@ def h_metric(g, tangent):
 
 
 def h_fvf(generator, g):
-    """Fundamental vector field of a one-parameter subgroup, evaluated at g.
+    """Fundamental vector field of a one-parameter subgroup, evaluated at g, one element.
 
     ``generator`` is ("P", p), ("Q", q) or "R", with p, q in range(n) (else ValueError):
 
@@ -103,6 +104,8 @@ def h_fvf(generator, g):
         Q_q* = d/d mu_q    - lambda_q d/d kappa,
         R*   = d/d kappa.
     """
+    if g.lam.ndim > 1:
+        raise BadShape("h_fvf takes one element, not a stack")
     n = g.n
     dlam = np.zeros(n)
     dmu = np.zeros(n)

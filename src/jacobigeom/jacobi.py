@@ -104,7 +104,7 @@ def gj_from_embedding(mat):
     scale, mat = _max_norm(_even(mat, False, 4))  # (2n + 2) x (2n + 2), n >= 1
     blks, (lam, mu), _, kappa = _jacobi_parts(mat)
     g = JacobiElement(from_blocks(*blks), lam, mu, kappa)
-    _gate(np.max(np.abs(mat - gj_embed(g))), linalg.EMBED_RTOL * max(1.0, scale),
+    _gate(np.max(np.abs(mat - gj_embed(g))), linalg.EMBED_RTOL * scale,
           ProjectionResidual, "Jacobi embedding residual")
     return g
 
@@ -158,14 +158,15 @@ class JacobiAlgebraElement:
         Duplicated blocks (a vs -a^t, the two copies of p and q) are
         averaged, which makes this the orthogonal projection onto the
         algebra; the remaining residual must vanish up to PROJ_RTOL or
-        ProjectionResidual is raised.  ``z`` must be one (2n + 2) x (2n + 2)
-        matrix, n >= 1, else BadShape.
+        ProjectionResidual is raised, per matrix of a stack.  ``z`` must be a
+        (2n + 2) x (2n + 2) matrix, n >= 1, or a stack of them, else BadShape.
         """
-        scale, z = _max_norm(_even(z, False, 4))
+        scale, z = _max_norm(_even(z, True, 4), (-2, -1))
         (a, b, c, d), (p, q), (q_col, minus_p_col), r = _jacobi_parts(z)
-        elem = _trusted(cls, 0.5 * (a - d.T), symmetrize(b), symmetrize(c),
-                        0.5 * (p - minus_p_col), 0.5 * (q + q_col), float(r))
-        _gate(np.max(np.abs(z - elem.to_matrix())), linalg.PROJ_RTOL * max(1.0, scale),
+        elem = _trusted(cls, 0.5 * (a - _mT(d)), symmetrize(b), symmetrize(c),
+                        0.5 * (p - minus_p_col), 0.5 * (q + q_col),
+                        r.copy() if z.ndim > 2 else float(r))
+        _gate(np.abs(z - elem.to_matrix()).max((-2, -1)), linalg.PROJ_RTOL * scale,
               ProjectionResidual, "Jacobi algebra projection residual")
         return elem
 
@@ -175,12 +176,14 @@ class JacobiAlgebraElement:
         The expansion of an algebra element carries weight 2 on the
         off-diagonal F/G generators (b = sum of b_ij (E_ij + E_ji) while
         2 F_ij has block E_ij + E_ji), so the F-coordinate of b is
-        2 b_ij for i < j and b_ii on the diagonal; likewise for G.
+        2 b_ij for i < j and b_ii on the diagonal; likewise for G.  Over a
+        stack the coordinates are (..., dim).
         """
-        upper = np.triu_indices(self.n)  # i <= j, row by row: the basis order
-        weight = np.where(upper[0] == upper[1], 1.0, 2.0)
-        return np.concatenate([self.a.ravel(), self.b[upper] * weight,
-                               self.c[upper] * weight, self.p, self.q, [self.r]])
+        i, j = np.triu_indices(self.n)  # i <= j, row by row: the basis order
+        weight, lead = np.where(i == j, 1.0, 2.0), self.a.shape[:-2] + (-1,)
+        return np.concatenate([self.a.reshape(lead), self.b[..., i, j] * weight,
+                               self.c[..., i, j] * weight, self.p.reshape(lead),
+                               self.q.reshape(lead), np.asarray(self.r)[..., None]], -1)
 
 
 def gj_basis_labels(n):
@@ -374,9 +377,9 @@ class SnChart:
         return self.x.shape[-1]
 
     def theta(self):
-        """Angle for n = 1: X = cos(theta), Y = sin(theta)."""
-        if self.n != 1:
-            raise BadShape("theta is only defined for degree 1")
+        """Angle for n = 1: X = cos(theta), Y = sin(theta), of one chart (no stack)."""
+        if self.n != 1 or self.x.ndim > 2:
+            raise BadShape("theta is only defined for one chart of degree 1")
         return float(np.arctan2(self.Y[0, 0], self.X[0, 0]))
 
 

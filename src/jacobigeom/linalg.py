@@ -184,12 +184,14 @@ def _fill(obj, *values):
     return obj
 
 
-def _max_norm(a):
-    """||a||_max and ``a``, each non-finite entry made NaN if the norm is not finite: a
-    residual formed from ``a`` is then NaN, which every gate refuses, with no inf - inf
-    or 0 inf (numpy's invalid-value warning) on the way.  ``a`` is not copied if finite."""
-    top = np.abs(a).max(initial=0.0)
-    return top, a if top < np.inf else np.where(np.isfinite(a), a, np.nan)
+def _max_norm(a, axis=None):
+    """max(1, ||a||_max), a relative gate's scale (per matrix of a stack over axis (-2, -1)),
+    and ``a``, each non-finite entry made NaN if a norm is not finite: a residual formed from
+    ``a`` is then NaN, which every gate refuses, with no inf - inf or 0 inf (numpy's
+    invalid-value warning) on the way.  ``a`` is not copied if finite."""
+    scale = np.abs(a).max(axis, initial=1.0)
+    top = scale if scale.ndim == 0 else scale.max()  # not .all(): 3 us on a scalar
+    return scale, a if top < np.inf else np.where(np.isfinite(a), a, np.nan)
 
 
 def sym_residual(a):
@@ -393,20 +395,20 @@ def kron_sum(a, b):
 
 
 def vec(a):
-    """Column-stacking vectorization (column-major)."""
-    return np.asarray(a).flatten(order="F")
+    """Column-stacking vectorization (column-major) of one matrix, no stack, else BadShape."""
+    a = np.asarray(a)
+    if a.ndim != 2:
+        raise BadShape(f"vec takes one matrix, got shape {a.shape}")
+    return a.flatten(order="F")
 
 
 def unvec(v, n, m=None):
-    """Inverse of :func:`vec` for an ``n x m`` matrix."""
+    """Inverse of :func:`vec` for an ``n x m`` matrix, from a vector of shape (n m,)."""
     if m is None:
         m = n
+    if np.shape(v) != (n * m,):
+        raise BadShape(f"expected the vec of a {n}x{m} matrix, got shape {np.shape(v)}")
     return np.asarray(v).reshape((n, m), order="F")
-
-
-def _vech_indices(n):
-    # lower triangle, column by column: (0,0),(1,0),...,(n-1,0),(1,1),...
-    return [(i, j) for j in range(n) for i in range(j, n)]
 
 
 @functools.cache
@@ -416,7 +418,7 @@ def _sym_kron_tables(n):
     column (a, b) s_jb [i = a] + s_ia [j = b] + (s_ja [i = b] + s_ib [j = a]) [a != b], two
     terms at most not 0; ``half`` (2, m), the entries (i, j), (j, i) of a ravel, whose mean is
     vech of the symmetric part; ``whole`` (n^2,), the vech entry of each entry of a ravel."""
-    a, b = np.array(_vech_indices(n), dtype=int).reshape(-1, 2).T
+    b, a = np.triu_indices(n)  # vech's order, the lower triangle column by column
     (i, j), off, pad, whole = (a[:, None], b[:, None]), a != b, n * n, np.zeros(n * n, int)
     op = np.array((np.where(i == a, j * n + b, np.where((i == b) & off, j * n + a, pad)),
                    np.where(j == b, i * n + a, np.where((j == a) & off, i * n + b, pad))))
@@ -442,21 +444,12 @@ def unvech(v, n):
 
 def duplication_matrix(n):
     """D_n with  vec(A) = D_n vech(A)  for symmetric A.  Shape n^2 x n(n+1)/2."""
-    idx = _vech_indices(n)
-    d = np.zeros((n * n, len(idx)))
-    for k, (i, j) in enumerate(idx):
-        d[j * n + i, k] = 1.0
-        d[i * n + j, k] = 1.0  # same cell when i == j
-    return d
+    return np.eye(n * (n + 1) // 2)[_sym_kron_tables(n)[2]]
 
 
 def elimination_matrix(n):
     """L_n with  vech(A) = L_n vec(A).  Satisfies L_n D_n = I exactly."""
-    idx = _vech_indices(n)
-    ell = np.zeros((len(idx), n * n))
-    for k, (i, j) in enumerate(idx):
-        ell[k, j * n + i] = 1.0
-    return ell
+    return np.eye(n * n)[_sym_kron_tables(n)[1][1]]
 
 
 def sylvester_solve(a, b, c):

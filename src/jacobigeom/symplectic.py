@@ -193,7 +193,7 @@ class SpAlgebraElement:
         scale, z = _max_norm(_even(z, stack=False))
         a, b, c, _ = blocks(z)
         elem = _trusted(cls, a, symmetrize(b), symmetrize(c))
-        _gate(np.max(np.abs(z - elem.to_matrix())), linalg.PROJ_RTOL * max(1.0, scale), BadShape,
+        _gate(np.max(np.abs(z - elem.to_matrix())), linalg.PROJ_RTOL * scale, BadShape,
               "sp(n) projection residual")
         return elem
 

@@ -57,6 +57,22 @@ def test_elimination_times_duplication_is_identity(n):
     assert np.array_equal(duplication_matrix(1), [[1.0]])
 
 
+def test_the_vech_calculus_is_its_loop_definition():
+    # D_n and L_n gathered from the one index table of vech, bit for bit the per-entry loops
+    # over the lower triangle, column by column, that built them
+    for n in range(11):
+        lower = [(i, j) for j in range(n) for i in range(j, n)]
+        d, ell = np.zeros((n * n, len(lower))), np.zeros((len(lower), n * n))
+        for k, (i, j) in enumerate(lower):
+            d[j * n + i, k] = d[i * n + j, k] = ell[k, j * n + i] = 1.0
+        for got, want in ((duplication_matrix(n), d), (elimination_matrix(n), ell)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert got.shape == want.shape
+        a = np.arange(n * n, dtype=float).reshape(n, n)
+        a += a.T
+        assert n == 0 or vech(a).tolist() == [a[i, j] for i, j in lower]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 10])
 def test_vec_vech_roundtrips(rng, n):
     a = rand_sym(rng, n)

@@ -49,6 +49,7 @@ from jacobigeom.sampling import (
     rand_vu_point,
     rand_vu_tangent,
 )
+from public_api import at
 
 
 def _basis_tangents_n1():
@@ -529,17 +530,12 @@ def test_fused_stages_match_separate_calls(obj, n):
         assert np.all(np.abs(got - want) <= 1e-14 * want_scale), obj
 
 
-def _at(tree, i):
-    """Sample ``i`` of a stacked tuple of arrays."""
-    return tuple(_at(c, i) for c in tree) if isinstance(tree, tuple) else np.asarray(tree)[i]
-
-
 def _public(obj, point, t1, t2):
     """The engine object ``obj`` on stacks, by the public API: one call on the stacks, or,
     for the Kaehler forms, whose tangents are single, one call per sample."""
     if obj.startswith("kahler"):
         form = kahler_ball if obj == "kahler_ball" else kahler_xjn
-        return np.array([form(metrics._KAHLER_PARAMS, *_at(point, i), _at(t1, i), _at(t2, i))
+        return np.array([form(metrics._KAHLER_PARAMS, *at(point, i), at(t1, i), at(t2, i))
                          for i in range(len(t1[1]))])
     if obj == "lambda_R":
         return lambda_r(point, t1)

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -7,6 +5,7 @@ from jacobigeom import metrics, sampling
 from jacobigeom.jacobi import JacobiAlgebraElement, _point
 from jacobigeom.sampling import StackStream, window_words
 from jacobigeom.symplectic import check_symplectic
+from public_api import leaves
 
 
 def _philox_words(seed, count):
@@ -138,14 +137,6 @@ class _PreviousNormals:
         return self.gen.normal(size=size)
 
 
-def _leaves(x):
-    if dataclasses.is_dataclass(x):
-        return [leaf for f in dataclasses.fields(x) for leaf in _leaves(getattr(x, f.name))]
-    if isinstance(x, tuple):
-        return [leaf for part in x for leaf in _leaves(part)]
-    return [x]
-
-
 _SAMPLERS = {
     "rand_matrix": lambda rng, n: sampling.rand_matrix(rng, n, n + 1, scale=0.5),
     "rand_row": sampling.rand_row,
@@ -176,9 +167,9 @@ def test_generator_draws_keep_their_bits(monkeypatch, name, n):
     # a Generator still gives the scalar API what Generator.uniform and .normal gave it,
     # bit for bit and with the same types, and consumes the same words
     now_rng, then_rng = np.random.default_rng(77 + n), np.random.default_rng(77 + n)
-    now = _leaves(_SAMPLERS[name](now_rng, n))
+    now = leaves(_SAMPLERS[name](now_rng, n))
     monkeypatch.setattr(sampling, "_uniform", _previous_uniform)
-    then = _leaves(_SAMPLERS[name](_PreviousNormals(then_rng), n))
+    then = leaves(_SAMPLERS[name](_PreviousNormals(then_rng), n))
     assert len(now) == len(then)
     for a, b in zip(now, then):
         assert type(a) is type(b)
@@ -191,9 +182,9 @@ def test_every_sampler_draws_a_stack(name):
     # from a StackStream each sampler draws a stack (rand_gj_algebra's row check read the
     # stack's length as n and refused it), and sample i of the stack is the draw of its window
     n, k = 2, 3
-    stack = _leaves(_SAMPLERS[name](StackStream(5, n, 0, k), n))
+    stack = leaves(_SAMPLERS[name](StackStream(5, n, 0, k), n))
     for i in range(k):
-        alone = _leaves(_SAMPLERS[name](StackStream(5, n, i, i + 1), n))
+        alone = leaves(_SAMPLERS[name](StackStream(5, n, i, i + 1), n))
         assert len(alone) == len(stack)
         for a, b in zip(stack, alone):
             assert np.shape(a)[:1] == (k,) and np.array_equal(a[i], b[0]), name
