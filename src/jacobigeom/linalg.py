@@ -167,7 +167,7 @@ def _modulus(v):
     """|v| entrywise as hypot(Re v, Im v), which numpy computes alike on a stack of one
     and on a long stack (its complex ``abs`` does not), so that a replayed sample gives
     its error bit for bit."""
-    return np.hypot(np.real(v), np.imag(v))
+    return np.hypot(v.real, v.imag)
 
 
 def _trusted(cls, *values):
@@ -567,17 +567,22 @@ def expm(a):
     with ``U`` the odd and ``V`` the even part, is then squared ``s`` times.
     Over a stack each matrix has its own ``s``.
     """
-    a = np.asarray(a, dtype=float)
-    s = np.maximum(0, np.frexp(np.linalg.norm(a, 1, axis=(-2, -1)) / _THETA7)[1])
-    a = a / np.exp2(s)[..., None, None]
+    return _expm(_square(a))
+
+
+def _expm(a):
+    """:func:`expm` of a float square matrix or stack of them, unread (b_7 = 1)."""
+    s = np.maximum(0, np.frexp(np.abs(a).sum(-2).max(-1) / _THETA7)[1])  # norm(a, 1)
+    top = int(s.max())
+    a = a / np.exp2(s)[..., None, None] if top else a  # a / 1.0 is a
     b = _PADE7
     a2 = a @ a
     a4 = a2 @ a2
     a6 = a4 @ a2
     eye = np.eye(a.shape[-1])
-    u = a @ (b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    u = a @ (a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
     v = b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
     r = np.linalg.solve(v - u, v + u)
-    for k in range(int(np.max(s))):
+    for k in range(top):
         r = np.where((s > k)[..., None, None], r @ r, r)
     return r

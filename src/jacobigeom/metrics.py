@@ -513,14 +513,14 @@ def _checked_spec(obj, n, seed):
 
 
 def _stack(*trees, apart=False):
-    """Trees of one structure (tuples, SnCharts with their frames, arrays, scalars) as one,
-    leaves stacked, ``apart`` each a stack of one: (len(trees), 1, ...)."""
+    """Trees of one structure (tuples and SnCharts with their frames, over arrays and scalars) as
+    one, each column of leaves stacked by one ``np.array``, ``apart`` each a stack of one:
+    (len(trees), 1, ...)."""
     if isinstance(trees[0], SnChart):
         fields = (tuple(getattr(t, f) for f in SnChart.__dataclass_fields__) for t in trees)
         return linalg._trusted(SnChart, *_stack(*fields, apart=apart))
-    if isinstance(trees[0], tuple):
-        return tuple(_stack(*parts, apart=apart) for parts in zip(*trees))
-    return np.array(trees)[:, None] if apart else np.array(trees)
+    return tuple(_stack(*col, apart=apart) if isinstance(col[0], (tuple, SnChart))
+                 else np.array(col)[:, None] if apart else np.array(col) for col in zip(*trees))
 
 
 def _evaluate(spec, n, seed, start, stop):

@@ -18,7 +18,7 @@ import numpy as np
 
 from .heisenberg import HeisenbergElement
 from .jacobi import JacobiAlgebraElement, JacobiElement, sn_chart
-from .linalg import _mT, _row, _trusted, expm, symmetrize
+from .linalg import _expm, _mT, _row, _trusted, symmetrize
 from .symplectic import SpAlgebraElement
 
 
@@ -37,7 +37,8 @@ class StackStream:
     def __init__(self, seed, n, start, stop):
         words = window_words(n)
         bits = np.random.Philox(seed)  # keyed by SeedSequence(seed).generate_state(2, uint64)
-        bits.advance(start * words // 4)
+        if start:  # a new Philox is at word 0
+            bits.advance(start * words // 4)
         self._u = np.random.Generator(bits).random((stop - start, words))
         self._at = 0
 
@@ -123,7 +124,7 @@ def rand_sp_algebra(rng, n, scale=None):
 
 
 def rand_symplectic(rng, n, scale=None):
-    return expm(rand_sp_algebra(rng, n, scale).to_matrix())
+    return _expm(rand_sp_algebra(rng, n, scale).to_matrix())
 
 
 def rand_heisenberg(rng, n):

@@ -351,8 +351,9 @@ def _right_divide(top, den, u=None):
     except np.linalg.LinAlgError as exc:
         raise SingularDenominator(str(exc)) from exc
     k = top.shape[-1]
-    _gate(np.sum(~np.isfinite(sol), axis=(-2, -1)), 0, SingularDenominator,
-          "count of non-finite entries in the Moebius image")
+    if not np.isfinite(sol).all():  # the count, and the index it names, only on a fault
+        _gate(np.sum(~np.isfinite(sol), axis=(-2, -1)), 0, SingularDenominator,
+              "count of non-finite entries in the Moebius image")
     return symmetrize(sol[..., :k]), None if u is None else _from_col(sol[..., k:])
 
 

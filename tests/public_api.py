@@ -297,7 +297,7 @@ REGISTRY = {
 
 # array helpers that take what numpy makes of their arguments, with no reader: stack parity,
 # and no fault case
-UNREAD = ("sym_residual", "symmetrize", "vec", "unvec", "expm", "blocks", "from_blocks",
+UNREAD = ("sym_residual", "symmetrize", "vec", "unvec", "blocks", "from_blocks",
           "pair_to_symplectic", "pq_from_lm", "lm_from_pq")
 
 _DEGREE = "a degree n"

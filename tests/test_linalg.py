@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from jacobigeom import (
+    BadShape,
     NotSpd,
     NotSymmetric,
     SingularSylvester,
@@ -211,6 +212,43 @@ def test_expm_matches_scipy(n, scale):
         z = rand_sp_algebra(rng, n, scale).to_matrix()
         want = scipy_expm(z)
         assert np.max(np.abs(expm(z) - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def _expm_reference(a):
+    """expm's scaling and squaring as first written, with its 1-norm from ``np.linalg.norm``, its
+    division by exp2(s) and its b_7 factor whatever s is: the kernel keeps its bits."""
+    a = np.asarray(a, dtype=float)
+    s = np.maximum(0, np.frexp(np.linalg.norm(a, 1, axis=(-2, -1)) / linalg._THETA7)[1])
+    a = a / np.exp2(s)[..., None, None]
+    b = linalg._PADE7
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    eye = np.eye(a.shape[-1])
+    u = a @ (b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
+    r = np.linalg.solve(v - u, v + u)
+    for k in range(int(np.max(s))):
+        r = np.where((s > k)[..., None, None], r @ r, r)
+    return r
+
+
+@pytest.mark.parametrize("scale", [None, 1.0, 3.0], ids=["default", "1", "3"])
+@pytest.mark.parametrize("n", [1, 2, 4, 10])
+def test_expm_is_its_reference_formula(n, scale):
+    rng = np.random.default_rng(200 + n)
+    for _ in range(10):
+        z = rand_sp_algebra(rng, n, scale).to_matrix()
+        assert np.array_equal(expm(z), _expm_reference(z))
+        # 1-norms 0.5 and 3: a stack of an unscaled (s = 0) and a scaled (s = 2) matrix
+        unit = z / np.linalg.norm(z, 1)
+        stack = np.array([z, 0.5 * unit, 3.0 * unit])
+        got = expm(stack)
+        assert np.array_equal(got, _expm_reference(stack))
+        for one, matrix in zip(got, stack):
+            assert np.array_equal(one, _expm_reference(matrix))
+    with pytest.raises(BadShape):
+        expm(np.zeros((2, 3)))
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 10])

@@ -11,6 +11,7 @@ from jacobigeom import (
     BadShape,
     KahlerParams,
     MetricParams,
+    SnChart,
     ball_act,
     cayley,
     cayley_inverse,
@@ -49,7 +50,7 @@ from jacobigeom.sampling import (
     rand_vu_point,
     rand_vu_tangent,
 )
-from public_api import at
+from public_api import at, leaves
 
 
 def _basis_tangents_n1():
@@ -683,6 +684,29 @@ def test_reports_keep_their_bits(obj, n, samples):
 
 def test_every_object_has_pinned_report_bits():
     assert {obj for obj, *_ in _REPORT_BITS} == set(INVARIANCE_OBJECTS)
+
+
+def _stack_reference(*trees, apart=False):
+    """metrics._stack as first written: one call of itself per node and per leaf."""
+    if isinstance(trees[0], SnChart):
+        fields = (tuple(getattr(t, f) for f in SnChart.__dataclass_fields__) for t in trees)
+        return linalg._trusted(SnChart, *_stack_reference(*fields, apart=apart))
+    if isinstance(trees[0], tuple):
+        return tuple(_stack_reference(*parts, apart=apart) for parts in zip(*trees))
+    return np.array(trees)[:, None] if apart else np.array(trees)
+
+
+def test_stack_is_its_recursive_definition():
+    rng = np.random.default_rng(29)
+    charts = [rand_sn_chart(rng, 2) for _ in range(2)]
+    nested = [(c, (rand_sn_tangent(rng, c), (0.5 * i, c.p))) for i, c in enumerate(charts)]
+    for trees in (charts, nested):
+        for apart in (False, True):
+            got = leaves(metrics._stack(*trees, apart=apart))
+            want = leaves(_stack_reference(*trees, apart=apart))
+            assert len(got) == len(want) == len(leaves(trees[0]))
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
 
 
 def test_reports_do_not_depend_on_chunking():

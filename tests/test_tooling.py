@@ -141,7 +141,6 @@ def _typed_reads(source, module):
 # the reads with a dtype that stay, each with its reason
 _TYPED_READS = {
     "linalg._row": "the rows of pq_from_lm and lm_from_pq, whose M is unchecked by design",
-    "linalg.expm": "the samplers' exponential of the algebra elements they draw",
     "cli._real": "the CLI's real JSON input, which holds no complex number",
     "numdiff._flatten": "the test suite's finite-difference route, which validates nothing",
     "numdiff._unflatten": "as numdiff._flatten",

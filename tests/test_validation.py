@@ -698,6 +698,15 @@ def test_singular_images_raise_singular_denominator(case):
         SINGULAR[case]()
 
 
+def test_a_singular_image_names_its_stack_index():
+    # the image's one finiteness pass fails, and the count of non-finite entries names the
+    # first sample whose image is not finite
+    p = np.array([_Y, NAN, _Y]) + 0j
+    element = ((p, np.zeros_like(p)), np.zeros((3, 1, 2)))
+    with pytest.raises(SingularDenominator, match="non-finite entries .* at stack index 1$"):
+        ball_act(element, (np.zeros((3, 2, 2)), np.zeros((3, 1, 2))))
+
+
 def _stacked(tangents):
     """S_n tangents as one stack: matrices (k, n, n), rows (k, 1, n), kappas (k,)."""
     parts = tuple(np.array(c) for c in zip(*tangents))
