@@ -2,11 +2,16 @@
 
 Conventions
 -----------
+* numbers: each is read as a finite float, else the input is malformed;
 * real matrices: row-major nested arrays of doubles;
 * complex scalars: two-element arrays [re, im], so a complex matrix is a
   nested array whose innermost elements are pairs;
 * exit codes: 0 success / verdict pass, 1 domain failure (non-symplectic
-  input, failed invariance run), 2 malformed input or usage error.
+  input, failed invariance run, a result that is not finite), 2 malformed
+  input or usage error.
+
+The library reads and checks each argument as the JSON gives it; the CLI reads
+only the [re, im] pairs and the matrix of ``check`` and ``decompose``.
 
 Output is serialized with sorted keys and fixed separators, so identical
 job specifications produce byte-identical output.
@@ -15,6 +20,7 @@ job specifications produce byte-identical output.
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -40,6 +46,7 @@ from . import (
     sqrtm_spd,
 )
 from .exceptions import BadShape, GeometryError
+from .linalg import _cast, _square
 from .metrics import INVARIANCE_OBJECTS
 from .symplectic import symplectic_residual
 
@@ -47,13 +54,23 @@ USAGE_ERROR = 2
 DOMAIN_ERROR = 1
 # the dense bracket table holds dim^3 floats, dim = (n + 1)(2n + 1): ~100 MB at n = 10
 MAX_COMMUTATOR_N = 10
+_CHART, _TANGENT = "x y X Y p q kappa", "dx dy dX dY dp dq dkappa"
 
 
-def _real(node, what="matrix"):
-    arr = np.asarray(node, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise BadShape(f"{what} contains non-finite entries")
-    return arr
+def _number(text):
+    """``json`` hook of every number: a finite float, else BadShape (the one number rule)."""
+    value = float(text)
+    if not -np.inf < value < np.inf:
+        raise BadShape(f"a number must be a finite float, got {text:.20}")
+    return value
+
+
+def _load(args):
+    """The job's JSON, from ``--input`` or stdin, each number read by :func:`_number`."""
+    with open(args.input) if args.input else nullcontext(sys.stdin) as fh:
+        # + 0.0: an integer has no negative zero
+        return json.load(fh, parse_float=_number, parse_int=lambda s: _number(s) + 0.0,
+                         parse_constant=_number)
 
 
 def _tolerance(text):
@@ -64,15 +81,16 @@ def _tolerance(text):
     return value
 
 
-def _scalar(node, key):
-    return float(_real(node[key], key))
-
-
-def _complex(node, what="matrix"):
-    arr = _real(node, what)
-    if arr.shape[-1] != 2:
+def _complex(node, what):
+    arr = _cast(node, float, what)
+    if arr.shape[-1:] != (2,):
         raise BadShape(f"{what} must use [re, im] pairs at the innermost level")
     return arr[..., 0] + 1j * arr[..., 1]
+
+
+def _parts(node, keys):
+    """The values of a JSON object's ``keys``, in order: the library's tuple of parts."""
+    return tuple(node[k] for k in keys.split())
 
 
 def _encode(value):
@@ -85,25 +103,16 @@ def _encode(value):
 
 
 def _emit(obj, stream):
-    stream.write(json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False))
-    stream.write("\n")
-
-
-def _chart_from_json(node):
-    return SnChart(*(_real(node[k]) for k in "x y X Y p q".split()), _scalar(node, "kappa"))
-
-
-def _sn_tangent_from_json(node):
-    return (*(_real(node[k]) for k in ("dx", "dy", "dX", "dY", "dp", "dq")),
-            _scalar(node, "dkappa"))
-
-
-def _element_from_json(node):
-    return JacobiElement(*(_real(node[k]) for k in ("m", "lam", "mu")), _scalar(node, "kappa"))
+    """``obj`` as one line of strict JSON, else (a non-finite value) GeometryError."""
+    try:
+        text = json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    except ValueError as exc:
+        raise GeometryError(f"the result is not finite: {exc}") from exc
+    stream.write(text + "\n")
 
 
 def cmd_check(args, payload, out):
-    mat = _real(payload["matrix"])
+    mat = _square(payload["matrix"], stack=False)
     ok = is_symplectic(mat, args.tol)
     _emit({
         "symplectic": bool(ok),
@@ -115,7 +124,7 @@ def cmd_check(args, payload, out):
 
 
 def cmd_decompose(args, payload, out):
-    mat = _real(payload["matrix"])
+    mat = _square(payload["matrix"], stack=False)
     factors = pre_iwasawa(mat) if args.variant == "plain" else modified_pre_iwasawa(mat)
     residual = float(np.max(np.abs(pre_iwasawa_compose(factors) - mat)))
     _emit({"variant": factors.variant, "recomposition_residual": residual,
@@ -124,22 +133,21 @@ def cmd_decompose(args, payload, out):
 
 
 def cmd_act(args, payload, out):
-    g = _element_from_json(payload["element"])
+    g = JacobiElement(*_parts(payload["element"], "m lam mu kappa"))
     point = payload["point"]
     if args.space == "xjn":
         v1, u1 = act_xjn(g, (_complex(point["v"], "v"), _complex(point["u"], "u")))
         _emit({"v": _encode(v1), "u": _encode(u1)}, out)
     else:  # pq, or extended with kappa last
-        pq = tuple(_real(point[k]) for k in "xypq")
-        image = act_pq(g, pq) if args.space == "pq" else act_extended(
-            g, (*pq, _scalar(point, "kappa")))
+        image = (act_pq(g, _parts(point, "x y p q")) if args.space == "pq"
+                 else act_extended(g, _parts(point, "x y p q kappa")))
         _emit({k: _encode(c) for k, c in zip(("x", "y", "p", "q", "kappa"), image)}, out)
     return 0
 
 
 def cmd_oneforms(args, payload, out):
-    chart = _chart_from_json(payload["chart"])
-    lf = oneforms_sn(chart, _sn_tangent_from_json(payload["tangent"]))
+    lf = oneforms_sn(SnChart(*_parts(payload["chart"], _CHART)),
+                     _parts(payload["tangent"], _TANGENT))
     _emit({
         "F": _encode(lf.F), "G": _encode(lf.G), "H": _encode(lf.H),
         "P": _encode(lf.P), "Q": _encode(lf.Q), "R": lf.R,
@@ -150,25 +158,20 @@ def cmd_oneforms(args, payload, out):
 
 def cmd_metric(args, payload, out):
     if args.object == "metric_group":
-        params = MetricParams(**{k: _scalar(payload["params"], k) for k in payload["params"]})
-        chart = _chart_from_json(payload["chart"])
-        value = metric_group(params, chart,
-                             _sn_tangent_from_json(payload["t1"]),
-                             _sn_tangent_from_json(payload["t2"]))
-    else:  # metric_xjn or metric_extended, which carries kappa / dkappa as a fifth component
-        point, t1, t2 = (tuple(_real(c, k) for c in payload[k]) for k in ("point", "t1", "t2"))
-        alpha, gamma = _scalar(payload, "alpha"), _scalar(payload, "gamma")
-        if args.object == "metric_xjn":
-            value = metric_xjn(alpha, gamma, payload["chart"], point, t1, t2)
-        else:
-            value = metric_extended(alpha, gamma, _scalar(payload, "delta"), point, t1, t2)
+        value = metric_group(MetricParams(**payload["params"]),
+                             SnChart(*_parts(payload["chart"], _CHART)),
+                             _parts(payload["t1"], _TANGENT), _parts(payload["t2"], _TANGENT))
+    elif args.object == "metric_xjn":
+        value = metric_xjn(*_parts(payload, "alpha gamma chart point t1 t2"))
+    else:  # metric_extended: point and tangents carry kappa / dkappa as a fifth component
+        value = metric_extended(*_parts(payload, "alpha gamma delta point t1 t2"))
     _emit({"object": args.object, "value": float(value)}, out)
     return 0
 
 
 def cmd_commutators(args, payload, out):
-    if args.n > MAX_COMMUTATOR_N:
-        raise BadShape(f"commutators --n must be at most {MAX_COMMUTATOR_N}")
+    if not 1 <= args.n <= MAX_COMMUTATOR_N:
+        raise BadShape(f"commutators --n must be in 1 .. {MAX_COMMUTATOR_N}, got {args.n}")
     labels, table = commutator_table(args.n)
     nonzero = {}
     for i, li in enumerate(labels):
@@ -191,8 +194,7 @@ def cmd_invariance(args, payload, out):
 
 
 def cmd_sqrt_diff(args, payload, out):
-    a = _real(payload["a"], "a")
-    da = _real(payload["da"], "da")
+    a, da = payload["a"], payload["da"]
     _emit({"sqrt": _encode(sqrtm_spd(a)), "dsqrt": _encode(dsqrtm(a, da))}, out)
     return 0
 
@@ -234,38 +236,20 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "n", 1) < 1 or getattr(args, "samples", 1) < 1:
-        parser.error("--n and --samples must be >= 1")
-
-    payload = None
+    args = build_parser().parse_args(argv)
     try:
-        if args.needs_input:
-            if args.input:
-                with open(args.input) as fh:
-                    payload = json.load(fh)
-            else:
-                payload = json.load(sys.stdin)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read input: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-
-    out = open(args.output, "w") if args.output else sys.stdout
-    try:
-        return args.func(args, payload, out)
+        payload = _load(args) if args.needs_input else None
+        with open(args.output, "w") if args.output else nullcontext(sys.stdout) as out:
+            return args.func(args, payload, out)
     except (BadShape, KeyError, TypeError) as exc:
         print(f"error: bad input: {exc!r}", file=sys.stderr)
         return USAGE_ERROR
     except GeometryError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DOMAIN_ERROR
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:  # a file, JSON syntax, a value out of range
         print(f"error: bad input: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    finally:
-        if args.output:
-            out.close()
 
 
 if __name__ == "__main__":

@@ -190,18 +190,14 @@ def _max_norm(a, axis=None):
     ``a`` is then NaN, which every gate refuses, with no inf - inf or 0 inf (numpy's
     invalid-value warning) on the way.  ``a`` is not copied if finite."""
     scale = np.abs(a).max(axis, initial=1.0)
-    top = scale if scale.ndim == 0 else scale.max()  # not .all(): 3 us on a scalar
+    top = scale if scale.ndim == 0 else scale.max(initial=1.0)  # not .all(): 3 us on a scalar
     return scale, a if top < np.inf else np.where(np.isfinite(a), a, np.nan)
 
 
 def sym_residual(a):
     """Max-norm asymmetry of ``a`` relative to max(1, ||a||_max), per matrix of a stack;
     NaN for a matrix with a non-finite entry (so inf - inf is never formed)."""
-    a = np.asarray(a)
-    scale = np.abs(a).max((-2, -1), initial=1.0)
-    top = scale if scale.ndim == 0 else scale.max(initial=1.0)  # not .all(): 3 us on a scalar
-    if not top < np.inf:
-        a = np.where(np.isfinite(a), a, np.nan)
+    scale, a = _max_norm(np.asarray(a), (-2, -1))
     return np.abs(a - _mT(a)).max((-2, -1)) / scale
 
 

@@ -542,13 +542,14 @@ def _evaluate(spec, n, seed, start, stop):
 
 def _errors(spec, n, samples, seed):
     """Absolute and relative errors of samples 0 .. samples - 1, in stacks of _stack_len(n)."""
-    abs_errs, rel_errs = [], []
+    abs_errs, rel_errs = np.empty(samples), np.empty(samples)
     step = _stack_len(n)
     for start in range(0, samples, step):
-        *_, orig, pulled, scale = _evaluate(spec, n, seed, start, min(start + step, samples))
-        abs_errs.append(_modulus(pulled - orig))
-        rel_errs.append(abs_errs[-1] / np.maximum(scale, 1e-12))
-    return np.concatenate(abs_errs), np.concatenate(rel_errs)
+        stop = min(start + step, samples)
+        *_, orig, pulled, scale = _evaluate(spec, n, seed, start, stop)
+        abs_errs[start:stop] = _modulus(pulled - orig)
+        rel_errs[start:stop] = abs_errs[start:stop] / np.maximum(scale, 1e-12)
+    return abs_errs, rel_errs
 
 
 def replay(obj, n, seed, i):

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from jacobigeom import invariance_report, replay
+from jacobigeom import cli, invariance_report, replay
 from jacobigeom.sampling import rand_jacobi, rand_symplectic
 
 
@@ -324,3 +324,125 @@ def test_tol_is_only_an_option_of_check_and_invariance(sub):
     res = run_cli([*sub, "--tol", "1e-8"])
     assert res.returncode == 2
     assert "unrecognized arguments: --tol" in res.stderr
+
+
+# one well-formed job per subcommand and variant, n = 1, for the generated faults below
+_ELEMENT = {"m": [[1.0, 0.0], [0.0, 1.0]], "lam": [0.5], "mu": [0.25], "kappa": 0.1}
+_PQ = {"x": [[0.0]], "y": [[1.0]], "p": [0.1], "q": [0.2]}
+_CHART = {"x": [[0.0]], "y": [[1.0]], "X": [[1.0]], "Y": [[0.0]], "p": [0.1], "q": [0.2],
+          "kappa": 0.3}
+_TANGENT = {"dx": [[1.0]], "dy": [[0.5]], "dX": [[0.0]], "dY": [[0.2]], "dp": [0.1],
+            "dq": [0.3], "dkappa": 0.4}
+_XJN, _DXJN = [[[0.0]], [[1.0]], [0.1], [0.2]], [[[1.0]], [[0.5]], [0.1], [0.3]]
+_JOBS = {
+    "check": (["check"], {"matrix": [[0.0, 1.0], [-1.0, 0.0]]}),
+    "decompose": (["decompose"], {"matrix": [[0.0, 1.0], [-1.0, 0.0]]}),
+    "act-xjn": (["act", "--space", "xjn"],
+                {"element": _ELEMENT, "point": {"v": [[[0.0, 1.0]]], "u": [[0.1, 0.2]]}}),
+    "act-pq": (["act", "--space", "pq"], {"element": _ELEMENT, "point": _PQ}),
+    "act-extended": (["act", "--space", "extended"],
+                     {"element": _ELEMENT, "point": {**_PQ, "kappa": 0.3}}),
+    "oneforms": (["oneforms"], {"chart": _CHART, "tangent": _TANGENT}),
+    "metric-group": (["metric", "--object", "metric_group"],
+                     {"params": {"alpha": 1.0, "beta": 1.0, "gamma": 1.0, "delta": 1.0},
+                      "chart": _CHART, "t1": _TANGENT, "t2": _TANGENT}),
+    "metric-xjn": (["metric", "--object", "metric_xjn"],
+                   {"alpha": 1.0, "gamma": 1.0, "chart": "pq", "point": _XJN, "t1": _DXJN,
+                    "t2": _DXJN}),
+    "metric-extended": (["metric", "--object", "metric_extended"],
+                        {"alpha": 1.0, "gamma": 1.0, "delta": 1.0, "point": [*_XJN, 0.3],
+                         "t1": [*_DXJN, 0.4], "t2": [*_DXJN, 0.5]}),
+    "sqrt-diff": (["sqrt-diff"], {"a": [[2.0]], "da": [[1.0]]}),
+}
+
+# each fault: the kind of node it replaces (a number, an array or tuple, an object) and the
+# JSON text it puts there
+_FAULTS = {
+    "NaN": (float, "NaN"),
+    "Infinity": (float, "Infinity"),
+    "1e400": (float, "1e400"),
+    "400-digit-int": (float, "1" * 400),
+    "string": (float, '"1"'),
+    "object": (float, "{}"),
+    "scalar-for-array": (list, "1.0"),
+    "list-for-object": (dict, "[1, 2]"),
+}
+_HOLE = "__fault__"
+
+
+def _nodes(node, path=()):
+    """(path, node) of ``node`` and of every node below it."""
+    yield path, node
+    children = (node.items() if isinstance(node, dict) else
+                enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield from _nodes(child, (*path, key))
+
+
+def _with_fault(payload, path, text):
+    """The JSON text of ``payload`` with the node at ``path`` replaced by ``text``."""
+    copy = json.loads(json.dumps(payload))
+    if not path:
+        return text
+    node = copy
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = _HOLE
+    return json.dumps(copy).replace(f'"{_HOLE}"', text)
+
+
+@pytest.fixture(scope="module")
+def parser():
+    return cli.build_parser()
+
+
+@pytest.fixture
+def run_main(parser, tmp_path, capsys, monkeypatch):
+    """``cli.main`` in process on a job's JSON text: (exit code, stdout, stderr).  The jobs
+    share one parser, as building it takes longer (about 2 ms) than most jobs."""
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+    path = tmp_path / "job.json"
+
+    def run(argv, text):
+        path.write_text(text)
+        code = cli.main([*argv, "--input", str(path)])
+        return (code, *capsys.readouterr())
+    return run
+
+
+@pytest.mark.parametrize("job", _JOBS)
+def test_each_fault_job_is_well_formed(job, run_main):
+    argv, payload = _JOBS[job]
+    code, out, err = run_main(argv, json.dumps(payload))
+    assert (code, err) == (0, "") and json.loads(out)
+
+
+@pytest.mark.parametrize("fault", _FAULTS)
+@pytest.mark.parametrize("job", _JOBS)
+def test_a_fault_in_any_node_is_a_usage_error(job, fault, run_main):
+    # exit 2, nothing on stdout, one line on stderr: no traceback and no other exit code
+    argv, payload = _JOBS[job]
+    kind, text = _FAULTS[fault]
+    wrong = []
+    for where, node in _nodes(payload):
+        if isinstance(node, kind):
+            code, out, err = run_main(argv, _with_fault(payload, where, text))
+            if (code, out) != (2, "") or not err.startswith("error:") or err.count("\n") != 1:
+                wrong.append((where, code, out, err))
+    assert wrong == []
+
+
+@pytest.mark.parametrize("argv", [["commutators", "--n", "0"],
+                                  ["invariance", "--object", "lambda_R", "--n", "0"],
+                                  ["invariance", "--object", "lambda_R", "--samples", "0"]],
+                         ids=["commutators-n", "invariance-n", "invariance-samples"])
+def test_a_count_below_one_is_a_usage_error(argv, capsys):
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the residual of 1e308 I overflows
+def test_a_non_finite_result_is_a_domain_error(run_main):
+    code, out, err = run_main(["check"], json.dumps({"matrix": [[1e308, 0.0], [0.0, 1e308]]}))
+    assert (code, out) == (1, "") and err.startswith("error:")

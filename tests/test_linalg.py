@@ -74,6 +74,24 @@ def test_the_vech_calculus_is_its_loop_definition():
         assert n == 0 or vech(a).tolist() == [a[i, j] for i, j in lower]
 
 
+def test_sym_residual_is_its_inline_definition(rng):
+    # sym_residual takes its scale and NaN rule from _max_norm: bit for bit the inline form
+    # it had, on a matrix, a stack, an inf entry, a NaN in a stack and an empty stack
+    def inline(a):
+        scale = np.abs(a).max((-2, -1), initial=1.0)
+        top = scale if scale.ndim == 0 else scale.max(initial=1.0)
+        if not top < np.inf:
+            a = np.where(np.isfinite(a), a, np.nan)
+        return np.abs(a - np.swapaxes(a, -1, -2)).max((-2, -1)) / scale
+
+    m, stack = rng.normal(size=(3, 3)), 1e3 * rng.normal(size=(4, 3, 3))
+    with_inf, with_nan = m.copy(), stack.copy()
+    with_inf[0, 1], with_nan[2, 1, 0] = np.inf, np.nan
+    for a in (m, stack, with_inf, with_nan, np.zeros((0, 2, 2))):
+        got, want = linalg.sym_residual(a), inline(a)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 10])
 def test_vec_vech_roundtrips(rng, n):
     a = rand_sym(rng, n)
