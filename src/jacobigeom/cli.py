@@ -247,7 +247,8 @@ def main(argv=None):
     except GeometryError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DOMAIN_ERROR
-    except (OSError, ValueError) as exc:  # a file, JSON syntax, a value out of range
+    # a file, JSON syntax or nesting too deep to decode, a value out of range
+    except (OSError, RecursionError, ValueError) as exc:
         print(f"error: bad input: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -236,17 +236,21 @@ def commutator_table(n):
     2 delta_pq R and friends) is integer.  Any coefficient farther than
     SNAP_TOL from the grid raises BasisClosureFailure.
     """
-    elems = gj_basis_elements(n)
-    dim = len(elems)
+    basis = np.array(gj_basis(n))
+    dim = len(basis)
     table = np.zeros((dim, dim, dim))
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            coeffs = gj_bracket(elems[i], elems[j]).coefficients()
-            snapped = np.round(coeffs * 4.0) / 4.0
-            _gate(np.max(np.abs(coeffs - snapped)), linalg.SNAP_TOL, BasisClosureFailure,
-                  f"distance of the constants of [{i},{j}] from the quarter-integer grid")
-            table[i, j] = snapped
-            table[j, i] = -snapped
+    for i in range(dim - 1):  # row i: the brackets with all j > i, as one stack
+        m, rest = basis[i], basis[i + 1:]
+        try:
+            coeffs = JacobiAlgebraElement.from_matrix(m @ rest - rest @ m).coefficients()
+        except ProjectionResidual as exc:
+            raise BasisClosureFailure(str(exc)) from exc
+        snapped = np.round(coeffs * 4.0) / 4.0
+        _gate(np.abs(coeffs - snapped).max(-1), linalg.SNAP_TOL, BasisClosureFailure,
+              f"distance of the constants of [{i},{i + 1}+k] from the quarter-integer grid,"
+              " k the stack index,")
+        table[i, i + 1:] = snapped
+        table[i + 1:, i] = -snapped
     return gj_basis_labels(n), table
 
 

@@ -24,17 +24,21 @@ def tuple_line(point, tangent, t):
                  for p, d in zip(point, tangent))
 
 
+def fd_curve(curve, step=DEFAULT_STEP):
+    """Velocity at t = 0 of ``curve``, a map t -> tuple of components, by central
+    differences: the package's one difference rule."""
+    return tuple((np.asarray(a) - np.asarray(b)) / (2 * step) if np.ndim(a)
+                 else (a - b) / (2 * step)
+                 for a, b in zip(curve(step), curve(-step)))
+
+
 def fd_push(f, point, tangent, step=DEFAULT_STEP):
-    """Central-difference pushforward of ``tangent`` through ``f``.
+    """Central-difference pushforward of ``tangent`` through ``f`` along ``tuple_line``.
 
     ``f`` maps tuples of components to tuples of components; all
     components must support scalar multiplication and subtraction.
     """
-    plus = f(tuple_line(point, tangent, step))
-    minus = f(tuple_line(point, tangent, -step))
-    return tuple((np.asarray(a) - np.asarray(b)) / (2 * step) if np.ndim(a)
-                 else (a - b) / (2 * step)
-                 for a, b in zip(plus, minus))
+    return fd_curve(lambda t: f(tuple_line(point, tangent, t)), step)
 
 
 def sn_chart_curve(chart, tangent, t):
@@ -65,50 +69,18 @@ def sn_chart_to_tuple(chart):
 
 
 def fd_push_sn(f, chart, tangent, step=DEFAULT_STEP):
-    """Pushforward through a map SnChart -> SnChart by central differences."""
-    plus = sn_chart_to_tuple(f(sn_chart_curve(chart, tangent, step)))
-    minus = sn_chart_to_tuple(f(sn_chart_curve(chart, tangent, -step)))
-    return tuple((np.asarray(a) - np.asarray(b)) / (2 * step)
-                 for a, b in zip(plus, minus))
-
-
-def _flatten(parts):
-    return np.concatenate([np.atleast_1d(np.asarray(p, dtype=float)).ravel()
-                           for p in parts])
-
-
-def _unflatten(vec, template):
-    out = []
-    k = 0
-    for p in template:
-        arr = np.atleast_1d(np.asarray(p, dtype=float))
-        size = arr.size
-        out.append(vec[k:k + size].reshape(arr.shape) if np.ndim(p) else float(vec[k]))
-        k += size
-    return tuple(out)
+    """Pushforward through a map SnChart -> SnChart by central differences along
+    ``sn_chart_curve``."""
+    return fd_curve(lambda t: sn_chart_to_tuple(f(sn_chart_curve(chart, tangent, t))), step)
 
 
 def fd_bracket(field1, field2, point, step=1e-5):
-    """Commutator of two vector fields by nested central differences.
+    """Commutator of two vector fields by central differences.
 
     Fields are functions point-tuple -> tangent-tuple on the same chart;
-    the bracket is  J(W) V - J(V) W  with Jacobians formed column by
-    column from central differences.
+    the bracket is  J(W) V - J(V) W, each Jacobian-vector product the
+    pushforward of one field along the other's value at the point.
     """
-    p0 = _flatten(point)
-    template = point
-
-    def as_vec(field, pvec):
-        return _flatten(field(_unflatten(pvec, template)))
-
-    v0 = as_vec(field1, p0)
-    w0 = as_vec(field2, p0)
-    dim = p0.size
-    jac_v = np.zeros((dim, dim))
-    jac_w = np.zeros((dim, dim))
-    for i in range(dim):
-        e = np.zeros(dim)
-        e[i] = step
-        jac_v[:, i] = (as_vec(field1, p0 + e) - as_vec(field1, p0 - e)) / (2 * step)
-        jac_w[:, i] = (as_vec(field2, p0 + e) - as_vec(field2, p0 - e)) / (2 * step)
-    return _unflatten(jac_w @ v0 - jac_v @ w0, template)
+    jw_v = fd_push(field2, point, field1(point), step)
+    jv_w = fd_push(field1, point, field2(point), step)
+    return tuple(a - b for a, b in zip(jw_v, jv_w))

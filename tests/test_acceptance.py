@@ -38,7 +38,7 @@ from jacobigeom import (
     sqrtm_spd,
 )
 from jacobigeom.jacobi import gj_from_embedding
-from jacobigeom.numdiff import sn_chart_curve
+from jacobigeom.numdiff import fd_bracket, fd_curve, sn_chart_curve
 from jacobigeom.sampling import (
     rand_heisenberg,
     rand_jacobi,
@@ -192,10 +192,7 @@ def test_05_oneform_consistency():
                 a, b, cc, d = (g.M[:n, :n], g.M[:n, n:], g.M[n:, :n], g.M[n:, n:])
                 return a, b, cc, d, c.p, c.q, c.kappa
 
-            plus = matrix_coords(sn_chart_curve(chart, t, h))
-            minus = matrix_coords(sn_chart_curve(chart, t, -h))
-            mt = tuple((np.asarray(x) - np.asarray(y)) / (2 * h)
-                       for x, y in zip(plus, minus))
+            mt = fd_curve(lambda s: matrix_coords(sn_chart_curve(chart, t, s)), h)
             a = oneforms_sn(chart, t)
             b = oneforms_matrix_chart(sn_chart_inverse(chart), mt)
             for u, v in zip((a.F, a.G, a.H, a.P, a.Q, a.R),
@@ -268,14 +265,11 @@ def test_08_fvf_consistency():
                 def act_t(t):
                     return act_extended(gj_from_embedding(expm(t * z.to_matrix())), pt)
 
-                fd = tuple((np.asarray(a) - np.asarray(b)) / (2 * h)
-                           for a, b in zip(act_t(h), act_t(-h)))
+                fd = fd_curve(act_t, h)
                 an = fvf(z, pt, "extended_pq")
                 for a, b in zip(fd, an):
                     worst = max(worst, np.max(np.abs(np.asarray(a) - np.asarray(b))))
     # bracket closure for n = 1 on the extended space, one global sign
-    from jacobigeom.numdiff import fd_bracket
-
     n = 1
     labels, table = commutator_table(n)
     elems = gj_basis_elements(n)

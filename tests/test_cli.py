@@ -1,6 +1,9 @@
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,11 +13,17 @@ from jacobigeom.sampling import rand_jacobi, rand_symplectic
 
 
 def run_cli(args, payload=None):
-    data = json.dumps(payload) if payload is not None else None
-    return subprocess.run(
-        [sys.executable, "-m", "jacobigeom.cli", *args],
-        input=data, capture_output=True, text=True,
-    )
+    """``python -m jacobigeom.cli *args`` with ``payload`` as JSON on stdin, run in process:
+    ``returncode`` is ``main``'s return value, or the code of the ``SystemExit`` that
+    argparse raises.  The malformed-stdin and scipy-free tests below keep a real process."""
+    stdin = io.StringIO(json.dumps(payload) if payload is not None else "")
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with mock.patch("sys.stdin", stdin), redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(args)
+    except SystemExit as exc:
+        code = exc.code
+    return subprocess.CompletedProcess(args, code or 0, out.getvalue(), err.getvalue())
 
 
 def j2():
@@ -446,3 +455,10 @@ def test_a_count_below_one_is_a_usage_error(argv, capsys):
 def test_a_non_finite_result_is_a_domain_error(run_main):
     code, out, err = run_main(["check"], json.dumps({"matrix": [[1e308, 0.0], [0.0, 1e308]]}))
     assert (code, out) == (1, "") and err.startswith("error:")
+
+
+def test_deeply_nested_json_is_a_usage_error(run_main):
+    # the JSON decoder recurses once per level: 100,000 levels end in a RecursionError
+    code, out, err = run_main(["check"], "[" * 100_000 + "]" * 100_000)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: bad input:") and err.count("\n") == 1

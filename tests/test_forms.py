@@ -25,7 +25,7 @@ from jacobigeom import (
 from jacobigeom import linalg
 from jacobigeom.forms import d_sn_chart, d_sn_chart_inverse
 from jacobigeom.metrics import _INVARIANCE_SPECS
-from jacobigeom.numdiff import fd_push_sn
+from jacobigeom.numdiff import fd_curve, fd_push_sn
 from jacobigeom.sampling import (
     rand_gj_algebra,
     rand_jacobi,
@@ -341,8 +341,7 @@ def test_fvf_matches_action_derivative(rng):
             def act_pq_t(t):
                 return act_pq(gj_from_embedding(expm(t * z.to_matrix())), pt4)
 
-            fd = tuple((np.asarray(a) - np.asarray(b)) / (2 * h)
-                       for a, b in zip(act_pq_t(h), act_pq_t(-h)))
+            fd = fd_curve(act_pq_t, h)
             an = fvf(z, pt4, "xjn_pq")
             for a, b in zip(fd, an):
                 assert np.max(np.abs(np.asarray(a) - np.asarray(b))) < 1e-7
@@ -352,8 +351,7 @@ def test_fvf_matches_action_derivative(rng):
             def act_vu_t(t):
                 return act_xjn(gj_from_embedding(expm(t * z.to_matrix())), vu)
 
-            fd = tuple((np.asarray(a) - np.asarray(b)) / (2 * h)
-                       for a, b in zip(act_vu_t(h), act_vu_t(-h)))
+            fd = fd_curve(act_vu_t, h)
             an = fvf(z, vu, "xjn_holo")
             for a, b in zip(fd, an):
                 assert np.max(np.abs(np.asarray(a) - np.asarray(b))) < 1e-7
@@ -363,8 +361,7 @@ def test_fvf_matches_action_derivative(rng):
             def act_ext_t(t):
                 return act_extended(gj_from_embedding(expm(t * z.to_matrix())), ept)
 
-            fd = tuple((np.asarray(a) - np.asarray(b)) / (2 * h)
-                       for a, b in zip(act_ext_t(h), act_ext_t(-h)))
+            fd = fd_curve(act_ext_t, h)
             an = fvf(z, ept, "extended_pq")
             for a, b in zip(fd, an):
                 assert np.max(np.abs(np.asarray(a) - np.asarray(b))) < 1e-7
@@ -377,13 +374,11 @@ def test_fvf_matches_action_derivative(rng):
                 out = chart_convert(moved[:4], "pq", "xirho")
                 return out + (moved[4],) if with_kappa else out
 
-            fd = tuple((np.asarray(a) - np.asarray(b)) / (2 * h)
-                       for a, b in zip(act_xr_t(h), act_xr_t(-h)))
+            fd = fd_curve(act_xr_t, h)
             an = fvf(z, xr, "xjn_real_xirho")
             for a, b in zip(fd, an):
                 assert np.max(np.abs(np.asarray(a) - np.asarray(b))) < 1e-7
-            fd = tuple((np.asarray(a) - np.asarray(b)) / (2 * h)
-                       for a, b in zip(act_xr_t(h, True), act_xr_t(-h, True)))
+            fd = fd_curve(lambda t: act_xr_t(t, True), h)
             an = fvf(z, xr + (kap,), "extended_xirho")
             for a, b in zip(fd, an):
                 assert np.max(np.abs(np.asarray(a) - np.asarray(b))) < 1e-7

@@ -12,6 +12,7 @@ from jacobigeom import (
     h_oneforms,
     is_symplectic,
 )
+from jacobigeom.numdiff import fd_push
 from jacobigeom.sampling import StackStream, rand_heisenberg
 
 
@@ -74,13 +75,10 @@ def test_oneforms_at_identity(rng):
 
 def _left_push(h, g, t, step=1e-6):
     """dL_h of tangent t at g by central differences."""
-    def curve(s):
-        gs = HeisenbergElement(g.lam + s * t[0], g.mu + s * t[1], g.kappa + s * t[2])
-        out = h_compose(h, gs)
-        return np.concatenate([out.lam, out.mu, [out.kappa]])
-    d = (curve(step) - curve(-step)) / (2 * step)
-    n = g.n
-    return d[:n], d[n:2 * n], d[2 * n]
+    def left(p):
+        out = h_compose(h, HeisenbergElement(*p))
+        return out.lam, out.mu, out.kappa
+    return fd_push(left, (g.lam, g.mu, g.kappa), t, step)
 
 
 def test_oneforms_left_invariance(rng):

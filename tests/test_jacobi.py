@@ -391,3 +391,17 @@ def test_commutator_table_equals_exact_rational_brackets(n):
             coeffs = solve * comm
             assert basis * coeffs == comm  # the bracket closes exactly in the span
             assert [sympy.Rational(c) for c in table[i, j]] == list(coeffs), (labels[i], labels[j])
+
+
+def test_commutator_table_failures_are_basis_closure_failures(monkeypatch):
+    # with the bounds below zero every gate fails at its first bracket, [0, 1]: the snap
+    # gate names the pair, and a projection residual is reported as a closure failure
+    from jacobigeom import BasisClosureFailure, ProjectionResidual, linalg
+
+    monkeypatch.setattr(linalg, "SNAP_TOL", -1.0)
+    with pytest.raises(BasisClosureFailure, match=r"\[0,1\+k\].* at stack index 0$"):
+        commutator_table(1)
+    monkeypatch.setattr(linalg, "PROJ_RTOL", -1.0)
+    with pytest.raises(BasisClosureFailure, match="projection residual") as info:
+        commutator_table(1)
+    assert isinstance(info.value.__cause__, ProjectionResidual)

@@ -500,10 +500,10 @@ def _finite_differences_called(*args, **kwargs):
 
 
 def test_invariance_engine_takes_no_finite_differences():
-    # fd_push reaches tuple_line through the module, so a copy of fd_push bound
-    # elsewhere at import is caught too
+    # fd_push and fd_push_sn reach fd_curve and their curves through the module, so a
+    # copy of either bound elsewhere at import is caught too
     with pytest.MonkeyPatch.context() as mp:
-        for name in ("fd_push", "fd_push_sn", "sn_chart_curve", "tuple_line"):
+        for name in ("fd_curve", "fd_push", "fd_push_sn", "sn_chart_curve", "tuple_line"):
             mp.setattr(numdiff, name, _finite_differences_called)
         for obj in INVARIANCE_OBJECTS:
             for n in (1, 2):

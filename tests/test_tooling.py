@@ -1,6 +1,7 @@
 """Static checks of the package source that need no linter."""
 
 import ast
+import functools
 import pathlib
 
 import pytest
@@ -69,9 +70,19 @@ def _names_read(source):
     return read
 
 
-def _unread(defining, sources):
-    """The private names ``defining`` defines that none of ``sources`` reads."""
-    read = set().union(*(_names_read(s) for s in sources))
+def _read_by(sources):
+    """The names any of ``sources`` reads."""
+    return set().union(*map(_names_read, sources))
+
+
+@functools.cache
+def _read_anywhere():
+    """The names any file of ``_SOURCES`` reads, each file parsed once per session."""
+    return _read_by(p.read_text() for p in _SOURCES)
+
+
+def _unread(defining, read):
+    """The private names ``defining`` defines that are not in ``read``."""
     return [name for name in _private_definitions(defining) if name not in read]
 
 
@@ -83,14 +94,14 @@ def test_unread_private_check_sees_a_leftover():
               "    def diagonal(self):\n        pass\n\n    def _scale(self):\n"
               "        return _pair(2)\n\n    def __post_init__(self):\n        pass\n")
     user = "from m import _Spec\n_Spec()._other()\n"
-    assert _unread(module, [module, user]) == ["_CHUNK", "_scale", "_times_i"]
-    assert _unread(module, [module, user, "x._scale()\nsetattr(m, '_CHUNK', 3)\n"]) == [
+    assert _unread(module, _read_by([module, user])) == ["_CHUNK", "_scale", "_times_i"]
+    assert _unread(module, _read_by([module, user, "x._scale()\nsetattr(m, '_CHUNK', 3)\n"])) == [
         "_times_i"]
 
 
 @pytest.mark.parametrize("path", _MODULES + [_PACKAGE / "__init__.py"], ids=lambda p: p.stem)
 def test_every_private_name_is_read_somewhere(path):
-    assert _unread(path.read_text(), [p.read_text() for p in _SOURCES]) == []
+    assert _unread(path.read_text(), _read_anywhere()) == []
 
 
 def _dead_rows(tables, sources):
@@ -141,8 +152,6 @@ def _typed_reads(source, module):
 # the reads with a dtype that stay, each with its reason
 _TYPED_READS = {
     "linalg._row": "the rows of pq_from_lm and lm_from_pq, whose M is unchecked by design",
-    "numdiff._flatten": "the test suite's finite-difference route, which validates nothing",
-    "numdiff._unflatten": "as numdiff._flatten",
 }
 
 
