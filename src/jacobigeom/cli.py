@@ -13,8 +13,9 @@ Conventions
 The library reads and checks each argument as the JSON gives it; the CLI reads
 only the [re, im] pairs and the matrix of ``check`` and ``decompose``.
 
-Output is serialized with sorted keys and fixed separators, so identical
-job specifications produce byte-identical output.
+Each ``cmd_*`` returns its result and verdict; :func:`main` writes every result by one
+``json.dumps`` with sorted keys and fixed separators, so identical job specifications
+produce byte-identical output.
 """
 
 import argparse
@@ -94,69 +95,47 @@ def _parts(node, keys):
 
 
 def _encode(value):
-    if isinstance(value, (bool, int, float, str)) or value is None:
-        return value
+    """``json``'s ``default`` hook: a numpy array or scalar as lists, complex as [re, im]."""
     arr = np.asarray(value)
     if np.iscomplexobj(arr):
-        return _encode(np.stack([arr.real, arr.imag], axis=-1))
+        arr = np.stack([arr.real, arr.imag], axis=-1)
     return arr.tolist()
 
 
-def _emit(obj, stream):
-    """``obj`` as one line of strict JSON, else (a non-finite value) GeometryError."""
-    try:
-        text = json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
-    except ValueError as exc:
-        raise GeometryError(f"the result is not finite: {exc}") from exc
-    stream.write(text + "\n")
-
-
-def cmd_check(args, payload, out):
+def cmd_check(args, payload):
     mat = _square(payload["matrix"], stack=False)
     ok = is_symplectic(mat, args.tol)
-    _emit({
-        "symplectic": bool(ok),
-        "block_relations": bool(check_block_relations(mat, args.tol)),
-        "residual": float(symplectic_residual(mat)),
-        "n": mat.shape[0] // 2,
-    }, out)
-    return 0 if ok else DOMAIN_ERROR
+    return {"symplectic": ok, "block_relations": check_block_relations(mat, args.tol),
+            "residual": symplectic_residual(mat), "n": mat.shape[0] // 2}, ok
 
 
-def cmd_decompose(args, payload, out):
+def cmd_decompose(args, payload):
     mat = _square(payload["matrix"], stack=False)
     factors = pre_iwasawa(mat) if args.variant == "plain" else modified_pre_iwasawa(mat)
-    residual = float(np.max(np.abs(pre_iwasawa_compose(factors) - mat)))
-    _emit({"variant": factors.variant, "recomposition_residual": residual,
-           **{k: _encode(getattr(factors, k)) for k in "xyXY"}}, out)
-    return 0
+    residual = np.max(np.abs(pre_iwasawa_compose(factors) - mat))
+    return {"variant": factors.variant, "recomposition_residual": residual,
+            **{k: getattr(factors, k) for k in "xyXY"}}, True
 
 
-def cmd_act(args, payload, out):
+def cmd_act(args, payload):
     g = JacobiElement(*_parts(payload["element"], "m lam mu kappa"))
     point = payload["point"]
     if args.space == "xjn":
         v1, u1 = act_xjn(g, (_complex(point["v"], "v"), _complex(point["u"], "u")))
-        _emit({"v": _encode(v1), "u": _encode(u1)}, out)
-    else:  # pq, or extended with kappa last
-        image = (act_pq(g, _parts(point, "x y p q")) if args.space == "pq"
-                 else act_extended(g, _parts(point, "x y p q kappa")))
-        _emit({k: _encode(c) for k, c in zip(("x", "y", "p", "q", "kappa"), image)}, out)
-    return 0
+        return {"v": v1, "u": u1}, True
+    # pq, or extended with kappa last
+    image = (act_pq(g, _parts(point, "x y p q")) if args.space == "pq"
+             else act_extended(g, _parts(point, "x y p q kappa")))
+    return dict(zip(("x", "y", "p", "q", "kappa"), image)), True
 
 
-def cmd_oneforms(args, payload, out):
+def cmd_oneforms(args, payload):
     lf = oneforms_sn(SnChart(*_parts(payload["chart"], _CHART)),
                      _parts(payload["tangent"], _TANGENT))
-    _emit({
-        "F": _encode(lf.F), "G": _encode(lf.G), "H": _encode(lf.H),
-        "P": _encode(lf.P), "Q": _encode(lf.Q), "R": lf.R,
-        "h_asymmetry": float(lf.h_asymmetry()),
-    }, out)
-    return 0
+    return {**{k: getattr(lf, k) for k in "FGHPQR"}, "h_asymmetry": lf.h_asymmetry()}, True
 
 
-def cmd_metric(args, payload, out):
+def cmd_metric(args, payload):
     if args.object == "metric_group":
         value = metric_group(MetricParams(**payload["params"]),
                              SnChart(*_parts(payload["chart"], _CHART)),
@@ -165,38 +144,29 @@ def cmd_metric(args, payload, out):
         value = metric_xjn(*_parts(payload, "alpha gamma chart point t1 t2"))
     else:  # metric_extended: point and tangents carry kappa / dkappa as a fifth component
         value = metric_extended(*_parts(payload, "alpha gamma delta point t1 t2"))
-    _emit({"object": args.object, "value": float(value)}, out)
-    return 0
+    return {"object": args.object, "value": value}, True
 
 
-def cmd_commutators(args, payload, out):
+def cmd_commutators(args, payload):
     if not 1 <= args.n <= MAX_COMMUTATOR_N:
         raise BadShape(f"commutators --n must be in 1 .. {MAX_COMMUTATOR_N}, got {args.n}")
     labels, table = commutator_table(args.n)
-    nonzero = {}
-    for i, li in enumerate(labels):
-        for j, lj in enumerate(labels):
-            if j <= i:
-                continue
-            entries = {labels[k]: table[i, j, k]
-                       for k in range(len(labels)) if table[i, j, k] != 0.0}
-            if entries:
-                nonzero[f"[{li},{lj}]"] = entries
-    _emit({"n": args.n, "dim": len(labels), "labels": labels, "brackets": nonzero}, out)
-    return 0
+    brackets = {}
+    for i, j, k in zip(*np.nonzero(table)):
+        if i < j:
+            brackets.setdefault(f"[{labels[i]},{labels[j]}]", {})[labels[k]] = table[i, j, k]
+    return {"n": args.n, "dim": len(labels), "labels": labels, "brackets": brackets}, True
 
 
-def cmd_invariance(args, payload, out):
+def cmd_invariance(args, payload):
     rep = invariance_report(args.object, n=args.n, samples=args.samples,
                             seed=args.seed, tol=args.tol)
-    _emit(rep.as_dict(), out)
-    return 0 if rep.passed else DOMAIN_ERROR
+    return rep.as_dict(), rep.passed
 
 
-def cmd_sqrt_diff(args, payload, out):
+def cmd_sqrt_diff(args, payload):
     a, da = payload["a"], payload["da"]
-    _emit({"sqrt": _encode(sqrtm_spd(a)), "dsqrt": _encode(dsqrtm(a, da))}, out)
-    return 0
+    return {"sqrt": sqrtm_spd(a), "dsqrt": dsqrtm(a, da)}, True
 
 
 def build_parser():
@@ -206,10 +176,11 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, needs_input=True):
+    def add(name, func, reads_job=True):
         p = sub.add_parser(name)
-        p.set_defaults(func=func, needs_input=needs_input)
-        p.add_argument("--input", default=None, help="input JSON file (default: stdin)")
+        p.set_defaults(func=func)
+        if reads_job:
+            p.add_argument("--input", default=None, help="input JSON file (default: stdin)")
         p.add_argument("--output", default=None, help="output file (default: stdout)")
         return p
 
@@ -222,9 +193,9 @@ def build_parser():
     p = add("metric", cmd_metric)
     p.add_argument("--object", default="metric_xjn",
                    choices=("metric_group", "metric_xjn", "metric_extended"))
-    p = add("commutators", cmd_commutators, needs_input=False)
+    p = add("commutators", cmd_commutators, reads_job=False)
     p.add_argument("--n", type=int, required=True)
-    p = add("invariance", cmd_invariance, needs_input=False)
+    p = add("invariance", cmd_invariance, reads_job=False)
     p.add_argument("--object", choices=INVARIANCE_OBJECTS, required=True)
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
@@ -238,9 +209,16 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        payload = _load(args) if args.needs_input else None
+        payload = _load(args) if "input" in args else None
         with open(args.output, "w") if args.output else nullcontext(sys.stdout) as out:
-            return args.func(args, payload, out)
+            result, ok = args.func(args, payload)
+            try:
+                text = json.dumps(result, sort_keys=True, separators=(",", ":"),
+                                  allow_nan=False, default=_encode)
+            except ValueError as exc:
+                raise GeometryError(f"the result is not finite: {exc}") from exc
+            out.write(text + "\n")
+        return 0 if ok else DOMAIN_ERROR
     except (BadShape, KeyError, TypeError) as exc:
         print(f"error: bad input: {exc!r}", file=sys.stderr)
         return USAGE_ERROR

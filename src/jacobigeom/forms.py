@@ -53,7 +53,7 @@ def check_matrix_tangent(g, tangent):
     def symplectic(da, db, dc, dd, *_):
         dm = from_blocks(da, db, dc, dd)
         _gate(np.max(np.abs(dm.T @ j @ g.M + g.M.T @ j @ dm)),
-              linalg.TANGENT_SP_RTOL * max(1.0, np.max(np.abs(g.M))), NotSymplectic,
+              linalg.TANGENT_SP_RTOL * linalg._max_norm(g.M)[0], NotSymplectic,
               "residual of the linearized symplectic condition")
 
     return _checked("matrix", g.n, tangent, symplectic)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .heisenberg import HeisenbergElement
 from .jacobi import JacobiAlgebraElement, JacobiElement, sn_chart
-from .linalg import _expm, _mT, _row, _trusted, symmetrize
+from .linalg import _expm, _mT, _row, _spectral, _trusted, symmetrize
 from .symplectic import SpAlgebraElement
 
 
@@ -114,7 +114,7 @@ def rand_spd(rng, n, spread=0.7):
     """SPD matrix with eigenvalues in roughly [e^-spread, e^spread]."""
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     w = np.exp(_uniform(rng, n, -spread, spread))
-    return symmetrize((q * w[..., None, :]) @ _mT(q))
+    return _spectral(q, w[..., None, :])
 
 
 def rand_sp_algebra(rng, n, scale=None):

@@ -223,7 +223,7 @@ def sp_basis(n):
     for family, i, j in _generators(n):
         e = np.zeros((n, n))
         e[i, j] = 1.0
-        e = e if family == "H" else 0.5 * (e + e.T)
+        e = e if family == "H" else symmetrize(e)
         gens.append(SpAlgebraElement(*(e if f == family else zero for f in "HFG")))
     return gens
 

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import subprocess
@@ -153,6 +154,9 @@ def test_commutators_table():
     out = json.loads(res.stdout)
     assert out["dim"] == 15
     assert "[P1,Q2]" not in out["brackets"]  # vanishing bracket is omitted
+    # the exact stdout (1234 characters), as the n = 1 jobs of _JOBS pin theirs
+    assert hashlib.sha256(res.stdout.encode()).hexdigest() == (
+        "a271212da328398f2e091cd13e6c33fd58d5e562131093ed066232e4575c51e6")
 
 
 def test_commutators_rejects_n_above_bound():
@@ -335,7 +339,17 @@ def test_tol_is_only_an_option_of_check_and_invariance(sub):
     assert "unrecognized arguments: --tol" in res.stderr
 
 
-# one well-formed job per subcommand and variant, n = 1, for the generated faults below
+@pytest.mark.parametrize("sub", [["commutators", "--n", "1"],
+                                 ["invariance", "--object", "lambda_R", "--samples", "3"]],
+                         ids=lambda sub: sub[0])
+def test_input_is_only_an_option_of_the_subcommands_that_read_a_job(sub):
+    res = run_cli([*sub, "--input", "job.json"])
+    assert (res.returncode, res.stdout) == (2, "")
+    assert "unrecognized arguments: --input" in res.stderr
+
+
+# one well-formed job per subcommand and variant, n = 1, for the generated faults below,
+# with the exact stdout it prints: sorted keys, fixed separators, [re, im] pairs
 _ELEMENT = {"m": [[1.0, 0.0], [0.0, 1.0]], "lam": [0.5], "mu": [0.25], "kappa": 0.1}
 _PQ = {"x": [[0.0]], "y": [[1.0]], "p": [0.1], "q": [0.2]}
 _CHART = {"x": [[0.0]], "y": [[1.0]], "X": [[1.0]], "Y": [[0.0]], "p": [0.1], "q": [0.2],
@@ -344,24 +358,37 @@ _TANGENT = {"dx": [[1.0]], "dy": [[0.5]], "dX": [[0.0]], "dY": [[0.2]], "dp": [0
             "dq": [0.3], "dkappa": 0.4}
 _XJN, _DXJN = [[[0.0]], [[1.0]], [0.1], [0.2]], [[[1.0]], [[0.5]], [0.1], [0.3]]
 _JOBS = {
-    "check": (["check"], {"matrix": [[0.0, 1.0], [-1.0, 0.0]]}),
-    "decompose": (["decompose"], {"matrix": [[0.0, 1.0], [-1.0, 0.0]]}),
+    "check": (["check"], {"matrix": [[0.0, 1.0], [-1.0, 0.0]]},
+              '{"block_relations":true,"n":1,"residual":0.0,"symplectic":true}'),
+    "decompose": (["decompose"], {"matrix": [[0.0, 1.0], [-1.0, 0.0]]},
+                  '{"X":[[0.0]],"Y":[[1.0]],"recomposition_residual":0.0,"variant":"modified",'
+                  '"x":[[0.0]],"y":[[1.0]]}'),
     "act-xjn": (["act", "--space", "xjn"],
-                {"element": _ELEMENT, "point": {"v": [[[0.0, 1.0]]], "u": [[0.1, 0.2]]}}),
-    "act-pq": (["act", "--space", "pq"], {"element": _ELEMENT, "point": _PQ}),
+                {"element": _ELEMENT, "point": {"v": [[[0.0, 1.0]]], "u": [[0.1, 0.2]]}},
+                '{"u":[[0.35,0.7]],"v":[[[0.0,1.0]]]}'),
+    "act-pq": (["act", "--space", "pq"], {"element": _ELEMENT, "point": _PQ},
+               '{"p":[0.6],"q":[0.45],"x":[[0.0]],"y":[[1.0]]}'),
     "act-extended": (["act", "--space", "extended"],
-                     {"element": _ELEMENT, "point": {**_PQ, "kappa": 0.3}}),
-    "oneforms": (["oneforms"], {"chart": _CHART, "tangent": _TANGENT}),
+                     {"element": _ELEMENT, "point": {**_PQ, "kappa": 0.3}},
+                     '{"kappa":0.47500000000000003,"p":[0.6],"q":[0.45],"x":[[0.0]],'
+                     '"y":[[1.0]]}'),
+    "oneforms": (["oneforms"], {"chart": _CHART, "tangent": _TANGENT},
+                 '{"F":[[1.2]],"G":[[-0.2]],"H":[[0.25]],"P":[0.1],"Q":[0.3],"R":0.39,'
+                 '"h_asymmetry":0.0}'),
     "metric-group": (["metric", "--object", "metric_group"],
                      {"params": {"alpha": 1.0, "beta": 1.0, "gamma": 1.0, "delta": 1.0},
-                      "chart": _CHART, "t1": _TANGENT, "t2": _TANGENT}),
+                      "chart": _CHART, "t1": _TANGENT, "t2": _TANGENT},
+                     '{"object":"metric_group","value":3.2745999999999995}'),
     "metric-xjn": (["metric", "--object", "metric_xjn"],
                    {"alpha": 1.0, "gamma": 1.0, "chart": "pq", "point": _XJN, "t1": _DXJN,
-                    "t2": _DXJN}),
+                    "t2": _DXJN},
+                   '{"object":"metric_xjn","value":1.35}'),
     "metric-extended": (["metric", "--object", "metric_extended"],
                         {"alpha": 1.0, "gamma": 1.0, "delta": 1.0, "point": [*_XJN, 0.3],
-                         "t1": [*_DXJN, 0.4], "t2": [*_DXJN, 0.5]}),
-    "sqrt-diff": (["sqrt-diff"], {"a": [[2.0]], "da": [[1.0]]}),
+                         "t1": [*_DXJN, 0.4], "t2": [*_DXJN, 0.5]},
+                        '{"object":"metric_extended","value":1.5411000000000001}'),
+    "sqrt-diff": (["sqrt-diff"], {"a": [[2.0]], "da": [[1.0]]},
+                  '{"dsqrt":[[0.35355339059327373]],"sqrt":[[1.4142135623730951]]}'),
 }
 
 # each fault: the kind of node it replaces (a number, an array or tuple, an object) and the
@@ -421,16 +448,15 @@ def run_main(parser, tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("job", _JOBS)
 def test_each_fault_job_is_well_formed(job, run_main):
-    argv, payload = _JOBS[job]
-    code, out, err = run_main(argv, json.dumps(payload))
-    assert (code, err) == (0, "") and json.loads(out)
+    argv, payload, text = _JOBS[job]
+    assert run_main(argv, json.dumps(payload)) == (0, text + "\n", "")
 
 
 @pytest.mark.parametrize("fault", _FAULTS)
 @pytest.mark.parametrize("job", _JOBS)
 def test_a_fault_in_any_node_is_a_usage_error(job, fault, run_main):
     # exit 2, nothing on stdout, one line on stderr: no traceback and no other exit code
-    argv, payload = _JOBS[job]
+    argv, payload, _ = _JOBS[job]
     kind, text = _FAULTS[fault]
     wrong = []
     for where, node in _nodes(payload):
@@ -462,3 +488,13 @@ def test_deeply_nested_json_is_a_usage_error(run_main):
     code, out, err = run_main(["check"], "[" * 100_000 + "]" * 100_000)
     assert (code, out) == (2, "")
     assert err.startswith("error: bad input:") and err.count("\n") == 1
+
+
+def test_output_is_the_stdout_text_written_to_a_file(run_main, tmp_path):
+    argv, payload, text = _JOBS["sqrt-diff"]
+    target = tmp_path / "out.json"
+    assert run_main([*argv, "--output", str(target)], json.dumps(payload)) == (0, "", "")
+    assert target.read_text() == text + "\n"
+    # a path that cannot be opened for writing (a directory) is a usage error
+    code, out, err = run_main([*argv, "--output", str(tmp_path)], json.dumps(payload))
+    assert (code, out) == (2, "") and err.startswith("error: bad input:")
