@@ -33,8 +33,8 @@ from .jacobi import (
     sn_chart_inverse,
 )
 from . import linalg
-from .linalg import _checked, _gate, _lift, _mT, _root_frame, _sqrt_frame, _tangent
-from .linalg import sym_residual, symmetrize
+from .linalg import _checked, _gate, _lift, _mT, _root_frame, _sqrt_frame, _symmetric, _tangent
+from .linalg import _verdict, sym_residual, symmetrize
 from .symplectic import _j, _jacobi_matrix, blocks, from_blocks
 
 
@@ -74,9 +74,9 @@ class OneForms:
 
 
 def _symmetric_fg(f, g, rtol):
-    """F and G symmetrized once one ``sym_residual`` finds both within ``rtol``, F first."""
+    """F and G symmetrized once a verdict, else ``sym_residual`` (F first), finds both in rtol."""
     fg = np.array((f, g))
-    for asymmetry in sym_residual(fg):
+    for asymmetry in () if _verdict(_symmetric, fg, rtol) else sym_residual(fg):
         _gate(asymmetry, rtol, NotSymmetric, "asymmetry")
     return symmetrize(fg)
 
