@@ -34,7 +34,7 @@ from .jacobi import (
 )
 from . import linalg
 from .linalg import _checked, _gate, _lift, _mT, _root_frame, _sqrt_frame, _symmetric, _tangent
-from .linalg import _verdict, sym_residual, symmetrize
+from .linalg import sym_residual, symmetrize
 from .symplectic import _j, _jacobi_matrix, blocks, from_blocks
 
 
@@ -74,9 +74,10 @@ class OneForms:
 
 
 def _symmetric_fg(f, g, rtol):
-    """F and G symmetrized once a verdict, else ``sym_residual`` (F first), finds both in rtol."""
+    """F and G symmetrized once one ``linalg._symmetric``, else one ``sym_residual`` (F first),
+    finds both within ``rtol``."""
     fg = np.array((f, g))
-    for asymmetry in () if _verdict(_symmetric, fg, rtol) else sym_residual(fg):
+    for asymmetry in () if _symmetric(fg, rtol) else sym_residual(fg):
         _gate(asymmetry, rtol, NotSymmetric, "asymmetry")
     return symmetrize(fg)
 

@@ -29,7 +29,7 @@ from .exceptions import BadShape, BasisClosureFailure, ProjectionResidual
 from .heisenberg import _omega
 from . import linalg
 from .linalg import _checked, _col, _fill, _fit, _from_col, _gate, _lift, _max_norm, _mT
-from .linalg import _degree, _root_frame, _row, _spectral, _tangent, _trusted, _verdict, symmetrize
+from .linalg import _degree, _root_frame, _row, _spectral, _tangent, _trusted, symmetrize
 from .symplectic import _ball, _chart, _compose, _dmobius, _even, _generators, _jacobi_matrix
 from .symplectic import _jacobi_parts, _mobius, _pre_iwasawa, _siegel, _sp_blocks, _sp_inverse
 from .symplectic import blocks, check_symplectic, from_blocks, sp_basis
@@ -272,20 +272,19 @@ _SPACES = {
 def _point(space, point, *tangents, by=None, pair=False):
     """``(point, eig, *tangents)`` as arrays, ``eig`` the eigenpairs of the one ``eigh`` of the
     space's matrix check, once the point passes ``linalg._checked`` as a tuple of its tangents'
-    kind at the degree ``linalg._degree`` finds (its matrices to the check), each tangent
-    (``pair``: the two as one) ``linalg._tangent``, and ``by``, an acting element's (stack
-    shape, degree), ``linalg._fit`` with the point: the one point check, first as one
-    ``linalg._verdict`` of all of them; only if it refuses do the gates run, and say why."""
+    kind at the degree ``linalg._degree`` finds (its matrices to the check, one finiteness pass
+    for the rest), each tangent (``pair``: the two as one, in one pass) ``linalg._tangent``,
+    and ``by``, an acting element's (stack shape, degree), ``linalg._fit`` with the point: the
+    one point check.  Each symmetric run, the point's x and y and the tangents' dx and dy, is
+    first one ``linalg._symmetric`` test; only where it says no do ``sym_residual`` and the
+    gates run, and say why."""
     check, kind = _SPACES[space]
-    n, tangents = _degree(point), (tangents,) if pair else tangents
-
-    def judged(verdict):  # the point and its tangents by one verdict (True), else by the gates
-        *p, eig = _checked(kind, n, point, matrices=check, verdict=verdict)
-        at = (p[0].shape[:-2], n)
-        if by is not None:
-            _fit(by, at)
-        return p, eig, *(_tangent(kind, at, t, pair, verdict) for t in tangents)
-    return _verdict(judged, True) or judged(False)
+    *point, eig = _checked(kind, _degree(point), point, matrices=check)
+    at = (point[0].shape[:-2], point[0].shape[-1])
+    if by is not None:
+        _fit(by, at)
+    tangents = (tangents,) if pair else tangents
+    return point, eig, *(_tangent(kind, at, t, pair) for t in tangents)
 
 
 def act_xjn(g, point):

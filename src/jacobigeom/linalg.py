@@ -35,10 +35,11 @@ Conventions fixed here and relied on everywhere else:
   made for the kernel: ``symplectic._siegel``, ``_chart`` and ``_ball``, and
   :func:`_spd` of a matrix; all parts of one tuple have one stack shape, and
   one rule, :func:`_fit`, says if an element, a point and tangents go together.
-* A check judges a group of inputs (a point with its tangents, a matrix) by one
-  fused pass, :func:`_verdict`, over the arrays of one reader, :func:`_read`: one
-  finiteness pass, one absolute asymmetry per run of symmetric parts and the
-  ``eigh`` a point needs.  Only if it refuses do the gates run and say why.
+* A check makes one vectorised pass per group of inputs, not one numpy call
+  per part: one reader, :func:`_read`, takes each layout letter's parts of any
+  tuple, pair or point as one array, :func:`_checked` tests the symmetric ones
+  by one :func:`_symmetric`, and ``symplectic._siegel`` tests x and y by one.
+  Only where that says no does a gate measure :func:`sym_residual` and say why.
 """
 
 import functools
@@ -139,10 +140,10 @@ def _fit(a, b, into=False):
     raise BadShape(f"a {'point stack' if into else 'stack'} {lead} does not broadcast {where}")
 
 
-def _tangent(kind, at, tangent, pair=False, verdict=None):
+def _tangent(kind, at, tangent, pair=False):
     """``tangent`` of ``kind`` at a point of (stack shape, degree) ``at``, once :func:`_checked`
-    (``pair``: the two tangents ``tangent`` as one; its ``verdict``) and :func:`_fit` pass it."""
-    tangent = _checked(kind, at[1], tangent, pair=pair, verdict=verdict)
+    (``pair``: the two tangents ``tangent`` as one) and :func:`_fit` pass it."""
+    tangent = _checked(kind, at[1], tangent, pair=pair)
     _fit(at, (tangent[0].shape[int(pair):-2], at[1]), into=True)
     return tangent
 
@@ -201,20 +202,13 @@ def sym_residual(a):
     return np.abs(a - _mT(a)).max((-2, -1)) / scale
 
 
+@np.errstate(all="ignore")  # a non-finite or huge entry only makes the answer no
 def _symmetric(a, bound):
     """Whether each real and imaginary part of a - a^t, antisymmetric, has its largest entry at
-    most ``bound`` over all of ``a`` (NaN: no): a verdict's test, within a gate's (scale >= 1)."""
+    most ``bound`` over all of ``a`` (NaN: no).  A gate's scale is at least 1, so a yes passes
+    it: the short cut each gate takes before its :func:`sym_residual`, which says why."""
     d = a - _mT(a)
     return np.maximum.reduce(d.view(d.real.dtype), None) <= bound
-
-
-@np.errstate(all="ignore")  # a non-finite entry makes a NaN or inf measure, and no warning
-def _verdict(judge, *args):
-    """``judge(*args)``, a check's fused pass, if true, else None (a NaN, or any exception)."""
-    try:
-        return judge(*args) or None
-    except Exception:  # whatever it is, the gates, run next, raise the error that says why
-        return None
 
 
 def _cast(a, dtype, what):
@@ -243,7 +237,7 @@ def check_symmetric(a, rtol=None):
     """Return ``a`` (a non-empty square matrix or a stack of them) if symmetric within
     ``rtol`` (default SYM_RTOL), else raise NotSymmetric."""
     a, rtol = _square(a), SYM_RTOL if rtol is None else rtol
-    _verdict(_symmetric, a, rtol) or _gate(sym_residual(a), rtol, NotSymmetric, "asymmetry")
+    _symmetric(a, rtol) or _gate(sym_residual(a), rtol, NotSymmetric, "asymmetry")
     return a
 
 
@@ -337,7 +331,7 @@ def _read(row, kind, n, parts, pair):
     return lead, arrays
 
 
-def _checked(kind, n, parts, gate=None, pair=False, matrices=None, verdict=None):
+def _checked(kind, n, parts, gate=None, pair=False, matrices=None):
     """``parts`` of ``kind`` (_KINDS; ``pair``: two tuples of it, as one stacked on a new leading
     axis) as arrays of its dtype, rows as :func:`_read` gives them and an unstacked scalar as a
     float, once (1) :func:`_read` takes them, else BadShape; (2) the kind's leading matrices
@@ -346,16 +340,14 @@ def _checked(kind, n, parts, gate=None, pair=False, matrices=None, verdict=None)
     its result follows the parts, and ``gate`` passes the parts with non-finite entries made NaN
     (:func:`_max_norm`); (3) every entry not given to ``matrices`` is finite, else BadShape
     naming the first failing stack index: the one check of a tangent, of rows and kappas, and of
-    a point's parts.  (2) and (3) are first one :func:`_verdict` (:func:`_symmetric` or
-    ``matrices(run, True)``), a caller's if it gives ``verdict``; on a no, the gates say why."""
+    a point's parts.  Each letter's parts are one array, so the check makes one
+    :func:`_symmetric` test over the symmetric matrices (their ``sym_residual`` and gate only if
+    it says no) and one finiteness reduction over the rest."""
     layout, _, _, sym, _, _ = row = _kind(kind, n)
-    if verdict is None and gate is None and (sym or matrices) and (
-            judged := _verdict(_checked, kind, n, parts, None, pair, matrices, True)):
-        return judged
     lead, arrays = _read(row, kind, n, parts, pair)
     if matrices is not None:
-        sym, made = len(arrays[0]), matrices(arrays[0], verdict)
-    elif sym and not (verdict and _symmetric(arrays[0][:sym], TANGENT_SYM_RTOL)):
+        sym, made = len(arrays[0]), matrices(arrays[0])
+    elif sym and not _symmetric(arrays[0][:sym], TANGENT_SYM_RTOL):
         dx, dy = sym_residual(arrays[0][:sym])
         _gate(np.maximum(dx, dy), TANGENT_SYM_RTOL, NotSymmetric, "asymmetry of dx or dy")
     # the symmetric matrices that passed are finite (a non-finite one has a NaN residual); the
@@ -363,7 +355,7 @@ def _checked(kind, n, parts, gate=None, pair=False, matrices=None, verdict=None)
     rest = arrays[1:] if sym == len(arrays[0]) else [arrays[0][sym:], *arrays[1:]]
     whole = not rest or np.isfinite(rest[0] if len(rest) == 1 else
                                     np.concatenate([a.ravel() for a in rest])).all()
-    parts = [a[i] for a in arrays for i in range(len(a))]  # the runs are the layout's, in order
+    parts = [p for a in arrays for p in a]  # the runs are the layout's, in order
     if gate is not None:
         gate(*(parts if whole else [_max_norm(p)[1] for p in parts]))
     if not whole:
@@ -379,21 +371,19 @@ def check_spd(a):
     return _spd(a)[0]
 
 
-def _spd(a, asymmetry=None, verdict=False):
-    """``a`` and its eigenpairs (w, U), once ``a`` is SPD: the one SPD check.  NotSpd unless ``a``
-    passes :func:`check_symmetric` (its ``sym_residual`` is ``asymmetry`` if a caller measured it
-    with other matrices) and the smallest eigenvalue of its one ``eigh`` (per matrix of a stack)
-    exceeds SPD_EIG_RTOL times the largest (strict, as on paper); a caller that factors ``a``
-    takes the eigenpairs.  A caller's own ``a`` is first judged by one verdict, else the gates."""
+def _spd(a, asymmetry=None):
+    """``a`` and its eigenpairs (w, U), once ``a`` is SPD: the one SPD check.  NotSpd
+    unless ``a`` passes :func:`check_symmetric` (its ``sym_residual`` is ``asymmetry`` if a
+    caller measured it with other matrices, 0 where :func:`_symmetric` passed it) and the
+    smallest eigenvalue of its one ``eigh`` (per matrix of a stack) exceeds SPD_EIG_RTOL times
+    the largest (strict, as on paper); a caller that factors ``a`` takes the eigenpairs."""
     if asymmetry is None:
         a = _square(a)
-        return (_verdict(lambda: _symmetric(a, SYM_RTOL) and _spd(a, 0.0, True))
-                or _spd(a, sym_residual(a)))
+        asymmetry = 0.0 if _symmetric(a, SYM_RTOL) else sym_residual(a)
     _gate(asymmetry, SYM_RTOL, NotSpd, "asymmetry")
     w, u = np.linalg.eigh(symmetrize(a))
-    # a verdict takes the largest eigenvalue as it is: a negative one fails either way
-    low, top = (w.T[0], w.T[-1]) if verdict else (w[..., 0], np.maximum(w[..., -1], 0.0))
-    _gate(low, SPD_EIG_RTOL * top, NotSpd, "smallest eigenvalue", lower=True)
+    _gate(w[..., 0], SPD_EIG_RTOL * np.maximum(w[..., -1], 0.0), NotSpd, "smallest eigenvalue",
+          lower=True)
     return a, (w, u)
 
 

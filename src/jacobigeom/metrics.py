@@ -39,7 +39,7 @@ from .jacobi import _act_extended, _act_pq, _act_vu, _from_pq, _point, _pq_of, _
 from .jacobi import _push_pq, _push_vu, _tangent_from_pq, _tangent_to_pq, gj_compose
 from .jacobi import SnChart, gj_embed, sn_chart, sn_chart_inverse
 from . import linalg
-from .linalg import _checked, _col, _degree, _from_col, _modulus, _mT, _square, _verdict
+from .linalg import _checked, _col, _degree, _from_col, _modulus, _mT, _square
 from .forms import _checked_sn_tangent, _d_sn_chart, _d_sn_chart_inverse, _embed_tangent
 from .forms import _oneforms_sn
 from .symplectic import _ball, _jacobi_parts, _mobius, blocks, check_symplectic, from_blocks
@@ -204,7 +204,7 @@ def metric_extended(alpha, gamma, delta, point, t1, t2):
 def check_ball_point(w):
     """Return W (or a stack of them) as complex once a ball point (``symplectic._ball``)."""
     w = _square(w, complex)
-    _verdict(_ball, w[None], True) or _ball(w[None])
+    _ball(w[None])
     return w
 
 
@@ -319,8 +319,8 @@ def _sp_to_ball_rep(m):
     return 0.5 * ((a + d) + 1j * (b - c)), 0.5 * ((a - d) - 1j * (b + c))
 
 
-def _ball_matrix(pq, verdict=None):  # checks nothing, so has no verdict to give
-    """[[P, Q], [Qbar, Pbar]] of pq = (P, Q): the Moebius matrix of the ball action."""
+def _ball_matrix(pq):
+    """[[P, Q], [Qbar, Pbar]] of pq = (P, Q), the matrix whose Moebius action is the ball action."""
     return from_blocks(*pq, np.conj(pq[1]), np.conj(pq[0]))
 
 

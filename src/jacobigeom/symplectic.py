@@ -25,8 +25,8 @@ from .exceptions import BadShape, ContractionViolation, NotSymmetric, NotSymplec
 from .exceptions import NotUnitaryPair, SingularDenominator
 from . import linalg
 from .linalg import _checked, _col, _degree, _fill, _fit, _from_col, _gate, _max_norm, _mT, _spd
-from .linalg import _spd_powers, _spectral, _square, _symmetric, _trusted, _verdict
-from .linalg import check_symmetric, sym_residual, symmetrize
+from .linalg import _spd_powers, _spectral, _square, _symmetric, _trusted, check_symmetric
+from .linalg import sym_residual, symmetrize
 
 
 def j_matrix(n):
@@ -126,12 +126,10 @@ def is_symplectic(m, tol=None):
 
 @np.errstate(all="ignore")  # an M whose residual overflows fails its gate as inf, not a warning
 def check_symplectic(m):
-    """Validate the symplectic invariants (residual and det = 1) of M, or of each matrix of a
-    stack; return M.  The residual's max over a stack is a verdict; if it refuses, the gate."""
+    """Validate the symplectic invariants (residual and det = 1) of M, or of each
+    matrix of a stack; return M."""
     m = _even(m)
-    j = _j(m.shape[-1] // 2)
-    if not np.abs(_mT(m) @ j @ m - j).max() <= linalg.SP_TOL:
-        _gate(_sp_residual(m), linalg.SP_TOL, NotSymplectic, "symplectic residual")
+    _gate(_sp_residual(m), linalg.SP_TOL, NotSymplectic, "symplectic residual")
     det = np.linalg.det(m)
     _gate(abs(det - 1.0), linalg.DET_TOL * np.maximum(1.0, abs(det)), NotSymplectic,
           "|det M - 1|")
@@ -242,10 +240,10 @@ def unitary_pair_residual(x, y):
     return _pair_residual(_square((x, y)))
 
 
-def _pair_residual(xy, verdict=False):
+def _pair_residual(xy):
     """:func:`unitary_pair_residual` of (X, Y) read as one array ``xy``: the blocks of two
-    products, Z^t Z with Z = [X Y] and W W^t with W = [X; Y] (a ``verdict``: no NaN for inf)."""
-    x, y = xy if verdict else _max_norm(xy)[1]
+    products, Z^t Z with Z = [X Y] and W W^t with W = [X; Y]."""
+    x, y = _max_norm(xy)[1]
     z, w = np.concatenate((x, y), -1), np.concatenate((x, y), -2)
     (xtx, xty, ytx, yty), (xxt, xyt, yxt, yyt) = blocks(_mT(z) @ z), blocks(w @ _mT(w))
     eye = np.eye(x.shape[-1])
@@ -285,30 +283,32 @@ def unitary_iso_inverse(u):
 def check_siegel(v):
     """v as complex once a Siegel point v = x + iy (:func:`_siegel`): x symmetric, y SPD."""
     v = _square(v, complex)
-    _verdict(_siegel, v[None], True) or _siegel(v[None])
+    _siegel(v[None])
     return v
 
 
-def _siegel(run, verdict=False):
+def _siegel(run):
     """y's eigenpairs (``linalg._spd``) once the run of a point's matrices that ``linalg._read``
-    made, (x, y, ...) or (v,) with v = x + iy, is a Siegel point: the one check of one.  x symmetric
-    (first: NaN is NotSymmetric), y SPD; a ``verdict`` tests both by one linalg._symmetric."""
-    if verdict and _symmetric(run[:2], linalg.SYM_RTOL):  # v - v^t's parts: x's and y's
-        return _spd(run[1] if run.dtype.kind == "f" else run[0].imag, 0.0, True)[1]
+    made, (x, y, ...) or (v,) with v = x + iy, is a Siegel point: the one check of one.  x
+    symmetric (first: NaN is NotSymmetric), y SPD; one ``linalg._symmetric`` tests both, and
+    only if it says no does one ``sym_residual`` measure them for the gates."""
+    if _symmetric(run[:2], linalg.SYM_RTOL):  # x's and y's parts, or v's
+        return _spd(run[1] if run.dtype.kind == "f" else run[0].imag, 0.0)[1]
     run = np.concatenate((run.real, run.imag)) if run.dtype.kind == "c" else run
     asymmetry = sym_residual(run[:2])
     _gate(asymmetry[0], linalg.SYM_RTOL, NotSymmetric, "asymmetry")
     return _spd(run[1], asymmetry[1])[1]
 
 
-def _ball(run, verdict=False):
+def _ball(run):
     """The eigenpairs of the Hermitian part of I - W Wbar once the run (W,) that ``linalg._read``
     made is a ball point: the one check of one.  ContractionViolation unless W is symmetric within
-    BALL_SYM_RTOL (a ``verdict``: each part of W - W^t within half) and the smallest eigenvalue
-    of that one ``eigh`` (per matrix of a stack) exceeds BALL_MIN_EIG: W a strict contraction."""
+    BALL_SYM_RTOL (each part of W - W^t within half of it, by ``linalg._symmetric``, passes at
+    once: |z| <= 2^0.5 max(|Re z|, |Im z|)) and the smallest eigenvalue of that one ``eigh``
+    (per matrix of a stack) exceeds BALL_MIN_EIG: W a strict contraction."""
     w = run[0]
-    if not (verdict and _symmetric(w, linalg.BALL_SYM_RTOL / 2)):  # |W - W^t| <= 2^0.5 parts
-        _gate(sym_residual(w), linalg.BALL_SYM_RTOL, ContractionViolation, "asymmetry of W")
+    _symmetric(w, linalg.BALL_SYM_RTOL / 2) or _gate(
+        sym_residual(w), linalg.BALL_SYM_RTOL, ContractionViolation, "asymmetry of W")
     k = np.eye(w.shape[-1]) - w @ w.conj()
     e, u = np.linalg.eigh(0.5 * (k + _mT(k.conj())))
     _gate(e[..., 0], linalg.BALL_MIN_EIG, ContractionViolation,
@@ -407,12 +407,12 @@ class PreIwasawaFactors:
         return self.x.shape[-1]
 
 
-def _chart(run, verdict=False):
+def _chart(run):
     """y's eigenpairs once the run (x, y, X, Y) of a pre-Iwasawa chart point's matrices, as
     ``linalg._read`` makes it, passes: x + iy :func:`_siegel`, then (X, Y) the gate of
-    :func:`check_unitary_pair`.  The one check of a chart point, its ``verdict`` to both."""
-    eig = _siegel(run, verdict)
-    _gate(_pair_residual(run[2:], verdict), linalg.UP_TOL, NotUnitaryPair, "pair residual")
+    :func:`check_unitary_pair`.  The one check of a chart point."""
+    eig = _siegel(run)
+    _gate(_pair_residual(run[2:]), linalg.UP_TOL, NotUnitaryPair, "pair residual")
     return eig
 
 

@@ -8,10 +8,11 @@ keeps the square-root frame of the ``eigh`` that made it, and so do pre-Iwasawa 
 a call at a chart, or a recomposition, factors nothing.  The test counts the ``numpy.linalg``
 decompositions one call makes at n = 3.
 
-Each check makes one pass over a group of inputs, one ``linalg._verdict``: one for a point
-and its tangents or its pair of tangents together, one for a tangent set alone, one for an SPD
-input and one for the F and G forms of ``oneforms_sn`` or ``oneforms_matrix_chart``, whatever
-the number of parts; on the inputs it accepts, no detailed gate runs.
+Each check makes one pass over a group of inputs: one ``linalg._symmetric`` test for the
+matrix part of a point (x and y of a Siegel point together), one for a tangent or a pair of
+tangents (dx and dy of both), and one for the F and G forms of ``oneforms_sn`` or
+``oneforms_matrix_chart``, whatever the number of parts.  On the inputs it accepts, no
+``sym_residual``, the measure a gate takes to say why it refuses, runs.
 """
 
 import copy
@@ -145,14 +146,13 @@ def test_each_input_is_factored_once(name):
     assert dict(counts) == budget
 
 
-# verdict passes per call: a point with its tangents, a tangent set, an SPD input and F, G count
-# one each
+# _symmetric passes per call: a point, a tangent set, an SPD input and F, G count one each
 _CHECK_PASSES = {
     "sqrtm_spd": 1, "dsqrtm": 2, "m_point": 1, "act_modified_chart": 1, "maurer_cartan_sn": 1,
     "sn_chart_inverse": 0, "oneforms_sn": 2, "d_sn_chart_inverse": 1, "metric_group": 2,
     "oneforms_matrix_chart": 1,
     "sn_chart": 0, "pre_iwasawa_compose": 0, "pre_iwasawa_compose_plain": 0,
-    "metric_xjn_pq": 1, "metric_xjn_chipsi": 1, "metric_xjn_xirho": 1, "metric_extended": 1,
+    "metric_xjn_pq": 2, "metric_xjn_chipsi": 2, "metric_xjn_xirho": 2, "metric_extended": 2,
     "kahler_xjn": 1, "kahler_ball": 1, "check_spd": 1, "check_siegel": 1, "check_ball_point": 1,
     "PreIwasawaFactors": 1, "SnChart": 1, "mobius_act": 1, "act_xjn": 1, "act_pq": 1,
     **{f"chart_convert_{src}": 1 for src in CHARTS},
@@ -165,14 +165,12 @@ def test_every_call_has_a_check_pass_budget():
 
 @pytest.mark.parametrize("name", _NAMES)
 def test_each_input_is_checked_in_one_pass(name):
-    # each group of inputs takes one fused verdict, and on inputs it accepts no detailed gate
-    # (the sym_residual that says why a verdict refused) runs
     call, _ = _call(name)
-    verdicts, residuals, verdict = [], [], linalg._verdict
+    calls, residuals, symmetric = [], [], linalg._symmetric
 
-    def counting(judge, *args):
-        verdicts.append(judge.__name__)
-        return verdict(judge, *args)
+    def counting(a, bound):
+        calls.append(np.shape(a))
+        return symmetric(a, bound)
 
     def measuring(a):
         residuals.append(np.shape(a))
@@ -180,11 +178,11 @@ def test_each_input_is_checked_in_one_pass(name):
 
     with pytest.MonkeyPatch.context() as mp:
         for module in (linalg, symplectic, forms, jacobi, metrics):
-            for attr, fake in (("_verdict", counting), ("sym_residual", measuring)):
+            for attr, fake in (("_symmetric", counting), ("sym_residual", measuring)):
                 if hasattr(module, attr):
                     mp.setattr(module, attr, fake)
         call()
-    assert len(verdicts) == _CHECK_PASSES[name], verdicts
+    assert len(calls) == _CHECK_PASSES[name], calls
     assert residuals == []
 
 

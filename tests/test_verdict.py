@@ -1,9 +1,10 @@
-"""The fused verdict of every check, and its boundary.
+"""The short-cut verdict of every symmetry gate, and its boundary.
 
-Each check first judges a group of inputs, a point with its tangents, a tangent pair or one
-matrix, by one ``linalg._verdict``: one finiteness pass, one absolute asymmetry per symmetric
-run against the bound of its gate, and the ``eigh`` the point needs.  The verdict is only
-sufficient; whatever it refuses, the detailed gates judge again, and only they say why.  So:
+Each gate that asks for symmetric matrices (a point's x and y, a tangent's or a tangent pair's
+dx and dy, an SPD or symmetric matrix, a ball point W, the F and G forms) first tests them by
+one ``linalg._symmetric``: one absolute asymmetry over all of them against the bound of the
+gate.  The verdict is only sufficient; where it says no, the gate measures ``sym_residual`` and
+judges, and only it says why.  So:
 
 * an input the verdict refuses and the gates accept gives, bit for bit, what the gates alone
   give (the calls here with every verdict made to refuse);
@@ -32,7 +33,7 @@ from jacobigeom import (
     sn_chart_identity,
     sqrtm_spd,
 )
-from jacobigeom import forms, jacobi, linalg, metrics, symplectic
+from jacobigeom import forms, linalg, symplectic
 from jacobigeom import sampling as smp
 from jacobigeom.linalg import check_spd, check_symmetric
 from jacobigeom.metrics import check_ball_point
@@ -104,9 +105,8 @@ def _bits(tree):
 
 def _refuse_all(monkeypatch):
     """Every verdict refuses, so each call runs its detailed gates alone."""
-    for module in (linalg, symplectic, forms, jacobi, metrics):
-        if hasattr(module, "_verdict"):
-            monkeypatch.setattr(module, "_verdict", lambda judge, *args: None)
+    for module in (linalg, symplectic, forms):
+        monkeypatch.setattr(module, "_symmetric", lambda a, bound: False)
 
 
 # each a point, a tangent or a matrix the gates accept and the verdict refuses: an asymmetry
