@@ -29,10 +29,10 @@ from .exceptions import BadShape, BasisClosureFailure, ProjectionResidual
 from .heisenberg import _omega
 from . import linalg
 from .linalg import _checked, _col, _fill, _fit, _from_col, _gate, _lift, _max_norm, _mT
-from .linalg import _degree, _root_frame, _row, _spectral, _tangent, _trusted, symmetrize
-from .symplectic import _ball, _chart, _compose, _dmobius, _even, _generators, _jacobi_matrix
+from .linalg import _degree, _root_frame, _row, _tangent, _trusted, symmetrize
+from .symplectic import _ball, _chart, _dmobius, _even, _generators, _jacobi_matrix
 from .symplectic import _jacobi_parts, _mobius, _pre_iwasawa, _siegel, _sp_blocks, _sp_inverse
-from .symplectic import blocks, check_symplectic, from_blocks, sp_basis
+from .symplectic import blocks, check_symplectic, from_blocks, pre_iwasawa_compose, sp_basis
 
 
 @dataclass(frozen=True)
@@ -395,17 +395,16 @@ def sn_chart_identity(n):
 
 
 def sn_chart(g):
-    """The S_n chart of ``g``, with the frame of its y = A^{-1} from the one ``eigh`` of A that
-    ``symplectic._pre_iwasawa`` makes: r = w^{-1/2}, and s and s^{-1} from its frame."""
-    x, y, xu, yu, (s, u, root_w), w = _pre_iwasawa(g.M)
-    frame = (w[..., None, :] ** -0.5, u, s, _spectral(u, root_w))
+    """The S_n chart of ``g``: the modified pre-Iwasawa factors of its M and their frame, as
+    ``symplectic._pre_iwasawa`` makes them from the one ``eigh`` of y^{-1}, and (p, q)."""
+    x, y, xu, yu, frame = _pre_iwasawa(g.M)
     return _trusted(SnChart, x, y, xu, yu, *pq_from_lm(g.lam, g.mu, g.M), g.kappa, frame)
 
 
 def sn_chart_inverse(chart):
-    """The Jacobi element of an S_n chart, from s = y^{1/2} and s^{-1} of its frame."""
-    _, _, s, si = chart._frame
-    m = _compose(chart.x, s, si, chart.X, chart.Y)
+    """The Jacobi element of an S_n chart: M by :func:`pre_iwasawa_compose` of its modified
+    factors, from s = y^{1/2} and s^{-1} of its frame."""
+    m = pre_iwasawa_compose(chart)
     lam, mu = lm_from_pq(chart.p, chart.q, m)
     return _trusted(JacobiElement, m, lam, mu, chart.kappa)
 

@@ -371,20 +371,24 @@ def check_spd(a):
     return _spd(a)[0]
 
 
-def _spd(a, asymmetry=None):
-    """``a`` and its eigenpairs (w, U), once ``a`` is SPD: the one SPD check.  NotSpd
-    unless ``a`` passes :func:`check_symmetric` (its ``sym_residual`` is ``asymmetry`` if a
-    caller measured it with other matrices, 0 where :func:`_symmetric` passed it) and the
-    smallest eigenvalue of its one ``eigh`` (per matrix of a stack) exceeds SPD_EIG_RTOL times
-    the largest (strict, as on paper); a caller that factors ``a`` takes the eigenpairs."""
-    if asymmetry is None:
-        a = _square(a)
-        asymmetry = 0.0 if _symmetric(a, SYM_RTOL) else sym_residual(a)
-    _gate(asymmetry, SYM_RTOL, NotSpd, "asymmetry")
+def _spd(a):
+    """``a`` and its eigenpairs (w, U), once ``a`` is SPD: the one SPD check of a matrix.
+    NotSpd unless ``a`` passes :func:`check_symmetric` (:func:`_symmetric`, and only if that
+    says no, :func:`sym_residual`) and :func:`_spd_eig`; a caller that factors ``a`` takes
+    the eigenpairs."""
+    a = _square(a)
+    _symmetric(a, SYM_RTOL) or _gate(sym_residual(a), SYM_RTOL, NotSpd, "asymmetry")
+    return a, _spd_eig(a)
+
+
+def _spd_eig(a):
+    """The eigenpairs (w, U) of the one ``eigh`` of a symmetric ``a`` (per matrix of a stack),
+    once the smallest eigenvalue exceeds SPD_EIG_RTOL times the largest (strict, as on paper),
+    else NotSpd: the eigenvalue half of every SPD check, :func:`_spd`'s and a Siegel point's."""
     w, u = np.linalg.eigh(symmetrize(a))
     _gate(w[..., 0], SPD_EIG_RTOL * np.maximum(w[..., -1], 0.0), NotSpd, "smallest eigenvalue",
           lower=True)
-    return a, (w, u)
+    return w, u
 
 
 def kron_sum(a, b):

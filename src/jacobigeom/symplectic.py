@@ -21,12 +21,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import BadShape, ContractionViolation, NotSymmetric, NotSymplectic
+from .exceptions import BadShape, ContractionViolation, NotSpd, NotSymmetric, NotSymplectic
 from .exceptions import NotUnitaryPair, SingularDenominator
 from . import linalg
-from .linalg import _checked, _col, _degree, _fill, _fit, _from_col, _gate, _max_norm, _mT, _spd
-from .linalg import _spd_powers, _spectral, _square, _symmetric, _trusted, check_symmetric
-from .linalg import sym_residual, symmetrize
+from .linalg import _checked, _col, _degree, _fill, _fit, _from_col, _gate, _max_norm, _mT
+from .linalg import _root_frame, _spd_eig, _spd_powers, _square, _symmetric, _trusted
+from .linalg import check_symmetric, sym_residual, symmetrize
 
 
 def j_matrix(n):
@@ -113,6 +113,7 @@ def symplectic_residual(m):
     return _sp_residual(_even(m))
 
 
+@np.errstate(all="ignore")  # an M whose residual overflows fails its gate as inf, not a warning
 def _sp_residual(m):
     """:func:`symplectic_residual` of an M that :func:`_even` has read."""
     m, j = _max_norm(m)[1], _j(m.shape[-1] // 2)
@@ -124,7 +125,6 @@ def is_symplectic(m, tol=None):
     return symplectic_residual(m) <= (linalg.SP_TOL if tol is None else tol)
 
 
-@np.errstate(all="ignore")  # an M whose residual overflows fails its gate as inf, not a warning
 def check_symplectic(m):
     """Validate the symplectic invariants (residual and det = 1) of M, or of each
     matrix of a stack; return M."""
@@ -148,25 +148,17 @@ def _sp_inverse(m):
 
 def check_block_relations(m, tol=None):
     """True iff both equivalent sets of block relations hold within ``tol``
-    (max-norm; default SP_TOL).
+    (max-norm; default SP_TOL); a NaN or inf entry gives False.
 
-    Set one:  a b^t = b a^t,  a d^t - b c^t = I,  c d^t = d c^t.
-    Set two:  a^t c = c^t a,  a^t d - c^t b = I,  b^t d = d^t b.
+    Set one, the blocks of M J M^t - J:  a b^t = b a^t,  a d^t - b c^t = I,  c d^t = d c^t.
+    Set two, the blocks of M^t J M - J:  a^t c = c^t a,  a^t d - c^t b = I,  b^t d = d^t b.
 
-    Agrees with :func:`is_symplectic` (the second set is M^t J M = J
-    written out; the first is M J M^t = J).
+    Each set is one :func:`symplectic_residual` (of M^t, then of M), so this agrees with
+    :func:`is_symplectic` up to roundoff.
     """
-    a, b, c, d = blocks(_max_norm(_even(m, stack=False))[1])
-    eye = np.eye(a.shape[0])
-    rels = [
-        a @ b.T - b @ a.T,
-        a @ d.T - b @ c.T - eye,
-        c @ d.T - d @ c.T,
-        a.T @ c - c.T @ a,
-        a.T @ d - c.T @ b - eye,
-        b.T @ d - d.T @ b,
-    ]
-    return all(np.max(np.abs(r)) <= (linalg.SP_TOL if tol is None else tol) for r in rels)
+    m = _even(m, stack=False)
+    return bool(np.maximum(_sp_residual(m.T), _sp_residual(m))
+                <= (linalg.SP_TOL if tol is None else tol))
 
 
 @dataclass(frozen=True)
@@ -288,16 +280,16 @@ def check_siegel(v):
 
 
 def _siegel(run):
-    """y's eigenpairs (``linalg._spd``) once the run of a point's matrices that ``linalg._read``
-    made, (x, y, ...) or (v,) with v = x + iy, is a Siegel point: the one check of one.  x
-    symmetric (first: NaN is NotSymmetric), y SPD; one ``linalg._symmetric`` tests both, and
-    only if it says no does one ``sym_residual`` measure them for the gates."""
-    if _symmetric(run[:2], linalg.SYM_RTOL):  # x's and y's parts, or v's
-        return _spd(run[1] if run.dtype.kind == "f" else run[0].imag, 0.0)[1]
-    run = np.concatenate((run.real, run.imag)) if run.dtype.kind == "c" else run
-    asymmetry = sym_residual(run[:2])
-    _gate(asymmetry[0], linalg.SYM_RTOL, NotSymmetric, "asymmetry")
-    return _spd(run[1], asymmetry[1])[1]
+    """y's eigenpairs (``linalg._spd_eig``) once the run of a point's matrices that
+    ``linalg._read`` made, (x, y, ...) or (v,) with v = x + iy, is a Siegel point: the one check
+    of one.  x symmetric (first: NaN is NotSymmetric), y SPD; one ``linalg._symmetric`` tests x
+    and y, and only if it says no does one ``sym_residual`` measure them for their gates."""
+    if not _symmetric(run[:2], linalg.SYM_RTOL):  # x's and y's parts, or v's
+        of_x, of_y = sym_residual(np.concatenate((run.real, run.imag)) if run.dtype.kind == "c"
+                                  else run[:2])
+        _gate(of_x, linalg.SYM_RTOL, NotSymmetric, "asymmetry")
+        _gate(of_y, linalg.SYM_RTOL, NotSpd, "asymmetry")
+    return _spd_eig(run[1] if run.dtype.kind == "f" else run[0].imag)
 
 
 def _ball(run):
@@ -382,9 +374,9 @@ class PreIwasawaFactors:
     """Factors (x, y, X, Y) of a pre-Iwasawa decomposition.
 
     ``variant`` is "plain" or "modified"; the two are related by
-    ``y_modified = y_plain^2`` with identical x and (X, Y).  From the ``eigh`` they were made
-    with they keep the frame (s, U, q) of the modified y: s its root, U the eigenvectors and
-    q the row of s^{-1} = U diag(q) U^t, which :func:`pre_iwasawa_compose` makes.
+    ``y_modified = y_plain^2`` with identical x and (X, Y).  They keep the square-root frame
+    (r, U, s, s^{-1}) of the modified y, as an ``SnChart`` does: ``linalg._root_frame`` of
+    their check's ``eigh`` (of y^2 for the plain variant), or :func:`_pre_iwasawa`'s.
     """
 
     x: np.ndarray
@@ -399,8 +391,7 @@ class PreIwasawaFactors:
             raise ValueError(f"unknown variant {self.variant!r}")
         chart = (self.x, self.y, self.X, self.Y)
         *chart, (w, u) = _checked("mmmm", _degree(chart), chart, matrices=_chart)
-        r = (w * w if self.variant == "plain" else w)[..., None, :] ** 0.5
-        _fill(self, *chart, self.variant, (_spectral(u, r), u, 1.0 / r))
+        _fill(self, *chart, self.variant, _root_frame((w * w if self.variant == "plain" else w, u)))
 
     @property
     def n(self):
@@ -417,15 +408,15 @@ def _chart(run):
 
 
 def _pre_iwasawa(m):
-    """(x, y, X, Y, (s, U, q), w) of a validated symplectic matrix (or stack), with the
-    modified y = A^{-1}, A = d d^t + c c^t = U diag(w) U^t by its one ``eigh``, and the frame
-    of ``PreIwasawaFactors``: s = y^{1/2} and q = w^{1/2} as a row; x is symmetric for
+    """(x, y, X, Y, frame) of a validated symplectic matrix (or stack): the modified factors,
+    y = A^{-1} with A = d d^t + c c^t = U diag(w) U^t by its one ``eigh``, and the frame
+    (r, U, s, s^{-1}) of y, r = w^{-1/2} as a row and s = y^{1/2}; x is symmetric for
     symplectic input (a theorem) and is symmetrized to clean up roundoff."""
     a, b, c, d = blocks(m)
     w, u = np.linalg.eigh(symmetrize(d @ _mT(d) + c @ _mT(c)))
-    y, root = _spd_powers((w, u), -1.0, -0.5)
+    y, s, si = _spd_powers((w, u), -1.0, -0.5, 0.5)
     x = symmetrize(y @ (d @ _mT(b) + c @ _mT(a)))
-    return x, y, root @ d, -(root @ c), (root, u, w[..., None, :] ** 0.5), w
+    return x, y, s @ d, -(s @ c), (w[..., None, :] ** -0.5, u, s, si)
 
 
 def pre_iwasawa(m):
@@ -435,14 +426,14 @@ def pre_iwasawa(m):
     ``y = (d d^t + c c^t)^{-1/2}``, ``X - iY = y (d + i c)`` and
     ``x = (d d^t + c c^t)^{-1} (d b^t + c a^t)``.  All factors are unique.
     """
-    x, _, xu, yu, frame, _ = _pre_iwasawa(check_symplectic(m))
-    return _trusted(PreIwasawaFactors, x, frame[0], xu, yu, "plain", frame)
+    x, _, xu, yu, frame = _pre_iwasawa(check_symplectic(m))
+    return _trusted(PreIwasawaFactors, x, frame[2], xu, yu, "plain", frame)
 
 
 def modified_pre_iwasawa(m):
     """Modified pre-Iwasawa factors: ``y = (d d^t + c c^t)^{-1}``,
     ``X - iY = y^{1/2} (d + i c)``, ``x = y (d b^t + c a^t)``."""
-    x, y, xu, yu, frame, _ = _pre_iwasawa(check_symplectic(m))
+    x, y, xu, yu, frame = _pre_iwasawa(check_symplectic(m))
     return _trusted(PreIwasawaFactors, x, y, xu, yu, "modified", frame)
 
 
@@ -452,19 +443,11 @@ def pre_iwasawa_compose(factors):
     Plain:    a = y X - x y^{-1} Y,  b = y Y + x y^{-1} X,
               c = -y^{-1} Y,         d = y^{-1} X.
     Modified: the same formulas with y replaced by y^{1/2}.  Both read s, the root of the
-    modified y, and make s^{-1} from what the factors keep: no factorization.
+    modified y, and s^{-1} from the frame the factors keep (an ``SnChart``'s too): no
+    factorization.
     """
-    s, u, q = factors._frame
-    return _compose(factors.x, s, _spectral(u, q), factors.X, factors.Y)
-
-
-def _compose(x, r, ri, xu, yu):
-    """:func:`pre_iwasawa_compose` from r, the diagonal factor's root of y, and r^{-1}."""
-    a = r @ xu - x @ ri @ yu
-    b = r @ yu + x @ ri @ xu
-    c = -(ri @ yu)
-    d = ri @ xu
-    return from_blocks(a, b, c, d)
+    (_, _, s, si), x, xu, yu = factors._frame, factors.x, factors.X, factors.Y
+    return from_blocks(s @ xu - x @ si @ yu, s @ yu + x @ si @ xu, -(si @ yu), si @ xu)
 
 
 def act_modified_chart(m, chart):
