@@ -16,6 +16,7 @@ from .jacobi import SnChart
 from .linalg import _gate, _mT
 
 DEFAULT_STEP = 1e-6
+BRACKET_STEP = 1e-5  # fd_bracket's: each term is a difference of a field along another
 
 
 def tuple_line(point, tangent, t):
@@ -74,13 +75,13 @@ def fd_push_sn(f, chart, tangent, step=DEFAULT_STEP):
     return fd_curve(lambda t: sn_chart_to_tuple(f(sn_chart_curve(chart, tangent, t))), step)
 
 
-def fd_bracket(field1, field2, point, step=1e-5):
+def fd_bracket(field1, field2, point):
     """Commutator of two vector fields by central differences.
 
     Fields are functions point-tuple -> tangent-tuple on the same chart;
     the bracket is  J(W) V - J(V) W, each Jacobian-vector product the
     pushforward of one field along the other's value at the point.
     """
-    jw_v = fd_push(field2, point, field1(point), step)
-    jv_w = fd_push(field1, point, field2(point), step)
+    jw_v = fd_push(field2, point, field1(point), BRACKET_STEP)
+    jv_w = fd_push(field1, point, field2(point), BRACKET_STEP)
     return tuple(a - b for a, b in zip(jw_v, jv_w))

@@ -95,9 +95,9 @@ def rand_matrix(rng, n, m=None, scale=1.0):
     return scale * _uniform(rng, (n, n if m is None else m))
 
 
-def rand_row(rng, n, scale=1.0):
-    """A row of n entries uniform in [-scale, scale]: 1-d, or (k, 1, n) from a stack."""
-    return _row(rand_matrix(rng, 1, n, scale=scale))
+def rand_row(rng, n):
+    """A row of n entries uniform in [-1, 1]: 1-d, or (k, 1, n) from a stack."""
+    return _row(rand_matrix(rng, 1, n))
 
 
 def rand_complex_row(rng, n):
@@ -106,8 +106,8 @@ def rand_complex_row(rng, n):
     return re + 1j * im
 
 
-def rand_sym(rng, n, scale=1.0):
-    return symmetrize(rand_matrix(rng, n, scale=scale))
+def rand_sym(rng, n):
+    return symmetrize(rand_matrix(rng, n))
 
 
 def rand_spd(rng, n, spread=0.7):
@@ -131,10 +131,10 @@ def rand_heisenberg(rng, n):
     return HeisenbergElement(*_draw(rng, n, "rrk"))
 
 
-def rand_jacobi(rng, n, scale=None):
+def rand_jacobi(rng, n):
     """The exponential of :func:`rand_sp_algebra` with uniform rows and kappa, built
     unchecked: tests hold the draws to ``check_symplectic`` at n = 1 .. 10."""
-    return _trusted(JacobiElement, rand_symplectic(rng, n, scale), *_draw(rng, n, "rrk"))
+    return _trusted(JacobiElement, rand_symplectic(rng, n), *_draw(rng, n, "rrk"))
 
 
 def rand_gj_algebra(rng, n, scale=None):
@@ -172,12 +172,12 @@ def rand_sn_tangent(rng, chart):
     return dx, dy, du.real, du.imag, *rows
 
 
-def rand_ball_point(rng, n, margin=0.2):
-    """Ball point (W, z): W symmetric with spectral norm <= 1 - margin."""
+def rand_ball_point(rng, n):
+    """Ball point (W, z): W symmetric with spectral norm <= 0.8, 0.2 inside the ball."""
     w_re, w_im, z_re, z_im = _draw(rng, n, "mmrr")
     w = symmetrize(w_re + 1j * w_im)
     norm = np.linalg.norm(w, 2, axis=(-2, -1))[..., None, None]
-    return (1.0 - margin) * w / np.maximum(1.0, norm / (1.0 - margin)), z_re + 1j * z_im
+    return 0.8 * w / np.maximum(1.0, norm / 0.8), z_re + 1j * z_im
 
 
 def rand_vu_point(rng, n):

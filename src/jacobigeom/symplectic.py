@@ -232,6 +232,7 @@ def unitary_pair_residual(x, y):
     return _pair_residual(_square((x, y)))
 
 
+@np.errstate(all="ignore")  # a pair whose products overflow fails its gate, not a warning
 def _pair_residual(xy):
     """:func:`unitary_pair_residual` of (X, Y) read as one array ``xy``: the blocks of two
     products, Z^t Z with Z = [X Y] and W W^t with W = [X; Y]."""
@@ -260,6 +261,7 @@ def unitary_iso(x, y):
     return x + 1j * y
 
 
+@np.errstate(all="ignore")  # a U whose residual overflows fails its gate, not a warning
 def unitary_iso_inverse(u):
     """Inverse isomorphism: unitary U -> pair (Re U, Im U)."""
     u = _max_norm(_square(u, complex, stack=False))[1]
@@ -292,17 +294,21 @@ def _siegel(run):
     return _spd_eig(run[1] if run.dtype.kind == "f" else run[0].imag)
 
 
+@np.errstate(all="ignore")  # a W whose I - W conj(W) overflows fails its gate, not a warning
 def _ball(run):
     """The eigenpairs of the Hermitian part of I - W Wbar once the run (W,) that ``linalg._read``
     made is a ball point: the one check of one.  ContractionViolation unless W is symmetric within
     BALL_SYM_RTOL (each part of W - W^t within half of it, by ``linalg._symmetric``, passes at
     once: |z| <= 2^0.5 max(|Re z|, |Im z|)) and the smallest eigenvalue of that one ``eigh``
-    (per matrix of a stack) exceeds BALL_MIN_EIG: W a strict contraction."""
+    (per matrix of a stack) exceeds BALL_MIN_EIG: W a strict contraction.  An I - W conj(W)
+    with an inf or NaN entry, on which ``eigh`` may not converge, fails as NaN without it."""
     w = run[0]
     _symmetric(w, linalg.BALL_SYM_RTOL / 2) or _gate(
         sym_residual(w), linalg.BALL_SYM_RTOL, ContractionViolation, "asymmetry of W")
     k = np.eye(w.shape[-1]) - w @ w.conj()
-    e, u = np.linalg.eigh(0.5 * (k + _mT(k.conj())))
+    finite = np.isfinite(k).all((-2, -1))
+    e, u = (np.linalg.eigh(0.5 * (k + _mT(k.conj()))) if finite.all() else
+            (np.where(finite, np.inf, np.nan)[..., None], None))
     _gate(e[..., 0], linalg.BALL_MIN_EIG, ContractionViolation,
           "smallest eigenvalue of I - W conj(W)", lower=True)
     return e, u
