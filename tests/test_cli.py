@@ -360,6 +360,10 @@ _XJN, _DXJN = [[[0.0]], [[1.0]], [0.1], [0.2]], [[[1.0]], [[0.5]], [0.1], [0.3]]
 _JOBS = {
     "check": (["check"], {"matrix": [[0.0, 1.0], [-1.0, 0.0]]},
               '{"block_relations":true,"n":1,"residual":0.0,"symplectic":true}'),
+    # det 1 + 1e-9: symplectic within --tol 1e-8, not within the default SP_TOL
+    "check-tol": (["check", "--tol", "1e-8"], {"matrix": [[1.000000001, 0.0], [0.0, 1.0]]},
+                  '{"block_relations":true,"n":1,"residual":1.000000082740371e-09,'
+                  '"symplectic":true}'),
     "decompose": (["decompose"], {"matrix": [[0.0, 1.0], [-1.0, 0.0]]},
                   '{"X":[[0.0]],"Y":[[1.0]],"recomposition_residual":0.0,"variant":"modified",'
                   '"x":[[0.0]],"y":[[1.0]]}'),

@@ -40,6 +40,7 @@ from jacobigeom import (
     metric_group,
     metric_xjn,
     mobius_act,
+    modified_pre_iwasawa,
     oneforms_matrix_chart,
     oneforms_sn,
     pre_iwasawa,
@@ -216,6 +217,38 @@ def test_a_chart_keeps_the_frame_of_its_y(n):
     assert np.allclose((u * r**2) @ u.T, made.y, rtol=0, atol=1e-13)
     for mine, fresh in ((s, s0), (si, si0)):
         assert np.max(np.abs(mine - fresh)) <= 1e-13 * np.max(np.abs(fresh))
+
+
+@pytest.mark.parametrize("n", [1, 3, 10])
+def test_factors_keep_the_frame_of_a_chart(n):
+    # pre-Iwasawa factors keep a chart's frame (r, U, s, s^-1) of the modified y: factored,
+    # sn_chart's, as both come from one _pre_iwasawa; built, the root frame of their check's
+    # eigh, of y^2 = U diag(w^2) U^t for the plain variant, whose y is s
+    rng = np.random.default_rng(70 + n)
+    g, chart = smp.rand_jacobi(rng, n), smp.rand_sn_chart(rng, n)
+    plain = pre_iwasawa(g.M)
+    for factors in (plain, modified_pre_iwasawa(g.M)):
+        for mine, its in zip(factors._frame, sn_chart(g)._frame, strict=True):
+            assert np.array_equal(mine, its)
+    for variant, base in (("modified", chart), ("plain", plain)):
+        built = PreIwasawaFactors(base.x, base.y, base.X, base.Y, variant)
+        w, u = np.linalg.eigh(symmetrize(base.y))
+        fresh = _root_frame((w * w if variant == "plain" else w, u))
+        for mine, its in zip(built._frame, fresh, strict=True):
+            assert np.array_equal(mine, its)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 10])
+def test_a_chart_recomposes_as_its_factors(n):
+    # sn_chart_inverse's M is pre_iwasawa_compose of the chart's modified factors, bit for bit,
+    # for a chart that sn_chart made and for one constructed
+    rng = np.random.default_rng(80 + n)
+    g, made = smp.rand_jacobi(rng, n), smp.rand_sn_chart(rng, n)
+    assert np.array_equal(sn_chart_inverse(sn_chart(g)).M,
+                          pre_iwasawa_compose(modified_pre_iwasawa(g.M)))
+    parts = (made.x, made.y, made.X, made.Y)
+    assert np.array_equal(sn_chart_inverse(SnChart(*parts, made.p, made.q, made.kappa)).M,
+                          pre_iwasawa_compose(PreIwasawaFactors(*parts, "modified")))
 
 
 def test_the_frame_survives_stacking_and_stays_out_of_sight():

@@ -405,3 +405,7 @@ def test_commutator_table_failures_are_basis_closure_failures(monkeypatch):
     with pytest.raises(BasisClosureFailure, match="projection residual") as info:
         commutator_table(1)
     assert isinstance(info.value.__cause__, ProjectionResidual)
+    # and so is gj_bracket's, of one pair
+    with pytest.raises(BasisClosureFailure, match="projection residual") as info:
+        gj_bracket(*gj_basis_elements(1)[:2])
+    assert isinstance(info.value.__cause__, ProjectionResidual)

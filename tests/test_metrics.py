@@ -740,13 +740,21 @@ def test_seeds_beyond_128_bits_run_and_replay():
         "metric_xjn_pq", 1, samples=3, seed=seed + 1)
 
 
+# a point of X^J_1 and two tangents at it, for metric_xjn's weights
+_XJN_ARGS = ((np.zeros((1, 1)), np.eye(1), np.zeros(1), np.zeros(1)),
+             *((np.eye(1), np.eye(1), np.ones(1), np.ones(1)),) * 2)
+
+
 @pytest.mark.parametrize("make,weights", [
     pytest.param(MetricParams, w, id=f"MetricParams-{name}-inf")
     for name, w in zip(("alpha", "beta", "gamma", "delta"), np.where(np.eye(4), np.inf, 1.0))
 ] + [pytest.param(KahlerParams, w, id=f"KahlerParams-{name}-inf")
-     for name, w in zip(("k", "nu"), np.where(np.eye(2), np.inf, 1.0))])
+     for name, w in zip(("k", "nu"), np.where(np.eye(2), np.inf, 1.0))] + [
+    pytest.param(lambda *w: metric_xjn(*w, "pq", *_XJN_ARGS), w, id=f"metric_xjn-{name}")
+    for name, w in (("alpha-inf", (np.inf, 1.0)), ("gamma-negative", (1.0, -1.0)))])
 def test_weights_must_be_finite(make, weights):
-    # an infinite weight was accepted and metric_group returned inf
+    # an infinite weight was accepted and metric_group returned inf; metric_xjn takes its two
+    # weights as arguments, finite and >= 0
     with pytest.raises(ValueError, match="must be .*finite"):
         make(*weights)
 

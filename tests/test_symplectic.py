@@ -20,9 +20,10 @@ from jacobigeom import (
     unitary_iso,
     unitary_iso_inverse,
 )
+from jacobigeom import linalg
 from jacobigeom.sampling import rand_sn_chart, rand_sp_algebra, rand_spd, rand_sym, rand_symplectic
 from jacobigeom.symplectic import PreIwasawaFactors, SpAlgebraElement, from_blocks
-from jacobigeom.symplectic import pair_to_symplectic
+from jacobigeom.symplectic import pair_to_symplectic, symplectic_residual
 
 
 def test_is_symplectic_basics():
@@ -53,6 +54,22 @@ def test_block_relations_equivalence(rng):
         if i % 2:
             m = m + 1e-3 * rng.normal(size=m.shape)
         assert check_block_relations(m, 1e-8) == is_symplectic(m, 1e-8)
+
+
+@pytest.mark.parametrize("tol", [None, 1e-8, 1e-12])
+def test_block_relations_are_the_residuals_of_m_and_its_transpose(rng, tol):
+    # set one is the blocks of M J M^t - J, the residual of M^t, set two those of M^t J M - J:
+    # one verdict on the larger residual, on and off the group; a NaN or inf entry is a no
+    bound = linalg.SP_TOL if tol is None else tol
+    ms = [m + e * rng.normal(size=m.shape) for n in (1, 2, 3, 10) for scale in (None, 1.0, 3.0)
+          for m in (rand_symplectic(rng, n, scale),) for e in (0.0, 1e-11, 1e-9, 1e-3)]
+    for m in ms:
+        residual = np.maximum(symplectic_residual(m.T), symplectic_residual(m))
+        assert check_block_relations(m, tol) is bool(residual <= bound)
+    for bad in (np.nan, np.inf, -np.inf):
+        m = np.eye(4)
+        m[1, 2] = bad
+        assert check_block_relations(m, tol) is False
 
 
 def test_closure(rng):
@@ -86,6 +103,7 @@ def test_sp_algebra_from_matrix_returns_an_element_as_it_was(rng):
     for n in (1, 2, 5):
         s = rand_sp_algebra(rng, n)
         back = SpAlgebraElement.from_matrix(s.to_matrix())
+        assert back.n == s.n == n
         for got, want in zip((back.a, back.b, back.c), (s.a, s.b, s.c)):
             assert np.array_equal(got, want)
 
@@ -195,6 +213,7 @@ def test_variants_related_by_square(rng):
         m = rand_symplectic(rng, n)
         fp = pre_iwasawa(m)
         fm = modified_pre_iwasawa(m)
+        assert fp.n == fm.n == n
         assert np.max(np.abs(fm.y - fp.y @ fp.y)) < 1e-12
         assert np.max(np.abs(fm.x - fp.x)) < 1e-12
         assert np.max(np.abs(fm.X - fp.X)) < 1e-12

@@ -104,6 +104,70 @@ def test_every_private_name_is_read_somewhere(path):
     assert _unread(path.read_text(), _read_anywhere()) == []
 
 
+def _defaults(source):
+    """(function, parameter, position) of each parameter with a default of each function and
+    method ``source`` defines: a method's position does not count its self, ``__init__`` goes
+    by its class's name, and a keyword-only parameter has position None."""
+    tree, found = ast.parse(source), []
+    owners = {id(f): c.name for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body}
+    for f in (f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)):
+        owner, args = owners.get(id(f)), f.args.posonlyargs + f.args.args
+        static = any(getattr(d, "id", None) == "staticmethod" for d in f.decorator_list)
+        skip, first = int(bool(owner) and not static), len(args) - len(f.args.defaults)
+        name = owner if f.name == "__init__" else f.name
+        found += [(name, a.arg, i - skip) for i, a in enumerate(args) if i >= first]
+        found += [(name, a.arg, None) for a, d in zip(f.args.kwonlyargs, f.args.kw_defaults)
+                  if d is not None]
+    return found
+
+
+def _passed(sources):
+    """(callee, keyword or position) of each argument of each call of ``sources``, the callee by
+    its last name; (callee, "*") where a ``*args`` or ``**kwargs`` may pass any."""
+    found = set()
+    for node in (n for s in sources for n in ast.walk(ast.parse(s)) if isinstance(n, ast.Call)):
+        callee = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        found.update((callee, i) for i in range(len(node.args)))
+        found.update((callee, k.arg or "*") for k in node.keywords)
+        if any(isinstance(a, ast.Starred) for a in node.args):
+            found.add((callee, "*"))
+    return found
+
+
+@functools.cache
+def _passed_anywhere():
+    """The arguments any call of any file of ``_SOURCES`` passes (:func:`_passed`)."""
+    return _passed(p.read_text() for p in _SOURCES)
+
+
+def _unset(source, passed):
+    """``function.parameter`` of each default of ``source`` that no argument of ``passed``
+    sets, by keyword or by position, sorted: a parameter no caller sets is a constant."""
+    return sorted(f"{name}.{arg}" for name, arg, i in _defaults(source)
+                  if not {(name, arg), (name, i), (name, "*")} & passed)
+
+
+def test_unset_default_check_sees_a_leftover():
+    # a default no call sets, beside ones set by keyword, by position and through **kwargs
+    module = ("def draw(rng, n, scale=1.0, *, low=0.0):\n    return rng\n\n"
+              "class Walk:\n    def __init__(self, step=1e-5, span=2):\n        pass\n\n"
+              "    def run(self, k=3, seed=0):\n        return k\n")
+    user = "draw(rng, 2, low=1.0)\nWalk(1e-4)\nwalk.run(**options)\n"
+    assert _unset(module, _passed([module, user])) == ["Walk.span", "draw.scale"]
+    assert _unset(module, _passed([module, user, "draw(rng, 2, 0.5)\nWalk(span=3)\n"])) == []
+
+
+# the defaults that no call sets by its name, each with its reason
+_UNSET_DEFAULTS = {
+    "numdiff.fd_push_sn.step": "tests/test_metrics.py passes it through an alias, fd = fd_push_sn",
+}
+
+
+def test_every_default_is_set_somewhere():
+    found = [f"{p.stem}.{d}" for p in _MODULES for d in _unset(p.read_text(), _passed_anywhere())]
+    assert found == sorted(_UNSET_DEFAULTS)
+
+
 def _dead_rows(tables, sources):
     """Per module-level dict named in ``tables``, its keys, sorted, that no call of ``sources``
     passes as its first argument and no other of the tables holds in a value: rows nothing

@@ -369,23 +369,27 @@ def test_an_unstacked_only_call_refuses_a_stack(name):
             call(*api.arguments(roles, api.stacks(n, 3)))
 
 
-@pytest.mark.parametrize("stacked", ["element", "point"])
+@pytest.mark.parametrize("stacked", ["element", "point", "point, element a stack of one"])
 @pytest.mark.parametrize("name", [
     name for name in _STACKING if len(api.REGISTRY[name][1]) == 2
     and api.REGISTRY[name][1][0] in api.ELEMENTS and "tangent" not in api.REGISTRY[name][1][1]])
 def test_a_stack_acts_on_one_and_one_on_a_stack(name, stacked):
     # an element and a point (or two elements) broadcast both ways: a stack of three against
     # one gives the three results of the unstacked calls; act_pq and act_extended returned
-    # rows of shape (3, 3, 2), and gj_compose of one element and a stack as well
+    # rows of shape (3, 3, 2), and gj_compose of one element and a stack as well.  Two stacks
+    # broadcast too: an element stacked (1,) acts on points stacked (3,)
     call, roles, _ = api.REGISTRY[name]
     stack, many = api.stacks(2, 3), roles[0 if stacked == "element" else 1]
     values = {role: stack[role] if role == many else api.at(stack[role], 0) for role in roles}
+    rtol = 1e-12
+    if stacked.endswith("of one"):  # then bit for bit the calls on one
+        values, rtol = {**values, roles[0]: api.stacks(2, 1)[roles[0]]}, 0.0
     out = api.leaves(call(*api.arguments(roles, values)))
     for i in range(3):
         one = call(*api.arguments(roles, {**values, many: api.at(stack[many], i)}))
         for got, want in zip(out, map(np.asarray, api.leaves(one)), strict=True):
             got = np.reshape(np.asarray(got)[i], want.shape)
-            assert np.max(np.abs(got - want), initial=0.0) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+            assert np.max(np.abs(got - want), initial=0.0) <= rtol * max(1.0, np.max(np.abs(want)))
 
 
 @pytest.mark.parametrize("name", [name for name, (_, roles, _) in api.REGISTRY.items()
@@ -570,6 +574,9 @@ BAD_SHAPES = {
     "oneforms_n1 inf y": lambda: oneforms_n1(0.1, np.inf, 0.3, (0.1,) * 6),
     "oneforms_n1 inf theta": lambda: oneforms_n1(0.1, 1.5, np.inf, (0.1,) * 6),
     "oneforms_n1 dx of length 2": lambda: oneforms_n1(0.1, 1.5, 0.3, (np.ones(2),) + (0.1,) * 5),
+    "oneforms_n1 y = 0": lambda: oneforms_n1(0.1, 0.0, 0.3, (0.1,) * 6),
+    "oneforms_n1 y = -1": lambda: oneforms_n1(0.1, -1.0, 0.3, (0.1,) * 6),
+    "sylvester_solve C 2x3 for A and B 2x2": lambda: sylvester_solve(_Y, _Y, np.zeros((2, 3))),
     # an algebra element's a: a NaN that to_matrix carried, or a 2 x 3 a that it refused with
     # numpy's error
     "JacobiAlgebraElement NaN a": lambda: JacobiAlgebraElement(NAN, _X, _X, *_ROWS, 0.0),
@@ -655,6 +662,27 @@ BAD_SHAPE_MESSAGES = {
 def test_wrong_shapes_raise_bad_shape(case):
     with pytest.raises(BadShape, match=BAD_SHAPE_MESSAGES.get(case)):
         BAD_SHAPES[case]()
+
+
+# a label outside the fixed set its call names (a space, a chart, an object, a variant): a
+# plain ValueError, not a GeometryError, as the fault is the caller's choice, not a value
+_PQ_POINT = (_X, _Y) + _ROWS
+UNKNOWN_LABELS = {
+    "fvf space": lambda: fvf(_Z, _PQ_POINT, "nowhere"),
+    "chart_convert src": lambda: chart_convert(_PQ_POINT, "nowhere", "pq"),
+    "chart_convert dst": lambda: chart_convert(_PQ_POINT, "pq", "nowhere"),
+    "metric_xjn chart": lambda: metric_xjn(1.0, 1.0, "nowhere", _PQ_POINT, _PQ_TANGENT,
+                                           _PQ_TANGENT),
+    "invariance_report object": lambda: jacobigeom.invariance_report("nothing", 1),
+    "PreIwasawaFactors variant": lambda: PreIwasawaFactors(_X, _Y, _Y, _X, "other"),
+}
+
+
+@pytest.mark.parametrize("case", UNKNOWN_LABELS)
+def test_an_unknown_label_is_a_value_error(case):
+    with pytest.raises(ValueError, match="must be one of|^unknown variant 'other'$") as info:
+        UNKNOWN_LABELS[case]()
+    assert type(info.value) is ValueError
 
 
 # the forms of one tangent's rows (its parts `rows`) that the row rule keeps, each read as

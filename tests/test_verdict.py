@@ -16,11 +16,15 @@ import numpy as np
 import pytest
 
 from jacobigeom import (
+    ContractionViolation,
     JacobiElement,
     KahlerParams,
     MetricParams,
     NotSymplectic,
+    NotUnitaryPair,
     PreIwasawaFactors,
+    SnChart,
+    act_modified_chart,
     act_pq,
     check_symplectic,
     gj_identity,
@@ -332,6 +336,57 @@ def test_an_overflowing_residual_is_not_symplectic(name):
         OVERFLOW[name](1e308 * np.eye(2))
     with pytest.raises(NotSymplectic, match=r"inf exceeds 1\.000e-10 at stack index 1$"):
         OVERFLOW[name](_stack3(np.eye(2), 1e308 * np.eye(2)))
+
+
+def test_an_overflowing_residual_is_a_verdict():
+    # the two verdicts on M's residual say no; the measurement itself is inf
+    m = 1e308 * np.eye(4)
+    assert symplectic.is_symplectic(m) is np.False_
+    assert symplectic.check_block_relations(m) is False
+    assert symplectic.symplectic_residual(m) == np.inf
+
+
+# an orthogonal pair or a unitary matrix whose residual overflows: its check's own error, where
+# the products' overflow warning once escaped
+_HUGE = 1e200 * np.eye(N)
+_ZERO = np.zeros((N, N))
+OVERFLOWING_PAIRS = {
+    "check_unitary_pair": lambda: symplectic.check_unitary_pair(_HUGE, _ZERO),
+    "unitary_iso": lambda: symplectic.unitary_iso(_HUGE, _ZERO),
+    "unitary_iso_inverse": lambda: symplectic.unitary_iso_inverse(_HUGE + 0j),
+    "PreIwasawaFactors": lambda: PreIwasawaFactors(X, Y, _HUGE, _ZERO, "modified"),
+    "SnChart": lambda: SnChart(X, Y, _HUGE, _ZERO, P, Q, 0.0),
+    "act_modified_chart": lambda: act_modified_chart(np.eye(2 * N), (X, Y, _HUGE, _ZERO)),
+}
+
+
+@pytest.mark.parametrize("name", OVERFLOWING_PAIRS)
+def test_an_overflowing_pair_is_not_unitary(name):
+    with pytest.raises(NotUnitaryPair, match=r"residual inf exceeds 1\.000e-10$"):
+        OVERFLOWING_PAIRS[name]()
+
+
+_BALL_ENTRIES = [name for name, (_, roles, _) in api.REGISTRY.items()
+                 if any(role.lstrip("*") in api.BALL for role in roles)]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("name", _BALL_ENTRIES)
+def test_an_overflowing_ball_point_is_a_contraction_violation(name, n):
+    # W scaled by 1e200, all of it or sample 1 of a stack of 3: I - W conj(W) overflows, and
+    # fails the eigenvalue gate as NaN with no eigh, which at n = 3 did not converge on it
+    call, roles, stacks = api.REGISTRY[name]
+    role = next(r.lstrip("*") for r in roles if r.lstrip("*") in api.BALL)
+    cases = [(api.unstacked(n), ..., "")] + [(api.stacks(n, 3), 1, " at stack index 1")] * (
+        stacks is True)
+    for values, which, where in cases:
+        point = values[role]
+        w = np.array(point[0] if role == "ball" else point)
+        w[which] *= 1e200
+        values = {**values, role: (w, point[1]) if role == "ball" else w}
+        with pytest.raises(ContractionViolation, match=(
+                rf"^smallest eigenvalue of I - W conj\(W\) nan is not above 1\.000e-10{where}$")):
+            call(*api.arguments(roles, values))
 
 
 def _layouts(a):
