@@ -301,7 +301,8 @@ def _ball(run):
     BALL_SYM_RTOL (each part of W - W^t within half of it, by ``linalg._symmetric``, passes at
     once: |z| <= 2^0.5 max(|Re z|, |Im z|)) and the smallest eigenvalue of that one ``eigh``
     (per matrix of a stack) exceeds BALL_MIN_EIG: W a strict contraction.  An I - W conj(W)
-    with an inf or NaN entry, on which ``eigh`` may not converge, fails as NaN without it."""
+    with an inf or NaN entry, on which ``eigh`` may not converge, fails as NaN without it, and
+    the gate names the first such matrix of a stack."""
     w = run[0]
     _symmetric(w, linalg.BALL_SYM_RTOL / 2) or _gate(
         sym_residual(w), linalg.BALL_SYM_RTOL, ContractionViolation, "asymmetry of W")
