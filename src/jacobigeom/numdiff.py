@@ -16,7 +16,7 @@ from .jacobi import SnChart
 from .linalg import _gate, _mT
 
 DEFAULT_STEP = 1e-6
-BRACKET_STEP = 1e-5  # fd_bracket's: each term is a difference of a field along another
+BRACKET_STEP = 1e-5
 
 
 def tuple_line(point, tangent, t):

@@ -307,9 +307,10 @@ def _ball(run):
     _symmetric(w, linalg.BALL_SYM_RTOL / 2) or _gate(
         sym_residual(w), linalg.BALL_SYM_RTOL, ContractionViolation, "asymmetry of W")
     k = np.eye(w.shape[-1]) - w @ w.conj()
-    finite = np.isfinite(k).all((-2, -1))
-    e, u = (np.linalg.eigh(0.5 * (k + _mT(k.conj()))) if finite.all() else
-            (np.where(finite, np.inf, np.nan)[..., None], None))
+    if np.isfinite(k).all():
+        e, u = np.linalg.eigh(0.5 * (k + _mT(k.conj())))
+    else:
+        e, u = np.where(np.isfinite(k).all((-2, -1)), np.inf, np.nan)[..., None], None
     _gate(e[..., 0], linalg.BALL_MIN_EIG, ContractionViolation,
           "smallest eigenvalue of I - W conj(W)", lower=True)
     return e, u
